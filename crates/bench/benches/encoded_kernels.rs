@@ -13,7 +13,7 @@
 //!   folding whole runs instead of rows.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mlcs_columnar::exec::{self, AggCall, AggFunc};
+use mlcs_columnar::exec::{self, AggCall, AggFunc, Parallelism};
 use mlcs_columnar::expr::{eval_predicate, BinaryOp, EvalContext, Expr};
 use mlcs_columnar::{Batch, Column, Encoding};
 use rand::rngs::StdRng;
@@ -53,18 +53,24 @@ fn filter_on_codes(c: &mut Criterion) {
     let plain = low_ndv_batch(11);
     let dict = with_encoding(&plain, 0, Encoding::Dict);
     let pred = Expr::binary(BinaryOp::Lt, Expr::col(0), Expr::lit(10i32));
-    let (want, _) = exec::filter_sel(&plain, &pred, None).expect("plain filter");
-    let (got, stats) = exec::filter_sel(&dict, &pred, None).expect("dict filter");
+    let (want, _) =
+        exec::filter_sel(&plain, &pred, None, Parallelism::serial()).expect("plain filter");
+    let (got, stats) =
+        exec::filter_sel(&dict, &pred, None, Parallelism::serial()).expect("dict filter");
     assert_eq!(want, got, "dict filter must select the same rows");
     assert!(stats.fused, "dict comparison must take the fused LUT path");
     let mut group = c.benchmark_group("encoded_kernels");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("filter_1m_plain", |b| {
-        b.iter(|| exec::filter_sel(&plain, &pred, None).expect("filter").0.len());
+        b.iter(|| {
+            exec::filter_sel(&plain, &pred, None, Parallelism::serial()).expect("filter").0.len()
+        });
     });
     group.bench_function("filter_1m_dict_codes", |b| {
-        b.iter(|| exec::filter_sel(&dict, &pred, None).expect("filter").0.len());
+        b.iter(|| {
+            exec::filter_sel(&dict, &pred, None, Parallelism::serial()).expect("filter").0.len()
+        });
     });
     group.finish();
 }
@@ -78,7 +84,8 @@ fn fused_vs_tree_walk(c: &mut Criterion) {
         Expr::binary(BinaryOp::Lt, Expr::col(0), Expr::lit(50i32)),
         Expr::binary(BinaryOp::Lt, Expr::col(1), Expr::lit(0.5f64)),
     );
-    let (fused, stats) = exec::filter_sel(&batch, &pred, None).expect("fused");
+    let (fused, stats) =
+        exec::filter_sel(&batch, &pred, None, Parallelism::serial()).expect("fused");
     assert!(stats.fused, "conjunction of comparisons must fuse");
     let ctx = EvalContext::new(&batch, None);
     let walked = eval_predicate(&ctx, &pred).expect("tree-walk");
@@ -87,7 +94,9 @@ fn fused_vs_tree_walk(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("predicate_1m_fused", |b| {
-        b.iter(|| exec::filter_sel(&batch, &pred, None).expect("fused").0.len());
+        b.iter(|| {
+            exec::filter_sel(&batch, &pred, None, Parallelism::serial()).expect("fused").0.len()
+        });
     });
     group.bench_function("predicate_1m_tree_walk", |b| {
         b.iter(|| {
@@ -112,17 +121,22 @@ fn rle_aggregate(c: &mut Criterion) {
         AggCall { func: AggFunc::Min, arg: Some(0), distinct: false },
         AggCall { func: AggFunc::Max, arg: Some(0), distinct: false },
     ];
-    let want = exec::hash_aggregate(&plain, &[], &calls).expect("plain agg");
-    let got = exec::hash_aggregate(&rle, &[], &calls).expect("rle agg");
+    let want =
+        exec::hash_aggregate(&plain, &[], &calls, Parallelism::serial()).expect("plain agg").0;
+    let got = exec::hash_aggregate(&rle, &[], &calls, Parallelism::serial()).expect("rle agg").0;
     assert_eq!(want, got, "RLE aggregate must match plain");
     let mut group = c.benchmark_group("encoded_kernels");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("agg_1m_plain", |b| {
-        b.iter(|| exec::hash_aggregate(&plain, &[], &calls).expect("agg").rows());
+        b.iter(|| {
+            exec::hash_aggregate(&plain, &[], &calls, Parallelism::serial()).expect("agg").0.rows()
+        });
     });
     group.bench_function("agg_1m_rle_runs", |b| {
-        b.iter(|| exec::hash_aggregate(&rle, &[], &calls).expect("agg").rows());
+        b.iter(|| {
+            exec::hash_aggregate(&rle, &[], &calls, Parallelism::serial()).expect("agg").0.rows()
+        });
     });
     group.finish();
 }

@@ -1,10 +1,11 @@
 //! Exp 7 (substrate): columnar operator microbenchmarks establishing that
 //! the engine underneath the UDFs is a credible column store — vectorized
-//! filter, hash join, hash aggregation, and sort over 1M rows, each in a
-//! serial and a morsel-parallel variant (2 / 4 / all-hardware workers).
+//! filter, hash join, hash aggregation, and sort over 1M rows, each run
+//! under the serial policy and morsel-parallel (2 / 4 / all-hardware
+//! workers). Both are the same function; only the [`Parallelism`] differs.
 //!
 //! Every parallel variant asserts, once before timing, that its output is
-//! byte-identical to the serial operator's.
+//! byte-identical to the serial policy's.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mlcs_bench::{db_with, synth_table};
@@ -28,6 +29,15 @@ fn thread_counts() -> Vec<usize> {
 /// with 64K-row morsels.
 fn par(threads: usize) -> Parallelism {
     Parallelism { threads, threshold: 1, morsel_rows: 64 * 1024, deadline: None }
+}
+
+/// The policies each operator is timed under, with the benchmark-name
+/// suffix of each: serial first (its output is the reference the others
+/// are checked against), then one per worker count.
+fn policies() -> Vec<(String, Parallelism)> {
+    let mut out = vec![(String::new(), Parallelism::serial())];
+    out.extend(thread_counts().into_iter().map(|t| (format!("_par{t}"), par(t))));
+    out
 }
 
 /// Row-by-row equality with a relative tolerance for doubles — the parallel
@@ -55,20 +65,13 @@ fn filter_bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ROWS as u64));
     // ~10% selectivity on an i32 column.
     let pred = Expr::binary(BinaryOp::Lt, Expr::col(2), Expr::lit(100_000i32));
-    let serial = exec::filter(&batch, &pred, None).expect("filter");
-    group.bench_function("filter_1m_10pct", |b| {
-        b.iter(|| {
-            let out = exec::filter(&batch, &pred, None).expect("filter");
-            assert!(out.rows() > 0);
-            out
-        });
-    });
-    for threads in thread_counts() {
-        let parallel = exec::filter_par(&batch, &pred, None, par(threads)).expect("filter_par");
-        assert_eq!(parallel, serial, "parallel filter must match serial");
-        group.bench_function(format!("filter_1m_10pct_par{threads}"), |b| {
+    let serial = exec::filter(&batch, &pred, None, Parallelism::serial()).expect("filter");
+    for (suffix, policy) in policies() {
+        let out = exec::filter(&batch, &pred, None, policy).expect("filter");
+        assert_eq!(out, serial, "parallel filter must match serial");
+        group.bench_function(format!("filter_1m_10pct{suffix}"), |b| {
             b.iter(|| {
-                let out = exec::filter_par(&batch, &pred, None, par(threads)).expect("filter_par");
+                let out = exec::filter(&batch, &pred, None, policy).expect("filter");
                 assert!(out.rows() > 0);
                 out
             });
@@ -88,24 +91,15 @@ fn join_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("operators");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
-    let serial = exec::hash_join(&probe, &build, &[1], &[0], JoinType::Inner).expect("join");
-    group.bench_function("hash_join_1m_x_100", |b| {
-        b.iter(|| {
-            let out = exec::hash_join(&probe, &build, &[1], &[0], JoinType::Inner).expect("join");
-            assert_eq!(out.rows(), ROWS);
-            out
-        });
-    });
-    for threads in thread_counts() {
-        let parallel =
-            exec::hash_join_par(&probe, &build, &[1], &[0], JoinType::Inner, par(threads))
-                .expect("join_par");
-        assert_eq!(parallel, serial, "parallel join must match serial");
-        group.bench_function(format!("hash_join_1m_x_100_par{threads}"), |b| {
+    let join = |policy| {
+        exec::hash_join(&probe, &build, &[1], &[0], JoinType::Inner, false, policy).expect("join").0
+    };
+    let serial = join(Parallelism::serial());
+    for (suffix, policy) in policies() {
+        assert_eq!(join(policy), serial, "parallel join must match serial");
+        group.bench_function(format!("hash_join_1m_x_100{suffix}"), |b| {
             b.iter(|| {
-                let out =
-                    exec::hash_join_par(&probe, &build, &[1], &[0], JoinType::Inner, par(threads))
-                        .expect("join_par");
+                let out = join(policy);
                 assert_eq!(out.rows(), ROWS);
                 out
             });
@@ -128,22 +122,14 @@ fn aggregate_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("operators");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
-    let serial = exec::hash_aggregate(&batch, &[1], &calls).expect("aggregate");
-    group.bench_function("hash_aggregate_1m_100_groups", |b| {
-        b.iter(|| {
-            let out = exec::hash_aggregate(&batch, &[1], &calls).expect("aggregate");
-            assert_eq!(out.rows(), 100);
-            out
-        });
-    });
-    for threads in thread_counts() {
-        let parallel =
-            exec::hash_aggregate_par(&batch, &[1], &calls, par(threads)).expect("aggregate_par");
-        assert_batches_close(&serial, &parallel, "parallel aggregate vs serial");
-        group.bench_function(format!("hash_aggregate_1m_100_groups_par{threads}"), |b| {
+    let aggregate =
+        |policy| exec::hash_aggregate(&batch, &[1], &calls, policy).expect("aggregate").0;
+    let serial = aggregate(Parallelism::serial());
+    for (suffix, policy) in policies() {
+        assert_batches_close(&serial, &aggregate(policy), "parallel aggregate vs serial");
+        group.bench_function(format!("hash_aggregate_1m_100_groups{suffix}"), |b| {
             b.iter(|| {
-                let out = exec::hash_aggregate_par(&batch, &[1], &calls, par(threads))
-                    .expect("aggregate_par");
+                let out = aggregate(policy);
                 assert_eq!(out.rows(), 100);
                 out
             });
@@ -160,20 +146,13 @@ fn sort_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("operators");
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
-    let serial = exec::sort(&batch, &keys).expect("sort");
-    group.bench_function("sort_1m_two_keys", |b| {
-        b.iter(|| {
-            let out = exec::sort(&batch, &keys).expect("sort");
-            assert_eq!(out.rows(), ROWS);
-            out
-        });
-    });
-    for threads in thread_counts() {
-        let parallel = exec::sort_par(&batch, &keys, par(threads)).expect("sort_par");
-        assert_eq!(parallel, serial, "parallel sort must match serial");
-        group.bench_function(format!("sort_1m_two_keys_par{threads}"), |b| {
+    let sort = |policy| exec::sort(&batch, &keys, policy).expect("sort").0;
+    let serial = sort(Parallelism::serial());
+    for (suffix, policy) in policies() {
+        assert_eq!(sort(policy), serial, "parallel sort must match serial");
+        group.bench_function(format!("sort_1m_two_keys{suffix}"), |b| {
             b.iter(|| {
-                let out = exec::sort_par(&batch, &keys, par(threads)).expect("sort_par");
+                let out = sort(policy);
                 assert_eq!(out.rows(), ROWS);
                 out
             });

@@ -9,8 +9,7 @@
 //!
 //! ```text
 //! cargo run -p mlcs-bench --release --bin serve_bench -- \
-//!     [--clients N] [--queries Q] [--mode reactor|threaded] \
-//!     [--json PATH] [--smoke]
+//!     [--clients N] [--queries Q] [--json PATH] [--smoke]
 //! ```
 //!
 //! `--smoke` is the CI mode: after the run it asserts the reactor and
@@ -19,7 +18,7 @@
 
 use mlcs_columnar::{metrics, Database};
 use mlcs_core::register_ml_udfs;
-use mlcs_netproto::{NetConfig, ServeMode, Server, TextClient};
+use mlcs_netproto::{NetConfig, Server, TextClient};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -96,7 +95,6 @@ struct ClientTally {
 fn main() {
     let mut clients = 1000usize;
     let mut queries = 20usize;
-    let mut mode = ServeMode::Reactor;
     let mut json_out: Option<String> = None;
     let mut smoke = false;
     let mut args = std::env::args().skip(1);
@@ -104,21 +102,11 @@ fn main() {
         match a.as_str() {
             "--clients" => clients = args.next().expect("--clients N").parse().expect("number"),
             "--queries" => queries = args.next().expect("--queries Q").parse().expect("number"),
-            "--mode" => {
-                mode = match args.next().expect("--mode reactor|threaded").as_str() {
-                    "reactor" => ServeMode::Reactor,
-                    "threaded" => ServeMode::ThreadPerConn,
-                    other => panic!("unknown mode '{other}' (reactor|threaded)"),
-                }
-            }
             "--json" => json_out = Some(args.next().expect("--json PATH")),
             "--smoke" => smoke = true,
             other => {
                 eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: serve_bench [--clients N] [--queries Q] \
-                     [--mode reactor|threaded] [--json PATH] [--smoke]"
-                );
+                eprintln!("usage: serve_bench [--clients N] [--queries Q] [--json PATH] [--smoke]");
                 std::process::exit(2);
             }
         }
@@ -126,7 +114,6 @@ fn main() {
 
     let db = build_db();
     let config = NetConfig {
-        mode,
         max_connections: clients + 64,
         // Headroom over the client count: the bench measures saturation
         // latency, not shed rate (the shed counter is reported anyway).
@@ -135,11 +122,7 @@ fn main() {
         write_timeout: Some(Duration::from_secs(120)),
         ..NetConfig::default()
     };
-    let mode_label = match mode {
-        ServeMode::Reactor => "reactor",
-        ServeMode::ThreadPerConn => "threaded",
-    };
-    eprintln!("serve_bench: {clients} clients x {queries} queries, mode={mode_label}");
+    eprintln!("serve_bench: {clients} clients x {queries} queries");
 
     let before = metrics::snapshot();
     let server = Server::start_with(db, config).expect("server start");
@@ -199,7 +182,7 @@ fn main() {
     let admitted = delta.counter("netproto.evloop.queries");
     let shed = delta.counter("netproto.evloop.shed");
 
-    println!("mode={mode_label} clients={clients} queries_per_client={queries}");
+    println!("clients={clients} queries_per_client={queries}");
     println!("ok={ok} failed={failed} wall={wall_s:.2}s throughput={throughput:.0} q/s");
     println!(
         "latency (registry histogram, power-of-two buckets): \
@@ -212,8 +195,7 @@ fn main() {
     if let Some(path) = &json_out {
         let json = format!(
             "{{\n  \"command\": \"cargo run -p mlcs-bench --release --bin serve_bench -- \
-             --clients {clients} --queries {queries} --mode {mode_label}\",\n  \
-             \"mode\": \"{mode_label}\",\n  \"clients\": {clients},\n  \
+             --clients {clients} --queries {queries}\",\n  \"clients\": {clients},\n  \
              \"queries_per_client\": {queries},\n  \"results\": {{\n    \
              \"queries_ok\": {ok},\n    \"queries_failed\": {failed},\n    \
              \"wall_s\": {wall_s:.2},\n    \"throughput_qps\": {throughput:.1},\n    \

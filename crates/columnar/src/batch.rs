@@ -113,8 +113,13 @@ impl Batch {
         Batch { schema: self.schema.clone(), columns, rows: indices.len() }
     }
 
-    /// Copies rows `offset..offset+len` into a new batch.
+    /// Copies rows `offset..offset+len` into a new batch. The full range
+    /// shares the columns instead (batches are immutable), which is what
+    /// makes an operator's single-morsel run copy-free.
     pub fn slice(&self, offset: usize, len: usize) -> Batch {
+        if offset == 0 && len == self.rows {
+            return self.clone();
+        }
         let columns = self.columns.iter().map(|c| Arc::new(c.slice(offset, len))).collect();
         Batch { schema: self.schema.clone(), columns, rows: len }
     }
@@ -129,8 +134,12 @@ impl Batch {
     }
 
     /// Concatenates batches with identical schemas (column names/types).
+    /// A single batch is returned as is, sharing its columns.
     pub fn concat(batches: &[Batch]) -> DbResult<Batch> {
         let first = batches.first().ok_or_else(|| DbError::internal("concat of zero batches"))?;
+        if batches.len() == 1 {
+            return Ok(first.clone());
+        }
         let schema = first.schema.clone();
         let mut builders: Vec<Column> = first.columns.iter().map(|c| c.as_ref().clone()).collect();
         for b in &batches[1..] {

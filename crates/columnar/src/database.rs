@@ -542,10 +542,7 @@ impl Database {
                 };
                 if created {
                     if let Some(d) = &durable {
-                        d.log(&[WalOp::CreateTable {
-                            name: name.to_ascii_lowercase(),
-                            schema,
-                        }])?;
+                        d.log(&[WalOp::CreateTable { name: name.to_ascii_lowercase(), schema }])?;
                     }
                 }
                 Ok(empty(StatementKind::Ddl, 0))

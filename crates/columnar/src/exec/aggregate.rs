@@ -5,7 +5,7 @@ use crate::column::{Column, ColumnBuilder};
 use crate::error::{DbError, DbResult};
 use crate::exec::{rowkey, Parallelism};
 use crate::metrics;
-use crate::parallel::{parallel_map, Morsel};
+use crate::parallel::Morsel;
 use crate::schema::{Field, Schema};
 use crate::types::{DataType, Value};
 use std::collections::{HashMap, HashSet};
@@ -131,30 +131,13 @@ impl AggState {
             }
             AggState::MinMax { best, is_min } => {
                 let c = arg.ok_or_else(|| missing_arg("MIN/MAX"))?;
-                let v = c.value(row);
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match best {
-                    None => true,
-                    Some(cur) => match v.sql_cmp(cur) {
-                        Some(std::cmp::Ordering::Less) => *is_min,
-                        Some(std::cmp::Ordering::Greater) => !*is_min,
-                        Some(std::cmp::Ordering::Equal) => false,
-                        None => {
-                            return Err(DbError::Type("MIN/MAX over incomparable values".into()))
-                        }
-                    },
-                };
-                if replace {
-                    *best = Some(v);
-                }
+                fold_min_max(best, *is_min, c.value(row))?;
             }
         }
         Ok(())
     }
 
-    /// Folds another partial state (from a thread-local table) into this
+    /// Folds another partial state (from a later morsel's table) into this
     /// one. Both states come from `AggState::new` on the same call, so a
     /// kind mismatch indicates a bug.
     fn merge(&mut self, other: AggState) -> DbResult<()> {
@@ -173,24 +156,7 @@ impl AggState {
                 *count += c2;
             }
             (AggState::MinMax { best, is_min }, AggState::MinMax { best: b2, .. }) => {
-                if let Some(v) = b2 {
-                    let replace = match best {
-                        None => true,
-                        Some(cur) => match v.sql_cmp(cur) {
-                            Some(std::cmp::Ordering::Less) => *is_min,
-                            Some(std::cmp::Ordering::Greater) => !*is_min,
-                            Some(std::cmp::Ordering::Equal) => false,
-                            None => {
-                                return Err(DbError::Type(
-                                    "MIN/MAX over incomparable values".into(),
-                                ))
-                            }
-                        },
-                    };
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
+                fold_min_max(best, *is_min, b2.unwrap_or(Value::Null))?;
             }
             _ => return Err(DbError::internal("aggregate state kind mismatch in parallel merge")),
         }
@@ -229,6 +195,26 @@ impl AggState {
     }
 }
 
+/// Folds `v` into a running MIN (`is_min`) or MAX; NULLs are skipped.
+fn fold_min_max(best: &mut Option<Value>, is_min: bool, v: Value) -> DbResult<()> {
+    if v.is_null() {
+        return Ok(());
+    }
+    let replace = match best {
+        None => true,
+        Some(cur) => match v.sql_cmp(cur) {
+            Some(std::cmp::Ordering::Less) => is_min,
+            Some(std::cmp::Ordering::Greater) => !is_min,
+            Some(std::cmp::Ordering::Equal) => false,
+            None => return Err(DbError::Type("MIN/MAX over incomparable values".into())),
+        },
+    };
+    if replace {
+        *best = Some(v);
+    }
+    Ok(())
+}
+
 /// Error for an aggregate invoked without the argument column its function
 /// requires; the planner always provides one, so this indicates a bug.
 fn missing_arg(func: &str) -> DbError {
@@ -242,7 +228,82 @@ struct GroupEntry {
     distinct_seen: Vec<Option<HashSet<Vec<u8>>>>,
 }
 
-/// Hash-aggregates `input`.
+/// Assigns dense group ids to group-key values in first-appearance order,
+/// through the cheapest lookup the key columns allow.
+struct GroupIndex<'a> {
+    keys: Vec<&'a Column>,
+    /// Groups assigned so far; also the next fresh id.
+    len: usize,
+    /// Single dictionary-encoded key: group ids come straight off the
+    /// codes — one array slot per distinct value, no hash probe per row.
+    dict_codes: Option<&'a [u32]>,
+    code_gid: Vec<Option<usize>>,
+    /// Single integer key: a bare `i64` table. The NULL key's group (also
+    /// on the dictionary path) sits beside it.
+    use_int: bool,
+    int_gid: HashMap<i64, usize>,
+    null_gid: Option<usize>,
+    /// Everything else: [`rowkey`] bytes, encoded into a reused buffer.
+    bytes_gid: HashMap<Vec<u8>, usize>,
+    keybuf: Vec<u8>,
+}
+
+impl<'a> GroupIndex<'a> {
+    fn new(input: &'a Batch, group_keys: &[usize]) -> GroupIndex<'a> {
+        let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
+        let dict_codes = if keys.len() == 1 { keys[0].dict_parts().map(|p| p.0) } else { None };
+        GroupIndex {
+            // No GROUP BY: the single global group exists from the start.
+            len: usize::from(keys.is_empty()),
+            code_gid: if dict_codes.is_some() { vec![None; keys[0].data().len()] } else { vec![] },
+            dict_codes,
+            use_int: rowkey::int_fast_path(&keys),
+            int_gid: HashMap::new(),
+            null_gid: None,
+            bytes_gid: HashMap::new(),
+            keybuf: Vec::new(),
+            keys,
+        }
+    }
+
+    /// The group id of `row`'s key. A return equal to the group count
+    /// before the call means the key is new and now owns that id.
+    #[inline]
+    fn gid(&mut self, row: usize) -> usize {
+        let next = self.len;
+        let gid = if self.keys.is_empty() {
+            0
+        } else if let Some(codes) = self.dict_codes {
+            if self.keys[0].is_null(row) {
+                *self.null_gid.get_or_insert(next)
+            } else {
+                *self.code_gid[codes[row] as usize].get_or_insert(next)
+            }
+        } else if self.use_int {
+            match rowkey::int_key(self.keys[0], row) {
+                Some(k) => *self.int_gid.entry(k).or_insert(next),
+                None => *self.null_gid.get_or_insert(next),
+            }
+        } else {
+            rowkey::encode_key(&self.keys, row, &mut self.keybuf);
+            match self.bytes_gid.get(&self.keybuf) {
+                Some(&g) => g,
+                None => {
+                    // Look up before cloning: only a new key allocates.
+                    self.bytes_gid.insert(self.keybuf.clone(), next);
+                    next
+                }
+            }
+        };
+        if gid == next {
+            self.len += 1;
+        }
+        gid
+    }
+}
+
+/// Hash-aggregates `input`, also returning whether the morsel-parallel run
+/// engaged.
 ///
 /// `group_keys` are input column indices; `aggs` reference pre-computed
 /// argument columns by index. The output batch has the group key columns
@@ -252,93 +313,94 @@ struct GroupEntry {
 /// With no group keys the result is a single row over the whole input
 /// (standard SQL ungrouped aggregation, returning one row even for empty
 /// input).
-pub fn hash_aggregate(input: &Batch, group_keys: &[usize], aggs: &[AggCall]) -> DbResult<Batch> {
+///
+/// Each morsel aggregates into its own table (`aggregate_morsel`); the
+/// first morsel's groups then absorb the later ones *in morsel order*, so
+/// groups come out in first-appearance order however the input was cut.
+/// The serial case is one morsel spanning the input, whose table is the
+/// result with nothing to absorb. DISTINCT aggregates cannot merge across
+/// tables (each dedup set only sees its own morsel), so they force that
+/// single morsel.
+pub fn hash_aggregate(
+    input: &Batch,
+    group_keys: &[usize],
+    aggs: &[AggCall],
+    par: Parallelism,
+) -> DbResult<(Batch, bool)> {
     let arg_types: Vec<Option<DataType>> =
         aggs.iter().map(|a| a.arg.map(|i| input.column(i).data_type())).collect();
+    let parallel = par.enabled(input.rows()) && !aggs.iter().any(|a| a.distinct);
+    let mut locals = par
+        .run_morsels(input.rows(), parallel, |m| {
+            aggregate_morsel(input, group_keys, aggs, &arg_types, m)
+        })?
+        .into_iter();
+    let mut groups = locals.next().unwrap_or_default();
+    if locals.len() > 0 {
+        // Rows are addressed by their index in the shared batch, so a
+        // group's first row both re-derives its key and survives the
+        // merge as the group's representative. Seeding the merge index
+        // with the first morsel's groups hands them ids 0.. in order.
+        let mut index = GroupIndex::new(input, group_keys);
+        for entry in &groups {
+            index.gid(entry.first_row as usize);
+        }
+        for entry in locals.flatten() {
+            let g = index.gid(entry.first_row as usize);
+            if g == groups.len() {
+                groups.push(entry);
+            } else {
+                for (dst, src) in groups[g].states.iter_mut().zip(entry.states) {
+                    dst.merge(src)?;
+                }
+            }
+        }
+    }
+    Ok((assemble_output(input, group_keys, aggs, &arg_types, groups)?, parallel))
+}
 
-    let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
+/// Aggregates one morsel of `input` into a fresh table, groups kept in
+/// first-appearance order. The batch is shared, not sliced: `first_row`
+/// values and dictionary codes mean the same in every morsel's table.
+fn aggregate_morsel(
+    input: &Batch,
+    group_keys: &[usize],
+    aggs: &[AggCall],
+    arg_types: &[Option<DataType>],
+    m: Morsel,
+) -> DbResult<Vec<GroupEntry>> {
+    let mut index = GroupIndex::new(input, group_keys);
+    if index.dict_codes.is_some() {
+        metrics::counter("exec.encoding.dict_rows").add(m.len as u64);
+    }
+    let new_entry = |row: usize| GroupEntry {
+        first_row: row as u32,
+        states: aggs.iter().zip(arg_types).map(|(a, t)| AggState::new(a, *t)).collect(),
+        distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
+    };
     let mut groups: Vec<GroupEntry> = Vec::new();
-    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut int_index: HashMap<i64, usize> = HashMap::new();
-    let mut null_int_group: Option<usize> = None;
-    let use_int = rowkey::int_fast_path(&keys);
-    // Single dictionary-encoded group key: group ids come straight off the
-    // codes — one array slot per distinct value, no hash probe per row.
-    let dict_codes: Option<&[u32]> =
-        if keys.len() == 1 { keys[0].dict_parts().map(|(codes, _)| codes) } else { None };
-    let mut code_gid: Vec<Option<usize>> = match dict_codes {
-        Some(_) => vec![None; keys[0].data().len()],
-        None => Vec::new(),
-    };
-    if dict_codes.is_some() {
-        metrics::counter("exec.encoding.dict_rows").add(input.rows() as u64);
-    }
-
-    let new_entry = |row: u32| GroupEntry {
-        first_row: row,
-        states: aggs.iter().zip(&arg_types).map(|(a, t)| AggState::new(a, *t)).collect(),
-        distinct_seen: aggs
-            .iter()
-            .map(|a| if a.distinct { Some(HashSet::new()) } else { None })
-            .collect(),
-    };
-
-    if group_keys.is_empty() {
-        groups.push(new_entry(0));
-    }
-
+    // Aggregates the run fold below has already answered for the morsel.
     let mut run_done = vec![false; aggs.len()];
     if group_keys.is_empty() {
-        run_aggregate(input, aggs, &mut groups[0].states, &mut run_done)?;
-    }
-    let all_run_done = group_keys.is_empty() && !aggs.is_empty() && run_done.iter().all(|&d| d);
-
-    let mut keybuf = Vec::new();
-    for row in 0..input.rows() {
-        if all_run_done {
-            break;
+        groups.push(new_entry(m.start));
+        // RLE run boundaries are offsets into the whole column, so runs
+        // are folded only when the morsel is the whole input.
+        if m.len == input.rows() {
+            run_aggregate(input, aggs, &mut groups[0].states, &mut run_done)?;
         }
-        let gid = if group_keys.is_empty() {
-            0
-        } else if let Some(codes) = dict_codes {
-            if keys[0].is_null(row) {
-                *null_int_group.get_or_insert_with(|| {
-                    groups.push(new_entry(row as u32));
-                    groups.len() - 1
-                })
-            } else {
-                let code = codes[row] as usize;
-                match code_gid[code] {
-                    Some(g) => g,
-                    None => {
-                        groups.push(new_entry(row as u32));
-                        code_gid[code] = Some(groups.len() - 1);
-                        groups.len() - 1
-                    }
-                }
-            }
-        } else if use_int {
-            match rowkey::int_key(keys[0], row) {
-                Some(k) => *int_index.entry(k).or_insert_with(|| {
-                    groups.push(new_entry(row as u32));
-                    groups.len() - 1
-                }),
-                None => *null_int_group.get_or_insert_with(|| {
-                    groups.push(new_entry(row as u32));
-                    groups.len() - 1
-                }),
-            }
-        } else {
-            rowkey::encode_key(&keys, row, &mut keybuf);
-            match index.get(&keybuf) {
-                Some(&g) => g,
-                None => {
-                    groups.push(new_entry(row as u32));
-                    index.insert(keybuf.clone(), groups.len() - 1);
-                    groups.len() - 1
-                }
-            }
-        };
+    }
+    let rows = if !aggs.is_empty() && run_done.iter().all(|&d| d) {
+        0..0 // every aggregate folded from runs: no row needs a visit
+    } else {
+        m.start..m.start + m.len
+    };
+    for row in rows {
+        // The ungrouped answer is decided here, not inside `gid`: going
+        // through the index state measured ~1 ns/row on this hot path.
+        let gid = if group_keys.is_empty() { 0 } else { index.gid(row) };
+        if gid == groups.len() {
+            groups.push(new_entry(row));
+        }
         let entry = &mut groups[gid];
         for (ai, (agg, state)) in aggs.iter().zip(entry.states.iter_mut()).enumerate() {
             if run_done[ai] {
@@ -362,8 +424,7 @@ pub fn hash_aggregate(input: &Batch, group_keys: &[usize], aggs: &[AggCall]) -> 
             state.update(arg_col, row)?;
         }
     }
-
-    assemble_output(input, group_keys, aggs, &arg_types, groups)
+    Ok(groups)
 }
 
 /// Ungrouped run-at-a-time aggregation over RLE argument columns: folds
@@ -483,134 +544,6 @@ fn assemble_output(
     Batch::new(Arc::new(Schema::new_unchecked(fields)), columns)
 }
 
-/// A group key as seen by one thread-local aggregation table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum LocalKey {
-    /// No GROUP BY: the single global group.
-    Ungrouped,
-    /// Single-integer-key fast path.
-    Int(i64),
-    /// The NULL group on the fast path.
-    IntNull,
-    /// General byte-encoded key.
-    Bytes(Vec<u8>),
-}
-
-/// Aggregates one morsel into a local table; rows are addressed by their
-/// GLOBAL index (the batch is shared, not sliced), so `first_row` values
-/// survive the merge unchanged. Groups are kept in first-appearance order.
-fn local_aggregate(
-    input: &Batch,
-    group_keys: &[usize],
-    aggs: &[AggCall],
-    arg_types: &[Option<DataType>],
-    m: Morsel,
-) -> DbResult<Vec<(LocalKey, GroupEntry)>> {
-    let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
-    let use_int = rowkey::int_fast_path(&keys);
-    // The batch is shared (not sliced), so dictionary codes are globally
-    // consistent across morsels and can serve directly as local keys.
-    let dict_codes: Option<&[u32]> =
-        if keys.len() == 1 { keys[0].dict_parts().map(|(codes, _)| codes) } else { None };
-    if dict_codes.is_some() {
-        metrics::counter("exec.encoding.dict_rows").add(m.len as u64);
-    }
-    let mut groups: Vec<(LocalKey, GroupEntry)> = Vec::new();
-    let mut index: HashMap<LocalKey, usize> = HashMap::new();
-    let new_entry = |row: u32| GroupEntry {
-        first_row: row,
-        states: aggs.iter().zip(arg_types).map(|(a, t)| AggState::new(a, *t)).collect(),
-        distinct_seen: aggs.iter().map(|_| None).collect(),
-    };
-    if group_keys.is_empty() {
-        groups.push((LocalKey::Ungrouped, new_entry(m.start as u32)));
-    }
-    let mut keybuf = Vec::new();
-    for row in m.start..m.start + m.len {
-        let gid = if group_keys.is_empty() {
-            0
-        } else {
-            let key = if let Some(codes) = dict_codes {
-                if keys[0].is_null(row) {
-                    LocalKey::IntNull
-                } else {
-                    LocalKey::Int(codes[row] as i64)
-                }
-            } else if use_int {
-                match rowkey::int_key(keys[0], row) {
-                    Some(k) => LocalKey::Int(k),
-                    None => LocalKey::IntNull,
-                }
-            } else {
-                rowkey::encode_key(&keys, row, &mut keybuf);
-                LocalKey::Bytes(keybuf.clone())
-            };
-            match index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    groups.push((key.clone(), new_entry(row as u32)));
-                    index.insert(key, groups.len() - 1);
-                    groups.len() - 1
-                }
-            }
-        };
-        let entry = &mut groups[gid].1;
-        for (agg, state) in aggs.iter().zip(entry.states.iter_mut()) {
-            let arg_col = agg.arg.map(|i| input.column(i).as_ref());
-            state.update(arg_col, row)?;
-        }
-    }
-    Ok(groups)
-}
-
-/// Morsel-parallel [`hash_aggregate`]: each morsel builds a thread-local
-/// table on the pool, then the locals are merged serially *in morsel order*
-/// so group output order matches the serial first-appearance order exactly.
-///
-/// DISTINCT aggregates cannot merge across local tables (each local dedup
-/// set only sees its own morsel), so they — and inputs below the policy
-/// threshold — take the serial path.
-pub fn hash_aggregate_par(
-    input: &Batch,
-    group_keys: &[usize],
-    aggs: &[AggCall],
-    par: Parallelism,
-) -> DbResult<Batch> {
-    if !par.enabled(input.rows()) || aggs.iter().any(|a| a.distinct) {
-        return hash_aggregate(input, group_keys, aggs);
-    }
-    let arg_types: Vec<Option<DataType>> =
-        aggs.iter().map(|a| a.arg.map(|i| input.column(i).data_type())).collect();
-    let locals = {
-        let batch = input.clone();
-        let gk = group_keys.to_vec();
-        let ag = aggs.to_vec();
-        let at = arg_types.clone();
-        parallel_map(input.rows(), par.morsel_rows, par.threads, move |m| {
-            par.check_deadline()?;
-            local_aggregate(&batch, &gk, &ag, &at, m)
-        })?
-    };
-    let mut groups: Vec<GroupEntry> = Vec::new();
-    let mut index: HashMap<LocalKey, usize> = HashMap::new();
-    for local in locals {
-        for (key, entry) in local {
-            match index.get(&key) {
-                Some(&g) => {
-                    for (dst, src) in groups[g].states.iter_mut().zip(entry.states) {
-                        dst.merge(src)?;
-                    }
-                }
-                None => {
-                    index.insert(key, groups.len());
-                    groups.push(entry);
-                }
-            }
-        }
-    }
-    assemble_output(input, group_keys, aggs, &arg_types, groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,13 +557,18 @@ mod tests {
         .unwrap()
     }
 
+    /// The serial run: one morsel, whose table is the result.
+    fn aggregate(b: &Batch, group_keys: &[usize], aggs: &[AggCall]) -> DbResult<Batch> {
+        hash_aggregate(b, group_keys, aggs, Parallelism::serial()).map(|(out, _)| out)
+    }
+
     fn call(func: AggFunc, arg: Option<usize>) -> AggCall {
         AggCall { func, arg, distinct: false }
     }
 
     #[test]
     fn grouped_aggregation() {
-        let out = hash_aggregate(
+        let out = aggregate(
             &sales(),
             &[0],
             &[
@@ -656,7 +594,7 @@ mod tests {
 
     #[test]
     fn count_vs_count_star() {
-        let out = hash_aggregate(
+        let out = aggregate(
             &sales(),
             &[],
             &[call(AggFunc::CountStar, None), call(AggFunc::Count, Some(1))],
@@ -670,12 +608,9 @@ mod tests {
     #[test]
     fn empty_input_ungrouped_returns_one_row() {
         let empty = Batch::from_columns(vec![("x", Column::from_i32s(vec![]))]).unwrap();
-        let out = hash_aggregate(
-            &empty,
-            &[],
-            &[call(AggFunc::CountStar, None), call(AggFunc::Sum, Some(0))],
-        )
-        .unwrap();
+        let out =
+            aggregate(&empty, &[], &[call(AggFunc::CountStar, None), call(AggFunc::Sum, Some(0))])
+                .unwrap();
         assert_eq!(out.rows(), 1);
         assert_eq!(out.row(0)[0], Value::Int64(0));
         assert!(out.row(0)[1].is_null());
@@ -684,7 +619,7 @@ mod tests {
     #[test]
     fn empty_input_grouped_returns_no_rows() {
         let empty = Batch::from_columns(vec![("x", Column::from_i32s(vec![]))]).unwrap();
-        let out = hash_aggregate(&empty, &[0], &[call(AggFunc::CountStar, None)]).unwrap();
+        let out = aggregate(&empty, &[0], &[call(AggFunc::CountStar, None)]).unwrap();
         assert_eq!(out.rows(), 0);
     }
 
@@ -695,7 +630,7 @@ mod tests {
             Column::from_opt_i32s(vec![Some(1), None, Some(1), None]),
         )])
         .unwrap();
-        let out = hash_aggregate(&b, &[0], &[call(AggFunc::CountStar, None)]).unwrap();
+        let out = aggregate(&b, &[0], &[call(AggFunc::CountStar, None)]).unwrap();
         assert_eq!(out.rows(), 2);
         let counts: Vec<Value> = (0..2).map(|i| out.row(i)[1].clone()).collect();
         assert!(counts.iter().all(|c| *c == Value::Int64(2)));
@@ -704,7 +639,7 @@ mod tests {
     #[test]
     fn distinct_count_and_sum() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s(vec![1, 1, 2, 2, 3]))]).unwrap();
-        let out = hash_aggregate(
+        let out = aggregate(
             &b,
             &[],
             &[
@@ -721,7 +656,7 @@ mod tests {
     fn sum_overflow_detected() {
         let b =
             Batch::from_columns(vec![("x", Column::from_i64s(vec![i64::MAX, i64::MAX]))]).unwrap();
-        let err = hash_aggregate(&b, &[], &[call(AggFunc::Sum, Some(0))]);
+        let err = aggregate(&b, &[], &[call(AggFunc::Sum, Some(0))]);
         assert!(matches!(err, Err(DbError::Arithmetic(_))));
     }
 
@@ -732,7 +667,7 @@ mod tests {
             ("b", Column::from_strings(["x", "y", "x", "x"])),
         ])
         .unwrap();
-        let out = hash_aggregate(&b, &[0, 1], &[call(AggFunc::CountStar, None)]).unwrap();
+        let out = aggregate(&b, &[0, 1], &[call(AggFunc::CountStar, None)]).unwrap();
         assert_eq!(out.rows(), 3);
         assert_eq!(out.row(0)[2], Value::Int64(2)); // (1, x)
     }
@@ -766,8 +701,8 @@ mod tests {
             call(AggFunc::Min, Some(1)),
             call(AggFunc::Max, Some(1)),
         ];
-        let serial = hash_aggregate(&b, &[0], &aggs).unwrap();
-        let parallel = hash_aggregate_par(&b, &[0], &aggs, force_par()).unwrap();
+        let serial = aggregate(&b, &[0], &aggs).unwrap();
+        let parallel = hash_aggregate(&b, &[0], &aggs, force_par()).unwrap().0;
         assert_eq!(serial, parallel);
     }
 
@@ -775,8 +710,8 @@ mod tests {
     fn parallel_aggregate_matches_serial_ungrouped() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s((0..50).collect()))]).unwrap();
         let aggs = [call(AggFunc::CountStar, None), call(AggFunc::Sum, Some(0))];
-        let serial = hash_aggregate(&b, &[], &aggs).unwrap();
-        let parallel = hash_aggregate_par(&b, &[], &aggs, force_par()).unwrap();
+        let serial = aggregate(&b, &[], &aggs).unwrap();
+        let parallel = hash_aggregate(&b, &[], &aggs, force_par()).unwrap().0;
         assert_eq!(serial, parallel);
     }
 
@@ -789,8 +724,8 @@ mod tests {
         ])
         .unwrap();
         let aggs = [call(AggFunc::Avg, Some(1)), call(AggFunc::Max, Some(1))];
-        let serial = hash_aggregate(&b, &[0], &aggs).unwrap();
-        let parallel = hash_aggregate_par(&b, &[0], &aggs, force_par()).unwrap();
+        let serial = aggregate(&b, &[0], &aggs).unwrap();
+        let parallel = hash_aggregate(&b, &[0], &aggs, force_par()).unwrap().0;
         assert_eq!(serial, parallel);
     }
 
@@ -798,7 +733,8 @@ mod tests {
     fn parallel_distinct_falls_back_to_serial() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s(vec![1, 1, 2, 2, 3]))]).unwrap();
         let aggs = [AggCall { func: AggFunc::Count, arg: Some(0), distinct: true }];
-        let out = hash_aggregate_par(&b, &[], &aggs, force_par()).unwrap();
+        let (out, ran_parallel) = hash_aggregate(&b, &[], &aggs, force_par()).unwrap();
+        assert!(!ran_parallel, "DISTINCT forces the single morsel");
         assert_eq!(out.row(0)[0], Value::Int64(3));
     }
 
@@ -822,9 +758,9 @@ mod tests {
             call(AggFunc::Sum, Some(1)),
             call(AggFunc::Min, Some(1)),
         ];
-        let want = hash_aggregate(&plain, &[0], &aggs).unwrap();
-        assert_eq!(hash_aggregate(&encoded, &[0], &aggs).unwrap(), want);
-        assert_eq!(hash_aggregate_par(&encoded, &[0], &aggs, force_par()).unwrap(), want);
+        let want = aggregate(&plain, &[0], &aggs).unwrap();
+        assert_eq!(aggregate(&encoded, &[0], &aggs).unwrap(), want);
+        assert_eq!(hash_aggregate(&encoded, &[0], &aggs, force_par()).unwrap().0, want);
     }
 
     #[test]
@@ -842,9 +778,9 @@ mod tests {
             call(AggFunc::Min, Some(0)),
             call(AggFunc::Max, Some(0)),
         ];
-        let want = hash_aggregate(&plain, &[], &aggs).unwrap();
-        assert_eq!(hash_aggregate(&encoded, &[], &aggs).unwrap(), want);
-        assert_eq!(hash_aggregate_par(&encoded, &[], &aggs, force_par()).unwrap(), want);
+        let want = aggregate(&plain, &[], &aggs).unwrap();
+        assert_eq!(aggregate(&encoded, &[], &aggs).unwrap(), want);
+        assert_eq!(hash_aggregate(&encoded, &[], &aggs, force_par()).unwrap().0, want);
     }
 
     #[test]

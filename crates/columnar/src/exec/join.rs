@@ -1,24 +1,30 @@
 //! Hash joins: inner, left outer, and cross.
 //!
+//! There is one equi-join, [`hash_join`], written once: it picks the build
+//! and probe sides, picks the key representation (a bare `i64` for a
+//! single integer key, [`rowkey`] bytes otherwise), builds one hash table
+//! per partition, probes in morsels emitting `(probe row, build row)`
+//! pairs in probe order, and finishes. Serial execution is the same code
+//! with one partition and one probe morsel.
+//!
 //! The *default* build side is the right input, with the probe side
-//! streaming the left input ([`hash_join`] / [`hash_join_par`]). The
-//! cost-based optimizer may flip that choice: when the left input is
-//! estimated at half the right input's cardinality or less, it sets
-//! `build_left` on the join plan node and the executor calls
-//! [`hash_join_build_left`] / [`hash_join_build_left_par`], which build
-//! the hash table on the (smaller) left side, probe the right side, and
-//! sort the matched index pairs back into probe-row order — so the
-//! output is bit-identical to the canonical right-build join no matter
-//! which side was built. Key equality follows SQL: NULL keys never match.
+//! streaming the left input; probe-order pairs are then already in output
+//! order. The cost-based optimizer may flip that choice: when the left
+//! input is estimated at half the right input's cardinality or less, it
+//! sets `build_left` on the join plan node, the table is built on the
+//! (smaller) left side, the right side probes, and a counting scatter
+//! puts the matched pairs back into left-row order — so the output is
+//! bit-identical no matter which side was built or how many workers ran.
+//! Key equality follows SQL: NULL keys never match.
 
 use crate::batch::Batch;
+use crate::column::Column;
 use crate::error::{DbError, DbResult};
-use crate::exec::{rowkey, Parallelism};
-use crate::parallel::{parallel_map, Morsel};
+use crate::exec::{concat_parts, rowkey, Parallelism};
+use crate::parallel::{morsels, parallel_map};
 use crate::schema::Schema;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which join to perform.
@@ -32,112 +38,32 @@ pub enum JoinType {
     Cross,
 }
 
-/// Joins `left` and `right` on positional key columns.
+/// Joins `left` and `right` on positional key columns, building the hash
+/// table on the left input when `build_left` is set and on the right
+/// otherwise. Also returns whether the morsel-parallel run engaged (never
+/// for cross joins; otherwise when either side reaches the threshold).
 ///
 /// The output schema is the left fields followed by the right fields
 /// (duplicated names are allowed here; the SQL binder resolves ambiguity
-/// before execution, and `project` renames afterwards).
+/// before execution, and `project` renames afterwards). Rows come out in
+/// left-row order, matches of one left row in right-row order, whichever
+/// side was built.
+///
+/// The swap rule lives in the optimizer: it flips the build side only
+/// for Inner/Left joins and only when `est(left) * 2 <= est(right)` —
+/// i.e. the hash table would be built over at most half as many rows as
+/// the default right-side build.
 pub fn hash_join(
     left: &Batch,
     right: &Batch,
     left_keys: &[usize],
     right_keys: &[usize],
     join_type: JoinType,
-) -> DbResult<Batch> {
-    if join_type == JoinType::Cross {
-        return cross_join(left, right);
-    }
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(DbError::internal(format!(
-            "join key arity mismatch: {} vs {}",
-            left_keys.len(),
-            right_keys.len()
-        )));
-    }
-    let lcols: Vec<_> = left_keys.iter().map(|&i| left.column(i).as_ref()).collect();
-    let rcols: Vec<_> = right_keys.iter().map(|&i| right.column(i).as_ref()).collect();
-
-    // Matched index pairs; `None` on the right marks a padded left-join row.
-    let mut lidx: Vec<u32> = Vec::new();
-    let mut ridx: Vec<Option<u32>> = Vec::new();
-
-    if rowkey::int_fast_path(&lcols) && rowkey::int_fast_path(&rcols) {
-        // Single integer key: build an i64-keyed table.
-        let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(right.rows());
-        for row in 0..right.rows() {
-            if let Some(k) = rowkey::int_key(rcols[0], row) {
-                table.entry(k).or_default().push(row as u32);
-            }
-        }
-        for row in 0..left.rows() {
-            match rowkey::int_key(lcols[0], row).and_then(|k| table.get(&k)) {
-                Some(matches) => {
-                    for &m in matches {
-                        lidx.push(row as u32);
-                        ridx.push(Some(m));
-                    }
-                }
-                None => {
-                    if join_type == JoinType::Left {
-                        lidx.push(row as u32);
-                        ridx.push(None);
-                    }
-                }
-            }
-        }
-    } else {
-        // General path: byte-encoded keys.
-        let mut table: HashMap<Vec<u8>, Vec<u32>> = HashMap::with_capacity(right.rows());
-        let mut key = Vec::new();
-        for row in 0..right.rows() {
-            if rcols.iter().any(|c| c.is_null(row)) {
-                continue; // NULL keys never match
-            }
-            rowkey::encode_key(&rcols, row, &mut key);
-            table.entry(std::mem::take(&mut key)).or_default().push(row as u32);
-        }
-        for row in 0..left.rows() {
-            let has_null = lcols.iter().any(|c| c.is_null(row));
-            let matches = if has_null {
-                None
-            } else {
-                rowkey::encode_key(&lcols, row, &mut key);
-                table.get(&key)
-            };
-            match matches {
-                Some(ms) => {
-                    for &m in ms {
-                        lidx.push(row as u32);
-                        ridx.push(Some(m));
-                    }
-                }
-                None => {
-                    if join_type == JoinType::Left {
-                        lidx.push(row as u32);
-                        ridx.push(None);
-                    }
-                }
-            }
-        }
-    }
-
-    assemble(left, right, &lidx, &ridx)
-}
-
-/// Morsel-parallel [`hash_join`]: a partitioned parallel build followed by a
-/// morsel-parallel probe, stitched back in probe-row order so the output is
-/// identical to the serial join. Falls back to the serial path for cross
-/// joins and below the policy threshold.
-pub fn hash_join_par(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
+    build_left: bool,
     par: Parallelism,
-) -> DbResult<Batch> {
-    if join_type == JoinType::Cross || !par.enabled(left.rows().max(right.rows())) {
-        return hash_join(left, right, left_keys, right_keys, join_type);
+) -> DbResult<(Batch, bool)> {
+    if join_type == JoinType::Cross {
+        return Ok((cross_join(left, right)?, false));
     }
     if left_keys.len() != right_keys.len() || left_keys.is_empty() {
         return Err(DbError::internal(format!(
@@ -146,431 +72,164 @@ pub fn hash_join_par(
             right_keys.len()
         )));
     }
-    let int_keys = {
-        let lcols: Vec<_> = left_keys.iter().map(|&i| left.column(i).as_ref()).collect();
-        let rcols: Vec<_> = right_keys.iter().map(|&i| right.column(i).as_ref()).collect();
-        rowkey::int_fast_path(&lcols) && rowkey::int_fast_path(&rcols)
-    };
-    if int_keys {
-        join_par_generic(left, right, left_keys, right_keys, join_type, par, morsel_keys_int)
+    let lcols: Vec<&Column> = left_keys.iter().map(|&i| left.column(i).as_ref()).collect();
+    let rcols: Vec<&Column> = right_keys.iter().map(|&i| right.column(i).as_ref()).collect();
+    let parallel = par.enabled(left.rows().max(right.rows()));
+    let (build, probe) = if build_left { (&lcols, &rcols) } else { (&rcols, &lcols) };
+    // A right build probes with the left rows, so a LEFT join keeps its
+    // unmatched probe rows as it goes; a left build pads in the finish.
+    let keep_unmatched = join_type == JoinType::Left && !build_left;
+    let (probe_idx, build_idx) = if rowkey::int_fast_path(&lcols) && rowkey::int_fast_path(&rcols) {
+        match_pairs(build, probe, keep_unmatched, par, parallel, read_int_key)?
     } else {
-        join_par_generic(left, right, left_keys, right_keys, join_type, par, morsel_keys_bytes)
+        match_pairs(build, probe, keep_unmatched, par, parallel, read_byte_key)?
+    };
+    let joined = if build_left {
+        let (lidx, ridx) = restore_left_order(left.rows(), &build_idx, &probe_idx, join_type);
+        assemble(left, right, &lidx, &ridx)?
+    } else {
+        assemble(left, right, &probe_idx, &build_idx)?
+    };
+    Ok((joined, parallel))
+}
+
+/// Reads `row`'s key on the single-integer fast path into `slot`; false
+/// marks a NULL key (which never matches).
+fn read_int_key(cols: &[&Column], row: usize, slot: &mut i64) -> bool {
+    rowkey::int_key(cols[0], row).map(|k| *slot = k).is_some()
+}
+
+/// Reads `row`'s byte-encoded key on the general path into `slot`, reusing
+/// its allocation; false marks a key with a NULL component.
+fn read_byte_key(cols: &[&Column], row: usize, slot: &mut Vec<u8>) -> bool {
+    if cols.iter().any(|c| c.is_null(row)) {
+        return false; // NULL keys never match
     }
+    rowkey::encode_key(cols, row, slot);
+    true
 }
 
-/// Join keys for one morsel on the single-integer fast path; `None` marks a
-/// NULL key (which never matches).
-fn morsel_keys_int(b: &Batch, keys: &[usize], m: Morsel) -> Vec<Option<i64>> {
-    let col = b.column(keys[0]);
-    (m.start..m.start + m.len).map(|row| rowkey::int_key(col.as_ref(), row)).collect()
-}
-
-/// Byte-encoded join keys for one morsel on the general path.
-fn morsel_keys_bytes(b: &Batch, keys: &[usize], m: Morsel) -> Vec<Option<Vec<u8>>> {
-    let cols: Vec<_> = keys.iter().map(|&i| b.column(i).as_ref()).collect();
-    let mut out = Vec::with_capacity(m.len);
-    let mut buf = Vec::new();
-    for row in m.start..m.start + m.len {
-        if cols.iter().any(|c| c.is_null(row)) {
-            out.push(None); // NULL keys never match
-        } else {
-            rowkey::encode_key(&cols, row, &mut buf);
-            out.push(Some(buf.clone()));
-        }
+/// Stable key-to-partition assignment for the partitioned build. A single
+/// partition needs no hash.
+fn part_of<K: Hash>(k: &K, nparts: usize) -> usize {
+    if nparts == 1 {
+        return 0;
     }
-    out
-}
-
-/// Stable key-to-partition assignment for the partitioned build.
-fn part_of<K: Hash + ?Sized>(k: &K, nparts: usize) -> usize {
-    use std::hash::Hasher;
     let mut h = std::collections::hash_map::DefaultHasher::new();
     k.hash(&mut h);
     (h.finish() % nparts as u64) as usize
 }
 
-/// One partition's build input: `(key, row)` chunks in morsel order.
-type PartitionChunks<K> = Vec<Vec<(K, u32)>>;
-
-/// The three-phase parallel equi-join, generic over the key representation.
+/// Build and probe over the two sides' key columns (never empty — the
+/// arity check ran), generic over the key representation: returns the
+/// matched `(probe row, Some(build row))` pairs as two parallel vectors in
+/// probe-row order, each probe row's matches in build-row order, plus a
+/// `(probe row, None)` entry per matchless probe row under `keep_unmatched`.
 ///
-/// 1. Each build-side morsel scatters its `(key, row)` pairs into per-
-///    partition buckets on the pool.
-/// 2. The buckets are regrouped by partition *in morsel order* (so every
-///    per-key row list stays ascending, exactly as the serial build
-///    produces), then each partition's hash table is built on the pool.
-/// 3. Probe morsels look up their partition's table and emit index pairs,
-///    which are concatenated in morsel order before assembly.
-fn join_par_generic<K, KF>(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
+/// 1. One hash table per partition (one per worker; a single table when
+///    not parallel). Each partition's task walks the build side in row
+///    order and inserts the keys that hash to it, so every per-key row
+///    list is ascending and no scatter buffers sit between scan and table.
+/// 2. Probe morsels look up their key's partition table and emit pairs,
+///    which are concatenated in morsel order.
+fn match_pairs<K, R>(
+    build: &[&Column],
+    probe: &[&Column],
+    keep_unmatched: bool,
     par: Parallelism,
-    key_fn: KF,
-) -> DbResult<Batch>
+    parallel: bool,
+    read_key: R,
+) -> DbResult<(Vec<u32>, Vec<Option<u32>>)>
 where
-    K: Eq + Hash + Send + Sync + 'static,
-    KF: Fn(&Batch, &[usize], Morsel) -> Vec<Option<K>> + Send + Sync + Copy + 'static,
+    K: Clone + Default + Eq + Hash + Send + Sync,
+    R: Fn(&[&Column], usize, &mut K) -> bool + Sync,
 {
-    let nparts = par.threads.max(1);
-
-    // Phase 1: partition the build side per morsel.
-    let buckets = {
-        let rbatch = right.clone();
-        let rkeys = right_keys.to_vec();
-        parallel_map(right.rows(), par.morsel_rows, par.threads, move |m| {
+    let (build_rows, probe_rows) = (build[0].len(), probe[0].len());
+    let nparts = if parallel { par.threads.max(1) } else { 1 };
+    let tables: Vec<HashMap<K, Vec<u32>>> = parallel_map(nparts, 1, par.threads, |p| {
+        let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(build_rows / nparts);
+        let mut key = K::default();
+        for m in morsels(build_rows, par.morsel_rows) {
             par.check_deadline()?;
-            let ks = key_fn(&rbatch, &rkeys, m);
-            let mut parts: Vec<Vec<(K, u32)>> = (0..nparts).map(|_| Vec::new()).collect();
-            for (i, k) in ks.into_iter().enumerate() {
-                if let Some(k) = k {
-                    let p = part_of(&k, nparts);
-                    parts[p].push((k, (m.start + i) as u32));
+            for row in m.start..m.start + m.len {
+                if read_key(build, row, &mut key) && part_of(&key, nparts) == p.start {
+                    table.entry(key.clone()).or_default().push(row as u32);
                 }
-            }
-            Ok(parts)
-        })?
-    };
-
-    // Phase 2: regroup the morsel buckets by partition (morsel order keeps
-    // per-key row lists ascending), then build each partition's table.
-    let mut per_part: Vec<PartitionChunks<K>> = (0..nparts).map(|_| Vec::new()).collect();
-    for morsel_parts in buckets {
-        for (p, chunk) in morsel_parts.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                per_part[p].push(chunk);
             }
         }
-    }
-    let per_part: Arc<Vec<Mutex<PartitionChunks<K>>>> =
-        Arc::new(per_part.into_iter().map(Mutex::new).collect());
-    let tables: Vec<HashMap<K, Vec<u32>>> = {
-        let pp = Arc::clone(&per_part);
-        parallel_map(nparts, 1, par.threads, move |m| {
-            let chunks = std::mem::take(&mut *pp[m.start].lock());
-            let mut table: HashMap<K, Vec<u32>> = HashMap::new();
-            for chunk in chunks {
-                for (k, row) in chunk {
-                    table.entry(k).or_default().push(row);
-                }
-            }
-            Ok(table)
-        })?
-    };
-
-    // Phase 3: morsel-parallel probe.
-    let pairs = {
-        let tables = Arc::new(tables);
-        let lbatch = left.clone();
-        let lkeys = left_keys.to_vec();
-        parallel_map(left.rows(), par.morsel_rows, par.threads, move |m| {
-            par.check_deadline()?;
-            let ks = key_fn(&lbatch, &lkeys, m);
-            let mut lidx: Vec<u32> = Vec::new();
-            let mut ridx: Vec<Option<u32>> = Vec::new();
-            for (i, k) in ks.into_iter().enumerate() {
-                let row = (m.start + i) as u32;
-                let matches = match &k {
-                    Some(key) => tables[part_of(key, nparts)].get(key),
-                    None => None,
-                };
-                match matches {
-                    Some(ms) => {
-                        for &mr in ms {
-                            lidx.push(row);
-                            ridx.push(Some(mr));
-                        }
-                    }
-                    None => {
-                        if join_type == JoinType::Left {
-                            lidx.push(row);
-                            ridx.push(None);
-                        }
+        Ok(table)
+    })?;
+    let parts = par.run_morsels(probe_rows, parallel, |m| {
+        let mut probe_idx: Vec<u32> = Vec::new();
+        let mut build_idx: Vec<Option<u32>> = Vec::new();
+        let mut key = K::default();
+        for row in m.start..m.start + m.len {
+            let matches = if read_key(probe, row, &mut key) {
+                tables[part_of(&key, nparts)].get(&key)
+            } else {
+                None
+            };
+            match matches {
+                Some(ms) => {
+                    for &b in ms {
+                        probe_idx.push(row as u32);
+                        build_idx.push(Some(b));
                     }
                 }
+                None if keep_unmatched => {
+                    probe_idx.push(row as u32);
+                    build_idx.push(None);
+                }
+                None => {}
             }
-            Ok((lidx, ridx))
-        })?
-    };
-    let total: usize = pairs.iter().map(|(l, _)| l.len()).sum();
-    let mut lidx: Vec<u32> = Vec::with_capacity(total);
-    let mut ridx: Vec<Option<u32>> = Vec::with_capacity(total);
-    for (l, r) in pairs {
-        lidx.extend(l);
-        ridx.extend(r);
-    }
-    assemble(left, right, &lidx, &ridx)
+        }
+        Ok((probe_idx, build_idx))
+    })?;
+    let (probe_parts, build_parts) = parts.into_iter().unzip();
+    Ok((concat_parts(probe_parts), concat_parts(build_parts)))
 }
 
-/// [`hash_join`] with the build side swapped to the *left* input.
-///
-/// The swap rule lives in the optimizer: it flips the build side only
-/// for Inner/Left joins and only when `est(left) * 2 <= est(right)` —
-/// i.e. the hash table would be built over at most half as many rows as
-/// the default right-side build. Output order is restored by a counting
-/// scatter over the matched `(build, probe)` index pairs, so results are
-/// bit-identical to [`hash_join`] (including left-join NULL padding and
-/// duplicate-key multiplication).
-pub fn hash_join_build_left(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
+/// Restores canonical left-row order after a left build: takes the matched
+/// `(left, right)` pairs in probe (right-row) order and returns the output
+/// index vectors in `(left row, right row)` order — exactly what the
+/// right-build probe emits — with, for LEFT joins, unmatched left rows
+/// NULL-padded in position.
+fn restore_left_order(
+    left_rows: usize,
+    left_idx: &[Option<u32>],
+    right_idx: &[u32],
     join_type: JoinType,
-) -> DbResult<Batch> {
-    if join_type == JoinType::Cross {
-        return cross_join(left, right);
+) -> (Vec<u32>, Vec<Option<u32>>) {
+    // Pairs arrive in ascending right-row order (morsel results are
+    // concatenated in morsel order). A stable counting scatter keyed on
+    // the left row therefore yields full (l, r) order in O(pairs + left
+    // rows); the left side is small by the optimizer's swap rule, so this
+    // beats a comparison sort over the match set. Each left row owns a
+    // block of output slots, one per match — and under a LEFT join at
+    // least one, which stays NULL-padded when nothing matched.
+    let min_slots = usize::from(join_type == JoinType::Left);
+    let mut starts = vec![0usize; left_rows + 1];
+    for l in left_idx.iter().flatten() {
+        starts[*l as usize + 1] += 1; // match counts, turned into offsets next
     }
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(DbError::internal(format!(
-            "join key arity mismatch: {} vs {}",
-            left_keys.len(),
-            right_keys.len()
-        )));
+    for l in 0..left_rows {
+        starts[l + 1] = starts[l] + starts[l + 1].max(min_slots);
     }
-    let lcols: Vec<_> = left_keys.iter().map(|&i| left.column(i).as_ref()).collect();
-    let rcols: Vec<_> = right_keys.iter().map(|&i| right.column(i).as_ref()).collect();
-
-    // (left row, right row) match pairs, in probe (right-row) order for
-    // now; `finish_build_left` scatters them back into canonical order.
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(right.rows());
-
-    if rowkey::int_fast_path(&lcols) && rowkey::int_fast_path(&rcols) {
-        let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(left.rows());
-        for row in 0..left.rows() {
-            if let Some(k) = rowkey::int_key(lcols[0], row) {
-                table.entry(k).or_default().push(row as u32);
-            }
-        }
-        for row in 0..right.rows() {
-            if let Some(ms) = rowkey::int_key(rcols[0], row).and_then(|k| table.get(&k)) {
-                for &ml in ms {
-                    pairs.push((ml, row as u32));
-                }
-            }
-        }
-    } else {
-        let mut table: HashMap<Vec<u8>, Vec<u32>> = HashMap::with_capacity(left.rows());
-        let mut key = Vec::new();
-        for row in 0..left.rows() {
-            if lcols.iter().any(|c| c.is_null(row)) {
-                continue; // NULL keys never match
-            }
-            rowkey::encode_key(&lcols, row, &mut key);
-            table.entry(std::mem::take(&mut key)).or_default().push(row as u32);
-        }
-        for row in 0..right.rows() {
-            if rcols.iter().any(|c| c.is_null(row)) {
-                continue;
-            }
-            rowkey::encode_key(&rcols, row, &mut key);
-            if let Some(ms) = table.get(&key) {
-                for &ml in ms {
-                    pairs.push((ml, row as u32));
-                }
-            }
-        }
+    let total = starts[left_rows];
+    let mut lidx = vec![0u32; total];
+    let mut ridx: Vec<Option<u32>> = vec![None; total];
+    for l in 0..left_rows {
+        lidx[starts[l]..starts[l + 1]].fill(l as u32);
     }
-
-    finish_build_left(left, right, pairs, join_type)
-}
-
-/// Morsel-parallel [`hash_join_build_left`]: the same three-phase shape as
-/// [`hash_join_par`] with the roles swapped (partitioned parallel build
-/// over the *left* input, morsel-parallel probe over the *right*), then
-/// the canonical-order restore shared with the serial swapped join. Falls
-/// back to the serial path for cross joins and below the policy threshold.
-pub fn hash_join_build_left_par(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
-    par: Parallelism,
-) -> DbResult<Batch> {
-    if join_type == JoinType::Cross || !par.enabled(left.rows().max(right.rows())) {
-        return hash_join_build_left(left, right, left_keys, right_keys, join_type);
+    // The scatter writes straight into the output index vectors, advancing
+    // each block's start as its cursor.
+    for (l, &r) in left_idx.iter().zip(right_idx) {
+        let Some(l) = l else { continue };
+        let slot = &mut starts[*l as usize];
+        ridx[*slot] = Some(r);
+        *slot += 1;
     }
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(DbError::internal(format!(
-            "join key arity mismatch: {} vs {}",
-            left_keys.len(),
-            right_keys.len()
-        )));
-    }
-    let int_keys = {
-        let lcols: Vec<_> = left_keys.iter().map(|&i| left.column(i).as_ref()).collect();
-        let rcols: Vec<_> = right_keys.iter().map(|&i| right.column(i).as_ref()).collect();
-        rowkey::int_fast_path(&lcols) && rowkey::int_fast_path(&rcols)
-    };
-    if int_keys {
-        build_left_par_generic(left, right, left_keys, right_keys, join_type, par, morsel_keys_int)
-    } else {
-        build_left_par_generic(
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-            par,
-            morsel_keys_bytes,
-        )
-    }
-}
-
-/// Parallel body of the swapped-build join, generic over key
-/// representation. Phases 1–2 mirror [`join_par_generic`] with the left
-/// input as the build side; phase 3 probes right-side morsels and emits
-/// `(left, right)` pairs in probe order — the counting scatter in
-/// [`finish_build_left`] makes the output canonical.
-fn build_left_par_generic<K, KF>(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
-    par: Parallelism,
-    key_fn: KF,
-) -> DbResult<Batch>
-where
-    K: Eq + Hash + Send + Sync + 'static,
-    KF: Fn(&Batch, &[usize], Morsel) -> Vec<Option<K>> + Send + Sync + Copy + 'static,
-{
-    let nparts = par.threads.max(1);
-
-    // Phase 1: partition the build side (the LEFT input) per morsel.
-    let buckets = {
-        let lbatch = left.clone();
-        let lkeys = left_keys.to_vec();
-        parallel_map(left.rows(), par.morsel_rows, par.threads, move |m| {
-            par.check_deadline()?;
-            let ks = key_fn(&lbatch, &lkeys, m);
-            let mut parts: Vec<Vec<(K, u32)>> = (0..nparts).map(|_| Vec::new()).collect();
-            for (i, k) in ks.into_iter().enumerate() {
-                if let Some(k) = k {
-                    let p = part_of(&k, nparts);
-                    parts[p].push((k, (m.start + i) as u32));
-                }
-            }
-            Ok(parts)
-        })?
-    };
-
-    // Phase 2: regroup by partition and build each partition's table.
-    let mut per_part: Vec<PartitionChunks<K>> = (0..nparts).map(|_| Vec::new()).collect();
-    for morsel_parts in buckets {
-        for (p, chunk) in morsel_parts.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                per_part[p].push(chunk);
-            }
-        }
-    }
-    let per_part: Arc<Vec<Mutex<PartitionChunks<K>>>> =
-        Arc::new(per_part.into_iter().map(Mutex::new).collect());
-    let tables: Vec<HashMap<K, Vec<u32>>> = {
-        let pp = Arc::clone(&per_part);
-        parallel_map(nparts, 1, par.threads, move |m| {
-            let chunks = std::mem::take(&mut *pp[m.start].lock());
-            let mut table: HashMap<K, Vec<u32>> = HashMap::new();
-            for chunk in chunks {
-                for (k, row) in chunk {
-                    table.entry(k).or_default().push(row);
-                }
-            }
-            Ok(table)
-        })?
-    };
-
-    // Phase 3: morsel-parallel probe over the RIGHT input.
-    let chunks = {
-        let tables = Arc::new(tables);
-        let rbatch = right.clone();
-        let rkeys = right_keys.to_vec();
-        parallel_map(right.rows(), par.morsel_rows, par.threads, move |m| {
-            par.check_deadline()?;
-            let ks = key_fn(&rbatch, &rkeys, m);
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for (i, k) in ks.into_iter().enumerate() {
-                let row = (m.start + i) as u32;
-                if let Some(ms) = k.as_ref().and_then(|key| tables[part_of(key, nparts)].get(key)) {
-                    for &ml in ms {
-                        pairs.push((ml, row));
-                    }
-                }
-            }
-            Ok(pairs)
-        })?
-    };
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(total);
-    for c in chunks {
-        pairs.extend(c);
-    }
-    finish_build_left(left, right, pairs, join_type)
-}
-
-/// Restores canonical probe-row order after a swapped-build join and
-/// assembles the output. Pairs are reordered to `(left row, right row)`
-/// — exactly the order the right-build probe emits — and, for LEFT
-/// joins, unmatched left rows are NULL-padded in position.
-fn finish_build_left(
-    left: &Batch,
-    right: &Batch,
-    pairs: Vec<(u32, u32)>,
-    join_type: JoinType,
-) -> DbResult<Batch> {
-    // Pairs arrive in ascending probe (right-row) order — serially by
-    // construction, in the parallel path because morsel results are
-    // concatenated in morsel order. A stable counting scatter keyed on
-    // the build (left) row therefore yields full (l, r) order in
-    // O(pairs + build rows); the build side is small by the optimizer's
-    // swap rule, so this beats a comparison sort over the match set.
-    // The scatter writes straight into the output index vectors.
-    let mut counts = vec![0usize; left.rows()];
-    for &(l, _) in &pairs {
-        counts[l as usize] += 1;
-    }
-    let (lidx, ridx) = if join_type == JoinType::Left {
-        // Each left row owns a block of max(matches, 1) output slots;
-        // an unmatched row keeps its single NULL-padded slot.
-        let mut starts = vec![0usize; left.rows() + 1];
-        for (l, &c) in counts.iter().enumerate() {
-            starts[l + 1] = starts[l] + c.max(1);
-        }
-        let total = starts[left.rows()];
-        let mut lidx = vec![0u32; total];
-        let mut ridx: Vec<Option<u32>> = vec![None; total];
-        for l in 0..left.rows() {
-            for slot in &mut lidx[starts[l]..starts[l + 1]] {
-                *slot = l as u32;
-            }
-        }
-        for (l, r) in pairs {
-            let slot = &mut starts[l as usize];
-            ridx[*slot] = Some(r);
-            *slot += 1;
-        }
-        (lidx, ridx)
-    } else {
-        let mut cursor = vec![0usize; left.rows()];
-        let mut acc = 0;
-        for (l, &c) in counts.iter().enumerate() {
-            cursor[l] = acc;
-            acc += c;
-        }
-        let mut lidx = vec![0u32; pairs.len()];
-        let mut ridx: Vec<Option<u32>> = vec![None; pairs.len()];
-        for (l, r) in pairs {
-            let slot = &mut cursor[l as usize];
-            lidx[*slot] = l;
-            ridx[*slot] = Some(r);
-            *slot += 1;
-        }
-        (lidx, ridx)
-    };
-    assemble(left, right, &lidx, &ridx)
+    (lidx, ridx)
 }
 
 fn cross_join(left: &Batch, right: &Batch) -> DbResult<Batch> {
@@ -625,6 +284,23 @@ mod tests {
     use crate::column::Column;
     use crate::types::Value;
 
+    /// The canonical run: right build, one partition, one morsel.
+    fn join(l: &Batch, r: &Batch, lk: &[usize], rk: &[usize], jt: JoinType) -> Batch {
+        hash_join(l, r, lk, rk, jt, false, Parallelism::serial()).unwrap().0
+    }
+
+    /// Joins on column 0 of both sides under an explicit build side and
+    /// policy, also returning whether the parallel run engaged.
+    fn join0(
+        l: &Batch,
+        r: &Batch,
+        jt: JoinType,
+        build_left: bool,
+        par: Parallelism,
+    ) -> (Batch, bool) {
+        hash_join(l, r, &[0], &[0], jt, build_left, par).unwrap()
+    }
+
     fn orders() -> Batch {
         Batch::from_columns(vec![
             ("order_id", Column::from_i32s(vec![100, 101, 102, 103])),
@@ -643,7 +319,7 @@ mod tests {
 
     #[test]
     fn inner_join_matches() {
-        let out = hash_join(&orders(), &customers(), &[1], &[0], JoinType::Inner).unwrap();
+        let out = join(&orders(), &customers(), &[1], &[0], JoinType::Inner);
         assert_eq!(out.rows(), 2);
         assert_eq!(out.row(0)[0], Value::Int32(100));
         assert_eq!(out.row(0)[3], Value::Varchar("alice".into()));
@@ -652,7 +328,7 @@ mod tests {
 
     #[test]
     fn left_join_pads_with_nulls() {
-        let out = hash_join(&orders(), &customers(), &[1], &[0], JoinType::Left).unwrap();
+        let out = join(&orders(), &customers(), &[1], &[0], JoinType::Left);
         assert_eq!(out.rows(), 4);
         // order 101 (cust 2) has no match: right side NULL.
         let row = out.row(1);
@@ -668,7 +344,7 @@ mod tests {
     fn null_keys_never_match_inner() {
         let l = Batch::from_columns(vec![("k", Column::from_opt_i32s(vec![None]))]).unwrap();
         let r = Batch::from_columns(vec![("k", Column::from_opt_i32s(vec![None]))]).unwrap();
-        let out = hash_join(&l, &r, &[0], &[0], JoinType::Inner).unwrap();
+        let out = join(&l, &r, &[0], &[0], JoinType::Inner);
         assert_eq!(out.rows(), 0);
     }
 
@@ -676,7 +352,7 @@ mod tests {
     fn duplicate_build_keys_multiply() {
         let l = Batch::from_columns(vec![("k", Column::from_i32s(vec![1, 1]))]).unwrap();
         let r = Batch::from_columns(vec![("k", Column::from_i32s(vec![1, 1, 1]))]).unwrap();
-        let out = hash_join(&l, &r, &[0], &[0], JoinType::Inner).unwrap();
+        let out = join(&l, &r, &[0], &[0], JoinType::Inner);
         assert_eq!(out.rows(), 6);
     }
 
@@ -692,7 +368,7 @@ mod tests {
             ("w", Column::from_i32s(vec![20, 30, 40])),
         ])
         .unwrap();
-        let out = hash_join(&l, &r, &[0], &[0], JoinType::Inner).unwrap();
+        let out = join(&l, &r, &[0], &[0], JoinType::Inner);
         assert_eq!(out.rows(), 2);
         assert_eq!(out.row(0)[3], Value::Int32(20));
     }
@@ -710,7 +386,7 @@ mod tests {
             ("p", Column::from_i32s(vec![7, 8])),
         ])
         .unwrap();
-        let out = hash_join(&l, &r, &[0, 1], &[0, 1], JoinType::Inner).unwrap();
+        let out = join(&l, &r, &[0, 1], &[0, 1], JoinType::Inner);
         assert_eq!(out.rows(), 2);
         assert_eq!(out.row(0)[4], Value::Int32(7));
         assert_eq!(out.row(1)[4], Value::Int32(8));
@@ -718,7 +394,7 @@ mod tests {
 
     #[test]
     fn cross_join_products() {
-        let out = hash_join(&orders(), &customers(), &[], &[], JoinType::Cross).unwrap();
+        let out = join(&orders(), &customers(), &[], &[], JoinType::Cross);
         assert_eq!(out.rows(), 8);
         assert_eq!(out.width(), 4);
     }
@@ -727,17 +403,17 @@ mod tests {
     fn cross_int_widths_match() {
         let l = Batch::from_columns(vec![("k", Column::from_i32s(vec![7]))]).unwrap();
         let r = Batch::from_columns(vec![("k", Column::from_i64s(vec![7]))]).unwrap();
-        let out = hash_join(&l, &r, &[0], &[0], JoinType::Inner).unwrap();
+        let out = join(&l, &r, &[0], &[0], JoinType::Inner);
         assert_eq!(out.rows(), 1);
     }
 
     #[test]
     fn empty_inputs() {
         let l = Batch::from_columns(vec![("k", Column::from_i32s(vec![]))]).unwrap();
-        let out = hash_join(&l, &customers(), &[0], &[0], JoinType::Inner).unwrap();
+        let out = join(&l, &customers(), &[0], &[0], JoinType::Inner);
         assert_eq!(out.rows(), 0);
         assert_eq!(out.width(), 3);
-        let out = hash_join(&customers(), &l, &[0], &[0], JoinType::Left).unwrap();
+        let out = join(&customers(), &l, &[0], &[0], JoinType::Left);
         assert_eq!(out.rows(), 2);
         assert!(out.row(0)[2].is_null());
     }
@@ -769,8 +445,9 @@ mod tests {
         ])
         .unwrap();
         for jt in [JoinType::Inner, JoinType::Left] {
-            let serial = hash_join(&l, &r, &[0], &[0], jt).unwrap();
-            let parallel = hash_join_par(&l, &r, &[0], &[0], jt, force_par()).unwrap();
+            let serial = join(&l, &r, &[0], &[0], jt);
+            let (parallel, ran) = join0(&l, &r, jt, false, force_par());
+            assert!(ran);
             assert_eq!(serial, parallel);
         }
     }
@@ -790,8 +467,9 @@ mod tests {
         ])
         .unwrap();
         for jt in [JoinType::Inner, JoinType::Left] {
-            let serial = hash_join(&l, &r, &[0], &[0], jt).unwrap();
-            let parallel = hash_join_par(&l, &r, &[0], &[0], jt, force_par()).unwrap();
+            let serial = join(&l, &r, &[0], &[0], jt);
+            let (parallel, ran) = join0(&l, &r, jt, false, force_par());
+            assert!(ran);
             assert_eq!(serial, parallel);
         }
     }
@@ -819,11 +497,12 @@ mod tests {
         ])
         .unwrap();
         for jt in [JoinType::Inner, JoinType::Left] {
-            let canonical = hash_join(&l, &r, &[0], &[0], jt).unwrap();
-            let swapped = hash_join_build_left(&l, &r, &[0], &[0], jt).unwrap();
+            let canonical = join(&l, &r, &[0], &[0], jt);
+            let (swapped, ran) = join0(&l, &r, jt, true, Parallelism::serial());
+            assert!(!ran);
             assert_eq!(canonical, swapped, "{jt:?} serial");
-            let swapped_par =
-                hash_join_build_left_par(&l, &r, &[0], &[0], jt, force_par()).unwrap();
+            let (swapped_par, ran) = join0(&l, &r, jt, true, force_par());
+            assert!(ran);
             assert_eq!(canonical, swapped_par, "{jt:?} parallel");
         }
     }
@@ -843,11 +522,12 @@ mod tests {
         ])
         .unwrap();
         for jt in [JoinType::Inner, JoinType::Left] {
-            let canonical = hash_join(&l, &r, &[0], &[0], jt).unwrap();
-            let swapped = hash_join_build_left(&l, &r, &[0], &[0], jt).unwrap();
+            let canonical = join(&l, &r, &[0], &[0], jt);
+            let (swapped, ran) = join0(&l, &r, jt, true, Parallelism::serial());
+            assert!(!ran);
             assert_eq!(canonical, swapped, "{jt:?} serial");
-            let swapped_par =
-                hash_join_build_left_par(&l, &r, &[0], &[0], jt, force_par()).unwrap();
+            let (swapped_par, ran) = join0(&l, &r, jt, true, force_par());
+            assert!(ran);
             assert_eq!(canonical, swapped_par, "{jt:?} parallel");
         }
     }
@@ -857,18 +537,18 @@ mod tests {
         let l = Batch::from_columns(vec![("k", Column::from_i32s(vec![1, 1]))]).unwrap();
         let r = Batch::from_columns(vec![("k", Column::from_i32s(vec![1, 1, 1]))]).unwrap();
         assert_eq!(
-            hash_join(&l, &r, &[0], &[0], JoinType::Inner).unwrap(),
-            hash_join_build_left(&l, &r, &[0], &[0], JoinType::Inner).unwrap()
+            join(&l, &r, &[0], &[0], JoinType::Inner),
+            join0(&l, &r, JoinType::Inner, true, Parallelism::serial()).0
         );
         let empty = Batch::from_columns(vec![("k", Column::from_i32s(vec![]))]).unwrap();
         for jt in [JoinType::Inner, JoinType::Left] {
             assert_eq!(
-                hash_join(&l, &empty, &[0], &[0], jt).unwrap(),
-                hash_join_build_left(&l, &empty, &[0], &[0], jt).unwrap()
+                join(&l, &empty, &[0], &[0], jt),
+                join0(&l, &empty, jt, true, Parallelism::serial()).0
             );
             assert_eq!(
-                hash_join(&empty, &r, &[0], &[0], jt).unwrap(),
-                hash_join_build_left(&empty, &r, &[0], &[0], jt).unwrap()
+                join(&empty, &r, &[0], &[0], jt),
+                join0(&empty, &r, jt, true, Parallelism::serial()).0
             );
         }
     }
@@ -876,8 +556,10 @@ mod tests {
     #[test]
     fn parallel_join_below_threshold_is_serial() {
         let par = Parallelism { threads: 4, threshold: 1_000_000, morsel_rows: 3, deadline: None };
-        let out = hash_join_par(&orders(), &customers(), &[1], &[0], JoinType::Inner, par).unwrap();
-        let serial = hash_join(&orders(), &customers(), &[1], &[0], JoinType::Inner).unwrap();
+        let (out, ran) =
+            hash_join(&orders(), &customers(), &[1], &[0], JoinType::Inner, false, par).unwrap();
+        assert!(!ran);
+        let serial = join(&orders(), &customers(), &[1], &[0], JoinType::Inner);
         assert_eq!(out, serial);
     }
 }

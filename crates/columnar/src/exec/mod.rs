@@ -4,34 +4,43 @@
 //! whole [`Batch`]es and produces a fully materialized result. The SQL
 //! executor ([`crate::sql`]) strings these together; they are also usable
 //! directly as a library.
+//!
+//! Every operator that can run morsel-parallel — [`filter_sel`],
+//! [`filter`], [`hash_join`], [`hash_aggregate`], [`sort()`] (and the
+//! executor's projection) — takes a [`Parallelism`] policy and has exactly
+//! one body: the input is cut into morsels, each morsel is processed by
+//! the same loop, and the per-morsel results are stitched in morsel order.
+//! Serial execution is not a second implementation but the run of that
+//! body with one morsel spanning the input on the calling thread
+//! ([`Parallelism::run_morsels`]), where the stitch is the identity. Each
+//! such operator also reports whether the morsel-parallel run engaged, so
+//! callers (`EXPLAIN ANALYZE`) never re-derive the gate.
 
 pub mod aggregate;
 pub mod join;
 pub mod rowkey;
 pub mod sort;
 
-pub use aggregate::{hash_aggregate, hash_aggregate_par, AggCall, AggFunc};
-pub use join::{
-    hash_join, hash_join_build_left, hash_join_build_left_par, hash_join_par, JoinType,
-};
-pub use sort::{limit, sort, sort_par, SortKey};
+pub use aggregate::{hash_aggregate, AggCall, AggFunc};
+pub use join::{hash_join, JoinType};
+pub use sort::{limit, sort, SortKey};
 
 use crate::batch::Batch;
 use crate::error::{DbError, DbResult};
 use crate::exec::rowkey::encode_key;
 use crate::expr::{eval_predicate_offset, fuse, EvalContext, Expr};
 use crate::metrics;
-use crate::parallel::{parallel_map, DEFAULT_MORSEL_ROWS};
+use crate::parallel::{parallel_map, Morsel, DEFAULT_MORSEL_ROWS};
 use crate::udf::FunctionRegistry;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// The parallelism policy one operator invocation runs under: how many
 /// workers (including the calling thread), above which input size the
 /// parallel path engages, and the morsel granularity.
 #[derive(Debug, Clone, Copy)]
 pub struct Parallelism {
-    /// Total workers including the caller; `1` forces the serial path.
+    /// Total workers including the caller; `1` keeps every operator on its
+    /// single-morsel run.
     pub threads: usize,
     /// Minimum input rows before the parallel path is taken.
     pub threshold: usize,
@@ -45,7 +54,8 @@ pub struct Parallelism {
 }
 
 impl Parallelism {
-    /// The policy that always takes the serial path.
+    /// The policy under which every operator runs as a single morsel on
+    /// the calling thread.
     pub fn serial() -> Parallelism {
         Parallelism {
             threads: 1,
@@ -73,6 +83,43 @@ impl Parallelism {
             _ => Ok(()),
         }
     }
+
+    /// Runs `f` over the morsels of a `rows`-row input, results in morsel
+    /// order, checking the deadline as each morsel starts. With `parallel`
+    /// set the morsels are `morsel_rows` long and spread over the worker
+    /// pool; otherwise the input is a single morsel run on the calling
+    /// thread. Operators decide `parallel` from [`Parallelism::enabled`]
+    /// (plus their own constraints) and write their loop once, over a
+    /// morsel. An empty input still runs its one (empty) morsel, so
+    /// operators with empty-input semantics need no special case.
+    pub fn run_morsels<T, F>(&self, rows: usize, parallel: bool, f: F) -> DbResult<Vec<T>>
+    where
+        T: Send,
+        F: Fn(Morsel) -> DbResult<T> + Send + Sync,
+    {
+        let checked = |m: Morsel| {
+            self.check_deadline()?;
+            f(m)
+        };
+        if parallel {
+            parallel_map(rows, self.morsel_rows, self.threads, checked)
+        } else {
+            Ok(vec![checked(Morsel { start: 0, len: rows })?])
+        }
+    }
+}
+
+/// Concatenates per-morsel result vectors in morsel order, reusing the
+/// first morsel's allocation — so a single-morsel run stitches for free.
+pub(crate) fn concat_parts<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let total: usize = parts.iter().map(Vec::len).sum();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    out.reserve(total - out.len());
+    for p in parts {
+        out.extend(p);
+    }
+    out
 }
 
 /// How a filter evaluation ran: which specialized paths engaged. Surfaced
@@ -87,72 +134,40 @@ pub struct FilterStats {
 
 /// Evaluates `predicate` over `input` and returns the selection vector of
 /// rows where it is TRUE — the late-materialization primitive: callers
-/// gather only the columns they go on to touch. Tries a fused kernel
-/// first, falling back to vectorized evaluation.
+/// gather only the columns they go on to touch. Each morsel tries a fused
+/// kernel over its slice first (kernels borrow their batch, so nothing
+/// needs to be `Send`), falling back to vectorized evaluation; selections
+/// carry batch row numbers and are stitched in row order.
 pub fn filter_sel(
     input: &Batch,
     predicate: &Expr,
     functions: Option<&FunctionRegistry>,
-) -> DbResult<(Vec<u32>, FilterStats)> {
-    filter_sel_offset(input, predicate, functions, 0)
-}
-
-/// [`filter_sel`] with `base` added to every selected index, for morsel
-/// workers stitching per-slice selections back into batch coordinates.
-fn filter_sel_offset(
-    input: &Batch,
-    predicate: &Expr,
-    functions: Option<&FunctionRegistry>,
-    base: usize,
-) -> DbResult<(Vec<u32>, FilterStats)> {
-    if let Some(kernel) = fuse::compile(predicate, input) {
-        let n = input.rows();
-        let mut sel = Vec::new();
-        for i in 0..n {
-            if kernel.eval(i) == Some(true) {
-                sel.push((base + i) as u32);
-            }
-        }
-        metrics::counter("expr.fused.rows").add(n as u64);
-        if kernel.dict_leaves > 0 {
-            metrics::counter("exec.encoding.dict_rows").add(n as u64 * kernel.dict_leaves as u64);
-        }
-        return Ok((sel, FilterStats { fused: true, parallel: false }));
-    }
-    let ctx = EvalContext::new(input, functions);
-    let sel = eval_predicate_offset(&ctx, predicate, base)?;
-    Ok((sel, FilterStats::default()))
-}
-
-/// Morsel-parallel [`filter_sel`]: evaluates the predicate per morsel on
-/// the worker pool (compiling a fused kernel per slice — kernels borrow
-/// their batch, so nothing needs to be `Send`) and stitches the selections
-/// back in row order. Falls back to the serial path below the threshold.
-pub fn filter_sel_par(
-    input: &Batch,
-    predicate: &Expr,
-    functions: Option<&Arc<FunctionRegistry>>,
     par: Parallelism,
 ) -> DbResult<(Vec<u32>, FilterStats)> {
-    if !par.enabled(input.rows()) {
-        return filter_sel(input, predicate, functions.map(Arc::as_ref));
-    }
-    let batch = input.clone();
-    let pred = predicate.clone();
-    let funcs = functions.cloned();
-    let parts = parallel_map(input.rows(), par.morsel_rows, par.threads, move |m| {
-        par.check_deadline()?;
-        let slice = batch.slice(m.start, m.len);
-        filter_sel_offset(&slice, &pred, funcs.as_deref(), m.start)
+    let parallel = par.enabled(input.rows());
+    let parts = par.run_morsels(input.rows(), parallel, |m| {
+        let slice = input.slice(m.start, m.len);
+        let Some(kernel) = fuse::compile(predicate, &slice) else {
+            let ctx = EvalContext::new(&slice, functions);
+            return Ok((eval_predicate_offset(&ctx, predicate, m.start)?, false));
+        };
+        let mut sel = Vec::new();
+        for i in 0..m.len {
+            if kernel.eval(i) == Some(true) {
+                sel.push((m.start + i) as u32);
+            }
+        }
+        metrics::counter("expr.fused.rows").add(m.len as u64);
+        if kernel.dict_leaves > 0 {
+            metrics::counter("exec.encoding.dict_rows")
+                .add(m.len as u64 * kernel.dict_leaves as u64);
+        }
+        Ok((sel, true))
     })?;
     // Slicing preserves encodings, so fusion decides uniformly per morsel.
-    let fused = parts.iter().all(|(_, st)| st.fused);
-    let total: usize = parts.iter().map(|(s, _)| s.len()).sum();
-    let mut keep: Vec<u32> = Vec::with_capacity(total);
-    for (s, _) in parts {
-        keep.extend(s);
-    }
-    Ok((keep, FilterStats { fused, parallel: true }))
+    let fused = parts.iter().all(|(_, fused)| *fused);
+    let sel = concat_parts(parts.into_iter().map(|(s, _)| s).collect());
+    Ok((sel, FilterStats { fused, parallel }))
 }
 
 /// Filters a batch by a predicate expression, returning only rows where it
@@ -161,28 +176,13 @@ pub fn filter(
     input: &Batch,
     predicate: &Expr,
     functions: Option<&FunctionRegistry>,
+    par: Parallelism,
 ) -> DbResult<Batch> {
-    let (sel, _) = filter_sel(input, predicate, functions)?;
+    let (sel, _) = filter_sel(input, predicate, functions, par)?;
     if sel.len() == input.rows() {
         return Ok(input.clone()); // nothing filtered out; skip the gather
     }
     Ok(input.take(&sel))
-}
-
-/// Morsel-parallel [`filter`]: evaluates the predicate per morsel on the
-/// worker pool and stitches the per-morsel selections back in row order.
-/// Falls back to the serial path below the policy threshold.
-pub fn filter_par(
-    input: &Batch,
-    predicate: &Expr,
-    functions: Option<&Arc<FunctionRegistry>>,
-    par: Parallelism,
-) -> DbResult<Batch> {
-    let (keep, _) = filter_sel_par(input, predicate, functions, par)?;
-    if keep.len() == input.rows() {
-        return Ok(input.clone()); // nothing filtered out; skip the gather
-    }
-    Ok(input.take(&keep))
 }
 
 /// Removes duplicate rows, keeping first occurrences in order.
@@ -214,7 +214,8 @@ mod tests {
     #[test]
     fn filter_selects_true_rows() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s(vec![1, 2, 3, 4]))]).unwrap();
-        let out = filter(&b, &E::binary(BinaryOp::Gt, E::col(0), E::lit(2i32)), None).unwrap();
+        let pred = E::binary(BinaryOp::Gt, E::col(0), E::lit(2i32));
+        let out = filter(&b, &pred, None, Parallelism::serial()).unwrap();
         assert_eq!(out.rows(), 2);
         assert_eq!(out.row(0)[0], Value::Int32(3));
     }
@@ -222,8 +223,23 @@ mod tests {
     #[test]
     fn filter_all_pass_is_clone() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s(vec![1, 2]))]).unwrap();
-        let out = filter(&b, &E::lit(true), None).unwrap();
+        let out = filter(&b, &E::lit(true), None, Parallelism::serial()).unwrap();
         assert_eq!(out.rows(), 2);
+    }
+
+    #[test]
+    fn parallel_filter_matches_serial() {
+        let xs: Vec<Option<i32>> =
+            (0..100).map(|i| if i % 9 == 0 { None } else { Some((i * 31) % 50) }).collect();
+        let b = Batch::from_columns(vec![("x", Column::from_opt_i32s(xs))]).unwrap();
+        let pred = E::binary(BinaryOp::Lt, E::col(0), E::lit(20i32));
+        let par = Parallelism { threads: 4, threshold: 1, morsel_rows: 7, deadline: None };
+        let (serial, st) = filter_sel(&b, &pred, None, Parallelism::serial()).unwrap();
+        assert!(!st.parallel);
+        let (parallel, st) = filter_sel(&b, &pred, None, par).unwrap();
+        assert!(st.parallel);
+        assert_eq!(serial, parallel);
+        assert_eq!(concat_parts::<u32>(vec![]), Vec::<u32>::new());
     }
 
     #[test]

@@ -5,9 +5,7 @@ use crate::column::Column;
 use crate::error::{DbError, DbResult};
 use crate::exec::Parallelism;
 use crate::parallel::parallel_map;
-use parking_lot::Mutex;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// One ORDER BY key.
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +31,8 @@ impl SortKey {
     }
 }
 
-/// The ORDER BY comparator shared by the serial sort, the per-morsel run
-/// sorts, and the run merge. `cols` holds the key columns in key order.
+/// The ORDER BY comparator shared by the per-morsel run sorts and the run
+/// merge. `cols` holds the key columns in key order.
 fn compare_rows(keys: &[SortKey], cols: &[&Column], a: u32, b: u32) -> Ordering {
     for (key, col) in keys.iter().zip(cols) {
         let (ai, bi) = (a as usize, b as usize);
@@ -74,22 +72,6 @@ fn compare_rows(keys: &[SortKey], cols: &[&Column], a: u32, b: u32) -> Ordering 
     Ordering::Equal
 }
 
-/// Stable-sorts the batch by the given keys and returns the permuted batch.
-pub fn sort(input: &Batch, keys: &[SortKey]) -> DbResult<Batch> {
-    if keys.is_empty() {
-        return Ok(input.clone());
-    }
-    for k in keys {
-        if k.column >= input.width() {
-            return Err(DbError::internal(format!("sort key column {} out of range", k.column)));
-        }
-    }
-    let mut perm: Vec<u32> = (0..input.rows() as u32).collect();
-    let cols: Vec<_> = keys.iter().map(|k| input.column(k.column).as_ref()).collect();
-    perm.sort_by(|&a, &b| compare_rows(keys, &cols, a, b));
-    Ok(input.take(&perm))
-}
-
 /// Merges two sorted runs, taking the left row on ties. Runs always cover
 /// contiguous, ascending row ranges (left before right), so left-on-equal
 /// preserves stability.
@@ -110,62 +92,39 @@ fn merge_runs(a: &[u32], b: &[u32], keys: &[SortKey], cols: &[&Column]) -> Vec<u
     out
 }
 
-/// Morsel-parallel [`sort`]: each morsel stable-sorts its own index run on
-/// the pool, then rounds of pairwise merges (also on the pool) combine
-/// adjacent runs until one permutation remains. Merge takes the left run on
-/// equal keys, so the result is identical to the serial stable sort. Falls
-/// back to the serial path below the policy threshold.
-pub fn sort_par(input: &Batch, keys: &[SortKey], par: Parallelism) -> DbResult<Batch> {
+/// Stable-sorts the batch by the given keys and returns the permuted batch
+/// plus whether the morsel-parallel run engaged. Each morsel stable-sorts
+/// its own index run, then rounds of pairwise merges (on the pool) combine
+/// adjacent runs until one permutation remains. Merge takes the left run
+/// on equal keys, so the result is the stable sort of the whole input
+/// however it was cut; the serial case is one run and zero merge rounds.
+pub fn sort(input: &Batch, keys: &[SortKey], par: Parallelism) -> DbResult<(Batch, bool)> {
     if keys.is_empty() {
-        return Ok(input.clone());
-    }
-    if !par.enabled(input.rows()) {
-        return sort(input, keys);
+        return Ok((input.clone(), false));
     }
     for k in keys {
         if k.column >= input.width() {
             return Err(DbError::internal(format!("sort key column {} out of range", k.column)));
         }
     }
-    // Phase 1: sorted index runs, one per morsel.
-    let mut runs: Vec<Vec<u32>> = {
-        let batch = input.clone();
-        let ks = keys.to_vec();
-        parallel_map(input.rows(), par.morsel_rows, par.threads, move |m| {
-            par.check_deadline()?;
-            let cols: Vec<&Column> = ks.iter().map(|k| batch.column(k.column).as_ref()).collect();
-            let mut idx: Vec<u32> = (m.start as u32..(m.start + m.len) as u32).collect();
-            idx.sort_by(|&a, &b| compare_rows(&ks, &cols, a, b));
-            Ok(idx)
-        })?
-    };
-    // Phase 2: pairwise merge rounds over adjacent runs.
+    let cols: Vec<&Column> = keys.iter().map(|k| input.column(k.column).as_ref()).collect();
+    let parallel = par.enabled(input.rows());
+    let mut runs: Vec<Vec<u32>> = par.run_morsels(input.rows(), parallel, |m| {
+        let mut idx: Vec<u32> = (m.start as u32..(m.start + m.len) as u32).collect();
+        idx.sort_by(|&a, &b| compare_rows(keys, &cols, a, b));
+        Ok(idx)
+    })?;
     while runs.len() > 1 {
-        let pairs = runs.len().div_ceil(2);
-        let slots: Arc<Vec<Mutex<Option<Vec<u32>>>>> =
-            Arc::new(runs.into_iter().map(|r| Mutex::new(Some(r))).collect());
-        runs = {
-            let batch = input.clone();
-            let ks = keys.to_vec();
-            let slots = Arc::clone(&slots);
-            parallel_map(pairs, 1, par.threads, move |m| {
-                let i = m.start * 2;
-                let a = slots[i].lock().take().unwrap_or_default();
-                let b = match slots.get(i + 1) {
-                    Some(s) => s.lock().take().unwrap_or_default(),
-                    None => Vec::new(), // odd run out: carried to the next round
-                };
-                if b.is_empty() {
-                    return Ok(a);
-                }
-                let cols: Vec<&Column> =
-                    ks.iter().map(|k| batch.column(k.column).as_ref()).collect();
-                Ok(merge_runs(&a, &b, &ks, &cols))
-            })?
-        };
+        // An odd run out is carried to the next round unmerged.
+        let odd = if runs.len() % 2 == 1 { runs.pop() } else { None };
+        let mut merged = parallel_map(runs.len() / 2, 1, par.threads, |m| {
+            Ok(merge_runs(&runs[m.start * 2], &runs[m.start * 2 + 1], keys, &cols))
+        })?;
+        merged.extend(odd);
+        runs = merged;
     }
     let perm = runs.pop().unwrap_or_default();
-    Ok(input.take(&perm))
+    Ok((input.take(&perm), parallel))
 }
 
 /// `LIMIT n OFFSET m` over a batch.
@@ -182,6 +141,11 @@ mod tests {
     use crate::column::Column;
     use crate::types::Value;
 
+    /// The serial run: one sorted run, no merge.
+    fn sorted(b: &Batch, keys: &[SortKey]) -> Batch {
+        sort(b, keys, Parallelism::serial()).unwrap().0
+    }
+
     fn batch() -> Batch {
         Batch::from_columns(vec![
             ("g", Column::from_strings(["b", "a", "b", "a"])),
@@ -192,7 +156,7 @@ mod tests {
 
     #[test]
     fn single_key_ascending() {
-        let out = sort(&batch(), &[SortKey::asc(1)]).unwrap();
+        let out = sorted(&batch(), &[SortKey::asc(1)]);
         let vals: Vec<Value> = (0..4).map(|i| out.row(i)[1].clone()).collect();
         assert_eq!(vals[0], Value::Int32(1));
         assert_eq!(vals[1], Value::Int32(2));
@@ -202,7 +166,7 @@ mod tests {
 
     #[test]
     fn single_key_descending_nulls_first() {
-        let out = sort(&batch(), &[SortKey::desc(1)]).unwrap();
+        let out = sorted(&batch(), &[SortKey::desc(1)]);
         assert!(out.row(0)[1].is_null());
         assert_eq!(out.row(1)[1], Value::Int32(9));
         assert_eq!(out.row(3)[1], Value::Int32(1));
@@ -210,7 +174,7 @@ mod tests {
 
     #[test]
     fn multi_key_sorts_stably() {
-        let out = sort(&batch(), &[SortKey::asc(0), SortKey::asc(1)]).unwrap();
+        let out = sorted(&batch(), &[SortKey::asc(0), SortKey::asc(1)]);
         // a-group first: (a, 9), (a, NULL) -> 9 before NULL
         assert_eq!(out.row(0)[0], Value::Varchar("a".into()));
         assert_eq!(out.row(0)[1], Value::Int32(9));
@@ -222,7 +186,7 @@ mod tests {
     #[test]
     fn empty_keys_is_identity() {
         let b = batch();
-        let out = sort(&b, &[]).unwrap();
+        let out = sorted(&b, &[]);
         assert_eq!(out, b);
     }
 
@@ -238,7 +202,7 @@ mod tests {
 
     #[test]
     fn out_of_range_key_rejected() {
-        assert!(sort(&batch(), &[SortKey::asc(9)]).is_err());
+        assert!(sort(&batch(), &[SortKey::asc(9)], Parallelism::serial()).is_err());
     }
 
     fn force_par() -> Parallelism {
@@ -262,8 +226,8 @@ mod tests {
         for keys in
             [vec![SortKey::asc(0)], vec![SortKey::desc(0)], vec![SortKey::asc(0), SortKey::desc(1)]]
         {
-            let serial = sort(&b, &keys).unwrap();
-            let parallel = sort_par(&b, &keys, force_par()).unwrap();
+            let serial = sorted(&b, &keys);
+            let parallel = sort(&b, &keys, force_par()).unwrap().0;
             assert_eq!(serial, parallel, "keys: {keys:?}");
         }
     }
@@ -276,13 +240,13 @@ mod tests {
             ("v", Column::from_i32s((0..64).collect())),
         ])
         .unwrap();
-        let serial = sort(&b, &[SortKey::asc(0)]).unwrap();
-        let parallel = sort_par(&b, &[SortKey::asc(0)], force_par()).unwrap();
+        let serial = sorted(&b, &[SortKey::asc(0)]);
+        let parallel = sort(&b, &[SortKey::asc(0)], force_par()).unwrap().0;
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn parallel_sort_out_of_range_key_rejected() {
-        assert!(sort_par(&batch(), &[SortKey::asc(9)], force_par()).is_err());
+        assert!(sort(&batch(), &[SortKey::asc(9)], force_par()).is_err());
     }
 }

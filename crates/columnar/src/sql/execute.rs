@@ -7,7 +7,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec;
 use crate::expr::{eval, EvalContext, Expr};
 use crate::metrics;
-use crate::parallel::{effective_threads, parallel_map, DEFAULT_MORSEL_ROWS};
+use crate::parallel::{effective_threads, DEFAULT_MORSEL_ROWS};
 use crate::schema::Schema;
 use crate::sql::plan::{BoundTableArg, LogicalPlan, PlanAgg};
 use crate::types::Value;
@@ -493,32 +493,25 @@ fn run_operator(
             let v = execute_view(input, catalog, functions, opts, trace)?;
             let par = par_for(opts, &[predicate], functions);
             let mut flags = OpFlags::encodings(&v.batch);
-            match v.sel {
-                None => {
-                    // Produce a selection over the input batch; rows are
-                    // gathered only when a downstream operator needs them.
-                    let (sel, st) =
-                        exec::filter_sel_par(&v.batch, predicate, Some(functions), par)?;
-                    flags.parallel = st.parallel;
-                    flags.fused = st.fused;
-                    Ok((ExecView { batch: v.batch, sel: Some(sel) }, flags))
-                }
+            // Produce a selection over the input batch; rows are gathered
+            // only when a downstream operator needs them.
+            let (sel, st) = match &v.sel {
+                None => exec::filter_sel(&v.batch, predicate, Some(functions), par)?,
                 Some(prev) => {
                     // Stacked filters: evaluate over only the columns this
                     // predicate references, restricted to the surviving
                     // rows, then map back to input-batch row numbers.
                     let refs = referenced(&[predicate]);
-                    let narrow = ExecView { batch: v.batch.clone(), sel: Some(prev.clone()) }
-                        .gather(&refs)?;
+                    let narrow = v.gather(&refs)?;
                     let mut pred = predicate.clone();
                     pred.remap_columns(&remap_table(&refs, v.batch.width()));
-                    let (sub_sel, st) = exec::filter_sel_par(&narrow, &pred, Some(functions), par)?;
-                    flags.parallel = st.parallel;
-                    flags.fused = st.fused;
-                    let sel = sub_sel.iter().map(|&i| prev[i as usize]).collect();
-                    Ok((ExecView { batch: v.batch, sel: Some(sel) }, flags))
+                    let (sub_sel, st) = exec::filter_sel(&narrow, &pred, Some(functions), par)?;
+                    (sub_sel.iter().map(|&i| prev[i as usize]).collect(), st)
                 }
-            }
+            };
+            flags.parallel = st.parallel;
+            flags.fused = st.fused;
+            Ok((ExecView { batch: v.batch, sel: Some(sel) }, flags))
         }
         LogicalPlan::Project { input, exprs, schema } => {
             let v = execute_view(input, catalog, functions, opts, trace)?;
@@ -537,8 +530,8 @@ fn run_operator(
             for e in &mut ex {
                 e.remap_columns(&map);
             }
-            flags.parallel = par.enabled(narrow.rows());
-            let out = project_par(&narrow, &ex, schema.clone(), functions, par)?;
+            let (out, ran_parallel) = project(&narrow, &ex, schema.clone(), functions, par)?;
+            flags.parallel = ran_parallel;
             Ok((ExecView::full(out), flags))
         }
         LogicalPlan::Join {
@@ -556,18 +549,11 @@ fn run_operator(
             // The hash join itself evaluates no expressions, so it is
             // gated only by the row threshold (lowered for heavy ops).
             let par = opts.for_heavy().parallelism(true);
-            // Mirror hash_join_par's own gate (build or probe side big
-            // enough, cross joins always serial).
-            let ran_parallel =
-                *join_type != exec::JoinType::Cross && par.enabled(l.rows().max(r.rows()));
-            let mut joined = if *build_left {
-                exec::hash_join_build_left_par(&l, &r, left_keys, right_keys, *join_type, par)?
-            } else {
-                exec::hash_join_par(&l, &r, left_keys, right_keys, *join_type, par)?
-            };
+            let (mut joined, ran_parallel) =
+                exec::hash_join(&l, &r, left_keys, right_keys, *join_type, *build_left, par)?;
             if let Some(pred) = residual {
                 let par = par_for(opts, &[pred], functions);
-                joined = exec::filter_par(&joined, pred, Some(functions), par)?;
+                joined = exec::filter(&joined, pred, Some(functions), par)?;
             }
             let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
             Ok((ExecView::full(conform(joined, schema.clone())?), flags))
@@ -611,9 +597,7 @@ fn run_operator(
                     nulls_first: k.nulls_first,
                 })
                 .collect();
-            let par = opts.for_heavy().parallelism(true);
-            let ran_parallel = !keys.is_empty() && par.enabled(b.rows());
-            let out = exec::sort_par(&b, &keys, par)?;
+            let (out, ran_parallel) = exec::sort(&b, &keys, opts.for_heavy().parallelism(true))?;
             let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
             Ok((ExecView::full(out), flags))
         }
@@ -644,54 +628,37 @@ fn unit_batch() -> DbResult<Batch> {
     Batch::from_columns(vec![("__unit", Column::from_bools(vec![false]))])
 }
 
-/// Morsel-parallel projection: each morsel evaluates the expressions over
-/// its slice of the input, and the per-morsel batches are concatenated in
-/// morsel order. Falls back to [`project`] below the policy threshold.
-fn project_par(
-    input: &Batch,
-    exprs: &[Expr],
-    schema: Arc<Schema>,
-    functions: &Arc<FunctionRegistry>,
-    par: exec::Parallelism,
-) -> DbResult<Batch> {
-    if !par.enabled(input.rows()) {
-        return project(input, exprs, schema, functions);
-    }
-    let batch = input.clone();
-    let ex = exprs.to_vec();
-    let sch = schema.clone();
-    let funcs = Arc::clone(functions);
-    let parts = parallel_map(input.rows(), par.morsel_rows, par.threads, move |m| {
-        par.check_deadline()?;
-        let slice = batch.slice(m.start, m.len);
-        project(&slice, &ex, sch.clone(), &funcs)
-    })?;
-    Batch::concat(&parts)
-}
-
 /// Evaluates projection expressions over `input` and labels the result with
-/// `schema`, broadcasting constants and casting to declared types.
+/// `schema`, broadcasting constants and casting to declared types. Each
+/// morsel evaluates the expressions over its slice of the input, and the
+/// per-morsel batches are concatenated in morsel order. Also reports
+/// whether the morsel-parallel run engaged.
 fn project(
     input: &Batch,
     exprs: &[Expr],
     schema: Arc<Schema>,
     functions: &FunctionRegistry,
-) -> DbResult<Batch> {
-    let ctx = EvalContext::new(input, Some(functions));
-    let n = input.rows();
-    let mut columns = Vec::with_capacity(exprs.len());
-    for (e, f) in exprs.iter().zip(schema.fields()) {
-        let c = eval(&ctx, e)?;
-        let c = c.broadcast_to(n)?;
-        let c = if c.data_type() == f.dtype { c } else { c.cast(f.dtype)? };
-        columns.push(Arc::new(c));
-    }
-    Batch::new(schema, columns)
+    par: exec::Parallelism,
+) -> DbResult<(Batch, bool)> {
+    let parallel = par.enabled(input.rows());
+    let parts = par.run_morsels(input.rows(), parallel, |m| {
+        let slice = input.slice(m.start, m.len);
+        let ctx = EvalContext::new(&slice, Some(functions));
+        let mut columns = Vec::with_capacity(exprs.len());
+        for (e, f) in exprs.iter().zip(schema.fields()) {
+            let c = eval(&ctx, e)?;
+            let c = c.broadcast_to(m.len)?;
+            let c = if c.data_type() == f.dtype { c } else { c.cast(f.dtype)? };
+            columns.push(Arc::new(c));
+        }
+        Batch::new(schema.clone(), columns)
+    })?;
+    Ok((Batch::concat(&parts)?, parallel))
 }
 
 /// Evaluates group and aggregate-argument expressions, runs the hash
 /// aggregate, and labels the output with the plan schema. Also reports
-/// whether the parallel aggregate path engaged.
+/// whether the morsel-parallel aggregation engaged.
 fn aggregate(
     input: &Batch,
     group: &[Expr],
@@ -733,10 +700,7 @@ fn aggregate(
     let mut exprs: Vec<&Expr> = group.iter().collect();
     exprs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()));
     let par = par_for(opts, &exprs, functions);
-    // Mirror hash_aggregate_par's gate: DISTINCT aggregates and inputs
-    // below the threshold take the serial path.
-    let ran_parallel = par.enabled(pre.rows()) && !calls.iter().any(|c| c.distinct);
-    let out = exec::hash_aggregate_par(&pre, &group_keys, &calls, par)?;
+    let (out, ran_parallel) = exec::hash_aggregate(&pre, &group_keys, &calls, par)?;
     Ok((conform(out, schema)?, ran_parallel))
 }
 

@@ -1,13 +1,85 @@
 //! Property-based tests over the storage and execution layers, checking
 //! the vectorized operators against scalar reference implementations.
 
-use mlcs_columnar::exec::{self, JoinType, SortKey};
+use mlcs_columnar::exec::{self, AggCall, AggFunc, JoinType, Parallelism, SortKey};
 use mlcs_columnar::expr::{eval, eval_predicate, BinaryOp, EvalContext, Expr};
 use mlcs_columnar::{Batch, Column};
 use proptest::prelude::*;
 
 fn opt_i32s() -> impl Strategy<Value = Vec<Option<i32>>> {
     proptest::collection::vec(proptest::option::of(-100i32..100), 0..80)
+}
+
+/// The two ways every operator runs: one morsel on the calling thread, and
+/// forced onto the pool in morsels small enough that these inputs span
+/// several.
+fn policies() -> [Parallelism; 2] {
+    [
+        Parallelism::serial(),
+        Parallelism { threads: 4, threshold: 1, morsel_rows: 7, deadline: None },
+    ]
+}
+
+/// A `(key, pos)` batch: the key column under test plus each row's
+/// position, so join output rows can be traced back to their inputs.
+fn keyed(key: Column) -> Batch {
+    let pos = Column::from_i64s((0..key.len() as i64).collect());
+    Batch::from_columns(vec![("k", key), ("pos", pos)]).unwrap()
+}
+
+/// The nested-loop reference join over optional keys: every `(left pos,
+/// Some(right pos))` with equal non-NULL keys, left rows in order and each
+/// left row's matches in right order; under `left_join` a matchless left
+/// row yields `(left pos, None)`. NULL never equals anything.
+fn nested_loop<K: PartialEq>(
+    left: &[Option<K>],
+    right: &[Option<K>],
+    left_join: bool,
+) -> Vec<(i64, Option<i64>)> {
+    let mut pairs = Vec::new();
+    for (l, lk) in left.iter().enumerate() {
+        let before = pairs.len();
+        for (r, rk) in right.iter().enumerate() {
+            if lk.is_some() && lk == rk {
+                pairs.push((l as i64, Some(r as i64)));
+            }
+        }
+        if left_join && pairs.len() == before {
+            pairs.push((l as i64, None));
+        }
+    }
+    pairs
+}
+
+/// Checks `exec::hash_join` over two [`keyed`] batches against the
+/// expected position pairs, for both build sides under both policies. The
+/// comparison is on the ordered pair list, which pins the pair multiset
+/// and the documented output order at once.
+fn check_join(
+    lb: &Batch,
+    rb: &Batch,
+    join_type: JoinType,
+    expect: &[(i64, Option<i64>)],
+) -> Result<(), TestCaseError> {
+    for build_left in [false, true] {
+        for par in policies() {
+            let (out, ran_parallel) =
+                exec::hash_join(lb, rb, &[0], &[0], join_type, build_left, par).unwrap();
+            let pairs: Vec<(i64, Option<i64>)> = (0..out.rows())
+                .map(|i| (out.column(1).i64_at(i).unwrap(), out.column(3).i64_at(i)))
+                .collect();
+            prop_assert_eq!(&pairs[..], expect, "build_left={} par={:?}", build_left, par);
+            let expect_parallel = par.threads > 1 && lb.rows().max(rb.rows()) > 0;
+            prop_assert_eq!(ran_parallel, expect_parallel);
+            // Every matched output row has equal keys on both sides.
+            for i in 0..out.rows() {
+                if !out.column(3).is_null(i) {
+                    prop_assert_eq!(out.row(i)[0].clone(), out.row(i)[2].clone());
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -89,31 +161,53 @@ proptest! {
         }
     }
 
-    /// Hash join row count equals the nested-loop reference count, and the
-    /// result contains exactly the matching pairs.
+    /// The filter operator's selection is exactly the TRUE rows, in order,
+    /// however the input is cut into morsels.
+    #[test]
+    fn filter_sel_selects_true_rows(a in opt_i32s(), threshold in -100i32..100) {
+        let batch = Batch::from_columns(vec![("a", Column::from_opt_i32s(a.clone()))]).unwrap();
+        let e = Expr::binary(BinaryOp::Lt, Expr::col(0), Expr::lit(threshold));
+        let expect: Vec<u32> = a
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| matches!(v, Some(x) if *x < threshold))
+            .map(|(i, _)| i as u32)
+            .collect();
+        for par in policies() {
+            let (sel, stats) = exec::filter_sel(&batch, &e, None, par).unwrap();
+            prop_assert_eq!(&sel, &expect, "{:?}", par);
+            prop_assert_eq!(stats.parallel, par.threads > 1 && !a.is_empty());
+            let kept = exec::filter(&batch, &e, None, par).unwrap();
+            prop_assert_eq!(kept.rows(), expect.len());
+        }
+    }
+
+    /// Hash join output equals the nested-loop reference pair for pair —
+    /// NULL keys included, which never match — whichever side is built
+    /// and under either policy.
     #[test]
     fn join_matches_nested_loop(
         left in proptest::collection::vec(proptest::option::of(0i32..10), 0..40),
         right in proptest::collection::vec(proptest::option::of(0i32..10), 0..40),
     ) {
-        let lb = Batch::from_columns(vec![("k", Column::from_opt_i32s(left.clone()))]).unwrap();
-        let rb = Batch::from_columns(vec![("k", Column::from_opt_i32s(right.clone()))]).unwrap();
-        let out = exec::hash_join(&lb, &rb, &[0], &[0], JoinType::Inner).unwrap();
-        let mut expect = 0usize;
-        for l in &left {
-            for r in &right {
-                if let (Some(a), Some(b)) = (l, r) {
-                    if a == b {
-                        expect += 1;
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(out.rows(), expect);
-        // Every output row has equal keys on both sides.
-        for i in 0..out.rows() {
-            prop_assert_eq!(out.row(i)[0].clone(), out.row(i)[1].clone());
-        }
+        let lb = keyed(Column::from_opt_i32s(left.clone()));
+        let rb = keyed(Column::from_opt_i32s(right.clone()));
+        check_join(&lb, &rb, JoinType::Inner, &nested_loop(&left, &right, false))?;
+        check_join(&lb, &rb, JoinType::Left, &nested_loop(&left, &right, true))?;
+    }
+
+    /// The same over string keys, which take the byte-encoded key path.
+    #[test]
+    fn string_key_join_matches_nested_loop(
+        left in proptest::collection::vec(0u8..6, 0..40),
+        right in proptest::collection::vec(0u8..6, 0..40),
+    ) {
+        let names = |ks: &[u8]| ks.iter().map(|k| Some(format!("key-{k}"))).collect::<Vec<_>>();
+        let (left, right) = (names(&left), names(&right));
+        let lb = keyed(Column::from_strings(left.iter().flatten().map(String::as_str)));
+        let rb = keyed(Column::from_strings(right.iter().flatten().map(String::as_str)));
+        check_join(&lb, &rb, JoinType::Inner, &nested_loop(&left, &right, false))?;
+        check_join(&lb, &rb, JoinType::Left, &nested_loop(&left, &right, true))?;
     }
 
     /// Left join preserves every left row exactly once per match (or once
@@ -123,17 +217,60 @@ proptest! {
         left in proptest::collection::vec(0i32..8, 0..30),
         right in proptest::collection::vec(0i32..8, 0..30),
     ) {
-        let lb = Batch::from_columns(vec![("k", Column::from_i32s(left.clone()))]).unwrap();
-        let rb = Batch::from_columns(vec![("k", Column::from_i32s(right.clone()))]).unwrap();
-        let out = exec::hash_join(&lb, &rb, &[0], &[0], JoinType::Left).unwrap();
+        let lb = keyed(Column::from_i32s(left.clone()));
+        let rb = keyed(Column::from_i32s(right.clone()));
         let expected: usize = left
             .iter()
             .map(|l| right.iter().filter(|r| *r == l).count().max(1))
             .sum();
-        prop_assert_eq!(out.rows(), expected);
+        let some = |ks: &[i32]| ks.iter().map(|&k| Some(k)).collect::<Vec<_>>();
+        let pairs = nested_loop(&some(&left), &some(&right), true);
+        prop_assert_eq!(pairs.len(), expected);
+        check_join(&lb, &rb, JoinType::Left, &pairs)?;
     }
 
-    /// Sorting produces an ordered permutation (stable for equal keys).
+    /// Grouped aggregation equals a scalar fold: groups in first-appearance
+    /// order (NULL is its own group), COUNT(*) and SUM per group, under
+    /// either policy.
+    #[test]
+    fn aggregate_matches_scalar_fold(
+        rows in proptest::collection::vec((proptest::option::of(0i32..6), -50i32..50), 0..80),
+    ) {
+        let batch = Batch::from_columns(vec![
+            ("k", Column::from_opt_i32s(rows.iter().map(|r| r.0).collect())),
+            ("v", Column::from_i32s(rows.iter().map(|r| r.1).collect())),
+        ])
+        .unwrap();
+        let mut expect: Vec<(Option<i32>, i64, i64)> = Vec::new();
+        for &(k, v) in &rows {
+            match expect.iter_mut().find(|g| g.0 == k) {
+                Some(g) => {
+                    g.1 += 1;
+                    g.2 += v as i64;
+                }
+                None => expect.push((k, 1, v as i64)),
+            }
+        }
+        let aggs = [
+            AggCall { func: AggFunc::CountStar, arg: None, distinct: false },
+            AggCall { func: AggFunc::Sum, arg: Some(1), distinct: false },
+        ];
+        for par in policies() {
+            let (out, ran_parallel) = exec::hash_aggregate(&batch, &[0], &aggs, par).unwrap();
+            prop_assert_eq!(ran_parallel, par.threads > 1 && !rows.is_empty());
+            let got: Vec<(Option<i32>, i64, i64)> = (0..out.rows())
+                .map(|i| {
+                    let k = out.column(0).i64_at(i).map(|k| k as i32);
+                    (k, out.column(1).i64_at(i).unwrap(), out.column(2).i64_at(i).unwrap())
+                })
+                .collect();
+            prop_assert_eq!(&got, &expect, "{:?}", par);
+        }
+    }
+
+    /// Sorting produces the stable ordered permutation: ascending with
+    /// NULLs last, equal keys in input order — the positions std's stable
+    /// sort gives — under either policy.
     #[test]
     fn sort_is_ordered_permutation(values in opt_i32s()) {
         let batch = Batch::from_columns(vec![
@@ -141,28 +278,18 @@ proptest! {
             ("pos", Column::from_i64s((0..values.len() as i64).collect())),
         ])
         .unwrap();
-        let out = exec::sort(&batch, &[SortKey::asc(0)]).unwrap();
-        prop_assert_eq!(out.rows(), values.len());
-        // Non-null prefix ordered ascending, NULLs at the end.
-        let mut seen_null = false;
-        let mut prev: Option<i64> = None;
-        for i in 0..out.rows() {
-            match out.column(0).i64_at(i) {
-                None => seen_null = true,
-                Some(v) => {
-                    prop_assert!(!seen_null, "non-NULL after NULL under ASC");
-                    if let Some(p) = prev {
-                        prop_assert!(p <= v);
-                    }
-                    prev = Some(v);
-                }
+        let mut expect: Vec<i64> = (0..values.len() as i64).collect();
+        expect.sort_by_key(|&p| (values[p as usize].is_none(), values[p as usize]));
+        for par in policies() {
+            let (out, ran_parallel) = exec::sort(&batch, &[SortKey::asc(0)], par).unwrap();
+            prop_assert_eq!(ran_parallel, par.threads > 1 && !values.is_empty());
+            let positions: Vec<i64> =
+                (0..out.rows()).map(|i| out.column(1).i64_at(i).unwrap()).collect();
+            prop_assert_eq!(&positions, &expect, "{:?}", par);
+            for (i, &p) in positions.iter().enumerate() {
+                prop_assert_eq!(out.column(0).i64_at(i), values[p as usize].map(i64::from));
             }
         }
-        // Permutation: the original positions are all present.
-        let mut positions: Vec<i64> =
-            (0..out.rows()).map(|i| out.column(1).i64_at(i).unwrap()).collect();
-        positions.sort_unstable();
-        prop_assert_eq!(positions, (0..values.len() as i64).collect::<Vec<_>>());
     }
 
     /// distinct() output has no duplicate rows and loses nothing.

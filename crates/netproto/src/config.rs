@@ -2,18 +2,6 @@
 
 use std::time::Duration;
 
-/// How the server multiplexes client connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// A few event-loop threads own every socket via an epoll readiness
-    /// reactor and hand complete queries to the shared morsel worker
-    /// pool. Scales to thousands of concurrent connections; the default.
-    Reactor,
-    /// One OS thread per connection — the original Figure-1 baseline,
-    /// kept for comparison benchmarks and as a fallback.
-    ThreadPerConn,
-}
-
 /// Timeouts, retry budget, and connection limits shared by the server and
 /// both socket clients. The defaults are deliberately generous — they are
 /// a safety net against hangs, not a latency target; tests and the chaos
@@ -22,11 +10,10 @@ pub enum ServeMode {
 pub struct NetConfig {
     /// How long a client waits for `connect` to succeed.
     pub connect_timeout: Duration,
-    /// Socket read deadline (`set_read_timeout`) on both ends. On the
-    /// server this doubles as the idle-connection bound: a worker blocked
-    /// waiting for the next query frame gives up after this long and
-    /// closes the connection, so an idle client cannot keep a worker
-    /// thread alive past the deadline.
+    /// Socket read deadline (`set_read_timeout`) on the client end. On
+    /// the server this is the idle-connection bound: the event loops'
+    /// periodic sweep closes a connection that has sat idle, with nothing
+    /// pending, for this long.
     pub read_timeout: Option<Duration>,
     /// Socket write deadline (`set_write_timeout`) on both ends.
     pub write_timeout: Option<Duration>,
@@ -38,15 +25,11 @@ pub struct NetConfig {
     /// typed `Error` frame (`DbError::Rejected`) and are disconnected
     /// instead of waiting in the OS accept backlog.
     pub max_connections: usize,
-    /// How the server multiplexes connections (reactor event loops or
-    /// one thread per connection).
-    pub mode: ServeMode,
-    /// Number of reactor event-loop threads ([`ServeMode::Reactor`]
-    /// only). Each loop owns a disjoint set of sockets; accepted
-    /// connections are distributed round-robin.
+    /// Number of reactor event-loop threads. Each loop owns a disjoint
+    /// set of sockets; accepted connections are distributed round-robin.
     pub event_loops: usize,
-    /// Admission-control quota ([`ServeMode::Reactor`] only): when this
-    /// many queries are already queued or executing on the worker pool,
+    /// Admission-control quota: when this many queries are already
+    /// queued or executing on the worker pool,
     /// further queries are shed with a typed `DbError::Rejected` error
     /// frame instead of growing the queue without bound.
     pub max_inflight_queries: usize,
@@ -76,7 +59,6 @@ impl Default for NetConfig {
             write_timeout: Some(Duration::from_secs(30)),
             query_deadline: None,
             max_connections: 4096,
-            mode: ServeMode::Reactor,
             event_loops: 2,
             max_inflight_queries: 256,
             allow_remote_save: false,
@@ -124,7 +106,6 @@ mod tests {
         // by default (the old thread-per-connection cap was 64).
         assert!(c.max_connections >= 1000);
         assert!(c.retries >= 1);
-        assert_eq!(c.mode, ServeMode::Reactor);
         assert!(c.event_loops >= 1);
         assert!(c.max_inflight_queries >= 1);
         // SAVE is an arbitrary-path write on the server; it must be

@@ -18,11 +18,9 @@
 //! All three end by rebuilding *columns* on the client side — exactly the
 //! redundant rows→columns round trip the paper's in-database UDFs avoid.
 //!
-//! The server side has two modes (see [`config::ServeMode`]): the default
-//! epoll **reactor** multiplexes thousands of connections onto a few
-//! event-loop threads and runs queries on the shared morsel pool, with
-//! admission-control load shedding; the **thread-per-connection**
-//! baseline is retained for comparison.
+//! The server side is an epoll **reactor**: it multiplexes thousands of
+//! connections onto a few event-loop threads and runs queries on the
+//! shared morsel pool, with admission-control load shedding.
 
 #![deny(missing_docs)]
 
@@ -37,7 +35,7 @@ pub mod server;
 pub mod textproto;
 
 pub use binproto::BinaryClient;
-pub use config::{NetConfig, ServeMode};
+pub use config::NetConfig;
 pub use embedded::RowCursor;
 pub use server::Server;
 pub use textproto::TextClient;

@@ -550,9 +550,7 @@ impl EventLoop {
         self.pump(token);
     }
 
-    /// Closes connections idle past the read deadline — the same
-    /// idle-connection bound the thread-per-connection server enforces
-    /// with `set_read_timeout`.
+    /// Closes connections idle past the read deadline.
     fn sweep_idle(&mut self) {
         let Some(deadline) = self.shared.config.read_timeout else { return };
         let expired: Vec<u64> = self
@@ -598,8 +596,7 @@ impl EventLoop {
 }
 
 /// A running reactor: the event-loop threads plus their shared state.
-/// Owned by [`crate::Server`] when `NetConfig::mode` is
-/// `ServeMode::Reactor`.
+/// Owned by [`crate::Server`].
 pub(crate) struct Reactor {
     addr: SocketAddr,
     shared: Arc<Shared>,

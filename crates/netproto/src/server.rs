@@ -6,10 +6,12 @@
 //! row by row, shipped through the kernel, and re-parsed on the client —
 //! work the in-database UDFs never do.
 //!
-//! Two serving modes share this module's framing and row encoding (see
-//! [`crate::config::ServeMode`]): the default multiplexed reactor in the
-//! private `reactor` module, and the original thread-per-connection
-//! baseline implemented here.
+//! Connections are served one way: the multiplexed epoll reactor in the
+//! private `reactor` module owns every socket on a few event-loop threads
+//! and runs decoded queries on the shared morsel pool. This module holds
+//! the [`Server`] handle plus the policy and encoding helpers the event
+//! loops call: capacity rejection, the remote-`SAVE` gate, panic messages
+//! and the row-frame encoders.
 //!
 //! Durability rides the same statement path: serve a database opened
 //! with `Database::open_durable` and every mutation a client commits is
@@ -20,40 +22,20 @@
 //! [`NetConfig::allow_remote_save`] — a client naming the filesystem
 //! path the server writes to is an injection primitive, not a query.
 
-use crate::config::{NetConfig, ServeMode};
-use crate::framing::{decode_query, encode_schema, write_frame, Encoding, FrameKind};
-use mlcs_columnar::faults::FaultyStream;
+use crate::config::NetConfig;
+use crate::framing::{write_frame, Encoding, FrameKind};
+use crate::reactor::Reactor;
 use mlcs_columnar::{Batch, Database, DbError, DbResult, Value};
-use std::io::{BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::io::Write;
+use std::net::TcpStream;
 
 /// Rows per `Rows*` frame.
 pub const ROWS_PER_FRAME: usize = 1024;
 
-/// A running server. Dropping the handle stops serving.
+/// A running server. Dropping the handle stops serving (the reactor joins
+/// its event loops on drop).
 pub struct Server {
-    addr: std::net::SocketAddr,
-    inner: ServerInner,
-}
-
-/// The mode-specific machinery behind a [`Server`] handle.
-enum ServerInner {
-    /// Thread-per-connection: the accept loop plus its stop flag.
-    Threaded { stop: Arc<AtomicBool>, accept_thread: Option<std::thread::JoinHandle<()>> },
-    /// Reactor event loops (taken on shutdown).
-    Reactor(Option<crate::reactor::Reactor>),
-}
-
-/// Decrements the active-connection count when a worker exits, however it
-/// exits (including by panic — the guard drops during unwind).
-struct ConnGuard(Arc<AtomicUsize>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
+    reactor: Reactor,
 }
 
 impl Server {
@@ -64,105 +46,26 @@ impl Server {
     }
 
     /// Starts serving `db` on a fresh localhost port with explicit
-    /// timeouts, per-query deadline, connection cap, and serving mode.
+    /// timeouts, per-query deadline, connection cap, and admission quota.
     pub fn start_with(db: Database, config: NetConfig) -> DbResult<Server> {
-        match config.mode {
-            ServeMode::Reactor => {
-                let reactor = crate::reactor::Reactor::start(db, config)?;
-                Ok(Server { addr: reactor.addr(), inner: ServerInner::Reactor(Some(reactor)) })
-            }
-            ServeMode::ThreadPerConn => Server::start_threaded(db, config),
-        }
-    }
-
-    /// The thread-per-connection baseline: one detached OS thread per
-    /// accepted socket.
-    fn start_threaded(db: Database, config: NetConfig) -> DbResult<Server> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        listener.set_nonblocking(true)?;
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept_thread = std::thread::Builder::new()
-            .name("mlcs-server-accept".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if active.load(Ordering::Relaxed) >= config.max_connections.max(1) {
-                                reject_stream(stream, &config);
-                                continue;
-                            }
-                            active.fetch_add(1, Ordering::Relaxed);
-                            let guard = ConnGuard(active.clone());
-                            let db = db.clone();
-                            let stop = stop2.clone();
-                            // Workers are detached: joining them here would
-                            // deadlock shutdown whenever a client keeps its
-                            // connection open. A worker exits as soon as its
-                            // client disconnects, and the socket read
-                            // timeout set in `handle_connection` bounds how
-                            // long an idle connection can outlive the
-                            // server.
-                            std::thread::spawn(move || {
-                                let _guard = guard;
-                                let _ = handle_connection(stream, db, config, stop);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .map_err(|e| DbError::Io(format!("spawn accept thread: {e}")))?;
-        Ok(Server {
-            addr,
-            inner: ServerInner::Threaded { stop, accept_thread: Some(accept_thread) },
-        })
+        Ok(Server { reactor: Reactor::start(db, config)? })
     }
 
     /// The address clients should connect to.
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
-    /// Stops serving: joins the accept thread (threaded mode) or every
-    /// event loop (reactor mode).
+    /// Stops serving: signals and joins every event loop.
     pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        match &mut self.inner {
-            ServerInner::Threaded { stop, accept_thread } => {
-                stop.store(true, Ordering::Relaxed);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-            }
-            ServerInner::Reactor(reactor) => {
-                if let Some(mut reactor) = reactor.take() {
-                    reactor.shutdown();
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_inner();
+        self.reactor.shutdown();
     }
 }
 
 /// Tells a client the server is at capacity with a typed
 /// [`DbError::Rejected`] error frame (so clients can tell shed load from
-/// a torn connection), then drops the socket. Shared by both serving
-/// modes. Never blocks the accept path for long — a short write timeout
-/// guards the frame.
+/// a torn connection), then drops the socket. Never blocks the accept
+/// path for long — a short write timeout guards the frame.
 pub(crate) fn reject_stream(stream: TcpStream, config: &NetConfig) {
     mlcs_columnar::metrics::counter("netproto.conn_rejected").incr();
     // Reactor listeners are nonblocking; the rejection frame is written
@@ -183,7 +86,7 @@ pub(crate) fn reject_stream(stream: TcpStream, config: &NetConfig) {
 /// a substring match, so `SELECT 'save'` passes and a `SAVE` hidden in a
 /// multi-statement batch does not. Unparseable input proceeds: execution
 /// reports the real syntax error, and nothing unparseable can reach the
-/// `SAVE` path. Shared by both serving modes so the policy cannot drift.
+/// `SAVE` path.
 pub(crate) fn remote_save_rejection(sql: &str, config: &NetConfig) -> Option<DbError> {
     if config.allow_remote_save {
         return None;
@@ -216,109 +119,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    db: Database,
-    config: NetConfig,
-    stop: Arc<AtomicBool>,
-) -> DbResult<()> {
-    stream.set_nodelay(true)?;
-    // The idle-connection bound: a worker blocked on the next query frame
-    // gives up once the read deadline passes instead of outliving the
-    // server indefinitely.
-    stream.set_read_timeout(config.read_timeout)?;
-    stream.set_write_timeout(config.write_timeout)?;
-    let mut reader = FaultyStream::new(stream.try_clone()?);
-    let mut writer = BufWriter::with_capacity(1 << 16, FaultyStream::new(stream));
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let (kind, payload) = match crate::framing::read_frame(&mut reader) {
-            Ok(f) => f,
-            Err(DbError::Timeout { .. }) => {
-                // Idle past the read deadline: close the connection.
-                mlcs_columnar::metrics::counter("netproto.timeouts").incr();
-                return Ok(());
-            }
-            Err(e @ DbError::Corrupt(_)) => {
-                // A torn or garbled frame: tell the client (best-effort)
-                // and close — framing sync is lost.
-                let _ = write_frame(&mut writer, FrameKind::Error, e.to_string().as_bytes());
-                let _ = writer.flush();
-                return Ok(());
-            }
-            Err(_) => return Ok(()), // client hung up
-        };
-        if kind != FrameKind::Query {
-            write_frame(&mut writer, FrameKind::Error, b"expected a query frame")?;
-            writer.flush()?;
-            continue;
-        }
-        let (encoding, sql) = match decode_query(&payload) {
-            Ok(q) => q,
-            Err(e) => {
-                write_frame(&mut writer, FrameKind::Error, e.to_string().as_bytes())?;
-                writer.flush()?;
-                continue;
-            }
-        };
-        if let Some(e) = remote_save_rejection(&sql, &config) {
-            write_frame(&mut writer, FrameKind::Error, e.to_string().as_bytes())?;
-            writer.flush()?;
-            continue;
-        }
-        // Panic isolation: a panicking UDF (or engine bug) must cost the
-        // client one Error frame, not the whole connection — and must never
-        // take down the worker silently.
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match config.query_deadline {
-                Some(d) => db.execute_with_timeout(&sql, d),
-                None => db.execute(&sql),
-            }
-        }));
-        match executed {
-            Err(panic) => {
-                mlcs_columnar::metrics::counter("netproto.panics_caught").incr();
-                let msg = format!("query panicked: {}", panic_message(panic.as_ref()));
-                write_frame(&mut writer, FrameKind::Error, msg.as_bytes())?;
-            }
-            Ok(Err(e)) => {
-                if matches!(e, DbError::Timeout { .. }) {
-                    mlcs_columnar::metrics::counter("netproto.timeouts").incr();
-                }
-                write_frame(&mut writer, FrameKind::Error, e.to_string().as_bytes())?;
-            }
-            Ok(Ok(result)) => {
-                let batch = result.batch();
-                stream_result(&mut writer, batch, encoding)?;
-            }
-        }
-        writer.flush()?;
-    }
-}
-
-/// Streams one result set: schema frame, row frames, done frame.
-fn stream_result(w: &mut impl Write, batch: &Batch, encoding: Encoding) -> DbResult<()> {
-    let fields: Vec<(String, mlcs_columnar::DataType)> =
-        batch.schema().fields().iter().map(|f| (f.name.clone(), f.dtype)).collect();
-    write_frame(w, FrameKind::Schema, &encode_schema(&fields))?;
-    let mut start = 0;
-    while start < batch.rows() {
-        let end = (start + ROWS_PER_FRAME).min(batch.rows());
-        let (kind, payload) = encode_rows_chunk(batch, start, end, encoding);
-        write_frame(w, kind, &payload)?;
-        start = end;
-    }
-    mlcs_columnar::metrics::counter("netproto.server.queries").incr();
-    write_frame(w, FrameKind::Done, &(batch.rows() as u64).to_le_bytes())?;
-    Ok(())
-}
-
 /// Encodes rows `[start, end)` as one `Rows*` frame payload in the
-/// requested encoding, ticking the per-encoding byte counters. Shared by
-/// [`stream_result`] and the reactor's streaming path so both serving
-/// modes produce byte-identical frames.
+/// requested encoding, ticking the per-encoding byte counters.
 pub(crate) fn encode_rows_chunk(
     batch: &Batch,
     start: usize,
@@ -426,8 +228,8 @@ mod tests {
         };
         let server = Server::start_with(db, config).unwrap();
         // A client that connects and then goes idle, holding its end open.
-        // Workers are detached and bounded by the read deadline, so
-        // shutdown must return promptly regardless.
+        // Event loops stop on the shutdown signal, not on their sockets,
+        // so shutdown must return promptly regardless.
         let idle = TcpStream::connect(server.addr()).unwrap();
         let begin = std::time::Instant::now();
         server.shutdown();

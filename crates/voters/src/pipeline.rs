@@ -29,6 +29,7 @@ use mlcs_ml::forest::RandomForestClassifier;
 use mlcs_ml::Model;
 use mlcs_netproto::{BinaryClient, RowCursor, Server, TextClient};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The data-access methods of Figure 1.
@@ -151,13 +152,7 @@ impl PipelineEnv {
         register_ml_udfs(&db);
         register_label_udf(&db);
         register_split_udf(&db);
-        let dir = std::env::temp_dir().join(format!(
-            "mlcs_voters_{}_{}",
-            std::process::id(),
-            config.seed
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir)?;
+        let dir = unique_scratch_dir(config.seed)?;
         if methods.contains(&Method::Csv) {
             write_csv(&dir.join("voters.csv"), &data.voters)?;
             write_csv(&dir.join("precincts.csv"), &data.precincts)?;
@@ -183,12 +178,38 @@ impl PipelineEnv {
         Ok(PipelineEnv { data, db, dir, server })
     }
 
-    /// Removes the scratch directory and stops the server.
-    pub fn cleanup(mut self) {
+    /// Stops the server and removes the scratch directory now; dropping
+    /// the environment does the same.
+    pub fn cleanup(self) {
+        drop(self);
+    }
+}
+
+impl Drop for PipelineEnv {
+    fn drop(&mut self) {
         if let Some(s) = self.server.take() {
             s.shutdown();
         }
         let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Creates a scratch directory no other environment owns. Tests in one
+/// binary share the pid and usually the seed, so the name carries a
+/// process-wide counter, and `create_dir` (which fails on an existing
+/// path) rather than `create_dir_all` arbitrates leftovers of an earlier
+/// process that had the same pid.
+fn unique_scratch_dir(seed: u64) -> DbResult<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("mlcs_voters_{}_{seed}_{n}", std::process::id()));
+        match std::fs::create_dir(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e.into()),
+        }
     }
 }
 

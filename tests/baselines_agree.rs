@@ -1,6 +1,9 @@
 //! Integration test: every data path (files, protocols, cursor) delivers
 //! byte-identical data, so pipeline differences are purely about cost.
 
+mod common;
+
+use common::ScratchDir;
 use mlcs::columnar::{Database, Table};
 use mlcs::fileio::h5lite::{H5LiteReader, H5LiteWriter};
 use mlcs::fileio::{read_csv, read_npy_dir, write_csv, write_npy_dir};
@@ -11,9 +14,7 @@ use mlcs::voters::gen::{generate, voters_schema, VoterConfig};
 fn all_access_paths_deliver_identical_voters_data() {
     let cfg = VoterConfig { rows: 3_000, precincts: 40, features: 8, seed: 5 };
     let data = generate(&cfg).unwrap();
-    let dir = std::env::temp_dir().join(format!("mlcs_it_paths_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("mlcs_it_paths");
 
     // Reference: the generated batch itself.
     let reference = &data.voters;
@@ -67,5 +68,4 @@ fn all_access_paths_deliver_identical_voters_data() {
             );
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

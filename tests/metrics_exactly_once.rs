@@ -13,6 +13,9 @@
 //! concurrent test in the same binary could move the very counters whose
 //! deltas are asserted here.
 
+mod common;
+
+use common::ScratchDir;
 use mlcs::columnar::parallel::lock_order::{self, TrackedMutex};
 use mlcs::columnar::persist::{load_database_with, save_database, RecoveryMode};
 use mlcs::columnar::{faults, metrics, Database, Value};
@@ -173,8 +176,8 @@ fn counters_move_exactly_once_per_event() {
     server.shutdown();
 
     // Recovery: each table skipped by a recovering load is one tick.
-    let dir = std::env::temp_dir().join(format!("mlcs-metrics-recover-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir_scratch = ScratchDir::new("mlcs-metrics-recover");
+    let dir = dir_scratch.join("db");
     let pdb = Database::new();
     pdb.execute("CREATE TABLE stored (x INTEGER)").unwrap();
     pdb.execute("INSERT INTO stored VALUES (1)").unwrap();
@@ -189,7 +192,6 @@ fn counters_move_exactly_once_per_event() {
     assert_eq!(report.damaged.len(), 1);
     let delta = metrics::snapshot().since(&before);
     assert_eq!(delta.counter("persist.recovered_tables"), 1);
-    let _ = std::fs::remove_dir_all(&dir);
 
     // Lock-order tracking: one A→B then B→A inversion is exactly one
     // violations tick in debug builds (release builds compile the
@@ -215,10 +217,10 @@ fn counters_move_exactly_once_per_event() {
     );
     lock_order::reset();
 
-    // Compressed execution, all on the serial paths so the deltas are
-    // exact: a bulk load auto-encodes exactly the columns that pay
+    // Compressed execution, all under the serial policy so the deltas
+    // are exact: a bulk load auto-encodes exactly the columns that pay
     // (low-NDV → dict, long runs → RLE, all-distinct stays plain) ...
-    use mlcs::columnar::exec::{filter_sel, hash_aggregate, AggCall, AggFunc};
+    use mlcs::columnar::exec::{filter_sel, hash_aggregate, AggCall, AggFunc, Parallelism};
     use mlcs::columnar::expr::{BinaryOp, Expr};
     use mlcs::columnar::{Batch, Column, Table};
     let n = 2048;
@@ -242,7 +244,7 @@ fn counters_move_exactly_once_per_event() {
     let scan = table.scan();
     let pred = Expr::binary(BinaryOp::Lt, Expr::col(0), Expr::lit(3i32));
     let before = metrics::snapshot();
-    let (sel, stats) = filter_sel(&scan, &pred, None).unwrap();
+    let (sel, stats) = filter_sel(&scan, &pred, None, Parallelism::serial()).unwrap();
     assert!(stats.fused, "comparison over a dict column must fuse");
     assert_eq!(sel.len() as i32, 293 * 3, "residues 0..3 appear 293 times in 0..2048");
     let delta = metrics::snapshot().since(&before);
@@ -253,7 +255,7 @@ fn counters_move_exactly_once_per_event() {
     // ... grouping by the dict column takes group ids off the codes ...
     let count_star = AggCall { func: AggFunc::CountStar, arg: None, distinct: false };
     let before = metrics::snapshot();
-    let grouped = hash_aggregate(&scan, &[0], &[count_star]).unwrap();
+    let (grouped, _) = hash_aggregate(&scan, &[0], &[count_star], Parallelism::serial()).unwrap();
     assert_eq!(grouped.rows(), 7);
     let delta = metrics::snapshot().since(&before);
     assert_eq!(delta.counter("exec.encoding.dict_rows"), n as u64);
@@ -263,7 +265,7 @@ fn counters_move_exactly_once_per_event() {
     // runs instead of touching 2048 rows.
     let sum_r = AggCall { func: AggFunc::Sum, arg: Some(1), distinct: false };
     let before = metrics::snapshot();
-    let summed = hash_aggregate(&scan, &[], &[sum_r]).unwrap();
+    let (summed, _) = hash_aggregate(&scan, &[], &[sum_r], Parallelism::serial()).unwrap();
     assert_eq!(summed.row(0)[0], Value::Int64(256 * 28), "256 of each of 0..=7");
     let delta = metrics::snapshot().since(&before);
     assert_eq!(delta.counter("exec.encoding.rle_runs"), 8, "one fold per run");
@@ -342,8 +344,8 @@ fn counters_move_exactly_once_per_event() {
     // Durability: one statement on a durable database is exactly one WAL
     // record — one append tick, one commit fsync, and a byte count that
     // matches the log file's observed growth to the byte.
-    let wdir = std::env::temp_dir().join(format!("mlcs-metrics-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wdir);
+    let wdir_scratch = ScratchDir::new("mlcs-metrics-wal");
+    let wdir = wdir_scratch.join("db");
     let (wdb, _) = Database::open_durable(&wdir).unwrap();
     wdb.execute("CREATE TABLE w (x INTEGER)").unwrap();
     let log_path = wdir.join("wal.mlcslog");
@@ -391,12 +393,11 @@ fn counters_move_exactly_once_per_event() {
         "the torn statement vanished whole"
     );
     drop(wdb);
-    let _ = std::fs::remove_dir_all(&wdir);
 
     // A flipped byte inside a checkpointed page is one checksum-failure
     // tick: the damaged table is skipped with a report, never loaded wrong.
-    let pgdir = std::env::temp_dir().join(format!("mlcs-metrics-page-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&pgdir);
+    let pgdir_scratch = ScratchDir::new("mlcs-metrics-page");
+    let pgdir = pgdir_scratch.join("db");
     let (pgdb, _) = Database::open_durable(&pgdir).unwrap();
     pgdb.execute("CREATE TABLE pg (x INTEGER)").unwrap();
     pgdb.execute("INSERT INTO pg VALUES (1)").unwrap();
@@ -419,5 +420,4 @@ fn counters_move_exactly_once_per_event() {
     assert_eq!(delta.counter("persist.checksum_failures"), 1, "one failing file, one tick");
     assert_eq!(report.checksum_failures, 1);
     assert_eq!(report.damaged.len(), 1, "the table is reported, not silently wrong");
-    let _ = std::fs::remove_dir_all(&pgdir);
 }

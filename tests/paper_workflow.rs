@@ -2,6 +2,9 @@
 //! end, through the public API — Listings 1 and 2, model storage,
 //! meta-analysis, and ensemble classification.
 
+mod common;
+
+use common::ScratchDir;
 use mlcs::columnar::{Database, Value};
 use mlcs::mlcore::register_ml_udfs;
 
@@ -145,8 +148,8 @@ fn models_survive_database_persistence() {
         .query("SELECT predict(a, b, (SELECT classifier FROM models)) AS p FROM obs ORDER BY 1")
         .unwrap();
 
-    let dir = std::env::temp_dir().join(format!("mlcs_it_persist_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new("mlcs_it_persist");
+    let dir = scratch.join("db");
     mlcs::columnar::persist::save_database(&db, &dir).unwrap();
     let db2 = Database::new();
     mlcs::columnar::persist::load_database(&db2, &dir).unwrap();
@@ -155,7 +158,6 @@ fn models_survive_database_persistence() {
         .query("SELECT predict(a, b, (SELECT classifier FROM models)) AS p FROM obs ORDER BY 1")
         .unwrap();
     assert_eq!(before, after, "reloaded model must predict identically");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

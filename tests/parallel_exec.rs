@@ -129,22 +129,25 @@ fn mlcs_threads_env_overrides_hardware() {
 }
 
 /// Repeated parallel queries must reuse the persistent pool: after a
-/// warm-up query the process thread count stays flat.
+/// warm-up query the number of pool worker threads stays flat. Workers are
+/// counted by thread name — the process-wide `Threads:` figure also moves
+/// whenever the test harness starts or finishes a sibling test.
 #[cfg(target_os = "linux")]
 #[test]
 fn worker_pool_is_persistent_across_queries() {
     fn thread_count() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").unwrap();
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
+        std::fs::read_dir("/proc/self/task")
             .unwrap()
+            .flatten()
+            .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+            .filter(|name| name.starts_with("mlcs-worker-"))
+            .count()
     }
     let (_, parallel) = serial_and_parallel();
     // Warm-up spawns the pool (at most once per process).
     parallel.query("SELECT k, COUNT(*) FROM t GROUP BY k").unwrap();
     let warm = thread_count();
+    assert!(warm >= 1, "the warm-up query must have started the pool");
     for _ in 0..20 {
         parallel.query("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k").unwrap();
     }

@@ -19,6 +19,9 @@
 //! The metrics registry and the fault injector are process-global, so
 //! the tests serialize on a mutex (same discipline as `tests/chaos.rs`).
 
+mod common;
+
+use common::ScratchDir;
 use mlcs::columnar::{faults, metrics, ClosureScalarUdf, Column, DataType, Database, DbError};
 use mlcs::mlcore::register_ml_udfs;
 use mlcs::netproto::{BinaryClient, NetConfig, RowCursor, Server, TextClient};
@@ -273,10 +276,8 @@ fn reactor_survives_injected_connection_faults() {
 #[test]
 fn served_durability_statements_survive_reopen() {
     let _guard = serial();
-    let dir = std::env::temp_dir().join(format!("mlcs-serving-durable-{}", std::process::id()));
-    let snap = std::env::temp_dir().join(format!("mlcs-serving-snap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&snap);
+    let scratch = ScratchDir::new("mlcs-serving-durable");
+    let (dir, snap) = (scratch.join("db"), scratch.join("snap"));
 
     {
         let (db, _) = Database::open_durable(&dir).unwrap();
@@ -311,65 +312,52 @@ fn served_durability_statements_survive_reopen() {
         standalone.query_value("SELECT SUM(v) FROM kv").unwrap(),
         mlcs::columnar::Value::Int64(6)
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&snap);
 }
 
 /// By default a served database refuses `SAVE '<path>'` — a client
 /// naming a server-side filesystem path to write a snapshot to is an
-/// injection primitive, not a query — with a typed rejection, in both
-/// serving modes. The gate is statement-based, not a substring match:
-/// `SELECT` with "save" in a literal passes, `SAVE` buried in a
-/// multi-statement batch does not, and the connection stays usable
-/// afterwards. `CHECKPOINT` (which only writes inside the durable
-/// directory the operator chose) stays allowed.
+/// injection primitive, not a query — with a typed rejection. The gate is
+/// statement-based, not a substring match: `SELECT` with "save" in a
+/// literal passes, `SAVE` buried in a multi-statement batch does not, and
+/// the connection stays usable afterwards. `CHECKPOINT` (which only
+/// writes inside the durable directory the operator chose) stays allowed.
 #[test]
 fn remote_save_is_refused_unless_opted_in() {
     let _guard = serial();
-    let dir = std::env::temp_dir().join(format!("mlcs-serving-nosave-{}", std::process::id()));
-    let target = std::env::temp_dir().join(format!("mlcs-serving-nosave-out-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&target);
+    let scratch = ScratchDir::new("mlcs-serving-nosave");
+    let (dir, target) = (scratch.join("db"), scratch.join("out"));
 
-    for mode in [mlcs::netproto::ServeMode::Reactor, mlcs::netproto::ServeMode::ThreadPerConn] {
-        let _ = std::fs::remove_dir_all(&dir);
-        let (db, _) = Database::open_durable(&dir).unwrap();
-        let config = NetConfig { mode, ..serving_config() };
-        let server = Server::start_with(db, config).unwrap();
-        let mut client = TextClient::connect_with(server.addr(), serving_config()).unwrap();
-        client.query("CREATE TABLE kv (v BIGINT)").unwrap();
-        client.query("INSERT INTO kv VALUES (1)").unwrap();
+    let (db, _) = Database::open_durable(&dir).unwrap();
+    let server = Server::start_with(db, serving_config()).unwrap();
+    let mut client = TextClient::connect_with(server.addr(), serving_config()).unwrap();
+    client.query("CREATE TABLE kv (v BIGINT)").unwrap();
+    client.query("INSERT INTO kv VALUES (1)").unwrap();
 
-        let err = client.query(&format!("SAVE '{}'", target.display())).unwrap_err();
-        match &err {
-            DbError::Rejected(reason) => assert!(
-                reason.contains("allow_remote_save"),
-                "{mode:?}: rejection must name the opt-in: {reason}"
-            ),
-            other => panic!("{mode:?}: expected DbError::Rejected for SAVE, got {other:?}"),
-        }
-        assert!(!target.exists(), "{mode:?}: refused SAVE must write nothing");
-        // Buried in a batch it is still refused, and nothing in the batch
-        // runs (the gate fires before execution).
-        let err = client
-            .query(&format!("INSERT INTO kv VALUES (2); SAVE '{}'", target.display()))
-            .unwrap_err();
-        assert!(matches!(err, DbError::Rejected(_)), "{mode:?}: batched SAVE got {err:?}");
-
-        // The word in a literal is not a SAVE statement; the connection
-        // still serves queries; CHECKPOINT is unaffected.
-        let batch = client.query("SELECT 'save me' FROM kv").unwrap();
-        assert_eq!(batch.rows(), 1, "{mode:?}");
-        client.query("CHECKPOINT").unwrap();
-        assert_eq!(
-            client.query("SELECT COUNT(*) FROM kv").unwrap().row(0),
-            vec![mlcs::columnar::Value::Int64(1)],
-            "{mode:?}: batch with refused SAVE must be all-or-nothing"
-        );
-        server.shutdown();
+    let err = client.query(&format!("SAVE '{}'", target.display())).unwrap_err();
+    match &err {
+        DbError::Rejected(reason) => assert!(
+            reason.contains("allow_remote_save"),
+            "rejection must name the opt-in: {reason}"
+        ),
+        other => panic!("expected DbError::Rejected for SAVE, got {other:?}"),
     }
+    assert!(!target.exists(), "refused SAVE must write nothing");
+    // Buried in a batch it is still refused, and nothing in the batch
+    // runs (the gate fires before execution).
+    let err = client
+        .query(&format!("INSERT INTO kv VALUES (2); SAVE '{}'", target.display()))
+        .unwrap_err();
+    assert!(matches!(err, DbError::Rejected(_)), "batched SAVE got {err:?}");
 
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&target);
+    // The word in a literal is not a SAVE statement; the connection
+    // still serves queries; CHECKPOINT is unaffected.
+    let batch = client.query("SELECT 'save me' FROM kv").unwrap();
+    assert_eq!(batch.rows(), 1);
+    client.query("CHECKPOINT").unwrap();
+    assert_eq!(
+        client.query("SELECT COUNT(*) FROM kv").unwrap().row(0),
+        vec![mlcs::columnar::Value::Int64(1)],
+        "batch with refused SAVE must be all-or-nothing"
+    );
+    server.shutdown();
 }
