@@ -13,7 +13,7 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: RwLock<BTreeMap<String, Arc<RwLock<Table>>>>,
-    /// Bumped on every DDL mutation (create/put/drop/clear). The plan
+    /// Bumped on every DDL mutation (create/put/drop). The plan
     /// cache stamps cached plans with this so schema changes invalidate
     /// them; DML does not bump it because plans resolve tables by name
     /// at execution time.
@@ -26,17 +26,9 @@ impl Catalog {
         Self::default()
     }
 
-    /// Creates a table, failing if the name is taken.
+    /// Creates an empty table, failing if the name is taken.
     pub fn create_table(&self, name: &str, schema: Arc<Schema>) -> DbResult<()> {
-        let key = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.contains_key(&key) {
-            return Err(DbError::AlreadyExists { kind: "table", name: name.to_owned() });
-        }
-        tables.insert(key.clone(), Arc::new(RwLock::new(Table::new(key, schema))));
-        drop(tables);
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.put_table(Table::new(name.to_ascii_lowercase(), schema), false)
     }
 
     /// Registers a fully-built table (used by `CREATE TABLE AS` and loads).
@@ -85,12 +77,6 @@ impl Catalog {
     /// All table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.read().keys().cloned().collect()
-    }
-
-    /// Removes every table (used by tests and `load` replacing a database).
-    pub fn clear(&self) {
-        self.tables.write().clear();
-        self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The catalog's DDL generation. Two equal readings with no DDL in

@@ -4,7 +4,7 @@ use crate::batch::Batch;
 use crate::catalog::Catalog;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{DbError, DbResult};
-use crate::expr::{eval, eval_predicate, EvalContext};
+use crate::expr::{eval, eval_predicate, EvalContext, Expr};
 use crate::schema::{Field, Schema};
 use crate::sql::binder::bind;
 use crate::sql::estimate;
@@ -46,6 +46,26 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
+    /// The result of a query: its rows. `elapsed` is stamped by the caller.
+    fn rows(batch: Batch) -> QueryResult {
+        QueryResult {
+            rows_affected: batch.rows(),
+            batch,
+            elapsed: Duration::ZERO,
+            kind: StatementKind::Query,
+        }
+    }
+
+    /// The result of a DDL/DML statement: no rows, an affected count.
+    fn no_rows(kind: StatementKind, rows_affected: usize) -> QueryResult {
+        QueryResult {
+            batch: Batch::empty(Schema::empty()),
+            rows_affected,
+            elapsed: Duration::ZERO,
+            kind,
+        }
+    }
+
     /// The result rows (empty batch for DDL/DML).
     pub fn batch(&self) -> &Batch {
         &self.batch
@@ -80,7 +100,8 @@ impl QueryResult {
 /// exclusive, serializing catalog changes against each other), and
 /// [`Database::checkpoint`] takes it exclusive, so the snapshot it cuts is
 /// at a statement boundary and the checkpoint LSN cleanly partitions
-/// folded-in from to-be-replayed records.
+/// folded-in from to-be-replayed records. Lock order: fence → table
+/// guard → log mutex.
 struct Durability {
     wal: Wal,
     dir: PathBuf,
@@ -194,7 +215,7 @@ impl Database {
         let wal = Wal::open(dir)?;
         *db.durability.write() = Some(Arc::new(Durability {
             wal,
-            dir: dir.to_path_buf(),
+            dir: dir.canonicalize()?,
             fence: parking_lot::RwLock::new(()),
             poisoned: AtomicBool::new(false),
         }));
@@ -206,9 +227,67 @@ impl Database {
         self.durability.read().is_some()
     }
 
+    /// Whether `dir` is the directory this database was opened durable
+    /// at — where its snapshot is the checkpoint, and whose log it owns.
+    pub(crate) fn is_durable_at(&self, dir: &Path) -> bool {
+        self.durable().is_some_and(|d| dir.canonicalize().is_ok_and(|dir| dir == d.dir))
+    }
+
     /// The current durability handle, if any.
     fn durable(&self) -> Option<Arc<Durability>> {
         self.durability.read().clone()
+    }
+
+    /// The one mutation path: every statement that changes the catalog or
+    /// a table commits through here, durable or not.
+    ///
+    /// Takes the commit fence (DML shared — statements on different
+    /// tables proceed concurrently — DDL exclusive, so catalog changes
+    /// and their log records serialize), refuses a poisoned handle, takes
+    /// the write guard of the table the statement names if it exists,
+    /// lets `derive` turn that table's current state into the statement's
+    /// [`WalOp`]s and affected-row count, applies the ops with
+    /// [`wal::apply`] — the function replay uses, so live and recovered
+    /// state agree by construction — and only then logs them as one
+    /// record (apply-then-log; one record = one statement, replayed
+    /// atomically). The guard is held through the append so same-table
+    /// log order matches apply order. No ops (an `IF [NOT] EXISTS` that
+    /// found nothing to do) means nothing is applied or logged.
+    fn commit(
+        &self,
+        kind: StatementKind,
+        table: &str,
+        derive: impl FnOnce(Option<&Table>) -> DbResult<(Vec<WalOp>, usize)>,
+    ) -> DbResult<QueryResult> {
+        let durable = self.durable();
+        let fence = durable.as_ref().map(|d| &d.fence);
+        let _shared = fence.filter(|_| kind == StatementKind::Dml).map(|f| f.read());
+        let _exclusive = fence.filter(|_| kind == StatementKind::Ddl).map(|f| f.write());
+        if let Some(d) = &durable {
+            d.ensure_usable()?;
+        }
+        let handle = self.catalog.table(table).ok();
+        let mut guard = handle.as_ref().map(|h| h.write());
+        let (ops, affected) = derive(guard.as_deref())?;
+        // A multi-op statement lands whole or not at all: keep the table
+        // as it was (columns are shared, so the clone is shallow) to put
+        // back if a later op is refused after an earlier one applied.
+        let before = guard.as_deref().filter(|_| ops.len() > 1).cloned();
+        for op in &ops {
+            // DDL ops resolve their own tables: `CREATE TABLE AS` appends
+            // to the table its first op creates.
+            let held = guard.as_deref_mut().filter(|_| kind == StatementKind::Dml);
+            if let Err(e) = wal::apply(&self.catalog, held, op) {
+                if let (Some(table), Some(before)) = (guard.as_deref_mut(), before) {
+                    *table = before;
+                }
+                return Err(e);
+            }
+        }
+        if let Some(d) = durable.as_ref().filter(|_| !ops.is_empty()) {
+            d.log(&ops)?;
+        }
+        Ok(QueryResult::no_rows(kind, affected))
     }
 
     /// Folds the write-ahead log into the checksummed page base and
@@ -396,12 +475,7 @@ impl Database {
         substitute_in_plan(&mut plan, &values);
         crate::verify::verify_plan(&plan, &self.functions)?;
         let batch = execute_plan_with(&plan, &self.catalog, &self.functions, opts)?;
-        Ok(QueryResult {
-            rows_affected: batch.rows(),
-            batch,
-            elapsed: Duration::ZERO,
-            kind: StatementKind::Query,
-        })
+        Ok(QueryResult::rows(batch))
     }
 
     /// Executes a plain `SELECT` after a cache miss: optimizes the
@@ -441,12 +515,7 @@ impl Database {
         substitute_in_plan(&mut plan, &values);
         crate::verify::verify_plan(&plan, &self.functions)?;
         let batch = execute_plan_with(&plan, &self.catalog, &self.functions, opts)?;
-        Ok(QueryResult {
-            rows_affected: batch.rows(),
-            batch,
-            elapsed: Duration::ZERO,
-            kind: StatementKind::Query,
-        })
+        Ok(QueryResult::rows(batch))
     }
 
     /// For `EXPLAIN ANALYZE <stmt>`, probes (without counter ticks or LRU
@@ -480,7 +549,7 @@ impl Database {
         let mut last = None;
         for stmt in stmts {
             let bound = bind(stmt, &self.catalog, &self.functions)?;
-            last = Some(self.run_bound(bound, &self.exec_options())?);
+            last = Some(self.run_bound_probe(bound, &self.exec_options(), None)?);
         }
         let mut result = last.expect("nonempty");
         result.elapsed = start.elapsed();
@@ -505,10 +574,6 @@ impl Database {
         Ok(batch.column(0).value(0))
     }
 
-    fn run_bound(&self, bound: BoundStatement, opts: &ExecOptions) -> DbResult<QueryResult> {
-        self.run_bound_probe(bound, opts, None)
-    }
-
     fn run_bound_probe(
         &self,
         bound: BoundStatement,
@@ -517,35 +582,16 @@ impl Database {
     ) -> DbResult<QueryResult> {
         let catalog = &self.catalog;
         let functions = &self.functions;
-        let empty = |kind: StatementKind, rows: usize| QueryResult {
-            batch: Batch::empty(Schema::empty()),
-            rows_affected: rows,
-            elapsed: Duration::ZERO,
-            kind,
-        };
-        // Durable mutations hold the commit fence across "apply in memory
-        // + append to log" so a concurrent CHECKPOINT snapshots at a
-        // statement boundary: DML shared (statements on different tables
-        // proceed concurrently; the table guard orders same-table logging),
-        // DDL exclusive (catalog changes and their log records serialize).
-        let durable = self.durable();
         match bound {
             BoundStatement::CreateTable { name, schema, if_not_exists } => {
-                let _fence = durable.as_ref().map(|d| d.fence.write());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let created = match catalog.create_table(&name, schema.clone()) {
-                    Ok(()) => true,
-                    Err(DbError::AlreadyExists { .. }) if if_not_exists => false,
-                    Err(e) => return Err(e),
-                };
-                if created {
-                    if let Some(d) = &durable {
-                        d.log(&[WalOp::CreateTable { name: name.to_ascii_lowercase(), schema }])?;
-                    }
-                }
-                Ok(empty(StatementKind::Ddl, 0))
+                self.commit(StatementKind::Ddl, &name, |existing| match existing {
+                    Some(_) if if_not_exists => Ok((Vec::new(), 0)),
+                    Some(_) => Err(DbError::AlreadyExists { kind: "table", name: name.clone() }),
+                    None => Ok((
+                        vec![WalOp::CreateTable { name: name.to_ascii_lowercase(), schema }],
+                        0,
+                    )),
+                })
             }
             BoundStatement::CreateTableAs { name, mut plan, scalar_subs, if_not_exists } => {
                 let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
@@ -555,59 +601,40 @@ impl Database {
                 let batch = execute_plan_with(&plan, catalog, functions, opts)?;
                 let rows = batch.rows();
                 let lname = name.to_ascii_lowercase();
-                let _fence = durable.as_ref().map(|d| d.fence.write());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let existed = catalog.has_table(&lname);
-                let schema = batch.schema().clone();
-                // Batch columns are Arc-shared: the clone for logging is cheap.
-                let table = Table::from_batch(lname.clone(), batch.clone());
-                catalog.put_table(table, if_not_exists)?;
-                if !existed {
-                    if let Some(d) = &durable {
-                        // One record = one statement: create + populate
-                        // replay atomically.
-                        d.log(&[
-                            WalOp::CreateTable { name: lname.clone(), schema },
-                            WalOp::append(lname, batch),
-                        ])?;
-                    }
-                }
-                Ok(empty(StatementKind::Ddl, rows))
+                self.commit(StatementKind::Ddl, &lname, |existing| match existing {
+                    Some(_) if if_not_exists => Ok((Vec::new(), rows)),
+                    Some(_) => Err(DbError::AlreadyExists { kind: "table", name: lname.clone() }),
+                    // Create + populate in one record; the append adopts
+                    // the batch's columns (the table is empty), so the
+                    // result set is shared, not copied.
+                    None => Ok((
+                        vec![
+                            WalOp::CreateTable {
+                                name: lname.clone(),
+                                schema: batch.schema().clone(),
+                            },
+                            WalOp::Append { table: lname.clone(), batch },
+                        ],
+                        rows,
+                    )),
+                })
             }
             BoundStatement::DropTable { name, if_exists } => {
-                let _fence = durable.as_ref().map(|d| d.fence.write());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let existed = catalog.has_table(&name);
-                catalog.drop_table(&name, if_exists)?;
-                if existed {
-                    if let Some(d) = &durable {
-                        d.log(&[WalOp::DropTable { name: name.to_ascii_lowercase() }])?;
-                    }
-                }
-                Ok(empty(StatementKind::Ddl, 0))
+                self.commit(StatementKind::Ddl, &name, |existing| match existing {
+                    Some(_) => Ok((vec![WalOp::DropTable { name: name.to_ascii_lowercase() }], 0)),
+                    None if if_exists => Ok((Vec::new(), 0)),
+                    None => Err(DbError::NotFound { kind: "table", name: name.clone() }),
+                })
             }
             BoundStatement::DropFunction { name, if_exists } => {
                 functions.drop_function(&name, if_exists)?;
-                Ok(empty(StatementKind::Ddl, 0))
+                Ok(QueryResult::no_rows(StatementKind::Ddl, 0))
             }
             BoundStatement::InsertValues { table, column_map, rows } => {
-                let _fence = durable.as_ref().map(|d| d.fence.read());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let handle = catalog.table(&table)?;
-                let mut guard = handle.write();
-                let batch = self.insert_rows(&mut guard, &column_map, &rows)?;
-                if let Some(d) = &durable {
-                    // Logged under the table guard so same-table log order
-                    // matches apply order.
-                    d.log(&[WalOp::append(table, batch)])?;
-                }
-                Ok(empty(StatementKind::Dml, rows.len()))
+                self.commit(StatementKind::Dml, &table, |t| {
+                    let batch = values_batch(target(t, &table)?, &column_map, &rows)?;
+                    Ok((vec![WalOp::Append { table: table.clone(), batch }], rows.len()))
+                })
             }
             BoundStatement::InsertQuery { table, column_map, mut plan, scalar_subs } => {
                 let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
@@ -615,107 +642,54 @@ impl Database {
                 let plan = optimize_with_stats(plan, catalog, self.stats_enabled())?.plan;
                 crate::verify::verify_plan(&plan, functions)?;
                 let batch = execute_plan_with(&plan, catalog, functions, opts)?;
-                let _fence = durable.as_ref().map(|d| d.fence.read());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let handle = catalog.table(&table)?;
-                let mut guard = handle.write();
-                let reordered = self.reorder_for_insert(&guard, &column_map, batch)?;
-                let n = reordered.rows();
-                guard.append_batch(&reordered)?;
-                if let Some(d) = &durable {
-                    d.log(&[WalOp::append(table, reordered)])?;
-                }
-                Ok(empty(StatementKind::Dml, n))
+                self.commit(StatementKind::Dml, &table, |t| {
+                    let batch = reorder_for_insert(target(t, &table)?, &column_map, batch)?;
+                    let n = batch.rows();
+                    Ok((vec![WalOp::Append { table: table.clone(), batch }], n))
+                })
             }
             BoundStatement::Delete { table, filter, scalar_subs } => {
                 let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
-                let _fence = durable.as_ref().map(|d| d.fence.read());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let handle = catalog.table(&table)?;
-                let mut guard = handle.write();
-                let snapshot = guard.scan();
-                let keep: Vec<u32> = match filter {
-                    None => Vec::new(),
-                    Some(mut pred) => {
-                        pred.substitute_subqueries(&values);
-                        let ctx = EvalContext::new(&snapshot, Some(functions));
-                        let deleted = eval_predicate(&ctx, &pred)?;
-                        let dset: std::collections::HashSet<u32> = deleted.into_iter().collect();
-                        (0..snapshot.rows() as u32).filter(|i| !dset.contains(i)).collect()
-                    }
-                };
-                let removed = snapshot.rows() - keep.len();
-                guard.retain_indices(&keep);
-                if let Some(d) = &durable {
-                    d.log(&[WalOp::Retain { table, keep }])?;
-                }
-                Ok(empty(StatementKind::Dml, removed))
+                self.commit(StatementKind::Dml, &table, |t| {
+                    let snapshot = target(t, &table)?.scan();
+                    let ctx = EvalContext::new(&snapshot, Some(functions));
+                    let deleted = selected_rows(filter, &values, &ctx, snapshot.rows())?;
+                    let keep: Vec<u32> =
+                        (0..snapshot.rows() as u32).filter(|&i| !deleted[i as usize]).collect();
+                    let removed = snapshot.rows() - keep.len();
+                    Ok((vec![WalOp::Retain { table: table.clone(), keep }], removed))
+                })
             }
             BoundStatement::Update { table, assignments, filter, scalar_subs } => {
                 let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
-                let _fence = durable.as_ref().map(|d| d.fence.read());
-                if let Some(d) = &durable {
-                    d.ensure_usable()?;
-                }
-                let handle = catalog.table(&table)?;
-                let mut guard = handle.write();
-                let snapshot = guard.scan();
-                let ctx = EvalContext::new(&snapshot, Some(functions));
-                let selected: Vec<bool> = match filter {
-                    None => vec![true; snapshot.rows()],
-                    Some(mut pred) => {
-                        pred.substitute_subqueries(&values);
-                        let sel = eval_predicate(&ctx, &pred)?;
-                        let mut mask = vec![false; snapshot.rows()];
-                        for i in sel {
-                            mask[i as usize] = true;
+                self.commit(StatementKind::Dml, &table, |t| {
+                    let t = target(t, &table)?;
+                    let snapshot = t.scan();
+                    let ctx = EvalContext::new(&snapshot, Some(functions));
+                    let selected = selected_rows(filter, &values, &ctx, snapshot.rows())?;
+                    // One op per assigned column, one record for the whole
+                    // statement: multi-column updates replay atomically.
+                    let mut ops = Vec::with_capacity(assignments.len());
+                    for (col_idx, mut expr) in assignments {
+                        expr.substitute_subqueries(&values);
+                        let new_col = eval(&ctx, &expr)?.broadcast_to(snapshot.rows())?;
+                        let dtype = t.schema().field(col_idx).dtype;
+                        let new_col = if new_col.data_type() == dtype {
+                            new_col
+                        } else {
+                            new_col.cast(dtype)?
+                        };
+                        let old = snapshot.column(col_idx);
+                        let mut b = ColumnBuilder::new(dtype);
+                        for (i, &sel) in selected.iter().enumerate() {
+                            let v = if sel { new_col.value(i) } else { old.value(i) };
+                            b.push_value(&v)?;
                         }
-                        mask
+                        let column = Arc::new(b.finish());
+                        ops.push(WalOp::ReplaceColumn { table: table.clone(), col_idx, column });
                     }
-                };
-                let mut updated = 0;
-                let mut logged: Vec<WalOp> = Vec::new();
-                for (col_idx, mut expr) in assignments {
-                    expr.substitute_subqueries(&values);
-                    let new_col = eval(&ctx, &expr)?.broadcast_to(snapshot.rows())?;
-                    let field = guard.schema().field(col_idx).clone();
-                    let new_col = if new_col.data_type() == field.dtype {
-                        new_col
-                    } else {
-                        new_col.cast(field.dtype)?
-                    };
-                    let old = snapshot.column(col_idx);
-                    let mut b = ColumnBuilder::new(field.dtype);
-                    for (i, &sel) in selected.iter().enumerate() {
-                        let v = if sel { new_col.value(i) } else { old.value(i) };
-                        b.push_value(&v)?;
-                    }
-                    let finished = b.finish();
-                    if durable.is_some() {
-                        // Column clones are deep; only pay when logging.
-                        logged.push(WalOp::ReplaceColumn {
-                            table: table.clone(),
-                            col_idx,
-                            column: finished.clone(),
-                        });
-                    }
-                    guard.replace_column(col_idx, finished)?;
-                }
-                if let Some(d) = &durable {
-                    // One record for the whole statement: multi-column
-                    // updates replay atomically.
-                    d.log(&logged)?;
-                }
-                for s in &selected {
-                    if *s {
-                        updated += 1;
-                    }
-                }
-                Ok(empty(StatementKind::Dml, updated))
+                    Ok((ops, selected.iter().filter(|&&s| s).count()))
+                })
             }
             BoundStatement::Query { mut plan, scalar_subs } => {
                 let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
@@ -723,12 +697,7 @@ impl Database {
                 let plan = optimize_with_stats(plan, catalog, self.stats_enabled())?.plan;
                 crate::verify::verify_plan(&plan, functions)?;
                 let batch = execute_plan_with(&plan, catalog, functions, opts)?;
-                Ok(QueryResult {
-                    rows_affected: batch.rows(),
-                    batch,
-                    elapsed: Duration::ZERO,
-                    kind: StatementKind::Query,
-                })
+                Ok(QueryResult::rows(batch))
             }
             BoundStatement::Explain { mut plan, scalar_subs, analyze } => {
                 let text = if analyze {
@@ -804,12 +773,7 @@ impl Database {
                     "plan",
                     Column::from_strings(lines.iter().copied()),
                 )])?;
-                Ok(QueryResult {
-                    rows_affected: batch.rows(),
-                    batch,
-                    elapsed: Duration::ZERO,
-                    kind: StatementKind::Query,
-                })
+                Ok(QueryResult::rows(batch))
             }
             BoundStatement::ShowTables => {
                 let names = catalog.table_names();
@@ -821,12 +785,7 @@ impl Database {
                     ("table_name", Column::from_strings(names.iter().map(String::as_str))),
                     ("row_count", Column::from_i64s(rows)),
                 ])?;
-                Ok(QueryResult {
-                    rows_affected: batch.rows(),
-                    batch,
-                    elapsed: Duration::ZERO,
-                    kind: StatementKind::Query,
-                })
+                Ok(QueryResult::rows(batch))
             }
             BoundStatement::ShowFunctions => {
                 let (scalar, table) = functions.names();
@@ -844,86 +803,79 @@ impl Database {
                     ("function_name", Column::from_strings(names.iter().map(String::as_str))),
                     ("kind", Column::from_strings(kinds.iter().copied())),
                 ])?;
-                Ok(QueryResult {
-                    rows_affected: batch.rows(),
-                    batch,
-                    elapsed: Duration::ZERO,
-                    kind: StatementKind::Query,
-                })
+                Ok(QueryResult::rows(batch))
             }
             BoundStatement::Checkpoint => {
                 self.checkpoint()?;
-                Ok(empty(StatementKind::Ddl, 0))
+                Ok(QueryResult::no_rows(StatementKind::Ddl, 0))
             }
             BoundStatement::Save { path } => {
-                if durable.is_some() {
-                    // Fold the log first: the snapshot then carries every
-                    // committed statement, and if `path` is the durable
-                    // directory itself the truncated log holds no data
-                    // records to double-apply over the v1 snapshot.
-                    self.checkpoint()?;
-                }
                 crate::persist::save_database(self, Path::new(&path))?;
-                Ok(empty(StatementKind::Ddl, 0))
+                Ok(QueryResult::no_rows(StatementKind::Ddl, 0))
             }
         }
     }
+}
 
-    /// Inserts constant rows honoring an explicit column list: unmentioned
-    /// columns receive NULL. Returns the appended batch (cast to the
-    /// table's declared types) so a durable database can log it.
-    fn insert_rows(
-        &self,
-        table: &mut Table,
-        column_map: &[usize],
-        rows: &[Vec<Value>],
-    ) -> DbResult<Batch> {
-        let width = table.schema().len();
-        let mut full_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut full = vec![Value::Null; width];
-            for (v, &dst) in row.iter().zip(column_map) {
-                full[dst] = v.clone();
-            }
-            full_rows.push(full);
-        }
-        let batch = Batch::from_rows(table.schema().clone(), &full_rows)?;
-        table.append_batch(&batch)?;
-        Ok(batch)
-    }
+/// The table a DML statement bound against, unless it was dropped since.
+fn target<'a>(table: Option<&'a Table>, name: &str) -> DbResult<&'a Table> {
+    table.ok_or_else(|| DbError::NotFound { kind: "table", name: name.to_owned() })
+}
 
-    /// Reorders a source batch to the target table's column positions,
-    /// padding unmentioned columns with NULL.
-    fn reorder_for_insert(
-        &self,
-        table: &Table,
-        column_map: &[usize],
-        batch: Batch,
-    ) -> DbResult<Batch> {
-        let schema = table.schema();
-        let identity =
-            column_map.len() == schema.len() && column_map.iter().enumerate().all(|(i, &m)| i == m);
-        if identity {
-            return Ok(batch);
-        }
-        let n = batch.rows();
-        let mut columns: Vec<Arc<Column>> = Vec::with_capacity(schema.len());
-        for (dst, f) in schema.fields().iter().enumerate() {
-            match column_map.iter().position(|&m| m == dst) {
-                Some(src) => {
-                    let c = batch.column(src);
-                    let c = if c.data_type() == f.dtype {
-                        c.as_ref().clone()
-                    } else {
-                        c.cast(f.dtype)?
-                    };
-                    columns.push(Arc::new(c));
-                }
-                None => columns.push(Arc::new(Column::nulls(f.dtype, n))),
-            }
-        }
-        Batch::new(schema.clone(), columns)
+/// Which rows a DML statement's `WHERE` selects: all of them without one.
+fn selected_rows(
+    filter: Option<Expr>,
+    subquery_values: &[Value],
+    ctx: &EvalContext<'_>,
+    rows: usize,
+) -> DbResult<Vec<bool>> {
+    let Some(mut pred) = filter else { return Ok(vec![true; rows]) };
+    pred.substitute_subqueries(subquery_values);
+    let mut mask = vec![false; rows];
+    for i in eval_predicate(ctx, &pred)? {
+        mask[i as usize] = true;
     }
+    Ok(mask)
+}
+
+/// Constant rows as a batch in the table's schema, honoring an explicit
+/// column list: unmentioned columns receive NULL.
+fn values_batch(table: &Table, column_map: &[usize], rows: &[Vec<Value>]) -> DbResult<Batch> {
+    let width = table.schema().len();
+    let mut full_rows = Vec::with_capacity(rows.len());
+    for row in rows {
+        let mut full = vec![Value::Null; width];
+        for (v, &dst) in row.iter().zip(column_map) {
+            full[dst] = v.clone();
+        }
+        full_rows.push(full);
+    }
+    Batch::from_rows(table.schema().clone(), &full_rows)
+}
+
+/// Reorders a source batch to the target table's column positions,
+/// padding unmentioned columns with NULL.
+fn reorder_for_insert(table: &Table, column_map: &[usize], batch: Batch) -> DbResult<Batch> {
+    let schema = table.schema();
+    let identity =
+        column_map.len() == schema.len() && column_map.iter().enumerate().all(|(i, &m)| i == m);
+    if identity {
+        return Ok(batch);
+    }
+    let n = batch.rows();
+    let mut columns: Vec<Arc<Column>> = Vec::with_capacity(schema.len());
+    for (dst, f) in schema.fields().iter().enumerate() {
+        match column_map.iter().position(|&m| m == dst) {
+            Some(src) => {
+                let c = batch.column(src);
+                let c =
+                    if c.data_type() == f.dtype { c.as_ref().clone() } else { c.cast(f.dtype)? };
+                columns.push(Arc::new(c));
+            }
+            None => columns.push(Arc::new(Column::nulls(f.dtype, n))),
+        }
+    }
+    Batch::new(schema.clone(), columns)
 }
 
 impl std::fmt::Debug for Database {

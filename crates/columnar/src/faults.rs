@@ -21,7 +21,7 @@
 //! * `point` — where the fault is considered; the injection points wired
 //!   into this workspace are `net.read` / `net.write` (socket stream I/O,
 //!   via [`FaultyStream`]), `fs.write` / `fs.rename` / `fs.fsync` (persist
-//!   file I/O, via [`FaultyFile`], [`rename`], and [`sync_file_at`]),
+//!   file I/O, via [`write_file_at`], [`rename`], and [`sync_file_at`]),
 //!   `wal.append` / `wal.fsync` (write-ahead-log commits), `page.write`
 //!   (checkpoint page files), and `pickle.decode` (model BLOB decoding in
 //!   `mlcs-core`).
@@ -52,7 +52,7 @@
 use crate::metrics;
 use parking_lot::Mutex;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -333,8 +333,8 @@ pub fn check_point(point: &str) -> std::io::Result<()> {
 /// `err` fails before touching the file, `short`/`torn` write half the
 /// buffer (synced, so the torn prefix survives a crash) then fail, `flip`
 /// corrupts one byte but reports success, `delay` stalls then proceeds.
-/// Shared by the persist layer (`fs.write`), the write-ahead log
-/// (`wal.append`), and the checkpoint page writer (`page.write`).
+/// Shared by the snapshot writer (`page.write` for page files, `fs.write`
+/// for the manifest) and the write-ahead log (`wal.append`).
 pub fn write_file_at(point: &str, file: &mut std::fs::File, buf: &[u8]) -> std::io::Result<()> {
     match decide(point) {
         None => file.write_all(buf),
@@ -447,38 +447,6 @@ impl<S: Write> Write for FaultyStream<S> {
     }
 }
 
-/// A file handle whose writes consult the injector (`fs.write`): they can
-/// fail outright, tear (prefix + error), flip a byte, or stall. Used by the
-/// persist layer so crash-safety is testable without `kill -9`.
-#[derive(Debug)]
-pub struct FaultyFile {
-    file: std::fs::File,
-    path: PathBuf,
-}
-
-impl FaultyFile {
-    /// Creates (truncating) the file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<FaultyFile> {
-        Ok(FaultyFile { file: std::fs::File::create(path)?, path: path.to_path_buf() })
-    }
-
-    /// The path this handle writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Writes the whole buffer, honoring any armed `fs.write` fault.
-    pub fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
-        write_file_at("fs.write", &mut self.file, buf)
-    }
-
-    /// Flushes file contents and metadata to stable storage, honoring any
-    /// armed `fs.fsync` fault.
-    pub fn sync_all(&self) -> std::io::Result<()> {
-        sync_file_at("fs.fsync", &self.file)
-    }
-}
-
 /// Renames `from` to `to`, honoring any armed `fs.rename` fault (every
 /// non-`delay` kind fails the rename, leaving `from` in place).
 pub fn rename(from: &Path, to: &Path) -> std::io::Result<()> {
@@ -588,8 +556,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.bin");
         configure(parse_spec("fs.write:torn:1:1").unwrap(), 0);
-        let mut f = FaultyFile::create(&path).unwrap();
-        assert!(f.write_all(&[7u8; 10]).is_err());
+        let mut f = std::fs::File::create(&path).unwrap();
+        assert!(write_file_at("fs.write", &mut f, &[7u8; 10]).is_err());
         clear();
         assert_eq!(std::fs::read(&path).unwrap().len(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -619,10 +587,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("synced.bin");
         configure(parse_spec("fs.fsync:err:1:1").unwrap(), 0);
-        let mut f = FaultyFile::create(&path).unwrap();
-        f.write_all(b"payload").unwrap();
-        assert!(f.sync_all().is_err(), "first fsync injected");
-        assert!(f.sync_all().is_ok(), "nth=1 fires once");
+        let mut f = std::fs::File::create(&path).unwrap();
+        write_file_at("fs.write", &mut f, b"payload").unwrap();
+        assert!(sync_file_at("fs.fsync", &f).is_err(), "first fsync injected");
+        assert!(sync_file_at("fs.fsync", &f).is_ok(), "nth=1 fires once");
         clear();
         assert_eq!(std::fs::read(&path).unwrap(), b"payload", "data reached the file");
         std::fs::remove_dir_all(&dir).unwrap();

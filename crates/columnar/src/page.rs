@@ -67,7 +67,7 @@ pub fn decode_pages(name: &str, bytes: &[u8]) -> DbResult<Vec<u8>> {
     decode_pages_counted(name, bytes).map_err(|f| f.error)
 }
 
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
+pub(crate) fn u32_at(bytes: &[u8], at: usize) -> u32 {
     let mut raw = [0u8; 4];
     raw.copy_from_slice(&bytes[at..at + 4]);
     u32::from_le_bytes(raw)

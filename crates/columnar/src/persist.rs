@@ -1,43 +1,38 @@
-//! Database persistence: save/load the whole catalog to a directory.
+//! Database persistence: the one snapshot format and its loader.
 //!
-//! The on-disk layout is one file per table (`<name>.mlcstbl`) plus a
-//! manifest (`catalog.mlcsdb`) listing the tables. Table files use the
-//! mlcs binary format: a magic header, the schema, then each column as a
-//! type tag, optional validity bitmap, and a typed payload. Everything is
-//! little-endian and checksummed per file.
+//! A database directory holds one page file per table
+//! (`<name>.<gen>.mlcspg`, see [`page_file_name`]) plus a manifest
+//! (`catalog.mlcsdb`) naming the generation and listing the tables. A
+//! page file is the table's encoded payload — a magic header, a CRC, the
+//! schema, then each column as an optional validity bitmap and a typed
+//! payload, all little-endian — striped over fixed-size checksummed pages
+//! (see [`crate::page`]). The same batch codec frames the write-ahead
+//! log's append records, so a model row takes one path to disk whether it
+//! arrives by `SAVE`, by `CHECKPOINT` or by a logged `INSERT`.
 //!
-//! # Crash safety
+//! # One snapshot protocol
 //!
-//! Every file is written atomically: the bytes go to a `*.tmp` sibling,
-//! the file is fsynced, renamed into place, and the directory is fsynced
-//! so the rename itself is durable. Table files land before the manifest,
-//! and the manifest rename is the commit point — a crash at any earlier
-//! step leaves the previous manifest intact, and every file it references
-//! is complete and checksummed. Because each table file is swapped
-//! atomically on its own, a table that keeps its name across generations
-//! may already hold the (fully written) new content when the save dies;
-//! at worst some stale `*.tmp` debris and new table files the old
-//! manifest does not reference remain. The guarantee is catalog-level
-//! consistency, not snapshot isolation across generations: every load
-//! sees only fully-written, checksummed table files.
+//! [`save_database`] and [`crate::wal::checkpoint`] share one body,
+//! `write_snapshot`: every table is cut at one generation number and
+//! written atomically (the bytes go to a `*.tmp` sibling, are fsynced,
+//! **read back and verified**, then renamed into place, and the directory
+//! is fsynced so the rename itself is durable), the manifest is written
+//! the same way, and older generations are swept. Page files carry the
+//! generation in their name, so nothing a live manifest references is
+//! ever overwritten and the manifest rename is the *only* commit point: a
+//! crash at any earlier step leaves the previous manifest pointing at its
+//! own untouched generation — every load sees all tables old or all
+//! tables new, never a mix — with at worst some `*.tmp` debris and
+//! unreferenced page files the next snapshot sweeps. A checkpoint is that
+//! snapshot cut at the log's last LSN plus the log reset; a plain save
+//! picks the generation after the one the directory already holds.
 //!
 //! [`load_database_with`] offers a [`RecoveryMode::Recover`] that skips
-//! damaged or missing table files (reporting them in a [`RecoveryReport`])
+//! damaged or missing page files (reporting them in a [`RecoveryReport`])
 //! instead of aborting the whole load, so one corrupted table cannot hold
-//! every stored model hostage.
-//!
-//! # Durability formats
-//!
-//! Two manifest generations coexist. `MLCSDB_1` (the legacy whole-file
-//! save) lists tables stored as `<name>.mlcstbl` files and carries no
-//! checkpoint watermark. `MLCSDB_2` (written by [`crate::wal::checkpoint`])
-//! additionally records the checkpoint LSN and stores each table as a
-//! `<name>.<lsn>.mlcspg` file of fixed-size checksummed pages (see
-//! [`crate::page`]) — versioned by the checkpoint LSN so the manifest
-//! rename atomically switches generations. In both generations, if a
-//! `wal.mlcslog` file is
-//! present next to the manifest, [`load_database_with`] replays every log
-//! record past the checkpoint watermark — idempotent redo — and, in
+//! every stored model hostage. If a `wal.mlcslog` file sits beside the
+//! manifest, the loader replays every log record past the manifest's
+//! generation — its checkpoint watermark — and, in
 //! [`RecoveryMode::Recover`], cleanly truncates a damaged log tail.
 
 use crate::batch::Batch;
@@ -51,15 +46,16 @@ use crate::page;
 use crate::schema::{Field, Schema};
 use crate::strings::{BlobColumn, StringColumn};
 use crate::table::Table;
+use crate::types::DataType;
 use crate::wal;
 use mlcs_pickle::crc::crc32;
-use mlcs_pickle::{Reader, Writer};
+use mlcs_pickle::{PickleError, Reader, Writer};
 use std::path::Path;
 use std::sync::Arc;
 
 const TABLE_MAGIC: &[u8; 8] = b"MLCSTBL1";
-const MANIFEST_MAGIC: &[u8; 8] = b"MLCSDB_1";
-const MANIFEST_MAGIC_V2: &[u8; 8] = b"MLCSDB_2";
+const MANIFEST_MAGIC: &[u8; 8] = b"MLCSDB_2";
+const MANIFEST_FILE: &str = "catalog.mlcsdb";
 
 /// How [`load_database_with`] reacts to damaged table files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,14 +114,22 @@ impl RecoveryReport {
     }
 }
 
-/// Writes `bytes` to `dir/<name>` atomically: `<name>.tmp` + fsync +
-/// rename + directory fsync. A crash at any point leaves either the old
-/// file or the new one, never a torn mix; at worst a stale `.tmp` remains.
-pub(crate) fn write_file_atomic(dir: &Path, name: &str, bytes: &[u8]) -> DbResult<()> {
+/// Writes `bytes` to `dir/<name>` atomically: page-sized writes to
+/// `<name>.tmp` under the `point` fault point, fsync, **read-back
+/// verify**, rename, directory fsync. A crash at any point leaves either
+/// the old file or the new one, never a torn mix — at worst a stale
+/// `.tmp` remains — and the read-back keeps a bit-flipped or torn write
+/// from ever replacing a healthy file.
+fn write_atomic(dir: &Path, name: &str, point: &str, bytes: &[u8]) -> DbResult<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    let mut file = faults::FaultyFile::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
+    let mut file = std::fs::File::create(&tmp)?;
+    for chunk in bytes.chunks(page::PAGE_SIZE) {
+        faults::write_file_at(point, &mut file, chunk)?;
+    }
+    faults::sync_file_at("fs.fsync", &file)?;
+    if std::fs::read(&tmp)? != bytes {
+        return Err(DbError::Corrupt(format!("file '{name}' read-back mismatch before rename")));
+    }
     faults::rename(&tmp, &dir.join(name))?;
     sync_dir(dir)
 }
@@ -136,77 +140,119 @@ pub(crate) fn sync_dir(dir: &Path) -> DbResult<()> {
     Ok(())
 }
 
-/// The page file holding `name`'s snapshot as of checkpoint LSN `lsn`.
+/// The page file holding `name`'s snapshot of generation `gen` (for a
+/// checkpoint, the LSN the log was folded up to).
 ///
-/// Page files are versioned by the checkpoint that wrote them so the
+/// Page files are versioned by the snapshot that wrote them so the
 /// manifest commit governs *which generation* is visible, not just which
-/// tables exist: a checkpoint that crashes after renaming fresh page
-/// files but before its manifest rename leaves the new generation as
+/// tables exist: a snapshot that crashes after renaming fresh page files
+/// but before its manifest rename leaves the new generation as
 /// unreferenced orphans, and the old manifest keeps pointing at the old
 /// (untouched) files — replay past the old watermark stays correct
 /// instead of double-applying onto a half-committed new base.
-pub(crate) fn page_file_name(name: &str, lsn: u64) -> String {
-    format!("{name}.{lsn}.mlcspg")
+pub fn page_file_name(name: &str, gen: u64) -> String {
+    format!("{name}.{gen}.mlcspg")
 }
 
-/// The checkpoint LSN recorded in `dir`'s manifest: `0` when there is no
-/// manifest yet or it predates checkpointing (v1). Used by
-/// [`crate::wal::Wal::open`] to resume LSN issue past the watermark even
-/// when the log itself was lost or reset — without it, a crash between a
-/// checkpoint's manifest commit and its log reset could restart LSNs at
-/// 1 and make later acknowledged commits invisible to replay.
-pub(crate) fn checkpoint_watermark(dir: &Path) -> DbResult<u64> {
-    let manifest = match std::fs::read(dir.join("catalog.mlcsdb")) {
+/// A parsed `catalog.mlcsdb`.
+#[derive(Default)]
+struct Manifest {
+    /// The snapshot's generation; on a durable directory, the LSN every
+    /// log record at or below which is already folded into the pages.
+    generation: u64,
+    tables: Vec<String>,
+}
+
+/// Reads `dir`'s manifest; `None` when there is none yet.
+fn read_manifest(dir: &Path) -> DbResult<Option<Manifest>> {
+    let bytes = match std::fs::read(dir.join(MANIFEST_FILE)) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut r = Reader::new(&manifest);
+    let mut r = Reader::new(&bytes);
     let magic = r.get_raw(8).map_err(corrupt)?;
-    if magic == MANIFEST_MAGIC_V2 {
-        r.get_u64().map_err(corrupt)
-    } else if magic == MANIFEST_MAGIC {
-        Ok(0)
-    } else {
-        Err(DbError::Corrupt("bad manifest magic".into()))
+    if magic != MANIFEST_MAGIC {
+        // Same family, other version digit: intact, but not ours to read.
+        return Err(if magic[..7] == MANIFEST_MAGIC[..7] {
+            DbError::Unsupported(format!(
+                "manifest format '{}' is not supported (this build reads and writes only '{}')",
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(MANIFEST_MAGIC)
+            ))
+        } else {
+            DbError::Corrupt("bad manifest magic".into())
+        });
     }
+    let generation = r.get_u64().map_err(corrupt)?;
+    let n = r.get_count(1).map_err(corrupt)?;
+    let mut tables = Vec::with_capacity(n);
+    for _ in 0..n {
+        tables.push(r.get_str().map_err(corrupt)?.to_owned());
+    }
+    Ok(Some(Manifest { generation, tables }))
 }
 
-/// Writes the v2 manifest (checkpoint LSN + table list) atomically. The
-/// rename of this file is the checkpoint's commit point.
-pub(crate) fn write_manifest_v2(dir: &Path, checkpoint_lsn: u64, names: &[String]) -> DbResult<()> {
-    let mut manifest = Writer::new();
-    manifest.put_raw(MANIFEST_MAGIC_V2);
-    manifest.put_u64(checkpoint_lsn);
-    manifest.put_varint(names.len() as u64);
-    for name in names {
-        manifest.put_str(name);
-    }
-    write_file_atomic(dir, "catalog.mlcsdb", &manifest.into_bytes())
+/// The checkpoint LSN recorded in `dir`'s manifest, `0` when there is no
+/// manifest yet. Used by [`crate::wal::Wal::open`] to resume LSN issue
+/// past the watermark even when the log itself was lost or reset —
+/// without it, a crash between a checkpoint's manifest commit and its log
+/// reset could restart LSNs at 1 and make later acknowledged commits
+/// invisible to replay.
+pub(crate) fn checkpoint_watermark(dir: &Path) -> DbResult<u64> {
+    Ok(read_manifest(dir)?.map_or(0, |m| m.generation))
 }
 
-/// Saves every table of the database into `dir` (created if missing).
-/// Existing table files in the directory are overwritten.
-///
-/// Each file is written atomically and the manifest goes last, so an
-/// interrupted save never damages the previous on-disk generation (see
-/// the module docs for the exact guarantee).
-pub fn save_database(db: &Database, dir: &Path) -> DbResult<()> {
+/// The one snapshot writer: cuts every table at generation `gen` into
+/// `<name>.<gen>.mlcspg` under the `page.write` fault point, commits the
+/// manifest naming `gen` (under `fs.write`; its rename is the only commit
+/// point), then sweeps every other generation — superseded snapshots and
+/// orphans of snapshots that crashed before their commit. The sweep is
+/// best-effort: leftovers are harmless, nothing loads a page file the
+/// manifest does not name, and the next snapshot sweeps again.
+pub(crate) fn write_snapshot(db: &Database, dir: &Path, gen: u64) -> DbResult<()> {
     std::fs::create_dir_all(dir)?;
     let names = db.catalog().table_names();
     let mut manifest = Writer::new();
     manifest.put_raw(MANIFEST_MAGIC);
+    manifest.put_u64(gen);
     manifest.put_varint(names.len() as u64);
     for name in &names {
         manifest.put_str(name);
-        let handle = db.catalog().table(name)?;
-        let table = handle.read();
-        let bytes = encode_table(&table);
-        write_file_atomic(dir, &format!("{name}.mlcstbl"), &bytes)?;
+        let payload = encode_table(&db.catalog().table(name)?.read());
+        let pages = page::encode_pages(&payload);
+        write_atomic(dir, &page_file_name(name, gen), "page.write", &pages)?;
     }
-    // The commit point: only once every table file is durable does the new
-    // manifest generation become visible.
-    write_file_atomic(dir, "catalog.mlcsdb", &manifest.into_bytes())
+    write_atomic(dir, MANIFEST_FILE, "fs.write", &manifest.into_bytes())?;
+    let current = format!(".{gen}.mlcspg");
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let fname = entry.file_name().to_string_lossy().into_owned();
+        if fname.ends_with(".mlcspg") && !fname.ends_with(&current) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+    Ok(())
+}
+
+/// Saves every table of the database into `dir` (created if missing) as
+/// one snapshot generation; see the module docs for the crash guarantee.
+///
+/// Saving a durable database into its own directory *is*
+/// [`Database::checkpoint`]. Any other directory holding a write-ahead
+/// log is refused: the next load would replay that foreign log over this
+/// snapshot.
+pub fn save_database(db: &Database, dir: &Path) -> DbResult<()> {
+    if db.is_durable_at(dir) {
+        return db.checkpoint();
+    }
+    if dir.join(wal::WAL_FILE).exists() {
+        return Err(DbError::Unsupported(format!(
+            "cannot save into '{}': it holds the write-ahead log of another durable \
+             database, which every load would replay over the snapshot",
+            dir.display()
+        )));
+    }
+    write_snapshot(db, dir, checkpoint_watermark(dir)? + 1)
 }
 
 /// Loads a database saved by [`save_database`]. Tables are added to the
@@ -216,8 +262,8 @@ pub fn load_database(db: &Database, dir: &Path) -> DbResult<()> {
     load_database_with(db, dir, RecoveryMode::Strict).map(|_| ())
 }
 
-/// Loads a database saved by [`save_database`], with explicit handling of
-/// damaged table files.
+/// Loads a database saved by [`save_database`] or checkpointed by a
+/// durable database, with explicit handling of damaged table files.
 ///
 /// In [`RecoveryMode::Recover`], unreadable or corrupt table files are
 /// skipped — each one is listed in the report's `damaged` set and counted
@@ -230,39 +276,25 @@ pub fn load_database_with(
 ) -> DbResult<RecoveryReport> {
     let mut report = RecoveryReport::default();
     let wal_path = dir.join(wal::WAL_FILE);
-    let mut checkpoint_lsn = 0u64;
-    match std::fs::read(dir.join("catalog.mlcsdb")) {
-        Ok(manifest) => {
-            let mut r = Reader::new(&manifest);
-            let magic = r.get_raw(8).map_err(corrupt)?;
-            let paged = match magic {
-                m if m == MANIFEST_MAGIC => false,
-                m if m == MANIFEST_MAGIC_V2 => {
-                    checkpoint_lsn = r.get_u64().map_err(corrupt)?;
-                    true
-                }
-                _ => return Err(DbError::Corrupt("bad manifest magic".into())),
-            };
-            let n = r.get_count(1).map_err(corrupt)?;
-            for _ in 0..n {
-                let name = r.get_str().map_err(corrupt)?.to_owned();
-                match load_table(db, dir, &name, paged.then_some(checkpoint_lsn), &mut report) {
-                    Ok(()) => report.loaded.push(name),
-                    Err(e) if mode == RecoveryMode::Recover => {
-                        metrics::counter("persist.recovered_tables").incr();
-                        report.damaged.push(DamagedTable { name, reason: e.to_string() });
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
+    let manifest = match read_manifest(dir)? {
+        Some(manifest) => manifest,
         // No manifest but a log: a durable database that crashed before
         // its first checkpoint. Bootstrap from an empty base and replay.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && wal_path.exists() => {}
-        Err(e) => return Err(e.into()),
+        None if wal_path.exists() => Manifest::default(),
+        None => return Err(DbError::Io(format!("no database manifest in '{}'", dir.display()))),
+    };
+    for name in manifest.tables {
+        match load_table(db, dir, &name, manifest.generation, &mut report) {
+            Ok(()) => report.loaded.push(name),
+            Err(e) if mode == RecoveryMode::Recover => {
+                metrics::counter("persist.recovered_tables").incr();
+                report.damaged.push(DamagedTable { name, reason: e.to_string() });
+            }
+            Err(e) => return Err(e),
+        }
     }
     if wal_path.exists() {
-        wal::recover_into(db, &wal_path, checkpoint_lsn, mode, &mut report)?;
+        wal::recover_into(db, &wal_path, manifest.generation, mode, &mut report)?;
     }
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -276,36 +308,27 @@ pub fn load_database_with(
     Ok(report)
 }
 
-/// Reads, decodes, and registers one table file — whole-file `.mlcstbl`
-/// for v1 manifests, checksummed-page `<name>.<lsn>.mlcspg` (the
-/// generation the manifest's checkpoint LSN names) for v2.
+/// Reads, verifies, decodes, and registers the page file of generation
+/// `gen` — the one the manifest names — for one table.
 fn load_table(
     db: &Database,
     dir: &Path,
     name: &str,
-    paged: Option<u64>,
+    gen: u64,
     report: &mut RecoveryReport,
 ) -> DbResult<()> {
-    let bytes = if let Some(lsn) = paged {
-        let file = page_file_name(name, lsn);
-        let raw = std::fs::read(dir.join(&file))?;
-        match page::decode_pages_counted(&file, &raw) {
-            Ok(payload) => payload,
-            Err(failure) => {
-                if failure.checksum {
-                    report.checksum_failures += 1;
-                }
-                return Err(failure.error);
-            }
+    let file = page_file_name(name, gen);
+    let raw = std::fs::read(dir.join(&file))?;
+    let payload = page::decode_pages_counted(&file, &raw).map_err(|failure| {
+        if failure.checksum {
+            report.checksum_failures += 1;
         }
-    } else {
-        std::fs::read(dir.join(format!("{name}.mlcstbl")))?
-    };
-    let table = decode_table(name, &bytes)?;
-    db.catalog().put_table(table, false)
+        failure.error
+    })?;
+    db.catalog().put_table(decode_table(name, &payload)?, false)
 }
 
-pub(crate) fn corrupt(e: mlcs_pickle::PickleError) -> DbError {
+pub(crate) fn corrupt(e: PickleError) -> DbError {
     DbError::Corrupt(e.to_string())
 }
 
@@ -342,17 +365,38 @@ pub fn decode_table(name: &str, bytes: &[u8]) -> DbResult<Table> {
     Ok(Table::from_batch(name, batch))
 }
 
-/// Encodes a self-describing batch: schema fields, row count, columns.
-/// The layout is byte-identical to the body of a v1 table file, so the
-/// write-ahead log's append records and the table files share one codec.
-pub(crate) fn encode_batch(batch: &Batch, w: &mut Writer) {
-    let schema = batch.schema();
+/// Encodes a schema's fields: name, type tag, nullability. The one
+/// schema codec, shared by batches and the log's `CreateTable` records.
+pub(crate) fn encode_schema(schema: &Schema, w: &mut Writer) {
     w.put_varint(schema.len() as u64);
     for f in schema.fields() {
         w.put_str(&f.name);
         w.put_u8(f.dtype.tag());
         w.put_bool(f.nullable);
     }
+}
+
+/// Decodes a schema encoded by [`encode_schema`].
+pub(crate) fn decode_schema(r: &mut Reader<'_>) -> DbResult<Arc<Schema>> {
+    let ncols = r.get_count(3).map_err(corrupt)?;
+    let mut fields = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let name = r.get_str().map_err(corrupt)?.to_owned();
+        let dtype = decode_type(r.get_u8().map_err(corrupt)?)?;
+        let nullable = r.get_bool().map_err(corrupt)?;
+        fields.push(Field { name, dtype, nullable });
+    }
+    Ok(Arc::new(Schema::new(fields)?))
+}
+
+fn decode_type(tag: u8) -> DbResult<DataType> {
+    DataType::from_tag(tag).ok_or_else(|| DbError::Corrupt(format!("unknown type tag {tag}")))
+}
+
+/// Encodes a self-describing batch: schema, row count, columns — the
+/// payload of a table's page file and of the log's append records.
+pub(crate) fn encode_batch(batch: &Batch, w: &mut Writer) {
+    encode_schema(batch.schema(), w);
     w.put_varint(batch.rows() as u64);
     for col in batch.columns() {
         encode_column(col, w);
@@ -362,29 +406,11 @@ pub(crate) fn encode_batch(batch: &Batch, w: &mut Writer) {
 /// Decodes a batch encoded by [`encode_batch`], leaving the reader
 /// positioned after it (write-ahead-log payloads continue past a batch).
 pub(crate) fn decode_batch(r: &mut Reader<'_>) -> DbResult<Batch> {
-    let ncols = r.get_count(1).map_err(corrupt)?;
-    let mut fields = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let fname = r.get_str().map_err(corrupt)?.to_owned();
-        let tag = r.get_u8().map_err(corrupt)?;
-        let dtype = crate::types::DataType::from_tag(tag)
-            .ok_or_else(|| DbError::Corrupt(format!("unknown type tag {tag}")))?;
-        let nullable = r.get_bool().map_err(corrupt)?;
-        fields.push(Field { name: fname, dtype, nullable });
-    }
-    let schema = Arc::new(Schema::new(fields)?);
-    let rows = r.get_varint().map_err(corrupt)? as usize;
-    let mut columns = Vec::with_capacity(ncols);
+    let schema = decode_schema(r)?;
+    let rows = r.get_varint().map_err(corrupt)?;
+    let mut columns = Vec::with_capacity(schema.len());
     for f in schema.fields() {
-        let col = decode_column(f.dtype.tag(), rows, r)?;
-        if col.len() != rows {
-            return Err(DbError::Corrupt(format!(
-                "column '{}' has {} rows, expected {rows}",
-                f.name,
-                col.len()
-            )));
-        }
-        columns.push(Arc::new(col));
+        columns.push(Arc::new(decode_column(f.dtype.tag(), rows, r)?));
     }
     Batch::new(schema, columns)
 }
@@ -395,76 +421,90 @@ pub(crate) fn encode_column(col: &Column, w: &mut Writer) {
     // when the file is loaded.
     let col = col.decoded();
     let col: &Column = &col;
-    match col.validity() {
-        None => w.put_bool(false),
-        Some(bm) => {
-            w.put_bool(true);
-            // Store as packed bytes.
-            let mut bytes = vec![0u8; bm.len().div_ceil(8)];
-            for (i, valid) in bm.iter().enumerate() {
-                if valid {
-                    bytes[i / 8] |= 1 << (i % 8);
-                }
+    w.put_bool(col.validity().is_some());
+    if let Some(bm) = col.validity() {
+        // Store as packed bytes.
+        let mut bytes = vec![0u8; bm.len().div_ceil(8)];
+        for (i, valid) in bm.iter().enumerate() {
+            if valid {
+                bytes[i / 8] |= 1 << (i % 8);
             }
-            w.put_bytes(&bytes);
         }
+        w.put_bytes(&bytes);
     }
     match col.data() {
-        ColumnData::Boolean(v) => {
-            for &b in v {
-                w.put_bool(b);
-            }
-        }
-        ColumnData::Int8(v) => {
-            for &x in v {
-                w.put_i8(x);
-            }
-        }
-        ColumnData::Int16(v) => {
-            for &x in v {
-                w.put_i16(x);
-            }
-        }
-        ColumnData::Int32(v) => {
-            for &x in v {
-                w.put_i32(x);
-            }
-        }
-        ColumnData::Int64(v) => {
-            for &x in v {
-                w.put_i64(x);
-            }
-        }
-        ColumnData::Float32(v) => {
-            for &x in v {
-                w.put_f32(x);
-            }
-        }
-        ColumnData::Float64(v) => {
-            for &x in v {
-                w.put_f64(x);
-            }
-        }
-        ColumnData::Varchar(s) => {
-            let (offsets, bytes) = s.raw_parts();
-            w.put_varint(offsets.len() as u64);
-            for &o in offsets {
-                w.put_varint(o);
-            }
-            w.put_bytes(bytes);
-        }
-        ColumnData::Blob(b) => {
-            let (offsets, bytes) = b.raw_parts();
-            w.put_varint(offsets.len() as u64);
-            for &o in offsets {
-                w.put_varint(o);
-            }
-            w.put_bytes(bytes);
-        }
+        ColumnData::Boolean(v) => put_all(w, v, Writer::put_bool),
+        ColumnData::Int8(v) => put_all(w, v, Writer::put_i8),
+        ColumnData::Int16(v) => put_all(w, v, Writer::put_i16),
+        ColumnData::Int32(v) => put_all(w, v, Writer::put_i32),
+        ColumnData::Int64(v) => put_all(w, v, Writer::put_i64),
+        ColumnData::Float32(v) => put_all(w, v, Writer::put_f32),
+        ColumnData::Float64(v) => put_all(w, v, Writer::put_f64),
+        ColumnData::Varchar(s) => put_var(w, s.raw_parts()),
+        ColumnData::Blob(b) => put_var(w, b.raw_parts()),
     }
 }
 
-pub(crate) fn decode_column(tag: u8, rows: usize, r: &mut Reader<'_>) -> DbResult<Column> {
+/// Writes a fixed-width column's values back to back.
+fn put_all<T: Copy>(w: &mut Writer, values: &[T], put: impl Fn(&mut Writer, T)) {
+    for &v in values {
+        put(w, v);
+    }
+}
+
+/// Writes a variable-length column: its offsets, then its bytes.
+fn put_var(w: &mut Writer, (offsets, bytes): (&[u64], &[u8])) {
+    w.put_varint(offsets.len() as u64);
+    for &o in offsets {
+        w.put_varint(o);
+    }
+    w.put_bytes(bytes);
+}
+
+/// Reads `rows` fixed-width values written by [`put_all`].
+fn get_all<'a, T>(
+    rows: usize,
+    r: &mut Reader<'a>,
+    get: impl Fn(&mut Reader<'a>) -> Result<T, PickleError>,
+) -> DbResult<Vec<T>> {
+    let mut values = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        values.push(get(r).map_err(corrupt)?);
+    }
+    Ok(values)
+}
+
+/// Reads the offsets and bytes written by [`put_var`].
+fn get_var(r: &mut Reader<'_>) -> DbResult<(Vec<u64>, Vec<u8>)> {
+    let n = r.get_count(1).map_err(corrupt)?;
+    let mut offsets = Vec::with_capacity(n);
+    for _ in 0..n {
+        offsets.push(r.get_varint().map_err(corrupt)?);
+    }
+    Ok((offsets, r.get_bytes().map_err(corrupt)?.to_vec()))
+}
+
+/// Decodes one column of `rows` rows. `rows` comes straight off the wire:
+/// it is bounded by the bytes actually left before anything is allocated
+/// for it, so a forged count in a record whose CRC checks out is a typed
+/// error, not a capacity-overflow panic or a multi-GiB allocation.
+pub(crate) fn decode_column(tag: u8, rows: u64, r: &mut Reader<'_>) -> DbResult<Column> {
+    let dtype = decode_type(tag)?;
+    // The fewest bytes one row occupies: its fixed width, or one offset
+    // varint for the variable-length types.
+    let row_bytes = match dtype {
+        DataType::Int16 => 2,
+        DataType::Int32 | DataType::Float32 => 4,
+        DataType::Int64 | DataType::Float64 => 8,
+        DataType::Boolean | DataType::Int8 | DataType::Varchar | DataType::Blob => 1,
+    };
+    if rows.saturating_mul(row_bytes) > r.remaining() as u64 {
+        return Err(DbError::Corrupt(format!(
+            "column claims {rows} {dtype} rows but only {} bytes remain",
+            r.remaining()
+        )));
+    }
+    let rows = rows as usize;
     let has_validity = r.get_bool().map_err(corrupt)?;
     let validity = if has_validity {
         let bytes = r.get_bytes().map_err(corrupt)?;
@@ -478,80 +518,30 @@ pub(crate) fn decode_column(tag: u8, rows: usize, r: &mut Reader<'_>) -> DbResul
     } else {
         None
     };
-    let data = match crate::types::DataType::from_tag(tag)
-        .ok_or_else(|| DbError::Corrupt(format!("unknown type tag {tag}")))?
-    {
-        crate::types::DataType::Boolean => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_bool().map_err(corrupt)?);
-            }
-            ColumnData::Boolean(v)
-        }
-        crate::types::DataType::Int8 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_i8().map_err(corrupt)?);
-            }
-            ColumnData::Int8(v)
-        }
-        crate::types::DataType::Int16 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_i16().map_err(corrupt)?);
-            }
-            ColumnData::Int16(v)
-        }
-        crate::types::DataType::Int32 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_i32().map_err(corrupt)?);
-            }
-            ColumnData::Int32(v)
-        }
-        crate::types::DataType::Int64 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_i64().map_err(corrupt)?);
-            }
-            ColumnData::Int64(v)
-        }
-        crate::types::DataType::Float32 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_f32().map_err(corrupt)?);
-            }
-            ColumnData::Float32(v)
-        }
-        crate::types::DataType::Float64 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_f64().map_err(corrupt)?);
-            }
-            ColumnData::Float64(v)
-        }
-        crate::types::DataType::Varchar => {
-            let n = r.get_count(1).map_err(corrupt)?;
-            let mut offsets = Vec::with_capacity(n);
-            for _ in 0..n {
-                offsets.push(r.get_varint().map_err(corrupt)?);
-            }
-            let bytes = r.get_bytes().map_err(corrupt)?.to_vec();
+    let data = match dtype {
+        DataType::Boolean => ColumnData::Boolean(get_all(rows, r, Reader::get_bool)?),
+        DataType::Int8 => ColumnData::Int8(get_all(rows, r, Reader::get_i8)?),
+        DataType::Int16 => ColumnData::Int16(get_all(rows, r, Reader::get_i16)?),
+        DataType::Int32 => ColumnData::Int32(get_all(rows, r, Reader::get_i32)?),
+        DataType::Int64 => ColumnData::Int64(get_all(rows, r, Reader::get_i64)?),
+        DataType::Float32 => ColumnData::Float32(get_all(rows, r, Reader::get_f32)?),
+        DataType::Float64 => ColumnData::Float64(get_all(rows, r, Reader::get_f64)?),
+        DataType::Varchar => {
+            let (offsets, bytes) = get_var(r)?;
             ColumnData::Varchar(
                 StringColumn::from_raw_parts(offsets, bytes).map_err(DbError::Corrupt)?,
             )
         }
-        crate::types::DataType::Blob => {
-            let n = r.get_count(1).map_err(corrupt)?;
-            let mut offsets = Vec::with_capacity(n);
-            for _ in 0..n {
-                offsets.push(r.get_varint().map_err(corrupt)?);
-            }
-            let bytes = r.get_bytes().map_err(corrupt)?.to_vec();
+        DataType::Blob => {
+            let (offsets, bytes) = get_var(r)?;
             ColumnData::Blob(BlobColumn::from_raw_parts(offsets, bytes).map_err(DbError::Corrupt)?)
         }
     };
-    Column::new(data, validity)
+    let col = Column::new(data, validity)?;
+    if col.len() != rows {
+        return Err(DbError::Corrupt(format!("column has {} rows, expected {rows}", col.len())));
+    }
+    Ok(col)
 }
 
 #[cfg(test)]
@@ -602,10 +592,9 @@ mod tests {
         let dir = tempdir("corrupt");
         let db = populated();
         save_database(&db, &dir).unwrap();
-        let path = dir.join("v.mlcstbl");
+        let path = dir.join(page_file_name("v", 1));
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
+        bytes[page::PAGE_HEADER + 4] ^= 0xFF; // a payload byte of page 0
         std::fs::write(&path, bytes).unwrap();
         let db2 = Database::new();
         let err = load_database(&db2, &dir).unwrap_err();

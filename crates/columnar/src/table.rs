@@ -147,8 +147,15 @@ impl Table {
             }
             prepared.push(col);
         }
-        for (dst, src) in self.columns.iter_mut().zip(&prepared) {
-            Arc::make_mut(dst).extend(src)?;
+        if self.rows == 0 {
+            // Nothing to extend: adopt the prepared columns, sharing their
+            // `Arc`s, so populating a fresh table (`CREATE TABLE AS`, a
+            // bulk load, replay of either) copies no column data.
+            self.columns.clone_from(&prepared);
+        } else {
+            for (dst, src) in self.columns.iter_mut().zip(&prepared) {
+                Arc::make_mut(dst).extend(src)?;
+            }
         }
         self.rows += batch.rows();
         // `extend` decodes encoded destinations; re-encode once the table
@@ -181,7 +188,7 @@ impl Table {
 
     /// Replaces the full contents of column `col_idx` (used by `UPDATE`).
     /// The new column must match the declared type and row count.
-    pub fn replace_column(&mut self, col_idx: usize, column: Column) -> DbResult<()> {
+    pub fn replace_column(&mut self, col_idx: usize, column: Arc<Column>) -> DbResult<()> {
         let f = self.schema.field(col_idx);
         if column.data_type() != f.dtype {
             return Err(DbError::Type(format!(
@@ -204,7 +211,7 @@ impl Table {
                 f.name, self.name
             )));
         }
-        self.columns[col_idx] = Arc::new(column);
+        self.columns[col_idx] = column;
         self.recompute_stats();
         Ok(())
     }
@@ -326,14 +333,14 @@ mod tests {
     fn replace_column_updates() {
         let mut t = Table::new("t", schema());
         t.append_rows(&[vec![Value::Int32(1), Value::Float64(0.0)]]).unwrap();
-        t.replace_column(1, Column::from_f64s(vec![9.0])).unwrap();
+        t.replace_column(1, Column::from_f64s(vec![9.0]).into()).unwrap();
         assert_eq!(t.scan().row(0)[1], Value::Float64(9.0));
         // Wrong length rejected.
-        assert!(t.replace_column(1, Column::from_f64s(vec![1.0, 2.0])).is_err());
+        assert!(t.replace_column(1, Column::from_f64s(vec![1.0, 2.0]).into()).is_err());
         // Wrong type rejected.
-        assert!(t.replace_column(1, Column::from_i32s(vec![1])).is_err());
+        assert!(t.replace_column(1, Column::from_i32s(vec![1]).into()).is_err());
         // NOT NULL violation rejected.
-        assert!(t.replace_column(0, Column::from_opt_i32s(vec![None])).is_err());
+        assert!(t.replace_column(0, Column::from_opt_i32s(vec![None]).into()).is_err());
     }
 
     #[test]

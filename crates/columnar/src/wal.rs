@@ -4,28 +4,29 @@
 //! The paper's deep-integration thesis — models live *in* tables — only
 //! pays off in production if those tables survive crashes without
 //! rewriting the world on every commit. This module adds the classic
-//! ARIES-style redo path on top of the PR-5 whole-file persistence:
+//! ARIES-style redo path on top of the snapshot format of
+//! [`crate::persist`]:
 //!
 //! * **Log.** `wal.mlcslog` is an append-only file: an 8-byte magic, then
 //!   framed records (`u32` length, `u32` CRC32, payload). Each record
 //!   carries one monotonically increasing LSN and every operation of one
 //!   SQL statement, so a record is readable iff it committed in full —
 //!   there are no partial transactions to undo, only a torn tail to cut.
+//! * **One apply.** `apply` is the only code that changes a catalog or
+//!   a table's contents. A live statement derives its [`WalOp`]s from
+//!   current state, applies them through it, then logs them; replay
+//!   decodes the same ops and applies them through it — so live and
+//!   recovered state agree by construction.
 //! * **Commit.** [`Wal::append`] writes the frame and fsyncs before
 //!   acknowledging (fault points `wal.append`, `wal.fsync`, and the
 //!   shared `fs.fsync`). On error the file is left exactly as a crash
 //!   would leave it — a torn suffix the next recovery truncates — and the
 //!   statement is *not* acknowledged.
-//! * **Checkpoint.** [`checkpoint`] folds the log into fixed-size
-//!   checksummed pages ([`crate::page`]): every table is snapshotted into
-//!   `<name>.<lsn>.mlcspg` — versioned by the checkpoint LSN, so page
-//!   renames never overwrite the generation the live manifest references
-//!   (written under the `page.write` fault point and *verified by
-//!   read-back before rename*, so a torn or bit-flipped page can never
-//!   replace a healthy base), the v2 manifest with the checkpoint LSN is
-//!   committed atomically — the rename that switches generations — stale
-//!   generations are swept, and the log is truncated to a fresh header
-//!   plus a checkpoint marker record.
+//! * **Checkpoint.** [`checkpoint`] is the one snapshot writer
+//!   (`persist::write_snapshot`) cut at the log's last LSN — every table
+//!   into `<name>.<lsn>.mlcspg`, read-back verified before rename, the
+//!   manifest rename switching generations — followed by the log reset to
+//!   a fresh header plus a checkpoint marker record.
 //! * **Recovery.** [`crate::persist::load_database_with`] loads the page
 //!   base, then `recover_into` replays every record with an LSN past
 //!   the manifest's checkpoint watermark — idempotent redo — and, in
@@ -34,14 +35,16 @@
 //!   [`crate::persist::RecoveryReport`].
 
 use crate::batch::Batch;
+use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::faults;
 use crate::metrics;
-use crate::page;
-use crate::persist::{self, DamagedTable, RecoveryMode, RecoveryReport};
-use crate::schema::{Field, Schema};
+use crate::page::u32_at;
+use crate::persist::{self, corrupt, DamagedTable, RecoveryMode, RecoveryReport};
+use crate::schema::Schema;
+use crate::table::Table;
 use mlcs_pickle::crc::crc32;
 use mlcs_pickle::{Reader, Writer};
 use parking_lot::Mutex;
@@ -61,7 +64,6 @@ const MAX_RECORD: usize = 1 << 30;
 const OP_CREATE: u8 = 1;
 const OP_DROP: u8 = 2;
 const OP_APPEND: u8 = 3;
-const OP_MODEL_BLOB: u8 = 4;
 const OP_REPLACE: u8 = 5;
 const OP_RETAIN: u8 = 6;
 const OP_CHECKPOINT: u8 = 7;
@@ -82,21 +84,13 @@ pub enum WalOp {
         /// Table name.
         name: String,
     },
-    /// Rows appended to a table (INSERT … VALUES / INSERT … SELECT).
+    /// Rows appended to a table (INSERT … VALUES / INSERT … SELECT, and
+    /// the second half of `CREATE TABLE AS`) — model blobs included: a
+    /// model row is an ordinary row.
     Append {
         /// Target table.
         table: String,
         /// The appended rows, self-describing.
-        batch: Batch,
-    },
-    /// An append whose schema carries a BLOB column — in this engine,
-    /// the signature of models being written into tables. Replays
-    /// identically to [`WalOp::Append`]; the distinct tag keeps model
-    /// writes visible when eyeballing a log.
-    ModelBlob {
-        /// Target table.
-        table: String,
-        /// The appended rows.
         batch: Batch,
     },
     /// `UPDATE`: one column replaced wholesale.
@@ -105,8 +99,9 @@ pub enum WalOp {
         table: String,
         /// Column position in the schema.
         col_idx: usize,
-        /// The full replacement column.
-        column: Column,
+        /// The full replacement column, shared with the table once
+        /// applied (logging it costs no deep copy).
+        column: Arc<Column>,
     },
     /// `DELETE`: the surviving row indices, in order.
     Retain {
@@ -124,28 +119,44 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// The append op for `batch`: [`WalOp::ModelBlob`] when the schema
-    /// carries a BLOB column, [`WalOp::Append`] otherwise.
-    pub fn append(table: String, batch: Batch) -> WalOp {
-        let has_blob =
-            batch.schema().fields().iter().any(|f| f.dtype == crate::types::DataType::Blob);
-        if has_blob {
-            WalOp::ModelBlob { table, batch }
-        } else {
-            WalOp::Append { table, batch }
-        }
-    }
-
     /// The table this op touches, for damage reports.
     fn table_name(&self) -> &str {
         match self {
             WalOp::CreateTable { name, .. } | WalOp::DropTable { name } => name,
             WalOp::Append { table, .. }
-            | WalOp::ModelBlob { table, .. }
             | WalOp::ReplaceColumn { table, .. }
             | WalOp::Retain { table, .. } => table,
             WalOp::Checkpoint { .. } => "<checkpoint>",
         }
+    }
+}
+
+/// Applies one operation — the only code that changes the catalog or a
+/// table's contents, shared by live statements and replay.
+///
+/// A live DML statement derives its ops under the target table's write
+/// guard and passes that guard as `held`, so the ops land on exactly the
+/// state they were derived from; with `held` absent (replay, DDL) a
+/// contents op takes the table's write lock itself.
+pub(crate) fn apply(catalog: &Catalog, held: Option<&mut Table>, op: &WalOp) -> DbResult<()> {
+    let on_table = |name: &str, change: &dyn Fn(&mut Table) -> DbResult<()>| match held {
+        Some(table) => change(table),
+        None => change(&mut catalog.table(name)?.write()),
+    };
+    match op {
+        WalOp::CreateTable { name, schema } => catalog.create_table(name, schema.clone()),
+        // Tolerant of a missing table: replay may meet the drop of a
+        // table whose damaged base image was skipped.
+        WalOp::DropTable { name } => catalog.drop_table(name, true),
+        WalOp::Append { table, batch } => on_table(table, &|t| t.append_batch(batch)),
+        WalOp::ReplaceColumn { table, col_idx, column } => {
+            on_table(table, &|t| t.replace_column(*col_idx, column.clone()))
+        }
+        WalOp::Retain { table, keep } => on_table(table, &|t| {
+            t.retain_indices(keep);
+            Ok(())
+        }),
+        WalOp::Checkpoint { .. } => Ok(()),
     }
 }
 
@@ -165,12 +176,7 @@ fn encode_op(op: &WalOp, w: &mut Writer) {
         WalOp::CreateTable { name, schema } => {
             w.put_u8(OP_CREATE);
             w.put_str(name);
-            w.put_varint(schema.len() as u64);
-            for f in schema.fields() {
-                w.put_str(&f.name);
-                w.put_u8(f.dtype.tag());
-                w.put_bool(f.nullable);
-            }
+            persist::encode_schema(schema, w);
         }
         WalOp::DropTable { name } => {
             w.put_u8(OP_DROP);
@@ -178,11 +184,6 @@ fn encode_op(op: &WalOp, w: &mut Writer) {
         }
         WalOp::Append { table, batch } => {
             w.put_u8(OP_APPEND);
-            w.put_str(table);
-            persist::encode_batch(batch, w);
-        }
-        WalOp::ModelBlob { table, batch } => {
-            w.put_u8(OP_MODEL_BLOB);
             w.put_str(table);
             persist::encode_batch(batch, w);
         }
@@ -206,42 +207,23 @@ fn encode_op(op: &WalOp, w: &mut Writer) {
     }
 }
 
-fn corrupt(e: mlcs_pickle::PickleError) -> DbError {
-    DbError::Corrupt(e.to_string())
-}
-
 fn decode_op(r: &mut Reader<'_>) -> DbResult<WalOp> {
     match r.get_u8().map_err(corrupt)? {
         OP_CREATE => {
             let name = r.get_str().map_err(corrupt)?.to_owned();
-            let nfields = r.get_count(3).map_err(corrupt)?;
-            let mut fields = Vec::with_capacity(nfields);
-            for _ in 0..nfields {
-                let fname = r.get_str().map_err(corrupt)?.to_owned();
-                let tag = r.get_u8().map_err(corrupt)?;
-                let dtype = crate::types::DataType::from_tag(tag)
-                    .ok_or_else(|| DbError::Corrupt(format!("unknown type tag {tag}")))?;
-                let nullable = r.get_bool().map_err(corrupt)?;
-                fields.push(Field { name: fname, dtype, nullable });
-            }
-            Ok(WalOp::CreateTable { name, schema: Arc::new(Schema::new(fields)?) })
+            Ok(WalOp::CreateTable { name, schema: persist::decode_schema(r)? })
         }
         OP_DROP => Ok(WalOp::DropTable { name: r.get_str().map_err(corrupt)?.to_owned() }),
-        tag @ (OP_APPEND | OP_MODEL_BLOB) => {
+        OP_APPEND => {
             let table = r.get_str().map_err(corrupt)?.to_owned();
-            let batch = persist::decode_batch(r)?;
-            if tag == OP_MODEL_BLOB {
-                Ok(WalOp::ModelBlob { table, batch })
-            } else {
-                Ok(WalOp::Append { table, batch })
-            }
+            Ok(WalOp::Append { table, batch: persist::decode_batch(r)? })
         }
         OP_REPLACE => {
             let table = r.get_str().map_err(corrupt)?.to_owned();
             let col_idx = r.get_varint().map_err(corrupt)? as usize;
             let tag = r.get_u8().map_err(corrupt)?;
-            let rows = r.get_varint().map_err(corrupt)? as usize;
-            let column = persist::decode_column(tag, rows, r)?;
+            let rows = r.get_varint().map_err(corrupt)?;
+            let column = Arc::new(persist::decode_column(tag, rows, r)?);
             Ok(WalOp::ReplaceColumn { table, col_idx, column })
         }
         OP_RETAIN => {
@@ -296,12 +278,6 @@ struct LogScan {
     damage: Option<String>,
 }
 
-fn u32_le(bytes: &[u8], at: usize) -> u32 {
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_le_bytes(raw)
-}
-
 /// Parses a log image front to back, stopping at the first frame that is
 /// truncated, checksum-damaged, or undecodable. Everything before the
 /// stop is trustworthy (each frame passed its CRC); everything after is
@@ -319,8 +295,8 @@ fn scan_log(bytes: &[u8]) -> LogScan {
             scan.damage = Some("torn frame header at end of log".into());
             return scan;
         }
-        let len = u32_le(bytes, pos) as usize;
-        let stored_crc = u32_le(bytes, pos + 4);
+        let len = u32_at(bytes, pos) as usize;
+        let stored_crc = u32_at(bytes, pos + 4);
         if len > MAX_RECORD || bytes.len() - pos - 8 < len {
             scan.damage = Some(format!(
                 "record at offset {pos} claims {len} bytes past the end of the log (torn tail)"
@@ -360,6 +336,7 @@ fn scan_log(bytes: &[u8]) -> LogScan {
 
 // ---- the log writer ------------------------------------------------------
 
+#[derive(Debug)]
 struct WalInner {
     file: std::fs::File,
     /// Durable length of the intact log prefix; appends start here.
@@ -374,15 +351,10 @@ struct WalInner {
 /// The append side of the write-ahead log. One `Wal` serializes all
 /// commits through an internal mutex; clones of the owning [`Database`]
 /// share it.
+#[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
     inner: Mutex<WalInner>,
-}
-
-impl std::fmt::Debug for Wal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal").field("path", &self.path).finish()
-    }
 }
 
 impl Wal {
@@ -403,9 +375,7 @@ impl Wal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(WAL_FILE);
         if !path.exists() {
-            let mut file = std::fs::File::create(&path)?;
-            file.write_all(WAL_MAGIC)?;
-            file.sync_all()?;
+            reset_log(&mut std::fs::File::create(&path)?, &[])?;
             persist::sync_dir(dir)?;
         }
         let bytes = std::fs::read(&path)?;
@@ -465,49 +435,25 @@ impl Wal {
         metrics::counter("wal.fsyncs").incr();
         Ok(lsn)
     }
-
-    /// Current byte length of the intact log (for tests and benches).
-    pub fn len(&self) -> u64 {
-        self.inner.lock().len
-    }
-
-    /// Whether the log holds no records beyond its header.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= WAL_MAGIC.len() as u64
-    }
 }
 
 // ---- checkpointing -------------------------------------------------------
 
-/// Writes `payload` to `dir/<name>` as checksummed pages, atomically:
-/// pages go to a `.tmp` sibling under the `page.write` fault point, are
-/// fsynced, **read back and verified**, and only then renamed into place.
-/// The read-back is what keeps a bit-flipped or torn page from ever
-/// replacing a healthy base image.
-fn write_paged_atomic(dir: &Path, name: &str, payload: &[u8]) -> DbResult<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut file = std::fs::File::create(&tmp)?;
-    let paged = page::encode_pages(payload);
-    for chunk in paged.chunks(page::PAGE_SIZE) {
-        faults::write_file_at("page.write", &mut file, chunk)?;
-    }
-    faults::sync_file_at("fs.fsync", &file)?;
-    let back = std::fs::read(&tmp)?;
-    let decoded = page::decode_pages(name, &back)?;
-    if decoded != payload {
-        return Err(DbError::Corrupt(format!(
-            "page file '{name}' read-back mismatch before rename"
-        )));
-    }
-    faults::rename(&tmp, &dir.join(name))?;
-    persist::sync_dir(dir)
+/// Rewrites `file` as a fresh log: the header, then `frame` (one encoded
+/// record, or nothing), fsynced. The one place a log header is written.
+fn reset_log(file: &mut std::fs::File, frame: &[u8]) -> DbResult<()> {
+    file.set_len(0)?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(WAL_MAGIC)?;
+    file.write_all(frame)?;
+    file.sync_all()?;
+    Ok(())
 }
 
-/// Folds the log into the page base and truncates it: every table is
-/// snapshotted into `<name>.<lsn>.mlcspg`, the v2 manifest (carrying the
-/// checkpoint LSN) is committed atomically, stale page generations are
-/// swept, and the log is reset to a fresh header plus a
-/// [`WalOp::Checkpoint`] marker.
+/// Folds the log into the page base and truncates it: the one snapshot
+/// writer (`persist::write_snapshot`) cuts every table at the log's last
+/// LSN and commits the manifest carrying it, then the log is reset to a
+/// fresh header plus a [`WalOp::Checkpoint`] marker.
 ///
 /// The whole fold runs under the log mutex, so commits are fenced for
 /// its duration — stop-the-world, by design: the snapshot is cut at one
@@ -521,54 +467,21 @@ fn write_paged_atomic(dir: &Path, name: &str, payload: &[u8]) -> DbResult<()> {
 /// at or below the new watermark, so replay skips them (idempotent redo).
 pub fn checkpoint(db: &Database, dir: &Path, wal: &Wal) -> DbResult<()> {
     let mut inner = wal.inner.lock();
-    std::fs::create_dir_all(dir)?;
     let upto = inner.next_lsn - 1;
-    let names = db.catalog().table_names();
-    for name in &names {
-        let handle = db.catalog().table(name)?;
-        let table = handle.read(); // lint: allow(checkpoint is stop-the-world: the wal mutex fences commits while the snapshot is cut at one LSN)
-        let bytes = persist::encode_table(&table);
-        drop(table);
-        write_paged_atomic(dir, &persist::page_file_name(name, upto), &bytes)?;
-    }
-    // The commit point: the manifest's checkpoint LSN makes the fold
-    // visible — page files are named by it — and obsoletes every record
-    // at or below it.
-    persist::write_manifest_v2(dir, upto, &names)?;
-    // The old generation (and any orphan from an earlier crashed fold) is
-    // now unreferenced; sweep it. Best-effort: leftovers are harmless —
-    // nothing loads a page file the manifest does not name — and the next
-    // checkpoint sweeps again.
-    sweep_stale_pages(dir, upto);
+    // The manifest's checkpoint LSN makes the fold visible — page files
+    // are named by it — and obsoletes every record at or below it.
+    persist::write_snapshot(db, dir, upto)?;
     // Reset the log. Failures past this line poison the writer (offsets
     // can no longer be trusted); a reopen recovers via the watermark.
     inner.healthy = false;
     let lsn = inner.next_lsn;
     let frame = encode_record(lsn, &[WalOp::Checkpoint { upto }]);
-    inner.file.set_len(0)?;
-    inner.file.seek(SeekFrom::Start(0))?;
-    inner.file.write_all(WAL_MAGIC)?;
-    inner.file.write_all(&frame)?;
-    inner.file.sync_all()?;
+    reset_log(&mut inner.file, &frame)?;
     inner.len = (WAL_MAGIC.len() + frame.len()) as u64;
     inner.next_lsn = lsn + 1;
     inner.healthy = true;
     metrics::counter("wal.checkpoints").incr();
     Ok(())
-}
-
-/// Deletes every `*.mlcspg` file in `dir` that does not belong to the
-/// checkpoint generation `current` — superseded snapshots and orphans
-/// from folds that crashed before their manifest commit.
-fn sweep_stale_pages(dir: &Path, current: u64) {
-    let suffix = format!(".{current}.mlcspg");
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let fname = entry.file_name().to_string_lossy().into_owned();
-        if fname.ends_with(".mlcspg") && !fname.ends_with(&suffix) {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
 }
 
 // ---- recovery ------------------------------------------------------------
@@ -601,7 +514,7 @@ pub(crate) fn recover_into(
         if rec.lsn <= watermark {
             continue;
         }
-        match apply_record(db, rec) {
+        match rec.ops.iter().try_for_each(|op| apply(db.catalog(), None, op)) {
             Ok(()) => {
                 metrics::counter("persist.replayed_records").incr();
                 report.replayed_records += 1;
@@ -624,55 +537,13 @@ pub(crate) fn recover_into(
 /// Cuts the log back to its intact prefix. A prefix shorter than the
 /// header means the header itself was damaged: rewrite a fresh one.
 fn truncate_log(path: &Path, valid_len: u64) -> DbResult<()> {
+    let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
     if valid_len < WAL_MAGIC.len() as u64 {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(WAL_MAGIC)?;
-        file.sync_all()?;
-    } else {
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.sync_all()?;
+        return reset_log(&mut file, &[]);
     }
+    file.set_len(valid_len)?;
+    file.sync_all()?;
     Ok(())
-}
-
-fn apply_record(db: &Database, rec: &WalRecord) -> DbResult<()> {
-    for op in &rec.ops {
-        apply_op(db, op)?;
-    }
-    Ok(())
-}
-
-fn apply_op(db: &Database, op: &WalOp) -> DbResult<()> {
-    let catalog = db.catalog();
-    match op {
-        WalOp::CreateTable { name, schema } => {
-            match catalog.create_table(name, schema.clone()) {
-                // Idempotent redo: the table already exists with this
-                // name when a record is replayed a second time.
-                Err(DbError::AlreadyExists { .. }) => Ok(()),
-                other => other,
-            }
-        }
-        WalOp::DropTable { name } => catalog.drop_table(name, true),
-        WalOp::Append { table, batch } | WalOp::ModelBlob { table, batch } => {
-            let handle = catalog.table(table)?;
-            let mut guard = handle.write();
-            guard.append_batch(batch)
-        }
-        WalOp::ReplaceColumn { table, col_idx, column } => {
-            let handle = catalog.table(table)?;
-            let mut guard = handle.write();
-            guard.replace_column(*col_idx, column.clone())
-        }
-        WalOp::Retain { table, keep } => {
-            let handle = catalog.table(table)?;
-            let mut guard = handle.write();
-            guard.retain_indices(keep);
-            Ok(())
-        }
-        WalOp::Checkpoint { .. } => Ok(()),
-    }
 }
 
 /// Replays a [`Table`]'s worth of appended batches — exposed for benches
@@ -686,6 +557,7 @@ pub fn scan_records_for_bench(bytes: &[u8]) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Field;
     use crate::types::Value;
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -708,7 +580,7 @@ mod tests {
             WalOp::ReplaceColumn {
                 table: "t".into(),
                 col_idx: 0,
-                column: Column::from_i64s(vec![9, 8, 7]),
+                column: Arc::new(Column::from_i64s(vec![9, 8, 7])),
             },
             WalOp::Retain { table: "t".into(), keep: vec![0, 2] },
             WalOp::Checkpoint { upto: 41 },
@@ -720,12 +592,52 @@ mod tests {
         assert!(matches!(&rec.ops[4], WalOp::Checkpoint { upto: 41 }));
     }
 
+    /// A model row takes the same one record shape as any other row: a
+    /// BLOB column rides in an ordinary `Append` and survives the codec.
     #[test]
-    fn blob_batches_log_as_model_writes() {
+    fn blob_batches_log_as_ordinary_appends() {
         let batch =
             Batch::from_columns(vec![("m", Column::from_blobs([&[1u8, 2, 3][..]]))]).unwrap();
-        assert!(matches!(WalOp::append("t".into(), batch), WalOp::ModelBlob { .. }));
-        assert!(matches!(WalOp::append("t".into(), batch_of(&[1])), WalOp::Append { .. }));
+        let frame = encode_record(1, &[WalOp::Append { table: "t".into(), batch: batch.clone() }]);
+        match &decode_payload(&frame[8..]).unwrap().ops[0] {
+            WalOp::Append { table, batch: back } => {
+                assert_eq!(table, "t");
+                assert_eq!(back, &batch);
+            }
+            other => panic!("unexpected op {other:?}"),
+        }
+    }
+
+    /// A record whose CRC checks out but whose row count is forged must
+    /// decode to a typed error before anything is allocated for it — both
+    /// in an append's batch and in an update's replacement column.
+    #[test]
+    fn forged_row_count_is_corrupt_not_a_panic() {
+        let mut forged_append = Writer::new();
+        forged_append.put_u8(OP_APPEND);
+        forged_append.put_str("t");
+        let schema = Schema::new(vec![Field::new("v", crate::types::DataType::Int64)]).unwrap();
+        persist::encode_schema(&schema, &mut forged_append);
+        forged_append.put_varint(1 << 60); // rows
+        forged_append.put_bool(false); // no validity; no data follows
+
+        let mut forged_replace = Writer::new();
+        forged_replace.put_u8(OP_REPLACE);
+        forged_replace.put_str("t");
+        forged_replace.put_varint(0); // col_idx
+        forged_replace.put_u8(crate::types::DataType::Int64.tag());
+        forged_replace.put_varint(1 << 60); // rows
+        forged_replace.put_bool(true); // validity follows: the bitmap allocation
+        forged_replace.put_bytes(&[0xFF]);
+
+        for op in [forged_append.into_bytes(), forged_replace.into_bytes()] {
+            let mut body = Writer::new();
+            body.put_u64(1); // lsn
+            body.put_varint(1); // nops
+            body.put_raw(&op);
+            let err = decode_payload(&body.into_bytes()).unwrap_err();
+            assert!(matches!(err, DbError::Corrupt(_)), "got {err:?}");
+        }
     }
 
     #[test]
@@ -767,28 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_append_is_not_acknowledged_and_log_reusable() {
-        let dir = tempdir("failfree");
-        let wal = Wal::open(&dir).unwrap();
-        wal.append(&[WalOp::Retain { table: "t".into(), keep: vec![1] }]).unwrap();
-        faults::configure_str("wal.append:torn:1:1", 7).unwrap();
-        let err = wal.append(&[WalOp::Retain { table: "t".into(), keep: vec![2, 3, 4] }]);
-        faults::clear();
-        assert!(err.is_err());
-        // The torn suffix sits on disk, but the writer's offset did not
-        // move: the next append overwrites it and the log stays clean.
-        wal.append(&[WalOp::Retain { table: "t".into(), keep: vec![5] }]).unwrap();
-        let scan = scan_log(&std::fs::read(dir.join(WAL_FILE)).unwrap());
-        assert_eq!(scan.records.len(), 2);
-        assert!(scan.damage.is_none(), "{:?}", scan.damage);
-        match &scan.records[1].ops[0] {
-            WalOp::Retain { keep, .. } => assert_eq!(keep, &vec![5]),
-            other => panic!("unexpected op {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn checkpoint_folds_and_truncates() {
         let dir = tempdir("ckpt");
         let db = Database::new();
@@ -797,10 +687,11 @@ mod tests {
         let schema = db.catalog().table("t").unwrap().read().schema().clone();
         wal.append(&[WalOp::CreateTable { name: "t".into(), schema }]).unwrap();
         db.execute("INSERT INTO t VALUES (7)").unwrap();
-        wal.append(&[WalOp::append("t".into(), batch_of(&[7]))]).unwrap();
-        let before_len = wal.len();
+        wal.append(&[WalOp::Append { table: "t".into(), batch: batch_of(&[7]) }]).unwrap();
+        let log_len = || std::fs::metadata(wal.path()).unwrap().len();
+        let before_len = log_len();
         checkpoint(&db, &dir, &wal).unwrap();
-        assert!(wal.len() < before_len + 1, "log shrank to header + marker");
+        assert!(log_len() < before_len, "log shrank to header + marker");
         // Two records were appended, so the fold is cut at LSN 2 and the
         // snapshot lands in a page file versioned by that watermark.
         assert!(dir.join("t.2.mlcspg").exists());

@@ -11,8 +11,11 @@
 //! The fault injector is process-global, so the tests serialize on a
 //! mutex and disarm it on drop.
 
-use mlcs_columnar::persist::{load_database, load_database_with, save_database, RecoveryMode};
-use mlcs_columnar::{faults, metrics, Database, Value};
+use mlcs_columnar::persist::{
+    load_database, load_database_with, page_file_name, save_database, RecoveryMode,
+};
+use mlcs_columnar::wal::{self, Wal, WalOp};
+use mlcs_columnar::{faults, metrics, Database, DbError, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -64,22 +67,31 @@ fn table_value(db: &Database, name: &str) -> i64 {
     }
 }
 
-/// Flips one byte in the middle of a file.
+/// Flips one byte of a file: the middle one, or byte 20 if that comes
+/// first — in a page file the middle is zero padding no checksum covers,
+/// while byte 20 is payload just past the 16-byte page header.
 fn corrupt_file(path: &Path) {
     let mut bytes = std::fs::read(path).unwrap();
-    let mid = bytes.len() / 2;
+    let mid = (bytes.len() / 2).min(20);
     bytes[mid] ^= 0xFF;
     std::fs::write(path, bytes).unwrap();
 }
 
-/// Kills the save at every fault point in turn (each `fs.write`, then
-/// each `fs.rename`) and checks the directory still strict-loads a fully
-/// consistent catalog afterwards: every table is complete and holds
-/// either the old or the new generation, never a torn mix — and an
+/// Kills the save at every fault point of the one snapshot writer in turn
+/// — each page write, the manifest write, each rename, each fsync — and
+/// checks the directory still strict-loads one whole generation
+/// afterwards: all three tables old, or all three new, never a mix (page
+/// files are versioned, so only the manifest rename switches) — and an
 /// untouched fault point means the save just succeeds.
 #[test]
 fn save_killed_at_every_fault_point_still_loads() {
-    for point_spec in ["fs.write:torn:1", "fs.rename:err:1"] {
+    // (spec, faultable calls per save): 3 one-page tables + 1 manifest.
+    for (point_spec, io_count) in [
+        ("page.write:torn:1", 3),
+        ("fs.write:torn:1", 1),
+        ("fs.rename:err:1", 4),
+        ("fs.fsync:err:1", 4),
+    ] {
         let guard = TestGuard::arm("kill-points");
         let dir = guard.dir.clone();
         let gen1 = generation(100);
@@ -99,19 +111,15 @@ fn save_killed_at_every_fault_point_still_loads() {
             let fresh = Database::new();
             load_database(&fresh, &dir)
                 .unwrap_or_else(|e| panic!("directory unloadable after {point_spec}:{nth}: {e}"));
-            for (i, name) in ["alpha", "beta", "gamma"].iter().enumerate() {
-                let v = table_value(&fresh, name);
-                let (old, new) = (100 + i as i64, 200 + i as i64);
-                assert!(
-                    v == old || v == new,
-                    "{name} holds torn value {v} after {point_spec}:{nth}"
-                );
-            }
+            let loaded: Vec<i64> =
+                ["alpha", "beta", "gamma"].iter().map(|name| table_value(&fresh, name)).collect();
+            assert!(
+                loaded == [100, 101, 102] || loaded == [200, 201, 202],
+                "generations mixed after {point_spec}:{nth}: {loaded:?}"
+            );
             assert!(nth < 63, "save never ran out of fault points for {point_spec}");
         }
-        // 3 table writes + 1 manifest write, each with one faultable write
-        // and one faultable rename.
-        assert_eq!(crashes, 4, "unexpected I/O count for {point_spec}");
+        assert_eq!(crashes, io_count, "unexpected I/O count for {point_spec}");
 
         // The final fault-free save committed generation 2 in full.
         let fresh = Database::new();
@@ -122,6 +130,131 @@ fn save_killed_at_every_fault_point_still_loads() {
     }
 }
 
+/// A snapshot must not land beside a write-ahead log its writer does not
+/// own: every later load would replay that foreign log over it
+/// (`CreateTable` colliding, `Append` duplicating rows). Saving into
+/// one's *own* durable directory is the checkpoint.
+#[test]
+fn save_into_a_foreign_durable_directory_is_refused() {
+    let guard = TestGuard::arm("foreign-log");
+    let dir = guard.dir.clone();
+    {
+        let (owner, _) = Database::open_durable(&dir).unwrap();
+        owner.execute("CREATE TABLE t (v BIGINT)").unwrap();
+        owner.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    }
+    let before: Vec<_> = dir_listing(&dir);
+
+    // A non-durable database holding a same-named table.
+    let stranger = Database::new();
+    stranger.execute("CREATE TABLE t (v BIGINT)").unwrap();
+    stranger.execute("INSERT INTO t VALUES (7)").unwrap();
+    let err = save_database(&stranger, &dir).unwrap_err();
+    assert!(matches!(err, DbError::Unsupported(_)), "got {err:?}");
+    assert!(err.to_string().contains("write-ahead log"), "{err}");
+    assert_eq!(dir_listing(&dir), before, "a refused save must write nothing");
+
+    // Another durable database is a stranger here too.
+    let elsewhere = guard.dir.with_extension("elsewhere");
+    let (other, _) = Database::open_durable(&elsewhere).unwrap();
+    assert!(save_database(&other, &dir).is_err());
+    drop(other);
+    let _ = std::fs::remove_dir_all(&elsewhere);
+
+    // The owner's directory is untouched: it reopens to its own rows.
+    let (owner, report) = Database::open_durable(&dir).unwrap();
+    assert!(report.damaged.is_empty(), "{:?}", report.damaged);
+    assert_eq!(table_values(&owner, "t"), vec![1, 2]);
+
+    // Saving into one's own durable directory is the checkpoint: the log
+    // is folded into a page generation, no second format appears.
+    owner.execute("INSERT INTO t VALUES (3)").unwrap();
+    save_database(&owner, &dir).unwrap();
+    drop(owner);
+    let names = dir_listing(&dir);
+    assert!(
+        names.iter().all(|n| n.ends_with(".mlcspg") || n == "catalog.mlcsdb" || n == "wal.mlcslog"),
+        "{names:?}"
+    );
+    let (again, report) = Database::open_durable(&dir).unwrap();
+    assert_eq!(report.replayed_records, 1, "only the checkpoint marker is left to replay");
+    assert_eq!(table_values(&again, "t"), vec![1, 2, 3]);
+}
+
+/// Sorted file names in `dir`.
+fn dir_listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A page payload whose CRCs all check out but whose row count is forged
+/// must fail the load with a typed error — never a capacity-overflow
+/// panic or a multi-GiB allocation inside `open_durable`. (The same
+/// forgery inside a log record is pinned by the `wal` unit tests, which
+/// can frame records.)
+#[test]
+fn forged_row_count_in_a_page_payload_is_corrupt_not_a_panic() {
+    use mlcs_columnar::page::{decode_pages, encode_pages};
+    let guard = TestGuard::arm("forged-rows");
+    let dir = guard.dir.clone();
+    let db = Database::new();
+    db.execute("CREATE TABLE t (v BIGINT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    save_database(&db, &dir).unwrap();
+
+    // Payload layout: magic(8) crc(4) | ncols(1) "v"(1+1) tag(1)
+    // nullable(1) | rows varint(1) | ... — swap the one-byte row count
+    // for a nine-byte varint of 2^60 and re-seal CRC and pages.
+    let file = dir.join(page_file_name("t", 1));
+    let payload = decode_pages("t", &std::fs::read(&file).unwrap()).unwrap();
+    let rows_at = 12 + 5;
+    assert_eq!(payload[rows_at], 1, "layout drifted: expected the row count here");
+    let mut body = payload[12..rows_at].to_vec();
+    body.extend([0x80u8; 8]);
+    body.push(0x10); // varint 2^60
+    body.extend(&payload[rows_at + 1..]);
+    let mut forged = payload[..8].to_vec();
+    forged.extend(mlcs_pickle::crc::crc32(&body).to_le_bytes());
+    forged.extend(&body);
+    std::fs::write(&file, encode_pages(&forged)).unwrap();
+
+    let err = load_database(&Database::new(), &dir).unwrap_err();
+    assert!(matches!(err, DbError::Corrupt(_)), "got {err:?}");
+    let report = load_database_with(&Database::new(), &dir, RecoveryMode::Recover).unwrap();
+    assert_eq!(report.damaged.len(), 1, "the forged table is skipped and reported");
+}
+
+/// A failed append is not acknowledged and leaves the log reusable: the
+/// torn suffix sits on disk, but the writer's offset did not move, so
+/// the next append overwrites it — the log ends up byte-identical to one
+/// that never saw the fault. (Lives here, beside the other tests that
+/// arm the process-global injector, not among the `wal` unit tests whose
+/// siblings append to their own logs concurrently.)
+#[test]
+fn failed_append_is_not_acknowledged_and_log_reusable() {
+    let guard = TestGuard::arm("failfree");
+    let retain = |keep: Vec<u32>| [WalOp::Retain { table: "t".into(), keep }];
+    let faulted = Wal::open(&guard.dir.join("faulted")).unwrap();
+    faulted.append(&retain(vec![1])).unwrap();
+    faults::configure_str("wal.append:torn:1:1", 7).unwrap();
+    let err = faulted.append(&retain(vec![2, 3, 4]));
+    faults::clear();
+    assert!(err.is_err());
+    assert_eq!(faulted.append(&retain(vec![5])).unwrap(), 2, "the failed append spent no LSN");
+
+    let clean = Wal::open(&guard.dir.join("clean")).unwrap();
+    clean.append(&retain(vec![1])).unwrap();
+    clean.append(&retain(vec![5])).unwrap();
+    let log = std::fs::read(faulted.path()).unwrap();
+    assert_eq!(log, std::fs::read(clean.path()).unwrap());
+    assert_eq!(wal::scan_records_for_bench(&log), (2, log.len() as u64));
+}
+
 /// Recovery mode skips exactly the damaged tables, loads the rest, counts
 /// each skip on `persist.recovered_tables`, and strict mode refuses the
 /// same directory.
@@ -130,7 +263,7 @@ fn recovery_reports_exact_damage() {
     let guard = TestGuard::arm("recovery-report");
     let dir = guard.dir.clone();
     save_database(&generation(10), &dir).unwrap();
-    corrupt_file(&dir.join("beta.mlcstbl"));
+    corrupt_file(&dir.join(page_file_name("beta", 1)));
 
     // Strict: the corrupt table fails the whole load.
     assert!(load_database(&Database::new(), &dir).is_err());
@@ -147,7 +280,7 @@ fn recovery_reports_exact_damage() {
     assert_eq!(delta.counter("persist.recovered_tables"), 1);
 
     // A missing file is damage too.
-    std::fs::remove_file(dir.join("gamma.mlcstbl")).unwrap();
+    std::fs::remove_file(dir.join(page_file_name("gamma", 1))).unwrap();
     let report = load_database_with(&Database::new(), &dir, RecoveryMode::Recover).unwrap();
     assert_eq!(report.loaded, vec!["alpha".to_owned()]);
     let damaged: Vec<&str> = report.damaged.iter().map(|d| d.name.as_str()).collect();
@@ -652,8 +785,8 @@ fn interrupted_save_leaves_reported_tmp_debris() {
     let dir = guard.dir.clone();
     save_database(&generation(10), &dir).unwrap();
 
-    // Kill generation 2's save at its first rename: alpha's fresh bytes
-    // are on disk as `alpha.mlcstbl.tmp`, never renamed into place.
+    // Kill generation 2's save at its first rename: alpha's fresh pages
+    // are on disk as a `.tmp` sibling, never renamed into place.
     faults::configure_str("fs.rename:err:1:1", 7).unwrap();
     assert!(save_database(&generation(20), &dir).is_err());
     faults::clear();
@@ -661,6 +794,6 @@ fn interrupted_save_leaves_reported_tmp_debris() {
     let report = load_database_with(&Database::new(), &dir, RecoveryMode::Recover).unwrap();
     assert_eq!(report.loaded.len(), 3);
     assert!(report.damaged.is_empty());
-    assert_eq!(report.stale_tmp, vec!["alpha.mlcstbl.tmp".to_owned()]);
+    assert_eq!(report.stale_tmp, vec![format!("{}.tmp", page_file_name("alpha", 2))]);
     assert!(!report.is_clean());
 }

@@ -35,6 +35,7 @@ pub const POOL_HOT_PATHS: &[&str] = &[
     "crates/columnar/src/parallel",
     "crates/columnar/src/metrics.rs",
     "crates/columnar/src/page.rs",
+    "crates/columnar/src/persist.rs",
     "crates/columnar/src/stats.rs",
     "crates/columnar/src/wal.rs",
     "crates/core/src/cache.rs",

@@ -17,7 +17,7 @@ mod common;
 
 use common::ScratchDir;
 use mlcs::columnar::parallel::lock_order::{self, TrackedMutex};
-use mlcs::columnar::persist::{load_database_with, save_database, RecoveryMode};
+use mlcs::columnar::persist::{load_database_with, page_file_name, save_database, RecoveryMode};
 use mlcs::columnar::{faults, metrics, Database, Value};
 use mlcs::mlcore::{register_ml_udfs, StoredModel};
 use mlcs::netproto::{NetConfig, Server, TextClient};
@@ -182,10 +182,9 @@ fn counters_move_exactly_once_per_event() {
     pdb.execute("CREATE TABLE stored (x INTEGER)").unwrap();
     pdb.execute("INSERT INTO stored VALUES (1)").unwrap();
     save_database(&pdb, &dir).unwrap();
-    let table_file = dir.join("stored.mlcstbl");
+    let table_file = dir.join(page_file_name("stored", 1));
     let mut bytes = std::fs::read(&table_file).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
+    bytes[18] ^= 0xFF; // a payload byte of page 0, past the 16-byte header
     std::fs::write(&table_file, bytes).unwrap();
     let before = metrics::snapshot();
     let report = load_database_with(&Database::new(), &dir, RecoveryMode::Recover).unwrap();
@@ -403,14 +402,9 @@ fn counters_move_exactly_once_per_event() {
     pgdb.execute("INSERT INTO pg VALUES (1)").unwrap();
     pgdb.execute("CHECKPOINT").unwrap();
     drop(pgdb);
-    // Page files are versioned by the checkpoint LSN; find the one
-    // generation the fold above left behind.
-    let page_file = std::fs::read_dir(&pgdir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .find(|p| p.to_string_lossy().ends_with(".mlcspg"))
-        .expect("checkpoint wrote a page file");
+    // Page files are versioned by the checkpoint LSN: the fold above was
+    // cut after two records (the CREATE and the INSERT).
+    let page_file = pgdir.join(page_file_name("pg", 2));
     let mut pb = std::fs::read(&page_file).unwrap();
     pb[18] ^= 0xFF; // a payload byte of page 0, past the 16-byte header
     std::fs::write(&page_file, pb).unwrap();
