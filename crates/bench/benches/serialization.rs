@@ -8,7 +8,7 @@ use mlcs_bench::blob_training_data;
 use mlcs_core::stored::StoredModel;
 use mlcs_ml::forest::RandomForestClassifier;
 use mlcs_ml::knn::KNearestNeighbors;
-use mlcs_ml::Model;
+use mlcs_ml::{Matrix, Model};
 
 fn forest_serialization(c: &mut Criterion) {
     let (x, y) = blob_training_data(2_000, 4, 42);
@@ -58,12 +58,9 @@ fn knn_serialization(c: &mut Criterion) {
 
 /// §5.1 implemented: repeated small predictions with and without the
 /// model snapshot cache. The uncached path re-deserializes the BLOB per
-/// call (what the paper measured); the cached path revives it once.
+/// call (what the paper measured); the cached path is what every model UDF
+/// does — look the bytes up in a [`mlcs_core::ModelCache`], decode once.
 fn snapshot_cache(c: &mut Criterion) {
-    use mlcs_columnar::{Column, ScalarUdf};
-    use mlcs_core::udf::PredictUdf;
-    use std::sync::Arc;
-
     let (x, y) = blob_training_data(2_000, 2, 9);
     let sm = StoredModel::train(
         Model::RandomForest(RandomForestClassifier::new(64).with_seed(2)),
@@ -72,22 +69,23 @@ fn snapshot_cache(c: &mut Criterion) {
     )
     .expect("train");
     let blob = sm.to_blob();
-    let model_col = Arc::new(Column::from_blobs([blob.as_slice()]));
     // A small probe batch: the regime where per-call deserialization
     // dominates (think OLTP-ish point predictions in SQL).
-    let probe_a = Arc::new(Column::from_f64s(vec![0.5; 64]));
-    let probe_b = Arc::new(Column::from_f64s(vec![-0.5; 64]));
-    let args = vec![probe_a, probe_b, model_col];
-
-    let uncached = PredictUdf::serial();
-    let cached = PredictUdf::cached(Arc::new(mlcs_core::ModelCache::default()));
+    let probe = Matrix::new([0.5, -0.5].repeat(64), 64, 2).expect("probe");
+    let cache = mlcs_core::ModelCache::default();
 
     let mut group = c.benchmark_group("snapshot_cache_64row_predict");
     group.bench_function("uncached_predict", |b| {
-        b.iter(|| uncached.invoke(std::hint::black_box(&args)).expect("invoke"));
+        b.iter(|| {
+            let sm = StoredModel::from_blob(std::hint::black_box(&blob)).expect("decode");
+            sm.predict(&probe).expect("predict")
+        });
     });
     group.bench_function("cached_predict", |b| {
-        b.iter(|| cached.invoke(std::hint::black_box(&args)).expect("invoke"));
+        b.iter(|| {
+            let sm = cache.get_or_decode(std::hint::black_box(&blob)).expect("lookup");
+            sm.predict(&probe).expect("predict")
+        });
     });
     group.finish();
 }

@@ -14,7 +14,7 @@
 //! participates as a worker itself, so a map completes even when every
 //! pool worker is busy elsewhere; a task that arrives after the morsels
 //! are drained simply exits. Calls made *from* a pool worker (nested
-//! parallelism, e.g. `predict_parallel` inside a parallel operator) run
+//! parallelism, e.g. the `predict` UDF inside a parallel operator) run
 //! inline on that worker, which keeps the pool deadlock-free.
 //!
 //! Two debug/test companions make that claim checkable rather than

@@ -7,83 +7,81 @@
 //! > representation of the models to avoid this (de)serialization
 //! > overhead."
 //!
-//! [`ModelCache`] keeps deserialized [`StoredModel`]s keyed by a hash of
-//! their BLOB bytes, so repeated `predict` calls against the same stored
+//! [`ModelCache`] keeps deserialized [`StoredModel`]s addressed by their
+//! BLOB bytes, so repeated calls of any model UDF against the same stored
 //! model skip unpickling entirely — the in-memory snapshot the paper asks
-//! for, without changing the durable representation. The cache is shared
-//! by the `predict_cached` UDF (see [`crate::udf`]).
+//! for, without changing the durable representation. A model is a value:
+//! equal bytes are the same model, so an `UPDATE` of the models table needs
+//! no invalidation — the new bytes simply miss. One cache per database is
+//! shared by every model UDF (see [`crate::udf::register_ml_udfs`]), and
+//! [`ModelCache::get_or_decode`] is the only place those UDFs reach
+//! [`StoredModel::from_blob`].
 
 use crate::stored::StoredModel;
 use mlcs_columnar::{Column, DbError, DbResult};
 use mlcs_ml::Matrix;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
-/// 64-bit FNV-1a over the blob bytes. Collisions are guarded by also
-/// keying on the blob length, and a false hit could only occur between
-/// two *valid* model blobs colliding on both — at which point the pickle
-/// checksum layer has already vouched for each blob independently.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+/// Bytes hashed from each end of a blob to pick its bucket.
+const KEY_SPAN: usize = 64;
+
+/// The bucket of a blob: its length and its first and last [`KEY_SPAN`]
+/// bytes (a pickle envelope ends in its payload's CRC-32). Cheap for
+/// multi-megabyte forests; the exact byte compare on lookup is what makes a
+/// hit correct, so a collision costs a decode, never a wrong model.
+fn bucket(blob: &[u8]) -> u64 {
+    let mut h = DefaultHasher::new();
+    blob.len().hash(&mut h);
+    blob[..blob.len().min(KEY_SPAN)].hash(&mut h);
+    blob[blob.len().saturating_sub(KEY_SPAN)..].hash(&mut h);
+    h.finish()
 }
 
-/// A bounded cache of deserialized models.
+/// A cached model and the exact bytes it was decoded from.
+type ModelEntry = (Arc<[u8]>, Arc<StoredModel>);
+
+/// A bounded cache of deserialized models, keyed by their exact bytes.
 pub struct ModelCache {
-    entries: Mutex<HashMap<(u64, usize), Arc<StoredModel>>>,
+    entries: Mutex<HashMap<u64, ModelEntry>>,
     capacity: usize,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
 }
 
 impl ModelCache {
     /// A cache holding at most `capacity` models (≥ 1).
     pub fn new(capacity: usize) -> ModelCache {
-        ModelCache {
-            entries: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
+        ModelCache { entries: Mutex::new(HashMap::new()), capacity: capacity.max(1) }
     }
 
-    /// Returns the cached in-memory model for `blob`, deserializing and
-    /// inserting on first sight. When full, an arbitrary entry is evicted
+    /// Returns the in-memory model for exactly these bytes, deserializing
+    /// and inserting on first sight. A hit means the same bytes were
+    /// checksum-verified and decoded once already; a blob that fails to
+    /// decode is never cached. When full, an arbitrary entry is evicted
     /// (models are immutable, so eviction only costs a future re-decode).
     pub fn get_or_decode(&self, blob: &[u8]) -> DbResult<Arc<StoredModel>> {
-        let key = (fnv1a(blob), blob.len());
-        if let Some(hit) = self.entries.lock().get(&key).cloned() {
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let key = bucket(blob);
+        // Compare outside the lock: a multi-megabyte memcmp must not
+        // serialize concurrent lookups.
+        let entry = self.entries.lock().get(&key).cloned();
+        if let Some((_, model)) = entry.filter(|(bytes, _)| **bytes == *blob) {
             mlcs_columnar::metrics::counter("modelstore.cache.hits").incr();
-            return Ok(hit);
+            return Ok(model);
         }
-        self.misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         mlcs_columnar::metrics::counter("modelstore.cache.misses").incr();
         let model = Arc::new(StoredModel::from_blob(blob).map_err(|e| DbError::Udf {
             function: "model cache".into(),
             message: e.to_string(),
         })?);
         let mut entries = self.entries.lock();
-        if entries.len() >= self.capacity {
+        if entries.len() >= self.capacity && !entries.contains_key(&key) {
             if let Some(&victim) = entries.keys().next() {
                 entries.remove(&victim);
             }
         }
-        entries.insert(key, model.clone());
+        entries.insert(key, (blob.into(), model.clone()));
         Ok(model)
-    }
-
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            self.misses.load(std::sync::atomic::Ordering::Relaxed),
-        )
     }
 
     /// Number of models currently cached.
@@ -94,11 +92,6 @@ impl ModelCache {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached model.
-    pub fn clear(&self) {
-        self.entries.lock().clear();
     }
 }
 
@@ -189,7 +182,6 @@ mod tests {
         let a1 = cache.get_or_decode(&b).unwrap();
         let a2 = cache.get_or_decode(&b).unwrap();
         assert!(Arc::ptr_eq(&a1, &a2), "same in-memory snapshot expected");
-        assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -200,6 +192,23 @@ mod tests {
         let m2 = cache.get_or_decode(&blob(100.0)).unwrap();
         assert!(!Arc::ptr_eq(&m1, &m2));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn bucket_collision_is_a_miss_not_a_wrong_model() {
+        // Two blobs that share a bucket: same length, same first and last
+        // KEY_SPAN bytes, one differing byte in between.
+        let a = vec![7u8; 4 * KEY_SPAN];
+        let mut b = a.clone();
+        b[2 * KEY_SPAN] ^= 1;
+        assert_eq!(bucket(&a), bucket(&b));
+        let cache = ModelCache::new(8);
+        let good = blob(0.0);
+        let model = cache.get_or_decode(&good).unwrap();
+        // Plant `good`'s model under `a`'s bucket, as a colliding entry would.
+        cache.entries.lock().insert(bucket(&a), (a.clone().into(), model.clone()));
+        assert!(cache.get_or_decode(&a).is_ok(), "exact bytes hit");
+        assert!(cache.get_or_decode(&b).is_err(), "colliding bytes must decode, not hit");
     }
 
     #[test]
@@ -215,18 +224,8 @@ mod tests {
     fn garbage_blob_not_cached() {
         let cache = ModelCache::new(2);
         assert!(cache.get_or_decode(&[1, 2, 3]).is_err());
+        assert!(cache.get_or_decode(&[]).is_err());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let cache = ModelCache::new(4);
-        cache.get_or_decode(&blob(0.0)).unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        // Re-decoding counts as a miss again.
-        cache.get_or_decode(&blob(0.0)).unwrap();
-        assert_eq!(cache.stats().1, 2);
     }
 
     #[test]
@@ -261,13 +260,15 @@ mod tests {
     fn concurrent_access_is_safe() {
         let cache = Arc::new(ModelCache::new(4));
         let b = Arc::new(blob(0.0));
+        let first = cache.get_or_decode(&b).unwrap();
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let cache = cache.clone();
                 let b = b.clone();
+                let first = first.clone();
                 std::thread::spawn(move || {
                     for _ in 0..20 {
-                        cache.get_or_decode(&b).unwrap();
+                        assert!(Arc::ptr_eq(&cache.get_or_decode(&b).unwrap(), &first));
                     }
                 })
             })
@@ -275,8 +276,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, 160);
-        assert!(misses >= 1);
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -13,7 +13,10 @@
 //! * **Vectorized prediction UDFs** ([`udf::PredictUdf`]) — the paper's
 //!   Listing 2: `SELECT predict(age, income, (SELECT classifier FROM models
 //!   WHERE ...)) FROM voters`. The model arrives as a length-1 constant
-//!   column; features are borrowed slices.
+//!   column (or one model per row); features are borrowed slices.
+//! * **Model snapshots** ([`cache::ModelCache`]) — the paper's §5.1
+//!   proposal: every model UDF revives stored models through one cache per
+//!   database keyed by the BLOB's bytes, so a model is decoded once.
 //! * **Model storage** ([`modelstore::ModelStore`]) — trained models are
 //!   pickled into a `BLOB` column of a regular `models` table together
 //!   with their metadata (algorithm, hyperparameters, accuracy), enabling

@@ -7,12 +7,19 @@
 //!   name (the paper notes swapping models is trivial; here it is an
 //!   argument).
 //! * [`PredictUdf`] — Listing 2: a scalar function that revives a model
-//!   BLOB and classifies the feature columns, optionally morsel-parallel
-//!   (the paper's §5.1 future work).
+//!   BLOB and classifies the feature columns morsel-parallel on the worker
+//!   pool (the paper's §5.1 future work).
 //! * [`PredictConfidenceUdf`] / [`PredictProbaOfUdf`] — probability
 //!   outputs enabling the ensemble queries of §3.3.
+//! * [`EvaluateUdf`] — scores a stored model against labeled data.
+//!
+//! The four model UDFs resolve their arguments through one helper that
+//! revives models via the database's shared [`ModelCache`] — decoded once
+//! per distinct BLOB (§5.1) — and applies row `i` with the model in
+//! classifier row `i`, so one query can apply every stored model.
 
 use crate::bridge::{labels_from_column, matrix_from_columns};
+use crate::cache::{MatrixCache, ModelCache};
 use crate::stored::StoredModel;
 use mlcs_columnar::parallel::hardware_threads;
 use mlcs_columnar::{
@@ -23,7 +30,7 @@ use mlcs_ml::knn::KNearestNeighbors;
 use mlcs_ml::linear::LogisticRegression;
 use mlcs_ml::naive_bayes::GaussianNb;
 use mlcs_ml::tree::DecisionTreeClassifier;
-use mlcs_ml::{MlError, Model};
+use mlcs_ml::{Matrix, MlError, MlResult, Model};
 use std::sync::Arc;
 
 /// The default RNG seed used by [`TrainUdf`] / [`TrainModelUdf`]. Client-
@@ -165,6 +172,37 @@ impl TableUdf for TrainUdf {
     }
 }
 
+/// The untrained model `algorithm` names, configured by `param` (see
+/// [`TrainModelUdf`]); shared by `train_model` and `cross_validate`.
+fn model_by_name(function: &str, algorithm: &str, param: i64, seed: u64) -> DbResult<Model> {
+    Ok(match algorithm {
+        "random_forest" => {
+            Model::RandomForest(RandomForestClassifier::new(param.max(1) as usize).with_seed(seed))
+        }
+        "decision_tree" => {
+            let mut t = DecisionTreeClassifier::new().with_seed(seed);
+            if param > 0 {
+                t.max_depth = Some(param as usize);
+            }
+            Model::DecisionTree(t)
+        }
+        "logistic_regression" => Model::LogisticRegression(
+            LogisticRegression::new().with_seed(seed).with_epochs(param.max(1) as usize),
+        ),
+        "gaussian_nb" => Model::GaussianNb(GaussianNb::new()),
+        "knn" => Model::Knn(KNearestNeighbors::new(param.max(1) as usize)),
+        other => {
+            return Err(DbError::Udf {
+                function: function.to_owned(),
+                message: format!(
+                    "unknown algorithm '{other}' (expected random_forest, decision_tree, \
+                     logistic_regression, gaussian_nb, or knn)"
+                ),
+            })
+        }
+    })
+}
+
 /// Generalized trainer: `train_model('algorithm', features..., labels,
 /// param)`.
 ///
@@ -216,32 +254,7 @@ impl TableUdf for TrainModelUdf {
         })?;
         let (features, labels, scalars) = split_train_args("train_model", &args[1..], 1)?;
         let param = scalars[0].i64_at(0).unwrap_or(0);
-        let model = match algo.as_str() {
-            "random_forest" => Model::RandomForest(
-                RandomForestClassifier::new(param.max(1) as usize).with_seed(self.seed),
-            ),
-            "decision_tree" => {
-                let mut t = DecisionTreeClassifier::new().with_seed(self.seed);
-                if param > 0 {
-                    t.max_depth = Some(param as usize);
-                }
-                Model::DecisionTree(t)
-            }
-            "logistic_regression" => Model::LogisticRegression(
-                LogisticRegression::new().with_seed(self.seed).with_epochs(param.max(1) as usize),
-            ),
-            "gaussian_nb" => Model::GaussianNb(GaussianNb::new()),
-            "knn" => Model::Knn(KNearestNeighbors::new(param.max(1) as usize)),
-            other => {
-                return Err(DbError::Udf {
-                    function: "train_model".into(),
-                    message: format!(
-                        "unknown algorithm '{other}' (expected random_forest, decision_tree, \
-                         logistic_regression, gaussian_nb, or knn)"
-                    ),
-                })
-            }
-        };
+        let model = model_by_name("train_model", &algo, param, self.seed)?;
         let x = matrix_from_columns(&features)?;
         let y = labels_from_column(labels)?;
         let sm = StoredModel::train(model, &x, &y).map_err(|e| udf_err("train_model", e))?;
@@ -249,134 +262,140 @@ impl TableUdf for TrainModelUdf {
     }
 }
 
-/// Splits predictor arguments into `(features, model, trailing scalars)`:
-/// feature columns first, then the classifier BLOB, then `n_extra`
-/// trailing scalar parameters.
-fn split_predict_args<'a>(
+/// A model UDF's arguments, resolved: one feature row per output row and
+/// the model each row is classified with.
+struct ModelArgs {
+    /// The feature rows.
+    x: Arc<Matrix>,
+    /// `(end, model)` runs in row order: the rows from the previous run's
+    /// end up to `end` use `model`.
+    runs: Vec<(usize, Arc<StoredModel>)>,
+}
+
+/// Resolves the feature columns and the classifier column of a model UDF —
+/// the one path by which `predict`, `predict_confidence`,
+/// `predict_proba_of` and `evaluate` revive stored models.
+///
+/// The output length is the longest argument; length-1 arguments
+/// broadcast. Row `i` uses the model in classifier row `i`, so one query
+/// can apply every stored model (paper §3.3); consecutive rows holding
+/// identical bytes share one [`ModelCache`] lookup, which makes the usual
+/// scalar-subquery classifier a single run.
+fn resolve(
     function: &str,
-    args: &'a [Arc<Column>],
-    n_extra: usize,
-) -> DbResult<(Vec<&'a Column>, StoredModel, Vec<&'a Column>)> {
-    if args.len() < 2 + n_extra {
-        return Err(DbError::Udf {
-            function: function.to_owned(),
-            message: format!(
-                "expected at least {} arguments (features..., classifier{}), got {}",
-                2 + n_extra,
-                if n_extra > 0 { ", parameter(s)" } else { "" },
-                args.len()
-            ),
-        });
-    }
-    let extras: Vec<&Column> = args[args.len() - n_extra..].iter().map(|c| c.as_ref()).collect();
-    let model_col = args[args.len() - n_extra - 1].as_ref();
-    let blob = model_col.blobs().map(|b| b.get(0)).ok_or_else(|| DbError::Udf {
+    features: &[Arc<Column>],
+    classifier: &Column,
+    cache: &ModelCache,
+    matrix_cache: &MatrixCache,
+) -> DbResult<ModelArgs> {
+    let blobs = classifier.blobs().ok_or_else(|| DbError::Udf {
         function: function.to_owned(),
-        message: format!("classifier argument must be a BLOB, got {}", model_col.data_type()),
+        message: format!("classifier argument must be a BLOB, got {}", classifier.data_type()),
     })?;
-    let sm = StoredModel::from_blob(blob).map_err(|e| udf_err(function, e))?;
-    let features: Vec<&Column> =
-        args[..args.len() - n_extra - 1].iter().map(|c| c.as_ref()).collect();
-    Ok((features, sm, extras))
+    let lens = features.iter().map(|c| c.len()).chain([blobs.len()]);
+    let rows = if lens.clone().any(|n| n == 0) { 0 } else { lens.max().unwrap_or(0) };
+    let features = features
+        .iter()
+        .map(|c| match c.len() {
+            n if n == rows => Ok(c.clone()),
+            1 => Ok(Arc::new(c.broadcast_to(rows)?)),
+            n => Err(DbError::Udf {
+                function: function.to_owned(),
+                message: format!("feature argument has {n} rows, expected {rows} (or 1)"),
+            }),
+        })
+        .collect::<DbResult<Vec<_>>>()?;
+    let x = matrix_cache.get_or_build(&features)?;
+    let mut runs: Vec<(usize, Arc<StoredModel>)> = Vec::new();
+    match blobs.len() {
+        _ if rows == 0 => {}
+        1 => runs.push((rows, cache.get_or_decode(blobs.get(0))?)),
+        n if n == rows => {
+            for i in 0..rows {
+                // A run exists only from row 1 on, so `i - 1` is a row.
+                match runs.last_mut() {
+                    Some((end, _)) if blobs.get(i) == blobs.get(i - 1) => *end = i + 1,
+                    _ => runs.push((i + 1, cache.get_or_decode(blobs.get(i))?)),
+                }
+            }
+        }
+        n => {
+            return Err(DbError::Udf {
+                function: function.to_owned(),
+                message: format!("classifier argument has {n} rows, expected {rows} (or 1)"),
+            })
+        }
+    }
+    Ok(ModelArgs { x, runs })
+}
+
+impl ModelArgs {
+    /// Applies `f` run by run — each run's rows with that run's model —
+    /// and concatenates the outputs in row order.
+    fn map<T>(
+        &self,
+        function: &str,
+        f: impl Fn(&StoredModel, &Matrix) -> MlResult<Vec<T>>,
+    ) -> DbResult<Vec<T>> {
+        if let [(_, model)] = self.runs.as_slice() {
+            return f(model, &self.x).map_err(|e| udf_err(function, e));
+        }
+        let cols = self.x.cols();
+        let mut out = Vec::with_capacity(self.x.rows());
+        let mut start = 0;
+        for (end, model) in &self.runs {
+            let part = self.x.as_slice()[start * cols..end * cols].to_vec();
+            let part = Matrix::new(part, end - start, cols).map_err(|e| udf_err(function, e))?;
+            out.extend(f(model, &part).map_err(|e| udf_err(function, e))?);
+            start = *end;
+        }
+        Ok(out)
+    }
+}
+
+/// The error a model UDF reports when called with too few arguments.
+fn usage(function: &str, usage: &str) -> DbError {
+    DbError::Udf { function: function.to_owned(), message: format!("usage: {usage}") }
 }
 
 /// The paper's `predict` function: classify feature columns with a stored
 /// model.
 ///
 /// SQL: `SELECT predict(f1, f2, (SELECT classifier FROM models ...)) FROM t`.
-/// The classifier argument is a length-1 constant column (typically a
-/// scalar subquery); feature columns are full length. With `parallel`,
-/// the model layer splits rows into morsels predicted on the shared worker
-/// pool — the paper's future-work item, registered separately as
-/// `predict_parallel`. With a [`crate::cache::ModelCache`] attached
-/// (`predict_cached`), repeated calls skip BLOB deserialization entirely —
-/// the §5.1 in-memory-snapshot proposal. Every variant reuses the
-/// column→matrix layout through a [`crate::cache::MatrixCache`] when
-/// invoked again on the same column buffers.
+/// The classifier is typically a length-1 scalar subquery, but may be a
+/// full column — each row then uses its own model. The
+/// model comes from the database's shared [`ModelCache`], so repeated calls
+/// skip BLOB deserialization — the §5.1 in-memory-snapshot proposal — and
+/// the model layer splits rows into morsels on the shared worker pool (the
+/// paper's §5.1 parallel-UDF item; nested inside a morsel-parallel
+/// projection it runs inline on that worker).
+#[derive(Default)]
 pub struct PredictUdf {
-    /// Morsel-parallel prediction (delegated to the model layer's pool
-    /// integration; serial mode pins prediction to one thread).
-    pub parallel: bool,
-    /// Shared in-memory model snapshots; `None` decodes per invocation.
-    pub cache: Option<Arc<crate::cache::ModelCache>>,
-    /// Reused column→matrix layouts keyed by column buffer identity.
-    pub matrix_cache: Arc<crate::cache::MatrixCache>,
-}
-
-impl PredictUdf {
-    /// Single-threaded `predict`.
-    pub fn serial() -> Self {
-        PredictUdf { parallel: false, cache: None, matrix_cache: Arc::default() }
-    }
-
-    /// Morsel-parallel `predict_parallel`.
-    pub fn parallel() -> Self {
-        PredictUdf { parallel: true, cache: None, matrix_cache: Arc::default() }
-    }
-
-    /// `predict_cached`: serial prediction through a shared snapshot cache.
-    pub fn cached(cache: Arc<crate::cache::ModelCache>) -> Self {
-        PredictUdf { parallel: false, cache: Some(cache), matrix_cache: Arc::default() }
-    }
+    /// Decoded models, shared by every model UDF of the database.
+    pub cache: Arc<ModelCache>,
+    /// Column→matrix layouts, shared likewise.
+    pub matrix_cache: Arc<MatrixCache>,
 }
 
 impl ScalarUdf for PredictUdf {
     fn name(&self) -> &str {
-        if self.cache.is_some() {
-            "predict_cached"
-        } else if self.parallel {
-            "predict_parallel"
-        } else {
-            "predict"
-        }
+        "predict"
     }
 
     fn return_type(&self, arg_types: &[DataType]) -> DbResult<DataType> {
         if arg_types.len() < 2 {
-            return Err(DbError::Udf {
-                function: self.name().to_owned(),
-                message: "usage: predict(features..., classifier)".into(),
-            });
+            return Err(usage("predict", "predict(features..., classifier)"));
         }
         Ok(DataType::Int64)
     }
 
     fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Column> {
-        if args.len() < 2 {
-            return Err(DbError::Udf {
-                function: self.name().to_owned(),
-                message: format!("usage: {}(features..., classifier)", self.name()),
-            });
-        }
-        let model_col = args[args.len() - 1].as_ref();
-        let blob = model_col.blobs().map(|b| b.get(0)).ok_or_else(|| DbError::Udf {
-            function: self.name().to_owned(),
-            message: format!("classifier argument must be a BLOB, got {}", model_col.data_type()),
-        })?;
-        // With a snapshot cache attached, repeated calls reuse the decoded
-        // model (§5.1); otherwise deserialize per invocation — the cost the
-        // paper wants to avoid, kept as the baseline `predict` measures.
-        let sm: Arc<StoredModel> = match &self.cache {
-            Some(cache) => cache.get_or_decode(blob)?,
-            None => Arc::new(StoredModel::from_blob(blob).map_err(|e| udf_err(self.name(), e))?),
+        let [features @ .., classifier] = args else {
+            return Err(usage("predict", "predict(features..., classifier)"));
         };
-        let feature_cols = &args[..args.len() - 1];
-        let rows = feature_cols.first().map_or(0, |c| c.len());
-        if rows == 0 {
-            return Ok(Column::from_i64s(Vec::new()));
-        }
-        mlcs_columnar::metrics::counter(&format!("udf.{}.rows", self.name())).add(rows as u64);
-        let x = self.matrix_cache.get_or_build(feature_cols)?;
-        // The model layer splits rows into pool morsels on its own; the
-        // serial variant pins it to one thread so `predict` stays a true
-        // single-threaded baseline for the parallel speedup measurement.
-        let pred = if self.parallel {
-            sm.predict(&x)
-        } else {
-            mlcs_ml::parallel::with_threads(1, || sm.predict(&x))
-        }
-        .map_err(|e| udf_err(self.name(), e))?;
-        Ok(Column::from_i64s(pred))
+        let m = resolve("predict", features, classifier, &self.cache, &self.matrix_cache)?;
+        mlcs_columnar::metrics::counter("udf.predict.rows").add(m.x.rows() as u64);
+        Ok(Column::from_i64s(m.map("predict", StoredModel::predict)?))
     }
 
     fn parallel_safe(&self) -> bool {
@@ -387,7 +406,12 @@ impl ScalarUdf for PredictUdf {
 /// `predict_confidence(features..., classifier)` → DOUBLE: probability of
 /// the predicted class per row; the quantity "use the model with the
 /// highest confidence" (paper §3.3) maximizes.
-pub struct PredictConfidenceUdf;
+pub struct PredictConfidenceUdf {
+    /// Decoded models, shared by every model UDF of the database.
+    pub cache: Arc<ModelCache>,
+    /// Column→matrix layouts, shared likewise.
+    pub matrix_cache: Arc<MatrixCache>,
+}
 
 impl ScalarUdf for PredictConfidenceUdf {
     fn name(&self) -> &str {
@@ -396,19 +420,17 @@ impl ScalarUdf for PredictConfidenceUdf {
 
     fn return_type(&self, arg_types: &[DataType]) -> DbResult<DataType> {
         if arg_types.len() < 2 {
-            return Err(DbError::Udf {
-                function: "predict_confidence".into(),
-                message: "usage: predict_confidence(features..., classifier)".into(),
-            });
+            return Err(usage(self.name(), "predict_confidence(features..., classifier)"));
         }
         Ok(DataType::Float64)
     }
 
     fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Column> {
-        let (features, sm, _) = split_predict_args("predict_confidence", args, 0)?;
-        let x = matrix_from_columns(&features)?;
-        let conf = sm.confidence(&x).map_err(|e| udf_err("predict_confidence", e))?;
-        Ok(Column::from_f64s(conf))
+        let [features @ .., classifier] = args else {
+            return Err(usage(self.name(), "predict_confidence(features..., classifier)"));
+        };
+        let m = resolve(self.name(), features, classifier, &self.cache, &self.matrix_cache)?;
+        Ok(Column::from_f64s(m.map(self.name(), StoredModel::confidence)?))
     }
 
     fn parallel_safe(&self) -> bool {
@@ -419,7 +441,12 @@ impl ScalarUdf for PredictConfidenceUdf {
 /// `predict_proba_of(features..., classifier, label)` → DOUBLE: the
 /// model's probability for one specific raw label. Useful for ensemble
 /// SQL that compares class probabilities across models.
-pub struct PredictProbaOfUdf;
+pub struct PredictProbaOfUdf {
+    /// Decoded models, shared by every model UDF of the database.
+    pub cache: Arc<ModelCache>,
+    /// Column→matrix layouts, shared likewise.
+    pub matrix_cache: Arc<MatrixCache>,
+}
 
 impl ScalarUdf for PredictProbaOfUdf {
     fn name(&self) -> &str {
@@ -428,23 +455,21 @@ impl ScalarUdf for PredictProbaOfUdf {
 
     fn return_type(&self, arg_types: &[DataType]) -> DbResult<DataType> {
         if arg_types.len() < 3 {
-            return Err(DbError::Udf {
-                function: "predict_proba_of".into(),
-                message: "usage: predict_proba_of(features..., classifier, label)".into(),
-            });
+            return Err(usage(self.name(), "predict_proba_of(features..., classifier, label)"));
         }
         Ok(DataType::Float64)
     }
 
     fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Column> {
-        let (features, sm, extras) = split_predict_args("predict_proba_of", args, 1)?;
-        let label = extras[0].i64_at(0).ok_or_else(|| DbError::Udf {
-            function: "predict_proba_of".into(),
+        let [features @ .., classifier, label] = args else {
+            return Err(usage(self.name(), "predict_proba_of(features..., classifier, label)"));
+        };
+        let label = label.i64_at(0).filter(|_| label.len() == 1).ok_or_else(|| DbError::Udf {
+            function: self.name().to_owned(),
             message: "label must be a non-NULL integer scalar".into(),
         })?;
-        let x = matrix_from_columns(&features)?;
-        let p = sm.proba_of(&x, label).map_err(|e| udf_err("predict_proba_of", e))?;
-        Ok(Column::from_f64s(p))
+        let m = resolve(self.name(), features, classifier, &self.cache, &self.matrix_cache)?;
+        Ok(Column::from_f64s(m.map(self.name(), |sm, x| sm.proba_of(x, label))?))
     }
 
     fn parallel_safe(&self) -> bool {
@@ -456,7 +481,12 @@ impl ScalarUdf for PredictProbaOfUdf {
 /// stored model against labeled data, the paper's "Testing" stage as one
 /// SQL call. Returns `TABLE(accuracy DOUBLE, macro_f1 DOUBLE,
 /// log_loss DOUBLE, test_rows BIGINT)`.
-pub struct EvaluateUdf;
+pub struct EvaluateUdf {
+    /// Decoded models, shared by every model UDF of the database.
+    pub cache: Arc<ModelCache>,
+    /// Column→matrix layouts, shared likewise.
+    pub matrix_cache: Arc<MatrixCache>,
+}
 
 impl TableUdf for EvaluateUdf {
     fn name(&self) -> &str {
@@ -465,10 +495,7 @@ impl TableUdf for EvaluateUdf {
 
     fn schema(&self, arg_types: &[DataType]) -> DbResult<Arc<Schema>> {
         if arg_types.len() < 3 {
-            return Err(DbError::Udf {
-                function: "evaluate".into(),
-                message: "usage: evaluate(features..., labels, classifier)".into(),
-            });
+            return Err(usage("evaluate", "evaluate(features..., labels, classifier)"));
         }
         Ok(Arc::new(Schema::new(vec![
             Field::not_null("accuracy", DataType::Float64),
@@ -479,33 +506,27 @@ impl TableUdf for EvaluateUdf {
     }
 
     fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Batch> {
-        // Layout: features..., labels, classifier (a 1-row BLOB column).
-        if args.len() < 3 {
+        let [features @ .., labels, classifier] = args else {
+            return Err(usage("evaluate", "evaluate(features..., labels, classifier)"));
+        };
+        let m = resolve("evaluate", features, classifier, &self.cache, &self.matrix_cache)?;
+        let [(_, sm)] = m.runs.as_slice() else {
             return Err(DbError::Udf {
                 function: "evaluate".into(),
-                message: "usage: evaluate(features..., labels, classifier)".into(),
+                message: format!("expected one classifier, got {} different ones", m.runs.len()),
             });
-        }
-        let model_col = args[args.len() - 1].as_ref();
-        let blob = model_col.blobs().map(|b| b.get(0)).ok_or_else(|| DbError::Udf {
-            function: "evaluate".into(),
-            message: format!("classifier argument must be a BLOB, got {}", model_col.data_type()),
-        })?;
-        let sm = StoredModel::from_blob(blob).map_err(|e| udf_err("evaluate", e))?;
-        let labels_col = args[args.len() - 2].as_ref();
-        let features: Vec<&Column> = args[..args.len() - 2].iter().map(|c| c.as_ref()).collect();
-        let x = matrix_from_columns(&features)?;
-        let raw = labels_from_column(labels_col)?;
-        let truth = sm.classes.encode(&raw).map_err(|e| udf_err("evaluate", e))?;
+        };
+        let x = &m.x;
+        let err = |e| udf_err("evaluate", e);
+        let truth = sm.classes.encode(&labels_from_column(labels)?).map_err(err)?;
         let n_classes = sm.classes.n_classes();
         use mlcs_ml::Classifier;
-        let pred_idx = sm.model.predict(&x).map_err(|e| udf_err("evaluate", e))?;
-        let proba = sm.model.predict_proba(&x).map_err(|e| udf_err("evaluate", e))?;
-        let accuracy =
-            mlcs_ml::metrics::accuracy(&truth, &pred_idx).map_err(|e| udf_err("evaluate", e))?;
-        let scores = mlcs_ml::metrics::precision_recall_f1(&truth, &pred_idx, n_classes)
-            .map_err(|e| udf_err("evaluate", e))?;
-        let ll = mlcs_ml::metrics::log_loss(&truth, &proba).map_err(|e| udf_err("evaluate", e))?;
+        let pred_idx = sm.model.predict(x).map_err(err)?;
+        let proba = sm.model.predict_proba(x).map_err(err)?;
+        let accuracy = mlcs_ml::metrics::accuracy(&truth, &pred_idx).map_err(err)?;
+        let scores =
+            mlcs_ml::metrics::precision_recall_f1(&truth, &pred_idx, n_classes).map_err(err)?;
+        let ll = mlcs_ml::metrics::log_loss(&truth, &proba).map_err(err)?;
         Batch::new(
             self.schema(&args.iter().map(|c| c.data_type()).collect::<Vec<_>>())?,
             vec![
@@ -575,61 +596,15 @@ impl TableUdf for CrossValidateUdf {
         let raw = labels_from_column(labels)?;
         let classes = mlcs_ml::dataset::ClassMap::fit(&raw);
         let y = classes.encode(&raw).map_err(|e| udf_err("cross_validate", e))?;
-        let seed = self.seed;
-        let scores = match algo.as_str() {
-            "random_forest" => mlcs_ml::model_selection::cross_validate(
-                &x,
-                &y,
-                classes.n_classes(),
-                k as usize,
-                seed,
-                || RandomForestClassifier::new(param.max(1) as usize).with_seed(seed),
-            ),
-            "decision_tree" => mlcs_ml::model_selection::cross_validate(
-                &x,
-                &y,
-                classes.n_classes(),
-                k as usize,
-                seed,
-                || {
-                    let mut t = DecisionTreeClassifier::new().with_seed(seed);
-                    if param > 0 {
-                        t.max_depth = Some(param as usize);
-                    }
-                    t
-                },
-            ),
-            "logistic_regression" => mlcs_ml::model_selection::cross_validate(
-                &x,
-                &y,
-                classes.n_classes(),
-                k as usize,
-                seed,
-                || LogisticRegression::new().with_seed(seed).with_epochs(param.max(1) as usize),
-            ),
-            "gaussian_nb" => mlcs_ml::model_selection::cross_validate(
-                &x,
-                &y,
-                classes.n_classes(),
-                k as usize,
-                seed,
-                GaussianNb::new,
-            ),
-            "knn" => mlcs_ml::model_selection::cross_validate(
-                &x,
-                &y,
-                classes.n_classes(),
-                k as usize,
-                seed,
-                || KNearestNeighbors::new(param.max(1) as usize),
-            ),
-            other => {
-                return Err(DbError::Udf {
-                    function: "cross_validate".into(),
-                    message: format!("unknown algorithm '{other}'"),
-                })
-            }
-        }
+        let model = model_by_name("cross_validate", &algo, param, self.seed)?;
+        let scores = mlcs_ml::model_selection::cross_validate(
+            &x,
+            &y,
+            classes.n_classes(),
+            k as usize,
+            self.seed,
+            || model.clone(),
+        )
         .map_err(|e| udf_err("cross_validate", e))?;
         Batch::new(
             self.schema(&args.iter().map(|c| c.data_type()).collect::<Vec<_>>())?,
@@ -642,21 +617,29 @@ impl TableUdf for CrossValidateUdf {
 }
 
 /// Registers the full suite of ML UDFs on a database: `train`,
-/// `train_model`, `evaluate`, `cross_validate`, `predict`, `predict_parallel`,
-/// `predict_cached` (§5.1 snapshot cache), `predict_confidence`, and
-/// `predict_proba_of`.
+/// `train_model`, `evaluate`, `cross_validate`, `predict`,
+/// `predict_confidence`, and `predict_proba_of`. The four model UDFs share
+/// one [`ModelCache`] and one [`MatrixCache`], so a stored model is decoded
+/// once per database whichever of them reads it first.
 pub fn register_ml_udfs(db: &Database) {
+    let cache = Arc::new(ModelCache::default());
+    let matrix_cache = Arc::new(MatrixCache::default());
     db.register_table_udf(Arc::new(TrainUdf::default()));
     db.register_table_udf(Arc::new(TrainModelUdf::default()));
-    db.register_table_udf(Arc::new(EvaluateUdf));
     db.register_table_udf(Arc::new(CrossValidateUdf::default()));
-    db.register_scalar_udf(Arc::new(PredictUdf::serial()));
-    db.register_scalar_udf(Arc::new(PredictUdf::parallel()));
-    db.register_scalar_udf(Arc::new(PredictUdf::cached(Arc::new(
-        crate::cache::ModelCache::default(),
-    ))));
-    db.register_scalar_udf(Arc::new(PredictConfidenceUdf));
-    db.register_scalar_udf(Arc::new(PredictProbaOfUdf));
+    db.register_table_udf(Arc::new(EvaluateUdf {
+        cache: cache.clone(),
+        matrix_cache: matrix_cache.clone(),
+    }));
+    db.register_scalar_udf(Arc::new(PredictUdf {
+        cache: cache.clone(),
+        matrix_cache: matrix_cache.clone(),
+    }));
+    db.register_scalar_udf(Arc::new(PredictConfidenceUdf {
+        cache: cache.clone(),
+        matrix_cache: matrix_cache.clone(),
+    }));
+    db.register_scalar_udf(Arc::new(PredictProbaOfUdf { cache, matrix_cache }));
 }
 
 #[cfg(test)]
@@ -710,41 +693,6 @@ mod tests {
         let correct =
             (0..out.rows()).filter(|&r| out.row(r)[0].as_i64() == out.row(r)[1].as_i64()).count();
         assert!(correct >= 38, "only {correct}/40 correct");
-    }
-
-    #[test]
-    fn cached_predict_matches_uncached() {
-        let db = db_with_points();
-        db.execute(
-            "CREATE TABLE models AS SELECT * FROM train(
-               (SELECT x, y FROM pts), (SELECT label FROM pts), 4)",
-        )
-        .unwrap();
-        let plain =
-            db.query("SELECT predict(x, y, (SELECT classifier FROM models)) FROM pts").unwrap();
-        // Run twice so the second call exercises the cache-hit path.
-        for _ in 0..2 {
-            let cached = db
-                .query("SELECT predict_cached(x, y, (SELECT classifier FROM models)) FROM pts")
-                .unwrap();
-            assert_eq!(cached.column(0), plain.column(0));
-        }
-    }
-
-    #[test]
-    fn parallel_predict_matches_serial() {
-        let db = db_with_points();
-        db.execute(
-            "CREATE TABLE models AS SELECT * FROM train(
-               (SELECT x, y FROM pts), (SELECT label FROM pts), 4)",
-        )
-        .unwrap();
-        let serial =
-            db.query("SELECT predict(x, y, (SELECT classifier FROM models)) FROM pts").unwrap();
-        let parallel = db
-            .query("SELECT predict_parallel(x, y, (SELECT classifier FROM models)) FROM pts")
-            .unwrap();
-        assert_eq!(serial.column(0), parallel.column(0));
     }
 
     #[test]

@@ -32,7 +32,8 @@ impl Drop for ThreadsGuard {
 
 /// Runs `f` with model prediction pinned to `threads` worker threads on the
 /// current thread (0 = auto: the pool's `MLCS_THREADS`/core-count policy).
-/// Used by the serial `predict` UDF and serial-vs-parallel equivalence tests.
+/// Used by single-threaded baselines (the `ml_kernels` bench) and the
+/// serial-vs-parallel equivalence tests.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     let _guard = ThreadsGuard(PREDICT_THREADS.with(|t| t.replace(threads)));
     f()

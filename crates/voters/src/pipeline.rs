@@ -37,7 +37,10 @@ use std::time::Duration;
 pub enum Method {
     /// In-database processing with vectorized UDFs (MonetDB/Python's role).
     InDb,
-    /// In-database with morsel-parallel prediction (§5.1 future work).
+    /// In-database with morsel-parallel prediction (§5.1 future work). The
+    /// `predict` UDF always predicts on the worker pool, so this is the same
+    /// pipeline as [`Method::InDb`]; it stays a method of its own so Figure 1
+    /// reports keep their row.
     InDbParallel,
     /// Per-column binary files (NumPy's role).
     NpyFiles,
@@ -220,8 +223,7 @@ pub fn run_method(
     opts: &PipelineOptions,
 ) -> DbResult<PipelineRun> {
     match method {
-        Method::InDb => run_in_db(env, opts, false),
-        Method::InDbParallel => run_in_db(env, opts, true),
+        Method::InDb | Method::InDbParallel => run_in_db(env, method, opts),
         Method::NpyFiles => run_client_side(env, method, opts, |env| {
             Ok((
                 read_npy_dir(&env.dir.join("voters_npy"))?,
@@ -266,7 +268,7 @@ pub fn run_method(
 }
 
 /// The in-database pipeline: SQL + vectorized UDFs end to end.
-fn run_in_db(env: &PipelineEnv, opts: &PipelineOptions, parallel: bool) -> DbResult<PipelineRun> {
+fn run_in_db(env: &PipelineEnv, method: Method, opts: &PipelineOptions) -> DbResult<PipelineRun> {
     let db = &env.db;
     let feats = opts.train_features.join(", ");
     let v_feats =
@@ -308,12 +310,11 @@ fn run_in_db(env: &PipelineEnv, opts: &PipelineOptions, parallel: bool) -> DbRes
         r?;
 
         // 3. Prediction (Listing 2) + in-SQL per-precinct aggregation.
-        let predict_fn = if parallel { "predict_parallel" } else { "predict" };
         let (r, predict) = metrics::time_section("fig1.predict", || -> DbResult<_> {
             db.execute(&format!(
                 "CREATE TABLE predictions AS
                  SELECT precinct_id,
-                        {predict_fn}({feats}, (SELECT classifier FROM model)) AS pred
+                        predict({feats}, (SELECT classifier FROM model)) AS pred
                  FROM labeled WHERE u < {frac}"
             ))?;
             let agg = db.query(
@@ -334,15 +335,7 @@ fn run_in_db(env: &PipelineEnv, opts: &PipelineOptions, parallel: bool) -> DbRes
     // Quality: compare aggregated predictions with the actual precinct
     // shares (small data; evaluated client-side like the paper's plots).
     let share_error = share_error_from_aggregate(&agg, &env.data.precincts)?;
-    Ok(PipelineRun {
-        method: if parallel { Method::InDbParallel } else { Method::InDb },
-        load_wrangle,
-        train,
-        predict,
-        total,
-        share_error,
-        test_rows,
-    })
+    Ok(PipelineRun { method, load_wrangle, train, predict, total, share_error, test_rows })
 }
 
 /// Mean absolute dem-share error from the in-SQL aggregate result.

@@ -38,15 +38,19 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn counters_move_exactly_once_per_event() {
-    let db = Database::new();
-    register_ml_udfs(&db);
-    db.execute("CREATE TABLE points (x DOUBLE, y DOUBLE, label INTEGER)").unwrap();
-    db.execute(
-        "INSERT INTO points VALUES (-2.0, -2.0, 0), (-1.5, -1.0, 0),
-                                   (-1.0, -2.5, 0), ( 1.0,  1.5, 1),
-                                   ( 2.0,  1.0, 1), ( 1.5,  2.5, 1)",
-    )
-    .unwrap();
+    let points_db = || {
+        let db = Database::new();
+        register_ml_udfs(&db);
+        db.execute("CREATE TABLE points (x DOUBLE, y DOUBLE, label INTEGER)").unwrap();
+        db.execute(
+            "INSERT INTO points VALUES (-2.0, -2.0, 0), (-1.5, -1.0, 0),
+                                       (-1.0, -2.5, 0), ( 1.0,  1.5, 1),
+                                       ( 2.0,  1.0, 1), ( 1.5,  2.5, 1)",
+        )
+        .unwrap();
+        db
+    };
+    let db = points_db();
 
     // Table UDF: one `train(...)` statement is one invocation.
     let before = metrics::snapshot();
@@ -68,6 +72,33 @@ fn counters_move_exactly_once_per_event() {
     assert_eq!(delta.counter("udf.predict.invocations"), 1, "predict is vectorized: one call");
     assert_eq!(delta.counter("udf.scalar.invocations"), 1);
     assert_eq!(delta.counter("udf.predict.rows"), 6, "all rows in the one call");
+
+    // One decode per stored model: on a fresh database, k `predict` calls
+    // plus one each of `predict_confidence`, `predict_proba_of` and
+    // `evaluate` deserialize the blob once (one miss) and hit the shared
+    // model cache for every other lookup.
+    let mdb = points_db();
+    mdb.execute(
+        "CREATE TABLE models AS SELECT * FROM train(
+           (SELECT x, y FROM points), (SELECT label FROM points), 4)",
+    )
+    .unwrap();
+    let k = 3;
+    let model = "(SELECT classifier FROM models)";
+    let before = metrics::snapshot();
+    for _ in 0..k {
+        mdb.query(&format!("SELECT predict(x, y, {model}) FROM points")).unwrap();
+    }
+    mdb.query(&format!("SELECT predict_confidence(x, y, {model}) FROM points")).unwrap();
+    mdb.query(&format!("SELECT predict_proba_of(x, y, {model}, 1) FROM points")).unwrap();
+    mdb.query(&format!(
+        "SELECT * FROM evaluate((SELECT x, y FROM points), (SELECT label FROM points), {model})"
+    ))
+    .unwrap();
+    let delta = metrics::snapshot().since(&before);
+    assert_eq!(delta.counter("pickle.deserialize.invocations"), 1, "one decode per model");
+    assert_eq!(delta.counter("modelstore.cache.misses"), 1);
+    assert_eq!(delta.counter("modelstore.cache.hits"), k + 2);
 
     // Pickle round-trip: one deserialize tick sized to the blob ...
     let blob = match db.query_value("SELECT classifier FROM models").unwrap() {
