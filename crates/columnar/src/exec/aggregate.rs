@@ -3,12 +3,16 @@
 use crate::batch::Batch;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{DbError, DbResult};
+use crate::exec::hashtable::{
+    self, ByteKeys, ColumnHasher, HashTable, IntKeys, KeyHasher, KeyKind, NONE, PARTITIONS,
+    PARTITION_BITS,
+};
 use crate::exec::{rowkey, Parallelism};
 use crate::metrics;
 use crate::parallel::Morsel;
 use crate::schema::{Field, Schema};
 use crate::types::{DataType, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// An aggregate function.
@@ -163,8 +167,8 @@ impl AggState {
         Ok(())
     }
 
-    fn finish(self) -> DbResult<Value> {
-        Ok(match self {
+    fn finish(&self) -> DbResult<Value> {
+        Ok(match *self {
             AggState::Count(n) => Value::Int64(n),
             AggState::SumInt { sum, seen } => {
                 if !seen {
@@ -190,7 +194,7 @@ impl AggState {
                     Value::Float64(sum / count as f64)
                 }
             }
-            AggState::MinMax { best, .. } => best.unwrap_or(Value::Null),
+            AggState::MinMax { ref best, .. } => best.clone().unwrap_or(Value::Null),
         })
     }
 }
@@ -221,84 +225,180 @@ fn missing_arg(func: &str) -> DbError {
     DbError::internal(format!("{func} invoked without an argument column"))
 }
 
-/// One group's accumulators plus (for DISTINCT) the sets of seen values.
-struct GroupEntry {
-    first_row: u32,
+/// The groups of one partition: each group's first row, and every
+/// group's accumulators in one flat vector, `aggs.len()` per group.
+#[derive(Default)]
+struct Groups {
+    first_rows: Vec<u32>,
     states: Vec<AggState>,
-    distinct_seen: Vec<Option<HashSet<Vec<u8>>>>,
+    /// DISTINCT aggregates' seen values, laid out like `states`; empty
+    /// unless some aggregate is DISTINCT.
+    seen: Vec<HashSet<Vec<u8>>>,
 }
 
-/// Assigns dense group ids to group-key values in first-appearance order,
-/// through the cheapest lookup the key columns allow.
-struct GroupIndex<'a> {
-    keys: Vec<&'a Column>,
-    /// Groups assigned so far; also the next fresh id.
-    len: usize,
-    /// Single dictionary-encoded key: group ids come straight off the
-    /// codes — one array slot per distinct value, no hash probe per row.
-    dict_codes: Option<&'a [u32]>,
-    code_gid: Vec<Option<usize>>,
-    /// Single integer key: a bare `i64` table. The NULL key's group (also
-    /// on the dictionary path) sits beside it.
-    use_int: bool,
-    int_gid: HashMap<i64, usize>,
-    null_gid: Option<usize>,
-    /// Everything else: [`rowkey`] bytes, encoded into a reused buffer.
-    bytes_gid: HashMap<Vec<u8>, usize>,
-    keybuf: Vec<u8>,
+/// One aggregation's inputs, shared by every partition.
+struct Aggregation<'a> {
+    aggs: &'a [AggCall],
+    args: Vec<Option<&'a Column>>,
+    arg_types: Vec<Option<DataType>>,
+    distinct: bool,
 }
 
-impl<'a> GroupIndex<'a> {
-    fn new(input: &'a Batch, group_keys: &[usize]) -> GroupIndex<'a> {
-        let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
-        let dict_codes = if keys.len() == 1 { keys[0].dict_parts().map(|p| p.0) } else { None };
-        GroupIndex {
-            // No GROUP BY: the single global group exists from the start.
-            len: usize::from(keys.is_empty()),
-            code_gid: if dict_codes.is_some() { vec![None; keys[0].data().len()] } else { vec![] },
-            dict_codes,
-            use_int: rowkey::int_fast_path(&keys),
-            int_gid: HashMap::new(),
-            null_gid: None,
-            bytes_gid: HashMap::new(),
-            keybuf: Vec::new(),
-            keys,
+impl Aggregation<'_> {
+    /// Opens a group whose first row is `row`.
+    fn open(&self, groups: &mut Groups, row: usize) {
+        groups.first_rows.push(row as u32);
+        groups
+            .states
+            .extend(self.aggs.iter().zip(&self.arg_types).map(|(a, t)| AggState::new(a, *t)));
+        if self.distinct {
+            groups.seen.extend(self.aggs.iter().map(|_| HashSet::new()));
         }
     }
 
-    /// The group id of `row`'s key. A return equal to the group count
-    /// before the call means the key is new and now owns that id.
-    #[inline]
-    fn gid(&mut self, row: usize) -> usize {
-        let next = self.len;
-        let gid = if self.keys.is_empty() {
-            0
-        } else if let Some(codes) = self.dict_codes {
-            if self.keys[0].is_null(row) {
-                *self.null_gid.get_or_insert(next)
-            } else {
-                *self.code_gid[codes[row] as usize].get_or_insert(next)
+    /// Folds `rows`, in order, into `groups`; `gid` names each row's group
+    /// and whether it is new. Aggregates marked in `done` are skipped.
+    fn fold(
+        &self,
+        groups: &mut Groups,
+        rows: impl Iterator<Item = usize>,
+        done: &[bool],
+        mut gid: impl FnMut(usize) -> (u32, bool),
+    ) -> DbResult<()> {
+        let width = self.aggs.len();
+        for row in rows {
+            let (g, new) = gid(row);
+            if new {
+                self.open(groups, row);
             }
-        } else if self.use_int {
-            match rowkey::int_key(self.keys[0], row) {
-                Some(k) => *self.int_gid.entry(k).or_insert(next),
-                None => *self.null_gid.get_or_insert(next),
-            }
-        } else {
-            rowkey::encode_key(&self.keys, row, &mut self.keybuf);
-            match self.bytes_gid.get(&self.keybuf) {
-                Some(&g) => g,
-                None => {
-                    // Look up before cloning: only a new key allocates.
-                    self.bytes_gid.insert(self.keybuf.clone(), next);
-                    next
+            let base = g as usize * width;
+            for (ai, (agg, &arg)) in self.aggs.iter().zip(&self.args).enumerate() {
+                if done[ai] {
+                    continue;
                 }
+                if agg.distinct {
+                    let c = arg.ok_or_else(|| missing_arg("DISTINCT aggregate"))?;
+                    if c.is_null(row) {
+                        continue;
+                    }
+                    let mut k = Vec::new();
+                    rowkey::encode_value(c, row, &mut k);
+                    let Some(seen) = groups.seen.get_mut(base + ai) else {
+                        return Err(DbError::internal("DISTINCT aggregate without its dedup set"));
+                    };
+                    if !seen.insert(k) {
+                        continue;
+                    }
+                }
+                groups.states[base + ai].update(arg, row)?;
             }
-        };
-        if gid == next {
-            self.len += 1;
         }
-        gid
+        Ok(())
+    }
+}
+
+/// How the group keys are read and looked up, decided once per
+/// aggregation.
+enum KeyShape<'a> {
+    /// A single dictionary-encoded key: its column, codes and dictionary
+    /// size.
+    Dict(&'a Column, &'a [u32], usize),
+    /// A single integer key.
+    Int(&'a [&'a Column]),
+    /// Anything else: [`rowkey`] bytes.
+    Bytes(&'a [&'a Column], ColumnHasher<'a>),
+}
+
+impl<'a> KeyShape<'a> {
+    fn of(keys: &'a [&'a Column]) -> KeyShape<'a> {
+        if let [col] = keys {
+            if let Some((codes, values)) = col.dict_parts() {
+                return KeyShape::Dict(col, codes, values.len());
+            }
+        }
+        if rowkey::int_fast_path(keys) {
+            KeyShape::Int(keys)
+        } else {
+            KeyShape::Bytes(keys, ColumnHasher::new(keys))
+        }
+    }
+
+    /// Appends the hash the partition pass scatters each row of `m` by. A
+    /// dictionary code is rotated so that its low bits pick the partition
+    /// and its high bits index that partition's array. A single key's NULL
+    /// goes to partition 0.
+    fn partition_hashes(&self, m: Morsel, out: &mut Vec<u64>) {
+        let rows = m.start..m.start + m.len;
+        match self {
+            KeyShape::Dict(col, codes, _) => out.extend(rows.map(|row| {
+                let code = if col.is_null(row) { 0 } else { codes[row] as u64 };
+                code.rotate_right(PARTITION_BITS)
+            })),
+            KeyShape::Int(cols) => {
+                let h = KeyHasher::get();
+                out.extend(
+                    rows.map(|row| IntKeys::read(cols, row, &mut ()).map_or(0, |k| h.int(k))),
+                )
+            }
+            KeyShape::Bytes(_, columns) => columns.hash(m, out),
+        }
+    }
+
+    /// Folds `rows` of one partition into `groups` (all of the input when
+    /// `partitioned` is false, else one of [`PARTITIONS`] by key hash),
+    /// each row into the group of its key; a key's first row opens its
+    /// group, so ids follow first appearance. A single key's NULL is a
+    /// group of its own.
+    fn fold(
+        &self,
+        agg: &Aggregation,
+        groups: &mut Groups,
+        rows: impl Iterator<Item = usize>,
+        partitioned: bool,
+    ) -> DbResult<()> {
+        let done = vec![false; agg.aggs.len()];
+        let mut null = NONE;
+        match *self {
+            KeyShape::Dict(col, codes, values) => {
+                // Ids straight off the codes: one array slot per code this
+                // partition can see, no hash probe per row.
+                let shift = if partitioned { PARTITION_BITS } else { 0 };
+                let mut ids = vec![NONE; (values >> shift) + 1];
+                let mut len = 0;
+                agg.fold(groups, rows, &done, |row| {
+                    let slot = if col.is_null(row) {
+                        &mut null
+                    } else {
+                        &mut ids[(codes[row] >> shift) as usize]
+                    };
+                    if *slot != NONE {
+                        return (*slot, false);
+                    }
+                    *slot = len;
+                    len += 1;
+                    (*slot, true)
+                })
+            }
+            KeyShape::Int(cols) => {
+                let mut table: HashTable<IntKeys> = HashTable::with_capacity(0);
+                agg.fold(groups, rows, &done, |row| match IntKeys::read(cols, row, &mut ()) {
+                    Some(k) => table.insert(table.hash(k), k),
+                    None if null == NONE => {
+                        null = table.reserve_id();
+                        (null, true)
+                    }
+                    None => (null, false),
+                })
+            }
+            KeyShape::Bytes(cols, _) => {
+                let mut table: HashTable<ByteKeys> = HashTable::with_capacity(0);
+                let mut buf = Vec::new();
+                agg.fold(groups, rows, &done, |row| {
+                    rowkey::encode_key(cols, row, &mut buf);
+                    table.insert(table.hash(&buf), &buf)
+                })
+            }
+        }
     }
 }
 
@@ -308,123 +408,112 @@ impl<'a> GroupIndex<'a> {
 /// `group_keys` are input column indices; `aggs` reference pre-computed
 /// argument columns by index. The output batch has the group key columns
 /// first (named per the input schema), then one column per aggregate named
-/// `agg0..aggN` — callers typically re-project with proper aliases.
+/// `agg0..aggN` — callers typically re-project with proper aliases. With
+/// every column as a key and no aggregates this is `DISTINCT`.
 ///
 /// With no group keys the result is a single row over the whole input
 /// (standard SQL ungrouped aggregation, returning one row even for empty
-/// input).
+/// input): each morsel folds a partial, and the partials merge in morsel
+/// order.
 ///
-/// Each morsel aggregates into its own table (`aggregate_morsel`); the
-/// first morsel's groups then absorb the later ones *in morsel order*, so
-/// groups come out in first-appearance order however the input was cut.
-/// The serial case is one morsel spanning the input, whose table is the
-/// result with nothing to absorb. DISTINCT aggregates cannot merge across
-/// tables (each dedup set only sees its own morsel), so they force that
-/// single morsel.
+/// Grouped, the parallel run is one radix partition pass
+/// (`exec::hashtable`); each partition then folds its rows in row
+/// order into its own table, so every group sees its rows in exactly the
+/// serial order and float sums are bit-identical to the serial run.
+/// Groups come back in first-appearance order by sorting on their first
+/// rows. The serial run is one partition holding every row. DISTINCT
+/// aggregates keep that single partition.
 pub fn hash_aggregate(
     input: &Batch,
     group_keys: &[usize],
     aggs: &[AggCall],
     par: Parallelism,
 ) -> DbResult<(Batch, bool)> {
-    let arg_types: Vec<Option<DataType>> =
-        aggs.iter().map(|a| a.arg.map(|i| input.column(i).data_type())).collect();
-    let parallel = par.enabled(input.rows()) && !aggs.iter().any(|a| a.distinct);
-    let mut locals = par
-        .run_morsels(input.rows(), parallel, |m| {
-            aggregate_morsel(input, group_keys, aggs, &arg_types, m)
-        })?
-        .into_iter();
-    let mut groups = locals.next().unwrap_or_default();
-    if locals.len() > 0 {
-        // Rows are addressed by their index in the shared batch, so a
-        // group's first row both re-derives its key and survives the
-        // merge as the group's representative. Seeding the merge index
-        // with the first morsel's groups hands them ids 0.. in order.
-        let mut index = GroupIndex::new(input, group_keys);
-        for entry in &groups {
-            index.gid(entry.first_row as usize);
-        }
-        for entry in locals.flatten() {
-            let g = index.gid(entry.first_row as usize);
-            if g == groups.len() {
-                groups.push(entry);
-            } else {
-                for (dst, src) in groups[g].states.iter_mut().zip(entry.states) {
-                    dst.merge(src)?;
-                }
-            }
-        }
+    let agg = Aggregation {
+        aggs,
+        args: aggs.iter().map(|a| a.arg.map(|i| input.column(i).as_ref())).collect(),
+        arg_types: aggs.iter().map(|a| a.arg.map(|i| input.column(i).data_type())).collect(),
+        distinct: aggs.iter().any(|a| a.distinct),
+    };
+    let parallel = par.enabled(input.rows()) && !agg.distinct;
+    if group_keys.is_empty() {
+        let groups = ungrouped(input, &agg, par, parallel)?;
+        return Ok((assemble_output(input, &[], &agg, &[groups], &[(0, 0)])?, parallel));
     }
-    Ok((assemble_output(input, group_keys, aggs, &arg_types, groups)?, parallel))
+    let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
+    let shape = KeyShape::of(&keys);
+    if let KeyShape::Dict(..) = shape {
+        metrics::counter("exec.encoding.dict_rows").add(input.rows() as u64);
+    }
+    let (parts, order) = if parallel {
+        let scattered =
+            hashtable::partition(input.rows(), &par, |m, out| shape.partition_hashes(m, out))?;
+        let parts = par.run_tasks(PARTITIONS, |p| {
+            let mut groups = Groups::default();
+            shape.fold(&agg, &mut groups, scattered.rows(p), true)?;
+            Ok(groups)
+        })?;
+        let order = first_appearance(&parts);
+        (parts, order)
+    } else {
+        par.check_deadline()?;
+        let mut groups = Groups::default();
+        shape.fold(&agg, &mut groups, 0..input.rows(), false)?;
+        let order = (0..groups.first_rows.len() as u32).map(|g| (0, g)).collect();
+        (vec![groups], order)
+    };
+    Ok((assemble_output(input, group_keys, &agg, &parts, &order)?, parallel))
 }
 
-/// Aggregates one morsel of `input` into a fresh table, groups kept in
-/// first-appearance order. The batch is shared, not sliced: `first_row`
-/// values and dictionary codes mean the same in every morsel's table.
-fn aggregate_morsel(
+/// The partitions' groups as `(partition, group)` pairs, ordered by first
+/// row: the order in which the serial run opens them.
+fn first_appearance(parts: &[Groups]) -> Vec<(u32, u32)> {
+    let mut keyed: Vec<(u32, u32, u32)> = Vec::new();
+    for (p, groups) in parts.iter().enumerate() {
+        keyed.extend(
+            groups.first_rows.iter().enumerate().map(|(g, &row)| (row, p as u32, g as u32)),
+        );
+    }
+    // Each partition's groups are already ascending: a stable sort merges
+    // those runs rather than sorting from scratch.
+    keyed.sort_by_key(|&(row, ..)| row);
+    keyed.into_iter().map(|(_, p, g)| (p, g)).collect()
+}
+
+/// Ungrouped aggregation: each morsel folds one partial group, and the
+/// partials' accumulators merge in morsel order. The RLE run fold answers
+/// what it can first when the morsel is the whole input (run boundaries
+/// are offsets into the whole column).
+fn ungrouped(
     input: &Batch,
-    group_keys: &[usize],
-    aggs: &[AggCall],
-    arg_types: &[Option<DataType>],
-    m: Morsel,
-) -> DbResult<Vec<GroupEntry>> {
-    let mut index = GroupIndex::new(input, group_keys);
-    if index.dict_codes.is_some() {
-        metrics::counter("exec.encoding.dict_rows").add(m.len as u64);
-    }
-    let new_entry = |row: usize| GroupEntry {
-        first_row: row as u32,
-        states: aggs.iter().zip(arg_types).map(|(a, t)| AggState::new(a, *t)).collect(),
-        distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
-    };
-    let mut groups: Vec<GroupEntry> = Vec::new();
-    // Aggregates the run fold below has already answered for the morsel.
-    let mut run_done = vec![false; aggs.len()];
-    if group_keys.is_empty() {
-        groups.push(new_entry(m.start));
-        // RLE run boundaries are offsets into the whole column, so runs
-        // are folded only when the morsel is the whole input.
-        if m.len == input.rows() {
-            run_aggregate(input, aggs, &mut groups[0].states, &mut run_done)?;
-        }
-    }
-    let rows = if !aggs.is_empty() && run_done.iter().all(|&d| d) {
-        0..0 // every aggregate folded from runs: no row needs a visit
-    } else {
-        m.start..m.start + m.len
-    };
-    for row in rows {
-        // The ungrouped answer is decided here, not inside `gid`: going
-        // through the index state measured ~1 ns/row on this hot path.
-        let gid = if group_keys.is_empty() { 0 } else { index.gid(row) };
-        if gid == groups.len() {
-            groups.push(new_entry(row));
-        }
-        let entry = &mut groups[gid];
-        for (ai, (agg, state)) in aggs.iter().zip(entry.states.iter_mut()).enumerate() {
-            if run_done[ai] {
-                continue;
+    agg: &Aggregation,
+    par: Parallelism,
+    parallel: bool,
+) -> DbResult<Groups> {
+    let mut partials = par
+        .run_morsels(input.rows(), parallel, |m| {
+            let mut groups = Groups::default();
+            agg.open(&mut groups, m.start);
+            let mut done = vec![false; agg.aggs.len()];
+            if m.len == input.rows() {
+                run_aggregate(input, agg.aggs, &mut groups.states, &mut done)?;
             }
-            let arg_col = agg.arg.map(|i| input.column(i).as_ref());
-            if agg.distinct {
-                let c = arg_col.ok_or_else(|| missing_arg("DISTINCT aggregate"))?;
-                if c.is_null(row) {
-                    continue;
-                }
-                let Some(seen) = entry.distinct_seen[ai].as_mut() else {
-                    return Err(DbError::internal("DISTINCT aggregate without its dedup set"));
-                };
-                let mut k = Vec::new();
-                rowkey::encode_value(c, row, &mut k);
-                if !seen.insert(k) {
-                    continue;
-                }
-            }
-            state.update(arg_col, row)?;
+            let rows = if !done.is_empty() && done.iter().all(|&d| d) {
+                0..0 // every aggregate folded from runs: no row needs a visit
+            } else {
+                m.start..m.start + m.len
+            };
+            agg.fold(&mut groups, rows, &done, |_| (0, false))?;
+            Ok(groups.states)
+        })?
+        .into_iter();
+    let mut states = partials.next().unwrap_or_default();
+    for partial in partials {
+        for (dst, src) in states.iter_mut().zip(partial) {
+            dst.merge(src)?;
         }
     }
-    Ok(groups)
+    Ok(Groups { first_rows: vec![0], states, seen: Vec::new() })
 }
 
 /// Ungrouped run-at-a-time aggregation over RLE argument columns: folds
@@ -512,28 +601,39 @@ fn run_aggregate(
 }
 
 /// Builds the result batch: group key columns (gathered at each group's
-/// first row), then one column per aggregate.
+/// first row), then one column per aggregate, groups in `order` as
+/// `(partition, group)` pairs.
 fn assemble_output(
     input: &Batch,
     group_keys: &[usize],
-    aggs: &[AggCall],
-    arg_types: &[Option<DataType>],
-    groups: Vec<GroupEntry>,
+    agg: &Aggregation,
+    parts: &[Groups],
+    order: &[(u32, u32)],
 ) -> DbResult<Batch> {
-    let first_rows: Vec<u32> = groups.iter().map(|g| g.first_row).collect();
+    let first_rows: Vec<u32> =
+        order.iter().map(|&(p, g)| parts[p as usize].first_rows[g as usize]).collect();
     let mut fields = Vec::new();
     let mut columns: Vec<Arc<Column>> = Vec::new();
     for &k in group_keys {
         fields.push(input.schema().field(k).clone());
-        columns.push(Arc::new(input.column(k).take(&first_rows)));
+        // A group per row is every row in order: the column itself.
+        columns.push(if first_rows.len() == input.rows() {
+            input.column(k).clone()
+        } else {
+            Arc::new(input.column(k).take(&first_rows))
+        });
     }
-    let mut agg_builders: Vec<ColumnBuilder> = aggs
+    let mut agg_builders: Vec<ColumnBuilder> = agg
+        .aggs
         .iter()
-        .zip(arg_types)
+        .zip(&agg.arg_types)
         .map(|(a, t)| a.func.result_type(*t).map(ColumnBuilder::new))
         .collect::<DbResult<_>>()?;
-    for g in groups {
-        for (b, s) in agg_builders.iter_mut().zip(g.states) {
+    let width = agg.aggs.len();
+    for &(p, g) in order {
+        let start = g as usize * width;
+        let states = &parts[p as usize].states[start..start + width];
+        for (b, s) in agg_builders.iter_mut().zip(states) {
             b.push_value(&s.finish()?)?;
         }
     }

@@ -3,9 +3,10 @@
 //! There is one equi-join, [`hash_join`], written once: it picks the build
 //! and probe sides, picks the key representation (a bare `i64` for a
 //! single integer key, [`rowkey`] bytes otherwise), builds one hash table
-//! per partition, probes in morsels emitting `(probe row, build row)`
-//! pairs in probe order, and finishes. Serial execution is the same code
-//! with one partition and one probe morsel.
+//! per partition of the build side (one radix partition pass when
+//! parallel, see `exec::hashtable`), probes in morsels emitting `(probe row,
+//! build row)` pairs in probe order, and finishes. Serial execution is the
+//! same code with one partition and one probe morsel.
 //!
 //! The *default* build side is the right input, with the probe side
 //! streaming the left input; probe-order pairs are then already in output
@@ -20,11 +21,11 @@
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{DbError, DbResult};
+use crate::exec::hashtable::{
+    self, ByteKeys, HashTable, IntKeys, KeyHasher, KeyKind, NONE, PARTITIONS,
+};
 use crate::exec::{concat_parts, rowkey, Parallelism};
-use crate::parallel::{morsels, parallel_map};
 use crate::schema::Schema;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which join to perform.
@@ -80,9 +81,9 @@ pub fn hash_join(
     // unmatched probe rows as it goes; a left build pads in the finish.
     let keep_unmatched = join_type == JoinType::Left && !build_left;
     let (probe_idx, build_idx) = if rowkey::int_fast_path(&lcols) && rowkey::int_fast_path(&rcols) {
-        match_pairs(build, probe, keep_unmatched, par, parallel, read_int_key)?
+        match_pairs::<IntKeys>(build, probe, keep_unmatched, par, parallel)?
     } else {
-        match_pairs(build, probe, keep_unmatched, par, parallel, read_byte_key)?
+        match_pairs::<ByteKeys>(build, probe, keep_unmatched, par, parallel)?
     };
     let joined = if build_left {
         let (lidx, ridx) = restore_left_order(left.rows(), &build_idx, &probe_idx, join_type);
@@ -93,31 +94,65 @@ pub fn hash_join(
     Ok((joined, parallel))
 }
 
-/// Reads `row`'s key on the single-integer fast path into `slot`; false
-/// marks a NULL key (which never matches).
-fn read_int_key(cols: &[&Column], row: usize, slot: &mut i64) -> bool {
-    rowkey::int_key(cols[0], row).map(|k| *slot = k).is_some()
-}
-
-/// Reads `row`'s byte-encoded key on the general path into `slot`, reusing
-/// its allocation; false marks a key with a NULL component.
-fn read_byte_key(cols: &[&Column], row: usize, slot: &mut Vec<u8>) -> bool {
+/// Reads `row`'s key for matching; `None` when any component is NULL,
+/// since NULL keys never match.
+#[inline]
+fn match_key<'s, K: KeyKind>(
+    cols: &[&Column],
+    row: usize,
+    scratch: &'s mut K::Scratch,
+) -> Option<K::Key<'s>> {
     if cols.iter().any(|c| c.is_null(row)) {
-        return false; // NULL keys never match
+        return None;
     }
-    rowkey::encode_key(cols, row, slot);
-    true
+    K::read(cols, row, scratch)
 }
 
-/// Stable key-to-partition assignment for the partitioned build. A single
-/// partition needs no hash.
-fn part_of<K: Hash>(k: &K, nparts: usize) -> usize {
-    if nparts == 1 {
-        return 0;
+/// One partition's build side: its rows ascending, a key table, and per
+/// key id the first of its rows, chained through `next` in row order.
+struct BuildTable<K: KeyKind> {
+    rows: Vec<u32>,
+    table: HashTable<K>,
+    head: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl<K: KeyKind> BuildTable<K> {
+    /// Builds over `rows` (ascending) of the build key columns. Rows are
+    /// inserted last to first, each prepended to its key's chain, so every
+    /// chain runs in ascending row order.
+    fn build(cols: &[&Column], rows: Vec<u32>, par: &Parallelism) -> DbResult<BuildTable<K>> {
+        let mut table = HashTable::with_capacity(rows.len());
+        let mut head = Vec::new();
+        let mut next = vec![NONE; rows.len()];
+        let mut scratch = K::Scratch::default();
+        for (pos, &row) in rows.iter().enumerate().rev() {
+            if pos % par.morsel_rows.max(1) == 0 {
+                par.check_deadline()?;
+            }
+            let Some(key) = match_key::<K>(cols, row as usize, &mut scratch) else { continue };
+            let (id, new) = table.insert(table.hash(key), key);
+            if new {
+                head.push(NONE);
+            }
+            next[pos] = head[id as usize];
+            head[id as usize] = pos as u32;
+        }
+        Ok(BuildTable { rows, table, head, next })
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    k.hash(&mut h);
-    (h.finish() % nparts as u64) as usize
+
+    /// Calls `emit` with every build row whose key is `key` (hash `hash`),
+    /// ascending; returns whether there was one.
+    #[inline]
+    fn for_each_match(&self, hash: u64, key: K::Key<'_>, mut emit: impl FnMut(u32)) -> bool {
+        let Some(id) = self.table.find(hash, key) else { return false };
+        let mut pos = self.head[id as usize];
+        while pos != NONE {
+            emit(self.rows[pos as usize]);
+            pos = self.next[pos as usize];
+        }
+        true
+    }
 }
 
 /// Build and probe over the two sides' key columns (never empty — the
@@ -126,61 +161,50 @@ fn part_of<K: Hash>(k: &K, nparts: usize) -> usize {
 /// probe-row order, each probe row's matches in build-row order, plus a
 /// `(probe row, None)` entry per matchless probe row under `keep_unmatched`.
 ///
-/// 1. One hash table per partition (one per worker; a single table when
-///    not parallel). Each partition's task walks the build side in row
-///    order and inserts the keys that hash to it, so every per-key row
-///    list is ascending and no scatter buffers sit between scan and table.
-/// 2. Probe morsels look up their key's partition table and emit pairs,
-///    which are concatenated in morsel order.
-fn match_pairs<K, R>(
+/// 1. The build side is one table when not parallel. In parallel, one
+///    partition pass scatters build rows by key hash and each partition
+///    builds its own table on the pool from its own rows.
+/// 2. Probe morsels hash each key once, look it up in its partition's
+///    table and emit pairs, which are concatenated in morsel order.
+fn match_pairs<K: KeyKind>(
     build: &[&Column],
     probe: &[&Column],
     keep_unmatched: bool,
     par: Parallelism,
     parallel: bool,
-    read_key: R,
-) -> DbResult<(Vec<u32>, Vec<Option<u32>>)>
-where
-    K: Clone + Default + Eq + Hash + Send + Sync,
-    R: Fn(&[&Column], usize, &mut K) -> bool + Sync,
-{
+) -> DbResult<(Vec<u32>, Vec<Option<u32>>)> {
+    let h = KeyHasher::get();
     let (build_rows, probe_rows) = (build[0].len(), probe[0].len());
-    let nparts = if parallel { par.threads.max(1) } else { 1 };
-    let tables: Vec<HashMap<K, Vec<u32>>> = parallel_map(nparts, 1, par.threads, |p| {
-        let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(build_rows / nparts);
-        let mut key = K::default();
-        for m in morsels(build_rows, par.morsel_rows) {
-            par.check_deadline()?;
-            for row in m.start..m.start + m.len {
-                if read_key(build, row, &mut key) && part_of(&key, nparts) == p.start {
-                    table.entry(key.clone()).or_default().push(row as u32);
-                }
-            }
-        }
-        Ok(table)
-    })?;
+    let (tables, parts) = if parallel {
+        let scattered =
+            hashtable::partition(build_rows, &par, |m, out| {
+                let mut scratch = K::Scratch::default();
+                out.extend((m.start..m.start + m.len).map(|row| {
+                    match_key::<K>(build, row, &mut scratch).map_or(0, |k| K::hash(h, k))
+                }))
+            })?;
+        let tables = par.run_tasks(PARTITIONS, |p| {
+            BuildTable::<K>::build(build, scattered.rows(p).map(|r| r as u32).collect(), &par)
+        })?;
+        (tables, PARTITIONS)
+    } else {
+        (vec![BuildTable::<K>::build(build, (0..build_rows as u32).collect(), &par)?], 1)
+    };
     let parts = par.run_morsels(probe_rows, parallel, |m| {
-        let mut probe_idx: Vec<u32> = Vec::new();
-        let mut build_idx: Vec<Option<u32>> = Vec::new();
-        let mut key = K::default();
+        let mut probe_idx: Vec<u32> = Vec::with_capacity(m.len);
+        let mut build_idx: Vec<Option<u32>> = Vec::with_capacity(m.len);
+        let mut scratch = K::Scratch::default();
         for row in m.start..m.start + m.len {
-            let matches = if read_key(probe, row, &mut key) {
-                tables[part_of(&key, nparts)].get(&key)
-            } else {
-                None
-            };
-            match matches {
-                Some(ms) => {
-                    for &b in ms {
-                        probe_idx.push(row as u32);
-                        build_idx.push(Some(b));
-                    }
-                }
-                None if keep_unmatched => {
+            let matched = match_key::<K>(probe, row, &mut scratch).is_some_and(|key| {
+                let hash = K::hash(h, key);
+                tables[hashtable::part_index(hash, parts)].for_each_match(hash, key, |b| {
                     probe_idx.push(row as u32);
-                    build_idx.push(None);
-                }
-                None => {}
+                    build_idx.push(Some(b));
+                })
+            });
+            if !matched && keep_unmatched {
+                probe_idx.push(row as u32);
+                build_idx.push(None);
             }
         }
         Ok((probe_idx, build_idx))

@@ -6,17 +6,21 @@
 //! directly as a library.
 //!
 //! Every operator that can run morsel-parallel — [`filter_sel`],
-//! [`filter`], [`hash_join`], [`hash_aggregate`], [`sort()`] (and the
-//! executor's projection) — takes a [`Parallelism`] policy and has exactly
-//! one body: the input is cut into morsels, each morsel is processed by
-//! the same loop, and the per-morsel results are stitched in morsel order.
-//! Serial execution is not a second implementation but the run of that
-//! body with one morsel spanning the input on the calling thread
-//! ([`Parallelism::run_morsels`]), where the stitch is the identity. Each
-//! such operator also reports whether the morsel-parallel run engaged, so
-//! callers (`EXPLAIN ANALYZE`) never re-derive the gate.
+//! [`filter`], [`hash_join`], [`hash_aggregate`] (which is also
+//! `DISTINCT`), [`sort()`] (and the executor's projection) — takes a
+//! [`Parallelism`] policy and has exactly one body: the input is cut into
+//! morsels, each morsel is processed by the same loop, and the per-morsel
+//! results are stitched in morsel order. Serial execution is not a second
+//! implementation but the run of that body with one morsel spanning the
+//! input on the calling thread ([`Parallelism::run_morsels`]), where the
+//! stitch is the identity. The hash operators share one table and, in
+//! parallel, one radix partition pass (`hashtable`); serially they run
+//! one partition. Each such operator also reports whether the
+//! morsel-parallel run engaged, so callers (`EXPLAIN ANALYZE`) never
+//! re-derive the gate.
 
 pub mod aggregate;
+pub(crate) mod hashtable;
 pub mod join;
 pub mod rowkey;
 pub mod sort;
@@ -27,12 +31,10 @@ pub use sort::{limit, sort, SortKey};
 
 use crate::batch::Batch;
 use crate::error::{DbError, DbResult};
-use crate::exec::rowkey::encode_key;
 use crate::expr::{eval_predicate_offset, fuse, EvalContext, Expr};
 use crate::metrics;
 use crate::parallel::{parallel_map, Morsel, DEFAULT_MORSEL_ROWS};
 use crate::udf::FunctionRegistry;
-use std::collections::HashSet;
 
 /// The parallelism policy one operator invocation runs under: how many
 /// workers (including the calling thread), above which input size the
@@ -106,6 +108,20 @@ impl Parallelism {
         } else {
             Ok(vec![checked(Morsel { start: 0, len: rows })?])
         }
+    }
+
+    /// Runs `f` over the task indices `0..count` on the worker pool,
+    /// results in index order, checking the deadline as each task starts.
+    /// The partitioned operators run one task per partition.
+    pub(crate) fn run_tasks<T, F>(&self, count: usize, f: F) -> DbResult<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> DbResult<T> + Send + Sync,
+    {
+        parallel_map(count, 1, self.threads, |m| {
+            self.check_deadline()?;
+            f(m.start)
+        })
     }
 }
 
@@ -185,25 +201,6 @@ pub fn filter(
     Ok(input.take(&sel))
 }
 
-/// Removes duplicate rows, keeping first occurrences in order.
-pub fn distinct(input: &Batch) -> Batch {
-    let cols: Vec<_> = input.columns().iter().map(|c| c.as_ref()).collect();
-    let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(input.rows());
-    let mut keep: Vec<u32> = Vec::new();
-    let mut key = Vec::new();
-    for row in 0..input.rows() {
-        encode_key(&cols, row, &mut key);
-        if seen.insert(key.clone()) {
-            keep.push(row as u32);
-        }
-    }
-    if keep.len() == input.rows() {
-        input.clone()
-    } else {
-        input.take(&keep)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +239,12 @@ mod tests {
         assert_eq!(concat_parts::<u32>(vec![]), Vec::<u32>::new());
     }
 
+    /// `DISTINCT`: every column a group key, no aggregates.
+    fn distinct(b: &Batch, par: Parallelism) -> DbResult<(Batch, bool)> {
+        let keys: Vec<usize> = (0..b.width()).collect();
+        hash_aggregate(b, &keys, &[], par)
+    }
+
     #[test]
     fn distinct_dedups_with_nulls() {
         let b = Batch::from_columns(vec![(
@@ -249,11 +252,15 @@ mod tests {
             Column::from_opt_i32s(vec![Some(1), None, Some(1), None, Some(2)]),
         )])
         .unwrap();
-        let out = distinct(&b);
-        assert_eq!(out.rows(), 3);
-        assert_eq!(out.row(0)[0], Value::Int32(1));
-        assert!(out.row(1)[0].is_null());
-        assert_eq!(out.row(2)[0], Value::Int32(2));
+        let par = Parallelism { threads: 4, threshold: 1, morsel_rows: 2, deadline: None };
+        for par in [Parallelism::serial(), par] {
+            let (out, _) = distinct(&b, par).unwrap();
+            assert_eq!(out.schema(), b.schema());
+            assert_eq!(out.rows(), 3);
+            assert_eq!(out.row(0)[0], Value::Int32(1));
+            assert!(out.row(1)[0].is_null());
+            assert_eq!(out.row(2)[0], Value::Int32(2));
+        }
     }
 
     #[test]
@@ -263,6 +270,22 @@ mod tests {
             ("b", Column::from_strings(["x", "x", "x"])),
         ])
         .unwrap();
-        assert_eq!(distinct(&b).rows(), 2);
+        assert_eq!(distinct(&b, Parallelism::serial()).unwrap().0.rows(), 2);
+    }
+
+    #[test]
+    fn distinct_honours_the_policy_and_its_deadline() {
+        let b =
+            Batch::from_columns(vec![("x", Column::from_i32s((0..100).map(|i| i % 9).collect()))])
+                .unwrap();
+        let par = Parallelism { threads: 4, threshold: 1, morsel_rows: 7, deadline: None };
+        let (out, ran_parallel) = distinct(&b, par).unwrap();
+        assert!(ran_parallel);
+        assert_eq!(out, distinct(&b, Parallelism::serial()).unwrap().0);
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        for par in [Parallelism::serial(), par] {
+            let late = Parallelism { deadline: Some(past), ..par };
+            assert!(matches!(distinct(&b, late), Err(DbError::Timeout { .. })), "{late:?}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Row-key encoding for hash-based operators.
 //!
-//! Group-by and join keys are encoded into compact byte strings so that a
-//! single `HashMap<Vec<u8>, _>` handles arbitrary key arity and types.
+//! Group-by, join and DISTINCT keys are encoded into compact byte strings
+//! so that one hash table (`exec::hashtable`, which keeps them in a byte
+//! arena) handles arbitrary key arity and types.
 //! The encoding normalizes numeric widths (all integers encode as `i64`,
 //! all floats as canonical `f64` bits) so an `INT32` key matches an `INT64`
 //! key with equal value, matching SQL equality semantics.
@@ -33,7 +34,7 @@ pub fn encode_value(col: &Column, row: usize, out: &mut Vec<u8>) {
         ColumnData::Float32(v) => out.extend_from_slice(&canonical_f64(v[row] as f64)),
         ColumnData::Float64(v) => out.extend_from_slice(&canonical_f64(v[row])),
         ColumnData::Varchar(v) => {
-            let s = v.get(row).as_bytes();
+            let s = v.get_bytes(row);
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s);
         }
@@ -55,7 +56,7 @@ pub fn encode_key(cols: &[&Column], row: usize, out: &mut Vec<u8>) {
 
 /// Canonical f64 bits: `-0.0` folds to `0.0`, every NaN folds to one
 /// pattern, so grouping on floats behaves like SQL equality.
-fn canonical_f64(v: f64) -> [u8; 8] {
+pub(crate) fn canonical_f64(v: f64) -> [u8; 8] {
     let v = if v == 0.0 {
         0.0
     } else if v.is_nan() {

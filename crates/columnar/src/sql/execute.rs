@@ -606,8 +606,13 @@ fn run_operator(
             Ok((ExecView::full(exec::limit(&b, *limit, *offset)), OpFlags::default()))
         }
         LogicalPlan::Distinct { input } => {
+            // DISTINCT is a group-by on every column with no aggregates.
             let b = execute_node(input, catalog, functions, opts, trace)?;
-            Ok((ExecView::full(exec::distinct(&b)), OpFlags::default()))
+            let keys: Vec<usize> = (0..b.width()).collect();
+            let par = opts.for_heavy().parallelism(true);
+            let (out, ran_parallel) = exec::hash_aggregate(&b, &keys, &[], par)?;
+            let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
+            Ok((ExecView::full(out), flags))
         }
         LogicalPlan::UnionAll { inputs, schema } => {
             let batches: Vec<Batch> = inputs

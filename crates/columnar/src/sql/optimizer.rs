@@ -74,6 +74,7 @@ pub fn parallel_annotation(plan: &LogicalPlan, functions: &FunctionRegistry) -> 
                     .all(|e| expr_parallel_safe(e, functions))
         }
         LogicalPlan::Sort { keys, .. } => !keys.is_empty(),
+        LogicalPlan::Distinct { .. } => true,
         _ => false,
     };
     eligible.then(|| " [parallel]".to_owned())

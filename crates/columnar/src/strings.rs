@@ -64,6 +64,12 @@ impl StringColumn {
         std::str::from_utf8(&self.bytes[a..b]).expect("string column holds valid UTF-8")
     }
 
+    /// String `i`'s bytes, without re-checking UTF-8 (hashing and key
+    /// encoding only need the bytes).
+    pub(crate) fn get_bytes(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Iterates all strings.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))

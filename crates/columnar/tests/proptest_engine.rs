@@ -3,7 +3,7 @@
 
 use mlcs_columnar::exec::{self, AggCall, AggFunc, JoinType, Parallelism, SortKey};
 use mlcs_columnar::expr::{eval, eval_predicate, BinaryOp, EvalContext, Expr};
-use mlcs_columnar::{Batch, Column};
+use mlcs_columnar::{Batch, Column, Value};
 use proptest::prelude::*;
 
 fn opt_i32s() -> impl Strategy<Value = Vec<Option<i32>>> {
@@ -80,6 +80,28 @@ fn check_join(
         }
     }
     Ok(())
+}
+
+/// `DISTINCT` as the engine runs it: a group-by on every column with no
+/// aggregates.
+fn distinct(batch: &Batch, par: Parallelism) -> (Batch, bool) {
+    let keys: Vec<usize> = (0..batch.width()).collect();
+    exec::hash_aggregate(batch, &keys, &[], par).unwrap()
+}
+
+/// The first occurrence of every distinct element, in order.
+fn first_occurrences<T: PartialEq + Clone>(values: &[T]) -> Vec<T> {
+    let mut out: Vec<T> = Vec::new();
+    for v in values {
+        if !out.contains(v) {
+            out.push(v.clone());
+        }
+    }
+    out
+}
+
+fn agg(func: AggFunc, arg: Option<usize>) -> AggCall {
+    AggCall { func, arg, distinct: false }
 }
 
 proptest! {
@@ -196,6 +218,24 @@ proptest! {
         check_join(&lb, &rb, JoinType::Left, &nested_loop(&left, &right, true))?;
     }
 
+    /// The same over a high-cardinality, duplicate-heavy key domain, so
+    /// that key chains and every partition of the parallel pass are
+    /// exercised.
+    #[test]
+    fn high_cardinality_join_matches_nested_loop(
+        left in proptest::collection::vec(proptest::option::of(0i32..500), 0..300),
+        right in proptest::collection::vec(proptest::option::of(0i32..500), 0..300),
+        dup in 1i32..8,
+    ) {
+        // Fold the keys onto a smaller range so that they repeat.
+        let fold = |ks: &[Option<i32>]| ks.iter().map(|k| k.map(|k| k / dup)).collect::<Vec<_>>();
+        let (left, right) = (fold(&left), fold(&right));
+        let lb = keyed(Column::from_opt_i32s(left.clone()));
+        let rb = keyed(Column::from_opt_i32s(right.clone()));
+        check_join(&lb, &rb, JoinType::Inner, &nested_loop(&left, &right, false))?;
+        check_join(&lb, &rb, JoinType::Left, &nested_loop(&left, &right, true))?;
+    }
+
     /// The same over string keys, which take the byte-encoded key path.
     #[test]
     fn string_key_join_matches_nested_loop(
@@ -268,6 +308,95 @@ proptest! {
         }
     }
 
+    /// The same over a two-column byte key — an integer with NULLs and a
+    /// string — against a scalar fold.
+    #[test]
+    fn byte_key_aggregate_matches_scalar_fold(
+        rows in proptest::collection::vec(
+            (proptest::option::of(0i32..5), 0u8..4, -50i32..50),
+            0..120,
+        ),
+    ) {
+        let names: Vec<String> = rows.iter().map(|r| format!("name-{}", r.1)).collect();
+        let batch = Batch::from_columns(vec![
+            ("i", Column::from_opt_i32s(rows.iter().map(|r| r.0).collect())),
+            ("s", Column::from_strings(names.iter().map(String::as_str))),
+            ("v", Column::from_i32s(rows.iter().map(|r| r.2).collect())),
+        ])
+        .unwrap();
+        let mut expect: Vec<(Option<i32>, String, i64, i64)> = Vec::new();
+        for (r, name) in rows.iter().zip(&names) {
+            match expect.iter_mut().find(|g| g.0 == r.0 && &g.1 == name) {
+                Some(g) => {
+                    g.2 += 1;
+                    g.3 += r.2 as i64;
+                }
+                None => expect.push((r.0, name.clone(), 1, r.2 as i64)),
+            }
+        }
+        let aggs = [agg(AggFunc::CountStar, None), agg(AggFunc::Sum, Some(2))];
+        for par in policies() {
+            let (out, ran_parallel) = exec::hash_aggregate(&batch, &[0, 1], &aggs, par).unwrap();
+            prop_assert_eq!(ran_parallel, par.threads > 1 && !rows.is_empty());
+            let got: Vec<(Option<i32>, String, i64, i64)> = (0..out.rows())
+                .map(|i| {
+                    let name = match out.row(i)[1].clone() {
+                        Value::Varchar(s) => s,
+                        other => format!("{other:?}"),
+                    };
+                    (
+                        out.column(0).i64_at(i).map(|k| k as i32),
+                        name,
+                        out.column(2).i64_at(i).unwrap(),
+                        out.column(3).i64_at(i).unwrap(),
+                    )
+                })
+                .collect();
+            prop_assert_eq!(&got, &expect, "{:?}", par);
+        }
+    }
+
+    /// Grouped float aggregates are bit-equal under both policies: over a
+    /// high-cardinality key (many more groups than the parallel pass has
+    /// partitions, each spread over many 7-row morsels) and non-dyadic
+    /// doubles, where any change in summation order shows in the last bit.
+    #[test]
+    fn grouped_float_aggregates_are_bit_equal_across_policies(
+        rows in proptest::collection::vec(
+            (proptest::option::of(0i32..400), proptest::option::of(0i32..1000)),
+            0..1500,
+        ),
+    ) {
+        let xs: Vec<Option<f64>> = rows.iter().map(|r| r.1.map(|i| i as f64 * 0.1)).collect();
+        let batch = Batch::from_columns(vec![
+            ("k", Column::from_opt_i32s(rows.iter().map(|r| r.0).collect())),
+            ("x", Column::from_opt_f64s(xs)),
+        ])
+        .unwrap();
+        let aggs = [
+            agg(AggFunc::Sum, Some(1)),
+            agg(AggFunc::Avg, Some(1)),
+            agg(AggFunc::Min, Some(1)),
+            agg(AggFunc::Max, Some(1)),
+            agg(AggFunc::Count, Some(1)),
+        ];
+        let [serial, parallel] = policies().map(|par| {
+            let (out, _) = exec::hash_aggregate(&batch, &[0], &aggs, par).unwrap();
+            let bits: Vec<Vec<Option<u64>>> = (0..out.rows())
+                .map(|i| {
+                    (0..out.width())
+                        .map(|c| match out.row(i)[c] {
+                            Value::Float64(f) => Some(f.to_bits()),
+                            ref v => v.as_i64().map(|k| k as u64),
+                        })
+                        .collect()
+                })
+                .collect();
+            bits
+        });
+        prop_assert_eq!(serial, parallel);
+    }
+
     /// Sorting produces the stable ordered permutation: ascending with
     /// NULLs last, equal keys in input order — the positions std's stable
     /// sort gives — under either policy.
@@ -292,23 +421,59 @@ proptest! {
         }
     }
 
-    /// distinct() output has no duplicate rows and loses nothing.
+    /// DISTINCT output has no duplicate rows and loses nothing: first
+    /// occurrences in order, NULL one value, under either policy.
     #[test]
     fn distinct_is_exact(values in proptest::collection::vec(proptest::option::of(0i32..6), 0..60)) {
         let batch = Batch::from_columns(vec![("v", Column::from_opt_i32s(values.clone()))]).unwrap();
-        let out = exec::distinct(&batch);
-        let mut reference: Vec<Option<i32>> = Vec::new();
-        for v in &values {
-            if !reference.contains(v) {
-                reference.push(*v);
+        let reference = first_occurrences(&values);
+        for par in policies() {
+            let (out, ran_parallel) = distinct(&batch, par);
+            prop_assert_eq!(ran_parallel, par.threads > 1 && !values.is_empty());
+            prop_assert_eq!(out.rows(), reference.len());
+            for (i, v) in reference.iter().enumerate() {
+                match v {
+                    None => prop_assert!(out.row(i)[0].is_null()),
+                    Some(x) => prop_assert_eq!(out.row(i)[0].as_i64(), Some(*x as i64)),
+                }
             }
         }
-        prop_assert_eq!(out.rows(), reference.len());
-        for (i, v) in reference.iter().enumerate() {
-            match v {
-                None => prop_assert!(out.row(i)[0].is_null()),
-                Some(x) => prop_assert_eq!(out.row(i)[0].as_i64(), Some(*x as i64)),
-            }
+    }
+
+    /// The same over two columns, an integer and a string, both with
+    /// NULLs: the byte-key table.
+    #[test]
+    fn distinct_two_columns_is_exact(
+        rows in proptest::collection::vec(
+            (proptest::option::of(0i32..4), proptest::option::of(0u8..3)),
+            0..120,
+        ),
+    ) {
+        let names: Vec<Option<String>> =
+            rows.iter().map(|r| r.1.map(|k| format!("s{k}"))).collect();
+        let batch = Batch::from_columns(vec![
+            ("i", Column::from_opt_i32s(rows.iter().map(|r| r.0).collect())),
+            ("s", Column::from_values(
+                mlcs_columnar::DataType::Varchar,
+                &names.iter().map(|n| n.clone().map_or(Value::Null, Value::Varchar)).collect::<Vec<_>>(),
+            ).unwrap()),
+        ])
+        .unwrap();
+        let pairs: Vec<(Option<i32>, Option<String>)> =
+            rows.iter().map(|r| r.0).zip(names.iter().cloned()).collect();
+        let reference = first_occurrences(&pairs);
+        for par in policies() {
+            let (out, _) = distinct(&batch, par);
+            let got: Vec<(Option<i32>, Option<String>)> = (0..out.rows())
+                .map(|i| {
+                    let s = match out.row(i)[1].clone() {
+                        Value::Varchar(s) => Some(s),
+                        _ => None,
+                    };
+                    (out.column(0).i64_at(i).map(|k| k as i32), s)
+                })
+                .collect();
+            prop_assert_eq!(&got, &reference, "{:?}", par);
         }
     }
 

@@ -83,6 +83,21 @@ fn analyze_parallel_annotation_follows_the_executor_gates() {
     assert!(!text.contains("[parallel]"), "serial plan claims parallelism:\n{text}");
 }
 
+/// DISTINCT runs on the hash aggregate, so it follows the policy like any
+/// other heavy operator: at the default threshold, over a table that
+/// clears it, the morsel path engages and `EXPLAIN ANALYZE` says so.
+#[test]
+fn analyze_marks_a_distinct_over_the_threshold_parallel() {
+    use mlcs::columnar::sql::DEFAULT_PARALLEL_THRESHOLD;
+    let db = Database::new();
+    db.set_threads(4);
+    seed(&db, DEFAULT_PARALLEL_THRESHOLD as i64);
+    let text = text_of(&db, "EXPLAIN ANALYZE SELECT DISTINCT k, v FROM t");
+    let line = text.lines().find(|l| l.contains("Distinct")).unwrap();
+    assert!(line.contains("[parallel]"), "Distinct should run parallel:\n{text}");
+    assert!(line.contains("rows=55"), "5 x 11 distinct pairs:\n{text}");
+}
+
 #[test]
 fn plain_explain_is_unchanged_by_the_analyze_path() {
     let db = Database::new();

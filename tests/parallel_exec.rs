@@ -42,8 +42,10 @@ fn serial_and_parallel() -> (Database, Database) {
     (serial, parallel)
 }
 
-/// Row-by-row equality with a relative tolerance for doubles, since the
-/// parallel aggregate may sum float partials in a different association.
+/// Row-by-row equality with a relative tolerance for doubles, since a
+/// parallel *ungrouped* aggregate sums float partials per morsel, in a
+/// different association. Grouped aggregates fold each group's rows in
+/// row order under either policy and are bit-identical.
 fn assert_batches_match(serial: &Batch, parallel: &Batch, sql: &str) {
     assert_eq!(serial.rows(), parallel.rows(), "row count differs for {sql}");
     for r in 0..serial.rows() {
