@@ -115,7 +115,9 @@ impl Pickle for StoredModel {
         Ok(StoredModel { model, classes })
     }
     fn size_hint(&self) -> usize {
-        64 + self.model.to_blob().len()
+        // The label map and the nested envelope fit the 64 bytes in the
+        // common case; sizing never encodes the model.
+        64 + self.model.size_hint()
     }
 }
 

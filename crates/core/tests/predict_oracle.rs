@@ -187,3 +187,56 @@ fn empty_input_predicts_nothing() {
         .unwrap();
     assert_eq!(out.rows(), 0);
 }
+
+/// A forest blob holding a tree fitted on more columns than the forest
+/// declares is a typed error from `predict`, not a panic inside it.
+#[test]
+fn forged_forest_is_an_error_not_a_panic() {
+    use mlcs_columnar::DbError;
+    use mlcs_ml::dataset::ClassMap;
+    use mlcs_ml::Classifier;
+    use mlcs_pickle::{Pickle, PickleError, Reader, Writer};
+
+    /// Writes prepared body bytes under a model's class name.
+    struct Forged<const STORED: bool>(Vec<u8>);
+    impl<const STORED: bool> Pickle for Forged<STORED> {
+        const CLASS_NAME: &'static str =
+            if STORED { StoredModel::CLASS_NAME } else { RandomForestClassifier::CLASS_NAME };
+        fn pickle_body(&self, w: &mut Writer) {
+            w.put_raw(&self.0);
+        }
+        fn unpickle_body(_: &mut Reader) -> Result<Self, PickleError> {
+            Err(PickleError::Invalid("write-only".into()))
+        }
+    }
+    fn body<T: Pickle>(value: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        value.pickle_body(&mut w);
+        w.into_bytes()
+    }
+
+    let labels = [0u32, 1, 0, 1];
+    let narrow = Matrix::new((0..8).map(f64::from).collect(), 4, 2).unwrap();
+    // Only the fifth column is informative, so the tree splits on it.
+    let wide_values = (0..20).map(|i| if i % 5 == 4 { labels[i / 5] as f64 } else { 0.0 });
+    let wide = Matrix::new(wide_values.collect(), 4, 5).unwrap();
+    let mut forest = RandomForestClassifier::new(1).with_seed(1);
+    forest.fit(&narrow, &labels, 2).unwrap();
+    let mut tree = DecisionTreeClassifier::new();
+    tree.fit(&wide, &labels, 2).unwrap();
+    // A forest body ends with its trees: keep the two-column header and
+    // put the five-column tree after it.
+    let (forest_body, own_tree) = (body(&forest), body(&forest.trees()[0]));
+    let mut forged = forest_body[..forest_body.len() - own_tree.len()].to_vec();
+    forged.extend(body(&tree));
+    // The stored model around it: the label map, then the nested blob.
+    let mut stored = Writer::new();
+    ClassMap::fit(&[10, 20]).pickle_body(&mut stored);
+    stored.put_bytes(&mlcs_pickle::pickle(&Forged::<false>(forged)));
+    let blob = mlcs_pickle::pickle(&Forged::<true>(stored.into_bytes()));
+
+    let db = db_with_opposite_models();
+    let err =
+        db.query(&format!("SELECT predict(x, y, {}) FROM pts", blob_literal(&blob))).unwrap_err();
+    assert!(matches!(err, DbError::Udf { .. }), "{err:?}");
+}

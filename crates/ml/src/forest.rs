@@ -12,7 +12,7 @@
 
 use crate::dataset::{validate_fit_inputs, Matrix};
 use crate::error::{MlError, MlResult};
-use crate::tree::{DecisionTreeClassifier, MaxFeatures, SplitStrategy};
+use crate::tree::{DecisionTreeClassifier, FeatureRanks, MaxFeatures, SplitStrategy};
 use crate::Classifier;
 use mlcs_pickle::{Pickle, PickleError, Reader, Writer};
 use rand::rngs::StdRng;
@@ -109,13 +109,7 @@ impl RandomForestClassifier {
                 imp[i] += v;
             }
         }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        crate::tree::normalized(imp)
     }
 }
 
@@ -135,6 +129,10 @@ impl Classifier for RandomForestClassifier {
         let mut seeder = StdRng::seed_from_u64(self.seed);
         let tree_seeds: Vec<u64> = (0..self.n_estimators).map(|_| seeder.gen()).collect();
 
+        // Rank every feature once; each tree sees the shared ranks through
+        // its bootstrap drawn as per-row multiplicities.
+        let data = FeatureRanks::new(x, self.split_strategy);
+        let n = x.rows();
         let fit_one = |seed: u64| -> MlResult<DecisionTreeClassifier> {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut tree = DecisionTreeClassifier::new()
@@ -143,15 +141,16 @@ impl Classifier for RandomForestClassifier {
                 .with_seed(rng.gen());
             tree.max_depth = self.max_depth;
             tree.min_samples_split = self.min_samples_split;
-            if self.bootstrap {
-                let n = x.rows();
-                let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                let bx = x.take_rows(&idx);
-                let by: Vec<u32> = idx.iter().map(|&i| y[i]).collect();
-                tree.fit(&bx, &by, n_classes)?;
+            let w = if self.bootstrap {
+                let mut w = vec![0u32; n];
+                for _ in 0..n {
+                    w[rng.gen_range(0..n)] += 1;
+                }
+                w
             } else {
-                tree.fit(x, y, n_classes)?;
-            }
+                vec![1; n]
+            };
+            tree.fit_weighted(&data, y, &w, n_classes)?;
             Ok(tree)
         };
 
@@ -221,14 +220,7 @@ impl Pickle for RandomForestClassifier {
         w.put_varint(self.n_estimators as u64);
         w.put_varint(self.max_depth.map(|d| d as u64 + 1).unwrap_or(0));
         w.put_varint(self.min_samples_split as u64);
-        match self.max_features {
-            MaxFeatures::All => w.put_u8(0),
-            MaxFeatures::Sqrt => w.put_u8(1),
-            MaxFeatures::Count(n) => {
-                w.put_u8(2);
-                w.put_varint(n as u64);
-            }
-        }
+        crate::tree::pickle_max_features(w, self.max_features);
         w.put_bool(self.bootstrap);
         crate::tree::pickle_split_strategy(w, self.split_strategy);
         w.put_u64(self.seed);
@@ -247,12 +239,7 @@ impl Pickle for RandomForestClassifier {
             d => Some((d - 1) as usize),
         };
         let min_samples_split = r.get_varint()? as usize;
-        let max_features = match r.get_u8()? {
-            0 => MaxFeatures::All,
-            1 => MaxFeatures::Sqrt,
-            2 => MaxFeatures::Count(r.get_varint()? as usize),
-            tag => return Err(PickleError::InvalidTag { tag, context: "MaxFeatures" }),
-        };
+        let max_features = crate::tree::unpickle_max_features(r)?;
         let bootstrap = r.get_bool()?;
         let split_strategy = crate::tree::unpickle_split_strategy(r)?;
         let seed = r.get_u64()?;
@@ -260,8 +247,17 @@ impl Pickle for RandomForestClassifier {
         let n_features = r.get_varint()? as usize;
         let n_trees = r.get_count(8)?;
         let mut trees = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
-            trees.push(DecisionTreeClassifier::unpickle_body(r)?);
+        for i in 0..n_trees {
+            let tree = DecisionTreeClassifier::unpickle_body(r)?;
+            // predict indexes rows by the forest's shape through every tree.
+            if (tree.n_features(), tree.n_classes()) != (n_features, n_classes) {
+                return Err(PickleError::Invalid(format!(
+                    "tree {i} has {} features and {} classes, the forest {n_features} and {n_classes}",
+                    tree.n_features(),
+                    tree.n_classes()
+                )));
+            }
+            trees.push(tree);
         }
         Ok(RandomForestClassifier {
             n_estimators,
@@ -394,6 +390,25 @@ mod tests {
         let back: RandomForestClassifier = mlcs_pickle::unpickle(&blob).unwrap();
         assert_eq!(back.predict(&x).unwrap(), rf.predict(&x).unwrap());
         assert_eq!(back, rf);
+    }
+
+    #[test]
+    fn trees_must_match_the_forest_shape() {
+        let (x, y) = blobs(40, 1);
+        let mut rf = RandomForestClassifier::new(2).with_seed(1);
+        rf.fit(&x, &y, 2).unwrap();
+        let wide = Matrix::new((0..200).map(|i| (i % 7) as f64).collect(), 40, 5).unwrap();
+        let (mut five_columns, mut three_classes) =
+            (DecisionTreeClassifier::new(), DecisionTreeClassifier::new());
+        five_columns.fit(&wide, &y, 2).unwrap();
+        three_classes.fit(&x, &y, 3).unwrap();
+        for tree in [five_columns, three_classes] {
+            let mut forged = rf.clone();
+            forged.trees[1] = tree;
+            let blob = mlcs_pickle::pickle(&forged);
+            let err = mlcs_pickle::unpickle::<RandomForestClassifier>(&blob).unwrap_err();
+            assert!(matches!(err, PickleError::Invalid(_)), "{err:?}");
+        }
     }
 
     #[test]

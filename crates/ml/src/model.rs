@@ -54,6 +54,18 @@ impl Model {
         }
     }
 
+    /// The inner model's [`Pickle::size_hint`]: a buffer size for
+    /// [`Model::to_blob`]'s output without encoding it.
+    pub fn size_hint(&self) -> usize {
+        match self {
+            Model::RandomForest(m) => m.size_hint(),
+            Model::DecisionTree(m) => m.size_hint(),
+            Model::LogisticRegression(m) => m.size_hint(),
+            Model::GaussianNb(m) => m.size_hint(),
+            Model::Knn(m) => m.size_hint(),
+        }
+    }
+
     /// Deserializes any model blob by dispatching on the envelope's class
     /// name.
     pub fn from_blob(blob: &[u8]) -> MlResult<Model> {

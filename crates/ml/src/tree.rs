@@ -1,9 +1,12 @@
 //! CART decision-tree classifier with Gini impurity.
 //!
-//! Split finding supports two strategies (see [`SplitStrategy`]): the
-//! classic exact scan that re-sorts each candidate feature per node, and a
-//! histogram kernel that bins each feature once per tree and scans
-//! cumulative class-count histograms per node — O(n + bins) instead of
+//! Every fit ranks each feature once (a forest once for all its trees) and
+//! grows the tree over per-row multiplicities: a bootstrap is a count per
+//! row, not a copied matrix, and each node is a range of one row-id array
+//! partitioned in place. Split finding supports two strategies (see
+//! [`SplitStrategy`]): the classic exact scan that sorts each candidate
+//! feature's node rows, and a histogram kernel that scans cumulative
+//! class-weight histograms of bin codes per node — O(n + bins) instead of
 //! O(n·log n) per node per feature, the same idea LightGBM and JoinBoost
 //! build on.
 
@@ -43,12 +46,12 @@ pub enum SplitStrategy {
     /// Sort the node's rows per candidate feature and scan every boundary
     /// between distinct values: O(n·log n) per node per feature.
     Exact,
-    /// Bin each feature once per tree, then scan cumulative class-count
-    /// histograms per node: O(n + bins) per node per feature. Whenever a
-    /// feature has at most `bins` distinct values the bin edges are exactly
-    /// the midpoints the exact scan would propose, so the strategies pick
-    /// identical partitions; with more distinct values the thresholds are
-    /// quantile-spaced approximations.
+    /// Bin each feature from ranks shared by the whole forest, then scan
+    /// cumulative class-weight histograms per node: O(n + bins) per node
+    /// per feature. Whenever a tree's feature has at most `bins` distinct
+    /// values the bin edges are exactly the midpoints the exact scan would
+    /// propose, so the strategies pick identical partitions; with more
+    /// distinct values the thresholds are quantile-spaced approximations.
     Histogram {
         /// Maximum bin count per feature (values below 2 behave as 2).
         bins: u16,
@@ -179,24 +182,20 @@ impl DecisionTreeClassifier {
         }
     }
 
-    /// Mean decrease in impurity per feature, normalized to sum to 1.
+    /// Split-usage share per feature: the fraction of the tree's splits
+    /// that test it, normalized to sum to 1.
+    ///
+    /// This is a cheap proxy for scikit-learn's mean decrease in impurity,
+    /// not that measure: impurity decreases are not stored per node and
+    /// cannot be recomputed without the training data.
     pub fn feature_importances(&self) -> Vec<f64> {
-        // Importances are not stored per node; recompute is not possible
-        // without training data, so we track split usage counts instead:
-        // a cheap, serialization-free proxy.
         let mut imp = vec![0.0; self.n_features];
         for n in &self.nodes {
             if let Node::Split { feature, .. } = n {
                 imp[*feature as usize] += 1.0;
             }
         }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        normalized(imp)
     }
 
     fn leaf_proba(counts: &[f64]) -> Node {
@@ -235,6 +234,15 @@ impl DecisionTreeClassifier {
     }
 }
 
+/// `v` scaled to sum to 1 (unchanged when it sums to 0).
+pub(crate) fn normalized(mut v: Vec<f64>) -> Vec<f64> {
+    let total: f64 = v.iter().sum();
+    if total > 0.0 {
+        v.iter_mut().for_each(|x| *x /= total);
+    }
+    v
+}
+
 /// Gini impurity of a class-count vector with the given total.
 fn gini(counts: &[f64], total: f64) -> f64 {
     if total <= 0.0 {
@@ -248,200 +256,426 @@ fn gini(counts: &[f64], total: f64) -> f64 {
     1.0 - sum_sq
 }
 
-/// The best split found for a node, if any.
-struct BestSplit {
-    feature: usize,
-    threshold: f64,
-    score: f64, // weighted child impurity (lower is better)
+/// The split threshold between two neighbouring values `lo < hi`: their
+/// midpoint, or `lo` where the midpoint does not separate them — it rounds
+/// onto `hi` for two adjacent floats, and is NaN or infinite beside an
+/// infinite value. So `x <= threshold` always splits `lo` from `hi`.
+fn midpoint(lo: f64, hi: f64) -> f64 {
+    let mid = lo + (hi - lo) / 2.0;
+    if lo <= mid && mid < hi {
+        mid
+    } else {
+        lo
+    }
 }
 
-/// Per-tree feature binning for [`SplitStrategy::Histogram`].
-struct BinnedFeatures {
-    /// Row-major bin codes: `codes[row * n_features + f]`.
-    codes: Vec<u16>,
-    /// Ascending bin boundaries per feature; bin `b` holds values
-    /// `<= edges[b]` and the last bin is unbounded above. Empty for a
-    /// constant feature. The invariant `code(v) <= b  ⟺  v <= edges[b]`
-    /// makes bin-space split decisions identical to value-space ones
-    /// (the split *threshold* itself is derived from the node's values,
-    /// see [`find_best_split_histogram`]).
-    edges: Vec<Vec<f64>>,
-    n_features: usize,
+/// Every feature of a training matrix ranked once. A forest ranks its
+/// input once and every tree reads these ranks through its bootstrap
+/// multiplicities, so no tree sorts or copies feature values.
+pub(crate) struct FeatureRanks {
+    strategy: SplitStrategy,
+    features: Vec<RankedFeature>,
 }
 
-/// Bins every feature of `x` into at most `max_bins` bins.
-///
-/// When a feature has at most `max_bins` distinct values the edges are the
-/// midpoints between consecutive distinct values — the exact scan's full
-/// candidate set. Otherwise edges sit at quantile positions of the sorted
-/// distinct values, so dense value regions get more resolution.
-fn bin_features(x: &Matrix, max_bins: u16) -> BinnedFeatures {
-    let max_bins = max_bins.max(2) as usize;
-    let mut edges: Vec<Vec<f64>> = Vec::with_capacity(x.cols());
-    let mut distinct: Vec<f64> = Vec::new();
-    for f in 0..x.cols() {
-        distinct.clear();
-        distinct.extend((0..x.rows()).map(|r| x.get(r, f)));
-        distinct.sort_unstable_by(f64::total_cmp);
-        distinct.dedup();
-        let e: Vec<f64> = if distinct.len() <= 1 {
-            Vec::new()
-        } else if distinct.len() <= max_bins {
-            distinct.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2.0).collect()
+struct RankedFeature {
+    /// Ascending distinct values, deduplicated with `==`: `-0.0` and `0.0`
+    /// share one rank (the first in `total_cmp` order is kept; either
+    /// gives the same midpoint bits).
+    distinct: Vec<f64>,
+    /// `ranks[row]` indexes the row's value in `distinct`.
+    ranks: Vec<u32>,
+    /// The rank is the histogram bin of every subset of the rows: the
+    /// feature has at most `bins` distinct values, so per-tree bins would
+    /// hold one value each and skipping a tree's empty bins changes nothing.
+    direct: bool,
+}
+
+impl FeatureRanks {
+    /// Ranks every column of `x` for fitting trees with `strategy`.
+    pub(crate) fn new(x: &Matrix, strategy: SplitStrategy) -> FeatureRanks {
+        let max_bins = match strategy {
+            SplitStrategy::Histogram { bins } => bins.max(2) as usize,
+            SplitStrategy::Exact => 0,
+        };
+        let mut order: Vec<(f64, u32)> = Vec::with_capacity(x.rows());
+        let features = (0..x.cols())
+            .map(|f| {
+                order.clear();
+                order.extend((0..x.rows()).map(|r| (x.get(r, f), r as u32)));
+                // Inputs are NaN-free after validation, so total_cmp sorts
+                // like partial_cmp without the panic path.
+                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                let mut distinct: Vec<f64> = Vec::new();
+                let mut ranks = vec![0u32; x.rows()];
+                for &(v, r) in &order {
+                    if distinct.last() != Some(&v) {
+                        distinct.push(v);
+                    }
+                    ranks[r as usize] = (distinct.len() - 1) as u32;
+                }
+                let direct = distinct.len() <= max_bins;
+                RankedFeature { distinct, ranks, direct }
+            })
+            .collect();
+        FeatureRanks { strategy, features }
+    }
+}
+
+/// How one feature's ranks map to histogram bins in one tree.
+struct Bins {
+    /// Bin count.
+    n: usize,
+    /// `table[rank]` is the bin; `None` when the rank is the bin
+    /// ([`RankedFeature::direct`]).
+    table: Option<Vec<u32>>,
+}
+
+impl Bins {
+    /// The bins a tree whose rows are `rows` uses for `feature`.
+    ///
+    /// A tree's distinct values are the ranks its rows contain. When they
+    /// fit in `max_bins` the edges are the midpoints between consecutive
+    /// ones — the exact scan's full candidate set. Otherwise edges sit at
+    /// quantile positions of them, so dense value regions get more
+    /// resolution. Either way bin `b` holds values `<= edges[b]`.
+    fn for_tree(feature: &RankedFeature, rows: &[u32], max_bins: usize) -> Bins {
+        if feature.direct {
+            return Bins { n: feature.distinct.len(), table: None };
+        }
+        let mut present = vec![false; feature.distinct.len()];
+        for &r in rows {
+            present[feature.ranks[r as usize] as usize] = true;
+        }
+        let values: Vec<f64> =
+            feature.distinct.iter().zip(&present).filter(|p| *p.1).map(|p| *p.0).collect();
+        let edges: Vec<f64> = if values.len() <= max_bins {
+            values.windows(2).map(|p| midpoint(p[0], p[1])).collect()
         } else {
             // k*len/max_bins is strictly increasing in k here because
             // len > max_bins, so each edge strictly exceeds the last.
             (1..max_bins)
                 .map(|k| {
-                    let i = k * distinct.len() / max_bins;
-                    distinct[i - 1] + (distinct[i] - distinct[i - 1]) / 2.0
+                    let i = k * values.len() / max_bins;
+                    midpoint(values[i - 1], values[i])
                 })
                 .collect()
         };
-        edges.push(e);
+        let table =
+            feature.distinct.iter().map(|v| edges.partition_point(|e| e < v) as u32).collect();
+        Bins { n: edges.len() + 1, table: Some(table) }
     }
-    let mut codes = vec![0u16; x.rows() * x.cols()];
-    for r in 0..x.rows() {
-        for (f, e) in edges.iter().enumerate() {
-            let v = x.get(r, f);
-            codes[r * x.cols() + f] = e.partition_point(|edge| *edge < v) as u16;
+}
+
+/// The best split found for a node, if any.
+struct BestSplit {
+    feature: usize,
+    /// Last populated bin (histogram) or rank (exact) of the left child,
+    /// and the first of the right child.
+    lo: u32,
+    hi: u32,
+    score: f64, // weighted child impurity (lower is better)
+    /// Class counts of the left child.
+    left: Vec<f64>,
+}
+
+/// One tree's growth: what it reads — the shared ranks, this tree's bins
+/// and multiplicities, the labels — and its reusable buffers.
+struct Grower<'a> {
+    data: &'a FeatureRanks,
+    /// Per-feature bins under the histogram strategy; empty under exact.
+    bins: Vec<Bins>,
+    y: &'a [u32],
+    w: &'a [u32],
+    min_leaf: usize,
+    /// The boundary scan moves weight from `right` to `left` in ascending
+    /// value order; `n_left` is the weight moved.
+    left: Vec<f64>,
+    right: Vec<f64>,
+    n_left: f64,
+    /// `hist[bin * n_classes + class]` — class weights per bin.
+    hist: Vec<f64>,
+    /// Exact strategy: a node's `rank << 32 | row` keys, sorted.
+    sorted: Vec<u64>,
+    /// Boundaries scored (the `ml.train.splits_evaluated` counter).
+    evaluated: u64,
+}
+
+impl Grower<'_> {
+    /// Moves `weight` of `class` left in a scan of `feature` over a node
+    /// with (`total` weight, impurity `parent_gini`). Entering a new `key`
+    /// (bin or rank) first scores the boundary below it, keeping it in
+    /// `best` if it beats it.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        (total, parent_gini): (f64, f64),
+        feature: usize,
+        prev: &mut Option<u32>,
+        key: u32,
+        class: usize,
+        weight: f64,
+        best: &mut Option<BestSplit>,
+    ) {
+        if let Some(lo) = prev.filter(|&p| p != key) {
+            let (n_left, n_right) = (self.n_left, total - self.n_left);
+            if (n_left as usize) >= self.min_leaf && (n_right as usize) >= self.min_leaf {
+                self.evaluated += 1;
+                let score = (n_left / total) * gini(&self.left, n_left)
+                    + (n_right / total) * gini(&self.right, n_right);
+                // Zero-gain splits (score == parent impurity) are allowed, as
+                // in scikit-learn: XOR-like data needs them to make progress.
+                // Each split strictly shrinks both children, so recursion
+                // still terminates.
+                if score <= parent_gini + 1e-12
+                    && score < best.as_ref().map_or(f64::INFINITY, |b| b.score)
+                {
+                    let left = self.left.clone();
+                    *best = Some(BestSplit { feature, lo, hi: key, score, left });
+                }
+            }
         }
+        *prev = Some(key);
+        self.left[class] += weight;
+        self.right[class] -= weight;
+        self.n_left += weight;
     }
-    BinnedFeatures { codes, edges, n_features: x.cols() }
+
+    /// Finds the impurity-minimizing split of `rows` over the candidate
+    /// features. Under the histogram strategy one pass per feature builds
+    /// the node's class-weight histogram from bin codes, labels and
+    /// multiplicities, and the boundary scan is O(bins · classes); under
+    /// the exact strategy the node's rows are sorted by rank instead.
+    fn find_split(
+        &mut self,
+        rows: &[u32],
+        feats: &[usize],
+        counts: &[f64],
+        node: (f64, f64),
+    ) -> Option<BestSplit> {
+        let (data, y, w, nc) = (self.data, self.y, self.w, counts.len());
+        let mut best = None;
+        for &f in feats {
+            let ranks = &data.features[f].ranks;
+            self.left.iter_mut().for_each(|c| *c = 0.0);
+            self.right.copy_from_slice(counts);
+            self.n_left = 0.0;
+            let mut prev = None;
+            let Some(bins) = self.bins.get(f) else {
+                self.sorted.clear();
+                self.sorted
+                    .extend(rows.iter().map(|&r| (ranks[r as usize] as u64) << 32 | r as u64));
+                self.sorted.sort_unstable();
+                for i in 0..self.sorted.len() {
+                    let (rank, r) = ((self.sorted[i] >> 32) as u32, self.sorted[i] as u32 as usize);
+                    self.step(node, f, &mut prev, rank, y[r] as usize, w[r] as f64, &mut best);
+                }
+                continue;
+            };
+            let n_bins = bins.n;
+            if n_bins < 2 {
+                continue; // constant over this tree's rows
+            }
+            self.hist.clear();
+            self.hist.resize(n_bins * nc, 0.0);
+            match &bins.table {
+                None => {
+                    for &r in rows {
+                        let r = r as usize;
+                        self.hist[ranks[r] as usize * nc + y[r] as usize] += w[r] as f64;
+                    }
+                }
+                Some(table) => {
+                    for &r in rows {
+                        let r = r as usize;
+                        let bin = table[ranks[r] as usize] as usize;
+                        self.hist[bin * nc + y[r] as usize] += w[r] as f64;
+                    }
+                }
+            }
+            // Populated bins in ascending order: the cumulative-histogram
+            // analogue of the exact scan's row-by-row sweep.
+            for i in 0..n_bins * nc {
+                let v = self.hist[i];
+                if v != 0.0 {
+                    self.step(node, f, &mut prev, (i / nc) as u32, i % nc, v, &mut best);
+                }
+            }
+        }
+        best
+    }
+
+    /// The split's threshold and its rank cut: a row goes left iff its
+    /// rank is below the cut. The node holds no rank strictly between the
+    /// largest left and the smallest right one, and the threshold lies in
+    /// `[left value, right value)`, so this is `x <= threshold` on its rows.
+    ///
+    /// The threshold is node-local: the [`midpoint`] of the largest value
+    /// left and the smallest value right — the exact scan's threshold — so
+    /// both strategies agree on rows the node never saw (out-of-bag and
+    /// test rows), not just on the fitted partition, and the partition is
+    /// always the one the scan scored.
+    fn threshold(&self, best: &BestSplit, rows: &[u32]) -> (f64, u32) {
+        let feature = &self.data.features[best.feature];
+        let (mut lo, mut hi) = (best.lo, best.hi);
+        if let Some(table) = self.bins.get(best.feature).and_then(|b| b.table.as_ref()) {
+            // A bin can hold several values: find the node's extremes.
+            (lo, hi) = (0, u32::MAX);
+            for &r in rows {
+                let rank = feature.ranks[r as usize];
+                if table[rank as usize] <= best.lo {
+                    lo = lo.max(rank);
+                } else {
+                    hi = hi.min(rank);
+                }
+            }
+        }
+        let distinct = &feature.distinct;
+        (midpoint(distinct[lo as usize], distinct[hi as usize]), lo + 1)
+    }
+}
+
+/// Stably moves the rows whose `key` is below `cut` to the front of
+/// `rows`, returning how many there are.
+fn partition(rows: &mut [u32], key: &[u32], cut: u32, spill: &mut Vec<u32>) -> usize {
+    spill.clear();
+    spill.resize(rows.len(), 0);
+    let (mut l, mut s) = (0, 0);
+    for i in 0..rows.len() {
+        let r = rows[i];
+        let go_left = (key[r as usize] < cut) as usize;
+        rows[l] = r;
+        spill[s] = r;
+        l += go_left;
+        s += 1 - go_left;
+    }
+    rows[l..].copy_from_slice(&spill[..s]);
+    l
+}
+
+impl DecisionTreeClassifier {
+    /// Fits on `data` with per-row multiplicities `w`: row `r` counts as
+    /// `w[r]` copies of itself, exactly as if it were repeated that many
+    /// times, and rows with `w[r] == 0` are not visited. `data` must have
+    /// been ranked for this tree's split strategy.
+    ///
+    /// Each node is a range of one row-id array that is partitioned in
+    /// place; a child's class counts come from the split scan, so no pass
+    /// recounts a node.
+    pub(crate) fn fit_weighted(
+        &mut self,
+        data: &FeatureRanks,
+        y: &[u32],
+        w: &[u32],
+        n_classes: usize,
+    ) -> MlResult<()> {
+        debug_assert_eq!(data.strategy, self.split_strategy);
+        for (param, value, min) in [
+            ("min_samples_split", self.min_samples_split, 2),
+            ("min_samples_leaf", self.min_samples_leaf, 1),
+        ] {
+            if value < min {
+                return Err(MlError::InvalidParam { param, message: format!("must be >= {min}") });
+            }
+        }
+        let n_features = data.features.len();
+        self.n_classes = n_classes;
+        self.n_features = n_features;
+        self.nodes.clear();
+
+        let mut rows: Vec<u32> = (0..w.len() as u32).filter(|&r| w[r as usize] > 0).collect();
+        let bins = match self.split_strategy {
+            SplitStrategy::Histogram { bins } => {
+                let max_bins = bins.max(2) as usize;
+                data.features.iter().map(|f| Bins::for_tree(f, &rows, max_bins)).collect()
+            }
+            SplitStrategy::Exact => Vec::new(),
+        };
+        let mut g = Grower {
+            data,
+            bins,
+            y,
+            w,
+            min_leaf: self.min_samples_leaf,
+            left: vec![0.0; n_classes],
+            right: vec![0.0; n_classes],
+            n_left: 0.0,
+            hist: Vec::new(),
+            sorted: Vec::new(),
+            evaluated: 0,
+        };
+        let (mut feats, mut spill) = (Vec::with_capacity(n_features), Vec::new());
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let k_features = self.max_features.resolve(n_features);
+
+        let mut root_counts = vec![0.0f64; n_classes];
+        for &r in &rows {
+            root_counts[y[r as usize] as usize] += w[r as usize] as f64;
+        }
+        // Explicit work stack avoids recursion-depth issues on deep trees.
+        struct Work {
+            node_slot: usize,
+            start: usize,
+            end: usize,
+            depth: usize,
+            counts: Vec<f64>,
+        }
+        self.nodes.push(Node::Leaf { proba: vec![] }); // placeholder root
+        let mut stack =
+            vec![Work { node_slot: 0, start: 0, end: rows.len(), depth: 0, counts: root_counts }];
+
+        while let Some(work) = stack.pop() {
+            let total: f64 = work.counts.iter().sum();
+            let node_gini = gini(&work.counts, total);
+            let depth_ok = self.max_depth.is_none_or(|d| work.depth < d);
+            let can_split =
+                depth_ok && total as usize >= self.min_samples_split && node_gini > 1e-12;
+
+            let node_rows = &mut rows[work.start..work.end];
+            let best = if can_split {
+                // Feature subsample for this split.
+                feats.clear();
+                feats.extend(0..n_features);
+                if k_features < n_features {
+                    feats.shuffle(&mut rng);
+                    feats.truncate(k_features);
+                }
+                g.find_split(node_rows, &feats, &work.counts, (total, node_gini))
+            } else {
+                None
+            };
+            let Some(bs) = best else {
+                self.nodes[work.node_slot] = Self::leaf_proba(&work.counts);
+                continue;
+            };
+            let (threshold, cut) = g.threshold(&bs, node_rows);
+            let n_left = partition(node_rows, &data.features[bs.feature].ranks, cut, &mut spill);
+            let left_counts = bs.left;
+            let right_counts = work.counts.iter().zip(&left_counts).map(|(p, l)| p - l).collect();
+            let left = self.nodes.len();
+            self.nodes.resize(left + 2, Node::Leaf { proba: vec![] });
+            self.nodes[work.node_slot] = Node::Split {
+                feature: bs.feature as u32,
+                threshold,
+                left: left as u32,
+                right: left as u32 + 1,
+            };
+            let mid = work.start + n_left;
+            for (node_slot, start, end, counts) in
+                [(left, work.start, mid, left_counts), (left + 1, mid, work.end, right_counts)]
+            {
+                stack.push(Work { node_slot, start, end, depth: work.depth + 1, counts });
+            }
+        }
+        mlcs_columnar::metrics::counter("ml.train.splits_evaluated").add(g.evaluated);
+        Ok(())
+    }
 }
 
 impl Classifier for DecisionTreeClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u32], n_classes: usize) -> MlResult<()> {
         validate_fit_inputs(x, y, n_classes)?;
-        if self.min_samples_split < 2 {
-            return Err(MlError::InvalidParam {
-                param: "min_samples_split",
-                message: "must be >= 2".into(),
-            });
-        }
-        if self.min_samples_leaf < 1 {
-            return Err(MlError::InvalidParam {
-                param: "min_samples_leaf",
-                message: "must be >= 1".into(),
-            });
-        }
-        self.n_classes = n_classes;
-        self.n_features = x.cols();
-        self.nodes.clear();
-
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let k_features = self.max_features.resolve(x.cols());
-        let all_features: Vec<usize> = (0..x.cols()).collect();
-        let binned = match self.split_strategy {
-            SplitStrategy::Histogram { bins } => Some(bin_features(x, bins)),
-            SplitStrategy::Exact => None,
-        };
-        let mut splits_evaluated = 0u64;
-
-        // Explicit work stack avoids recursion-depth issues on deep trees.
-        struct Work {
-            node_slot: usize,
-            indices: Vec<usize>,
-            depth: usize,
-        }
-        self.nodes.push(Node::Leaf { proba: vec![] }); // placeholder root
-        let mut stack = vec![Work { node_slot: 0, indices: (0..x.rows()).collect(), depth: 0 }];
-
-        // Reusable scratch buffers.
-        let mut counts = vec![0.0f64; n_classes];
-        let mut sorted: Vec<(f64, u32)> = Vec::new();
-        let mut hist = HistScratch::default();
-
-        while let Some(work) = stack.pop() {
-            counts.iter_mut().for_each(|c| *c = 0.0);
-            for &i in &work.indices {
-                counts[y[i] as usize] += 1.0;
-            }
-            let total = work.indices.len() as f64;
-            let node_gini = gini(&counts, total);
-
-            let depth_ok = self.max_depth.is_none_or(|d| work.depth < d);
-            let can_split =
-                depth_ok && work.indices.len() >= self.min_samples_split && node_gini > 1e-12;
-
-            let best = if can_split {
-                // Feature subsample for this split.
-                let feats: Vec<usize> = if k_features >= x.cols() {
-                    all_features.clone()
-                } else {
-                    let mut f = all_features.clone();
-                    f.shuffle(&mut rng);
-                    f.truncate(k_features);
-                    f
-                };
-                match &binned {
-                    Some(b) => find_best_split_histogram(
-                        x,
-                        b,
-                        y,
-                        &work.indices,
-                        &feats,
-                        n_classes,
-                        self.min_samples_leaf,
-                        node_gini,
-                        &mut hist,
-                        &mut splits_evaluated,
-                    ),
-                    None => find_best_split(
-                        x,
-                        y,
-                        &work.indices,
-                        &feats,
-                        n_classes,
-                        self.min_samples_leaf,
-                        node_gini,
-                        &mut sorted,
-                        &mut splits_evaluated,
-                    ),
-                }
-            } else {
-                None
-            };
-
-            match best {
-                None => {
-                    self.nodes[work.node_slot] = Self::leaf_proba(&counts);
-                }
-                Some(bs) => {
-                    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-                    for &i in &work.indices {
-                        if x.get(i, bs.feature) <= bs.threshold {
-                            left_idx.push(i);
-                        } else {
-                            right_idx.push(i);
-                        }
-                    }
-                    debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
-                    let left_slot = self.nodes.len();
-                    self.nodes.push(Node::Leaf { proba: vec![] });
-                    let right_slot = self.nodes.len();
-                    self.nodes.push(Node::Leaf { proba: vec![] });
-                    self.nodes[work.node_slot] = Node::Split {
-                        feature: bs.feature as u32,
-                        threshold: bs.threshold,
-                        left: left_slot as u32,
-                        right: right_slot as u32,
-                    };
-                    stack.push(Work {
-                        node_slot: left_slot,
-                        indices: left_idx,
-                        depth: work.depth + 1,
-                    });
-                    stack.push(Work {
-                        node_slot: right_slot,
-                        indices: right_idx,
-                        depth: work.depth + 1,
-                    });
-                }
-            }
-        }
-        mlcs_columnar::metrics::counter("ml.train.splits_evaluated").add(splits_evaluated);
-        Ok(())
+        let data = FeatureRanks::new(x, self.split_strategy);
+        self.fit_weighted(&data, y, &vec![1; x.rows()], n_classes)
     }
 
     fn predict(&self, x: &Matrix) -> MlResult<Vec<u32>> {
@@ -480,182 +714,24 @@ impl Classifier for DecisionTreeClassifier {
     }
 }
 
-/// Finds the impurity-minimizing split over the candidate features by
-/// sorting the node's rows per feature ([`SplitStrategy::Exact`]).
-#[allow(clippy::too_many_arguments)]
-fn find_best_split(
-    x: &Matrix,
-    y: &[u32],
-    indices: &[usize],
-    features: &[usize],
-    n_classes: usize,
-    min_leaf: usize,
-    parent_gini: f64,
-    sorted: &mut Vec<(f64, u32)>,
-    splits_evaluated: &mut u64,
-) -> Option<BestSplit> {
-    let total = indices.len() as f64;
-    let mut best: Option<BestSplit> = None;
-    let mut right_counts = vec![0.0f64; n_classes];
-    let mut left_counts = vec![0.0f64; n_classes];
-
-    for &f in features {
-        sorted.clear();
-        sorted.extend(indices.iter().map(|&i| (x.get(i, f), y[i])));
-        // Inputs are NaN-free after validation, so total_cmp sorts like
-        // partial_cmp without the panic path.
-        sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        if sorted[0].0 == sorted[sorted.len() - 1].0 {
-            continue; // constant feature
-        }
-        left_counts.iter_mut().for_each(|c| *c = 0.0);
-        right_counts.iter_mut().for_each(|c| *c = 0.0);
-        for &(_, cls) in sorted.iter() {
-            right_counts[cls as usize] += 1.0;
-        }
-        // Scan split positions: after element k, threshold between k and k+1.
-        for k in 0..sorted.len() - 1 {
-            let (v, cls) = sorted[k];
-            left_counts[cls as usize] += 1.0;
-            right_counts[cls as usize] -= 1.0;
-            let next_v = sorted[k + 1].0;
-            if v == next_v {
-                continue; // cannot split between equal values
-            }
-            let n_left = (k + 1) as f64;
-            let n_right = total - n_left;
-            if (n_left as usize) < min_leaf || (n_right as usize) < min_leaf {
-                continue;
-            }
-            *splits_evaluated += 1;
-            let score = (n_left / total) * gini(&left_counts, n_left)
-                + (n_right / total) * gini(&right_counts, n_right);
-            // Zero-gain splits (score == parent impurity) are allowed, as
-            // in scikit-learn: XOR-like data needs them to make progress.
-            // Each split strictly shrinks both children, so recursion
-            // still terminates.
-            if score <= parent_gini + 1e-12
-                && score < best.as_ref().map_or(f64::INFINITY, |b| b.score)
-            {
-                best = Some(BestSplit { feature: f, threshold: v + (next_v - v) / 2.0, score });
-            }
+pub(crate) fn pickle_max_features(w: &mut Writer, mf: MaxFeatures) {
+    match mf {
+        MaxFeatures::All => w.put_u8(0),
+        MaxFeatures::Sqrt => w.put_u8(1),
+        MaxFeatures::Count(n) => {
+            w.put_u8(2);
+            w.put_varint(n as u64);
         }
     }
-    best
 }
 
-/// Reusable per-node scratch for [`find_best_split_histogram`]: the
-/// class-count histogram plus the node-local value range of every bin.
-#[derive(Default)]
-struct HistScratch {
-    /// `hist[bin * n_classes + class]` — class counts per bin.
-    hist: Vec<f64>,
-    /// Smallest node value falling in each bin (`+inf` when empty).
-    bin_min: Vec<f64>,
-    /// Largest node value falling in each bin (`-inf` when empty).
-    bin_max: Vec<f64>,
-    /// Indices of the bins the node populates, ascending.
-    nonempty: Vec<usize>,
-}
-
-/// Finds the impurity-minimizing split over the candidate features by
-/// scanning cumulative class-count histograms of the pre-binned features
-/// ([`SplitStrategy::Histogram`]). One O(n) pass builds the node's
-/// histogram per feature; the boundary scan is O(bins · classes).
-///
-/// Thresholds are node-local: the midpoint between the largest value in
-/// the left bin and the smallest value in the next populated bin — the
-/// same formula (and, when every distinct value has its own bin, the same
-/// bits) as the exact scan's `v + (next_v - v) / 2`. This keeps the two
-/// strategies in exact agreement on rows the node never saw (out-of-bag
-/// and test rows), not just on the fitted partition.
-#[allow(clippy::too_many_arguments)]
-fn find_best_split_histogram(
-    x: &Matrix,
-    binned: &BinnedFeatures,
-    y: &[u32],
-    indices: &[usize],
-    features: &[usize],
-    n_classes: usize,
-    min_leaf: usize,
-    parent_gini: f64,
-    scratch: &mut HistScratch,
-    splits_evaluated: &mut u64,
-) -> Option<BestSplit> {
-    let total = indices.len() as f64;
-    let mut best: Option<BestSplit> = None;
-    let mut left_counts = vec![0.0f64; n_classes];
-    let mut right_counts = vec![0.0f64; n_classes];
-    let HistScratch { hist, bin_min, bin_max, nonempty } = scratch;
-
-    for &f in features {
-        let edges = &binned.edges[f];
-        if edges.is_empty() {
-            continue; // globally constant feature
-        }
-        let n_bins = edges.len() + 1;
-        hist.clear();
-        hist.resize(n_bins * n_classes, 0.0);
-        bin_min.clear();
-        bin_min.resize(n_bins, f64::INFINITY);
-        bin_max.clear();
-        bin_max.resize(n_bins, f64::NEG_INFINITY);
-        for &i in indices {
-            let code = binned.codes[i * binned.n_features + f] as usize;
-            hist[code * n_classes + y[i] as usize] += 1.0;
-            let v = x.get(i, f);
-            if v < bin_min[code] {
-                bin_min[code] = v;
-            }
-            if v > bin_max[code] {
-                bin_max[code] = v;
-            }
-        }
-        nonempty.clear();
-        nonempty.extend((0..n_bins).filter(|&b| bin_max[b] >= bin_min[b]));
-        if nonempty.len() < 2 {
-            continue; // constant within this node
-        }
-        left_counts.iter_mut().for_each(|c| *c = 0.0);
-        right_counts.iter_mut().for_each(|c| *c = 0.0);
-        for &b in nonempty.iter() {
-            for c in 0..n_classes {
-                right_counts[c] += hist[b * n_classes + c];
-            }
-        }
-        // Scan the populated-bin boundaries in ascending order, moving each
-        // bin's counts from the right child to the left — the cumulative-
-        // histogram analogue of the exact scan's element-by-element sweep.
-        let mut n_left = 0usize;
-        for w in 0..nonempty.len() - 1 {
-            let b = nonempty[w];
-            let row = &hist[b * n_classes..(b + 1) * n_classes];
-            let mut bin_total = 0.0;
-            for (c, &v) in row.iter().enumerate() {
-                left_counts[c] += v;
-                right_counts[c] -= v;
-                bin_total += v;
-            }
-            n_left += bin_total as usize;
-            let n_right = indices.len() - n_left;
-            if n_left < min_leaf || n_right < min_leaf {
-                continue;
-            }
-            *splits_evaluated += 1;
-            let (nl, nr) = (n_left as f64, n_right as f64);
-            let score =
-                (nl / total) * gini(&left_counts, nl) + (nr / total) * gini(&right_counts, nr);
-            // Same acceptance rules as the exact scan: zero-gain splits
-            // allowed, strict improvement over the best so far.
-            if score <= parent_gini + 1e-12
-                && score < best.as_ref().map_or(f64::INFINITY, |b| b.score)
-            {
-                let (v, next_v) = (bin_max[b], bin_min[nonempty[w + 1]]);
-                best = Some(BestSplit { feature: f, threshold: v + (next_v - v) / 2.0, score });
-            }
-        }
-    }
-    best
+pub(crate) fn unpickle_max_features(r: &mut Reader) -> Result<MaxFeatures, PickleError> {
+    Ok(match r.get_u8()? {
+        0 => MaxFeatures::All,
+        1 => MaxFeatures::Sqrt,
+        2 => MaxFeatures::Count(r.get_varint()? as usize),
+        tag => return Err(PickleError::InvalidTag { tag, context: "MaxFeatures" }),
+    })
 }
 
 pub(crate) fn pickle_split_strategy(w: &mut Writer, s: SplitStrategy) {
@@ -688,14 +764,7 @@ impl Pickle for DecisionTreeClassifier {
         w.put_varint(self.max_depth.map(|d| d as u64 + 1).unwrap_or(0));
         w.put_varint(self.min_samples_split as u64);
         w.put_varint(self.min_samples_leaf as u64);
-        match self.max_features {
-            MaxFeatures::All => w.put_u8(0),
-            MaxFeatures::Sqrt => w.put_u8(1),
-            MaxFeatures::Count(n) => {
-                w.put_u8(2);
-                w.put_varint(n as u64);
-            }
-        }
+        pickle_max_features(w, self.max_features);
         pickle_split_strategy(w, self.split_strategy);
         w.put_u64(self.seed);
         w.put_varint(self.n_classes as u64);
@@ -725,12 +794,7 @@ impl Pickle for DecisionTreeClassifier {
         };
         let min_samples_split = r.get_varint()? as usize;
         let min_samples_leaf = r.get_varint()? as usize;
-        let max_features = match r.get_u8()? {
-            0 => MaxFeatures::All,
-            1 => MaxFeatures::Sqrt,
-            2 => MaxFeatures::Count(r.get_varint()? as usize),
-            tag => return Err(PickleError::InvalidTag { tag, context: "MaxFeatures" }),
-        };
+        let max_features = unpickle_max_features(r)?;
         let split_strategy = unpickle_split_strategy(r)?;
         let seed = r.get_u64()?;
         let n_classes = r.get_varint()? as usize;
@@ -741,7 +805,7 @@ impl Pickle for DecisionTreeClassifier {
             match r.get_u8()? {
                 0 => {
                     let proba = r.get_f64_vec()?;
-                    if !proba.is_empty() && proba.len() != n_classes {
+                    if proba.len() != n_classes {
                         return Err(PickleError::Invalid(format!(
                             "leaf with {} probabilities for {n_classes} classes",
                             proba.len()
@@ -793,6 +857,7 @@ impl Pickle for DecisionTreeClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn xor_data() -> (Matrix, Vec<u32>) {
         // XOR: not linearly separable, trees handle it.
@@ -982,6 +1047,107 @@ mod tests {
         let blob = mlcs_pickle::pickle(&t);
         for cut in [blob.len() / 4, blob.len() / 2, blob.len() - 2] {
             assert!(mlcs_pickle::unpickle::<DecisionTreeClassifier>(&blob[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn splits_next_to_infinite_or_adjacent_values_separate_them() {
+        // Plain midpoints here are NaN (-inf, -1), inf (2, inf) or round
+        // onto the larger value (two adjacent floats); each must still split.
+        let after = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let (a, b) = (after(1.0), after(after(1.0)));
+        let values = [f64::NEG_INFINITY, -1.0, 1.0, a, b, 2.0, f64::INFINITY];
+        let x = Matrix::new(values.to_vec(), values.len(), 1).unwrap();
+        let y = vec![0, 1, 0, 1, 0, 1, 0];
+        for strategy in [SplitStrategy::Exact, SplitStrategy::default()] {
+            let mut t = DecisionTreeClassifier::new().with_split_strategy(strategy);
+            t.fit(&x, &y, 2).unwrap();
+            assert_eq!(t.predict(&x).unwrap(), y, "{strategy:?}");
+            assert_eq!(t.node_count(), 2 * values.len() - 1, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn leaf_without_probabilities_rejected() {
+        let (x, y) = xor_data();
+        let mut t = DecisionTreeClassifier::new();
+        t.fit(&x, &y, 2).unwrap();
+        let leaf = t.nodes.iter().position(|n| matches!(n, Node::Leaf { .. })).unwrap();
+        t.nodes[leaf] = Node::Leaf { proba: vec![] };
+        let err = mlcs_pickle::unpickle::<DecisionTreeClassifier>(&mlcs_pickle::pickle(&t));
+        assert!(matches!(err, Err(PickleError::Invalid(_))), "{err:?}");
+    }
+
+    /// Up to 200 rows of 1–4 features drawn from a small domain (seven
+    /// values) or a large one (continuous), both with `±0.0`; labels in
+    /// 0..3; multiplicities in 0..4 with at least one row kept.
+    fn weighted_problem() -> impl Strategy<Value = (Matrix, Vec<u32>, Vec<u32>)> {
+        (1usize..201, 1usize..5, 0u32..2).prop_flat_map(|(rows, cols, small)| {
+            let n = rows * cols;
+            let values = (
+                proptest::collection::vec(0u32..1000, n),
+                proptest::collection::vec(-1e3f64..1e3, n),
+            );
+            let labels = proptest::collection::vec(0u32..3, rows);
+            let w = proptest::collection::vec(0u32..4, rows);
+            (values, labels, w).prop_map(move |((codes, floats), y, mut w)| {
+                const SMALL: [f64; 7] = [-0.0, 0.0, 1.0, -1.0, 2.5, 3.0, -7.0];
+                let data = codes
+                    .iter()
+                    .zip(&floats)
+                    .map(|(&c, &v)| match (small, c % 10) {
+                        (1, _) => SMALL[c as usize % 7],
+                        (_, 0) => -0.0,
+                        (_, 1) => 0.0,
+                        _ => v,
+                    })
+                    .collect();
+                if w.iter().all(|&m| m == 0) {
+                    w[rows - 1] = 1;
+                }
+                (Matrix::new(data, rows, cols).unwrap(), y, w)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The oracle for `fit_weighted`: a row with multiplicity `m` is
+        /// exactly `m` copies of that row, under either strategy and with
+        /// bins both coarser and finer than the distinct values.
+        #[test]
+        fn multiplicities_equal_duplicated_rows(
+            (x, y, w) in weighted_problem(),
+            bins in 2u16..20,
+            seed in 0u64..1000,
+        ) {
+            let repeat: Vec<usize> =
+                (0..x.rows()).flat_map(|r| std::iter::repeat_n(r, w[r] as usize)).collect();
+            let (rx, ry) = (x.take_rows(&repeat), repeat.iter().map(|&r| y[r]).collect::<Vec<_>>());
+            let bits = |t: &DecisionTreeClassifier| -> Vec<u64> {
+                t.predict_proba(&x).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            for strategy in
+                [SplitStrategy::Exact, SplitStrategy::Histogram { bins }, SplitStrategy::default()]
+            {
+                let tree = || {
+                    DecisionTreeClassifier::new()
+                        .with_split_strategy(strategy)
+                        .with_max_features(MaxFeatures::Sqrt)
+                        .with_seed(seed)
+                };
+                let mut weighted = tree();
+                weighted.fit_weighted(&FeatureRanks::new(&x, strategy), &y, &w, 3).unwrap();
+                let mut repeated = tree();
+                repeated.fit(&rx, &ry, 3).unwrap();
+                prop_assert_eq!(&weighted, &repeated, "{:?}", strategy);
+                prop_assert_eq!(
+                    mlcs_pickle::pickle(&weighted),
+                    mlcs_pickle::pickle(&repeated)
+                );
+                prop_assert_eq!(bits(&weighted), bits(&repeated));
+            }
         }
     }
 
