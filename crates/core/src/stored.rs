@@ -1,5 +1,7 @@
 //! [`StoredModel`]: the unit of model persistence — a trained classifier
-//! bundled with its label mapping, pickled as one BLOB.
+//! bundled with its label mapping, pickled as one BLOB: one envelope and
+//! one checksum around the label map, the model's class name and the
+//! model's body.
 
 use mlcs_ml::dataset::ClassMap;
 use mlcs_ml::{Classifier, Matrix, MlResult, Model};
@@ -103,20 +105,18 @@ impl Pickle for StoredModel {
     const CLASS_NAME: &'static str = "StoredModel";
     fn pickle_body(&self, w: &mut Writer) {
         self.classes.pickle_body(w);
-        // The inner model is stored as a nested enveloped pickle so that
-        // class-name dispatch (Model::from_blob) keeps working.
-        w.put_bytes(&self.model.to_blob());
+        w.put_str(self.model.class_name());
+        self.model.pickle_body(w);
     }
     fn unpickle_body(r: &mut Reader) -> Result<Self, PickleError> {
         let classes = ClassMap::unpickle_body(r)?;
-        let blob = r.get_bytes()?;
-        let model = Model::from_blob(blob)
-            .map_err(|e| PickleError::Invalid(format!("nested model: {e}")))?;
+        let class = r.get_str()?;
+        let model = Model::unpickle_body(class, r)?;
         Ok(StoredModel { model, classes })
     }
     fn size_hint(&self) -> usize {
-        // The label map and the nested envelope fit the 64 bytes in the
-        // common case; sizing never encodes the model.
+        // The label map and the class name fit the 64 bytes in the common
+        // case; sizing never encodes the model.
         64 + self.model.size_hint()
     }
 }

@@ -16,14 +16,17 @@
 //! The four model UDFs resolve their arguments through one helper that
 //! revives models via the database's shared [`ModelCache`] — decoded once
 //! per distinct BLOB (§5.1) — and applies row `i` with the model in
-//! classifier row `i`, so one query can apply every stored model.
+//! classifier row `i`, so one query can apply every stored model. A row
+//! with a NULL feature has no prediction: the scalar UDFs return NULL for
+//! it and `evaluate` rejects it, as `train` does.
 
 use crate::bridge::{labels_from_column, matrix_from_columns};
 use crate::cache::{MatrixCache, ModelCache};
 use crate::stored::StoredModel;
 use mlcs_columnar::parallel::hardware_threads;
 use mlcs_columnar::{
-    Batch, Column, DataType, Database, DbError, DbResult, Field, ScalarUdf, Schema, TableUdf,
+    Batch, Bitmap, Column, ColumnData, DataType, Database, DbError, DbResult, Field, ScalarUdf,
+    Schema, TableUdf,
 };
 use mlcs_ml::forest::RandomForestClassifier;
 use mlcs_ml::knn::KNearestNeighbors;
@@ -270,6 +273,10 @@ struct ModelArgs {
     /// `(end, model)` runs in row order: the rows from the previous run's
     /// end up to `end` use `model`.
     runs: Vec<(usize, Arc<StoredModel>)>,
+    /// The rows whose features are all non-NULL; `None` when every row's
+    /// are. The model reads a NULL as NaN, so its answer for such a row is
+    /// not a prediction.
+    valid: Option<Bitmap>,
 }
 
 /// Resolves the feature columns and the classifier column of a model UDF —
@@ -305,6 +312,10 @@ fn resolve(
             }),
         })
         .collect::<DbResult<Vec<_>>>()?;
+    let valid = features
+        .iter()
+        .filter_map(|c| c.validity())
+        .fold(None, |all, v| Some(all.map_or_else(|| v.clone(), |all: Bitmap| all.and(v))));
     let x = matrix_cache.get_or_build(&features)?;
     let mut runs: Vec<(usize, Arc<StoredModel>)> = Vec::new();
     match blobs.len() {
@@ -326,7 +337,7 @@ fn resolve(
             })
         }
     }
-    Ok(ModelArgs { x, runs })
+    Ok(ModelArgs { x, runs, valid })
 }
 
 impl ModelArgs {
@@ -350,6 +361,11 @@ impl ModelArgs {
             start = *end;
         }
         Ok(out)
+    }
+
+    /// A scalar UDF's output: `values`, NULL where a feature is NULL.
+    fn output(&self, values: ColumnData) -> DbResult<Column> {
+        Column::new(values, self.valid.clone())
     }
 }
 
@@ -395,7 +411,7 @@ impl ScalarUdf for PredictUdf {
         };
         let m = resolve("predict", features, classifier, &self.cache, &self.matrix_cache)?;
         mlcs_columnar::metrics::counter("udf.predict.rows").add(m.x.rows() as u64);
-        Ok(Column::from_i64s(m.map("predict", StoredModel::predict)?))
+        m.output(ColumnData::Int64(m.map("predict", StoredModel::predict)?))
     }
 
     fn parallel_safe(&self) -> bool {
@@ -430,7 +446,7 @@ impl ScalarUdf for PredictConfidenceUdf {
             return Err(usage(self.name(), "predict_confidence(features..., classifier)"));
         };
         let m = resolve(self.name(), features, classifier, &self.cache, &self.matrix_cache)?;
-        Ok(Column::from_f64s(m.map(self.name(), StoredModel::confidence)?))
+        m.output(ColumnData::Float64(m.map(self.name(), StoredModel::confidence)?))
     }
 
     fn parallel_safe(&self) -> bool {
@@ -469,7 +485,7 @@ impl ScalarUdf for PredictProbaOfUdf {
             message: "label must be a non-NULL integer scalar".into(),
         })?;
         let m = resolve(self.name(), features, classifier, &self.cache, &self.matrix_cache)?;
-        Ok(Column::from_f64s(m.map(self.name(), |sm, x| sm.proba_of(x, label))?))
+        m.output(ColumnData::Float64(m.map(self.name(), |sm, x| sm.proba_of(x, label))?))
     }
 
     fn parallel_safe(&self) -> bool {
@@ -510,6 +526,15 @@ impl TableUdf for EvaluateUdf {
             return Err(usage("evaluate", "evaluate(features..., labels, classifier)"));
         };
         let m = resolve("evaluate", features, classifier, &self.cache, &self.matrix_cache)?;
+        if let Some(valid) = &m.valid {
+            return Err(DbError::Udf {
+                function: "evaluate".into(),
+                message: format!(
+                    "{} test rows have a NULL feature (clean NULLs before scoring)",
+                    valid.count_zeros()
+                ),
+            });
+        }
         let [(_, sm)] = m.runs.as_slice() else {
             return Err(DbError::Udf {
                 function: "evaluate".into(),
@@ -822,6 +847,49 @@ mod tests {
         assert!(db.execute("SELECT predict(x, y, 5) FROM pts").is_err());
         // Predict with a garbage blob.
         assert!(db.execute("SELECT predict(x, y, x'0011') FROM pts").is_err());
+    }
+
+    #[test]
+    fn null_features_predict_null() {
+        let db = db_with_points();
+        db.execute(
+            "CREATE TABLE models AS SELECT * FROM train(
+               (SELECT x, y FROM pts), (SELECT label FROM pts), 8)",
+        )
+        .unwrap();
+        db.execute("INSERT INTO pts VALUES (NULL, NULL, 10), (NULL, 3.0, 20), (-3.0, NULL, 10)")
+            .unwrap();
+        let model = "(SELECT classifier FROM models)";
+        let out = db
+            .query(&format!(
+                "SELECT x IS NULL OR y IS NULL, predict(x, y, {model}),
+                        predict_confidence(x, y, {model}), predict_proba_of(x, y, {model}, 20)
+                 FROM pts"
+            ))
+            .unwrap();
+        assert_eq!(out.rows(), 43);
+        for r in 0..out.rows() {
+            let row = out.row(r);
+            let null_feature = row[0] == mlcs_columnar::Value::Boolean(true);
+            for v in &row[1..] {
+                assert_eq!(v.is_null(), null_feature, "row {r}: {row:?}");
+            }
+        }
+        // A NaN that is not NULL is still classified (it goes right).
+        let nan = db
+            .query(&format!("SELECT predict(CAST('NaN' AS DOUBLE), 0.0, {model}) FROM pts LIMIT 1"))
+            .unwrap();
+        assert!(!nan.row(0)[0].is_null());
+        let err = db
+            .query(&format!(
+                "SELECT * FROM evaluate((SELECT x, y FROM pts), (SELECT label FROM pts), {model})"
+            ))
+            .unwrap_err();
+        assert!(
+            matches!(&err, DbError::Udf { function, message }
+                if function == "evaluate" && message.contains("NULL")),
+            "{err:?}"
+        );
     }
 
     #[test]

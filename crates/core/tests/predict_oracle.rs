@@ -197,11 +197,10 @@ fn forged_forest_is_an_error_not_a_panic() {
     use mlcs_ml::Classifier;
     use mlcs_pickle::{Pickle, PickleError, Reader, Writer};
 
-    /// Writes prepared body bytes under a model's class name.
-    struct Forged<const STORED: bool>(Vec<u8>);
-    impl<const STORED: bool> Pickle for Forged<STORED> {
-        const CLASS_NAME: &'static str =
-            if STORED { StoredModel::CLASS_NAME } else { RandomForestClassifier::CLASS_NAME };
+    /// Writes prepared body bytes under the stored model's class name.
+    struct Forged(Vec<u8>);
+    impl Pickle for Forged {
+        const CLASS_NAME: &'static str = StoredModel::CLASS_NAME;
         fn pickle_body(&self, w: &mut Writer) {
             w.put_raw(&self.0);
         }
@@ -224,19 +223,73 @@ fn forged_forest_is_an_error_not_a_panic() {
     forest.fit(&narrow, &labels, 2).unwrap();
     let mut tree = DecisionTreeClassifier::new();
     tree.fit(&wide, &labels, 2).unwrap();
-    // A forest body ends with its trees: keep the two-column header and
-    // put the five-column tree after it.
+    // A forest body ends with its trees' node arrays: keep the two-column
+    // header and put the five-column tree after it.
     let (forest_body, own_tree) = (body(&forest), body(&forest.trees()[0]));
     let mut forged = forest_body[..forest_body.len() - own_tree.len()].to_vec();
     forged.extend(body(&tree));
-    // The stored model around it: the label map, then the nested blob.
+    // The stored model around it: the label map, the model's class name,
+    // then the forged body, all under the one envelope.
     let mut stored = Writer::new();
     ClassMap::fit(&[10, 20]).pickle_body(&mut stored);
-    stored.put_bytes(&mlcs_pickle::pickle(&Forged::<false>(forged)));
-    let blob = mlcs_pickle::pickle(&Forged::<true>(stored.into_bytes()));
+    stored.put_str(RandomForestClassifier::CLASS_NAME);
+    stored.put_raw(&forged);
+    let blob = mlcs_pickle::pickle(&Forged(stored.into_bytes()));
+    let err = StoredModel::from_blob(&blob).unwrap_err();
+    assert!(err.to_string().contains("tree 0 has 5 features"), "{err}");
 
     let db = db_with_opposite_models();
     let err =
         db.query(&format!("SELECT predict(x, y, {}) FROM pts", blob_literal(&blob))).unwrap_err();
     assert!(matches!(err, DbError::Udf { .. }), "{err:?}");
+}
+
+/// A row with a NULL feature gets no answer from any model: `predict`,
+/// `predict_confidence` and `predict_proba_of` are NULL exactly there,
+/// the other rows keep the bits the stored model gives them, and
+/// `evaluate` refuses the NULLs as `train` does.
+#[test]
+fn null_features_answer_null_for_every_model() {
+    let x = Matrix::new((0..40).map(|i| f64::from(i % 9) - 4.0).collect(), 20, 2).unwrap();
+    let y: Vec<i64> = (0..20).map(|i| [10, 20, 30][i % 3]).collect();
+    let db = db_with_points(&x);
+    db.execute("CREATE TABLE gaps (x DOUBLE, y DOUBLE, label INTEGER)").unwrap();
+    db.execute(
+        "INSERT INTO gaps VALUES (NULL, NULL, 10), (1.0, NULL, 20), (NULL, -2.0, 30), (1.0, -2.0, 10)",
+    )
+    .unwrap();
+    for (name, model) in models() {
+        let sm = StoredModel::train(model, &x, &y).expect("train");
+        let blob = sm.to_blob();
+        db.execute(&format!("INSERT INTO models VALUES ('{name}', {})", blob_literal(&blob)))
+            .unwrap();
+        let model = format!("(SELECT classifier FROM models WHERE name = '{name}')");
+        let out = db
+            .query(&format!(
+                "SELECT predict(x, y, {model}), predict_confidence(x, y, {model}),
+                        predict_proba_of(x, y, {model}, 20) FROM gaps"
+            ))
+            .unwrap();
+        let last = Matrix::new(vec![1.0, -2.0], 1, 2).unwrap();
+        for r in 0..3 {
+            assert!(out.row(r).iter().all(Value::is_null), "{name} row {r}: {:?}", out.row(r));
+        }
+        assert_eq!(out.row(3)[0], Value::Int64(sm.predict(&last).unwrap()[0]), "{name}");
+        let conf = sm.confidence(&last).unwrap()[0];
+        assert_eq!(out.row(3)[1].as_f64().map(f64::to_bits), Some(conf.to_bits()), "{name}");
+        let p20 = sm.proba_of(&last, 20).unwrap()[0];
+        assert_eq!(out.row(3)[2].as_f64().map(f64::to_bits), Some(p20.to_bits()), "{name}");
+        let err = db
+            .query(&format!(
+                "SELECT * FROM evaluate((SELECT x, y FROM gaps), (SELECT label FROM gaps), {model})"
+            ))
+            .unwrap_err();
+        assert!(matches!(err, mlcs_columnar::DbError::Udf { .. }), "{name}: {err:?}");
+        let clean = db.query(&format!(
+            "SELECT * FROM evaluate((SELECT x, y FROM gaps WHERE x IS NOT NULL AND y IS NOT NULL),
+                                    (SELECT label FROM gaps WHERE x IS NOT NULL AND y IS NOT NULL),
+                                    {model})"
+        ));
+        assert_eq!(clean.unwrap().row(0)[3], Value::Int64(1), "{name}");
+    }
 }

@@ -12,7 +12,9 @@
 
 use crate::dataset::{validate_fit_inputs, Matrix};
 use crate::error::{MlError, MlResult};
-use crate::tree::{DecisionTreeClassifier, FeatureRanks, MaxFeatures, SplitStrategy};
+use crate::tree::{
+    add_tree_leaves, check_width, DecisionTreeClassifier, FeatureRanks, MaxFeatures, SplitStrategy,
+};
 use crate::Classifier;
 use mlcs_pickle::{Pickle, PickleError, Reader, Writer};
 use rand::rngs::StdRng;
@@ -174,33 +176,13 @@ impl Classifier for RandomForestClassifier {
         if self.trees.is_empty() {
             return Err(MlError::NotFitted);
         }
-        if x.cols() != self.n_features {
-            return Err(MlError::Shape(format!(
-                "model trained on {} features, input has {}",
-                self.n_features,
-                x.cols()
-            )));
-        }
-        // Morsel-parallel over rows, trees inner: each output row accumulates
-        // the tree leaf distributions in tree order and divides once, so the
-        // floating-point evaluation order per cell is the same as a fully
-        // serial trees-outer sweep — parallel prediction is bit-identical.
-        let cols = self.n_classes;
-        let k = self.trees.len() as f64;
-        crate::parallel::fill_rows_parallel(x.rows(), cols, |m, out| {
-            for r in 0..m.len {
-                let row = x.row(m.start + r);
-                let acc = &mut out[r * cols..(r + 1) * cols];
-                for tree in &self.trees {
-                    let proba = tree.leaf_for_row(row)?;
-                    for (a, &p) in acc.iter_mut().zip(proba) {
-                        *a += p;
-                    }
-                }
-                for a in acc.iter_mut() {
-                    *a /= k;
-                }
-            }
+        check_width(self.n_features, x)?;
+        // Each cell sums its trees in tree order and divides once: the bits
+        // of a serial sweep for any morsel split.
+        let (nf, nc, k) = (self.n_features, self.n_classes, self.trees.len() as f64);
+        crate::parallel::fill_rows_parallel(x.rows(), nc, |m, out| {
+            add_tree_leaves(&self.trees, (&x.as_slice()[m.start * nf..], nf), (out, nc));
+            out.iter_mut().for_each(|a| *a /= k);
             Ok(())
         })
     }
@@ -233,45 +215,27 @@ impl Pickle for RandomForestClassifier {
     }
 
     fn unpickle_body(r: &mut Reader) -> Result<Self, PickleError> {
-        let n_estimators = r.get_varint()? as usize;
-        let max_depth = match r.get_varint()? {
-            0 => None,
-            d => Some((d - 1) as usize),
-        };
-        let min_samples_split = r.get_varint()? as usize;
-        let max_features = crate::tree::unpickle_max_features(r)?;
-        let bootstrap = r.get_bool()?;
-        let split_strategy = crate::tree::unpickle_split_strategy(r)?;
-        let seed = r.get_u64()?;
-        let n_classes = r.get_varint()? as usize;
-        let n_features = r.get_varint()? as usize;
-        let n_trees = r.get_count(8)?;
-        let mut trees = Vec::with_capacity(n_trees);
-        for i in 0..n_trees {
+        let mut forest = RandomForestClassifier::new(r.get_varint()? as usize);
+        forest.max_depth = r.get_varint()?.checked_sub(1).map(|d| d as usize);
+        forest.min_samples_split = r.get_varint()? as usize;
+        forest.max_features = crate::tree::unpickle_max_features(r)?;
+        forest.bootstrap = r.get_bool()?;
+        forest.split_strategy = crate::tree::unpickle_split_strategy(r)?;
+        forest.seed = r.get_u64()?;
+        let shape = (r.get_varint()? as usize, r.get_varint()? as usize);
+        (forest.n_classes, forest.n_features) = shape;
+        for i in 0..r.get_count(8)? {
             let tree = DecisionTreeClassifier::unpickle_body(r)?;
             // predict indexes rows by the forest's shape through every tree.
-            if (tree.n_features(), tree.n_classes()) != (n_features, n_classes) {
-                return Err(PickleError::Invalid(format!(
-                    "tree {i} has {} features and {} classes, the forest {n_features} and {n_classes}",
-                    tree.n_features(),
-                    tree.n_classes()
-                )));
+            if (tree.n_classes(), tree.n_features()) != shape {
+                let (nc, nf) = (tree.n_classes(), tree.n_features());
+                let msg =
+                    format!("tree {i} has {nf} features and {nc} classes, the forest {shape:?}");
+                return Err(PickleError::Invalid(msg));
             }
-            trees.push(tree);
+            forest.trees.push(tree);
         }
-        Ok(RandomForestClassifier {
-            n_estimators,
-            max_depth,
-            min_samples_split,
-            max_features,
-            bootstrap,
-            split_strategy,
-            n_jobs: 0,
-            seed,
-            trees,
-            n_classes,
-            n_features,
-        })
+        Ok(forest)
     }
 
     fn size_hint(&self) -> usize {

@@ -4,17 +4,19 @@
 //! The database stores models as BLOBs of unknown concrete type; the
 //! pickle envelope's class name tells [`Model::from_blob`] which
 //! deserializer to use — the same trick Python's `pickle.loads` plays for
-//! MonetDB/Python in the paper.
+//! MonetDB/Python in the paper. A container (the stored model) writes the
+//! class name beside the body with [`Model::pickle_body`] and reads it back
+//! with [`Model::unpickle_body`], under its own single envelope.
 
 use crate::dataset::Matrix;
-use crate::error::{MlError, MlResult};
+use crate::error::MlResult;
 use crate::forest::RandomForestClassifier;
 use crate::knn::KNearestNeighbors;
 use crate::linear::LogisticRegression;
 use crate::naive_bayes::GaussianNb;
 use crate::tree::DecisionTreeClassifier;
 use crate::Classifier;
-use mlcs_pickle::{pickle, unpickle, unpickle_class_name, Pickle};
+use mlcs_pickle::{pickle, Pickle, PickleError, Reader, Writer};
 
 /// Any trained (or trainable) classifier.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,17 +69,48 @@ impl Model {
     }
 
     /// Deserializes any model blob by dispatching on the envelope's class
-    /// name.
+    /// name. The envelope is opened, and its checksum computed, once.
     pub fn from_blob(blob: &[u8]) -> MlResult<Model> {
-        let class = unpickle_class_name(blob)?;
-        Ok(match class.as_str() {
-            RandomForestClassifier::CLASS_NAME => Model::RandomForest(unpickle(blob)?),
-            DecisionTreeClassifier::CLASS_NAME => Model::DecisionTree(unpickle(blob)?),
-            LogisticRegression::CLASS_NAME => Model::LogisticRegression(unpickle(blob)?),
-            GaussianNb::CLASS_NAME => Model::GaussianNb(unpickle(blob)?),
-            KNearestNeighbors::CLASS_NAME => Model::Knn(unpickle(blob)?),
+        let (class, payload) = mlcs_pickle::open(blob)?;
+        let mut r = Reader::new(payload);
+        let model = Model::unpickle_body(class, &mut r)?;
+        r.expect_exhausted()?;
+        Ok(model)
+    }
+
+    /// The class name the model's body is pickled under.
+    pub fn class_name(&self) -> &'static str {
+        match self {
+            Model::RandomForest(_) => RandomForestClassifier::CLASS_NAME,
+            Model::DecisionTree(_) => DecisionTreeClassifier::CLASS_NAME,
+            Model::LogisticRegression(_) => LogisticRegression::CLASS_NAME,
+            Model::GaussianNb(_) => GaussianNb::CLASS_NAME,
+            Model::Knn(_) => KNearestNeighbors::CLASS_NAME,
+        }
+    }
+
+    /// Writes the wrapped model's body (no envelope, no class name).
+    pub fn pickle_body(&self, w: &mut Writer) {
+        match self {
+            Model::RandomForest(m) => m.pickle_body(w),
+            Model::DecisionTree(m) => m.pickle_body(w),
+            Model::LogisticRegression(m) => m.pickle_body(w),
+            Model::GaussianNb(m) => m.pickle_body(w),
+            Model::Knn(m) => m.pickle_body(w),
+        }
+    }
+
+    /// Reads the body of a model pickled under `class` (see
+    /// [`Model::class_name`]).
+    pub fn unpickle_body(class: &str, r: &mut Reader) -> Result<Model, PickleError> {
+        Ok(match class {
+            RandomForestClassifier::CLASS_NAME => Model::RandomForest(Pickle::unpickle_body(r)?),
+            DecisionTreeClassifier::CLASS_NAME => Model::DecisionTree(Pickle::unpickle_body(r)?),
+            LogisticRegression::CLASS_NAME => Model::LogisticRegression(Pickle::unpickle_body(r)?),
+            GaussianNb::CLASS_NAME => Model::GaussianNb(Pickle::unpickle_body(r)?),
+            KNearestNeighbors::CLASS_NAME => Model::Knn(Pickle::unpickle_body(r)?),
             other => {
-                return Err(MlError::Serde(format!(
+                return Err(PickleError::Invalid(format!(
                     "blob holds a '{other}', which is not a known model class"
                 )))
             }
@@ -157,6 +190,7 @@ impl Classifier for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MlError;
 
     fn data() -> (Matrix, Vec<u32>) {
         let rows: Vec<[f64; 1]> = (0..20).map(|i| [i as f64]).collect();

@@ -9,6 +9,8 @@
 //! class-weight histograms of bin codes per node — O(n + bins) instead of
 //! O(n·log n) per node per feature, the same idea LightGBM and JoinBoost
 //! build on.
+//! A fitted tree is one array of 16-byte node records plus a leaf table;
+//! `predict` walks a block of rows through it with a branch-free step.
 
 use crate::dataset::{validate_fit_inputs, Matrix};
 use crate::error::{MlError, MlResult};
@@ -69,25 +71,43 @@ impl Default for SplitStrategy {
     }
 }
 
-/// One node of the fitted tree, stored in a flat arena.
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    /// Terminal node: class probabilities.
-    Leaf {
-        /// Normalized class distribution of the training samples here.
-        proba: Vec<f64>,
-    },
-    /// Internal split: `x[feature] <= threshold` goes left.
-    Split {
-        /// Feature index tested.
-        feature: u32,
-        /// Split threshold.
-        threshold: f64,
-        /// Left child node index.
-        left: u32,
-        /// Right child node index.
-        right: u32,
-    },
+/// Rows walked through one tree before the walk moves to the next tree.
+const BLOCK: usize = 256;
+
+/// One node: a step moves a row to `child + !(x[feature] <= threshold)`,
+/// so `x <= threshold` goes to the left child `child` and anything else,
+/// NaN included, to `child + 1`. A leaf's threshold is a NaN carrying its
+/// leaf-table row in the low 32 bits, and its `child` is its own index − 1
+/// (wrapping), so a leaf steps onto itself.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    threshold: f64,
+    feature: u32,
+    child: u32,
+}
+
+/// The quiet NaN whose payload carries a leaf's table row.
+const LEAF_NAN: u64 = 0x7FF8_0000_0000_0000;
+
+impl Node {
+    /// The leaf at node `index` whose distribution is leaf-table row `row`.
+    fn leaf(index: usize, row: usize) -> Node {
+        let threshold = f64::from_bits(LEAF_NAN | row as u64);
+        Node { threshold, feature: 0, child: (index as u32).wrapping_sub(1) }
+    }
+
+    /// The leaf-table row of a leaf; `None` for a split.
+    fn leaf_row(self) -> Option<usize> {
+        self.threshold.is_nan().then_some(self.threshold.to_bits() as u32 as usize)
+    }
+}
+
+/// Nodes are equal when their bits are, so a leaf equals itself.
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        (self.threshold.to_bits(), self.feature, self.child)
+            == (other.threshold.to_bits(), other.feature, other.child)
+    }
 }
 
 /// A CART decision-tree classifier.
@@ -110,6 +130,10 @@ pub struct DecisionTreeClassifier {
     pub split_strategy: SplitStrategy,
     seed: u64,
     nodes: Vec<Node>,
+    /// `leaf[row * n_classes..][..n_classes]`: a leaf's class distribution.
+    leaf: Vec<f64>,
+    /// Steps from the root to the deepest leaf.
+    depth: usize,
     n_classes: usize,
     n_features: usize,
 }
@@ -131,6 +155,8 @@ impl DecisionTreeClassifier {
             split_strategy: SplitStrategy::default(),
             seed: 0,
             nodes: Vec::new(),
+            leaf: Vec::new(),
+            depth: 0,
             n_classes: 0,
             n_features: 0,
         }
@@ -167,19 +193,7 @@ impl DecisionTreeClassifier {
 
     /// Tree depth (0 for a single leaf; 0 before fitting).
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + walk(nodes, *left as usize).max(walk(nodes, *right as usize))
-                }
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            walk(&self.nodes, 0)
-        }
+        self.depth
     }
 
     /// Split-usage share per feature: the fraction of the tree's splits
@@ -190,46 +204,50 @@ impl DecisionTreeClassifier {
     /// cannot be recomputed without the training data.
     pub fn feature_importances(&self) -> Vec<f64> {
         let mut imp = vec![0.0; self.n_features];
-        for n in &self.nodes {
-            if let Node::Split { feature, .. } = n {
-                imp[*feature as usize] += 1.0;
-            }
+        for n in self.nodes.iter().filter(|n| n.leaf_row().is_none()) {
+            imp[n.feature as usize] += 1.0;
         }
         normalized(imp)
     }
 
-    fn leaf_proba(counts: &[f64]) -> Node {
-        let total: f64 = counts.iter().sum();
-        let proba = if total > 0.0 {
-            counts.iter().map(|c| c / total).collect()
-        } else {
-            vec![0.0; counts.len()]
-        };
-        Node::Leaf { proba }
-    }
-
-    /// The leaf class distribution reached by one feature row.
-    ///
-    /// A well-formed tree reaches a leaf within `nodes.len()` hops; the
-    /// bound turns a cyclic (corrupt) node graph into an error instead of
-    /// an infinite loop.
-    pub(crate) fn leaf_for_row(&self, row: &[f64]) -> MlResult<&[f64]> {
-        let mut node = 0usize;
-        let mut hops = self.nodes.len() + 1;
-        loop {
-            hops = hops.checked_sub(1).ok_or_else(|| {
-                MlError::Serde("decision tree node graph contains a cycle".into())
-            })?;
-            match &self.nodes[node] {
-                Node::Leaf { proba } => return Ok(proba),
-                Node::Split { feature, threshold, left, right } => {
-                    node = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
+    /// Adds the leaf distribution of each row of a block (`x` starts with
+    /// its feature rows) to its row of `out`. Every row takes one step per
+    /// pass, so the rows' loads overlap; children follow their parent and
+    /// leaves step onto themselves, so `depth` passes put every row on its
+    /// leaf with no exit test and no cycle guard.
+    fn add_leaves(&self, x: &[f64], out: &mut [f64]) {
+        let (nf, nc) = (self.n_features, self.n_classes);
+        let mut at = [0u32; BLOCK];
+        let at = &mut at[..out.len() / nc];
+        for _ in 0..self.depth {
+            for (i, row) in at.iter_mut().zip(x.chunks_exact(nf)) {
+                let n = self.nodes[*i as usize];
+                let left = row[n.feature as usize] <= n.threshold;
+                *i = n.child.wrapping_add(u32::from(!left));
             }
+        }
+        for (&i, acc) in at.iter().zip(out.chunks_exact_mut(nc)) {
+            let row = self.nodes[i as usize].threshold.to_bits() as u32 as usize * nc;
+            for (a, &p) in acc.iter_mut().zip(&self.leaf[row..row + nc]) {
+                *a += p;
+            }
+        }
+    }
+}
+
+/// Adds the leaf distributions of `trees` to `out`, a block of rows
+/// through every tree before the next block, so the block stays in cache.
+/// Each cell still sums its trees in tree order, as a row-at-a-time sweep
+/// would, so the bits depend neither on the block size nor on the morsels.
+pub(crate) fn add_tree_leaves(
+    trees: &[DecisionTreeClassifier],
+    (x, n_features): (&[f64], usize),
+    (out, n_classes): (&mut [f64], usize),
+) {
+    for (b, out) in out.chunks_mut(BLOCK * n_classes).enumerate() {
+        let x = &x[b * BLOCK * n_features..];
+        for tree in trees {
+            tree.add_leaves(x, out);
         }
     }
 }
@@ -581,6 +599,7 @@ impl DecisionTreeClassifier {
         self.n_classes = n_classes;
         self.n_features = n_features;
         self.nodes.clear();
+        self.depth = 0;
 
         let mut rows: Vec<u32> = (0..w.len() as u32).filter(|&r| w[r as usize] > 0).collect();
         let bins = match self.split_strategy {
@@ -619,7 +638,10 @@ impl DecisionTreeClassifier {
             depth: usize,
             counts: Vec<f64>,
         }
-        self.nodes.push(Node::Leaf { proba: vec![] }); // placeholder root
+        // Leaf distributions in the order leaves are made; renumbered into
+        // node order at the end.
+        let mut made = Vec::new();
+        self.nodes.push(Node::leaf(0, 0)); // placeholder root
         let mut stack =
             vec![Work { node_slot: 0, start: 0, end: rows.len(), depth: 0, counts: root_counts }];
 
@@ -644,7 +666,9 @@ impl DecisionTreeClassifier {
                 None
             };
             let Some(bs) = best else {
-                self.nodes[work.node_slot] = Self::leaf_proba(&work.counts);
+                self.nodes[work.node_slot] = Node::leaf(work.node_slot, made.len() / n_classes);
+                made.extend(work.counts.iter().map(|c| if total > 0.0 { c / total } else { 0.0 }));
+                self.depth = self.depth.max(work.depth);
                 continue;
             };
             let (threshold, cut) = g.threshold(&bs, node_rows);
@@ -652,18 +676,21 @@ impl DecisionTreeClassifier {
             let left_counts = bs.left;
             let right_counts = work.counts.iter().zip(&left_counts).map(|(p, l)| p - l).collect();
             let left = self.nodes.len();
-            self.nodes.resize(left + 2, Node::Leaf { proba: vec![] });
-            self.nodes[work.node_slot] = Node::Split {
-                feature: bs.feature as u32,
-                threshold,
-                left: left as u32,
-                right: left as u32 + 1,
-            };
+            self.nodes.resize(left + 2, Node::leaf(0, 0));
+            self.nodes[work.node_slot] =
+                Node { threshold, feature: bs.feature as u32, child: left as u32 };
             let mid = work.start + n_left;
             for (node_slot, start, end, counts) in
                 [(left, work.start, mid, left_counts), (left + 1, mid, work.end, right_counts)]
             {
                 stack.push(Work { node_slot, start, end, depth: work.depth + 1, counts });
+            }
+        }
+        self.leaf.clear();
+        for (i, n) in self.nodes.iter_mut().enumerate() {
+            if let Some(m) = n.leaf_row() {
+                *n = Node::leaf(i, self.leaf.len() / n_classes);
+                self.leaf.extend_from_slice(&made[m * n_classes..(m + 1) * n_classes]);
             }
         }
         mlcs_columnar::metrics::counter("ml.train.splits_evaluated").add(g.evaluated);
@@ -686,21 +713,10 @@ impl Classifier for DecisionTreeClassifier {
         if self.nodes.is_empty() {
             return Err(MlError::NotFitted);
         }
-        if x.cols() != self.n_features {
-            return Err(MlError::Shape(format!(
-                "model trained on {} features, input has {}",
-                self.n_features,
-                x.cols()
-            )));
-        }
-        let cols = self.n_classes;
-        crate::parallel::fill_rows_parallel(x.rows(), cols, |m, out| {
-            for r in 0..m.len {
-                let proba = self.leaf_for_row(x.row(m.start + r))?;
-                for (c, &p) in proba.iter().enumerate() {
-                    out[r * cols + c] = p;
-                }
-            }
+        check_width(self.n_features, x)?;
+        let (nf, nc, trees) = (self.n_features, self.n_classes, std::slice::from_ref(self));
+        crate::parallel::fill_rows_parallel(x.rows(), nc, |m, out| {
+            add_tree_leaves(trees, (&x.as_slice()[m.start * nf..], nf), (out, nc));
             Ok(())
         })
     }
@@ -712,6 +728,14 @@ impl Classifier for DecisionTreeClassifier {
     fn n_features(&self) -> usize {
         self.n_features
     }
+}
+
+/// The error for a feature matrix whose width is not the model's.
+pub(crate) fn check_width(n_features: usize, x: &Matrix) -> MlResult<()> {
+    if x.cols() == n_features {
+        return Ok(());
+    }
+    Err(MlError::Shape(format!("model trained on {n_features} features, input has {}", x.cols())))
 }
 
 pub(crate) fn pickle_max_features(w: &mut Writer, mf: MaxFeatures) {
@@ -758,6 +782,13 @@ pub(crate) fn unpickle_split_strategy(r: &mut Reader) -> Result<SplitStrategy, P
     }
 }
 
+/// Tags on a stored split's `child`: its left (right) child is a leaf.
+const LEFT_LEAF: u32 = 1 << 31;
+const RIGHT_LEAF: u32 = 1 << 30;
+
+/// The body after the hyperparameters is the node count `n`, the splits'
+/// `feature`, `threshold` and tagged `child` arrays (n / 2 each) and the
+/// leaf table: little-endian, in node order, with no per-node framing.
 impl Pickle for DecisionTreeClassifier {
     const CLASS_NAME: &'static str = "DecisionTreeClassifier";
     fn pickle_body(&self, w: &mut Writer) {
@@ -769,88 +800,89 @@ impl Pickle for DecisionTreeClassifier {
         w.put_u64(self.seed);
         w.put_varint(self.n_classes as u64);
         w.put_varint(self.n_features as u64);
-        w.put_varint(self.nodes.len() as u64);
-        for n in &self.nodes {
-            match n {
-                Node::Leaf { proba } => {
-                    w.put_u8(0);
-                    w.put_f64_slice(proba);
-                }
-                Node::Split { feature, threshold, left, right } => {
-                    w.put_u8(1);
-                    w.put_varint(*feature as u64);
-                    w.put_f64(*threshold);
-                    w.put_varint(*left as u64);
-                    w.put_varint(*right as u64);
-                }
-            }
+        let n = self.nodes.len();
+        let is_leaf =
+            |i: u32| u32::from(self.nodes.get(i as usize).is_some_and(|m| m.threshold.is_nan()));
+        // Every node writes slot `s`; only a split moves past it (no branch).
+        let (mut feature, mut threshold, mut child) =
+            (vec![0u32; n / 2 + 1], vec![0.0; n / 2 + 1], vec![0u32; n / 2 + 1]);
+        let mut s = 0;
+        for node in &self.nodes {
+            (feature[s], threshold[s]) = (node.feature, node.threshold);
+            child[s] = node.child
+                | (is_leaf(node.child) * LEFT_LEAF)
+                | (is_leaf(node.child.wrapping_add(1)) * RIGHT_LEAF);
+            s += !node.threshold.is_nan() as usize;
         }
+        w.put_varint(n as u64);
+        w.put_u32_array(&feature[..s]);
+        w.put_f64_array(&threshold[..s]);
+        w.put_u32_array(&child[..s]);
+        w.put_f64_array(&self.leaf);
     }
 
+    /// Every length is checked against the bytes left before anything is
+    /// allocated. One pass in node order then rebuilds the node records and
+    /// proves the walk safe: each node but the root has exactly one parent,
+    /// every child comes after its parent and within the node count, every
+    /// feature is below `n_features`, no split threshold is NaN, and the
+    /// leaf table holds `n_classes` values per leaf.
     fn unpickle_body(r: &mut Reader) -> Result<Self, PickleError> {
-        let max_depth = match r.get_varint()? {
-            0 => None,
-            d => Some((d - 1) as usize),
-        };
-        let min_samples_split = r.get_varint()? as usize;
-        let min_samples_leaf = r.get_varint()? as usize;
-        let max_features = unpickle_max_features(r)?;
-        let split_strategy = unpickle_split_strategy(r)?;
-        let seed = r.get_u64()?;
-        let n_classes = r.get_varint()? as usize;
-        let n_features = r.get_varint()? as usize;
-        let n_nodes = r.get_count(2)?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            match r.get_u8()? {
-                0 => {
-                    let proba = r.get_f64_vec()?;
-                    if proba.len() != n_classes {
-                        return Err(PickleError::Invalid(format!(
-                            "leaf with {} probabilities for {n_classes} classes",
-                            proba.len()
-                        )));
-                    }
-                    nodes.push(Node::Leaf { proba });
-                }
-                1 => {
-                    let feature = r.get_varint()?;
-                    if feature >= n_features as u64 {
-                        return Err(PickleError::Invalid(format!(
-                            "split on feature {feature} of {n_features}"
-                        )));
-                    }
-                    let threshold = r.get_f64()?;
-                    let left = r.get_varint()?;
-                    let right = r.get_varint()?;
-                    if left as usize >= n_nodes || right as usize >= n_nodes {
-                        return Err(PickleError::Invalid("child node index out of range".into()));
-                    }
-                    nodes.push(Node::Split {
-                        feature: feature as u32,
-                        threshold,
-                        left: left as u32,
-                        right: right as u32,
-                    });
-                }
-                tag => return Err(PickleError::InvalidTag { tag, context: "tree node" }),
-            }
+        let mut tree = DecisionTreeClassifier::new();
+        tree.max_depth = r.get_varint()?.checked_sub(1).map(|d| d as usize);
+        tree.min_samples_split = r.get_varint()? as usize;
+        tree.min_samples_leaf = r.get_varint()? as usize;
+        tree.max_features = unpickle_max_features(r)?;
+        tree.split_strategy = unpickle_split_strategy(r)?;
+        tree.seed = r.get_u64()?;
+        let (nc, nf) = (r.get_varint()? as usize, r.get_varint()? as usize);
+        (tree.n_classes, tree.n_features) = (nc, nf);
+        let invalid = |m: String| Err(PickleError::Invalid(m));
+        let n = r.get_count(8)?; // a split takes 16 bytes, a leaf at least 8
+        if n > 0 && (n % 2 == 0 || nc == 0) {
+            return invalid(format!("a binary tree of {n} nodes and {nc} classes"));
         }
-        Ok(DecisionTreeClassifier {
-            max_depth,
-            min_samples_split,
-            min_samples_leaf,
-            max_features,
-            split_strategy,
-            seed,
-            nodes,
-            n_classes,
-            n_features,
-        })
+        let splits = n / 2;
+        let feature = r.get_u32_array(splits)?;
+        let threshold = r.get_f64_array(splits)?;
+        let child = r.get_u32_array(splits)?;
+        tree.leaf = r.get_f64_array((n - splits).saturating_mul(nc))?;
+        // level[i]: 1 + node i's depth once its parent named it (0 before),
+        // with LEAF set for a leaf.
+        const LEAF: u32 = 1 << 31;
+        let mut level = vec![0u32; n.max(1)];
+        level[0] = if n == 1 { 1 | LEAF } else { 1 };
+        let (mut nodes, mut s, mut depth) = (Vec::with_capacity(n), 0, 0);
+        for i in 0..n {
+            let l = level[i];
+            if l & LEAF != 0 {
+                depth = depth.max(l & !LEAF);
+                nodes.push(Node::leaf(i, i - s));
+                continue;
+            }
+            let (f, t, tagged) = match (feature.get(s), threshold.get(s), child.get(s)) {
+                (Some(&f), Some(&t), Some(&c)) if l != 0 => (f, t, c),
+                _ => return invalid(format!("node {i} has no parent or is split {s} of {splits}")),
+            };
+            let c = (tagged & !(LEFT_LEAF | RIGHT_LEAF)) as usize;
+            let in_range = c > i && c + 1 < n;
+            if !in_range || (level[c] | level[c + 1]) != 0 || f as usize >= nf || t.is_nan() {
+                return invalid(format!(
+                    "node {i} of {n} splits feature {f} of {nf} at {t} into {c}"
+                ));
+            }
+            level[c] = (l + 1) | (tagged & LEFT_LEAF);
+            level[c + 1] = (l + 1) | (tagged & RIGHT_LEAF) << 1;
+            nodes.push(Node { threshold: t, feature: f, child: c as u32 });
+            s += 1;
+        }
+        tree.depth = (depth as usize).saturating_sub(1);
+        tree.nodes = nodes;
+        Ok(tree)
     }
 
     fn size_hint(&self) -> usize {
-        64 + self.nodes.len() * (16 + self.n_classes * 8)
+        64 + self.nodes.len() * 16 + self.leaf.len() * 8
     }
 }
 
@@ -1068,14 +1100,55 @@ mod tests {
     }
 
     #[test]
-    fn leaf_without_probabilities_rejected() {
+    fn forged_trees_rejected() {
+        let (x, y) = xor_data();
+        let mut fitted = DecisionTreeClassifier::new();
+        fitted.fit(&x, &y, 2).unwrap();
+        let n = fitted.nodes.len() as u32;
+        type Forge = fn(&mut DecisionTreeClassifier, u32);
+        let forgeries: [(&str, Forge); 5] = [
+            ("child at its own index", |t, _| t.nodes[0].child = 0),
+            ("child past the node count", |t, n| t.nodes[0].child = n - 1),
+            ("feature past n_features", |t, _| t.nodes[0].feature = 2),
+            ("no classes", |t, _| t.n_classes = 0),
+            ("two parents", |t, _| {
+                let c = t.nodes[0].child;
+                t.nodes[c as usize].child = c + 1;
+            }),
+        ];
+        for (what, forge) in forgeries {
+            let mut t = fitted.clone();
+            forge(&mut t, n);
+            let err = mlcs_pickle::unpickle::<DecisionTreeClassifier>(&mlcs_pickle::pickle(&t));
+            assert!(matches!(err, Err(PickleError::Invalid(_))), "{what}: {err:?}");
+        }
+        let mut short = fitted.clone();
+        short.leaf.pop();
+        assert!(
+            mlcs_pickle::unpickle::<DecisionTreeClassifier>(&mlcs_pickle::pickle(&short)).is_err()
+        );
+    }
+
+    #[test]
+    fn leaves_step_onto_themselves() {
         let (x, y) = xor_data();
         let mut t = DecisionTreeClassifier::new();
         t.fit(&x, &y, 2).unwrap();
-        let leaf = t.nodes.iter().position(|n| matches!(n, Node::Leaf { .. })).unwrap();
-        t.nodes[leaf] = Node::Leaf { proba: vec![] };
-        let err = mlcs_pickle::unpickle::<DecisionTreeClassifier>(&mlcs_pickle::pickle(&t));
-        assert!(matches!(err, Err(PickleError::Invalid(_))), "{err:?}");
+        for (i, n) in t.nodes.iter().enumerate() {
+            match n.leaf_row() {
+                Some(_) => assert_eq!(n.child.wrapping_add(1) as usize, i),
+                None => assert!(n.child as usize > i),
+            }
+        }
+        // NaN goes right, like every value above the threshold.
+        let nan = Matrix::new(vec![f64::NAN, f64::NAN], 1, 2).unwrap();
+        let mut right = DecisionTreeClassifier::new().with_max_depth(1);
+        right.fit(&x, &y, 2).unwrap();
+        let root = right.nodes[0];
+        let mut probe = vec![0.0, 0.0];
+        probe[root.feature as usize] = f64::INFINITY;
+        let inf = Matrix::new(probe, 1, 2).unwrap();
+        assert_eq!(right.predict_proba(&nan).unwrap(), right.predict_proba(&inf).unwrap());
     }
 
     /// Up to 200 rows of 1–4 features drawn from a small domain (seven

@@ -9,9 +9,10 @@
 //! +------+---------+------------------+-----------------+----------+--------+
 //! ```
 //!
-//! The checksum covers only the payload, so the (cheap) header can be read
-//! to identify a BLOB's class without validating megabytes of model weights;
-//! see [`unpickle_class_name`].
+//! The checksum covers only the payload. [`open`] checks the header and the
+//! checksum once and hands back the class name with the payload, so a
+//! caller holding a BLOB of unknown type (the model store) can dispatch on
+//! the name and decode the payload without a second checksum pass.
 
 use crate::crc::crc32;
 use crate::error::PickleError;
@@ -22,8 +23,10 @@ use crate::writer::Writer;
 /// Magic bytes identifying an mlcs pickle blob: `MLPK`.
 pub const MAGIC: [u8; 4] = *b"MLPK";
 
-/// Current envelope format version. Readers accept this version and older.
-pub const FORMAT_VERSION: u16 = 1;
+/// Envelope format version. Readers accept exactly this version: version 2
+/// stores fitted trees as flat arrays and a stored model under one
+/// envelope, and nothing decodes the version-1 layouts any more.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Serializes `value` into an enveloped, checksummed byte string suitable
 /// for storage in a database BLOB column.
@@ -41,26 +44,20 @@ pub fn pickle<T: Pickle>(value: &T) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Reads and validates the envelope header, returning the payload slice.
-fn open_envelope<'a>(
-    blob: &'a [u8],
-    expected_class: Option<&'static str>,
-) -> Result<(&'a str, &'a [u8]), PickleError> {
+/// Validates the envelope — magic, version, checksum, no trailing bytes —
+/// and returns the class name it records with the payload slice. The
+/// payload's checksum is computed exactly once.
+pub fn open(blob: &[u8]) -> Result<(&str, &[u8]), PickleError> {
     let mut r = Reader::new(blob);
     let magic = r.get_raw(4)?;
     if magic != MAGIC {
         return Err(PickleError::BadMagic { found: magic.try_into().unwrap() });
     }
     let version = r.get_u16()?;
-    if version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(PickleError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
     }
     let class = r.get_str()?;
-    if let Some(expected) = expected_class {
-        if class != expected {
-            return Err(PickleError::ClassMismatch { found: class.to_owned(), expected });
-        }
-    }
     let payload = r.get_bytes()?;
     let stored = r.get_u32()?;
     let computed = crc32(payload);
@@ -74,20 +71,17 @@ fn open_envelope<'a>(
 /// Deserializes an enveloped pickle produced by [`pickle`], validating the
 /// magic number, version, class name, and checksum.
 pub fn unpickle<T: Pickle>(blob: &[u8]) -> Result<T, PickleError> {
-    let (_, payload) = open_envelope(blob, Some(T::CLASS_NAME))?;
+    let (class, payload) = open(blob)?;
+    if class != T::CLASS_NAME {
+        return Err(PickleError::ClassMismatch {
+            found: class.to_owned(),
+            expected: T::CLASS_NAME,
+        });
+    }
     let mut r = Reader::new(payload);
     let value = T::unpickle_body(&mut r)?;
     r.expect_exhausted()?;
     Ok(value)
-}
-
-/// Reads only the class name from an enveloped pickle, without decoding the
-/// payload. Useful for dispatching on heterogeneous model BLOBs: the model
-/// store looks at the class name to decide which concrete model type to
-/// unpickle. The payload checksum **is** still verified.
-pub fn unpickle_class_name(blob: &[u8]) -> Result<String, PickleError> {
-    let (class, _) = open_envelope(blob, None)?;
-    Ok(class.to_owned())
 }
 
 #[cfg(test)]
@@ -102,9 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn class_name_readable_without_decoding() {
+    fn open_returns_class_and_payload() {
         let blob = pickle(&String::from("hi"));
-        assert_eq!(unpickle_class_name(&blob).unwrap(), "String");
+        let (class, payload) = open(&blob).unwrap();
+        assert_eq!(class, "String");
+        assert_eq!(String::unpickle_body(&mut Reader::new(payload)).unwrap(), "hi");
     }
 
     #[test]
@@ -135,14 +131,15 @@ mod tests {
     }
 
     #[test]
-    fn future_version_rejected() {
-        let mut blob = pickle(&1u8);
-        blob[4] = 0xFF;
-        blob[5] = 0xFF;
-        assert!(matches!(
-            unpickle::<u8>(&blob).unwrap_err(),
-            PickleError::UnsupportedVersion { found: 0xFFFF, .. }
-        ));
+    fn other_versions_rejected() {
+        for version in [0u16, 1, 3, 0xFFFF] {
+            let mut blob = pickle(&1u8);
+            blob[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                unpickle::<u8>(&blob).unwrap_err(),
+                PickleError::UnsupportedVersion { found: version, supported: FORMAT_VERSION }
+            );
+        }
     }
 
     #[test]

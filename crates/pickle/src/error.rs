@@ -21,11 +21,11 @@ pub enum PickleError {
         /// The four bytes actually found at the start of the buffer.
         found: [u8; 4],
     },
-    /// The format version is newer than this library understands.
+    /// The format version is not the one this library reads.
     UnsupportedVersion {
         /// Version found in the envelope.
         found: u16,
-        /// Highest version this build can read.
+        /// The version this build reads.
         supported: u16,
     },
     /// The envelope's class name does not match the requested type.
@@ -85,7 +85,7 @@ impl fmt::Display for PickleError {
             }
             PickleError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "pickle format version {found} is newer than supported version {supported}"
+                "pickle format version {found} is not supported; this build reads version {supported}"
             ),
             PickleError::ClassMismatch { found, expected } => {
                 write!(f, "pickle holds a '{found}' object but a '{expected}' was requested")

@@ -50,7 +50,7 @@ pub mod reader;
 pub mod traits;
 pub mod writer;
 
-pub use envelope::{pickle, unpickle, unpickle_class_name, FORMAT_VERSION, MAGIC};
+pub use envelope::{open, pickle, unpickle, FORMAT_VERSION, MAGIC};
 pub use error::PickleError;
 pub use reader::Reader;
 pub use traits::Pickle;

@@ -167,11 +167,36 @@ impl<'a> Reader<'a> {
     /// Reads a `f64` slice written by [`crate::Writer::put_f64_slice`].
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, PickleError> {
         let n = self.get_count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f64()?);
+        self.get_f64_array(n)
+    }
+
+    /// The next `n` elements of `width` bytes each, rejecting counts the
+    /// buffer cannot hold before anything is allocated.
+    fn take_array(&mut self, n: usize, width: usize) -> Result<&'a [u8], PickleError> {
+        match n.checked_mul(width) {
+            Some(len) if len <= self.remaining() => self.take(len),
+            _ => Err(PickleError::ImplausibleLength {
+                length: n as u64,
+                remaining: self.remaining(),
+            }),
         }
-        Ok(out)
+    }
+
+    /// Reads `n` raw little-endian `u32`s written by
+    /// [`crate::Writer::put_u32_array`].
+    pub fn get_u32_array(&mut self, n: usize) -> Result<Vec<u32>, PickleError> {
+        let bytes = self.take_array(n, 4)?;
+        Ok(bytes.chunks_exact(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect())
+    }
+
+    /// Reads `n` raw little-endian `f64`s written by
+    /// [`crate::Writer::put_f64_array`].
+    pub fn get_f64_array(&mut self, n: usize) -> Result<Vec<f64>, PickleError> {
+        let bytes = self.take_array(n, 8)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect())
     }
 
     /// Reads an `i64` slice written by [`crate::Writer::put_i64_slice`].
@@ -305,6 +330,26 @@ mod tests {
         assert_eq!(r.get_i64_vec().unwrap(), vec![i64::MIN, 0, i64::MAX]);
         assert_eq!(r.get_u32_vec().unwrap(), vec![0, 42, u32::MAX]);
         r.expect_exhausted().unwrap();
+    }
+
+    #[test]
+    fn arrays_round_trip_and_reject_overlong_counts() {
+        let mut w = Writer::new();
+        w.put_u32_array(&[0, 7, u32::MAX]);
+        w.put_f64_array(&[-0.0, f64::NAN, 1.5]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 3 * 4 + 3 * 8);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.get_u32_array(3).unwrap(), vec![0, 7, u32::MAX]);
+        let f = r.get_f64_array(3).unwrap();
+        assert_eq!(f[0].to_bits(), (-0.0f64).to_bits());
+        assert!(f[1].is_nan() && f[2] == 1.5);
+        r.expect_exhausted().unwrap();
+        for n in [1, usize::MAX / 4 + 1, usize::MAX] {
+            let err = Reader::new(&[]).get_u32_array(n).unwrap_err();
+            assert!(matches!(err, PickleError::ImplausibleLength { .. }), "{n}: {err:?}");
+        }
+        assert!(Reader::new(&[0; 15]).get_f64_array(2).is_err());
     }
 
     #[test]

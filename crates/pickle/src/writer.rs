@@ -140,9 +140,27 @@ impl Writer {
     /// little-endian values. This is the bulk path used for model weights.
     pub fn put_f64_slice(&mut self, values: &[f64]) {
         self.put_varint(values.len() as u64);
-        self.buf.reserve(values.len() * 8);
-        for &v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_f64_array(values);
+    }
+
+    /// Writes `values` as raw little-endian `u32`s with **no** count
+    /// prefix: the bulk path for arrays whose length is stored once for
+    /// several of them. Read back with [`crate::Reader::get_u32_array`].
+    pub fn put_u32_array(&mut self, values: &[u32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * 4, 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(4).zip(values) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Writes `values` as raw little-endian `f64`s with **no** count
+    /// prefix. Read back with [`crate::Reader::get_f64_array`].
+    pub fn put_f64_array(&mut self, values: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * 8, 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(8).zip(values) {
+            out.copy_from_slice(&v.to_le_bytes());
         }
     }
 
