@@ -440,12 +440,6 @@ impl Column {
         crate::encoding::encode(self, enc)
     }
 
-    /// Encodes per the NDV/run-length heuristic (see [`crate::encoding`]);
-    /// returns a clone when no encoding pays off.
-    pub fn encode_auto(&self) -> Column {
-        crate::encoding::encode_auto(self)
-    }
-
     /// Validates the encoding invariants: dict codes in range, run ends
     /// strictly increasing, validity bitmap logical-length. Plain columns
     /// always pass. Used by the plan verifier and tests.

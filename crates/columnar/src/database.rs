@@ -259,6 +259,18 @@ impl Database {
         table: &str,
         derive: impl FnOnce(Option<&Table>) -> DbResult<(Vec<WalOp>, usize)>,
     ) -> DbResult<QueryResult> {
+        Ok(self.commit_then(kind, table, derive, |_| ())?.0)
+    }
+
+    /// [`Self::commit`], then `observe` reads the table the statement
+    /// holds (`None` when it named none that existed) before letting go.
+    fn commit_then<T>(
+        &self,
+        kind: StatementKind,
+        table: &str,
+        derive: impl FnOnce(Option<&Table>) -> DbResult<(Vec<WalOp>, usize)>,
+        observe: impl FnOnce(Option<&Table>) -> T,
+    ) -> DbResult<(QueryResult, T)> {
         let durable = self.durable();
         let fence = durable.as_ref().map(|d| &d.fence);
         let _shared = fence.filter(|_| kind == StatementKind::Dml).map(|f| f.read());
@@ -287,7 +299,8 @@ impl Database {
         if let Some(d) = durable.as_ref().filter(|_| !ops.is_empty()) {
             d.log(&ops)?;
         }
-        Ok(QueryResult::no_rows(kind, affected))
+        let seen = observe(guard.as_deref());
+        Ok((QueryResult::no_rows(kind, affected), seen))
     }
 
     /// Folds the write-ahead log into the checksummed page base and
@@ -574,6 +587,97 @@ impl Database {
         Ok(batch.column(0).value(0))
     }
 
+    /// Runs a `CREATE TABLE … AS` or `INSERT … SELECT`: optimizes and
+    /// executes its query (traced when `trace` is given), then commits the
+    /// result, which builds or appends to the table.
+    fn run_build(
+        &self,
+        bound: BoundStatement,
+        opts: &ExecOptions,
+        trace: Option<&PlanTrace>,
+    ) -> DbResult<Built> {
+        let catalog = &self.catalog;
+        let functions = &self.functions;
+        let execute = |mut plan: LogicalPlan, scalar_subs: &[LogicalPlan]| {
+            let values = evaluate_scalar_subqueries(scalar_subs, catalog, functions)?;
+            substitute_in_plan(&mut plan, &values);
+            // Boxed, so the trace's per-node annotations (keyed by node
+            // address) still find the root once the plan is returned.
+            let plan = Box::new(optimize_with_stats(plan, catalog, self.stats_enabled())?.plan);
+            crate::verify::verify_plan(&plan, functions)?;
+            let batch = match trace {
+                Some(trace) => {
+                    if self.stats_enabled() {
+                        trace.set_estimates(estimate::estimate_map(&plan, catalog));
+                    }
+                    execute_plan_traced(&plan, catalog, functions, opts, trace)?
+                }
+                None => execute_plan_with(&plan, catalog, functions, opts)?,
+            };
+            Ok::<_, DbError>((plan, batch))
+        };
+        // The table's width and encoded columns once the statement
+        // committed.
+        let shape = |t: &Table| {
+            (t.schema().len(), t.scan().columns().iter().filter(|c| !c.is_plain()).count())
+        };
+        let mut skipped = false;
+        let (plan, table, build_start, (result, shape)) = match bound {
+            BoundStatement::CreateTableAs { name, plan, scalar_subs, if_not_exists } => {
+                let (plan, batch) = execute(plan, &scalar_subs)?;
+                let rows = batch.rows();
+                let lname = name.to_ascii_lowercase();
+                let build_start = Instant::now();
+                let derive = |existing: Option<&Table>| match existing {
+                    Some(_) if if_not_exists => {
+                        skipped = true;
+                        Ok((Vec::new(), rows))
+                    }
+                    Some(_) => Err(DbError::AlreadyExists { kind: "table", name: lname.clone() }),
+                    // Create + populate in one record; the append adopts
+                    // the batch's columns (the table is empty), so the
+                    // result set is shared, not copied.
+                    None => Ok((
+                        vec![
+                            WalOp::CreateTable {
+                                name: lname.clone(),
+                                schema: batch.schema().clone(),
+                            },
+                            WalOp::Append { table: lname.clone(), batch },
+                        ],
+                        rows,
+                    )),
+                };
+                let observe = |held: Option<&Table>| match held {
+                    Some(t) => shape(t),
+                    // The table the ops created is not under the guard:
+                    // look it up (gone only if a concurrent DROP won).
+                    None => catalog.table(&lname).map_or((0, 0), |h| shape(&h.read())),
+                };
+                let committed = self.commit_then(StatementKind::Ddl, &lname, derive, observe)?;
+                (plan, lname, build_start, committed)
+            }
+            BoundStatement::InsertQuery { table, column_map, plan, scalar_subs } => {
+                let (plan, batch) = execute(plan, &scalar_subs)?;
+                let build_start = Instant::now();
+                let derive = |t: Option<&Table>| {
+                    let batch = reorder_for_insert(target(t, &table)?, &column_map, batch)?;
+                    let n = batch.rows();
+                    Ok((vec![WalOp::Append { table: table.clone(), batch }], n))
+                };
+                let observe = |held: Option<&Table>| held.map_or((0, 0), shape);
+                let committed = self.commit_then(StatementKind::Dml, &table, derive, observe)?;
+                (plan, table, build_start, committed)
+            }
+            _ => {
+                return Err(DbError::internal(
+                    "run_build takes CREATE TABLE … AS or INSERT … SELECT",
+                ))
+            }
+        };
+        Ok(Built { build: build_start.elapsed(), plan, table, result, shape, skipped })
+    }
+
     fn run_bound_probe(
         &self,
         bound: BoundStatement,
@@ -593,31 +697,8 @@ impl Database {
                     )),
                 })
             }
-            BoundStatement::CreateTableAs { name, mut plan, scalar_subs, if_not_exists } => {
-                let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
-                substitute_in_plan(&mut plan, &values);
-                let plan = optimize_with_stats(plan, catalog, self.stats_enabled())?.plan;
-                crate::verify::verify_plan(&plan, functions)?;
-                let batch = execute_plan_with(&plan, catalog, functions, opts)?;
-                let rows = batch.rows();
-                let lname = name.to_ascii_lowercase();
-                self.commit(StatementKind::Ddl, &lname, |existing| match existing {
-                    Some(_) if if_not_exists => Ok((Vec::new(), rows)),
-                    Some(_) => Err(DbError::AlreadyExists { kind: "table", name: lname.clone() }),
-                    // Create + populate in one record; the append adopts
-                    // the batch's columns (the table is empty), so the
-                    // result set is shared, not copied.
-                    None => Ok((
-                        vec![
-                            WalOp::CreateTable {
-                                name: lname.clone(),
-                                schema: batch.schema().clone(),
-                            },
-                            WalOp::Append { table: lname.clone(), batch },
-                        ],
-                        rows,
-                    )),
-                })
+            build @ (BoundStatement::CreateTableAs { .. } | BoundStatement::InsertQuery { .. }) => {
+                Ok(self.run_build(build, opts, None)?.result)
             }
             BoundStatement::DropTable { name, if_exists } => {
                 self.commit(StatementKind::Ddl, &name, |existing| match existing {
@@ -634,18 +715,6 @@ impl Database {
                 self.commit(StatementKind::Dml, &table, |t| {
                     let batch = values_batch(target(t, &table)?, &column_map, &rows)?;
                     Ok((vec![WalOp::Append { table: table.clone(), batch }], rows.len()))
-                })
-            }
-            BoundStatement::InsertQuery { table, column_map, mut plan, scalar_subs } => {
-                let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
-                substitute_in_plan(&mut plan, &values);
-                let plan = optimize_with_stats(plan, catalog, self.stats_enabled())?.plan;
-                crate::verify::verify_plan(&plan, functions)?;
-                let batch = execute_plan_with(&plan, catalog, functions, opts)?;
-                self.commit(StatementKind::Dml, &table, |t| {
-                    let batch = reorder_for_insert(target(t, &table)?, &column_map, batch)?;
-                    let n = batch.rows();
-                    Ok((vec![WalOp::Append { table: table.clone(), batch }], n))
                 })
             }
             BoundStatement::Delete { table, filter, scalar_subs } => {
@@ -737,11 +806,7 @@ impl Database {
                     let total = start.elapsed();
                     let mut text = plan.display_with(&|n| trace.annotation(n));
                     text.push_str(cache_note);
-                    text.push_str(&format!(
-                        "execution: {} rows in {:.3}ms\n",
-                        result.rows(),
-                        total.as_secs_f64() * 1e3
-                    ));
+                    text.push_str(&execution_line(result.rows(), total));
                     text
                 } else {
                     // Plain EXPLAIN does not execute subqueries;
@@ -768,12 +833,30 @@ impl Database {
                     }
                     text
                 };
-                let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-                let batch = Batch::from_columns(vec![(
-                    "plan",
-                    Column::from_strings(lines.iter().copied()),
-                )])?;
-                Ok(QueryResult::rows(batch))
+                plan_rows(&text)
+            }
+            BoundStatement::ExplainBuild(build) => {
+                let trace = PlanTrace::new();
+                let start = Instant::now();
+                let built = self.run_build(*build, opts, Some(&trace))?;
+                let total = start.elapsed();
+                let (columns, encoded) = built.shape;
+                // An `IF NOT EXISTS` that found the table built nothing.
+                let (rows, note) = match built.skipped {
+                    true => (0, " (exists, skipped)"),
+                    false => (built.result.rows_affected(), ""),
+                };
+                let mut text = format!(
+                    "TableBuild {}{note} rows={rows} columns={columns} encoded={encoded}/{columns} \
+                     time={:.3}ms\n",
+                    built.table,
+                    built.build.as_secs_f64() * 1e3,
+                );
+                for line in built.plan.display_with(&|n| trace.annotation(n)).lines() {
+                    text.push_str(&format!("  {line}\n"));
+                }
+                text.push_str(&execution_line(rows, total));
+                plan_rows(&text)
             }
             BoundStatement::ShowTables => {
                 let names = catalog.table_names();
@@ -851,6 +934,31 @@ fn values_batch(table: &Table, column_map: &[usize], rows: &[Vec<Value>]) -> DbR
         full_rows.push(full);
     }
     Batch::from_rows(table.schema().clone(), &full_rows)
+}
+
+/// A table build: the statement's result, the query plan that fed it, the
+/// table it built or appended to, the time the commit took (the table
+/// build plus, on a durable database, the log append), the table's width
+/// and encoded columns once committed, and whether an `IF NOT EXISTS`
+/// found the table and built nothing.
+struct Built {
+    result: QueryResult,
+    plan: Box<LogicalPlan>,
+    table: String,
+    build: Duration,
+    shape: (usize, usize),
+    skipped: bool,
+}
+
+/// The last line of an `EXPLAIN ANALYZE`: rows out and the statement's time.
+fn execution_line(rows: usize, total: Duration) -> String {
+    format!("execution: {rows} rows in {:.3}ms\n", total.as_secs_f64() * 1e3)
+}
+
+/// `EXPLAIN` text as its result: one `plan` row per non-blank line.
+fn plan_rows(text: &str) -> DbResult<QueryResult> {
+    let lines = text.lines().filter(|l| !l.trim().is_empty());
+    Ok(QueryResult::rows(Batch::from_columns(vec![("plan", Column::from_strings(lines))])?))
 }
 
 /// Reorders a source batch to the target table's column positions,

@@ -2,9 +2,11 @@
 
 use crate::batch::Batch;
 use crate::column::Column;
+use crate::encoding::{typed, Values};
 use crate::error::{DbError, DbResult};
 use crate::exec::Parallelism;
 use crate::parallel::parallel_map;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// One ORDER BY key.
@@ -31,13 +33,54 @@ impl SortKey {
     }
 }
 
+/// Two non-NULL rows of one key column in SQL order ([`Values::sql_cmp`]),
+/// incomparable (NaN) as equal.
+type RowCmp<'a> = Box<dyn Fn(usize, usize) -> Ordering + Sync + 'a>;
+
+/// One key column resolved once, outside the comparator: its validity and
+/// the order of its typed values.
+struct KeyCol<'a> {
+    col: &'a Column,
+    cmp: RowCmp<'a>,
+}
+
+impl<'a> KeyCol<'a> {
+    fn new(col: &'a Column) -> KeyCol<'a> {
+        // An encoded column compares its values through each row's
+        // physical index into them.
+        let phys = match (col.dict_parts(), col.rle_parts()) {
+            (Some((codes, _)), _) => Some(Cow::Borrowed(codes)),
+            (_, Some((ends, _))) => {
+                let mut rows = Vec::with_capacity(col.len());
+                let mut start = 0;
+                for (run, &end) in ends.iter().enumerate() {
+                    rows.resize(rows.len() + (end - start) as usize, run as u32);
+                    start = end;
+                }
+                Some(Cow::Owned(rows))
+            }
+            _ => None,
+        };
+        KeyCol { col, cmp: typed!(col.data(), row_cmp(phys)) }
+    }
+}
+
+fn row_cmp<'a, V: Values + Sync + ?Sized>(v: &'a V, phys: Option<Cow<'a, [u32]>>) -> RowCmp<'a> {
+    match phys {
+        Some(p) => Box::new(move |a, b| {
+            V::sql_cmp(v.at(p[a] as usize), v.at(p[b] as usize)).unwrap_or(Ordering::Equal)
+        }),
+        None => Box::new(move |a, b| V::sql_cmp(v.at(a), v.at(b)).unwrap_or(Ordering::Equal)),
+    }
+}
+
 /// The ORDER BY comparator shared by the per-morsel run sorts and the run
 /// merge. `cols` holds the key columns in key order.
-fn compare_rows(keys: &[SortKey], cols: &[&Column], a: u32, b: u32) -> Ordering {
+fn compare_rows(keys: &[SortKey], cols: &[KeyCol], a: u32, b: u32) -> Ordering {
     for (key, col) in keys.iter().zip(cols) {
         let (ai, bi) = (a as usize, b as usize);
-        let an = col.is_null(ai);
-        let bn = col.is_null(bi);
+        let an = col.col.is_null(ai);
+        let bn = col.col.is_null(bi);
         let ord = match (an, bn) {
             (true, true) => Ordering::Equal,
             (true, false) => {
@@ -55,9 +98,7 @@ fn compare_rows(keys: &[SortKey], cols: &[&Column], a: u32, b: u32) -> Ordering 
                 }
             }
             (false, false) => {
-                let va = col.value(ai);
-                let vb = col.value(bi);
-                let natural = va.sql_cmp(&vb).unwrap_or(Ordering::Equal);
+                let natural = (col.cmp)(ai, bi);
                 if key.ascending {
                     natural
                 } else {
@@ -75,7 +116,7 @@ fn compare_rows(keys: &[SortKey], cols: &[&Column], a: u32, b: u32) -> Ordering 
 /// Merges two sorted runs, taking the left row on ties. Runs always cover
 /// contiguous, ascending row ranges (left before right), so left-on-equal
 /// preserves stability.
-fn merge_runs(a: &[u32], b: &[u32], keys: &[SortKey], cols: &[&Column]) -> Vec<u32> {
+fn merge_runs(a: &[u32], b: &[u32], keys: &[SortKey], cols: &[KeyCol]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -107,7 +148,7 @@ pub fn sort(input: &Batch, keys: &[SortKey], par: Parallelism) -> DbResult<(Batc
             return Err(DbError::internal(format!("sort key column {} out of range", k.column)));
         }
     }
-    let cols: Vec<&Column> = keys.iter().map(|k| input.column(k.column).as_ref()).collect();
+    let cols: Vec<KeyCol> = keys.iter().map(|k| KeyCol::new(input.column(k.column))).collect();
     let parallel = par.enabled(input.rows());
     let mut runs: Vec<Vec<u32>> = par.run_morsels(input.rows(), parallel, |m| {
         let mut idx: Vec<u32> = (m.start as u32..(m.start + m.len) as u32).collect();

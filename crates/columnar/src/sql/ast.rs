@@ -70,6 +70,10 @@ pub enum Statement {
         /// Whether to execute the query and report per-operator runtime.
         analyze: bool,
     },
+    /// `EXPLAIN ANALYZE CREATE TABLE … AS …` or `EXPLAIN ANALYZE INSERT …
+    /// SELECT`: runs the statement as it would run without `EXPLAIN` and
+    /// reports the table build with the query's annotated plan under it.
+    ExplainBuild(Box<Statement>),
     /// `SHOW TABLES`.
     ShowTables,
     /// `SHOW FUNCTIONS` — lists registered UDFs.

@@ -148,6 +148,17 @@ impl<'a> Binder<'a> {
                     analyze,
                 })
             }
+            Statement::ExplainBuild(inner) => match self.bind_statement(*inner)? {
+                build @ (BoundStatement::CreateTableAs { .. }
+                | BoundStatement::InsertQuery { .. }) => {
+                    Ok(BoundStatement::ExplainBuild(Box::new(build)))
+                }
+                _ => Err(DbError::Unsupported(
+                    "EXPLAIN ANALYZE of a statement other than SELECT, CREATE TABLE … AS \
+                     or INSERT … SELECT"
+                        .into(),
+                )),
+            },
             Statement::Insert { table, columns, source } => {
                 self.bind_insert(table, columns, source)
             }

@@ -176,6 +176,12 @@ impl Parser {
         }
         if self.eat_keyword("explain") {
             let analyze = self.eat_keyword("analyze");
+            if analyze && self.at_keyword("create") {
+                return Ok(Statement::ExplainBuild(Box::new(self.create()?)));
+            }
+            if analyze && self.at_keyword("insert") {
+                return Ok(Statement::ExplainBuild(Box::new(self.insert()?)));
+            }
             let q = self.query()?;
             return Ok(Statement::Explain { query: q, analyze });
         }

@@ -375,6 +375,9 @@ pub enum BoundStatement {
         /// Whether to execute the plan and annotate runtime statistics.
         analyze: bool,
     },
+    /// `EXPLAIN ANALYZE` of a `CreateTableAs` or `InsertQuery`: the
+    /// statement runs as usual and its table build is reported.
+    ExplainBuild(Box<BoundStatement>),
     /// `SHOW TABLES`.
     ShowTables,
     /// `SHOW FUNCTIONS`.

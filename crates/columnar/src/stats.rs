@@ -5,33 +5,40 @@
 //! estimator ([`crate::sql::estimate`]) read through the catalog. Stats
 //! are maintained on the table's own mutation paths:
 //!
-//! * **Appends** merge exact per-batch stats incrementally (O(batch)).
-//! * The **encoding sweep** (`auto_encode`, which already runs on every
-//!   table-size doubling) recomputes stats from scratch, so full-sweep
-//!   cost stays amortized O(1) per appended row.
-//! * Deletes and updates recompute eagerly — they are rare and already
-//!   O(table).
+//! * **Builds** — bulk load, CTAS, reopen, the encoding sweep that runs on
+//!   every table-size doubling, and the recompute after a delete, update
+//!   or forced encoding — take each column's stats from the same typed
+//!   pass that picks its encoding ([`crate::encoding`]'s `build`).
+//! * **Appends** between sweeps merge exact per-batch stats (O(batch)).
+//!
+//! **Where the numbers come from.** A dictionary column's stats come from
+//! its dictionary, an RLE column's from its runs: min/max and the sketch
+//! are folded over the *live* entries (those some non-NULL row uses), each
+//! distinct value once, so the cost is O(dictionary) plus one pass over
+//! the codes for liveness. A plain column gets one typed loop over its
+//! rows. The sketch is a register-wise max, so feeding it each distinct
+//! value once yields the same registers as feeding it every row.
 //!
 //! **Exactness contract.** `rows`, `nulls`, `min`, and `max` are exact on
 //! every path — the optimizer answers `COUNT(*)` / `COUNT(col)` /
 //! `MIN` / `MAX` straight from them, so "estimate" is not good enough.
-//! The min/max sweep replicates the executor's `AggState::MinMax` update
-//! rule bit for bit: values are visited in row order, compared with
-//! [`Value::sql_cmp`], a strict `Less`/`Greater` replaces the running
-//! best (ties keep the earlier value, so `-0.0`/`+0.0` resolve the same
-//! way either route), and an incomparable pair (NaN) poisons min/max so
-//! the optimizer falls back to the scan — which reports the same
+//! Min/max replicate the executor's `AggState::MinMax` update rule bit for
+//! bit: in row order, a strict `Less`/`Greater` under `Value::sql_cmp`
+//! replaces the running best, so among equal values (`-0.0`/`+0.0`) the
+//! one at the earliest row wins — the fold over entries breaks ties by
+//! each entry's first non-NULL row to the same effect. An incomparable
+//! pair (NaN beside any other non-NULL row) poisons min/max so the
+//! optimizer falls back to the scan, which reports the same
 //! incomparability error the stats path would have hidden.
 //!
 //! `ndv` is exact on dictionary-encoded columns (distinct live dictionary
-//! codes, free after PR 7) and a [`NdvSketch`] HyperLogLog-style estimate
-//! on plain/RLE columns; [`ColumnStats::ndv_exact`] says which.
+//! codes) and a [`NdvSketch`] HyperLogLog-style estimate on plain/RLE
+//! columns; [`ColumnStats::ndv_exact`] says which.
 
 use crate::column::Column;
+use crate::encoding::{Values, DEAD};
 use crate::types::Value;
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// Register-index bits of the NDV sketch (`2^8 = 256` registers,
@@ -59,7 +66,7 @@ pub fn env_enabled() -> bool {
 /// "rank" (position of the first set bit in the remaining hash bits).
 /// Sketches merge by register-wise max, which is what makes incremental
 /// append maintenance possible without rescanning the table.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct NdvSketch {
     registers: [u8; REGISTERS],
 }
@@ -120,29 +127,10 @@ impl NdvSketch {
     }
 }
 
-/// Hashes a non-null [`Value`] for NDV sketching. Integer-family values
-/// hash by their widened `i64` so the estimate is stable across integer
-/// widths; floats hash by bit pattern.
-fn hash_value(v: &Value) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match v {
-        Value::Null => (0u8).hash(&mut h),
-        Value::Boolean(b) => (1u8, b).hash(&mut h),
-        Value::Int8(_) | Value::Int16(_) | Value::Int32(_) | Value::Int64(_) => {
-            (2u8, v.as_i64()).hash(&mut h)
-        }
-        Value::Float32(f) => (3u8, (f64::from(*f)).to_bits()).hash(&mut h),
-        Value::Float64(f) => (3u8, f.to_bits()).hash(&mut h),
-        Value::Varchar(s) => (4u8, s.as_bytes()).hash(&mut h),
-        Value::Blob(b) => (5u8, b.as_slice()).hash(&mut h),
-    }
-    h.finish()
-}
-
 /// Statistics over one column: exact row/null counts and min/max, plus a
 /// distinct-value count that is exact for dictionary-encoded columns and
 /// sketch-estimated otherwise.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     rows: u64,
     nulls: u64,
@@ -172,45 +160,6 @@ impl Default for ColumnStats {
 }
 
 impl ColumnStats {
-    /// Computes stats for a column with one full sweep (in row order, so
-    /// min/max tie-breaking matches the executor's serial aggregate).
-    pub fn compute(col: &Column) -> ColumnStats {
-        let mut s = ColumnStats {
-            rows: col.len() as u64,
-            nulls: col.null_count() as u64,
-            ..ColumnStats::default()
-        };
-        for i in 0..col.len() {
-            if col.is_null(i) {
-                continue;
-            }
-            let v = col.value(i);
-            s.observe_min_max(&v);
-            s.sketch.insert_hash(hash_value(&v));
-        }
-        let non_null = s.rows - s.nulls;
-        if let Some((codes, dict)) = col.dict_parts() {
-            // Exact NDV: count distinct live dictionary codes among
-            // non-null rows (robust even if the dictionary holds unused
-            // or placeholder slots).
-            let mut seen = vec![false; dict.len()];
-            for (i, &code) in codes.iter().enumerate() {
-                if col.is_null(i) {
-                    continue;
-                }
-                if let Some(slot) = seen.get_mut(code as usize) {
-                    *slot = true;
-                }
-            }
-            s.ndv = seen.iter().filter(|&&b| b).count() as u64;
-            s.ndv_exact = true;
-        } else {
-            s.ndv = clamp_ndv(s.sketch.estimate(), non_null);
-            s.ndv_exact = false;
-        }
-        s
-    }
-
     /// Folds stats computed over an appended batch into stats for the
     /// rows already present. Min/max ties keep the earlier (existing)
     /// value — the same answer a full re-sweep in row order would give.
@@ -248,26 +197,6 @@ impl ColumnStats {
         // The merged count is sketch-based even if both inputs were
         // exact; the next encoding sweep restores exactness.
         self.ndv_exact = false;
-    }
-
-    fn observe_min_max(&mut self, v: &Value) {
-        if !self.comparable {
-            return;
-        }
-        let (cmp_min, cmp_max) = match (self.min.as_ref(), self.max.as_ref()) {
-            (Some(mn), Some(mx)) => (v.sql_cmp(mn), v.sql_cmp(mx)),
-            _ => {
-                self.min = Some(v.clone());
-                self.max = Some(v.clone());
-                return;
-            }
-        };
-        match (cmp_min, cmp_max) {
-            (None, _) | (_, None) => self.poison(),
-            (Some(Ordering::Less), _) => self.min = Some(v.clone()),
-            (_, Some(Ordering::Greater)) => self.max = Some(v.clone()),
-            _ => {}
-        }
     }
 
     fn poison(&mut self) {
@@ -319,6 +248,122 @@ impl ColumnStats {
     }
 }
 
+/// Folds one column's values into its [`ColumnStats`], the way a sweep in
+/// row order would see them: either every non-NULL row ([`Self::rows`]) or
+/// each live dictionary entry or run once ([`Self::entries`]).
+pub(crate) struct StatsFold<'a, V: Values + ?Sized> {
+    values: &'a V,
+    col: &'a Column,
+    /// Physical index and order key (first non-NULL row) of the running
+    /// minimum and maximum.
+    min: Option<(usize, u32)>,
+    max: Option<(usize, u32)>,
+    /// A NaN seen, by physical index.
+    nan: Option<usize>,
+    /// Values folded.
+    folded: u64,
+    sketch: NdvSketch,
+}
+
+impl<'a, V: Values + ?Sized> StatsFold<'a, V> {
+    /// An empty fold over `col`, whose physical values are `values`.
+    pub(crate) fn new(values: &'a V, col: &'a Column) -> Self {
+        StatsFold {
+            values,
+            col,
+            min: None,
+            max: None,
+            nan: None,
+            folded: 0,
+            sketch: NdvSketch::new(),
+        }
+    }
+
+    /// Folds physical value `p`, first seen at non-NULL row `order`.
+    #[inline]
+    fn observe(&mut self, p: usize, order: u32) {
+        let x = self.values.at(p);
+        self.folded += 1;
+        self.sketch.insert_hash(V::sketch_hash(x));
+        if V::sql_cmp(x, x).is_none() {
+            self.nan = Some(p);
+            return;
+        }
+        let values = self.values;
+        let wins = |best: Option<(usize, u32)>, want: Ordering| {
+            best.is_none_or(|(q, o)| {
+                let c = V::sql_cmp(x, values.at(q));
+                c == Some(want) || (c == Some(Ordering::Equal) && order < o)
+            })
+        };
+        if wins(self.min, Ordering::Less) {
+            self.min = Some((p, order));
+        }
+        if wins(self.max, Ordering::Greater) {
+            self.max = Some((p, order));
+        }
+    }
+
+    /// Folds every non-NULL row of a plain column. A row bit-identical to
+    /// the last one folded cannot change min, max or the sketch, and is
+    /// skipped.
+    pub(crate) fn rows(&mut self, n: usize) {
+        let mut last: Option<usize> = None;
+        for i in 0..n {
+            if self.col.is_null(i) {
+                continue;
+            }
+            if last.is_some_and(|l| V::same(self.values.at(l), self.values.at(i))) {
+                continue;
+            }
+            last = Some(i);
+            self.observe(i, i as u32);
+        }
+    }
+
+    /// Folds each entry `e` in `entries` whose order key `orders[e]` is
+    /// not [`DEAD`], reading its value at physical index `phys(e)`.
+    pub(crate) fn entries(
+        &mut self,
+        entries: std::ops::Range<usize>,
+        phys: impl Fn(usize) -> usize,
+        orders: &[u32],
+    ) {
+        for e in entries {
+            if orders[e] != DEAD {
+                self.observe(phys(e), orders[e]);
+            }
+        }
+    }
+
+    /// The stats; `exact` when the values folded were a dictionary's live
+    /// entries, so their count is the exact NDV.
+    pub(crate) fn finish(self, exact: bool) -> ColumnStats {
+        let rows = self.col.len() as u64;
+        let nulls = self.col.null_count() as u64;
+        let non_null = rows - nulls;
+        let value = |p: usize| V::value(self.values.at(p));
+        let (min, max, comparable) = match self.nan {
+            // Row order compares each row after the first with the running
+            // min/max, so a NaN poisons as soon as a second row exists.
+            Some(_) if non_null >= 2 => (None, None, false),
+            Some(p) => (Some(value(p)), Some(value(p)), true),
+            None => (self.min.map(|(p, _)| value(p)), self.max.map(|(p, _)| value(p)), true),
+        };
+        let ndv = if exact { self.folded } else { clamp_ndv(self.sketch.estimate(), non_null) };
+        ColumnStats {
+            rows,
+            nulls,
+            min,
+            max,
+            comparable,
+            ndv,
+            ndv_exact: exact,
+            sketch: self.sketch,
+        }
+    }
+}
+
 /// Clamps a sketch NDV estimate to the feasible `[1, non_null]` range
 /// (0 when the column has no non-null values).
 fn clamp_ndv(estimate: u64, non_null: u64) -> u64 {
@@ -338,12 +383,9 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Computes stats for every column with one sweep each.
-    pub fn compute(columns: &[Arc<Column>], rows: usize) -> TableStats {
-        TableStats {
-            rows: rows as u64,
-            columns: columns.iter().map(|c| ColumnStats::compute(c)).collect(),
-        }
+    /// Stats for a table of `rows` rows from its per-column stats.
+    pub(crate) fn new(rows: usize, columns: Vec<ColumnStats>) -> TableStats {
+        TableStats { rows: rows as u64, columns }
     }
 
     /// Folds per-batch append stats into the existing stats. Column
@@ -373,14 +415,22 @@ impl TableStats {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::encoding::Values;
+
+    fn compute(col: &Column) -> ColumnStats {
+        crate::encoding::build(col, None).1
+    }
 
     #[test]
     fn counts_min_max_exact() {
         let col = Column::from_opt_i32s(vec![Some(5), None, Some(2), Some(9), Some(2)]);
-        let s = ColumnStats::compute(&col);
+        let s = compute(&col);
         assert_eq!(s.rows(), 5);
         assert_eq!(s.nulls(), 1);
         let (mn, mx) = s.min_max().expect("comparable");
@@ -392,7 +442,7 @@ mod tests {
     #[test]
     fn nan_poisons_min_max_but_not_counts() {
         let col = Column::from_f64s(vec![1.0, f64::NAN, 3.0]);
-        let s = ColumnStats::compute(&col);
+        let s = compute(&col);
         assert_eq!(s.rows(), 3);
         assert!(s.min_max().is_none());
     }
@@ -401,11 +451,11 @@ mod tests {
     fn merge_matches_full_recompute_for_ints() {
         let a = Column::from_i64s(vec![4, 7, 7, 1]);
         let b = Column::from_i64s(vec![0, 9, 4]);
-        let mut merged = ColumnStats::compute(&a);
-        merged.merge_append(&ColumnStats::compute(&b));
+        let mut merged = compute(&a);
+        merged.merge_append(&compute(&b));
         let mut all = Column::from_i64s(vec![4, 7, 7, 1]);
         all.extend(&Column::from_i64s(vec![0, 9, 4])).unwrap();
-        let full = ColumnStats::compute(&all);
+        let full = compute(&all);
         assert_eq!(merged.rows(), full.rows());
         assert_eq!(merged.min_max(), full.min_max());
     }
@@ -414,7 +464,7 @@ mod tests {
     fn dict_column_ndv_is_exact() {
         let vals: Vec<&str> = ["a", "b", "a", "c", "a", "b"].into();
         let col = Column::from_strings(vals).encode(crate::column::Encoding::Dict);
-        let s = ColumnStats::compute(&col);
+        let s = compute(&col);
         assert_eq!(s.ndv(), 3);
         assert!(s.ndv_exact());
     }
@@ -423,7 +473,7 @@ mod tests {
     fn sketch_estimate_tracks_distinct_count() {
         let mut sk = NdvSketch::new();
         for i in 0..10_000i64 {
-            sk.insert_hash(super::hash_value(&Value::Int64(i)));
+            sk.insert_hash(<[i64] as Values>::sketch_hash(i));
         }
         let est = sk.estimate();
         assert!(est > 8_000 && est < 12_000, "estimate {est} too far from 10000");
@@ -434,7 +484,7 @@ mod tests {
         // -0.0 and +0.0 compare Equal under sql_cmp: the first one seen
         // must win, exactly as the serial MIN/MAX aggregate behaves.
         let col = Column::from_f64s(vec![-0.0, 0.0]);
-        let s = ColumnStats::compute(&col);
+        let s = compute(&col);
         let (mn, mx) = s.min_max().expect("comparable");
         assert_eq!(mn.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert_eq!(mx.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));

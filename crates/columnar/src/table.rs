@@ -7,9 +7,10 @@
 
 use crate::batch::Batch;
 use crate::column::{Column, ColumnBuilder, Encoding};
+use crate::encoding::{build, Thresholds};
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
-use crate::stats::TableStats;
+use crate::stats::{ColumnStats, TableStats};
 use crate::types::Value;
 use std::sync::Arc;
 
@@ -26,7 +27,7 @@ pub struct Table {
     encoded_at_rows: usize,
     /// Live per-column statistics, maintained on every mutation path:
     /// appends merge exact per-batch stats, the encoding sweep (and any
-    /// delete/update) recomputes from scratch. See [`crate::stats`].
+    /// delete/update) rebuilds them. See [`crate::stats`].
     stats: TableStats,
 }
 
@@ -35,7 +36,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Arc<Schema>) -> Table {
         let columns: Vec<Arc<Column>> =
             schema.fields().iter().map(|f| Arc::new(Column::empty(f.dtype))).collect();
-        let stats = TableStats::compute(&columns, 0);
+        let stats = TableStats::new(0, column_stats(&columns));
         Table { name: name.into(), schema, columns, rows: 0, encoded_at_rows: 0, stats }
     }
 
@@ -52,30 +53,30 @@ impl Table {
             encoded_at_rows: 0,
             stats: TableStats::default(),
         };
-        t.auto_encode();
+        t.rebuild(true);
         t
     }
 
-    /// Re-runs the per-column encoding heuristic and records the row count
-    /// so the next sweep waits for the table to double.
-    fn auto_encode(&mut self) {
+    /// Rebuilds every column in one typed pass each ([`build`]): with
+    /// `encode`, plain columns are re-encoded by the heuristic and the row
+    /// count recorded so the next sweep waits for the table to double.
+    /// The stats are replaced and `sql.stats.built` ticks once. Appends
+    /// between sweeps merge per-batch stats instead (see
+    /// [`Self::append_batch`]).
+    fn rebuild(&mut self, encode: bool) {
+        let auto = encode.then(Thresholds::current);
+        let mut stats = Vec::with_capacity(self.columns.len());
         for col in &mut self.columns {
-            if col.is_plain() {
-                let e = col.encode_auto();
-                if !e.is_plain() {
-                    *col = Arc::new(e);
-                }
+            let (encoded, s) = build(col, auto);
+            if let Some(e) = encoded {
+                *col = Arc::new(e);
             }
+            stats.push(s);
         }
-        self.encoded_at_rows = self.rows;
-        self.recompute_stats();
-    }
-
-    /// Recomputes [`TableStats`] with one sweep per column and ticks
-    /// `sql.stats.built`. Appends between sweeps keep stats exact by
-    /// merging per-batch stats instead (see [`Self::append_batch`]).
-    fn recompute_stats(&mut self) {
-        self.stats = TableStats::compute(&self.columns, self.rows);
+        if encode {
+            self.encoded_at_rows = self.rows;
+        }
+        self.stats = TableStats::new(self.rows, stats);
         crate::metrics::counter("sql.stats.built").incr();
     }
 
@@ -97,7 +98,7 @@ impl Table {
         let encoded = self.columns[col_idx].encode(enc);
         encoded.check_encoding()?;
         self.columns[col_idx] = Arc::new(encoded);
-        self.recompute_stats();
+        self.rebuild(false);
         Ok(())
     }
 
@@ -161,10 +162,10 @@ impl Table {
         // `extend` decodes encoded destinations; re-encode once the table
         // has doubled since the last sweep (always on the first append).
         if self.rows >= self.encoded_at_rows.saturating_mul(2) {
-            self.auto_encode();
+            self.rebuild(true);
         } else {
             // Between sweeps, fold exact per-batch stats in O(batch).
-            self.stats.merge_append(&TableStats::compute(&prepared, batch.rows()));
+            self.stats.merge_append(&TableStats::new(batch.rows(), column_stats(&prepared)));
         }
         Ok(())
     }
@@ -183,7 +184,7 @@ impl Table {
             *col = Arc::new(taken);
         }
         self.rows = indices.len();
-        self.recompute_stats();
+        self.rebuild(false);
     }
 
     /// Replaces the full contents of column `col_idx` (used by `UPDATE`).
@@ -212,7 +213,7 @@ impl Table {
             )));
         }
         self.columns[col_idx] = column;
-        self.recompute_stats();
+        self.rebuild(false);
         Ok(())
     }
 
@@ -224,6 +225,11 @@ impl Table {
             table: self,
         }
     }
+}
+
+/// The statistics of `columns` as they are, without encoding them.
+fn column_stats(columns: &[Arc<Column>]) -> Vec<ColumnStats> {
+    columns.iter().map(|c| build(c, None).1).collect()
 }
 
 /// Row-streaming bulk loader for a table.

@@ -74,6 +74,7 @@ pub fn verify_statement(stmt: &BoundStatement, functions: &FunctionRegistry) -> 
         | BoundStatement::Explain { plan, scalar_subs, .. }
         | BoundStatement::CreateTableAs { plan, scalar_subs, .. }
         | BoundStatement::InsertQuery { plan, scalar_subs, .. } => (Some(plan), scalar_subs),
+        BoundStatement::ExplainBuild(inner) => return verify_statement(inner, functions),
         BoundStatement::Delete { scalar_subs, .. } | BoundStatement::Update { scalar_subs, .. } => {
             (None, scalar_subs)
         }

@@ -162,3 +162,47 @@ fn analyze_summary_matches_the_result_cardinality() {
     let text = text_of(&db, "EXPLAIN ANALYZE SELECT k, COUNT(*) FROM t GROUP BY k");
     assert!(text.contains("execution: 5 rows"), "wrong summary:\n{text}");
 }
+
+#[test]
+fn analyze_reports_the_table_build_of_ctas_and_insert_select() {
+    let db = Database::new();
+    db.set_threads(1);
+    seed(&db, 2000);
+    // The statement runs exactly as without EXPLAIN: the table is created.
+    let text = text_of(&db, "EXPLAIN ANALYZE CREATE TABLE w AS SELECT k, v * 2 AS v2 FROM t");
+    let mut lines = text.lines();
+    let root = lines.next().unwrap();
+    assert!(root.starts_with("TableBuild w rows=2000 columns=2 encoded="), "root:\n{text}");
+    assert!(root.contains(" time="), "root has no build time:\n{text}");
+    // Both columns are low-cardinality: the heuristic encodes them.
+    assert!(root.contains("encoded=2/2"), "root:\n{text}");
+    // The query's plan hangs under the root, annotated down to its top.
+    let top = lines.next().unwrap();
+    assert!(top.starts_with("  Project") && top.contains("rows=2000"), "plan:\n{text}");
+    let scan = lines.clone().find(|l| l.contains("Scan t")).expect("plan under the root");
+    assert!(scan.starts_with("  ") && scan.contains("rows=2000"), "plan:\n{text}");
+    assert!(text.lines().last().unwrap().starts_with("execution: 2000 rows in"), "{text}");
+    assert_eq!(db.query_value("SELECT COUNT(*) FROM w").unwrap(), Value::Int64(2000));
+    assert_eq!(db.query_value("SELECT SUM(v2) FROM w").unwrap(), Value::Int64(19_982));
+
+    // INSERT … SELECT appends and reports the table it grew.
+    let text = text_of(&db, "EXPLAIN ANALYZE INSERT INTO w SELECT k, v FROM t WHERE v > 8");
+    let root = text.lines().next().unwrap();
+    // `encoded` is the table's state once committed: an append between
+    // encoding sweeps (2 362 rows < 2 × 2 000) leaves its columns plain.
+    assert!(root.starts_with("TableBuild w rows=362 columns=2 encoded=0/2 "), "root:\n{text}");
+    assert!(text.contains("Filter"), "plan:\n{text}");
+    assert_eq!(db.query_value("SELECT COUNT(*) FROM w").unwrap(), Value::Int64(2362));
+
+    // An IF NOT EXISTS that finds the table builds nothing, and says so.
+    let text = text_of(&db, "EXPLAIN ANALYZE CREATE TABLE IF NOT EXISTS w AS SELECT k FROM t");
+    let root = text.lines().next().unwrap();
+    assert!(root.starts_with("TableBuild w (exists, skipped) rows=0 columns=2 "), "root:\n{text}");
+    assert!(text.lines().last().unwrap().starts_with("execution: 0 rows in"), "{text}");
+    assert_eq!(db.query_value("SELECT COUNT(*) FROM w").unwrap(), Value::Int64(2362));
+
+    // Other statements are still refused; plain EXPLAIN still wants SELECT.
+    assert!(db.query("EXPLAIN ANALYZE INSERT INTO w VALUES (1, 2)").is_err());
+    assert!(db.query("EXPLAIN CREATE TABLE z AS SELECT k FROM t").is_err());
+    assert!(db.query("SELECT COUNT(*) FROM z").is_err(), "refused statements build nothing");
+}
