@@ -648,18 +648,37 @@ impl Column {
     }
 
     /// Gathers rows by optional index: `None` produces a NULL row. Used by
-    /// outer joins to pad the unmatched side.
+    /// outer joins to pad the unmatched side. A typed gather like
+    /// [`Column::take`]: dict columns stay dict (a padded row points at code
+    /// 0 under its NULL), RLE columns materialize plain, and a plain padded
+    /// row holds the zero placeholder.
     pub fn take_opt(&self, indices: &[Option<u32>]) -> Column {
-        let mut b = ColumnBuilder::new(self.data_type());
-        for &idx in indices {
-            match idx {
-                Some(i) => {
-                    b.push_value(&self.value(i as usize)).expect("same-type push cannot fail")
-                }
-                None => b.push_null(),
+        if self.is_empty() && !indices.is_empty() {
+            // Every index is `None`: there is no row to point at.
+            return Column::nulls(self.data_type(), indices.len());
+        }
+        let mut validity = Bitmap::filled(indices.len(), true);
+        for (k, idx) in indices.iter().enumerate() {
+            if idx.is_none_or(|i| self.is_null(i as usize)) {
+                validity.set(k, false);
             }
         }
-        b.finish()
+        match &self.repr {
+            Repr::Plain => {
+                Column::with_repr(take_data_opt(&self.data, indices), Some(validity), Repr::Plain)
+            }
+            Repr::Dict { codes } => {
+                let gathered = indices.iter().map(|i| i.map_or(0, |i| codes[i as usize])).collect();
+                Column::with_repr(self.data.clone(), Some(validity), Repr::Dict { codes: gathered })
+            }
+            Repr::Rle { .. } => {
+                let phys: Vec<Option<u32>> = indices
+                    .iter()
+                    .map(|i| i.map(|i| self.physical_index(i as usize) as u32))
+                    .collect();
+                Column::with_repr(take_data_opt(&self.data, &phys), Some(validity), Repr::Plain)
+            }
+        }
     }
 
     /// Expands a length-1 constant column to `n` identical rows; returns a
@@ -775,13 +794,79 @@ impl Column {
         if self.data_type() == target {
             return Ok(self.clone());
         }
-        // Fast numeric paths; everything else goes through scalar casts.
+        if let Some(widened) = self.widen(target) {
+            return Ok(widened);
+        }
+        // Everything else goes through scalar casts.
         let n = self.len();
         let mut b = ColumnBuilder::new(target);
         for i in 0..n {
             b.push_value(&self.value(i))?;
         }
         Ok(b.finish())
+    }
+
+    /// The exact numeric casts as typed loops: an integer to a wider
+    /// integer, an integer or FLOAT to DOUBLE. NULL slots hold the zero
+    /// placeholder, as the scalar path leaves them. `None` for any other
+    /// cast.
+    fn widen(&self, target: DataType) -> Option<Column> {
+        fn each<S: Copy, T: Copy + Default>(
+            v: &[S],
+            validity: Option<&Bitmap>,
+            f: impl Fn(S) -> T,
+        ) -> Vec<T> {
+            match validity {
+                None => v.iter().map(|&x| f(x)).collect(),
+                Some(bm) => v
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| if bm.get(i) { f(x) } else { T::default() })
+                    .collect(),
+            }
+        }
+        use ColumnData as D;
+        use DataType as T;
+        let c = self.decoded();
+        let bm = c.validity();
+        let data = match (&c.data, target) {
+            (D::Int8(v), T::Int16) => D::Int16(each(v, bm, i16::from)),
+            (D::Int8(v), T::Int32) => D::Int32(each(v, bm, i32::from)),
+            (D::Int8(v), T::Int64) => D::Int64(each(v, bm, i64::from)),
+            (D::Int16(v), T::Int32) => D::Int32(each(v, bm, i32::from)),
+            (D::Int16(v), T::Int64) => D::Int64(each(v, bm, i64::from)),
+            (D::Int32(v), T::Int64) => D::Int64(each(v, bm, i64::from)),
+            (D::Int8(v), T::Float64) => D::Float64(each(v, bm, f64::from)),
+            (D::Int16(v), T::Float64) => D::Float64(each(v, bm, f64::from)),
+            (D::Int32(v), T::Float64) => D::Float64(each(v, bm, f64::from)),
+            (D::Int64(v), T::Float64) => D::Float64(each(v, bm, |x| x as f64)),
+            (D::Float32(v), T::Float64) => D::Float64(each(v, bm, f64::from)),
+            _ => return None,
+        };
+        Some(Column::with_repr(data, bm.cloned(), Repr::Plain))
+    }
+}
+
+/// Gathers `data[indices[k]]`, or the type's zero placeholder where the
+/// index is `None`.
+fn take_data_opt(data: &ColumnData, indices: &[Option<u32>]) -> ColumnData {
+    fn gather<T: Copy + Default>(v: &[T], indices: &[Option<u32>]) -> Vec<T> {
+        indices.iter().map(|i| i.map_or(T::default(), |i| v[i as usize])).collect()
+    }
+    match data {
+        ColumnData::Boolean(v) => ColumnData::Boolean(gather(v, indices)),
+        ColumnData::Int8(v) => ColumnData::Int8(gather(v, indices)),
+        ColumnData::Int16(v) => ColumnData::Int16(gather(v, indices)),
+        ColumnData::Int32(v) => ColumnData::Int32(gather(v, indices)),
+        ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices)),
+        ColumnData::Float32(v) => ColumnData::Float32(gather(v, indices)),
+        ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices)),
+        ColumnData::Varchar(v) => ColumnData::Varchar(StringColumn::from_strs(
+            indices.iter().map(|i| i.map_or("", |i| v.get(i as usize))),
+        )),
+        ColumnData::Blob(v) => ColumnData::Blob(BlobColumn::from_slices(
+            indices.iter().map(|i| i.map_or(&[][..], |i| v.get(i as usize))),
+        )),
     }
 }
 
@@ -1073,5 +1158,103 @@ mod tests {
         // Dict over all-distinct data still works when forced.
         let u = Column::from_i32s(vec![1, 2, 3]);
         assert_eq!(u.encode(Encoding::Dict), u);
+    }
+
+    const ALL_TYPES: [DataType; 9] = [
+        DataType::Boolean,
+        DataType::Int8,
+        DataType::Int16,
+        DataType::Int32,
+        DataType::Int64,
+        DataType::Float32,
+        DataType::Float64,
+        DataType::Varchar,
+        DataType::Blob,
+    ];
+
+    /// A value of `dtype` drawn from a small domain, so dictionaries and
+    /// runs form; `Int64` spans past 2^53 so DOUBLE rounding shows.
+    fn value_of(dtype: DataType, x: i8) -> Value {
+        let i = i64::from(x);
+        match dtype {
+            DataType::Boolean => Value::Boolean(x % 2 == 0),
+            DataType::Int8 => Value::Int8(x),
+            DataType::Int16 => Value::Int16(i16::from(x) * 300),
+            DataType::Int32 => Value::Int32(i32::from(x) * 70_000),
+            DataType::Int64 => Value::Int64(i * 1_000_000_000_000_007),
+            DataType::Float32 => Value::Float32(f32::from(x) / 3.0),
+            DataType::Float64 => Value::Float64(f64::from(x) / 7.0),
+            DataType::Varchar => Value::Varchar(format!("s{x}")),
+            DataType::Blob => Value::Blob(vec![x as u8; (x % 4).unsigned_abs() as usize]),
+        }
+    }
+
+    /// The per-cell reference both typed paths replaced: every row read
+    /// as a [`Value`] and pushed through a builder.
+    fn by_values(
+        c: &Column,
+        rows: impl Iterator<Item = Option<usize>>,
+        to: DataType,
+    ) -> DbResult<Column> {
+        let mut b = ColumnBuilder::new(to);
+        for row in rows {
+            match row {
+                Some(i) => b.push_value(&c.value(i))?,
+                None => b.push_null(),
+            }
+        }
+        Ok(b.finish())
+    }
+
+    fn values(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    proptest::proptest! {
+        /// `take_opt` and `cast` equal the per-`Value` path for every type,
+        /// with NULLs, over plain, dictionary and RLE inputs. A dictionary
+        /// stays a dictionary under `take_opt`; plain results match the
+        /// reference bit for bit, placeholders included.
+        #[test]
+        fn typed_take_opt_and_cast_match_the_value_path(
+            ty in 0usize..9,
+            cells in proptest::collection::vec(proptest::option::of(-6i8..6), 0..40),
+            picks in proptest::collection::vec(proptest::option::of(0u32..1000), 0..40),
+        ) {
+            let dtype = ALL_TYPES[ty];
+            let vals: Vec<Value> =
+                cells.iter().map(|c| c.map_or(Value::Null, |x| value_of(dtype, x))).collect();
+            let plain = Column::from_values(dtype, &vals).unwrap();
+            let n = plain.len() as u32;
+            let idx: Vec<Option<u32>> =
+                picks.iter().map(|p| p.and_then(|p| (n > 0).then(|| p % n))).collect();
+            for enc in [Encoding::Plain, Encoding::Dict, Encoding::Rle] {
+                let col = plain.encode(enc);
+                let want = by_values(&col, idx.iter().map(|i| i.map(|i| i as usize)), dtype).unwrap();
+                let got = col.take_opt(&idx);
+                proptest::prop_assert_eq!(values(&got), values(&want), "take_opt over {:?}", enc);
+                if enc == Encoding::Plain {
+                    proptest::prop_assert_eq!(&got, &want);
+                }
+                if col.encoding() == Encoding::Dict && !col.is_empty() && !idx.is_empty() {
+                    proptest::prop_assert_eq!(got.encoding(), Encoding::Dict);
+                }
+                got.check_encoding().unwrap();
+                for to in ALL_TYPES {
+                    let want = by_values(&col, (0..col.len()).map(Some), to);
+                    match (col.cast(to), want) {
+                        (Ok(got), Ok(want)) => {
+                            proptest::prop_assert_eq!(got, want, "{} -> {} over {:?}", dtype, to, enc)
+                        }
+                        (Err(_), Err(_)) => {}
+                        (got, want) => proptest::prop_assert!(
+                            false,
+                            "{} -> {} over {:?}: {:?} vs {:?}",
+                            dtype, to, enc, got.map(|c| values(&c)), want.map(|c| values(&c))
+                        ),
+                    }
+                }
+            }
+        }
     }
 }

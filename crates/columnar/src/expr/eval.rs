@@ -13,6 +13,7 @@ use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::metrics;
 use crate::types::{DataType, Value};
 use crate::udf::FunctionRegistry;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -33,91 +34,126 @@ impl<'a> EvalContext<'a> {
     }
 }
 
-/// Evaluates `expr` over the context's batch.
-pub fn eval(ctx: &EvalContext<'_>, expr: &Expr) -> DbResult<Column> {
-    match expr {
-        Expr::Column(i) => {
-            let cols = ctx.batch.columns();
-            let col = cols.get(*i).ok_or_else(|| {
-                DbError::internal(format!("column index {i} out of range ({} columns)", cols.len()))
-            })?;
-            Ok(col.as_ref().clone())
-        }
+/// The batch's own column `i`, bounds-checked: the one way an expression
+/// reads its input, so a column reference is never copied.
+fn column_at(batch: &Batch, i: usize) -> DbResult<&Arc<Column>> {
+    let cols = batch.columns();
+    cols.get(i).ok_or_else(|| {
+        DbError::internal(format!("column index {i} out of range ({} columns)", cols.len()))
+    })
+}
+
+/// Evaluates `expr` over the context's batch. A column reference is the
+/// batch's own column, borrowed; every other expression computes a new
+/// column (a literal is one row, so constants cost one allocation).
+pub fn eval<'a>(ctx: &EvalContext<'a>, expr: &Expr) -> DbResult<Cow<'a, Column>> {
+    let out = match expr {
+        Expr::Column(i) => return column_at(ctx.batch, *i).map(|c| Cow::Borrowed(c.as_ref())),
         Expr::Literal(v) => {
-            Column::from_values(v.data_type().unwrap_or(DataType::Int32), std::slice::from_ref(v))
+            Column::from_values(v.data_type().unwrap_or(DataType::Int32), std::slice::from_ref(v))?
         }
         Expr::Binary { op, left, right } => {
             let l = eval(ctx, left)?;
             let r = eval(ctx, right)?;
-            eval_binary(*op, &l, &r)
+            eval_binary(*op, &l, &r)?
         }
         Expr::Unary { op, expr } => {
             let c = eval(ctx, expr)?;
-            eval_unary(*op, &c)
+            eval_unary(*op, &c)?
         }
-        Expr::Cast { expr, to } => eval(ctx, expr)?.cast(*to),
+        Expr::Cast { expr, to } => {
+            let c = eval(ctx, expr)?;
+            if c.data_type() == *to {
+                return Ok(c);
+            }
+            c.cast(*to)?
+        }
         Expr::IsNull { expr, negated } => {
             let c = eval(ctx, expr)?;
             let out: Vec<bool> = (0..c.len()).map(|i| c.is_null(i) != *negated).collect();
-            Ok(Column::from_bools(out))
+            Column::from_bools(out)
         }
         Expr::Case { operand, branches, else_expr } => {
-            eval_case(ctx, operand.as_deref(), branches, else_expr.as_deref())
+            eval_case(ctx, operand.as_deref(), branches, else_expr.as_deref())?
         }
-        Expr::InList { expr, list, negated } => eval_in_list(ctx, expr, list, *negated),
-        Expr::Like { expr, pattern, negated } => eval_like(ctx, expr, pattern, *negated),
-        Expr::Between { expr, low, high, negated } => eval_between(ctx, expr, low, high, *negated),
+        Expr::InList { expr, list, negated } => eval_in_list(ctx, expr, list, *negated)?,
+        Expr::Like { expr, pattern, negated } => eval_like(ctx, expr, pattern, *negated)?,
+        Expr::Between { expr, low, high, negated } => eval_between(ctx, expr, low, high, *negated)?,
         Expr::ScalarFn { func, args } => {
             // Builtins consume typed slices; hand them plain columns.
-            let arg_cols: Vec<Column> = args
-                .iter()
-                .map(|a| eval(ctx, a).map(|c| c.decoded().into_owned()))
-                .collect::<DbResult<_>>()?;
-            super::functions::eval_builtin(*func, &arg_cols)
+            let arg_cols: Vec<Cow<'_, Column>> =
+                args.iter().map(|a| eval(ctx, a).map(plain)).collect::<DbResult<_>>()?;
+            super::functions::eval_builtin(*func, &arg_cols)?
         }
-        Expr::Subquery(i) => Err(DbError::internal(format!(
-            "scalar subquery ${i} was not substituted before evaluation"
-        ))),
-        Expr::Udf { name, args } => {
-            let registry = ctx.functions.ok_or_else(|| {
-                DbError::Unsupported("UDF calls are not allowed in this context".into())
-            })?;
-            let udf = registry.scalar(name)?;
-            // UDFs receive borrowed typed slices; hand them plain columns.
-            let arg_cols: Vec<Arc<Column>> = args
-                .iter()
-                .map(|a| eval(ctx, a).map(|c| Arc::new(c.decoded().into_owned())))
-                .collect::<DbResult<_>>()?;
-            let n = arg_cols.iter().map(|c| c.len()).max().unwrap_or(ctx.batch.rows());
-            for c in &arg_cols {
-                if c.len() != n && c.len() != 1 {
-                    return Err(DbError::Udf {
-                        function: name.clone(),
-                        message: format!(
-                            "argument length {} incompatible with {} rows",
-                            c.len(),
-                            n
-                        ),
-                    });
-                }
-            }
-            let out = crate::udf::invoke_scalar_checked(udf.as_ref(), &arg_cols)?;
-            if out.len() != n && out.len() != 1 {
-                return Err(DbError::Udf {
-                    function: name.clone(),
-                    message: format!("returned {} rows, expected {n} (or 1)", out.len()),
-                });
-            }
-            Ok(out)
+        Expr::Subquery(i) => {
+            return Err(DbError::internal(format!(
+                "scalar subquery ${i} was not substituted before evaluation"
+            )))
+        }
+        Expr::Udf { name, args } => eval_udf(ctx, name, args)?,
+    };
+    Ok(Cow::Owned(out))
+}
+
+/// [`eval`] for a caller that keeps the result: a column reference is the
+/// batch's own `Arc`, shared; every other expression is evaluated.
+pub fn eval_shared(ctx: &EvalContext<'_>, expr: &Expr) -> DbResult<Arc<Column>> {
+    match expr {
+        Expr::Column(i) => column_at(ctx.batch, *i).cloned(),
+        // Only a column reference evaluates borrowed, so this moves.
+        other => Ok(Arc::new(eval(ctx, other)?.into_owned())),
+    }
+}
+
+/// `c` with its encoding (if any) decoded; a plain column passes as is.
+fn plain(c: Cow<'_, Column>) -> Cow<'_, Column> {
+    match c {
+        Cow::Borrowed(c) => c.decoded(),
+        Cow::Owned(c) if !c.is_plain() => Cow::Owned(c.decode()),
+        owned => owned,
+    }
+}
+
+/// A scalar UDF call. The UDF receives borrowed typed slices: a plain
+/// argument column is shared with the input, an encoded one is decoded
+/// once.
+fn eval_udf(ctx: &EvalContext<'_>, name: &str, args: &[Expr]) -> DbResult<Column> {
+    let registry = ctx
+        .functions
+        .ok_or_else(|| DbError::Unsupported("UDF calls are not allowed in this context".into()))?;
+    let udf = registry.scalar(name)?;
+    let arg_cols: Vec<Arc<Column>> = args
+        .iter()
+        .map(|a| {
+            let c = eval_shared(ctx, a)?;
+            Ok(if c.is_plain() { c } else { Arc::new(c.decode()) })
+        })
+        .collect::<DbResult<_>>()?;
+    let n = arg_cols.iter().map(|c| c.len()).max().unwrap_or(ctx.batch.rows());
+    for c in &arg_cols {
+        if c.len() != n && c.len() != 1 {
+            return Err(DbError::Udf {
+                function: name.to_owned(),
+                message: format!("argument length {} incompatible with {} rows", c.len(), n),
+            });
         }
     }
+    let out = crate::udf::invoke_scalar_checked(udf.as_ref(), &arg_cols)?;
+    if out.len() != n && out.len() != 1 {
+        return Err(DbError::Udf {
+            function: name.to_owned(),
+            message: format!("returned {} rows, expected {n} (or 1)", out.len()),
+        });
+    }
+    Ok(out)
 }
 
 /// Evaluates a predicate into a selection vector: the indices of rows where
 /// it is TRUE (NULL counts as not-true, per SQL `WHERE`).
 pub fn eval_predicate(ctx: &EvalContext<'_>, expr: &Expr) -> DbResult<Vec<u32>> {
     let rows = ctx.batch.rows();
-    let c = eval(ctx, expr)?.decoded().into_owned();
+    let c = eval(ctx, expr)?;
+    let c = c.decoded();
     let bools = c.bools().ok_or_else(|| {
         DbError::Type(format!("predicate must be BOOLEAN, got {}", c.data_type()))
     })?;
@@ -535,9 +571,8 @@ fn eval_logical(op: BinaryOp, l: &Column, r: &Column) -> DbResult<Column> {
 fn eval_concat(l: &Column, r: &Column) -> DbResult<Column> {
     let n = pair_len(l, r)?;
     let (ln, rn) = (l.len(), r.len());
-    // Same-type casts clone, so decode first to guarantee plain strings.
-    let ls = l.decoded().cast(DataType::Varchar)?;
-    let rs = r.decoded().cast(DataType::Varchar)?;
+    let ls = varchar(l)?;
+    let rs = varchar(r)?;
     let (la, ra) = match (ls.strings(), rs.strings()) {
         (Some(la), Some(ra)) => (la, ra),
         _ => return Err(DbError::internal("cast to VARCHAR produced a non-string column")),
@@ -554,6 +589,17 @@ fn eval_concat(l: &Column, r: &Column) -> DbResult<Column> {
         out.push(&buf);
     }
     Column::new(crate::column::ColumnData::Varchar(out), validity)
+}
+
+/// `c` as plain strings: a plain VARCHAR column is borrowed, anything else
+/// is decoded and cast.
+fn varchar(c: &Column) -> DbResult<Cow<'_, Column>> {
+    let c = c.decoded();
+    if c.data_type() == DataType::Varchar {
+        Ok(c)
+    } else {
+        c.cast(DataType::Varchar).map(Cow::Owned)
+    }
 }
 
 fn eval_unary(op: UnaryOp, c: &Column) -> DbResult<Column> {
@@ -601,23 +647,23 @@ fn eval_case(
     let n = ctx.batch.rows().max(1);
     // Evaluate conditions as boolean columns. For the operand form,
     // each WHEN value is compared with the operand for equality.
-    let mut conds: Vec<Column> = Vec::with_capacity(branches.len());
+    let mut conds: Vec<Cow<'_, Column>> = Vec::with_capacity(branches.len());
     for (when, _) in branches {
         let cond = match operand {
             Some(op_expr) => {
                 let l = eval(ctx, op_expr)?;
                 let r = eval(ctx, when)?;
-                eval_comparison(BinaryOp::Eq, &l, &r)?
+                Cow::Owned(eval_comparison(BinaryOp::Eq, &l, &r)?)
             }
-            None => eval(ctx, when)?,
+            None => plain(eval(ctx, when)?),
         };
-        let cond = cond.decoded().into_owned();
         if cond.bools().is_none() {
             return Err(DbError::Type("CASE WHEN condition must be BOOLEAN".into()));
         }
         conds.push(cond);
     }
-    let thens: Vec<Column> = branches.iter().map(|(_, t)| eval(ctx, t)).collect::<DbResult<_>>()?;
+    let thens: Vec<Cow<'_, Column>> =
+        branches.iter().map(|(_, t)| eval(ctx, t)).collect::<DbResult<_>>()?;
     let else_col = match else_expr {
         Some(e) => Some(eval(ctx, e)?),
         None => None,
@@ -662,7 +708,7 @@ fn eval_in_list(
     negated: bool,
 ) -> DbResult<Column> {
     let c = eval(ctx, expr)?;
-    let items: Vec<Column> = list.iter().map(|e| eval(ctx, e)).collect::<DbResult<_>>()?;
+    let items: Vec<Cow<'_, Column>> = list.iter().map(|e| eval(ctx, e)).collect::<DbResult<_>>()?;
     // Dict lane: with constant list items, probe each distinct value once
     // and map the verdicts through the codes, mirroring the row loop below
     // exactly (NULL rows yield false-and-invalid, matching its output).
@@ -697,7 +743,7 @@ fn eval_in_list(
     in_list_columns(&c, &items, negated)
 }
 
-fn in_list_columns(c: &Column, items: &[Column], negated: bool) -> DbResult<Column> {
+fn in_list_columns(c: &Column, items: &[Cow<'_, Column>], negated: bool) -> DbResult<Column> {
     let n = c.len();
     let mut out = Vec::with_capacity(n);
     let mut validity = Bitmap::filled(n, true);
@@ -859,7 +905,7 @@ mod tests {
     fn run(expr: &E) -> Column {
         let b = batch();
         let ctx = EvalContext::new(&b, None);
-        eval(&ctx, expr).unwrap()
+        eval(&ctx, expr).unwrap().into_owned()
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::column::{Column, ColumnBuilder, ColumnData};
 use crate::error::{DbError, DbResult};
 use crate::types::{DataType, Value};
+use std::borrow::Borrow;
 
 /// The closed set of built-in scalar functions.
 ///
@@ -99,8 +100,8 @@ impl BuiltinScalar {
 
 /// Common evaluation length of a set of argument columns (broadcasting
 /// length-1 constants).
-fn common_len(args: &[Column]) -> DbResult<usize> {
-    let n = args.iter().map(Column::len).max().unwrap_or(1);
+fn common_len(args: &[&Column]) -> DbResult<usize> {
+    let n = args.iter().map(|c| c.len()).max().unwrap_or(1);
     for c in args {
         if c.len() != n && c.len() != 1 {
             return Err(DbError::Shape(format!(
@@ -122,7 +123,9 @@ fn bidx(len: usize, i: usize) -> usize {
 }
 
 /// Evaluates a builtin over argument columns.
-pub fn eval_builtin(func: BuiltinScalar, args: &[Column]) -> DbResult<Column> {
+pub fn eval_builtin<C: Borrow<Column>>(func: BuiltinScalar, args: &[C]) -> DbResult<Column> {
+    let args: Vec<&Column> = args.iter().map(Borrow::borrow).collect();
+    let args = args.as_slice();
     let (min, max) = func.arity();
     if args.len() < min || args.len() > max {
         return Err(DbError::Bind(format!(
@@ -146,17 +149,17 @@ pub fn eval_builtin(func: BuiltinScalar, args: &[Column]) -> DbResult<Column> {
         | BuiltinScalar::Sqrt
         | BuiltinScalar::Exp
         | BuiltinScalar::Ln
-        | BuiltinScalar::Log10 => eval_math1(func, &args[0]),
-        BuiltinScalar::Power => eval_math2(&args[0], &args[1]),
-        BuiltinScalar::Length => eval_length(&args[0]),
-        BuiltinScalar::OctetLength => eval_octet_length(&args[0]),
+        | BuiltinScalar::Log10 => eval_math1(func, args[0]),
+        BuiltinScalar::Power => eval_math2(args[0], args[1]),
+        BuiltinScalar::Length => eval_length(args[0]),
+        BuiltinScalar::OctetLength => eval_octet_length(args[0]),
         BuiltinScalar::Lower | BuiltinScalar::Upper | BuiltinScalar::Trim => {
-            eval_string1(func, &args[0])
+            eval_string1(func, args[0])
         }
         BuiltinScalar::Substr => eval_substr(args),
         BuiltinScalar::Concat => eval_concat_n(args),
         BuiltinScalar::Coalesce => eval_coalesce(args),
-        BuiltinScalar::Nullif => eval_nullif(&args[0], &args[1]),
+        BuiltinScalar::Nullif => eval_nullif(args[0], args[1]),
         BuiltinScalar::Least | BuiltinScalar::Greatest => eval_extreme(func, args),
     }
 }
@@ -219,7 +222,7 @@ fn eval_math2(x: &Column, y: &Column) -> DbResult<Column> {
     if !x.data_type().is_numeric() || !y.data_type().is_numeric() {
         return Err(DbError::Type("POWER requires numeric arguments".into()));
     }
-    let n = common_len(&[x.clone(), y.clone()])?;
+    let n = common_len(&[x, y])?;
     let mut out = Vec::with_capacity(n);
     let mut validity = crate::bitmap::Bitmap::filled(n, true);
     let mut any_null = false;
@@ -277,7 +280,7 @@ fn eval_string1(func: BuiltinScalar, c: &Column) -> DbResult<Column> {
     Column::new(ColumnData::Varchar(out), c.validity().cloned())
 }
 
-fn eval_substr(args: &[Column]) -> DbResult<Column> {
+fn eval_substr(args: &[&Column]) -> DbResult<Column> {
     let c = &args[0];
     let s = c
         .strings()
@@ -319,7 +322,7 @@ fn eval_substr(args: &[Column]) -> DbResult<Column> {
     Column::new(ColumnData::Varchar(out), if any_null { Some(validity) } else { None })
 }
 
-fn eval_concat_n(args: &[Column]) -> DbResult<Column> {
+fn eval_concat_n(args: &[&Column]) -> DbResult<Column> {
     let n = common_len(args)?;
     let cast: Vec<Column> =
         args.iter().map(|c| c.cast(DataType::Varchar)).collect::<DbResult<_>>()?;
@@ -346,7 +349,7 @@ fn eval_concat_n(args: &[Column]) -> DbResult<Column> {
     Column::new(ColumnData::Varchar(out), None)
 }
 
-fn eval_coalesce(args: &[Column]) -> DbResult<Column> {
+fn eval_coalesce(args: &[&Column]) -> DbResult<Column> {
     let n = common_len(args)?;
     // Output type: first non-null-capable common type across args.
     let mut out_type = args[0].data_type();
@@ -371,7 +374,7 @@ fn eval_coalesce(args: &[Column]) -> DbResult<Column> {
 }
 
 fn eval_nullif(a: &Column, b: &Column) -> DbResult<Column> {
-    let n = common_len(&[a.clone(), b.clone()])?;
+    let n = common_len(&[a, b])?;
     let mut builder = ColumnBuilder::new(a.data_type());
     for i in 0..n {
         let x = a.value(bidx(a.len(), i));
@@ -385,7 +388,7 @@ fn eval_nullif(a: &Column, b: &Column) -> DbResult<Column> {
     Ok(builder.finish())
 }
 
-fn eval_extreme(func: BuiltinScalar, args: &[Column]) -> DbResult<Column> {
+fn eval_extreme(func: BuiltinScalar, args: &[&Column]) -> DbResult<Column> {
     let n = common_len(args)?;
     let mut out_type = args[0].data_type();
     for c in &args[1..] {
@@ -550,7 +553,7 @@ mod tests {
 
     #[test]
     fn arity_enforced() {
-        assert!(eval_builtin(BuiltinScalar::Abs, &[]).is_err());
+        assert!(eval_builtin::<Column>(BuiltinScalar::Abs, &[]).is_err());
         assert!(eval_builtin(BuiltinScalar::Nullif, &[Column::from_i32s(vec![1])]).is_err());
     }
 }

@@ -6,7 +6,7 @@ mod eval;
 mod functions;
 pub mod fuse;
 
-pub use eval::{eval, eval_predicate, eval_predicate_offset, EvalContext};
+pub use eval::{eval, eval_predicate, eval_predicate_offset, eval_shared, EvalContext};
 pub use functions::BuiltinScalar;
 
 use crate::types::{DataType, Value};

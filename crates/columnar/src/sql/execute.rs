@@ -5,13 +5,14 @@ use crate::catalog::Catalog;
 use crate::column::{Column, Encoding};
 use crate::error::{DbError, DbResult};
 use crate::exec;
-use crate::expr::{eval, EvalContext, Expr};
+use crate::expr::{eval, eval_shared, EvalContext, Expr};
 use crate::metrics;
 use crate::parallel::{effective_threads, DEFAULT_MORSEL_ROWS};
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::sql::plan::{BoundTableArg, LogicalPlan, PlanAgg};
 use crate::types::Value;
 use crate::udf::FunctionRegistry;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -476,7 +477,7 @@ fn run_operator(
                     BoundTableArg::Scalar(e) => {
                         let unit = unit_batch()?;
                         let ctx = EvalContext::new(&unit, Some(functions.as_ref()));
-                        arg_cols.push(Arc::new(eval(&ctx, e)?));
+                        arg_cols.push(eval_shared(&ctx, e)?);
                     }
                     BoundTableArg::Plan(p) => {
                         let b = execute_node(p, catalog, functions, opts, trace)?;
@@ -518,19 +519,7 @@ fn run_operator(
             let expr_refs: Vec<&Expr> = exprs.iter().collect();
             let par = par_for(opts, &expr_refs, functions);
             let mut flags = OpFlags::encodings(&v.batch);
-            // Gather only the referenced columns (keeping at least one so
-            // constant-only projections still see the right row count).
-            let mut refs = referenced(&expr_refs);
-            if refs.is_empty() && v.batch.width() > 0 {
-                refs.push(0);
-            }
-            let narrow = v.gather(&refs)?;
-            let mut ex = exprs.to_vec();
-            let map = remap_table(&refs, v.batch.width());
-            for e in &mut ex {
-                e.remap_columns(&map);
-            }
-            let (out, ran_parallel) = project(&narrow, &ex, schema.clone(), functions, par)?;
+            let (out, ran_parallel) = project(&v, exprs, schema.clone(), functions, par)?;
             flags.parallel = ran_parallel;
             Ok((ExecView::full(out), flags))
         }
@@ -633,37 +622,87 @@ fn unit_batch() -> DbResult<Batch> {
     Batch::from_columns(vec![("__unit", Column::from_bools(vec![false]))])
 }
 
-/// Evaluates projection expressions over `input` and labels the result with
-/// `schema`, broadcasting constants and casting to declared types. Each
-/// morsel evaluates the expressions over its slice of the input, and the
-/// per-morsel batches are concatenated in morsel order. Also reports
-/// whether the morsel-parallel run engaged.
+/// Evaluates projection expressions over the view and labels the result
+/// with `schema`. A bare column reference of its output's type passes the
+/// input's own column on, whole: it is never sliced, evaluated or
+/// concatenated, so it keeps its encoding (a pending selection is the one
+/// gather it pays). Only computed expressions run per morsel, each morsel
+/// over its slice of the columns they reference, and their parts are
+/// concatenated in morsel order. Constants broadcast and results cast to
+/// the declared types. Also reports whether the morsel-parallel run
+/// engaged.
 fn project(
-    input: &Batch,
+    v: &ExecView,
     exprs: &[Expr],
     schema: Arc<Schema>,
     functions: &FunctionRegistry,
     par: exec::Parallelism,
 ) -> DbResult<(Batch, bool)> {
-    let parallel = par.enabled(input.rows());
-    let parts = par.run_morsels(input.rows(), parallel, |m| {
-        let slice = input.slice(m.start, m.len);
-        let ctx = EvalContext::new(&slice, Some(functions));
-        let mut columns = Vec::with_capacity(exprs.len());
-        for (e, f) in exprs.iter().zip(schema.fields()) {
-            let c = eval(&ctx, e)?;
-            let c = c.broadcast_to(m.len)?;
-            let c = if c.data_type() == f.dtype { c } else { c.cast(f.dtype)? };
-            columns.push(Arc::new(c));
+    let input = v.batch.columns();
+    let through: Vec<Option<usize>> = exprs
+        .iter()
+        .zip(schema.fields())
+        .map(|(e, f)| match e {
+            Expr::Column(i) if input.get(*i).is_some_and(|c| c.data_type() == f.dtype) => Some(*i),
+            _ => None,
+        })
+        .collect();
+    let (computed, fields): (Vec<&Expr>, Vec<Field>) = exprs
+        .iter()
+        .zip(schema.fields())
+        .zip(&through)
+        .filter(|(_, t)| t.is_none())
+        .map(|((e, f), _)| (e, f.clone()))
+        .unzip();
+    let mut parallel = false;
+    let mut evaluated = Vec::new().into_iter();
+    if !computed.is_empty() {
+        // Gather only what the computed expressions reference (keeping at
+        // least one column so constants still see the right row count).
+        let mut refs = referenced(&computed);
+        if refs.is_empty() && !input.is_empty() {
+            refs.push(0);
         }
-        Batch::new(schema.clone(), columns)
-    })?;
-    Ok((Batch::concat(&parts)?, parallel))
+        let narrow = v.gather(&refs)?;
+        let map = remap_table(&refs, input.len());
+        let computed: Vec<Expr> = computed
+            .into_iter()
+            .map(|e| {
+                let mut e = e.clone();
+                e.remap_columns(&map);
+                e
+            })
+            .collect();
+        let part_schema = Arc::new(Schema::new_unchecked(fields));
+        parallel = par.enabled(narrow.rows());
+        let parts = par.run_morsels(narrow.rows(), parallel, |m| {
+            let slice = narrow.slice(m.start, m.len);
+            let ctx = EvalContext::new(&slice, Some(functions));
+            let mut columns = Vec::with_capacity(computed.len());
+            for (e, f) in computed.iter().zip(part_schema.fields()) {
+                let c = eval(&ctx, e)?;
+                let c = if c.len() == m.len { c } else { Cow::Owned(c.broadcast_to(m.len)?) };
+                let c = if c.data_type() == f.dtype { c.into_owned() } else { c.cast(f.dtype)? };
+                columns.push(Arc::new(c));
+            }
+            Batch::new(part_schema.clone(), columns)
+        })?;
+        evaluated = Batch::concat(&parts)?.columns().to_vec().into_iter();
+    }
+    let passed: Vec<usize> = through.iter().flatten().copied().collect();
+    let mut passed = v.gather(&passed)?.columns().to_vec().into_iter();
+    let columns = through
+        .iter()
+        .map(|t| if t.is_some() { passed.next() } else { evaluated.next() })
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| DbError::internal("projection produced fewer columns than its schema"))?;
+    Ok((Batch::new(schema, columns)?, parallel))
 }
 
 /// Evaluates group and aggregate-argument expressions, runs the hash
-/// aggregate, and labels the output with the plan schema. Also reports
-/// whether the morsel-parallel aggregation engaged.
+/// aggregate, and labels the output with the plan schema. A group key or
+/// argument that is a bare column is the input's own column, shared. Also
+/// reports whether the morsel-parallel aggregation engaged.
 fn aggregate(
     input: &Batch,
     group: &[Expr],
@@ -674,18 +713,25 @@ fn aggregate(
 ) -> DbResult<(Batch, bool)> {
     let ctx = EvalContext::new(input, Some(functions));
     let n = input.rows();
+    let shared = |e: &Expr| -> DbResult<Arc<Column>> {
+        let c = eval_shared(&ctx, e)?;
+        Ok(if c.len() == n { c } else { Arc::new(c.broadcast_to(n)?) })
+    };
     // Pre-batch: group key columns first, then aggregate arguments.
-    let mut pre_cols: Vec<(String, Column)> = Vec::new();
+    let mut fields = Vec::new();
+    let mut pre_cols: Vec<Arc<Column>> = Vec::new();
     for (i, g) in group.iter().enumerate() {
-        let c = eval(&ctx, g)?.broadcast_to(n)?;
-        pre_cols.push((format!("g{i}"), c));
+        let c = shared(g)?;
+        fields.push(Field::new(format!("g{i}"), c.data_type()));
+        pre_cols.push(c);
     }
     let mut calls = Vec::with_capacity(aggs.len());
     for (i, a) in aggs.iter().enumerate() {
         let arg = match &a.arg {
             Some(e) => {
-                let c = eval(&ctx, e)?.broadcast_to(n)?;
-                pre_cols.push((format!("a{i}"), c));
+                let c = shared(e)?;
+                fields.push(Field::new(format!("a{i}"), c.data_type()));
+                pre_cols.push(c);
                 Some(pre_cols.len() - 1)
             }
             None => None,
@@ -693,11 +739,17 @@ fn aggregate(
         calls.push(exec::AggCall { func: a.func, arg, distinct: a.distinct });
     }
     if pre_cols.is_empty() {
-        // COUNT(*)-only aggregation: no keys, no arguments. Carry a dummy
-        // column so the pre-batch still knows the input row count.
-        pre_cols.push(("__rows".to_owned(), Column::from_bools(vec![false; n])));
+        // COUNT(*)-only aggregation: no keys, no arguments. Carry a column
+        // so the pre-batch still knows the input row count — the input's
+        // first, shared, when it has one.
+        let c = match input.columns().first() {
+            Some(c) => c.clone(),
+            None => Arc::new(Column::from_bools(vec![false; n])),
+        };
+        fields.push(Field::new("__rows", c.data_type()));
+        pre_cols.push(c);
     }
-    let pre = Batch::from_columns(pre_cols.iter().map(|(n, c)| (n.as_str(), c.clone())).collect())?;
+    let pre = Batch::new(Arc::new(Schema::new_unchecked(fields)), pre_cols)?;
     let group_keys: Vec<usize> = (0..group.len()).collect();
     // The hash aggregate reads only the materialized pre-batch, but stay
     // conservative and mirror the EXPLAIN gating: parallel only when the

@@ -159,3 +159,51 @@ fn worker_pool_is_persistent_across_queries() {
         "thread count grew across queries — workers are being spawned per query"
     );
 }
+
+/// A table above the default parallel threshold whose `k` and `cat`
+/// columns are dictionary-encoded, loaded into a database running at
+/// `threads`.
+fn encoded_fact(threads: usize) -> Database {
+    use mlcs::columnar::sql::DEFAULT_PARALLEL_THRESHOLD;
+    use mlcs::columnar::Encoding;
+    let db = Database::new();
+    db.set_threads(threads);
+    db.execute("CREATE TABLE fact (id INTEGER, k INTEGER, cat VARCHAR)").unwrap();
+    let rows = DEFAULT_PARALLEL_THRESHOLD as i64 + 7_000;
+    for chunk in (0..rows).collect::<Vec<_>>().chunks(5_000) {
+        let values: Vec<String> =
+            chunk.iter().map(|i| format!("({i}, {}, 'c{:02}')", i % 13, (i * 7) % 17)).collect();
+        db.execute(&format!("INSERT INTO fact VALUES {}", values.join(","))).unwrap();
+    }
+    let table = db.catalog().table("fact").unwrap();
+    table.write().set_column_encoding(1, Encoding::Dict).unwrap();
+    table.write().set_column_encoding(2, Encoding::Dict).unwrap();
+    db
+}
+
+/// A column an operator only passes on is the stored column itself: a
+/// parallel projection keeps dictionary columns encoded (it used to decode
+/// them while concatenating morsels), operators above it see the same
+/// values as the serial plan, and a bare column comes back as the very
+/// `Arc` the table holds.
+#[test]
+fn projection_passes_stored_columns_through_encoded() {
+    use mlcs::columnar::Encoding;
+    use std::sync::Arc;
+    let serial = encoded_fact(1);
+    let parallel = encoded_fact(2);
+    let out = parallel.query("SELECT k, cat FROM fact").unwrap();
+    for c in out.columns() {
+        assert_eq!(c.encoding(), Encoding::Dict, "projection decoded a dictionary column");
+    }
+    assert_batches_match(&serial.query("SELECT k, cat FROM fact").unwrap(), &out, "SELECT k, cat");
+    for sql in [
+        "SELECT DISTINCT k, cat FROM fact ORDER BY k, cat",
+        "SELECT cat, COUNT(*), SUM(k) FROM fact GROUP BY cat ORDER BY cat",
+    ] {
+        assert_batches_match(&serial.query(sql).unwrap(), &parallel.query(sql).unwrap(), sql);
+    }
+    let stored = parallel.catalog().table("fact").unwrap().read().scan().column(0).clone();
+    let out = parallel.query("SELECT id FROM fact").unwrap();
+    assert!(Arc::ptr_eq(out.column(0), &stored), "SELECT id copied the stored column");
+}

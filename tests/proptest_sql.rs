@@ -1,9 +1,13 @@
 //! Property-based tests over the SQL engine: invariants that must hold
 //! for arbitrary data, exercised through the public API.
 
-use mlcs::columnar::sql::{bind, parse};
-use mlcs::columnar::{verify_statement, Database, Value};
+use mlcs::columnar::sql::optimizer::{optimize_with_stats, prune_columns};
+use mlcs::columnar::sql::{bind, execute_plan_with, optimize, parse, BoundStatement, ExecOptions};
+use mlcs::columnar::types::DataType;
+use mlcs::columnar::udf::ClosureScalarUdf;
+use mlcs::columnar::{verify_statement, Batch, Column, Database, DbResult, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builds a database with one integer/float table from generated rows.
 fn db_with_rows(rows: &[(i32, f64)]) -> Database {
@@ -166,6 +170,123 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     // Finite, modest-magnitude doubles that render/parse exactly enough
     // for SQL literal round trips.
     (-1.0e9..1.0e9f64).prop_map(|v| (v * 100.0).round() / 100.0)
+}
+
+/// Three joinable tables with NULLs in every column, plus `mix(a, b)`, a
+/// parallel-safe scalar UDF (`a * 31 + b`, NULL if either is NULL).
+fn join_tables(
+    t: &[(Option<i32>, Option<f64>, Option<i32>)],
+    u: &[(Option<i32>, Option<i32>)],
+    r: &[(Option<i32>, Option<f64>)],
+) -> Database {
+    fn lit<T: ToString>(v: &Option<T>) -> String {
+        v.as_ref().map_or("NULL".to_owned(), T::to_string)
+    }
+    let db = Database::new();
+    db.register_scalar_udf(Arc::new(
+        ClosureScalarUdf::new("mix", DataType::Int64, |args: &[Arc<Column>]| {
+            let (a, b) = (&args[0], &args[1]);
+            let n = a.len().max(b.len());
+            let at = |c: &Column, i: usize| c.i64_at(if c.len() == 1 { 0 } else { i });
+            let out: Vec<Option<i64>> =
+                (0..n).map(|i| Some(at(a, i)?.wrapping_mul(31).wrapping_add(at(b, i)?))).collect();
+            Ok(Column::from_opt_i64s(out))
+        })
+        .with_arity(2)
+        .parallel(),
+    ));
+    db.execute("CREATE TABLE t (k INTEGER, x DOUBLE, s VARCHAR, v INTEGER)").unwrap();
+    db.execute("CREATE TABLE u (k INTEGER, w INTEGER, tag VARCHAR)").unwrap();
+    db.execute("CREATE TABLE r (w INTEGER, z DOUBLE)").unwrap();
+    let insert = |table: &str, rows: Vec<String>| {
+        if !rows.is_empty() {
+            db.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(","))).unwrap();
+        }
+    };
+    insert(
+        "t",
+        t.iter()
+            .enumerate()
+            .map(|(i, (k, x, v))| {
+                let s = if i % 4 == 3 {
+                    "NULL".to_owned()
+                } else {
+                    format!("'{}{i}'", ["a", "b"][i % 2])
+                };
+                format!("({}, {}, {s}, {})", lit(k), lit(x), lit(v))
+            })
+            .collect(),
+    );
+    insert(
+        "u",
+        u.iter()
+            .enumerate()
+            .map(|(i, (k, w))| {
+                let tag = if i % 5 == 4 { "NULL".to_owned() } else { format!("'g{}'", i % 3) };
+                format!("({}, {}, {tag})", lit(k), lit(w))
+            })
+            .collect(),
+    );
+    insert("r", r.iter().map(|(w, z)| format!("({}, {})", lit(w), lit(z))).collect());
+    db
+}
+
+/// A random query over `t`, `u` and `r` that joins them: inner, LEFT and
+/// cross joins, with and without a residual, under filters above and
+/// below the join, and under `SELECT *`, GROUP BY, DISTINCT, ORDER BY …
+/// LIMIT, UNION ALL, `COUNT(*)` and the scalar UDF `mix` over joined
+/// columns. A few picks do not bind (a column of a table the FROM clause
+/// lacks); callers skip those.
+fn build_join_query(r: &[u64]) -> String {
+    let w = |i: usize| r.get(i).copied().unwrap_or(0);
+    let pick = |i: usize, menu: &[&str]| menu[(w(i) % menu.len() as u64) as usize].to_owned();
+    let from = pick(
+        1,
+        &[
+            "t JOIN u ON t.k = u.k",
+            "t LEFT JOIN u ON t.k = u.k",
+            "t JOIN u ON t.k = u.k AND t.v < u.w",
+            "u JOIN t ON u.k = t.k",
+            "t JOIN u ON t.k = u.k JOIN r ON u.w = r.w",
+            "t LEFT JOIN u ON t.k = u.k LEFT JOIN r ON u.w = r.w",
+            "(SELECT k, x, s, v FROM t WHERE v > 2) t JOIN u ON t.k = u.k",
+            "t JOIN u ON t.k = u.k CROSS JOIN r",
+        ],
+    );
+    let filter = match w(2) % 7 {
+        0 => " WHERE t.v > 3",
+        1 => " WHERE u.w IS NOT NULL",
+        2 => " WHERE t.s LIKE 'a%'",
+        3 => " WHERE t.x < u.w",
+        4 => " WHERE t.k IN (1, 2, 3) AND u.w > 1",
+        _ => "",
+    };
+    let limit = ["", " LIMIT 3", " LIMIT 0", " LIMIT 7 OFFSET 2"][(w(4) % 4) as usize];
+    match w(3) % 10 {
+        0 => format!("SELECT * FROM {from}{filter}"),
+        1 => format!("SELECT t.s, u.tag FROM {from}{filter} ORDER BY 1, 2{limit}"),
+        2 => format!("SELECT u.w, t.x * 2.0, t.k FROM {from}{filter}"),
+        3 => format!("SELECT mix(t.k, u.w) AS m, t.s FROM {from}{filter} ORDER BY m{limit}"),
+        4 => format!("SELECT COUNT(*) FROM {from}{filter}"),
+        5 => {
+            format!("SELECT u.tag, COUNT(*), SUM(t.v), MAX(t.x) FROM {from}{filter} GROUP BY u.tag")
+        }
+        6 => format!("SELECT DISTINCT t.k, u.tag FROM {from}{filter}"),
+        7 => format!("SELECT t.k, r.z FROM {from}{filter} ORDER BY r.z, t.k{limit}"),
+        8 => {
+            format!("SELECT t.k, u.w FROM {from}{filter} UNION ALL SELECT k, v FROM t WHERE v > 1")
+        }
+        _ => format!("SELECT COUNT(*), SUM(mix(u.w, t.v)) FROM {from}{filter}"),
+    }
+}
+
+/// `plan`'s result at the given options, or the error text.
+fn run_plan(
+    db: &Database,
+    plan: &mlcs::columnar::sql::LogicalPlan,
+    opts: &ExecOptions,
+) -> DbResult<Batch> {
+    execute_plan_with(plan, db.catalog(), db.functions(), opts)
 }
 
 proptest! {
@@ -355,6 +476,64 @@ proptest! {
                     a.map(|x| x.rows()),
                     b.map(|x| x.rows()),
                 )));
+            }
+        }
+    }
+
+    /// Column pruning never changes a result: every generated join query
+    /// returns the same batch — rows, order and values — from the plan
+    /// optimized without `prune_columns`, the same plan pruned, and the
+    /// stats-on plan (pruned after the cost passes), on the serial
+    /// executor and forced onto the morsel-parallel path.
+    #[test]
+    fn pruned_plans_match_unpruned(
+        t in proptest::collection::vec(
+            (proptest::option::of(0i32..5), proptest::option::of(finite_f64()), proptest::option::of(0i32..8)),
+            0..30,
+        ),
+        u in proptest::collection::vec(
+            (proptest::option::of(0i32..5), proptest::option::of(0i32..6)),
+            0..12,
+        ),
+        r in proptest::collection::vec(
+            (proptest::option::of(0i32..6), proptest::option::of(0.0f64..4.0)),
+            0..8,
+        ),
+        words in proptest::collection::vec(any::<u64>(), 6),
+    ) {
+        let db = join_tables(&t, &u, &r);
+        let sql = build_join_query(&words);
+        let Ok(BoundStatement::Query { plan, scalar_subs }) =
+            bind(parse(&sql).unwrap(), db.catalog(), db.functions())
+        else {
+            return Ok(());
+        };
+        prop_assert!(scalar_subs.is_empty(), "the generator writes no subqueries: {}", &sql);
+        let unpruned = optimize(plan.clone()).unwrap();
+        let pruned = prune_columns(unpruned.clone());
+        let with_stats = optimize_with_stats(plan, db.catalog(), true).unwrap().plan;
+        let serial = ExecOptions::serial();
+        let parallel = ExecOptions { threads: 4, parallel_threshold: 1, ..ExecOptions::default() };
+        for opts in [serial, parallel] {
+            let want = run_plan(&db, &unpruned, &opts);
+            for (name, plan) in [("pruned", &pruned), ("stats-on", &with_stats)] {
+                match (&want, run_plan(&db, plan, &opts)) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert_eq!(a.schema().len(), b.schema().len(), "{} width: {}", name, &sql);
+                        prop_assert_eq!(a.rows(), b.rows(), "{} rows: {}\n{}", name, &sql, plan);
+                        for i in 0..a.rows() {
+                            prop_assert_eq!(a.row(i), b.row(i), "{} row {}: {}\n{}", name, i, &sql, plan);
+                        }
+                    }
+                    (Err(_), Err(_)) => {}
+                    (a, b) => {
+                        return Err(TestCaseError::fail(format!(
+                            "{name} disagreed on success for {sql}: {:?} vs {:?}",
+                            a.as_ref().map(Batch::rows),
+                            b.map(|x| x.rows()),
+                        )));
+                    }
+                }
             }
         }
     }
