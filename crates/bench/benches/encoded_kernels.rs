@@ -53,10 +53,11 @@ fn filter_on_codes(c: &mut Criterion) {
     let plain = low_ndv_batch(11);
     let dict = with_encoding(&plain, 0, Encoding::Dict);
     let pred = Expr::binary(BinaryOp::Lt, Expr::col(0), Expr::lit(10i32));
-    let (want, _) =
-        exec::filter_sel(&plain, &pred, None, Parallelism::serial()).expect("plain filter");
+    let (want, _) = exec::filter_sel(&EvalContext::new(&plain, None), &pred, Parallelism::serial())
+        .expect("plain filter");
     let (got, stats) =
-        exec::filter_sel(&dict, &pred, None, Parallelism::serial()).expect("dict filter");
+        exec::filter_sel(&EvalContext::new(&dict, None), &pred, Parallelism::serial())
+            .expect("dict filter");
     assert_eq!(want, got, "dict filter must select the same rows");
     assert!(stats.fused, "dict comparison must take the fused LUT path");
     let mut group = c.benchmark_group("encoded_kernels");
@@ -64,12 +65,18 @@ fn filter_on_codes(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("filter_1m_plain", |b| {
         b.iter(|| {
-            exec::filter_sel(&plain, &pred, None, Parallelism::serial()).expect("filter").0.len()
+            exec::filter_sel(&EvalContext::new(&plain, None), &pred, Parallelism::serial())
+                .expect("filter")
+                .0
+                .len()
         });
     });
     group.bench_function("filter_1m_dict_codes", |b| {
         b.iter(|| {
-            exec::filter_sel(&dict, &pred, None, Parallelism::serial()).expect("filter").0.len()
+            exec::filter_sel(&EvalContext::new(&dict, None), &pred, Parallelism::serial())
+                .expect("filter")
+                .0
+                .len()
         });
     });
     group.finish();
@@ -85,7 +92,8 @@ fn fused_vs_tree_walk(c: &mut Criterion) {
         Expr::binary(BinaryOp::Lt, Expr::col(1), Expr::lit(0.5f64)),
     );
     let (fused, stats) =
-        exec::filter_sel(&batch, &pred, None, Parallelism::serial()).expect("fused");
+        exec::filter_sel(&EvalContext::new(&batch, None), &pred, Parallelism::serial())
+            .expect("fused");
     assert!(stats.fused, "conjunction of comparisons must fuse");
     let ctx = EvalContext::new(&batch, None);
     let walked = eval_predicate(&ctx, &pred).expect("tree-walk");
@@ -95,7 +103,10 @@ fn fused_vs_tree_walk(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ROWS as u64));
     group.bench_function("predicate_1m_fused", |b| {
         b.iter(|| {
-            exec::filter_sel(&batch, &pred, None, Parallelism::serial()).expect("fused").0.len()
+            exec::filter_sel(&EvalContext::new(&batch, None), &pred, Parallelism::serial())
+                .expect("fused")
+                .0
+                .len()
         });
     });
     group.bench_function("predicate_1m_tree_walk", |b| {

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mlcs_bench::{db_with, synth_table};
 use mlcs_columnar::exec::{self, AggCall, AggFunc, JoinType, Parallelism, SortKey};
-use mlcs_columnar::expr::{BinaryOp, Expr};
+use mlcs_columnar::expr::{BinaryOp, EvalContext, Expr};
 use mlcs_columnar::parallel::hardware_threads;
 use mlcs_columnar::{Batch, Column, Value};
 
@@ -65,13 +65,15 @@ fn filter_bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ROWS as u64));
     // ~10% selectivity on an i32 column.
     let pred = Expr::binary(BinaryOp::Lt, Expr::col(2), Expr::lit(100_000i32));
-    let serial = exec::filter(&batch, &pred, None, Parallelism::serial()).expect("filter");
+    let serial = exec::filter(&EvalContext::new(&batch, None), &pred, Parallelism::serial())
+        .expect("filter");
     for (suffix, policy) in policies() {
-        let out = exec::filter(&batch, &pred, None, policy).expect("filter");
+        let out = exec::filter(&EvalContext::new(&batch, None), &pred, policy).expect("filter");
         assert_eq!(out, serial, "parallel filter must match serial");
         group.bench_function(format!("filter_1m_10pct{suffix}"), |b| {
             b.iter(|| {
-                let out = exec::filter(&batch, &pred, None, policy).expect("filter");
+                let out =
+                    exec::filter(&EvalContext::new(&batch, None), &pred, policy).expect("filter");
                 assert!(out.rows() > 0);
                 out
             });

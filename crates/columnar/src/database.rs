@@ -2,17 +2,14 @@
 
 use crate::batch::Batch;
 use crate::catalog::Catalog;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::Column;
 use crate::error::{DbError, DbResult};
 use crate::expr::{eval, eval_predicate, EvalContext, Expr};
 use crate::schema::{Field, Schema};
 use crate::sql::binder::bind;
 use crate::sql::estimate;
-use crate::sql::execute::{
-    evaluate_scalar_subqueries, execute_plan_traced, execute_plan_with, substitute_in_plan,
-    ExecOptions, PlanTrace, DEFAULT_PARALLEL_THRESHOLD,
-};
-use crate::sql::optimizer::{explain_annotation, optimize_with_stats};
+use crate::sql::execute::{Exec, ExecOptions, PlanTrace, DEFAULT_PARALLEL_THRESHOLD};
+use crate::sql::optimizer::{explain_annotation, optimize_with_stats, CostOutcome};
 use crate::sql::parser::{parse, parse_many};
 use crate::sql::plan::{BoundStatement, LogicalPlan};
 use crate::sql::plan_cache::{CacheStamp, CachedQuery, PlanCache};
@@ -20,6 +17,7 @@ use crate::table::Table;
 use crate::types::{DataType, Value};
 use crate::udf::{FunctionRegistry, ScalarUdf, TableUdf};
 use crate::wal::{self, Wal, WalOp};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -461,7 +459,8 @@ impl Database {
         };
         if let Some(cached) = self.plan_cache.lookup(sql, stamp, valid) {
             // Hit: parse, bind, and optimize are all skipped.
-            let mut result = self.run_cached(&cached, opts)?;
+            let batch = self.run_plan(&cached.plan, &cached.scalar_subs, opts, None)?;
+            let mut result = QueryResult::rows(batch);
             result.elapsed = start.elapsed();
             return Ok(result);
         }
@@ -478,28 +477,44 @@ impl Database {
         Ok(result)
     }
 
-    /// Executes a cache hit: evaluates the statement's scalar subqueries
-    /// fresh (their values depend on current data), substitutes them into
-    /// a clone of the cached optimized plan, re-verifies, and executes.
-    fn run_cached(&self, cached: &CachedQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
-        let values =
-            evaluate_scalar_subqueries(&cached.scalar_subs, &self.catalog, &self.functions)?;
-        let mut plan = cached.plan.clone();
-        substitute_in_plan(&mut plan, &values);
-        crate::verify::verify_plan(&plan, &self.functions)?;
-        let batch = execute_plan_with(&plan, &self.catalog, &self.functions, opts)?;
-        Ok(QueryResult::rows(batch))
+    /// Optimizes a statement's plan, scalar-subquery placeholders and all,
+    /// and verifies it with its subquery plans: the one check the plan gets,
+    /// however often it then runs.
+    fn prepare(&self, plan: LogicalPlan, subs: &[LogicalPlan]) -> DbResult<CostOutcome> {
+        let outcome = optimize_with_stats(plan, &self.catalog, self.stats_enabled())?;
+        crate::verify::verify_query(Some(&outcome.plan), subs, &self.functions)?;
+        Ok(outcome)
     }
 
-    /// Executes a plain `SELECT` after a cache miss: optimizes the
-    /// pre-substitution plan exactly once, caches it (scalar subqueries
-    /// stay symbolic and are substituted per execution), then runs it.
-    /// Only `Query` statements are cachable (DDL/DML must re-run their
-    /// side effects; EXPLAIN is a diagnostic), and only they tick
-    /// `sql.plan_cache.misses`, so hits+misses counts SELECT traffic.
-    /// Plans answered entirely from statistics are **not** cached: their
-    /// literals bake in the table contents at optimize time, which the
-    /// next INSERT would silently stale.
+    /// Runs a prepared plan: evaluates its scalar subqueries fresh (their
+    /// values depend on current data) and executes the plan with them as
+    /// parameters. The plan is only read, so a cached one runs where it
+    /// stands.
+    fn run_plan(
+        &self,
+        plan: &LogicalPlan,
+        subs: &[LogicalPlan],
+        opts: &ExecOptions,
+        trace: Option<&PlanTrace>,
+    ) -> DbResult<Batch> {
+        let exec = self.exec(opts, trace);
+        let params = exec.evaluate_scalar_subqueries(subs)?;
+        Exec { params: &params, ..exec }.run(plan)
+    }
+
+    /// An execution on this database, before its parameters are evaluated.
+    fn exec<'a>(&'a self, opts: &'a ExecOptions, trace: Option<&'a PlanTrace>) -> Exec<'a> {
+        Exec { catalog: &self.catalog, functions: &self.functions, opts, params: &[], trace }
+    }
+
+    /// Executes a plain `SELECT` after a cache miss: prepares the plan
+    /// exactly once, caches it, then runs it. Only `Query` statements are
+    /// cachable (DDL/DML must re-run their side effects; EXPLAIN is a
+    /// diagnostic), and only they tick `sql.plan_cache.misses`, so
+    /// hits+misses counts SELECT traffic. Plans answered entirely from
+    /// statistics are **not** cached: their literals bake in the table
+    /// contents at optimize time, which the next INSERT would silently
+    /// stale.
     fn run_query_fresh(
         &self,
         sql: &str,
@@ -509,25 +524,18 @@ impl Database {
         opts: &ExecOptions,
     ) -> DbResult<QueryResult> {
         crate::metrics::counter("sql.plan_cache.misses").incr();
-        let use_stats = self.stats_enabled();
-        let outcome = optimize_with_stats(plan, &self.catalog, use_stats)?;
-        if !outcome.from_stats {
-            let table_rows = if use_stats { self.recorded_rows(&outcome.plan) } else { Vec::new() };
-            self.plan_cache.insert(
-                sql,
-                CachedQuery {
-                    plan: outcome.plan.clone(),
-                    scalar_subs: scalar_subs.clone(),
-                    table_rows,
-                },
-                stamp,
-            );
+        let outcome = self.prepare(plan, &scalar_subs)?;
+        let cachable = !outcome.from_stats;
+        let table_rows = if cachable && self.stats_enabled() {
+            self.recorded_rows(&outcome.plan)
+        } else {
+            Vec::new()
+        };
+        let query = Arc::new(CachedQuery { plan: outcome.plan, scalar_subs, table_rows });
+        if cachable {
+            self.plan_cache.insert(sql, Arc::clone(&query), stamp);
         }
-        let values = evaluate_scalar_subqueries(&scalar_subs, &self.catalog, &self.functions)?;
-        let mut plan = outcome.plan;
-        substitute_in_plan(&mut plan, &values);
-        crate::verify::verify_plan(&plan, &self.functions)?;
-        let batch = execute_plan_with(&plan, &self.catalog, &self.functions, opts)?;
+        let batch = self.run_plan(&query.plan, &query.scalar_subs, opts, None)?;
         Ok(QueryResult::rows(batch))
     }
 
@@ -597,23 +605,14 @@ impl Database {
         trace: Option<&PlanTrace>,
     ) -> DbResult<Built> {
         let catalog = &self.catalog;
-        let functions = &self.functions;
-        let execute = |mut plan: LogicalPlan, scalar_subs: &[LogicalPlan]| {
-            let values = evaluate_scalar_subqueries(scalar_subs, catalog, functions)?;
-            substitute_in_plan(&mut plan, &values);
+        let execute = |plan: LogicalPlan, subs: &[LogicalPlan]| {
             // Boxed, so the trace's per-node annotations (keyed by node
             // address) still find the root once the plan is returned.
-            let plan = Box::new(optimize_with_stats(plan, catalog, self.stats_enabled())?.plan);
-            crate::verify::verify_plan(&plan, functions)?;
-            let batch = match trace {
-                Some(trace) => {
-                    if self.stats_enabled() {
-                        trace.set_estimates(estimate::estimate_map(&plan, catalog));
-                    }
-                    execute_plan_traced(&plan, catalog, functions, opts, trace)?
-                }
-                None => execute_plan_with(&plan, catalog, functions, opts)?,
-            };
+            let plan = Box::new(self.prepare(plan, subs)?.plan);
+            if let Some(trace) = trace.filter(|_| self.stats_enabled()) {
+                trace.set_estimates(estimate::estimate_map(&plan, catalog));
+            }
+            let batch = self.run_plan(&plan, subs, opts, trace)?;
             Ok::<_, DbError>((plan, batch))
         };
         // The table's width and encoded columns once the statement
@@ -622,7 +621,7 @@ impl Database {
             (t.schema().len(), t.scan().columns().iter().filter(|c| !c.is_plain()).count())
         };
         let mut skipped = false;
-        let (plan, table, build_start, (result, shape)) = match bound {
+        let (plan, subs, table, build_start, (result, shape)) = match bound {
             BoundStatement::CreateTableAs { name, plan, scalar_subs, if_not_exists } => {
                 let (plan, batch) = execute(plan, &scalar_subs)?;
                 let rows = batch.rows();
@@ -655,7 +654,7 @@ impl Database {
                     None => catalog.table(&lname).map_or((0, 0), |h| shape(&h.read())),
                 };
                 let committed = self.commit_then(StatementKind::Ddl, &lname, derive, observe)?;
-                (plan, lname, build_start, committed)
+                (plan, scalar_subs, lname, build_start, committed)
             }
             BoundStatement::InsertQuery { table, column_map, plan, scalar_subs } => {
                 let (plan, batch) = execute(plan, &scalar_subs)?;
@@ -667,7 +666,7 @@ impl Database {
                 };
                 let observe = |held: Option<&Table>| held.map_or((0, 0), shape);
                 let committed = self.commit_then(StatementKind::Dml, &table, derive, observe)?;
-                (plan, table, build_start, committed)
+                (plan, scalar_subs, table, build_start, committed)
             }
             _ => {
                 return Err(DbError::internal(
@@ -675,7 +674,7 @@ impl Database {
                 ))
             }
         };
-        Ok(Built { build: build_start.elapsed(), plan, table, result, shape, skipped })
+        Ok(Built { build: build_start.elapsed(), plan, subs, table, result, shape, skipped })
     }
 
     fn run_bound_probe(
@@ -718,122 +717,98 @@ impl Database {
                 })
             }
             BoundStatement::Delete { table, filter, scalar_subs } => {
-                let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
+                // Bound afresh each time: this is the subqueries' one check.
+                crate::verify::verify_query(None, &scalar_subs, functions)?;
+                let params = self.exec(opts, None).evaluate_scalar_subqueries(&scalar_subs)?;
                 self.commit(StatementKind::Dml, &table, |t| {
                     let snapshot = target(t, &table)?.scan();
-                    let ctx = EvalContext::new(&snapshot, Some(functions));
-                    let deleted = selected_rows(filter, &values, &ctx, snapshot.rows())?;
+                    let ctx = EvalContext {
+                        params: &params,
+                        ..EvalContext::new(&snapshot, Some(functions))
+                    };
+                    let mut keep = vec![true; snapshot.rows()];
+                    for i in selected_rows(filter.as_ref(), &ctx)? {
+                        keep[i as usize] = false;
+                    }
                     let keep: Vec<u32> =
-                        (0..snapshot.rows() as u32).filter(|&i| !deleted[i as usize]).collect();
+                        (0..snapshot.rows() as u32).filter(|&i| keep[i as usize]).collect();
                     let removed = snapshot.rows() - keep.len();
                     Ok((vec![WalOp::Retain { table: table.clone(), keep }], removed))
                 })
             }
             BoundStatement::Update { table, assignments, filter, scalar_subs } => {
-                let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
+                // Bound afresh each time: this is the subqueries' one check.
+                crate::verify::verify_query(None, &scalar_subs, functions)?;
+                let params = self.exec(opts, None).evaluate_scalar_subqueries(&scalar_subs)?;
                 self.commit(StatementKind::Dml, &table, |t| {
                     let t = target(t, &table)?;
                     let snapshot = t.scan();
-                    let ctx = EvalContext::new(&snapshot, Some(functions));
-                    let selected = selected_rows(filter, &values, &ctx, snapshot.rows())?;
+                    let ctx = EvalContext {
+                        params: &params,
+                        ..EvalContext::new(&snapshot, Some(functions))
+                    };
+                    let selected = selected_rows(filter.as_ref(), &ctx)?;
                     // One op per assigned column, one record for the whole
                     // statement: multi-column updates replay atomically.
                     let mut ops = Vec::with_capacity(assignments.len());
-                    for (col_idx, mut expr) in assignments {
-                        expr.substitute_subqueries(&values);
-                        let new_col = eval(&ctx, &expr)?.broadcast_to(snapshot.rows())?;
+                    for (col_idx, expr) in assignments {
                         let dtype = t.schema().field(col_idx).dtype;
-                        let new_col = if new_col.data_type() == dtype {
-                            new_col
+                        let new = eval(&ctx, &expr)?;
+                        let new = if new.data_type() == dtype {
+                            new
                         } else {
-                            new_col.cast(dtype)?
+                            Cow::Owned(new.cast(dtype)?)
                         };
-                        let old = snapshot.column(col_idx);
-                        let mut b = ColumnBuilder::new(dtype);
-                        for (i, &sel) in selected.iter().enumerate() {
-                            let v = if sel { new_col.value(i) } else { old.value(i) };
-                            b.push_value(&v)?;
-                        }
-                        let column = Arc::new(b.finish());
+                        let column = Arc::new(assign(snapshot.column(col_idx), &new, &selected)?);
                         ops.push(WalOp::ReplaceColumn { table: table.clone(), col_idx, column });
                     }
-                    Ok((ops, selected.iter().filter(|&&s| s).count()))
+                    Ok((ops, selected.len()))
                 })
             }
-            BoundStatement::Query { mut plan, scalar_subs } => {
-                let values = evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
-                substitute_in_plan(&mut plan, &values);
-                let plan = optimize_with_stats(plan, catalog, self.stats_enabled())?.plan;
-                crate::verify::verify_plan(&plan, functions)?;
-                let batch = execute_plan_with(&plan, catalog, functions, opts)?;
-                Ok(QueryResult::rows(batch))
+            BoundStatement::Query { plan, scalar_subs } => {
+                let plan = self.prepare(plan, &scalar_subs)?.plan;
+                Ok(QueryResult::rows(self.run_plan(&plan, &scalar_subs, opts, None)?))
             }
-            BoundStatement::Explain { mut plan, scalar_subs, analyze } => {
-                let text = if analyze {
-                    // EXPLAIN ANALYZE runs the statement exactly as a plain
-                    // query would (subqueries evaluated and substituted),
-                    // collecting per-operator rows, wall time, and whether
-                    // the parallel path engaged. When the inner statement
-                    // would hit the plan cache, the cached plan is what
-                    // runs — and the report says so.
-                    let (plan, cache_note) = match probe {
-                        Some(entry) => {
-                            let values =
-                                evaluate_scalar_subqueries(&entry.scalar_subs, catalog, functions)?;
-                            let mut plan = entry.plan.clone();
-                            substitute_in_plan(&mut plan, &values);
-                            (plan, "plan cache: hit (parse, bind, and optimize skipped)\n")
-                        }
-                        None => {
-                            let values =
-                                evaluate_scalar_subqueries(&scalar_subs, catalog, functions)?;
-                            substitute_in_plan(&mut plan, &values);
-                            (
-                                optimize_with_stats(plan, catalog, self.stats_enabled())?.plan,
-                                "plan cache: miss\n",
-                            )
-                        }
-                    };
-                    crate::verify::verify_plan(&plan, functions)?;
-                    let trace = PlanTrace::new();
-                    if self.stats_enabled() {
-                        // Per-operator cardinality estimates, printed as
-                        // `est=N` next to the actual row counts.
-                        trace.set_estimates(estimate::estimate_map(&plan, catalog));
+            BoundStatement::Explain { plan, scalar_subs, analyze: true } => {
+                // EXPLAIN ANALYZE runs the statement exactly as a plain
+                // query would, collecting per-operator rows, wall time, and
+                // whether the parallel path engaged, subqueries included.
+                // When the inner statement would hit the plan cache, the
+                // cached plan is what runs — and the report says so.
+                let prepared;
+                let (plan, subs, cache_note) = match &probe {
+                    Some(entry) => (
+                        &entry.plan,
+                        &entry.scalar_subs,
+                        "plan cache: hit (parse, bind, and optimize skipped)\n",
+                    ),
+                    None => {
+                        prepared = self.prepare(plan, &scalar_subs)?.plan;
+                        (&prepared, &scalar_subs, "plan cache: miss\n")
                     }
-                    let start = Instant::now();
-                    let result = execute_plan_traced(&plan, catalog, functions, opts, &trace)?;
-                    let total = start.elapsed();
-                    let mut text = plan.display_with(&|n| trace.annotation(n));
-                    text.push_str(cache_note);
-                    text.push_str(&execution_line(result.rows(), total));
-                    text
-                } else {
-                    // Plain EXPLAIN does not execute subqueries;
-                    // placeholders are shown as `$subqueryN` and each
-                    // subplan is listed. The verifier types the
-                    // placeholders from the subplans.
-                    let plan = optimize_with_stats(plan, catalog, self.stats_enabled())?.plan;
-                    crate::verify::verify_statement(
-                        &BoundStatement::Explain {
-                            plan: plan.clone(),
-                            scalar_subs: scalar_subs.clone(),
-                            analyze,
-                        },
-                        functions,
-                    )?;
-                    // Annotate operators the executor may run in parallel
-                    // (expression safety; the row threshold decides at run
-                    // time), predicates with fusible shapes, and scans over
-                    // encoded tables.
-                    let mut text =
-                        plan.display_with(&|n| explain_annotation(n, functions, catalog));
-                    for (i, sub) in scalar_subs.iter().enumerate() {
-                        text.push_str(&format!("scalar subquery ${i}:\n{sub}"));
-                    }
-                    text
                 };
+                let trace = PlanTrace::new();
+                if self.stats_enabled() {
+                    // Per-operator cardinality estimates, printed as
+                    // `est=N` next to the actual row counts.
+                    trace.set_estimates(estimate::estimate_map(plan, catalog));
+                }
+                let start = Instant::now();
+                let result = self.run_plan(plan, subs, opts, Some(&trace))?;
+                let total = start.elapsed();
+                let mut text = plan_text(plan, subs, &|n| trace.annotation(n));
+                text.push_str(cache_note);
+                text.push_str(&execution_line(result.rows(), total));
                 plan_rows(&text)
+            }
+            BoundStatement::Explain { plan, scalar_subs, analyze: false } => {
+                // Plain EXPLAIN executes nothing. Operators are annotated
+                // with what the executor may do: run in parallel
+                // (expression safety; the row threshold decides at run
+                // time), fuse a predicate, scan encoded columns.
+                let plan = self.prepare(plan, &scalar_subs)?.plan;
+                let note = |n: &LogicalPlan| explain_annotation(n, functions, catalog);
+                plan_rows(&plan_text(&plan, &scalar_subs, &note))
             }
             BoundStatement::ExplainBuild(build) => {
                 let trace = PlanTrace::new();
@@ -852,7 +827,7 @@ impl Database {
                     built.table,
                     built.build.as_secs_f64() * 1e3,
                 );
-                for line in built.plan.display_with(&|n| trace.annotation(n)).lines() {
+                for line in plan_text(&built.plan, &built.subs, &|n| trace.annotation(n)).lines() {
                     text.push_str(&format!("  {line}\n"));
                 }
                 text.push_str(&execution_line(rows, total));
@@ -905,20 +880,31 @@ fn target<'a>(table: Option<&'a Table>, name: &str) -> DbResult<&'a Table> {
     table.ok_or_else(|| DbError::NotFound { kind: "table", name: name.to_owned() })
 }
 
-/// Which rows a DML statement's `WHERE` selects: all of them without one.
-fn selected_rows(
-    filter: Option<Expr>,
-    subquery_values: &[Value],
-    ctx: &EvalContext<'_>,
-    rows: usize,
-) -> DbResult<Vec<bool>> {
-    let Some(mut pred) = filter else { return Ok(vec![true; rows]) };
-    pred.substitute_subqueries(subquery_values);
-    let mut mask = vec![false; rows];
-    for i in eval_predicate(ctx, &pred)? {
-        mask[i as usize] = true;
+/// The rows a DML statement's `WHERE` selects, in order: all of them
+/// without one.
+fn selected_rows(filter: Option<&Expr>, ctx: &EvalContext<'_>) -> DbResult<Vec<u32>> {
+    match filter {
+        Some(pred) => eval_predicate(ctx, pred),
+        None => Ok((0..ctx.batch.rows() as u32).collect()),
     }
-    Ok(mask)
+}
+
+/// An UPDATE's new column: `old` with each selected row's value replaced
+/// by `new`'s at that row, or by its one row when `new` is a constant. One
+/// typed extend of the old column by the new values, then one gather in
+/// which a selected row's position points at its new value.
+fn assign(old: &Column, new: &Column, selected: &[u32]) -> DbResult<Column> {
+    let n = old.len();
+    if new.len() != n && new.len() != 1 {
+        return Err(DbError::Shape(format!("{} new values for {n} rows", new.len())));
+    }
+    let mut both = old.clone();
+    both.extend(new)?;
+    let mut positions: Vec<u32> = (0..n as u32).collect();
+    for &i in selected {
+        positions[i as usize] = (n + if new.len() == 1 { 0 } else { i as usize }) as u32;
+    }
+    Ok(both.take(&positions))
 }
 
 /// Constant rows as a batch in the table's schema, honoring an explicit
@@ -936,18 +922,33 @@ fn values_batch(table: &Table, column_map: &[usize], rows: &[Vec<Value>]) -> DbR
     Batch::from_rows(table.schema().clone(), &full_rows)
 }
 
-/// A table build: the statement's result, the query plan that fed it, the
-/// table it built or appended to, the time the commit took (the table
-/// build plus, on a durable database, the log append), the table's width
-/// and encoded columns once committed, and whether an `IF NOT EXISTS`
-/// found the table and built nothing.
+/// A table build: the statement's result, the query plan that fed it and
+/// its scalar subqueries, the table it built or appended to, the time the
+/// commit took (the table build plus, on a durable database, the log
+/// append), the table's width and encoded columns once committed, and
+/// whether an `IF NOT EXISTS` found the table and built nothing.
 struct Built {
     result: QueryResult,
     plan: Box<LogicalPlan>,
+    subs: Vec<LogicalPlan>,
     table: String,
     build: Duration,
     shape: (usize, usize),
     skipped: bool,
+}
+
+/// A plan's text, every operator annotated by `note`, with the scalar
+/// subqueries its `$subqueryN` placeholders name listed below it.
+fn plan_text(
+    plan: &LogicalPlan,
+    subs: &[LogicalPlan],
+    note: &dyn Fn(&LogicalPlan) -> Option<String>,
+) -> String {
+    let mut text = plan.display_with(note);
+    for (i, sub) in subs.iter().enumerate() {
+        text.push_str(&format!("scalar subquery ${i}:\n{}", sub.display_with(note)));
+    }
+    text
 }
 
 /// The last line of an `EXPLAIN ANALYZE`: rows out and the statement's time.
@@ -1015,6 +1016,91 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A scalar subquery runs under the statement's deadline: an expired
+    /// one stops it at its own first operator, and the error says so.
+    #[test]
+    fn a_scalar_subquery_runs_under_the_statement_deadline() {
+        let db = db();
+        match db.execute_with_timeout("SELECT (SELECT COUNT(*) FROM t)", Duration::ZERO) {
+            Err(DbError::Timeout { path }) => assert_eq!(path, "$subquery0/project"),
+            other => panic!("expected a timeout in the subquery, got {other:?}"),
+        }
+    }
+
+    /// Value `i` of a low-cardinality sample of `dtype`, NULL every fourth
+    /// row counting from `skew`.
+    fn sample(dtype: DataType, i: usize, skew: usize) -> Value {
+        if (i + skew).is_multiple_of(4) {
+            return Value::Null;
+        }
+        let k = (i + skew) % 5;
+        match dtype {
+            DataType::Boolean => Value::Boolean(k.is_multiple_of(2)),
+            DataType::Int8 => Value::Int8(k as i8 - 2),
+            DataType::Int16 => Value::Int16(k as i16 * 300),
+            DataType::Int32 => Value::Int32(k as i32 * 70_000),
+            DataType::Int64 => Value::Int64(k as i64 * 5_000_000_000),
+            DataType::Float32 => Value::Float32(k as f32 * 0.25),
+            DataType::Float64 => Value::Float64(k as f64 * -1.5),
+            DataType::Varchar => Value::Varchar(format!("v{k}")),
+            DataType::Blob => Value::Blob(vec![k as u8; k]),
+        }
+    }
+
+    /// [`assign`] gives what the per-`Value` loop it replaced gave, for every
+    /// type: NULLs among the old and the new values, a plain and a
+    /// dictionary-encoded old column, new values row for row and a
+    /// broadcast constant (NULL or not), and any selection.
+    #[test]
+    fn assign_matches_the_per_value_update() {
+        use crate::column::{ColumnBuilder, Encoding};
+        let n = 23;
+        let selections: [Vec<u32>; 3] =
+            [Vec::new(), (0..n as u32).collect(), (0..n as u32).filter(|i| i % 3 != 1).collect()];
+        for dtype in [
+            DataType::Boolean,
+            DataType::Int8,
+            DataType::Int16,
+            DataType::Int32,
+            DataType::Int64,
+            DataType::Float32,
+            DataType::Float64,
+            DataType::Varchar,
+            DataType::Blob,
+        ] {
+            let column = |len: usize, skew: usize| {
+                let values: Vec<Value> = (0..len).map(|i| sample(dtype, i, skew)).collect();
+                Column::from_values(dtype, &values).unwrap()
+            };
+            let plain = column(n, 0);
+            let dict = plain.encode(Encoding::Dict);
+            assert_eq!(dict.encoding(), Encoding::Dict);
+            for old in [&plain, &dict] {
+                for new in [column(n, 1), column(1, 2), column(1, 3)] {
+                    for selected in &selections {
+                        let got = assign(old, &new, selected).unwrap();
+                        let mut want = ColumnBuilder::new(dtype);
+                        for i in 0..n {
+                            let v = match selected.contains(&(i as u32)) {
+                                true => new.value(if new.len() == 1 { 0 } else { i }),
+                                false => old.value(i),
+                            };
+                            want.push_value(&v).unwrap();
+                        }
+                        let want = want.finish();
+                        assert_eq!(got.data_type(), dtype);
+                        assert_eq!(got.len(), n);
+                        for i in 0..n {
+                            assert_eq!(got.value(i), want.value(i), "{dtype} row {i}");
+                        }
+                    }
+                }
+            }
+        }
+        let short = Column::from_i32s(vec![1, 2]);
+        assert!(assign(&Column::from_i32s(vec![1, 2, 3]), &short, &[0]).is_err());
+    }
 
     fn db() -> Database {
         let db = Database::new();

@@ -34,7 +34,6 @@ use crate::error::{DbError, DbResult};
 use crate::expr::{eval_predicate_offset, fuse, EvalContext, Expr};
 use crate::metrics;
 use crate::parallel::{parallel_map, Morsel, DEFAULT_MORSEL_ROWS};
-use crate::udf::FunctionRegistry;
 
 /// The parallelism policy one operator invocation runs under: how many
 /// workers (including the calling thread), above which input size the
@@ -76,7 +75,7 @@ impl Parallelism {
 
     /// Errors with [`DbError::Timeout`] when the deadline has passed. The
     /// path is left empty here; the executor prepends the operator path as
-    /// the error unwinds (see `execute_node`).
+    /// the error unwinds (see `Exec::view` in `sql/execute.rs`).
     pub fn check_deadline(&self) -> DbResult<()> {
         match self.deadline {
             Some(d) if std::time::Instant::now() >= d => {
@@ -148,23 +147,24 @@ pub struct FilterStats {
     pub parallel: bool,
 }
 
-/// Evaluates `predicate` over `input` and returns the selection vector of
-/// rows where it is TRUE — the late-materialization primitive: callers
-/// gather only the columns they go on to touch. Each morsel tries a fused
-/// kernel over its slice first (kernels borrow their batch, so nothing
-/// needs to be `Send`), falling back to vectorized evaluation; selections
-/// carry batch row numbers and are stitched in row order.
+/// Evaluates `predicate` over the context's batch and returns the
+/// selection vector of rows where it is TRUE — the late-materialization
+/// primitive: callers gather only the columns they go on to touch. Each
+/// morsel tries a fused kernel over its slice first (kernels borrow their
+/// batch, so nothing needs to be `Send`), falling back to vectorized
+/// evaluation; selections carry batch row numbers and are stitched in row
+/// order.
 pub fn filter_sel(
-    input: &Batch,
+    ctx: &EvalContext<'_>,
     predicate: &Expr,
-    functions: Option<&FunctionRegistry>,
     par: Parallelism,
 ) -> DbResult<(Vec<u32>, FilterStats)> {
+    let input = ctx.batch;
     let parallel = par.enabled(input.rows());
     let parts = par.run_morsels(input.rows(), parallel, |m| {
         let slice = input.slice(m.start, m.len);
-        let Some(kernel) = fuse::compile(predicate, &slice) else {
-            let ctx = EvalContext::new(&slice, functions);
+        let ctx = EvalContext { batch: &slice, ..*ctx };
+        let Some(kernel) = fuse::compile(predicate, &ctx) else {
             return Ok((eval_predicate_offset(&ctx, predicate, m.start)?, false));
         };
         let mut sel = Vec::new();
@@ -186,15 +186,11 @@ pub fn filter_sel(
     Ok((sel, FilterStats { fused, parallel }))
 }
 
-/// Filters a batch by a predicate expression, returning only rows where it
-/// evaluates to TRUE.
-pub fn filter(
-    input: &Batch,
-    predicate: &Expr,
-    functions: Option<&FunctionRegistry>,
-    par: Parallelism,
-) -> DbResult<Batch> {
-    let (sel, _) = filter_sel(input, predicate, functions, par)?;
+/// Filters the context's batch by a predicate expression, returning only
+/// rows where it evaluates to TRUE.
+pub fn filter(ctx: &EvalContext<'_>, predicate: &Expr, par: Parallelism) -> DbResult<Batch> {
+    let input = ctx.batch;
+    let (sel, _) = filter_sel(ctx, predicate, par)?;
     if sel.len() == input.rows() {
         return Ok(input.clone()); // nothing filtered out; skip the gather
     }
@@ -212,7 +208,7 @@ mod tests {
     fn filter_selects_true_rows() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s(vec![1, 2, 3, 4]))]).unwrap();
         let pred = E::binary(BinaryOp::Gt, E::col(0), E::lit(2i32));
-        let out = filter(&b, &pred, None, Parallelism::serial()).unwrap();
+        let out = filter(&EvalContext::new(&b, None), &pred, Parallelism::serial()).unwrap();
         assert_eq!(out.rows(), 2);
         assert_eq!(out.row(0)[0], Value::Int32(3));
     }
@@ -220,7 +216,8 @@ mod tests {
     #[test]
     fn filter_all_pass_is_clone() {
         let b = Batch::from_columns(vec![("x", Column::from_i32s(vec![1, 2]))]).unwrap();
-        let out = filter(&b, &E::lit(true), None, Parallelism::serial()).unwrap();
+        let out =
+            filter(&EvalContext::new(&b, None), &E::lit(true), Parallelism::serial()).unwrap();
         assert_eq!(out.rows(), 2);
     }
 
@@ -231,9 +228,10 @@ mod tests {
         let b = Batch::from_columns(vec![("x", Column::from_opt_i32s(xs))]).unwrap();
         let pred = E::binary(BinaryOp::Lt, E::col(0), E::lit(20i32));
         let par = Parallelism { threads: 4, threshold: 1, morsel_rows: 7, deadline: None };
-        let (serial, st) = filter_sel(&b, &pred, None, Parallelism::serial()).unwrap();
+        let (serial, st) =
+            filter_sel(&EvalContext::new(&b, None), &pred, Parallelism::serial()).unwrap();
         assert!(!st.parallel);
-        let (parallel, st) = filter_sel(&b, &pred, None, par).unwrap();
+        let (parallel, st) = filter_sel(&EvalContext::new(&b, None), &pred, par).unwrap();
         assert!(st.parallel);
         assert_eq!(serial, parallel);
         assert_eq!(concat_parts::<u32>(vec![]), Vec::<u32>::new());

@@ -17,20 +17,33 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Evaluation context: the input batch plus (optionally) the function
-/// registry needed to resolve UDF calls.
+/// Evaluation context: the input batch, (optionally) the function
+/// registry needed to resolve UDF calls, and the execution's parameters.
 #[derive(Clone, Copy)]
 pub struct EvalContext<'a> {
     /// The input rows.
     pub batch: &'a Batch,
     /// UDF registry; `None` in contexts where UDFs are not allowed.
     pub functions: Option<&'a FunctionRegistry>,
+    /// The statement's evaluated scalar subqueries, one one-row column
+    /// each: `Expr::Subquery(i)` reads `params[i]`.
+    pub params: &'a [Arc<Column>],
 }
 
 impl<'a> EvalContext<'a> {
-    /// Context over a batch with UDFs available.
+    /// Context over a batch with UDFs available and no parameters.
     pub fn new(batch: &'a Batch, functions: Option<&'a FunctionRegistry>) -> Self {
-        EvalContext { batch, functions }
+        EvalContext { batch, functions, params: &[] }
+    }
+
+    /// The value of scalar subquery `i`: its one-row column, shared.
+    pub fn param(&self, i: usize) -> DbResult<&'a Arc<Column>> {
+        self.params.get(i).ok_or_else(|| {
+            DbError::internal(format!(
+                "scalar subquery ${i} has no value ({} evaluated)",
+                self.params.len()
+            ))
+        })
     }
 }
 
@@ -44,11 +57,13 @@ fn column_at(batch: &Batch, i: usize) -> DbResult<&Arc<Column>> {
 }
 
 /// Evaluates `expr` over the context's batch. A column reference is the
-/// batch's own column, borrowed; every other expression computes a new
-/// column (a literal is one row, so constants cost one allocation).
+/// batch's own column and a scalar subquery its parameter, both borrowed;
+/// every other expression computes a new column (a literal is one row, so
+/// constants cost one allocation).
 pub fn eval<'a>(ctx: &EvalContext<'a>, expr: &Expr) -> DbResult<Cow<'a, Column>> {
     let out = match expr {
         Expr::Column(i) => return column_at(ctx.batch, *i).map(|c| Cow::Borrowed(c.as_ref())),
+        Expr::Subquery(i) => return ctx.param(*i).map(|c| Cow::Borrowed(c.as_ref())),
         Expr::Literal(v) => {
             Column::from_values(v.data_type().unwrap_or(DataType::Int32), std::slice::from_ref(v))?
         }
@@ -85,22 +100,19 @@ pub fn eval<'a>(ctx: &EvalContext<'a>, expr: &Expr) -> DbResult<Cow<'a, Column>>
                 args.iter().map(|a| eval(ctx, a).map(plain)).collect::<DbResult<_>>()?;
             super::functions::eval_builtin(*func, &arg_cols)?
         }
-        Expr::Subquery(i) => {
-            return Err(DbError::internal(format!(
-                "scalar subquery ${i} was not substituted before evaluation"
-            )))
-        }
         Expr::Udf { name, args } => eval_udf(ctx, name, args)?,
     };
     Ok(Cow::Owned(out))
 }
 
-/// [`eval`] for a caller that keeps the result: a column reference is the
-/// batch's own `Arc`, shared; every other expression is evaluated.
+/// [`eval`] for a caller that keeps the result: a column reference or a
+/// scalar subquery is the batch's or the parameter's own `Arc`, shared;
+/// every other expression is evaluated.
 pub fn eval_shared(ctx: &EvalContext<'_>, expr: &Expr) -> DbResult<Arc<Column>> {
     match expr {
         Expr::Column(i) => column_at(ctx.batch, *i).cloned(),
-        // Only a column reference evaluates borrowed, so this moves.
+        Expr::Subquery(i) => ctx.param(*i).cloned(),
+        // Only those two evaluate borrowed, so this moves.
         other => Ok(Arc::new(eval(ctx, other)?.into_owned())),
     }
 }

@@ -31,12 +31,12 @@
 //! (no UDFs can appear), so morsel workers may compile kernels per slice
 //! freely; [`crate::verify::expr_parallel_safe`] stays the gate.
 
-use crate::batch::Batch;
 use crate::column::{Column, ColumnData};
-use crate::expr::{BinaryOp, Expr, UnaryOp};
+use crate::expr::{BinaryOp, EvalContext, Expr, UnaryOp};
 use crate::metrics;
 use crate::strings::StringColumn;
 use crate::types::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A compiled predicate kernel borrowing the batch it was compiled for.
@@ -59,10 +59,11 @@ impl Fused<'_> {
 /// Static shape check: true when `expr` has a fusible shape. Optimistic —
 /// [`compile`] may still bail on a concrete batch (unsupported column
 /// type pairing, RLE leaf); the executor then takes the vectorized path.
+/// A scalar subquery counts as a literal: its value is a parameter.
 pub fn fusible(expr: &Expr) -> bool {
     match expr {
         Expr::Literal(Value::Boolean(_)) | Expr::Literal(Value::Null) => true,
-        Expr::Column(_) => true,
+        Expr::Column(_) | Expr::Subquery(_) => true,
         Expr::IsNull { expr, .. } => matches!(**expr, Expr::Column(_)),
         Expr::Unary { op: UnaryOp::Not, expr } => fusible(expr),
         Expr::Binary { op, left, right } if op.is_comparison() => {
@@ -72,34 +73,50 @@ pub fn fusible(expr: &Expr) -> bool {
             fusible(left) && fusible(right)
         }
         Expr::Between { expr, low, high, .. } => {
-            matches!(**expr, Expr::Column(_))
-                && matches!(**low, Expr::Literal(_))
-                && matches!(**high, Expr::Literal(_))
+            matches!(**expr, Expr::Column(_)) && constant_operand(low) && constant_operand(high)
         }
         _ => false,
     }
 }
 
 fn cmp_operand(e: &Expr) -> bool {
-    matches!(e, Expr::Column(_) | Expr::Literal(_))
+    matches!(e, Expr::Column(_)) || constant_operand(e)
 }
 
-/// Compiles `expr` into a single-pass kernel over `batch`, or `None` when
-/// the shape, types, or encodings are outside the fusion contract.
-pub fn compile<'a>(expr: &Expr, batch: &'a Batch) -> Option<Fused<'a>> {
+fn constant_operand(e: &Expr) -> bool {
+    matches!(e, Expr::Literal(_) | Expr::Subquery(_))
+}
+
+/// The value a constant operand stands for: a literal's own, or a scalar
+/// subquery's, read from the context's parameters.
+fn constant<'e>(e: &'e Expr, ctx: &EvalContext<'_>) -> Option<Cow<'e, Value>> {
+    match e {
+        Expr::Literal(v) => Some(Cow::Borrowed(v)),
+        Expr::Subquery(i) => {
+            ctx.param(*i).ok().filter(|c| c.len() == 1).map(|c| Cow::Owned(c.value(0)))
+        }
+        _ => None,
+    }
+}
+
+/// Compiles `expr` into a single-pass kernel over the context's batch, or
+/// `None` when the shape, types, or encodings are outside the fusion
+/// contract.
+pub fn compile<'a>(expr: &Expr, ctx: &EvalContext<'a>) -> Option<Fused<'a>> {
     let mut dict_leaves = 0u32;
-    let kernel = build(expr, batch, &mut dict_leaves)?;
+    let kernel = build(expr, ctx, &mut dict_leaves)?;
     metrics::counter("expr.fused.kernels").incr();
     Some(Fused { kernel, dict_leaves })
 }
 
-fn build<'a>(expr: &Expr, batch: &'a Batch, dict_leaves: &mut u32) -> Option<Kernel<'a>> {
+fn build<'a>(expr: &Expr, ctx: &EvalContext<'a>, dict_leaves: &mut u32) -> Option<Kernel<'a>> {
+    let batch = ctx.batch;
     match expr {
-        Expr::Literal(Value::Boolean(v)) => {
-            let v = *v;
-            Some(Box::new(move |_| Some(v)))
-        }
-        Expr::Literal(Value::Null) => Some(Box::new(|_| None)),
+        Expr::Literal(_) | Expr::Subquery(_) => match *constant(expr, ctx)? {
+            Value::Boolean(v) => Some(Box::new(move |_| Some(v))),
+            Value::Null => Some(Box::new(|_| None)),
+            _ => None,
+        },
         Expr::Column(i) => {
             let col: &'a Column = batch.columns().get(*i)?.as_ref();
             let bools = col.bools()?;
@@ -114,15 +131,15 @@ fn build<'a>(expr: &Expr, batch: &'a Batch, dict_leaves: &mut u32) -> Option<Ker
             _ => None,
         },
         Expr::Unary { op: UnaryOp::Not, expr } => {
-            let k = build(expr, batch, dict_leaves)?;
+            let k = build(expr, ctx, dict_leaves)?;
             Some(Box::new(move |i| k(i).map(|b| !b)))
         }
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            build_cmp(*op, left, right, batch, dict_leaves)
+            build_cmp(*op, left, right, ctx, dict_leaves)
         }
         Expr::Binary { op: BinaryOp::And, left, right } => {
-            let l = build(left, batch, dict_leaves)?;
-            let r = build(right, batch, dict_leaves)?;
+            let l = build(left, ctx, dict_leaves)?;
+            let r = build(right, ctx, dict_leaves)?;
             Some(Box::new(move |i| match (l(i), r(i)) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
                 (Some(true), Some(true)) => Some(true),
@@ -130,8 +147,8 @@ fn build<'a>(expr: &Expr, batch: &'a Batch, dict_leaves: &mut u32) -> Option<Ker
             }))
         }
         Expr::Binary { op: BinaryOp::Or, left, right } => {
-            let l = build(left, batch, dict_leaves)?;
-            let r = build(right, batch, dict_leaves)?;
+            let l = build(left, ctx, dict_leaves)?;
+            let r = build(right, ctx, dict_leaves)?;
             Some(Box::new(move |i| match (l(i), r(i)) {
                 (Some(true), _) | (_, Some(true)) => Some(true),
                 (Some(false), Some(false)) => Some(false),
@@ -139,8 +156,8 @@ fn build<'a>(expr: &Expr, batch: &'a Batch, dict_leaves: &mut u32) -> Option<Ker
             }))
         }
         Expr::Between { expr, low, high, negated } => {
-            let ge = build_cmp(BinaryOp::GtEq, expr, low, batch, dict_leaves)?;
-            let le = build_cmp(BinaryOp::LtEq, expr, high, batch, dict_leaves)?;
+            let ge = build_cmp(BinaryOp::GtEq, expr, low, ctx, dict_leaves)?;
+            let le = build_cmp(BinaryOp::LtEq, expr, high, ctx, dict_leaves)?;
             let negated = *negated;
             Some(Box::new(move |i| {
                 let v = match (ge(i), le(i)) {
@@ -163,19 +180,14 @@ fn build_cmp<'a>(
     op: BinaryOp,
     left: &Expr,
     right: &Expr,
-    batch: &'a Batch,
+    ctx: &EvalContext<'a>,
     dict_leaves: &mut u32,
 ) -> Option<Kernel<'a>> {
+    let column = |i: usize| ctx.batch.columns().get(i).map(|c| c.as_ref());
     match (left, right) {
-        (Expr::Column(i), Expr::Literal(v)) => {
-            col_lit(op, batch.columns().get(*i)?.as_ref(), v, false, dict_leaves)
-        }
-        (Expr::Literal(v), Expr::Column(i)) => {
-            col_lit(op, batch.columns().get(*i)?.as_ref(), v, true, dict_leaves)
-        }
-        (Expr::Column(i), Expr::Column(j)) => {
-            col_col(op, batch.columns().get(*i)?.as_ref(), batch.columns().get(*j)?.as_ref())
-        }
+        (Expr::Column(i), Expr::Column(j)) => col_col(op, column(*i)?, column(*j)?),
+        (Expr::Column(i), c) => col_lit(op, column(*i)?, &*constant(c, ctx)?, false, dict_leaves),
+        (c, Expr::Column(i)) => col_lit(op, column(*i)?, &*constant(c, ctx)?, true, dict_leaves),
         _ => None,
     }
 }
@@ -390,8 +402,10 @@ fn int_getter<'a>(data: &'a ColumnData) -> Option<Box<dyn Fn(usize) -> i64 + 'a>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use crate::column::Encoding;
     use crate::expr::Expr as E;
+    use std::sync::Arc;
 
     fn batch() -> Batch {
         Batch::from_columns(vec![
@@ -405,7 +419,7 @@ mod tests {
     }
 
     fn eval_all(expr: &E, b: &Batch) -> Vec<Option<bool>> {
-        let f = compile(expr, b).expect("fusible");
+        let f = compile(expr, &EvalContext::new(b, None)).expect("fusible");
         (0..b.rows()).map(|i| f.eval(i)).collect()
     }
 
@@ -447,7 +461,7 @@ mod tests {
     fn dict_leaf_uses_lut() {
         let b = batch();
         let e = E::binary(BinaryOp::Eq, E::col(4), E::lit(7i32));
-        let f = compile(&e, &b).unwrap();
+        let f = compile(&e, &EvalContext::new(&b, None)).unwrap();
         assert_eq!(f.dict_leaves, 1);
         let got: Vec<_> = (0..4).map(|i| f.eval(i)).collect();
         assert_eq!(got, vec![Some(true), Some(false), Some(true), Some(false)]);
@@ -463,11 +477,11 @@ mod tests {
             E::lit(2i32),
         );
         assert!(!fusible(&e));
-        assert!(compile(&e, &b).is_none());
+        assert!(compile(&e, &EvalContext::new(&b, None)).is_none());
         // Cross-family compare bails at compile time.
         let e = E::binary(BinaryOp::Gt, E::col(0), E::lit(1.5f64));
         assert!(fusible(&e), "shape looks fusible");
-        assert!(compile(&e, &b).is_none(), "type pairing bails");
+        assert!(compile(&e, &EvalContext::new(&b, None)).is_none(), "type pairing bails");
         // RLE leaves bail.
         let rb = Batch::from_columns(vec![(
             "r",
@@ -475,7 +489,7 @@ mod tests {
         )])
         .unwrap();
         let e = E::binary(BinaryOp::Eq, E::col(0), E::lit(1i32));
-        assert!(compile(&e, &rb).is_none());
+        assert!(compile(&e, &EvalContext::new(&rb, None)).is_none());
     }
 
     #[test]
@@ -490,5 +504,26 @@ mod tests {
         assert_eq!(eval_all(&e, &b), vec![Some(true), Some(false), Some(false), Some(true)]);
         let e = E::IsNull { expr: Box::new(E::col(1)), negated: false };
         assert_eq!(eval_all(&e, &b), vec![Some(false), Some(true), Some(false), Some(false)]);
+    }
+
+    #[test]
+    fn a_scalar_subquery_fuses_as_the_literal_it_holds() {
+        let b = batch();
+        let params =
+            [Arc::new(Column::from_i32s(vec![2])), Arc::new(Column::from_bools(vec![true]))];
+        let ctx = EvalContext { params: &params, ..EvalContext::new(&b, None) };
+        let e = E::binary(BinaryOp::Gt, E::col(0), E::Subquery(0));
+        assert!(fusible(&e));
+        let f = compile(&e, &ctx).expect("fusible with its parameter");
+        let got: Vec<_> = (0..4).map(|i| f.eval(i)).collect();
+        assert_eq!(got, vec![Some(false), Some(false), Some(true), Some(true)]);
+        let e = E::binary(
+            BinaryOp::And,
+            E::Subquery(1),
+            E::binary(BinaryOp::Eq, E::Subquery(0), E::col(4)),
+        );
+        assert!(compile(&e, &ctx).is_some(), "subquery on the left of a dictionary leaf");
+        // Without its parameter the placeholder does not fuse.
+        assert!(compile(&e, &EvalContext::new(&b, None)).is_none());
     }
 }

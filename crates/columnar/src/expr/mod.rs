@@ -192,9 +192,10 @@ pub enum Expr {
         args: Vec<Expr>,
     },
     /// Placeholder for an uncorrelated scalar subquery, indexing into the
-    /// bound statement's subquery list. The executor evaluates all scalar
-    /// subqueries up front and substitutes literals before evaluation, so
-    /// [`eval`] treats an unsubstituted placeholder as an internal error.
+    /// bound statement's subquery list. Plans keep it: each execution
+    /// evaluates the subqueries up front and [`eval`] reads subquery `i`'s
+    /// one-row value from the context's parameters
+    /// ([`EvalContext::params`]), like a literal.
     Subquery(usize),
 }
 
@@ -310,59 +311,7 @@ impl Expr {
         }
     }
 
-    /// Replaces every `Subquery(i)` with `values[i]` as a literal. Called
-    /// by the executor after evaluating the statement's scalar subqueries.
-    pub fn substitute_subqueries(&mut self, values: &[crate::types::Value]) {
-        match self {
-            Expr::Subquery(i) => {
-                let v = values.get(*i).cloned().unwrap_or(crate::types::Value::Null);
-                *self = Expr::Literal(v);
-            }
-            Expr::Column(_) | Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.substitute_subqueries(values);
-                right.substitute_subqueries(values);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                expr.substitute_subqueries(values)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    o.substitute_subqueries(values);
-                }
-                for (w, t) in branches {
-                    w.substitute_subqueries(values);
-                    t.substitute_subqueries(values);
-                }
-                if let Some(e) = else_expr {
-                    e.substitute_subqueries(values);
-                }
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.substitute_subqueries(values);
-                for e in list {
-                    e.substitute_subqueries(values);
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.substitute_subqueries(values);
-                pattern.substitute_subqueries(values);
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.substitute_subqueries(values);
-                low.substitute_subqueries(values);
-                high.substitute_subqueries(values);
-            }
-            Expr::ScalarFn { args, .. } | Expr::Udf { args, .. } => {
-                for a in args {
-                    a.substitute_subqueries(values);
-                }
-            }
-        }
-    }
-
-    /// True if the expression contains any unsubstituted subquery
-    /// placeholder.
+    /// True if the expression contains any scalar-subquery placeholder.
     pub fn has_subquery(&self) -> bool {
         match self {
             Expr::Subquery(_) => true,

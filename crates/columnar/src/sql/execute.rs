@@ -5,14 +5,12 @@ use crate::catalog::Catalog;
 use crate::column::{Column, Encoding};
 use crate::error::{DbError, DbResult};
 use crate::exec;
-use crate::expr::{eval, eval_shared, EvalContext, Expr};
+use crate::expr::{eval_shared, EvalContext, Expr};
 use crate::metrics;
 use crate::parallel::{effective_threads, DEFAULT_MORSEL_ROWS};
 use crate::schema::{Field, Schema};
 use crate::sql::plan::{BoundTableArg, LogicalPlan, PlanAgg};
-use crate::types::Value;
 use crate::udf::FunctionRegistry;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -140,8 +138,9 @@ pub struct NodeStats {
 }
 
 /// Per-node statistics collected while executing a plan, keyed by node
-/// identity. Populated by [`execute_plan_traced`]; the plan value must not
-/// move between execution and [`PlanTrace::annotation`] lookups.
+/// identity. Populated by a traced execution (`EXPLAIN ANALYZE`); the
+/// plan value must not move between execution and
+/// [`PlanTrace::annotation`] lookups.
 #[derive(Debug, Default)]
 pub struct PlanTrace {
     nodes: Mutex<HashMap<usize, NodeStats>>,
@@ -262,10 +261,12 @@ fn metric_op(plan: &LogicalPlan) -> &'static str {
 /// Executes a plan against the catalog and function registry with default
 /// [`ExecOptions`] (parallel above the row threshold).
 ///
-/// Scalar subqueries must already be substituted (see
-/// [`substitute_in_plan`]); encountering a placeholder is an internal error.
-/// Debug builds re-verify the plan (see [`crate::verify`]) before running
-/// it, so plans reaching the executor through any entry point are checked.
+/// A plan run through here has no parameters: a scalar-subquery
+/// placeholder in it is an internal error (a statement's subqueries are
+/// evaluated by [`crate::Database`], which hands their values to the plan
+/// as parameters). Debug builds verify the plan (see [`crate::verify`])
+/// before running it, so plans reaching the executor from outside the
+/// database are checked.
 pub fn execute_plan(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -283,22 +284,24 @@ pub fn execute_plan_with(
 ) -> DbResult<Batch> {
     #[cfg(debug_assertions)]
     crate::verify::verify_plan(plan, functions)?;
-    execute_node(plan, catalog, functions, opts, None)
+    Exec { catalog, functions, opts, params: &[], trace: None }.run(plan)
 }
 
-/// [`execute_plan_with`] recording per-node runtime statistics into `trace`
-/// — the execution engine behind `EXPLAIN ANALYZE`. The same `plan` value
-/// must be used for later [`PlanTrace::annotation`] lookups.
-pub fn execute_plan_traced(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    functions: &Arc<FunctionRegistry>,
-    opts: &ExecOptions,
-    trace: &PlanTrace,
-) -> DbResult<Batch> {
-    #[cfg(debug_assertions)]
-    crate::verify::verify_plan(plan, functions)?;
-    execute_node(plan, catalog, functions, opts, Some(trace))
+/// One execution of a plan: the tables and UDFs it reads, how it runs,
+/// the evaluated scalar subqueries its `Expr::Subquery` placeholders read,
+/// and — under `EXPLAIN ANALYZE` — the trace it records per-node
+/// statistics into. The plan itself is only ever read.
+#[derive(Clone, Copy)]
+pub(crate) struct Exec<'a> {
+    pub catalog: &'a Catalog,
+    pub functions: &'a Arc<FunctionRegistry>,
+    pub opts: &'a ExecOptions,
+    /// One one-row column per scalar subquery (see
+    /// [`Exec::evaluate_scalar_subqueries`]).
+    pub params: &'a [Arc<Column>],
+    /// Keyed by node address: the same plan value must be used for later
+    /// [`PlanTrace::annotation`] lookups.
+    pub trace: Option<&'a PlanTrace>,
 }
 
 /// A batch plus an optional selection vector over it — the unit flowing
@@ -385,40 +388,73 @@ fn remap_table(refs: &[usize], width: usize) -> Vec<usize> {
     map
 }
 
-/// The recursive executor behind [`execute_plan_with`]: [`execute_view`]
-/// with the output materialized, for operators (and public entry points)
-/// that need a plain batch.
-fn execute_node(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    functions: &Arc<FunctionRegistry>,
-    opts: &ExecOptions,
-    trace: Option<&PlanTrace>,
-) -> DbResult<Batch> {
-    Ok(execute_view(plan, catalog, functions, opts, trace)?.materialize())
-}
-
-/// The recursive executor, producing a view (possibly with a pending
-/// selection). Each node's output rows and inclusive wall time feed the
-/// `exec.<op>.rows` / `exec.<op>.time_ns` registry metrics, and — when
-/// tracing — the per-node [`PlanTrace`] used by `EXPLAIN ANALYZE`.
-fn execute_view(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    functions: &Arc<FunctionRegistry>,
-    opts: &ExecOptions,
-    trace: Option<&PlanTrace>,
-) -> DbResult<ExecView> {
-    let op = metric_op(plan);
-    if let Some(d) = opts.deadline {
-        if Instant::now() >= d {
-            metrics::counter("exec.deadline_expired").incr();
-            return Err(DbError::Timeout { path: op.to_owned() });
+impl<'a> Exec<'a> {
+    /// Evaluates a statement's scalar subqueries in order, serially under
+    /// this execution's deadline, each with the values of those before it
+    /// as its parameters (the binder lists a nested subquery before the one
+    /// it is nested in). A subquery's value is the one-row column it
+    /// returned — the same `Arc`, so fetching a stored model copies
+    /// nothing — or a one-row NULL of its type when it returned no rows;
+    /// more than one row or column is an error.
+    pub(crate) fn evaluate_scalar_subqueries(
+        &self,
+        subs: &[LogicalPlan],
+    ) -> DbResult<Vec<Arc<Column>>> {
+        let opts = ExecOptions { deadline: self.opts.deadline, ..ExecOptions::serial() };
+        let mut params: Vec<Arc<Column>> = Vec::with_capacity(subs.len());
+        for (i, sub) in subs.iter().enumerate() {
+            let batch =
+                Exec { opts: &opts, params: &params, ..*self }.run(sub).map_err(|e| match e {
+                    DbError::Timeout { path } => {
+                        DbError::Timeout { path: format!("$subquery{i}/{path}") }
+                    }
+                    other => other,
+                })?;
+            if batch.width() != 1 {
+                return Err(DbError::bind(format!(
+                    "scalar subquery returned {} columns",
+                    batch.width()
+                )));
+            }
+            params.push(match batch.rows() {
+                0 => Arc::new(Column::nulls(batch.column(0).data_type(), 1)),
+                1 => batch.column(0).clone(),
+                n => {
+                    return Err(DbError::bind(format!(
+                        "scalar subquery returned {n} rows; expected at most one"
+                    )))
+                }
+            });
         }
+        Ok(params)
     }
-    let start = Instant::now();
-    let (view, flags) =
-        run_operator(plan, catalog, functions, opts, trace).map_err(|e| match e {
+
+    /// Executes `plan`: [`Self::view`] with the output materialized, for
+    /// operators (and entry points) that need a plain batch.
+    pub(crate) fn run(&self, plan: &LogicalPlan) -> DbResult<Batch> {
+        Ok(self.view(plan)?.materialize())
+    }
+
+    /// An evaluation context over `batch` with this execution's UDFs and
+    /// parameters.
+    fn ctx<'b>(&'b self, batch: &'b Batch) -> EvalContext<'b> {
+        EvalContext { batch, functions: Some(self.functions.as_ref()), params: self.params }
+    }
+
+    /// The recursive executor, producing a view (possibly with a pending
+    /// selection). Each node's output rows and inclusive wall time feed the
+    /// `exec.<op>.rows` / `exec.<op>.time_ns` registry metrics, and — when
+    /// tracing — the per-node [`PlanTrace`] used by `EXPLAIN ANALYZE`.
+    fn view(&self, plan: &LogicalPlan) -> DbResult<ExecView> {
+        let op = metric_op(plan);
+        if let Some(d) = self.opts.deadline {
+            if Instant::now() >= d {
+                metrics::counter("exec.deadline_expired").incr();
+                return Err(DbError::Timeout { path: op.to_owned() });
+            }
+        }
+        let start = Instant::now();
+        let (view, flags) = self.operator(plan).map_err(|e| match e {
             // Grow the operator path as the timeout unwinds: a morsel-level
             // check reports an empty path, the operator that observed it
             // contributes its name, and each ancestor prepends its own.
@@ -429,189 +465,180 @@ fn execute_view(
             DbError::Timeout { path } => DbError::Timeout { path: format!("{op}/{path}") },
             other => other,
         })?;
-    let elapsed = start.elapsed();
-    metrics::counter(&format!("exec.{op}.rows")).add(view.rows() as u64);
-    metrics::record_duration(&format!("exec.{op}.time_ns"), elapsed);
-    if let Some(tr) = trace {
-        let rows_in = plan.children().iter().map(|c| tr.rows_out(c)).sum();
-        tr.record(
-            plan,
-            NodeStats {
-                rows_in,
-                rows_out: view.rows(),
-                elapsed,
-                parallel: flags.parallel,
-                fused: flags.fused,
-                dict: flags.dict,
-                rle: flags.rle,
-                est: None, // filled from the trace's estimate map in record()
-            },
-        );
+        let elapsed = start.elapsed();
+        metrics::counter(&format!("exec.{op}.rows")).add(view.rows() as u64);
+        metrics::record_duration(&format!("exec.{op}.time_ns"), elapsed);
+        if let Some(tr) = self.trace {
+            let rows_in = plan.children().iter().map(|c| tr.rows_out(c)).sum();
+            tr.record(
+                plan,
+                NodeStats {
+                    rows_in,
+                    rows_out: view.rows(),
+                    elapsed,
+                    parallel: flags.parallel,
+                    fused: flags.fused,
+                    dict: flags.dict,
+                    rle: flags.rle,
+                    est: None, // filled from the trace's estimate map in record()
+                },
+            );
+        }
+        Ok(view)
     }
-    Ok(view)
-}
 
-/// One operator's work: produces the node's output view and the flags
-/// describing which specialized paths engaged for it.
-fn run_operator(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    functions: &Arc<FunctionRegistry>,
-    opts: &ExecOptions,
-    trace: Option<&PlanTrace>,
-) -> DbResult<(ExecView, OpFlags)> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            let b = catalog.table(table)?.read().scan();
-            #[cfg(debug_assertions)]
-            crate::verify::verify_batch_encodings(&b)?;
-            let flags = OpFlags::encodings(&b);
-            Ok((ExecView::full(b), flags))
-        }
-        LogicalPlan::UnitRow => Ok((ExecView::full(unit_batch()?), OpFlags::default())),
-        LogicalPlan::TableFunction { name, args, schema } => {
-            let udf = functions.table(name)?;
-            let mut arg_cols: Vec<Arc<Column>> = Vec::new();
-            for a in args {
-                match a {
-                    BoundTableArg::Scalar(e) => {
-                        let unit = unit_batch()?;
-                        let ctx = EvalContext::new(&unit, Some(functions.as_ref()));
-                        arg_cols.push(eval_shared(&ctx, e)?);
-                    }
-                    BoundTableArg::Plan(p) => {
-                        let b = execute_node(p, catalog, functions, opts, trace)?;
-                        arg_cols.extend(b.columns().iter().cloned());
+    /// One operator's work: produces the node's output view and the flags
+    /// describing which specialized paths engaged for it.
+    fn operator(&self, plan: &LogicalPlan) -> DbResult<(ExecView, OpFlags)> {
+        let Exec { catalog, functions, opts, .. } = *self;
+        match plan {
+            LogicalPlan::Scan { table, .. } => {
+                let b = catalog.table(table)?.read().scan();
+                #[cfg(debug_assertions)]
+                crate::verify::verify_batch_encodings(&b)?;
+                let flags = OpFlags::encodings(&b);
+                Ok((ExecView::full(b), flags))
+            }
+            LogicalPlan::UnitRow => Ok((ExecView::full(unit_batch()?), OpFlags::default())),
+            LogicalPlan::TableFunction { name, args, schema } => {
+                let udf = functions.table(name)?;
+                let mut arg_cols: Vec<Arc<Column>> = Vec::new();
+                for a in args {
+                    match a {
+                        BoundTableArg::Scalar(e) => {
+                            arg_cols.push(eval_shared(&self.ctx(&unit_batch()?), e)?);
+                        }
+                        BoundTableArg::Plan(p) => {
+                            let b = self.run(p)?;
+                            arg_cols.extend(b.columns().iter().cloned());
+                        }
                     }
                 }
+                metrics::counter(&format!("udf.{name}.invocations")).incr();
+                metrics::counter("udf.table.invocations").incr();
+                let out = udf.invoke(&arg_cols)?;
+                Ok((ExecView::full(conform(out, schema.clone())?), OpFlags::default()))
             }
-            metrics::counter(&format!("udf.{name}.invocations")).incr();
-            metrics::counter("udf.table.invocations").incr();
-            let out = udf.invoke(&arg_cols)?;
-            Ok((ExecView::full(conform(out, schema.clone())?), OpFlags::default()))
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let v = execute_view(input, catalog, functions, opts, trace)?;
-            let par = par_for(opts, &[predicate], functions);
-            let mut flags = OpFlags::encodings(&v.batch);
-            // Produce a selection over the input batch; rows are gathered
-            // only when a downstream operator needs them.
-            let (sel, st) = match &v.sel {
-                None => exec::filter_sel(&v.batch, predicate, Some(functions), par)?,
-                Some(prev) => {
-                    // Stacked filters: evaluate over only the columns this
-                    // predicate references, restricted to the surviving
-                    // rows, then map back to input-batch row numbers.
-                    let refs = referenced(&[predicate]);
-                    let narrow = v.gather(&refs)?;
-                    let mut pred = predicate.clone();
-                    pred.remap_columns(&remap_table(&refs, v.batch.width()));
-                    let (sub_sel, st) = exec::filter_sel(&narrow, &pred, Some(functions), par)?;
-                    (sub_sel.iter().map(|&i| prev[i as usize]).collect(), st)
+            LogicalPlan::Filter { input, predicate } => {
+                let v = self.view(input)?;
+                let par = par_for(opts, &[predicate], functions);
+                let mut flags = OpFlags::encodings(&v.batch);
+                // Produce a selection over the input batch; rows are gathered
+                // only when a downstream operator needs them.
+                let (sel, st) = match &v.sel {
+                    None => exec::filter_sel(&self.ctx(&v.batch), predicate, par)?,
+                    Some(prev) => {
+                        // Stacked filters: evaluate over only the columns this
+                        // predicate references, restricted to the surviving
+                        // rows, then map back to input-batch row numbers.
+                        let refs = referenced(&[predicate]);
+                        let narrow = v.gather(&refs)?;
+                        let mut pred = predicate.clone();
+                        pred.remap_columns(&remap_table(&refs, v.batch.width()));
+                        let (sub_sel, st) = exec::filter_sel(&self.ctx(&narrow), &pred, par)?;
+                        (sub_sel.iter().map(|&i| prev[i as usize]).collect(), st)
+                    }
+                };
+                flags.parallel = st.parallel;
+                flags.fused = st.fused;
+                Ok((ExecView { batch: v.batch, sel: Some(sel) }, flags))
+            }
+            LogicalPlan::Project { input, exprs, schema } => {
+                let v = self.view(input)?;
+                let expr_refs: Vec<&Expr> = exprs.iter().collect();
+                let par = par_for(opts, &expr_refs, functions);
+                let mut flags = OpFlags::encodings(&v.batch);
+                let (out, ran_parallel) = self.project(&v, exprs, schema.clone(), par)?;
+                flags.parallel = ran_parallel;
+                Ok((ExecView::full(out), flags))
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                left_keys,
+                right_keys,
+                residual,
+                build_left,
+                schema,
+            } => {
+                let l = self.run(left)?;
+                let r = self.run(right)?;
+                // The hash join itself evaluates no expressions, so it is
+                // gated only by the row threshold (lowered for heavy ops).
+                let par = opts.for_heavy().parallelism(true);
+                let (mut joined, ran_parallel) =
+                    exec::hash_join(&l, &r, left_keys, right_keys, *join_type, *build_left, par)?;
+                if let Some(pred) = residual {
+                    let par = par_for(opts, &[pred], functions);
+                    joined = exec::filter(&self.ctx(&joined), pred, par)?;
                 }
-            };
-            flags.parallel = st.parallel;
-            flags.fused = st.fused;
-            Ok((ExecView { batch: v.batch, sel: Some(sel) }, flags))
-        }
-        LogicalPlan::Project { input, exprs, schema } => {
-            let v = execute_view(input, catalog, functions, opts, trace)?;
-            let expr_refs: Vec<&Expr> = exprs.iter().collect();
-            let par = par_for(opts, &expr_refs, functions);
-            let mut flags = OpFlags::encodings(&v.batch);
-            let (out, ran_parallel) = project(&v, exprs, schema.clone(), functions, par)?;
-            flags.parallel = ran_parallel;
-            Ok((ExecView::full(out), flags))
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            left_keys,
-            right_keys,
-            residual,
-            build_left,
-            schema,
-        } => {
-            let l = execute_node(left, catalog, functions, opts, trace)?;
-            let r = execute_node(right, catalog, functions, opts, trace)?;
-            // The hash join itself evaluates no expressions, so it is
-            // gated only by the row threshold (lowered for heavy ops).
-            let par = opts.for_heavy().parallelism(true);
-            let (mut joined, ran_parallel) =
-                exec::hash_join(&l, &r, left_keys, right_keys, *join_type, *build_left, par)?;
-            if let Some(pred) = residual {
-                let par = par_for(opts, &[pred], functions);
-                joined = exec::filter(&joined, pred, Some(functions), par)?;
+                let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
+                Ok((ExecView::full(conform(joined, schema.clone())?), flags))
             }
-            let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
-            Ok((ExecView::full(conform(joined, schema.clone())?), flags))
-        }
-        LogicalPlan::Aggregate { input, group, aggs, schema } => {
-            let v = execute_view(input, catalog, functions, opts, trace)?;
-            // Gather only the columns the group keys and aggregate
-            // arguments reference (keeping one so COUNT(*) sees the row
-            // count), then aggregate over the narrow batch.
-            let mut expr_refs: Vec<&Expr> = group.iter().collect();
-            expr_refs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()));
-            let mut refs = referenced(&expr_refs);
-            if refs.is_empty() && v.batch.width() > 0 {
-                refs.push(0);
-            }
-            let mut flags = OpFlags::encodings(&v.batch);
-            let narrow = v.gather(&refs)?;
-            let map = remap_table(&refs, v.batch.width());
-            let mut group = group.to_vec();
-            for g in &mut group {
-                g.remap_columns(&map);
-            }
-            let mut aggs = aggs.to_vec();
-            for a in &mut aggs {
-                if let Some(arg) = &mut a.arg {
-                    arg.remap_columns(&map);
+            LogicalPlan::Aggregate { input, group, aggs, schema } => {
+                let v = self.view(input)?;
+                // Gather only the columns the group keys and aggregate
+                // arguments reference (keeping one so COUNT(*) sees the row
+                // count), then aggregate over the narrow batch.
+                let mut expr_refs: Vec<&Expr> = group.iter().collect();
+                expr_refs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()));
+                let mut refs = referenced(&expr_refs);
+                if refs.is_empty() && v.batch.width() > 0 {
+                    refs.push(0);
                 }
+                let mut flags = OpFlags::encodings(&v.batch);
+                let narrow = v.gather(&refs)?;
+                let map = remap_table(&refs, v.batch.width());
+                let mut group = group.to_vec();
+                for g in &mut group {
+                    g.remap_columns(&map);
+                }
+                let mut aggs = aggs.to_vec();
+                for a in &mut aggs {
+                    if let Some(arg) = &mut a.arg {
+                        arg.remap_columns(&map);
+                    }
+                }
+                let (out, ran_parallel) = self.aggregate(&narrow, &group, &aggs, schema.clone())?;
+                flags.parallel = ran_parallel;
+                Ok((ExecView::full(out), flags))
             }
-            let (out, ran_parallel) =
-                aggregate(&narrow, &group, &aggs, schema.clone(), functions, &opts.for_heavy())?;
-            flags.parallel = ran_parallel;
-            Ok((ExecView::full(out), flags))
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let b = execute_node(input, catalog, functions, opts, trace)?;
-            let keys: Vec<exec::SortKey> = keys
-                .iter()
-                .map(|k| exec::SortKey {
-                    column: k.column,
-                    ascending: k.ascending,
-                    nulls_first: k.nulls_first,
-                })
-                .collect();
-            let (out, ran_parallel) = exec::sort(&b, &keys, opts.for_heavy().parallelism(true))?;
-            let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
-            Ok((ExecView::full(out), flags))
-        }
-        LogicalPlan::Limit { input, limit, offset } => {
-            let b = execute_node(input, catalog, functions, opts, trace)?;
-            Ok((ExecView::full(exec::limit(&b, *limit, *offset)), OpFlags::default()))
-        }
-        LogicalPlan::Distinct { input } => {
-            // DISTINCT is a group-by on every column with no aggregates.
-            let b = execute_node(input, catalog, functions, opts, trace)?;
-            let keys: Vec<usize> = (0..b.width()).collect();
-            let par = opts.for_heavy().parallelism(true);
-            let (out, ran_parallel) = exec::hash_aggregate(&b, &keys, &[], par)?;
-            let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
-            Ok((ExecView::full(out), flags))
-        }
-        LogicalPlan::UnionAll { inputs, schema } => {
-            let batches: Vec<Batch> = inputs
-                .iter()
-                .map(|p| {
-                    execute_node(p, catalog, functions, opts, trace)
-                        .and_then(|b| conform(b, schema.clone()))
-                })
-                .collect::<DbResult<_>>()?;
-            Ok((ExecView::full(Batch::concat(&batches)?), OpFlags::default()))
+            LogicalPlan::Sort { input, keys } => {
+                let b = self.run(input)?;
+                let keys: Vec<exec::SortKey> = keys
+                    .iter()
+                    .map(|k| exec::SortKey {
+                        column: k.column,
+                        ascending: k.ascending,
+                        nulls_first: k.nulls_first,
+                    })
+                    .collect();
+                let (out, ran_parallel) =
+                    exec::sort(&b, &keys, opts.for_heavy().parallelism(true))?;
+                let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
+                Ok((ExecView::full(out), flags))
+            }
+            LogicalPlan::Limit { input, limit, offset } => {
+                let b = self.run(input)?;
+                Ok((ExecView::full(exec::limit(&b, *limit, *offset)), OpFlags::default()))
+            }
+            LogicalPlan::Distinct { input } => {
+                // DISTINCT is a group-by on every column with no aggregates.
+                let b = self.run(input)?;
+                let keys: Vec<usize> = (0..b.width()).collect();
+                let par = opts.for_heavy().parallelism(true);
+                let (out, ran_parallel) = exec::hash_aggregate(&b, &keys, &[], par)?;
+                let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
+                Ok((ExecView::full(out), flags))
+            }
+            LogicalPlan::UnionAll { inputs, schema } => {
+                let batches: Vec<Batch> = inputs
+                    .iter()
+                    .map(|p| self.run(p).and_then(|b| conform(b, schema.clone())))
+                    .collect::<DbResult<_>>()?;
+                Ok((ExecView::full(Batch::concat(&batches)?), OpFlags::default()))
+            }
         }
     }
 }
@@ -622,143 +649,151 @@ fn unit_batch() -> DbResult<Batch> {
     Batch::from_columns(vec![("__unit", Column::from_bools(vec![false]))])
 }
 
-/// Evaluates projection expressions over the view and labels the result
-/// with `schema`. A bare column reference of its output's type passes the
-/// input's own column on, whole: it is never sliced, evaluated or
-/// concatenated, so it keeps its encoding (a pending selection is the one
-/// gather it pays). Only computed expressions run per morsel, each morsel
-/// over its slice of the columns they reference, and their parts are
-/// concatenated in morsel order. Constants broadcast and results cast to
-/// the declared types. Also reports whether the morsel-parallel run
-/// engaged.
-fn project(
-    v: &ExecView,
-    exprs: &[Expr],
-    schema: Arc<Schema>,
-    functions: &FunctionRegistry,
-    par: exec::Parallelism,
-) -> DbResult<(Batch, bool)> {
-    let input = v.batch.columns();
-    let through: Vec<Option<usize>> = exprs
-        .iter()
-        .zip(schema.fields())
-        .map(|(e, f)| match e {
-            Expr::Column(i) if input.get(*i).is_some_and(|c| c.data_type() == f.dtype) => Some(*i),
-            _ => None,
-        })
-        .collect();
-    let (computed, fields): (Vec<&Expr>, Vec<Field>) = exprs
-        .iter()
-        .zip(schema.fields())
-        .zip(&through)
-        .filter(|(_, t)| t.is_none())
-        .map(|((e, f), _)| (e, f.clone()))
-        .unzip();
-    let mut parallel = false;
-    let mut evaluated = Vec::new().into_iter();
-    if !computed.is_empty() {
-        // Gather only what the computed expressions reference (keeping at
-        // least one column so constants still see the right row count).
-        let mut refs = referenced(&computed);
-        if refs.is_empty() && !input.is_empty() {
-            refs.push(0);
-        }
-        let narrow = v.gather(&refs)?;
-        let map = remap_table(&refs, input.len());
-        let computed: Vec<Expr> = computed
-            .into_iter()
-            .map(|e| {
-                let mut e = e.clone();
-                e.remap_columns(&map);
-                e
+impl Exec<'_> {
+    /// Evaluates projection expressions over the view and labels the result
+    /// with `schema`. A bare column reference of its output's type passes the
+    /// input's own column on, whole: it is never sliced, evaluated or
+    /// concatenated, so it keeps its encoding (a pending selection is the one
+    /// gather it pays). Only computed expressions run per morsel, each morsel
+    /// over its slice of the columns they reference, and their parts are
+    /// concatenated in morsel order. Constants broadcast and results cast to
+    /// the declared types. Also reports whether the morsel-parallel run
+    /// engaged.
+    fn project(
+        &self,
+        v: &ExecView,
+        exprs: &[Expr],
+        schema: Arc<Schema>,
+        par: exec::Parallelism,
+    ) -> DbResult<(Batch, bool)> {
+        let input = v.batch.columns();
+        let through: Vec<Option<usize>> = exprs
+            .iter()
+            .zip(schema.fields())
+            .map(|(e, f)| match e {
+                Expr::Column(i) if input.get(*i).is_some_and(|c| c.data_type() == f.dtype) => {
+                    Some(*i)
+                }
+                _ => None,
             })
             .collect();
-        let part_schema = Arc::new(Schema::new_unchecked(fields));
-        parallel = par.enabled(narrow.rows());
-        let parts = par.run_morsels(narrow.rows(), parallel, |m| {
-            let slice = narrow.slice(m.start, m.len);
-            let ctx = EvalContext::new(&slice, Some(functions));
-            let mut columns = Vec::with_capacity(computed.len());
-            for (e, f) in computed.iter().zip(part_schema.fields()) {
-                let c = eval(&ctx, e)?;
-                let c = if c.len() == m.len { c } else { Cow::Owned(c.broadcast_to(m.len)?) };
-                let c = if c.data_type() == f.dtype { c.into_owned() } else { c.cast(f.dtype)? };
-                columns.push(Arc::new(c));
+        let (computed, fields): (Vec<&Expr>, Vec<Field>) = exprs
+            .iter()
+            .zip(schema.fields())
+            .zip(&through)
+            .filter(|(_, t)| t.is_none())
+            .map(|((e, f), _)| (e, f.clone()))
+            .unzip();
+        let mut parallel = false;
+        let mut evaluated = Vec::new().into_iter();
+        if !computed.is_empty() {
+            // Gather only what the computed expressions reference (keeping at
+            // least one column so constants still see the right row count).
+            let mut refs = referenced(&computed);
+            if refs.is_empty() && !input.is_empty() {
+                refs.push(0);
             }
-            Batch::new(part_schema.clone(), columns)
-        })?;
-        evaluated = Batch::concat(&parts)?.columns().to_vec().into_iter();
+            let narrow = v.gather(&refs)?;
+            let map = remap_table(&refs, input.len());
+            let computed: Vec<Expr> = computed
+                .into_iter()
+                .map(|e| {
+                    let mut e = e.clone();
+                    e.remap_columns(&map);
+                    e
+                })
+                .collect();
+            let part_schema = Arc::new(Schema::new_unchecked(fields));
+            parallel = par.enabled(narrow.rows());
+            let parts = par.run_morsels(narrow.rows(), parallel, |m| {
+                let slice = narrow.slice(m.start, m.len);
+                let ctx = self.ctx(&slice);
+                let mut columns = Vec::with_capacity(computed.len());
+                for (e, f) in computed.iter().zip(part_schema.fields()) {
+                    let c = eval_shared(&ctx, e)?;
+                    let c = if c.len() == m.len { c } else { Arc::new(c.broadcast_to(m.len)?) };
+                    columns.push(if c.data_type() == f.dtype {
+                        c
+                    } else {
+                        Arc::new(c.cast(f.dtype)?)
+                    });
+                }
+                Batch::new(part_schema.clone(), columns)
+            })?;
+            evaluated = Batch::concat(&parts)?.columns().to_vec().into_iter();
+        }
+        let passed: Vec<usize> = through.iter().flatten().copied().collect();
+        let mut passed = v.gather(&passed)?.columns().to_vec().into_iter();
+        let columns = through
+            .iter()
+            .map(|t| if t.is_some() { passed.next() } else { evaluated.next() })
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| {
+                DbError::internal("projection produced fewer columns than its schema")
+            })?;
+        Ok((Batch::new(schema, columns)?, parallel))
     }
-    let passed: Vec<usize> = through.iter().flatten().copied().collect();
-    let mut passed = v.gather(&passed)?.columns().to_vec().into_iter();
-    let columns = through
-        .iter()
-        .map(|t| if t.is_some() { passed.next() } else { evaluated.next() })
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| DbError::internal("projection produced fewer columns than its schema"))?;
-    Ok((Batch::new(schema, columns)?, parallel))
-}
 
-/// Evaluates group and aggregate-argument expressions, runs the hash
-/// aggregate, and labels the output with the plan schema. A group key or
-/// argument that is a bare column is the input's own column, shared. Also
-/// reports whether the morsel-parallel aggregation engaged.
-fn aggregate(
-    input: &Batch,
-    group: &[Expr],
-    aggs: &[PlanAgg],
-    schema: Arc<Schema>,
-    functions: &FunctionRegistry,
-    opts: &ExecOptions,
-) -> DbResult<(Batch, bool)> {
-    let ctx = EvalContext::new(input, Some(functions));
-    let n = input.rows();
-    let shared = |e: &Expr| -> DbResult<Arc<Column>> {
-        let c = eval_shared(&ctx, e)?;
-        Ok(if c.len() == n { c } else { Arc::new(c.broadcast_to(n)?) })
-    };
-    // Pre-batch: group key columns first, then aggregate arguments.
-    let mut fields = Vec::new();
-    let mut pre_cols: Vec<Arc<Column>> = Vec::new();
-    for (i, g) in group.iter().enumerate() {
-        let c = shared(g)?;
-        fields.push(Field::new(format!("g{i}"), c.data_type()));
-        pre_cols.push(c);
-    }
-    let mut calls = Vec::with_capacity(aggs.len());
-    for (i, a) in aggs.iter().enumerate() {
-        let arg = match &a.arg {
-            Some(e) => {
-                let c = shared(e)?;
-                fields.push(Field::new(format!("a{i}"), c.data_type()));
-                pre_cols.push(c);
-                Some(pre_cols.len() - 1)
-            }
-            None => None,
+    /// Evaluates group and aggregate-argument expressions, runs the hash
+    /// aggregate, and labels the output with the plan schema. A group key or
+    /// argument that is a bare column is the input's own column, shared. Also
+    /// reports whether the morsel-parallel aggregation engaged.
+    fn aggregate(
+        &self,
+        input: &Batch,
+        group: &[Expr],
+        aggs: &[PlanAgg],
+        schema: Arc<Schema>,
+    ) -> DbResult<(Batch, bool)> {
+        let ctx = self.ctx(input);
+        let n = input.rows();
+        let shared = |e: &Expr| -> DbResult<Arc<Column>> {
+            let c = eval_shared(&ctx, e)?;
+            Ok(if c.len() == n { c } else { Arc::new(c.broadcast_to(n)?) })
         };
-        calls.push(exec::AggCall { func: a.func, arg, distinct: a.distinct });
+        // Pre-batch: group key columns first, then aggregate arguments.
+        let mut fields = Vec::new();
+        let mut pre_cols: Vec<Arc<Column>> = Vec::new();
+        for (i, g) in group.iter().enumerate() {
+            let c = shared(g)?;
+            fields.push(Field::new(format!("g{i}"), c.data_type()));
+            pre_cols.push(c);
+        }
+        let mut calls = Vec::with_capacity(aggs.len());
+        for (i, a) in aggs.iter().enumerate() {
+            let arg = match &a.arg {
+                Some(e) => {
+                    let c = shared(e)?;
+                    fields.push(Field::new(format!("a{i}"), c.data_type()));
+                    pre_cols.push(c);
+                    Some(pre_cols.len() - 1)
+                }
+                None => None,
+            };
+            calls.push(exec::AggCall { func: a.func, arg, distinct: a.distinct });
+        }
+        if pre_cols.is_empty() {
+            // COUNT(*)-only aggregation: no keys, no arguments. Carry a column
+            // so the pre-batch still knows the input row count — the input's
+            // first, shared, when it has one.
+            let c = match input.columns().first() {
+                Some(c) => c.clone(),
+                None => Arc::new(Column::from_bools(vec![false; n])),
+            };
+            fields.push(Field::new("__rows", c.data_type()));
+            pre_cols.push(c);
+        }
+        let pre = Batch::new(Arc::new(Schema::new_unchecked(fields)), pre_cols)?;
+        let group_keys: Vec<usize> = (0..group.len()).collect();
+        // The hash aggregate reads only the materialized pre-batch, but stay
+        // conservative and mirror the EXPLAIN gating: parallel only when the
+        // whole pipeline's expressions are safe.
+        let mut exprs: Vec<&Expr> = group.iter().collect();
+        exprs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()));
+        let par = par_for(&self.opts.for_heavy(), &exprs, self.functions);
+        let (out, ran_parallel) = exec::hash_aggregate(&pre, &group_keys, &calls, par)?;
+        Ok((conform(out, schema)?, ran_parallel))
     }
-    if pre_cols.is_empty() {
-        // COUNT(*)-only aggregation: no keys, no arguments. Carry a column
-        // so the pre-batch still knows the input row count — the input's
-        // first, shared, when it has one.
-        let c = match input.columns().first() {
-            Some(c) => c.clone(),
-            None => Arc::new(Column::from_bools(vec![false; n])),
-        };
-        fields.push(Field::new("__rows", c.data_type()));
-        pre_cols.push(c);
-    }
-    let pre = Batch::new(Arc::new(Schema::new_unchecked(fields)), pre_cols)?;
-    let group_keys: Vec<usize> = (0..group.len()).collect();
-    // The hash aggregate reads only the materialized pre-batch, but stay
-    // conservative and mirror the EXPLAIN gating: parallel only when the
-    // whole pipeline's expressions are safe.
-    let mut exprs: Vec<&Expr> = group.iter().collect();
-    exprs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()));
-    let par = par_for(opts, &exprs, functions);
-    let (out, ran_parallel) = exec::hash_aggregate(&pre, &group_keys, &calls, par)?;
-    Ok((conform(out, schema)?, ran_parallel))
 }
 
 /// Relabels `batch` with `schema`, casting columns whose types differ.
@@ -779,95 +814,4 @@ pub fn conform(batch: Batch, schema: Arc<Schema>) -> DbResult<Batch> {
         }
     }
     Batch::new(schema, columns)
-}
-
-/// Substitutes computed scalar-subquery values into every expression of the
-/// plan (recursively).
-pub fn substitute_in_plan(plan: &mut LogicalPlan, values: &[Value]) {
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::UnitRow => {}
-        LogicalPlan::TableFunction { args, .. } => {
-            for a in args {
-                match a {
-                    BoundTableArg::Scalar(e) => e.substitute_subqueries(values),
-                    BoundTableArg::Plan(p) => substitute_in_plan(p, values),
-                }
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            predicate.substitute_subqueries(values);
-            substitute_in_plan(input, values);
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            for e in exprs {
-                e.substitute_subqueries(values);
-            }
-            substitute_in_plan(input, values);
-        }
-        LogicalPlan::Join { left, right, residual, .. } => {
-            if let Some(r) = residual {
-                r.substitute_subqueries(values);
-            }
-            substitute_in_plan(left, values);
-            substitute_in_plan(right, values);
-        }
-        LogicalPlan::Aggregate { input, group, aggs, .. } => {
-            for g in group {
-                g.substitute_subqueries(values);
-            }
-            for a in aggs {
-                if let Some(arg) = &mut a.arg {
-                    arg.substitute_subqueries(values);
-                }
-            }
-            substitute_in_plan(input, values);
-        }
-        LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Distinct { input } => substitute_in_plan(input, values),
-        LogicalPlan::UnionAll { inputs, .. } => {
-            for p in inputs {
-                substitute_in_plan(p, values);
-            }
-        }
-    }
-}
-
-/// Evaluates the statement's scalar subqueries in order, substituting each
-/// result into later subqueries, and returns the computed values.
-///
-/// A subquery returning zero rows yields NULL; more than one row or column
-/// is an error.
-pub fn evaluate_scalar_subqueries(
-    subs: &[LogicalPlan],
-    catalog: &Catalog,
-    functions: &Arc<FunctionRegistry>,
-) -> DbResult<Vec<Value>> {
-    // Scalar subqueries run serially: they execute once per statement and
-    // their plans are re-verified here rather than gated per operator.
-    let opts = ExecOptions::serial();
-    let mut values: Vec<Value> = Vec::with_capacity(subs.len());
-    for sub in subs {
-        let mut plan = sub.clone();
-        substitute_in_plan(&mut plan, &values);
-        crate::verify::verify_plan(&plan, functions)?;
-        let batch = execute_node(&plan, catalog, functions, &opts, None)?;
-        if batch.width() != 1 {
-            return Err(DbError::bind(format!(
-                "scalar subquery returned {} columns",
-                batch.width()
-            )));
-        }
-        let v = match batch.rows() {
-            0 => Value::Null,
-            1 => batch.column(0).value(0),
-            n => {
-                return Err(DbError::bind(format!(
-                    "scalar subquery returned {n} rows; expected at most one"
-                )))
-            }
-        };
-        values.push(v);
-    }
-    Ok(values)
 }

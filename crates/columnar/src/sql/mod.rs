@@ -26,9 +26,7 @@ pub mod plan_cache;
 pub mod token;
 
 pub use binder::bind;
-pub use execute::{
-    execute_plan, execute_plan_with, substitute_in_plan, ExecOptions, DEFAULT_PARALLEL_THRESHOLD,
-};
+pub use execute::{execute_plan, execute_plan_with, ExecOptions, DEFAULT_PARALLEL_THRESHOLD};
 pub use optimizer::optimize;
 pub use parser::{parse, parse_many};
 pub use plan::{BoundStatement, LogicalPlan};

@@ -13,11 +13,10 @@
 //!    and into the matching side of inner joins, shrinking intermediate
 //!    materializations as early as possible.
 //!
-//! The optimizer runs on the plan *before* scalar-subquery substitution:
-//! a query's optimized plan is cached with its subqueries still symbolic
-//! ([`Expr::Subquery`]) and their values are substituted per execution. A
-//! subquery placeholder is opaque to folding, so its value never
-//! participates in it.
+//! The optimizer never sees a scalar subquery's value: a plan keeps its
+//! subqueries as placeholders ([`Expr::Subquery`]), and each execution
+//! hands it their values as parameters. A placeholder is opaque to
+//! folding, so one optimized plan serves every execution.
 //!
 //! On top of the rule set, [`optimize_with_stats`] runs four **cost-based
 //! passes** over the catalog's live column statistics (see

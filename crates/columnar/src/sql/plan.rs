@@ -369,8 +369,8 @@ pub enum BoundStatement {
     Explain {
         /// The plan to describe.
         plan: LogicalPlan,
-        /// Scalar subqueries (listed under plain `EXPLAIN`, executed and
-        /// substituted under `EXPLAIN ANALYZE`).
+        /// Scalar subqueries, listed below the plan as `$subqueryN` (and,
+        /// under `EXPLAIN ANALYZE`, executed and annotated too).
         scalar_subs: Vec<LogicalPlan>,
         /// Whether to execute the plan and annotate runtime statistics.
         analyze: bool,

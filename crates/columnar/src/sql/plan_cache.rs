@@ -37,11 +37,13 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 /// generation)` at the moment a plan was cached.
 pub type CacheStamp = (u64, u64);
 
-/// An optimized, verified query plan ready to execute, as cached.
+/// An optimized, verified query plan ready to execute, as cached. A hit
+/// runs the plan where it stands: it is neither copied nor re-verified.
 #[derive(Debug, Clone)]
 pub struct CachedQuery {
-    /// The optimized plan, pre-substitution: scalar-subquery placeholders
-    /// are still present and are substituted per execution.
+    /// The optimized plan, with its scalar-subquery placeholders: each
+    /// execution evaluates the subqueries and hands the plan their values
+    /// as parameters.
     pub plan: LogicalPlan,
     /// Plans for the statement's scalar subqueries, evaluated fresh on
     /// every execution (their results depend on current table contents).
@@ -145,7 +147,7 @@ impl PlanCache {
 
     /// Inserts a plan under `sql`, evicting the least-recently-used entry
     /// if the cache is full (ticks `sql.plan_cache.evictions`).
-    pub fn insert(&self, sql: &str, query: CachedQuery, stamp: CacheStamp) {
+    pub fn insert(&self, sql: &str, query: impl Into<Arc<CachedQuery>>, stamp: CacheStamp) {
         let key = Self::key(sql).to_owned();
         let evicted = {
             let mut inner = self.inner.lock();
@@ -160,7 +162,7 @@ impl PlanCache {
                     evicted = true;
                 }
             }
-            inner.map.insert(key, Entry { query: Arc::new(query), stamp, last_used: tick });
+            inner.map.insert(key, Entry { query: query.into(), stamp, last_used: tick });
             evicted
         };
         if evicted {

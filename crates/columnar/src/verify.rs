@@ -14,9 +14,9 @@
 //! * **Expression types** — expression trees are re-typed bottom-up with
 //!   the same rules the binder uses; a disagreement with the declared
 //!   schema is a verification failure. Types that cannot be determined
-//!   statically (`NULL` literals, unsubstituted scalar subqueries) are
-//!   treated as *unknown* and satisfy any expectation, so verification
-//!   never rejects a plan the binder legitimately produced.
+//!   statically (`NULL` literals, scalar subqueries checked without their
+//!   plans) are treated as *unknown* and satisfy any expectation, so
+//!   verification never rejects a plan the binder legitimately produced.
 //! * **UDF contracts** — every referenced scalar/table UDF must exist in
 //!   the registry and accept the bound argument types via its
 //!   `return_type`/`schema` hook (this is where arity mismatches are
@@ -28,10 +28,11 @@
 //!   row-key encoding (same type, both integers, or both floats; an
 //!   `INTEGER = DOUBLE` key would silently never match).
 //!
-//! The verifier runs unconditionally on every statement executed through
-//! [`crate::Database`] (after scalar-subquery substitution and
-//! optimization), and again in debug builds after each optimizer rewrite
-//! pass and at the top of `sql::execute::execute_plan`.
+//! The verifier runs unconditionally on every plan [`crate::Database`]
+//! optimizes, once, before the plan first runs ([`verify_query`]; a
+//! cached plan is not re-verified when it runs again), and in debug
+//! builds after each optimizer rewrite pass and at the top of
+//! `sql::execute::execute_plan`.
 
 use crate::error::{DbError, DbResult};
 use crate::exec::{AggFunc, JoinType};
@@ -54,42 +55,26 @@ pub fn verify_batch_encodings(batch: &crate::batch::Batch) -> DbResult<()> {
     Ok(())
 }
 
-/// Verifies a plan against the function registry. `Expr::Subquery`
-/// placeholders are tolerated and typed as unknown, so both substituted
-/// and pre-substitution plans are accepted.
+/// Verifies a plan against the function registry, with `Expr::Subquery`
+/// placeholders typed as unknown: a plan checked without its statement's
+/// subquery plans (see [`verify_query`] for the check with them).
 pub fn verify_plan(plan: &LogicalPlan, functions: &FunctionRegistry) -> DbResult<()> {
     Verifier::new(Some(functions), Subqueries::Opaque).run(plan)
 }
 
-/// Verifies every plan inside a bound statement: the main plan (if any)
-/// plus each scalar-subquery plan, with subquery placeholders typed from
-/// the subquery plans' schemas — exactly what the binder recorded.
-///
-/// `DELETE`/`UPDATE` filter expressions are bound against catalog state
-/// not captured in the statement, so only their subquery plans are
-/// checked here; their expressions are re-verified at execution time.
-pub fn verify_statement(stmt: &BoundStatement, functions: &FunctionRegistry) -> DbResult<()> {
-    let (plan, subs): (Option<&LogicalPlan>, &[LogicalPlan]) = match stmt {
-        BoundStatement::Query { plan, scalar_subs }
-        | BoundStatement::Explain { plan, scalar_subs, .. }
-        | BoundStatement::CreateTableAs { plan, scalar_subs, .. }
-        | BoundStatement::InsertQuery { plan, scalar_subs, .. } => (Some(plan), scalar_subs),
-        BoundStatement::ExplainBuild(inner) => return verify_statement(inner, functions),
-        BoundStatement::Delete { scalar_subs, .. } | BoundStatement::Update { scalar_subs, .. } => {
-            (None, scalar_subs)
-        }
-        BoundStatement::CreateTable { .. }
-        | BoundStatement::DropTable { .. }
-        | BoundStatement::InsertValues { .. }
-        | BoundStatement::ShowTables
-        | BoundStatement::ShowFunctions
-        | BoundStatement::DropFunction { .. }
-        | BoundStatement::Checkpoint
-        | BoundStatement::Save { .. } => return Ok(()),
-    };
+/// Verifies a plan (if any) together with its statement's scalar-subquery
+/// plans, every placeholder typed from the subquery it names: each
+/// subquery plan may name only those before it (the binder lists a nested
+/// subquery first), and the main plan any of them. This is the check an
+/// optimized plan gets once, however often it then runs.
+pub fn verify_query(
+    plan: Option<&LogicalPlan>,
+    subs: &[LogicalPlan],
+    functions: &FunctionRegistry,
+) -> DbResult<()> {
     let mut types = Vec::with_capacity(subs.len());
     for (i, sub) in subs.iter().enumerate() {
-        Verifier::new(Some(functions), Subqueries::Opaque).run(sub)?;
+        Verifier::new(Some(functions), Subqueries::Known(&types)).run(sub)?;
         let schema = sub.schema();
         if schema.len() != 1 {
             return Err(DbError::plan_invariant(
@@ -100,8 +85,37 @@ pub fn verify_statement(stmt: &BoundStatement, functions: &FunctionRegistry) -> 
         types.push(schema.field(0).dtype);
     }
     match plan {
-        Some(p) => Verifier::new(Some(functions), Subqueries::Known(types)).run(p),
+        Some(p) => Verifier::new(Some(functions), Subqueries::Known(&types)).run(p),
         None => Ok(()),
+    }
+}
+
+/// Verifies every plan inside a bound statement with [`verify_query`]:
+/// the main plan (if any) plus each scalar-subquery plan.
+///
+/// `DELETE`/`UPDATE` filter expressions are bound against catalog state
+/// not captured in the statement, so only their subquery plans are
+/// checked here.
+pub fn verify_statement(stmt: &BoundStatement, functions: &FunctionRegistry) -> DbResult<()> {
+    match stmt {
+        BoundStatement::Query { plan, scalar_subs }
+        | BoundStatement::Explain { plan, scalar_subs, .. }
+        | BoundStatement::CreateTableAs { plan, scalar_subs, .. }
+        | BoundStatement::InsertQuery { plan, scalar_subs, .. } => {
+            verify_query(Some(plan), scalar_subs, functions)
+        }
+        BoundStatement::ExplainBuild(inner) => verify_statement(inner, functions),
+        BoundStatement::Delete { scalar_subs, .. } | BoundStatement::Update { scalar_subs, .. } => {
+            verify_query(None, scalar_subs, functions)
+        }
+        BoundStatement::CreateTable { .. }
+        | BoundStatement::DropTable { .. }
+        | BoundStatement::InsertValues { .. }
+        | BoundStatement::ShowTables
+        | BoundStatement::ShowFunctions
+        | BoundStatement::DropFunction { .. }
+        | BoundStatement::Checkpoint
+        | BoundStatement::Save { .. } => Ok(()),
     }
 }
 
@@ -117,7 +131,8 @@ pub(crate) fn verify_rewrite(plan: &LogicalPlan) -> DbResult<()> {
 
 /// Whether evaluating `e` concurrently over disjoint morsels is safe: every
 /// referenced scalar UDF must declare itself `parallel_safe`; builtins,
-/// plain expressions, and already-substituted subquery values always are.
+/// plain expressions, and scalar subqueries (read-only parameters) always
+/// are.
 /// An unregistered UDF name is conservatively unsafe (execution will fail
 /// on it anyway).
 pub fn expr_parallel_safe(e: &Expr, functions: &FunctionRegistry) -> bool {
@@ -162,17 +177,18 @@ pub fn exprs_parallel_safe(exprs: &[Expr], functions: &FunctionRegistry) -> bool
 }
 
 /// How `Expr::Subquery` placeholders are typed during verification.
-enum Subqueries {
+enum Subqueries<'a> {
     /// Types computed from the statement's scalar-subquery plans; an index
     /// past the end is a dangling reference.
-    Known(Vec<DataType>),
-    /// Placeholders allowed with unknown type (pre-substitution plans).
+    Known(&'a [DataType]),
+    /// Placeholders allowed with unknown type (a plan checked without its
+    /// subquery plans).
     Opaque,
 }
 
 struct Verifier<'a> {
     functions: Option<&'a FunctionRegistry>,
-    subqueries: Subqueries,
+    subqueries: Subqueries<'a>,
     /// Operator names from the root to the node being verified.
     path: Vec<String>,
     /// True while verifying a constant table-function argument, where
@@ -181,7 +197,7 @@ struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    fn new(functions: Option<&'a FunctionRegistry>, subqueries: Subqueries) -> Self {
+    fn new(functions: Option<&'a FunctionRegistry>, subqueries: Subqueries<'a>) -> Self {
         Verifier { functions, subqueries, path: Vec::new(), in_constant_arg: false }
     }
 
@@ -508,7 +524,7 @@ impl<'a> Verifier<'a> {
 
     /// Re-types an expression bottom-up with the binder's rules. `None`
     /// means the type cannot be determined statically (NULL literal or
-    /// unsubstituted subquery somewhere relevant) and matches anything.
+    /// opaque subquery somewhere relevant) and matches anything.
     fn expr(&mut self, e: &Expr, input: &Schema) -> DbResult<Option<DataType>> {
         Ok(match e {
             Expr::Column(i) => match input.fields().get(*i) {

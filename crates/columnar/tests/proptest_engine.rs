@@ -196,10 +196,10 @@ proptest! {
             .map(|(i, _)| i as u32)
             .collect();
         for par in policies() {
-            let (sel, stats) = exec::filter_sel(&batch, &e, None, par).unwrap();
+            let (sel, stats) = exec::filter_sel(&EvalContext::new(&batch, None), &e, par).unwrap();
             prop_assert_eq!(&sel, &expect, "{:?}", par);
             prop_assert_eq!(stats.parallel, par.threads > 1 && !a.is_empty());
-            let kept = exec::filter(&batch, &e, None, par).unwrap();
+            let kept = exec::filter(&EvalContext::new(&batch, None), &e, par).unwrap();
             prop_assert_eq!(kept.rows(), expect.len());
         }
     }

@@ -206,3 +206,53 @@ fn analyze_reports_the_table_build_of_ctas_and_insert_select() {
     assert!(db.query("EXPLAIN CREATE TABLE z AS SELECT k FROM t").is_err());
     assert!(db.query("SELECT COUNT(*) FROM z").is_err(), "refused statements build nothing");
 }
+
+/// A scalar subquery shows in `EXPLAIN ANALYZE` as `$subqueryN`, its plan
+/// listed below the statement's, whatever it returned: the report of a
+/// `predict` over a stored model (the `tests/serving.rs` schema and query,
+/// over enough noisy points to grow a model of a few kilobytes) is shorter
+/// than the model's blob, for the query and for the table build fed by it
+/// alike.
+#[test]
+fn analyze_shows_a_model_subquery_as_a_placeholder_not_its_blob() {
+    let db = Database::new();
+    mlcs::mlcore::register_ml_udfs(&db);
+    db.execute("CREATE TABLE points (x DOUBLE, y DOUBLE, label INTEGER)").unwrap();
+    let points: Vec<String> = (0..300)
+        .map(|i| {
+            let (x, y) = ((i * 37 % 101) as f64 / 10.0 - 5.0, (i * 53 % 97) as f64 / 10.0 - 5.0);
+            format!("({x}, {y}, {})", (x > 0.0) as i32 ^ (i % 7 == 0) as i32)
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO points VALUES {}", points.join(", "))).unwrap();
+    db.execute(
+        "CREATE TABLE models AS SELECT * FROM train(
+           (SELECT x, y FROM points), (SELECT label FROM points), 4)",
+    )
+    .unwrap();
+    let Value::Blob(blob) = db.query_value("SELECT classifier FROM models").unwrap() else {
+        panic!("classifier is not a BLOB");
+    };
+    let query = "SELECT predict(x, y, (SELECT classifier FROM models)) AS p FROM points";
+    let explained = |sql: &str| {
+        let text = text_of(&db, sql);
+        assert!(
+            text.len() < blob.len(),
+            "{} bytes of plan text for a {}-byte blob:\n{text}",
+            text.len(),
+            blob.len()
+        );
+        assert!(text.contains("predict(#0, #1, $subquery0)"), "placeholder missing:\n{text}");
+        let sub = text.lines().position(|l| l.contains("scalar subquery $0:")).expect(&text);
+        let scan = text.lines().skip(sub).find(|l| l.contains("Scan models")).expect(&text);
+        assert!(scan.contains("rows=1"), "the subquery's plan is annotated too:\n{text}");
+        text
+    };
+    let miss = explained(&format!("EXPLAIN ANALYZE {query}"));
+    assert!(miss.contains("plan cache: miss"), "{miss}");
+    db.query(query).unwrap();
+    let hit = explained(&format!("EXPLAIN ANALYZE {query}"));
+    assert!(hit.contains("plan cache: hit"), "{hit}");
+    explained(&format!("EXPLAIN ANALYZE CREATE TABLE predicted AS {query}"));
+    assert_eq!(db.query_value("SELECT COUNT(*) FROM predicted").unwrap(), Value::Int64(300));
+}

@@ -251,7 +251,7 @@ fn counters_move_exactly_once_per_event() {
     // are exact: a bulk load auto-encodes exactly the columns that pay
     // (low-NDV → dict, long runs → RLE, all-distinct stays plain) ...
     use mlcs::columnar::exec::{filter_sel, hash_aggregate, AggCall, AggFunc, Parallelism};
-    use mlcs::columnar::expr::{BinaryOp, Expr};
+    use mlcs::columnar::expr::{BinaryOp, EvalContext, Expr};
     use mlcs::columnar::{Batch, Column, Table};
     let n = 2048;
     let batch = Batch::from_columns(vec![
@@ -274,7 +274,8 @@ fn counters_move_exactly_once_per_event() {
     let scan = table.scan();
     let pred = Expr::binary(BinaryOp::Lt, Expr::col(0), Expr::lit(3i32));
     let before = metrics::snapshot();
-    let (sel, stats) = filter_sel(&scan, &pred, None, Parallelism::serial()).unwrap();
+    let (sel, stats) =
+        filter_sel(&EvalContext::new(&scan, None), &pred, Parallelism::serial()).unwrap();
     assert!(stats.fused, "comparison over a dict column must fuse");
     assert_eq!(sel.len() as i32, 293 * 3, "residues 0..3 appear 293 times in 0..2048");
     let delta = metrics::snapshot().since(&before);
