@@ -112,9 +112,10 @@ fn sketch_hash(key: impl Hash) -> u64 {
     h.finish()
 }
 
-/// The physical values of one column type, as the build reads them: the
-/// dictionary key, bit equality, SQL order (`Value::sql_cmp`'s) and the
-/// sketch hash.
+/// The physical values of one column type, as the build and the operators
+/// read them: the dictionary key, bit equality, SQL order (`Value::sql_cmp`'s
+/// and the total [`Values::sql_order`]), the sketch hash and the numeric
+/// views aggregates fold.
 pub(crate) trait Values {
     /// One value.
     type Item<'a>: Copy
@@ -132,6 +133,14 @@ pub(crate) trait Values {
     fn same(a: Self::Item<'_>, b: Self::Item<'_>) -> bool;
     /// SQL order; `None` when incomparable (NaN).
     fn sql_cmp(a: Self::Item<'_>, b: Self::Item<'_>) -> Option<Ordering>;
+    /// The order ORDER BY, MIN/MAX and GREATEST/LEAST share
+    /// ([`Value::sql_order`]'s): SQL order, with NaN above every number and
+    /// all NaNs equal.
+    #[inline]
+    fn sql_order(a: Self::Item<'_>, b: Self::Item<'_>) -> Ordering {
+        Self::sql_cmp(a, b)
+            .unwrap_or_else(|| Self::sql_cmp(a, a).is_none().cmp(&Self::sql_cmp(b, b).is_none()))
+    }
     /// The NDV sketch's hash.
     fn sketch_hash(x: Self::Item<'_>) -> u64;
     /// The value as a scalar.
@@ -145,12 +154,20 @@ pub(crate) trait Values {
     fn int_key(_: Self::Item<'_>) -> Option<i64> {
         None
     }
+    /// The value as `i64`, for booleans and integers (`Column::i64_at`'s).
+    fn as_i64(_: Self::Item<'_>) -> Option<i64> {
+        None
+    }
+    /// The value as `f64`, for booleans and numbers (`Column::f64_at`'s).
+    fn as_f64(_: Self::Item<'_>) -> Option<f64> {
+        None
+    }
 }
 
 /// Primitive values: keyed by their raw bits, widened (equal exactly when
 /// the values are bit-identical, so entries and runs decode exactly).
 macro_rules! prim {
-    ($t:ty, $variant:ident, |$x:ident| $bits:expr, $sketch:expr) => {
+    ($t:ty, $variant:ident, |$x:ident| $bits:expr, $sketch:expr, $int:expr, $float:expr) => {
         impl Values for [$t] {
             type Item<'a> = $t;
             type Kind = IntKeys;
@@ -189,19 +206,28 @@ macro_rules! prim {
             fn int_key(x: $t) -> Option<i64> {
                 Some(Self::key(x))
             }
+            #[inline]
+            #[allow(unused_variables)] // floats have no integer view
+            fn as_i64($x: $t) -> Option<i64> {
+                $int
+            }
+            #[inline]
+            fn as_f64($x: $t) -> Option<f64> {
+                Some($float)
+            }
         }
     };
 }
 
 // Integers sketch by their widened value so the estimate is the same at
 // every width; floats by their `f64` bit pattern.
-prim!(bool, Boolean, |x| i64::from(x), (1u8, x));
-prim!(i8, Int8, |x| i64::from(x), (2u8, Some(i64::from(x))));
-prim!(i16, Int16, |x| i64::from(x), (2u8, Some(i64::from(x))));
-prim!(i32, Int32, |x| i64::from(x), (2u8, Some(i64::from(x))));
-prim!(i64, Int64, |x| x, (2u8, Some(x)));
-prim!(f32, Float32, |x| i64::from(x.to_bits()), (3u8, f64::from(x).to_bits()));
-prim!(f64, Float64, |x| x.to_bits() as i64, (3u8, x.to_bits()));
+prim!(bool, Boolean, |x| i64::from(x), (1u8, x), Some(i64::from(x)), f64::from(u8::from(x)));
+prim!(i8, Int8, |x| i64::from(x), (2u8, Some(i64::from(x))), Some(i64::from(x)), f64::from(x));
+prim!(i16, Int16, |x| i64::from(x), (2u8, Some(i64::from(x))), Some(i64::from(x)), f64::from(x));
+prim!(i32, Int32, |x| i64::from(x), (2u8, Some(i64::from(x))), Some(i64::from(x)), f64::from(x));
+prim!(i64, Int64, |x| x, (2u8, Some(x)), Some(x), x as f64);
+prim!(f32, Float32, |x| i64::from(x.to_bits()), (3u8, f64::from(x).to_bits()), None, f64::from(x));
+prim!(f64, Float64, |x| x.to_bits() as i64, (3u8, x.to_bits()), None, x);
 
 /// Byte-string values, read and keyed as their bytes (SQL orders strings
 /// bytewise, so VARCHAR needs no UTF-8 check per value).

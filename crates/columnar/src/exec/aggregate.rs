@@ -1,7 +1,17 @@
 //! Hash aggregation: `GROUP BY` plus the standard aggregate functions.
+//!
+//! A partition's rows (every row when serial, one radix partition of them
+//! in parallel) fold a block of 1 024 rows at a time. The key lookup
+//! first writes the block's group ids, opening groups in first-appearance
+//! order; then each aggregate folds the block in one typed loop over its
+//! argument's values (plain, dictionary or RLE) into accumulator vectors
+//! of its own, one slot per group. Ungrouped aggregation reduces each
+//! morsel into locals, with no ids.
 
 use crate::batch::Batch;
-use crate::column::{Column, ColumnBuilder};
+use crate::bitmap::Bitmap;
+use crate::column::{Column, ColumnData};
+use crate::encoding::{typed, Values};
 use crate::error::{DbError, DbResult};
 use crate::exec::hashtable::{
     self, ByteKeys, ColumnHasher, HashTable, IntKeys, KeyHasher, KeyKind, NONE, PARTITIONS,
@@ -11,9 +21,14 @@ use crate::exec::{rowkey, Parallelism};
 use crate::metrics;
 use crate::parallel::Morsel;
 use crate::schema::{Field, Schema};
-use crate::types::{DataType, Value};
-use std::collections::HashSet;
+use crate::types::DataType;
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Rows per block: a block's ids and rows stay in L1 while every
+/// aggregate folds it.
+const BLOCK: usize = 1024;
 
 /// An aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,226 +90,371 @@ pub struct AggCall {
     pub distinct: bool,
 }
 
-/// Per-group accumulator for one aggregate call.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumInt { sum: i128, seen: bool },
-    SumFloat { sum: f64, seen: bool },
-    Avg { sum: f64, count: i64 },
-    MinMax { best: Option<Value>, is_min: bool },
+/// What an aggregate accumulates, decided once from its function and
+/// argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Values per group: `COUNT(x)`, or rows for `COUNT(*)` (no argument).
+    Count,
+    /// Integer `SUM`, in `i128` so that no partial sum overflows.
+    IntSum,
+    /// Float `SUM`.
+    FloatSum,
+    /// `AVG`: a float sum and a count.
+    Avg,
+    /// `MIN` (`true`) or `MAX`: the first row holding the best value.
+    Best(bool),
 }
 
-impl AggState {
-    fn new(call: &AggCall, arg_type: Option<DataType>) -> AggState {
-        match call.func {
-            AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => match arg_type {
-                Some(t) if t.is_integer() || t == DataType::Boolean => {
-                    AggState::SumInt { sum: 0, seen: false }
-                }
-                _ => AggState::SumFloat { sum: 0.0, seen: false },
-            },
-            AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
-            AggFunc::Min => AggState::MinMax { best: None, is_min: true },
-            AggFunc::Max => AggState::MinMax { best: None, is_min: false },
+/// One aggregate call resolved against the input.
+struct Agg<'a> {
+    kind: Kind,
+    arg: Option<&'a Column>,
+    distinct: bool,
+    out: DataType,
+}
+
+impl<'a> Agg<'a> {
+    fn resolve(call: &AggCall, input: &'a Batch) -> DbResult<Agg<'a>> {
+        let arg = call.arg.map(|i| input.column(i).as_ref());
+        let out = call.func.result_type(arg.map(|c| c.data_type()))?;
+        let kind = match call.func {
+            AggFunc::CountStar | AggFunc::Count => Kind::Count,
+            AggFunc::Sum if out == DataType::Int64 => Kind::IntSum,
+            AggFunc::Sum => Kind::FloatSum,
+            AggFunc::Avg => Kind::Avg,
+            AggFunc::Min => Kind::Best(true),
+            AggFunc::Max => Kind::Best(false),
+        };
+        if arg.is_none() && (kind != Kind::Count || call.distinct) {
+            return Err(DbError::internal(format!("{:?} without an argument", call.func)));
+        }
+        Ok(Agg { kind, arg, distinct: call.distinct, out })
+    }
+}
+
+/// One aggregate's accumulators: one slot per group in each vector its
+/// kind uses; the others stay empty.
+#[derive(Debug, Default)]
+struct Acc {
+    /// Values folded per group (rows, for `COUNT(*)`): a count's result,
+    /// and what tells a sum or average of no values, NULL.
+    counts: Vec<i64>,
+    /// `IntSum`: the sums.
+    ints: Vec<i128>,
+    /// `FloatSum`/`Avg`: the sums.
+    floats: Vec<f64>,
+    /// `Best`: the best row so far ([`NONE`]: no value yet), and its
+    /// index into the argument's physical values.
+    best: Vec<u32>,
+    best_at: Vec<u32>,
+}
+
+impl Acc {
+    /// Opens slots up to `groups`.
+    fn grow(&mut self, kind: Kind, groups: usize) {
+        match kind {
+            Kind::Best(_) => {
+                self.best.resize(groups, NONE);
+                self.best_at.resize(groups, NONE);
+                return;
+            }
+            Kind::IntSum => self.ints.resize(groups, 0),
+            Kind::FloatSum | Kind::Avg => self.floats.resize(groups, 0.0),
+            Kind::Count => {}
+        }
+        self.counts.resize(groups, 0);
+    }
+
+    /// Folds a later morsel's one-slot partial into this one: sums and
+    /// counts add (float partials in morsel order), and the best value
+    /// moves only when the later one is strictly better.
+    fn merge(&mut self, a: &Agg, other: Acc) {
+        self.counts.iter_mut().zip(other.counts).for_each(|(x, y)| *x += y);
+        self.ints.iter_mut().zip(other.ints).for_each(|(x, y)| *x += y);
+        self.floats.iter_mut().zip(other.floats).for_each(|(x, y)| *x += y);
+        if let (Kind::Best(min), Some(c)) = (a.kind, a.arg) {
+            let (ours, theirs) = (self.best_at[0], other.best_at[0]);
+            if theirs != NONE
+                && (ours == NONE || typed!(c.data(), beats(min, theirs as usize, ours)))
+            {
+                self.best = other.best;
+                self.best_at = other.best_at;
+            }
         }
     }
 
-    /// Folds row `row` of `arg` (if any) into the state.
-    fn update(&mut self, arg: Option<&Column>, row: usize) -> DbResult<()> {
-        match self {
-            AggState::Count(n) => match arg {
-                None => *n += 1, // COUNT(*)
-                Some(c) => {
-                    if !c.is_null(row) {
-                        *n += 1;
-                    }
-                }
-            },
-            AggState::SumInt { sum, seen } => {
-                let c = arg.ok_or_else(|| missing_arg("SUM"))?;
-                if let Some(v) = c.i64_at(row) {
-                    *sum += v as i128;
-                    *seen = true;
-                }
+    /// The partitions' accumulators of one aggregate as one, slots in
+    /// `order`, as `(partition, group)` pairs.
+    fn gather(parts: &[&Acc], order: &[(u32, u32)]) -> Acc {
+        fn pick<T: Copy>(parts: &[&Acc], order: &[(u32, u32)], f: fn(&Acc) -> &Vec<T>) -> Vec<T> {
+            if parts.iter().all(|a| f(a).is_empty()) {
+                return Vec::new(); // a vector this kind does not use
             }
-            AggState::SumFloat { sum, seen } => {
-                let c = arg.ok_or_else(|| missing_arg("SUM"))?;
-                if let Some(v) = c.f64_at(row) {
-                    *sum += v;
-                    *seen = true;
-                }
+            order.iter().map(|&(p, g)| f(parts[p as usize])[g as usize]).collect()
+        }
+        Acc {
+            counts: pick(parts, order, |a| &a.counts),
+            ints: pick(parts, order, |a| &a.ints),
+            floats: pick(parts, order, |a| &a.floats),
+            best: pick(parts, order, |a| &a.best),
+            best_at: pick(parts, order, |a| &a.best_at),
+        }
+    }
+
+    /// The aggregate's output column, one row per slot.
+    fn finish(self, a: &Agg) -> DbResult<Column> {
+        let counted = || {
+            let valid: Vec<bool> = self.counts.iter().map(|&n| n != 0).collect();
+            Some(Bitmap::from_bools(&valid))
+        };
+        match (a.kind, a.arg) {
+            (Kind::Count, _) => Ok(Column::from_i64s(self.counts)),
+            (Kind::IntSum, _) => {
+                let sums = self.ints.iter().zip(&self.counts).map(|(&sum, &n)| match n {
+                    0 => Ok(0),
+                    _ => i64::try_from(sum)
+                        .map_err(|_| DbError::Arithmetic("SUM overflows BIGINT".into())),
+                });
+                Column::new(ColumnData::Int64(sums.collect::<DbResult<_>>()?), counted())
             }
-            AggState::Avg { sum, count } => {
-                let c = arg.ok_or_else(|| missing_arg("AVG"))?;
-                if let Some(v) = c.f64_at(row) {
-                    *sum += v;
-                    *count += 1;
-                }
+            (Kind::FloatSum, _) => Column::new(ColumnData::Float64(self.floats), counted()),
+            (Kind::Avg, _) => {
+                let avgs = self.floats.iter().zip(&self.counts);
+                let avgs = avgs.map(|(&sum, &n)| if n == 0 { 0.0 } else { sum / n as f64 });
+                Column::new(ColumnData::Float64(avgs.collect()), counted())
             }
-            AggState::MinMax { best, is_min } => {
-                let c = arg.ok_or_else(|| missing_arg("MIN/MAX"))?;
-                fold_min_max(best, *is_min, c.value(row))?;
+            (Kind::Best(_), Some(c)) => {
+                let rows: Vec<Option<u32>> =
+                    self.best.iter().map(|&r| (r != NONE).then_some(r)).collect();
+                Ok(c.take_opt(&rows))
+            }
+            (Kind::Best(_), None) => Err(DbError::internal("MIN/MAX without argument")),
+        }
+    }
+}
+
+/// Whether physical value `p` displaces the best so far, `at`: strictly
+/// below it for MIN, above for MAX, in [`Values::sql_order`], so the
+/// first of equal values stays.
+#[inline]
+fn beats<V: Values + ?Sized>(v: &V, min: bool, p: usize, at: u32) -> bool {
+    let o = V::sql_order(v.at(p), v.at(at as usize));
+    o == if min { Ordering::Less } else { Ordering::Greater }
+}
+
+/// Calls `f(k, row, p)` for the `k`-th of `rows` (ascending) unless that
+/// row is NULL, `p` being the row's index into `col`'s physical values.
+#[inline(always)]
+fn each(col: &Column, rows: impl Iterator<Item = usize>, f: impl FnMut(usize, usize, usize)) {
+    match col.validity() {
+        None => walk(col, rows, |_| true, f),
+        Some(bm) => walk(col, rows, |r| bm.get(r), f),
+    }
+}
+
+#[inline(always)]
+fn walk(
+    col: &Column,
+    rows: impl Iterator<Item = usize>,
+    valid: impl Fn(usize) -> bool,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    if let Some((ends, _)) = col.rle_parts() {
+        // Rows ascend, so each one's run is at or after the last one's.
+        let mut rows = rows.peekable();
+        let mut run = rows.peek().map_or(0, |&r| ends.partition_point(|&e| e as usize <= r));
+        for (k, r) in rows.enumerate() {
+            while ends[run] as usize <= r {
+                run += 1;
+            }
+            if valid(r) {
+                f(k, r, run);
             }
         }
-        Ok(())
+    } else {
+        let codes = col.dict_parts().map(|(codes, _)| codes);
+        let phys = |r: usize| codes.map_or(r, |c| c[r] as usize);
+        rows.enumerate().filter(|&(_, r)| valid(r)).for_each(|(k, r)| f(k, r, phys(r)));
     }
+}
 
-    /// Folds another partial state (from a later morsel's table) into this
-    /// one. Both states come from `AggState::new` on the same call, so a
-    /// kind mismatch indicates a bug.
-    fn merge(&mut self, other: AggState) -> DbResult<()> {
-        match (self, other) {
-            (AggState::Count(n), AggState::Count(m)) => *n += m,
-            (AggState::SumInt { sum, seen }, AggState::SumInt { sum: s2, seen: sn2 }) => {
-                *sum += s2;
-                *seen |= sn2;
+/// Folds each of `rows` into its group, `ids[k]` for `rows[k]`, in order.
+fn fold(a: &Agg, rows: &[u32], ids: &[u32], acc: &mut Acc) {
+    match a.arg {
+        None => ids.iter().for_each(|&g| acc.counts[g as usize] += 1),
+        Some(arg) => typed!(arg.data(), fold_typed(arg, a.kind, rows, ids, acc)),
+    }
+}
+
+/// [`fold`]'s one typed loop over `v`, `arg`'s physical values.
+fn fold_typed<V: Values + ?Sized>(
+    v: &V,
+    arg: &Column,
+    kind: Kind,
+    rows: &[u32],
+    ids: &[u32],
+    acc: &mut Acc,
+) {
+    let rows = rows.iter().map(|&r| r as usize);
+    let g = |k: usize| ids[k] as usize;
+    match kind {
+        Kind::Count => each(arg, rows, |k, _, _| acc.counts[g(k)] += 1),
+        Kind::IntSum => each(arg, rows, |k, _, p| {
+            if let Some(x) = V::as_i64(v.at(p)) {
+                acc.ints[g(k)] += i128::from(x);
+                acc.counts[g(k)] += 1;
             }
-            (AggState::SumFloat { sum, seen }, AggState::SumFloat { sum: s2, seen: sn2 }) => {
-                *sum += s2;
-                *seen |= sn2;
+        }),
+        Kind::FloatSum | Kind::Avg => each(arg, rows, |k, _, p| {
+            if let Some(x) = V::as_f64(v.at(p)) {
+                acc.floats[g(k)] += x;
+                acc.counts[g(k)] += 1;
             }
-            (AggState::Avg { sum, count }, AggState::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
-                *count += c2;
+        }),
+        Kind::Best(min) => each(arg, rows, |k, row, p| {
+            let at = acc.best_at[g(k)];
+            if at == NONE || beats(v, min, p, at) {
+                acc.best[g(k)] = row as u32;
+                acc.best_at[g(k)] = p as u32;
             }
-            (AggState::MinMax { best, is_min }, AggState::MinMax { best: b2, .. }) => {
-                fold_min_max(best, *is_min, b2.unwrap_or(Value::Null))?;
-            }
-            _ => return Err(DbError::internal("aggregate state kind mismatch in parallel merge")),
+        }),
+    }
+}
+
+/// Reduces `rows` of `arg` into slot 0, in locals: the ungrouped fold.
+fn reduce<V: Values + ?Sized>(v: &V, arg: &Column, kind: Kind, rows: Range<usize>, acc: &mut Acc) {
+    match kind {
+        Kind::Count => {
+            let mut n = 0;
+            each(arg, rows, |_, _, _| n += 1);
+            acc.counts[0] += n;
         }
-        Ok(())
-    }
-
-    fn finish(&self) -> DbResult<Value> {
-        Ok(match *self {
-            AggState::Count(n) => Value::Int64(n),
-            AggState::SumInt { sum, seen } => {
-                if !seen {
-                    Value::Null
-                } else {
-                    Value::Int64(
-                        i64::try_from(sum)
-                            .map_err(|_| DbError::Arithmetic("SUM overflows BIGINT".into()))?,
-                    )
+        Kind::IntSum => {
+            let (mut sum, mut n) = (0i128, 0);
+            each(arg, rows, |_, _, p| {
+                if let Some(x) = V::as_i64(v.at(p)) {
+                    sum += i128::from(x);
+                    n += 1;
                 }
-            }
-            AggState::SumFloat { sum, seen } => {
-                if seen {
-                    Value::Float64(sum)
-                } else {
-                    Value::Null
+            });
+            acc.ints[0] += sum;
+            acc.counts[0] += n;
+        }
+        Kind::FloatSum | Kind::Avg => {
+            let (mut sum, mut n) = (acc.floats[0], 0);
+            each(arg, rows, |_, _, p| {
+                if let Some(x) = V::as_f64(v.at(p)) {
+                    sum += x;
+                    n += 1;
                 }
-            }
-            AggState::Avg { sum, count } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / count as f64)
+            });
+            acc.floats[0] = sum;
+            acc.counts[0] += n;
+        }
+        Kind::Best(min) => {
+            let (mut best, mut at) = (acc.best[0], acc.best_at[0]);
+            each(arg, rows, |_, row, p| {
+                if at == NONE || beats(v, min, p, at) {
+                    (best, at) = (row as u32, p as u32);
                 }
-            }
-            AggState::MinMax { ref best, .. } => best.clone().unwrap_or(Value::Null),
-        })
+            });
+            (acc.best[0], acc.best_at[0]) = (best, at);
+        }
     }
 }
 
-/// Folds `v` into a running MIN (`is_min`) or MAX; NULLs are skipped.
-fn fold_min_max(best: &mut Option<Value>, is_min: bool, v: Value) -> DbResult<()> {
-    if v.is_null() {
-        return Ok(());
+/// Ungrouped run-at-a-time aggregation over a whole RLE argument without
+/// NULLs, for the kinds where folding a run is exact: `COUNT(x)`, integer
+/// `SUM` (`v * run_len` in `i128` equals repeated addition) and MIN/MAX
+/// (a run's first row stands for its equal rows). Float sums stay
+/// row-at-a-time: `v * k` and `k` additions round differently, and encoded
+/// execution must be bit-identical to plain. False when it does not apply.
+fn run_fold(arg: &Column, kind: Kind, acc: &mut Acc) -> bool {
+    let Some((ends, _)) = arg.rle_parts() else { return false };
+    if arg.validity().is_some() || !matches!(kind, Kind::Count | Kind::IntSum | Kind::Best(_)) {
+        return false;
     }
-    let replace = match best {
-        None => true,
-        Some(cur) => match v.sql_cmp(cur) {
-            Some(std::cmp::Ordering::Less) => is_min,
-            Some(std::cmp::Ordering::Greater) => !is_min,
-            Some(std::cmp::Ordering::Equal) => false,
-            None => return Err(DbError::Type("MIN/MAX over incomparable values".into())),
-        },
-    };
-    if replace {
-        *best = Some(v);
-    }
-    Ok(())
+    typed!(arg.data(), fold_runs(ends, kind, acc));
+    metrics::counter("exec.encoding.rle_runs").add(ends.len() as u64);
+    true
 }
 
-/// Error for an aggregate invoked without the argument column its function
-/// requires; the planner always provides one, so this indicates a bug.
-fn missing_arg(func: &str) -> DbError {
-    DbError::internal(format!("{func} invoked without an argument column"))
+fn fold_runs<V: Values + ?Sized>(v: &V, ends: &[u32], kind: Kind, acc: &mut Acc) {
+    let mut start = 0u32;
+    for (run, &end) in ends.iter().enumerate() {
+        match kind {
+            Kind::Count => acc.counts[0] += i64::from(end - start),
+            Kind::IntSum => {
+                if let Some(x) = V::as_i64(v.at(run)) {
+                    acc.ints[0] += i128::from(x) * i128::from(end - start);
+                    acc.counts[0] += i64::from(end - start);
+                }
+            }
+            Kind::Best(min) if acc.best_at[0] == NONE || beats(v, min, run, acc.best_at[0]) => {
+                (acc.best[0], acc.best_at[0]) = (start, run as u32);
+            }
+            _ => {}
+        }
+        start = end;
+    }
 }
 
-/// The groups of one partition: each group's first row, and every
-/// group's accumulators in one flat vector, `aggs.len()` per group.
+/// A DISTINCT aggregate's `(group, value)` pairs seen so far, and the
+/// current block's rows that are the first of their pair.
+struct Dedup {
+    pairs: HashTable<ByteKeys>,
+    key: Vec<u8>,
+    rows: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Dedup {
+    fn new() -> Dedup {
+        Dedup {
+            pairs: HashTable::with_capacity(0),
+            key: Vec::new(),
+            rows: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// Keeps the non-NULL rows of a block (`rows[k]` in group `ids[k]`)
+    /// whose value is new to their group.
+    fn keep(&mut self, arg: &Column, rows: &[u32], ids: &[u32]) {
+        self.rows.clear();
+        self.ids.clear();
+        for (&row, &g) in rows.iter().zip(ids) {
+            if arg.is_null(row as usize) {
+                continue;
+            }
+            self.key.clear();
+            self.key.extend_from_slice(&g.to_le_bytes());
+            rowkey::encode_value(arg, row as usize, &mut self.key);
+            if self.pairs.insert(self.pairs.hash(&self.key), &self.key).1 {
+                self.rows.push(row);
+                self.ids.push(g);
+            }
+        }
+    }
+}
+
+/// Calls `f` on consecutive blocks of `rows`, each as a list of rows.
+fn blocks(rows: Range<usize>, mut f: impl FnMut(&[u32])) {
+    let mut block = Vec::with_capacity(BLOCK);
+    for start in rows.clone().step_by(BLOCK) {
+        block.clear();
+        block.extend(start as u32..(start + BLOCK).min(rows.end) as u32);
+        f(&block);
+    }
+}
+
+/// The groups of one partition: each group's first row, and each
+/// aggregate's accumulators.
 #[derive(Default)]
 struct Groups {
     first_rows: Vec<u32>,
-    states: Vec<AggState>,
-    /// DISTINCT aggregates' seen values, laid out like `states`; empty
-    /// unless some aggregate is DISTINCT.
-    seen: Vec<HashSet<Vec<u8>>>,
-}
-
-/// One aggregation's inputs, shared by every partition.
-struct Aggregation<'a> {
-    aggs: &'a [AggCall],
-    args: Vec<Option<&'a Column>>,
-    arg_types: Vec<Option<DataType>>,
-    distinct: bool,
-}
-
-impl Aggregation<'_> {
-    /// Opens a group whose first row is `row`.
-    fn open(&self, groups: &mut Groups, row: usize) {
-        groups.first_rows.push(row as u32);
-        groups
-            .states
-            .extend(self.aggs.iter().zip(&self.arg_types).map(|(a, t)| AggState::new(a, *t)));
-        if self.distinct {
-            groups.seen.extend(self.aggs.iter().map(|_| HashSet::new()));
-        }
-    }
-
-    /// Folds `rows`, in order, into `groups`; `gid` names each row's group
-    /// and whether it is new. Aggregates marked in `done` are skipped.
-    fn fold(
-        &self,
-        groups: &mut Groups,
-        rows: impl Iterator<Item = usize>,
-        done: &[bool],
-        mut gid: impl FnMut(usize) -> (u32, bool),
-    ) -> DbResult<()> {
-        let width = self.aggs.len();
-        for row in rows {
-            let (g, new) = gid(row);
-            if new {
-                self.open(groups, row);
-            }
-            let base = g as usize * width;
-            for (ai, (agg, &arg)) in self.aggs.iter().zip(&self.args).enumerate() {
-                if done[ai] {
-                    continue;
-                }
-                if agg.distinct {
-                    let c = arg.ok_or_else(|| missing_arg("DISTINCT aggregate"))?;
-                    if c.is_null(row) {
-                        continue;
-                    }
-                    let mut k = Vec::new();
-                    rowkey::encode_value(c, row, &mut k);
-                    let Some(seen) = groups.seen.get_mut(base + ai) else {
-                        return Err(DbError::internal("DISTINCT aggregate without its dedup set"));
-                    };
-                    if !seen.insert(k) {
-                        continue;
-                    }
-                }
-                groups.states[base + ai].update(arg, row)?;
-            }
-        }
-        Ok(())
-    }
+    accs: Vec<Acc>,
 }
 
 /// How the group keys are read and looked up, decided once per
@@ -312,7 +472,10 @@ enum KeyShape<'a> {
 impl<'a> KeyShape<'a> {
     fn of(keys: &'a [&'a Column]) -> KeyShape<'a> {
         if let [col] = keys {
-            if let Some((codes, values)) = col.dict_parts() {
+            // A float dictionary keeps -0.0 beside 0.0 and each NaN's bits:
+            // those keys group as rowkey bytes, which fold them.
+            if let Some((codes, values)) = col.dict_parts().filter(|_| !col.data_type().is_float())
+            {
                 return KeyShape::Dict(col, codes, values.len());
             }
         }
@@ -344,59 +507,116 @@ impl<'a> KeyShape<'a> {
         }
     }
 
-    /// Folds `rows` of one partition into `groups` (all of the input when
-    /// `partitioned` is false, else one of [`PARTITIONS`] by key hash),
-    /// each row into the group of its key; a key's first row opens its
-    /// group, so ids follow first appearance. A single key's NULL is a
-    /// group of its own.
-    fn fold(
-        &self,
-        agg: &Aggregation,
-        groups: &mut Groups,
-        rows: impl Iterator<Item = usize>,
-        partitioned: bool,
-    ) -> DbResult<()> {
-        let done = vec![false; agg.aggs.len()];
-        let mut null = NONE;
+    /// Writes the group id of each of `rows` to `ids`, `l` holding one
+    /// partition's ids so far; a key's first row opens its group,
+    /// appended to `firsts`, so ids follow first appearance. A single
+    /// key's NULL is a group of its own.
+    fn ids(&self, l: &mut Lookup, rows: &[u32], ids: &mut Vec<u32>, firsts: &mut Vec<u32>) {
+        ids.clear();
         match *self {
-            KeyShape::Dict(col, codes, values) => {
-                // Ids straight off the codes: one array slot per code this
-                // partition can see, no hash probe per row.
-                let shift = if partitioned { PARTITION_BITS } else { 0 };
-                let mut ids = vec![NONE; (values >> shift) + 1];
-                let mut len = 0;
-                agg.fold(groups, rows, &done, |row| {
-                    let slot = if col.is_null(row) {
-                        &mut null
-                    } else {
-                        &mut ids[(codes[row] >> shift) as usize]
-                    };
-                    if *slot != NONE {
-                        return (*slot, false);
+            KeyShape::Dict(col, codes, _) => ids.extend(rows.iter().map(|&row| {
+                // Ids straight off the codes: no hash probe per row.
+                let slot = match col.is_null(row as usize) {
+                    true => &mut l.null,
+                    false => &mut l.slots[(codes[row as usize] >> l.shift) as usize],
+                };
+                if *slot == NONE {
+                    *slot = firsts.len() as u32;
+                    firsts.push(row);
+                }
+                *slot
+            })),
+            KeyShape::Int(cols) => ids.extend(rows.iter().map(|&row| {
+                let (id, new) = match IntKeys::read(cols, row as usize, &mut ()) {
+                    Some(k) => l.ints.insert(l.ints.hash(k), k),
+                    None if l.null == NONE => {
+                        l.null = l.ints.reserve_id();
+                        (l.null, true)
                     }
-                    *slot = len;
-                    len += 1;
-                    (*slot, true)
-                })
-            }
-            KeyShape::Int(cols) => {
-                let mut table: HashTable<IntKeys> = HashTable::with_capacity(0);
-                agg.fold(groups, rows, &done, |row| match IntKeys::read(cols, row, &mut ()) {
-                    Some(k) => table.insert(table.hash(k), k),
-                    None if null == NONE => {
-                        null = table.reserve_id();
-                        (null, true)
-                    }
-                    None => (null, false),
-                })
-            }
-            KeyShape::Bytes(cols, _) => {
-                let mut table: HashTable<ByteKeys> = HashTable::with_capacity(0);
-                let mut buf = Vec::new();
-                agg.fold(groups, rows, &done, |row| {
-                    rowkey::encode_key(cols, row, &mut buf);
-                    table.insert(table.hash(&buf), &buf)
-                })
+                    None => (l.null, false),
+                };
+                if new {
+                    firsts.push(row);
+                }
+                id
+            })),
+            KeyShape::Bytes(cols, _) => ids.extend(rows.iter().map(|&row| {
+                rowkey::encode_key(cols, row as usize, &mut l.key);
+                let (id, new) = l.bytes.insert(l.bytes.hash(&l.key), &l.key);
+                if new {
+                    firsts.push(row);
+                }
+                id
+            })),
+        }
+    }
+}
+
+/// One partition's key lookup state, kept across its blocks: a dictionary
+/// key's group per code the partition can see (codes shifted right by
+/// `shift`), else the hash table of its key kind; `null` is the group of
+/// a single key's NULL.
+struct Lookup {
+    slots: Vec<u32>,
+    shift: u32,
+    ints: HashTable<IntKeys>,
+    bytes: HashTable<ByteKeys>,
+    key: Vec<u8>,
+    null: u32,
+}
+
+impl Lookup {
+    /// An empty lookup for one partition of `shape`'s keys: all of the
+    /// input when `partitioned` is false, else one of [`PARTITIONS`].
+    fn new(shape: &KeyShape, partitioned: bool) -> Lookup {
+        let shift = if partitioned { PARTITION_BITS } else { 0 };
+        let slots = match *shape {
+            KeyShape::Dict(_, _, values) => vec![NONE; (values >> shift) + 1],
+            _ => Vec::new(),
+        };
+        let (ints, bytes) = (HashTable::with_capacity(0), HashTable::with_capacity(0));
+        Lookup { slots, shift, ints, bytes, key: Vec::new(), null: NONE }
+    }
+}
+
+/// One partition's fold: its groups, its key lookup, and the buffers its
+/// blocks reuse.
+struct Fold<'a> {
+    shape: &'a KeyShape<'a>,
+    aggs: &'a [Agg<'a>],
+    lookup: Lookup,
+    groups: Groups,
+    ids: Vec<u32>,
+    dedup: Vec<Option<Dedup>>,
+}
+
+impl<'a> Fold<'a> {
+    fn new(shape: &'a KeyShape<'a>, aggs: &'a [Agg<'a>], partitioned: bool) -> Fold<'a> {
+        Fold {
+            shape,
+            aggs,
+            lookup: Lookup::new(shape, partitioned),
+            groups: Groups {
+                first_rows: Vec::new(),
+                accs: aggs.iter().map(|_| Acc::default()).collect(),
+            },
+            ids: Vec::with_capacity(BLOCK),
+            dedup: aggs.iter().map(|a| a.distinct.then(Dedup::new)).collect(),
+        }
+    }
+
+    /// Folds one block of rows, ascending and after every row folded so far.
+    fn block(&mut self, rows: &[u32]) {
+        self.shape.ids(&mut self.lookup, rows, &mut self.ids, &mut self.groups.first_rows);
+        let groups = self.groups.first_rows.len();
+        for ((a, acc), dedup) in self.aggs.iter().zip(&mut self.groups.accs).zip(&mut self.dedup) {
+            acc.grow(a.kind, groups);
+            match (dedup, a.arg) {
+                (Some(d), Some(arg)) => {
+                    d.keep(arg, rows, &self.ids);
+                    fold(a, &d.rows, &d.ids, acc);
+                }
+                _ => fold(a, rows, &self.ids, acc),
             }
         }
     }
@@ -413,32 +633,28 @@ impl<'a> KeyShape<'a> {
 ///
 /// With no group keys the result is a single row over the whole input
 /// (standard SQL ungrouped aggregation, returning one row even for empty
-/// input): each morsel folds a partial, and the partials merge in morsel
+/// input): each morsel reduces a partial, and the partials merge in morsel
 /// order.
 ///
 /// Grouped, the parallel run is one radix partition pass
 /// (`exec::hashtable`); each partition then folds its rows in row
-/// order into its own table, so every group sees its rows in exactly the
+/// order into its own groups, so every group sees its rows in exactly the
 /// serial order and float sums are bit-identical to the serial run.
 /// Groups come back in first-appearance order by sorting on their first
 /// rows. The serial run is one partition holding every row. DISTINCT
-/// aggregates keep that single partition.
+/// aggregates, which fold only the first row of each `(group, value)`
+/// pair, keep that single partition.
 pub fn hash_aggregate(
     input: &Batch,
     group_keys: &[usize],
     aggs: &[AggCall],
     par: Parallelism,
 ) -> DbResult<(Batch, bool)> {
-    let agg = Aggregation {
-        aggs,
-        args: aggs.iter().map(|a| a.arg.map(|i| input.column(i).as_ref())).collect(),
-        arg_types: aggs.iter().map(|a| a.arg.map(|i| input.column(i).data_type())).collect(),
-        distinct: aggs.iter().any(|a| a.distinct),
-    };
-    let parallel = par.enabled(input.rows()) && !agg.distinct;
+    let aggs = aggs.iter().map(|a| Agg::resolve(a, input)).collect::<DbResult<Vec<_>>>()?;
+    let parallel = par.enabled(input.rows()) && !aggs.iter().any(|a| a.distinct);
     if group_keys.is_empty() {
-        let groups = ungrouped(input, &agg, par, parallel)?;
-        return Ok((assemble_output(input, &[], &agg, &[groups], &[(0, 0)])?, parallel));
+        let groups = ungrouped(input, &aggs, par, parallel)?;
+        return Ok((assemble_output(input, &[], &aggs, vec![groups], None)?, parallel));
     }
     let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
     let shape = KeyShape::of(&keys);
@@ -449,20 +665,19 @@ pub fn hash_aggregate(
         let scattered =
             hashtable::partition(input.rows(), &par, |m, out| shape.partition_hashes(m, out))?;
         let parts = par.run_tasks(PARTITIONS, |p| {
-            let mut groups = Groups::default();
-            shape.fold(&agg, &mut groups, scattered.rows(p), true)?;
-            Ok(groups)
+            let mut fold = Fold::new(&shape, &aggs, true);
+            scattered.slices(p).flat_map(|rows| rows.chunks(BLOCK)).for_each(|b| fold.block(b));
+            Ok(fold.groups)
         })?;
         let order = first_appearance(&parts);
-        (parts, order)
+        (parts, Some(order))
     } else {
         par.check_deadline()?;
-        let mut groups = Groups::default();
-        shape.fold(&agg, &mut groups, 0..input.rows(), false)?;
-        let order = (0..groups.first_rows.len() as u32).map(|g| (0, g)).collect();
-        (vec![groups], order)
+        let mut fold = Fold::new(&shape, &aggs, false);
+        blocks(0..input.rows(), |b| fold.block(b));
+        (vec![fold.groups], None)
     };
-    Ok((assemble_output(input, group_keys, &agg, &parts, &order)?, parallel))
+    Ok((assemble_output(input, group_keys, &aggs, parts, order.as_deref())?, parallel))
 }
 
 /// The partitions' groups as `(partition, group)` pairs, ordered by first
@@ -480,138 +695,63 @@ fn first_appearance(parts: &[Groups]) -> Vec<(u32, u32)> {
     keyed.into_iter().map(|(_, p, g)| (p, g)).collect()
 }
 
-/// Ungrouped aggregation: each morsel folds one partial group, and the
-/// partials' accumulators merge in morsel order. The RLE run fold answers
-/// what it can first when the morsel is the whole input (run boundaries
+/// Ungrouped aggregation: each morsel reduces a one-slot partial per
+/// aggregate, and the partials merge in morsel order. The RLE run fold
+/// answers what it can when the morsel is the whole input (run boundaries
 /// are offsets into the whole column).
-fn ungrouped(
-    input: &Batch,
-    agg: &Aggregation,
-    par: Parallelism,
-    parallel: bool,
-) -> DbResult<Groups> {
-    let mut partials = par
-        .run_morsels(input.rows(), parallel, |m| {
-            let mut groups = Groups::default();
-            agg.open(&mut groups, m.start);
-            let mut done = vec![false; agg.aggs.len()];
-            if m.len == input.rows() {
-                run_aggregate(input, agg.aggs, &mut groups.states, &mut done)?;
+fn ungrouped(input: &Batch, aggs: &[Agg], par: Parallelism, parallel: bool) -> DbResult<Groups> {
+    let partial = |m: Morsel| {
+        let rows = m.start..m.start + m.len;
+        let partial = aggs.iter().map(|a| {
+            let mut acc = Acc::default();
+            acc.grow(a.kind, 1);
+            match a.arg {
+                None => acc.counts[0] = m.len as i64,
+                Some(arg) if a.distinct => {
+                    let (mut dedup, zeros) = (Dedup::new(), [0; BLOCK]);
+                    blocks(rows.clone(), |b| {
+                        dedup.keep(arg, b, &zeros[..b.len()]);
+                        fold(a, &dedup.rows, &dedup.ids, &mut acc);
+                    });
+                }
+                Some(arg) if m.len == input.rows() && run_fold(arg, a.kind, &mut acc) => {}
+                Some(arg) => typed!(arg.data(), reduce(arg, a.kind, rows.clone(), &mut acc)),
             }
-            let rows = if !done.is_empty() && done.iter().all(|&d| d) {
-                0..0 // every aggregate folded from runs: no row needs a visit
-            } else {
-                m.start..m.start + m.len
-            };
-            agg.fold(&mut groups, rows, &done, |_| (0, false))?;
-            Ok(groups.states)
-        })?
-        .into_iter();
-    let mut states = partials.next().unwrap_or_default();
+            acc
+        });
+        Ok(partial.collect::<Vec<_>>())
+    };
+    let mut partials = par.run_morsels(input.rows(), parallel, partial)?.into_iter();
+    let mut accs = partials.next().unwrap_or_default();
     for partial in partials {
-        for (dst, src) in states.iter_mut().zip(partial) {
-            dst.merge(src)?;
-        }
+        accs.iter_mut().zip(partial).zip(aggs).for_each(|((acc, p), a)| acc.merge(a, p));
     }
-    Ok(Groups { first_rows: vec![0], states, seen: Vec::new() })
-}
-
-/// Ungrouped run-at-a-time aggregation over RLE argument columns: folds
-/// whole runs instead of rows for the aggregates where doing so is exact —
-/// `COUNT(*)`, `COUNT(x)`, integer `SUM` (i128 accumulation makes
-/// `v * run_len` identical to repeated addition), and `MIN`/`MAX` (every
-/// row of a run is equal). Float sums stay row-at-a-time: `v * k` and `k`
-/// additions round differently, and encoded execution must be bit-identical
-/// to plain. Columns with a validity bitmap also stay row-at-a-time (a run
-/// may mix valid and NULL rows). Marks handled aggregates in `done` so the
-/// row loop skips them.
-fn run_aggregate(
-    input: &Batch,
-    aggs: &[AggCall],
-    states: &mut [AggState],
-    done: &mut [bool],
-) -> DbResult<()> {
-    for (ai, (agg, state)) in aggs.iter().zip(states.iter_mut()).enumerate() {
-        if agg.distinct {
-            continue;
-        }
-        if agg.func == AggFunc::CountStar {
-            if let AggState::Count(n) = state {
-                *n += input.rows() as i64;
-                done[ai] = true;
-            }
-            continue;
-        }
-        let Some(arg) = agg.arg else { continue };
-        let col = input.column(arg).as_ref();
-        if col.validity().is_some() {
-            continue;
-        }
-        let Some((run_ends, _)) = col.rle_parts() else { continue };
-        let n_runs = run_ends.len() as u64;
-        let handled = if matches!(state, AggState::MinMax { .. }) {
-            let mut start = 0u32;
-            for &end in run_ends {
-                state.update(Some(col), start as usize)?;
-                start = end;
-            }
-            true
-        } else {
-            match state {
-                AggState::Count(n) => {
-                    *n += col.len() as i64; // no validity bitmap: all rows count
-                    true
-                }
-                AggState::SumInt { sum, seen } => {
-                    // Fold into a local accumulator first: the state must not
-                    // move unless every run folds (else the row loop would
-                    // double-count).
-                    let mut acc = 0i128;
-                    let mut any = false;
-                    let mut ok = true;
-                    let mut start = 0u32;
-                    for &end in run_ends {
-                        match col.i64_at(start as usize) {
-                            Some(v) => {
-                                acc += v as i128 * (end - start) as i128;
-                                any = true;
-                            }
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        start = end;
-                    }
-                    if ok {
-                        *sum += acc;
-                        *seen |= any;
-                    }
-                    ok
-                }
-                _ => false,
-            }
-        };
-        if handled {
-            metrics::counter("exec.encoding.rle_runs").add(n_runs);
-            done[ai] = true;
-        }
-    }
-    Ok(())
+    Ok(Groups { first_rows: vec![0], accs })
 }
 
 /// Builds the result batch: group key columns (gathered at each group's
-/// first row), then one column per aggregate, groups in `order` as
-/// `(partition, group)` pairs.
+/// first row), then one column per aggregate, built from its
+/// accumulators. Groups come in `order` as `(partition, group)` pairs;
+/// `None` is the one partition in its own order.
 fn assemble_output(
     input: &Batch,
     group_keys: &[usize],
-    agg: &Aggregation,
-    parts: &[Groups],
-    order: &[(u32, u32)],
+    aggs: &[Agg],
+    parts: Vec<Groups>,
+    order: Option<&[(u32, u32)]>,
 ) -> DbResult<Batch> {
-    let first_rows: Vec<u32> =
-        order.iter().map(|&(p, g)| parts[p as usize].first_rows[g as usize]).collect();
+    let Groups { first_rows, accs } = match order {
+        None => parts.into_iter().next().unwrap_or_default(),
+        Some(order) => Groups {
+            first_rows: order
+                .iter()
+                .map(|&(p, g)| parts[p as usize].first_rows[g as usize])
+                .collect(),
+            accs: (0..aggs.len())
+                .map(|a| Acc::gather(&parts.iter().map(|p| &p.accs[a]).collect::<Vec<_>>(), order))
+                .collect(),
+        },
+    };
     let mut fields = Vec::new();
     let mut columns: Vec<Arc<Column>> = Vec::new();
     for &k in group_keys {
@@ -623,30 +763,20 @@ fn assemble_output(
             Arc::new(input.column(k).take(&first_rows))
         });
     }
-    let mut agg_builders: Vec<ColumnBuilder> = agg
-        .aggs
-        .iter()
-        .zip(&agg.arg_types)
-        .map(|(a, t)| a.func.result_type(*t).map(ColumnBuilder::new))
-        .collect::<DbResult<_>>()?;
-    let width = agg.aggs.len();
-    for &(p, g) in order {
-        let start = g as usize * width;
-        let states = &parts[p as usize].states[start..start + width];
-        for (b, s) in agg_builders.iter_mut().zip(states) {
-            b.push_value(&s.finish()?)?;
-        }
-    }
-    for (i, b) in agg_builders.into_iter().enumerate() {
-        fields.push(Field::new(format!("agg{i}"), b.data_type()));
-        columns.push(Arc::new(b.finish()));
+    for (i, (a, acc)) in aggs.iter().zip(accs).enumerate() {
+        fields.push(Field::new(format!("agg{i}"), a.out));
+        columns.push(Arc::new(acc.finish(a)?));
     }
     Batch::new(Arc::new(Schema::new_unchecked(fields)), columns)
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Value;
 
     fn sales() -> Batch {
         Batch::from_columns(vec![

@@ -300,11 +300,11 @@ pub(crate) struct Partitions {
 }
 
 impl Partitions {
-    /// Partition `p`'s rows, ascending.
-    pub(crate) fn rows(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
-        self.morsels.iter().flat_map(move |(rows, ends)| {
+    /// Partition `p`'s rows, ascending, one slice per morsel.
+    pub(crate) fn slices(&self, p: usize) -> impl Iterator<Item = &[u32]> + '_ {
+        self.morsels.iter().map(move |(rows, ends)| {
             let start = if p == 0 { 0 } else { ends[p - 1] as usize };
-            rows[start..ends[p] as usize].iter().map(|&r| r as usize)
+            &rows[start..ends[p] as usize]
         })
     }
 }
@@ -494,11 +494,11 @@ mod tests {
         .unwrap();
         let mut seen = [false; 100];
         for p in 0..PARTITIONS {
-            let rows: Vec<usize> = parts.rows(p).collect();
+            let rows: Vec<u32> = parts.slices(p).flatten().copied().collect();
             assert!(rows.windows(2).all(|w| w[0] < w[1]));
             for r in rows {
                 assert_eq!(part_index(h.int(r as i64 % 13), PARTITIONS), p);
-                assert!(!std::mem::replace(&mut seen[r], true));
+                assert!(!std::mem::replace(&mut seen[r as usize], true));
             }
         }
         assert!(seen.iter().all(|&s| s));

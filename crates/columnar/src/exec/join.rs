@@ -184,7 +184,7 @@ fn match_pairs<K: KeyKind>(
                 }))
             })?;
         let tables = par.run_tasks(PARTITIONS, |p| {
-            BuildTable::<K>::build(build, scattered.rows(p).map(|r| r as u32).collect(), &par)
+            BuildTable::<K>::build(build, scattered.slices(p).flatten().copied().collect(), &par)
         })?;
         (tables, PARTITIONS)
     } else {

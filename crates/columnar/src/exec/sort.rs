@@ -33,8 +33,8 @@ impl SortKey {
     }
 }
 
-/// Two non-NULL rows of one key column in SQL order ([`Values::sql_cmp`]),
-/// incomparable (NaN) as equal.
+/// Two non-NULL rows of one key column in [`Values::sql_order`]: NaN
+/// above every number, so the order is total.
 type RowCmp<'a> = Box<dyn Fn(usize, usize) -> Ordering + Sync + 'a>;
 
 /// One key column resolved once, outside the comparator: its validity and
@@ -67,10 +67,8 @@ impl<'a> KeyCol<'a> {
 
 fn row_cmp<'a, V: Values + Sync + ?Sized>(v: &'a V, phys: Option<Cow<'a, [u32]>>) -> RowCmp<'a> {
     match phys {
-        Some(p) => Box::new(move |a, b| {
-            V::sql_cmp(v.at(p[a] as usize), v.at(p[b] as usize)).unwrap_or(Ordering::Equal)
-        }),
-        None => Box::new(move |a, b| V::sql_cmp(v.at(a), v.at(b)).unwrap_or(Ordering::Equal)),
+        Some(p) => Box::new(move |a, b| V::sql_order(v.at(p[a] as usize), v.at(p[b] as usize))),
+        None => Box::new(move |a, b| V::sql_order(v.at(a), v.at(b))),
     }
 }
 

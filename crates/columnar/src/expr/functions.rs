@@ -408,7 +408,7 @@ fn eval_extreme(func: BuiltinScalar, args: &[&Column]) -> DbResult<Column> {
             }
             best = Some(match best {
                 None => v,
-                Some(cur) => match v.sql_cmp(&cur) {
+                Some(cur) => match v.sql_order(&cur) {
                     Some(std::cmp::Ordering::Greater) if want_greater => v,
                     Some(std::cmp::Ordering::Less) if !want_greater => v,
                     _ => cur,

@@ -22,14 +22,13 @@
 //! **Exactness contract.** `rows`, `nulls`, `min`, and `max` are exact on
 //! every path — the optimizer answers `COUNT(*)` / `COUNT(col)` /
 //! `MIN` / `MAX` straight from them, so "estimate" is not good enough.
-//! Min/max replicate the executor's `AggState::MinMax` update rule bit for
-//! bit: in row order, a strict `Less`/`Greater` under `Value::sql_cmp`
-//! replaces the running best, so among equal values (`-0.0`/`+0.0`) the
-//! one at the earliest row wins — the fold over entries breaks ties by
-//! each entry's first non-NULL row to the same effect. An incomparable
-//! pair (NaN beside any other non-NULL row) poisons min/max so the
-//! optimizer falls back to the scan, which reports the same
-//! incomparability error the stats path would have hidden.
+//! Min/max replicate the executor's MIN/MAX update rule bit for bit: in
+//! row order, a strict `Less`/`Greater` replaces the running best, so
+//! among equal values (`-0.0`/`+0.0`) the one at the earliest row wins —
+//! the fold over entries breaks ties by each entry's first non-NULL row to
+//! the same effect. An incomparable pair (NaN beside any other non-NULL
+//! row) poisons min/max, so the optimizer falls back to the scan, whose
+//! MIN/MAX order NaN above every number (`Values::sql_order`).
 //!
 //! `ndv` is exact on dictionary-encoded columns (distinct live dictionary
 //! codes) and a [`NdvSketch`] HyperLogLog-style estimate on plain/RLE

@@ -363,6 +363,17 @@ impl Value {
             }
         }
     }
+
+    /// The order ORDER BY, MIN/MAX and GREATEST/LEAST share:
+    /// [`Value::sql_cmp`], except that NaN sorts above every number and
+    /// equals every NaN (`-0.0` still equals `0.0`). `None` only for NULL
+    /// or values of incomparable types.
+    pub fn sql_order(&self, other: &Value) -> Option<Ordering> {
+        match (self.as_f64(), other.as_f64()) {
+            (Some(x), Some(y)) if x.is_nan() || y.is_nan() => Some(x.is_nan().cmp(&y.is_nan())),
+            _ => self.sql_cmp(other),
+        }
+    }
 }
 
 /// Formats a float the way SQL shells conventionally do: integral floats
