@@ -173,16 +173,50 @@ pub struct Column {
 }
 
 impl PartialEq for Column {
-    /// Logical equality: encoded columns compare equal to their plain
-    /// decoding (including placeholder values at NULL slots, matching the
-    /// field-wise comparison plain columns have always used).
+    /// Logical equality: the same type, length and NULL rows, and equal
+    /// values at every valid row, whatever the encodings. A NULL slot's
+    /// placeholder is not part of the value: a dictionary's NULL row points
+    /// at some entry, a plain one holds zero, and both are the same NULL.
+    /// Code that needs the physical payload bit for bit (the encoding
+    /// oracles, the placeholder checks below) compares [`Column::data`].
     fn eq(&self, other: &Self) -> bool {
-        if self.repr == Repr::Plain && other.repr == Repr::Plain {
-            return self.data == other.data && self.validity == other.validity;
+        if self.data_type() != other.data_type() || self.len() != other.len() {
+            return false;
         }
-        let a = self.decoded();
-        let b = other.decoded();
-        a.data == b.data && a.validity == b.validity
+        fn nulls(c: &Column) -> Option<&Bitmap> {
+            c.validity.as_ref().filter(|bm| !bm.all_set())
+        }
+        let valid = match (nulls(self), nulls(other)) {
+            (None, None) => None,
+            (Some(a), Some(b)) if a == b => Some(a),
+            _ => return false,
+        };
+        let (a, b) = (self.decoded(), other.decoded());
+        match valid {
+            None => a.data == b.data,
+            Some(valid) => valid_slots_equal(&a.data, &b.data, valid),
+        }
+    }
+}
+
+/// True when two plain payloads of one type agree at every set bit of
+/// `valid`.
+fn valid_slots_equal(a: &ColumnData, b: &ColumnData, valid: &Bitmap) -> bool {
+    fn each(valid: &Bitmap, eq: impl Fn(usize) -> bool) -> bool {
+        valid.iter().enumerate().all(|(i, v)| !v || eq(i))
+    }
+    use ColumnData as D;
+    match (a, b) {
+        (D::Boolean(x), D::Boolean(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Int8(x), D::Int8(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Int16(x), D::Int16(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Int32(x), D::Int32(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Int64(x), D::Int64(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Float32(x), D::Float32(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Float64(x), D::Float64(y)) => each(valid, |i| x[i] == y[i]),
+        (D::Varchar(x), D::Varchar(y)) => each(valid, |i| x.get_bytes(i) == y.get_bytes(i)),
+        (D::Blob(x), D::Blob(y)) => each(valid, |i| x.get(i) == y.get(i)),
+        _ => false,
     }
 }
 
@@ -393,6 +427,35 @@ impl Column {
         match &self.repr {
             Repr::Rle { run_ends } => Some((run_ends, &self.data)),
             _ => None,
+        }
+    }
+
+    /// Where rows `start..end` live in [`Column::data`], for a reader that
+    /// walks a row range of any encoding with one typed loop: `None` when
+    /// the column is plain (row `i` is physical value `i`), the range's
+    /// codes for a dictionary, and for RLE each row's run, expanded into
+    /// `scratch`.
+    pub fn physical_rows<'a>(
+        &'a self,
+        start: usize,
+        end: usize,
+        scratch: &'a mut Vec<u32>,
+    ) -> Option<&'a [u32]> {
+        match &self.repr {
+            Repr::Plain => None,
+            Repr::Dict { codes } => Some(&codes[start..end]),
+            Repr::Rle { run_ends } => {
+                scratch.clear();
+                let mut run = run_ends.partition_point(|&e| e as usize <= start);
+                let mut row = start;
+                while row < end {
+                    let run_end = (run_ends[run] as usize).min(end);
+                    scratch.extend(std::iter::repeat_n(run as u32, run_end - row));
+                    row = run_end;
+                    run += 1;
+                }
+                Some(scratch)
+            }
         }
     }
 
@@ -870,32 +933,69 @@ fn take_data_opt(data: &ColumnData, indices: &[Option<u32>]) -> ColumnData {
     }
 }
 
-/// Incremental column builder targeting a fixed data type.
+/// A fixed-width native type a [`ColumnBuilder`] appends without a
+/// [`Value`]: `bool`, the integers and the floats.
+pub trait Native: Copy + sealed::Sealed {
+    /// The column type that stores it.
+    const DTYPE: DataType;
+    /// The payload's typed vector, when `data` stores this type.
+    #[doc(hidden)]
+    fn values(data: &mut ColumnData) -> Option<&mut Vec<Self>>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! native {
+    ($t:ty, $variant:ident) => {
+        impl sealed::Sealed for $t {}
+        impl Native for $t {
+            const DTYPE: DataType = DataType::$variant;
+            #[inline]
+            fn values(data: &mut ColumnData) -> Option<&mut Vec<$t>> {
+                match data {
+                    ColumnData::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+native!(bool, Boolean);
+native!(i8, Int8);
+native!(i16, Int16);
+native!(i32, Int32);
+native!(i64, Int64);
+native!(f32, Float32);
+native!(f64, Float64);
+
+/// Incremental column builder targeting a fixed data type: the one builder
+/// behind `INSERT`, result assembly, the CSV reader and both wire decoders.
 ///
-/// Used by `INSERT`, result assembly, joins producing NULL-padded sides,
-/// and the CSV/protocol readers.
+/// The typed appends ([`ColumnBuilder::push`], [`ColumnBuilder::push_str`],
+/// [`ColumnBuilder::push_bytes`]) write straight into the typed payload;
+/// they are what a decoder that already knows each column's type calls,
+/// one cell at a time, with no [`Value`] in between.
+/// [`ColumnBuilder::push_value`] casts a scalar first, for literals and the
+/// row cursor. The validity bitmap is created at the first NULL, so an
+/// all-valid column never pays for it.
 #[derive(Debug)]
 pub struct ColumnBuilder {
-    dtype: DataType,
     data: ColumnData,
-    validity: Bitmap,
-    any_null: bool,
+    validity: Option<Bitmap>,
 }
 
 impl ColumnBuilder {
     /// A builder producing a column of type `dtype`.
     pub fn new(dtype: DataType) -> Self {
-        ColumnBuilder {
-            dtype,
-            data: ColumnData::empty(dtype),
-            validity: Bitmap::new(),
-            any_null: false,
-        }
+        ColumnBuilder { data: ColumnData::empty(dtype), validity: None }
     }
 
     /// Target data type.
     pub fn data_type(&self) -> DataType {
-        self.dtype
+        self.data.data_type()
     }
 
     /// Rows pushed so far.
@@ -910,8 +1010,8 @@ impl ColumnBuilder {
 
     /// Appends a NULL.
     pub fn push_null(&mut self) {
-        self.any_null = true;
-        self.validity.push(false);
+        let len = self.data.len();
+        self.validity.get_or_insert_with(|| Bitmap::filled(len, true)).push(false);
         match &mut self.data {
             ColumnData::Boolean(v) => v.push(false),
             ColumnData::Int8(v) => v.push(0),
@@ -925,6 +1025,49 @@ impl ColumnBuilder {
         }
     }
 
+    /// Marks the row just appended valid.
+    #[inline]
+    fn push_valid(&mut self) {
+        if let Some(bm) = &mut self.validity {
+            bm.push(true);
+        }
+    }
+
+    fn mismatch(&self, what: DataType) -> DbError {
+        DbError::Type(format!("cannot append a {what} value to a {} column", self.data_type()))
+    }
+
+    /// Appends a native value of exactly the builder's type.
+    #[inline]
+    pub fn push<T: Native>(&mut self, value: T) -> DbResult<()> {
+        match T::values(&mut self.data) {
+            Some(v) => v.push(value),
+            None => return Err(self.mismatch(T::DTYPE)),
+        }
+        self.push_valid();
+        Ok(())
+    }
+
+    /// Appends a string to a VARCHAR builder.
+    pub fn push_str(&mut self, value: &str) -> DbResult<()> {
+        match &mut self.data {
+            ColumnData::Varchar(v) => v.push(value),
+            _ => return Err(self.mismatch(DataType::Varchar)),
+        }
+        self.push_valid();
+        Ok(())
+    }
+
+    /// Appends a byte string to a BLOB builder.
+    pub fn push_bytes(&mut self, value: &[u8]) -> DbResult<()> {
+        match &mut self.data {
+            ColumnData::Blob(v) => v.push(value),
+            _ => return Err(self.mismatch(DataType::Blob)),
+        }
+        self.push_valid();
+        Ok(())
+    }
+
     /// Appends a value, casting it to the builder's type as needed.
     pub fn push_value(&mut self, value: &Value) -> DbResult<()> {
         if value.is_null() {
@@ -932,32 +1075,29 @@ impl ColumnBuilder {
             return Ok(());
         }
         let cast;
-        let v = if value.data_type() == Some(self.dtype) {
+        let v = if value.data_type() == Some(self.data_type()) {
             value
         } else {
-            cast = value.cast(self.dtype)?;
+            cast = value.cast(self.data_type())?;
             &cast
         };
-        self.validity.push(true);
-        match (&mut self.data, v) {
-            (ColumnData::Boolean(col), Value::Boolean(x)) => col.push(*x),
-            (ColumnData::Int8(col), Value::Int8(x)) => col.push(*x),
-            (ColumnData::Int16(col), Value::Int16(x)) => col.push(*x),
-            (ColumnData::Int32(col), Value::Int32(x)) => col.push(*x),
-            (ColumnData::Int64(col), Value::Int64(x)) => col.push(*x),
-            (ColumnData::Float32(col), Value::Float32(x)) => col.push(*x),
-            (ColumnData::Float64(col), Value::Float64(x)) => col.push(*x),
-            (ColumnData::Varchar(col), Value::Varchar(x)) => col.push(x),
-            (ColumnData::Blob(col), Value::Blob(x)) => col.push(x),
-            _ => unreachable!("cast() yields the builder's type"),
+        match v {
+            Value::Boolean(x) => self.push(*x),
+            Value::Int8(x) => self.push(*x),
+            Value::Int16(x) => self.push(*x),
+            Value::Int32(x) => self.push(*x),
+            Value::Int64(x) => self.push(*x),
+            Value::Float32(x) => self.push(*x),
+            Value::Float64(x) => self.push(*x),
+            Value::Varchar(x) => self.push_str(x),
+            Value::Blob(x) => self.push_bytes(x),
+            Value::Null => unreachable!("NULL handled above"),
         }
-        Ok(())
     }
 
     /// Finishes the column.
     pub fn finish(self) -> Column {
-        let validity = if self.any_null { Some(self.validity) } else { None };
-        Column { data: self.data, validity, repr: Repr::Plain }
+        Column { data: self.data, validity: self.validity, repr: Repr::Plain }
     }
 }
 
@@ -1235,6 +1375,7 @@ mod tests {
                 proptest::prop_assert_eq!(values(&got), values(&want), "take_opt over {:?}", enc);
                 if enc == Encoding::Plain {
                     proptest::prop_assert_eq!(&got, &want);
+                    proptest::prop_assert_eq!(got.data(), want.data(), "placeholders too");
                 }
                 if col.encoding() == Encoding::Dict && !col.is_empty() && !idx.is_empty() {
                     proptest::prop_assert_eq!(got.encoding(), Encoding::Dict);
@@ -1244,6 +1385,7 @@ mod tests {
                     let want = by_values(&col, (0..col.len()).map(Some), to);
                     match (col.cast(to), want) {
                         (Ok(got), Ok(want)) => {
+                            proptest::prop_assert_eq!(got.decode().data(), want.data(), "{} -> {} over {:?}", dtype, to, enc);
                             proptest::prop_assert_eq!(got, want, "{} -> {} over {:?}", dtype, to, enc)
                         }
                         (Err(_), Err(_)) => {}

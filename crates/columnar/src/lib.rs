@@ -65,7 +65,7 @@ pub mod wal;
 pub use batch::Batch;
 pub use bitmap::Bitmap;
 pub use catalog::Catalog;
-pub use column::{Column, ColumnBuilder, ColumnData, Encoding};
+pub use column::{Column, ColumnBuilder, ColumnData, Encoding, Native};
 pub use database::{Database, QueryResult, StatementKind};
 pub use error::{DbError, DbResult};
 pub use schema::{Field, Schema};

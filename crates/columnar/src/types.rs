@@ -328,8 +328,8 @@ impl Value {
             Value::Int16(v) => v.to_string(),
             Value::Int32(v) => v.to_string(),
             Value::Int64(v) => v.to_string(),
-            Value::Float32(v) => format_float(*v as f64),
-            Value::Float64(v) => format_float(*v),
+            Value::Float32(v) => format_float(*v as f64).to_string(),
+            Value::Float64(v) => format_float(*v).to_string(),
             Value::Varchar(s) => s.clone(),
             Value::Blob(b) => {
                 let mut s = String::with_capacity(2 + b.len() * 2);
@@ -378,12 +378,21 @@ impl Value {
 
 /// Formats a float the way SQL shells conventionally do: integral floats
 /// keep one decimal (`3.0`), others use the shortest round-trip form.
-fn format_float(v: f64) -> String {
-    if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
+/// [`Value::render`] and the wire's text rows both write through it, so a
+/// float renders to the same bytes on every path.
+pub fn format_float(v: f64) -> impl fmt::Display {
+    struct SqlFloat(f64);
+    impl fmt::Display for SqlFloat {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let v = self.0;
+            if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
+                write!(f, "{v:.1}")
+            } else {
+                write!(f, "{v}")
+            }
+        }
     }
+    SqlFloat(v)
 }
 
 impl fmt::Display for Value {

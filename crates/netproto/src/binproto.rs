@@ -1,12 +1,11 @@
 //! Binary-protocol client (MySQL-binary cost profile).
 
 use crate::client::ClientCore;
+use crate::codec::binary::decode_rows;
 use crate::config::NetConfig;
-use crate::framing::{Encoding, FrameKind};
-use bytes::Buf;
-use mlcs_columnar::{Batch, ColumnBuilder, DataType, DbError, DbResult, Field, Schema, Value};
+use crate::framing::Encoding;
+use mlcs_columnar::{Batch, DbResult};
 use std::net::SocketAddr;
-use std::sync::Arc;
 
 /// A client that fetches results in the binary row encoding: no text
 /// conversion, but still row-at-a-time decoding and a rows→columns
@@ -26,127 +25,27 @@ impl BinaryClient {
         Ok(BinaryClient { core: ClientCore::connect(addr, config)? })
     }
 
-    /// Runs a query and materializes the result as a client-side batch.
-    /// Transport failures before the first `Schema` frame are retried per
-    /// the configured budget; a server `Error` frame is never retried.
+    /// Runs a query and materializes the result as a client-side batch,
+    /// decoding each row frame as it arrives. Transport failures before
+    /// the first `Schema` frame are retried per the configured budget; a
+    /// server `Error` frame is never retried.
     pub fn query(&mut self, sql: &str) -> DbResult<Batch> {
-        let raw = self.core.query_raw(Encoding::Binary, FrameKind::RowsBinary, sql)?;
-        let schema = Arc::new(Schema::new_unchecked(
-            raw.fields.iter().map(|(n, t)| Field::new(n.clone(), *t)).collect(),
-        ));
-        let types: Vec<DataType> = raw.fields.iter().map(|(_, t)| *t).collect();
-        let mut builders: Vec<ColumnBuilder> =
-            types.iter().map(|t| ColumnBuilder::new(*t)).collect();
-        for payload in &raw.row_frames {
+        let batch = self.core.query(Encoding::Binary, sql, &mut |payload, builders| {
             mlcs_columnar::metrics::counter("netproto.binary.bytes_received")
                 .add(payload.len() as u64);
-            parse_binary_rows(payload, &types, &mut builders)?;
-        }
-        let columns = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
-        let batch = Batch::new(schema, columns)?;
+            decode_rows(payload, builders)
+        })?;
         mlcs_columnar::metrics::counter("netproto.binary.queries").incr();
         mlcs_columnar::metrics::counter("netproto.binary.rows").add(batch.rows() as u64);
         Ok(batch)
     }
 }
 
-fn parse_binary_rows(
-    payload: &[u8],
-    types: &[DataType],
-    builders: &mut [ColumnBuilder],
-) -> DbResult<()> {
-    let mut buf = payload;
-    let corrupt = || DbError::Corrupt("truncated binary row".into());
-    while buf.has_remaining() {
-        for (t, b) in types.iter().zip(builders.iter_mut()) {
-            if !buf.has_remaining() {
-                return Err(corrupt());
-            }
-            let marker = buf.get_u8();
-            if marker == 0 {
-                b.push_null();
-                continue;
-            }
-            match t {
-                DataType::Boolean => {
-                    if buf.remaining() < 1 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Boolean(buf.get_u8() != 0))?;
-                }
-                DataType::Int8 => {
-                    if buf.remaining() < 1 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Int8(buf.get_i8()))?;
-                }
-                DataType::Int16 => {
-                    if buf.remaining() < 2 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Int16(buf.get_i16_le()))?;
-                }
-                DataType::Int32 => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Int32(buf.get_i32_le()))?;
-                }
-                DataType::Int64 => {
-                    if buf.remaining() < 8 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Int64(buf.get_i64_le()))?;
-                }
-                DataType::Float32 => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Float32(buf.get_f32_le()))?;
-                }
-                DataType::Float64 => {
-                    if buf.remaining() < 8 {
-                        return Err(corrupt());
-                    }
-                    b.push_value(&Value::Float64(buf.get_f64_le()))?;
-                }
-                DataType::Varchar => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt());
-                    }
-                    let len = buf.get_u32_le() as usize;
-                    if buf.remaining() < len {
-                        return Err(corrupt());
-                    }
-                    let s = std::str::from_utf8(&buf[..len])
-                        .map_err(|_| DbError::Corrupt("non-UTF-8 string on wire".into()))?
-                        .to_owned();
-                    buf.advance(len);
-                    b.push_value(&Value::Varchar(s))?;
-                }
-                DataType::Blob => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt());
-                    }
-                    let len = buf.get_u32_le() as usize;
-                    if buf.remaining() < len {
-                        return Err(corrupt());
-                    }
-                    let bytes = buf[..len].to_vec();
-                    buf.advance(len);
-                    b.push_value(&Value::Blob(bytes))?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::Server;
-    use mlcs_columnar::Database;
+    use mlcs_columnar::{Database, Value};
 
     fn serve() -> Server {
         let db = Database::new();

@@ -4,7 +4,10 @@
 //! Both socket clients ([`crate::TextClient`], [`crate::BinaryClient`])
 //! differ only in how they decode row frames; everything transport-related
 //! — dialing with a connect timeout, socket read/write deadlines, fault
-//! wrapping, and the retry policy — lives here.
+//! wrapping, the retry policy, and assembling the result — lives here.
+//! Each row frame is read into one reused buffer and handed to the
+//! protocol's decoder as soon as it arrives, so a result is never held
+//! twice (once as frames, once as columns).
 //!
 //! # Retry semantics
 //!
@@ -19,12 +22,13 @@
 
 use crate::config::NetConfig;
 use crate::framing::{
-    decode_schema, encode_query, io_to_db, read_frame, write_frame, Encoding, FrameKind,
+    decode_schema, encode_query, io_to_db, read_frame_into, write_frame, Encoding, FrameKind,
 };
 use mlcs_columnar::faults::FaultyStream;
-use mlcs_columnar::{DataType, DbError, DbResult};
+use mlcs_columnar::{Batch, ColumnBuilder, DbError, DbResult, Field, Schema};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 
 /// One live connection: buffered reader plus writer over the fault-wrapped
 /// socket.
@@ -33,14 +37,9 @@ struct Conn {
     writer: FaultyStream<TcpStream>,
 }
 
-/// A query result before protocol-specific row decoding: the schema and
-/// the raw payload of every row frame, in arrival order.
-pub(crate) struct RawResult {
-    /// Column names and types from the `Schema` frame.
-    pub fields: Vec<(String, DataType)>,
-    /// Payloads of the `RowsText` / `RowsBinary` frames.
-    pub row_frames: Vec<Vec<u8>>,
-}
+/// A protocol's row-frame decoder: appends one frame's rows to the
+/// result's column builders.
+pub(crate) type DecodeRows<'a> = &'a mut dyn FnMut(&[u8], &mut [ColumnBuilder]) -> DbResult<()>;
 
 /// Transport core shared by both socket clients.
 pub(crate) struct ClientCore {
@@ -87,22 +86,28 @@ impl ClientCore {
         std::thread::sleep(delay);
     }
 
-    /// Sends `sql` and collects the schema and raw row frames, retrying
-    /// failed attempts within the budget (see the module docs for when an
-    /// attempt is retryable).
-    pub fn query_raw(
+    /// Sends `sql` and decodes its result with `decode`, one row frame at
+    /// a time, retrying failed attempts within the budget (see the module
+    /// docs for when an attempt is retryable).
+    pub fn query(
         &mut self,
         encoding: Encoding,
-        rows_kind: FrameKind,
         sql: &str,
-    ) -> DbResult<RawResult> {
+        decode: DecodeRows<'_>,
+    ) -> DbResult<Batch> {
         let payload = encode_query(encoding, sql);
         let mut last;
         let mut attempt = 0;
         loop {
-            match self.attempt(&payload, rows_kind) {
-                Ok(raw) => return Ok(raw),
+            match self.attempt(&payload, encoding, decode) {
+                Ok(batch) => return Ok(batch),
                 Err(Attempt::Fatal(e)) => return Err(e),
+                Err(Attempt::Broken(e)) => {
+                    // Unread frames of this result may still be in flight:
+                    // the next query dials fresh.
+                    self.conn = None;
+                    return Err(e);
+                }
                 Err(Attempt::Retryable(e)) => {
                     // The connection is in an unknown state: drop it and
                     // dial fresh on the next attempt.
@@ -120,7 +125,12 @@ impl ClientCore {
     }
 
     /// One query attempt over the current (or a fresh) connection.
-    fn attempt(&mut self, payload: &[u8], rows_kind: FrameKind) -> Result<RawResult, Attempt> {
+    fn attempt(
+        &mut self,
+        payload: &[u8],
+        encoding: Encoding,
+        decode: DecodeRows<'_>,
+    ) -> Result<Batch, Attempt> {
         if self.conn.is_none() {
             self.conn = Some(self.dial().map_err(Attempt::Retryable)?);
         }
@@ -131,9 +141,10 @@ impl ClientCore {
         write_frame(&mut conn.writer, FrameKind::Query, payload).map_err(Attempt::Retryable)?;
         // Everything up to a valid Schema frame is retryable: no result
         // bytes have been consumed yet.
-        let (kind, head) = read_frame(&mut conn.reader).map_err(Attempt::Retryable)?;
+        let mut frame = Vec::new();
+        let kind = read_frame_into(&mut conn.reader, &mut frame).map_err(Attempt::Retryable)?;
         match kind {
-            FrameKind::Error => return Err(Attempt::Fatal(server_error(&head))),
+            FrameKind::Error => return Err(Attempt::Fatal(server_error(&frame))),
             FrameKind::Schema => {}
             other => {
                 return Err(Attempt::Retryable(DbError::Corrupt(format!(
@@ -141,23 +152,33 @@ impl ClientCore {
                 ))))
             }
         }
-        let fields = decode_schema(&head).map_err(Attempt::Retryable)?;
+        let fields = decode_schema(&frame).map_err(Attempt::Retryable)?;
         // From here on the result is partially consumed: failures are
         // final.
-        let mut row_frames = Vec::new();
+        let mut builders: Vec<ColumnBuilder> =
+            fields.iter().map(|(_, t)| ColumnBuilder::new(*t)).collect();
+        let rows_kind = match encoding {
+            Encoding::Text => FrameKind::RowsText,
+            Encoding::Binary => FrameKind::RowsBinary,
+        };
         loop {
-            let (kind, payload) = read_frame(&mut conn.reader).map_err(Attempt::Fatal)?;
+            let kind = read_frame_into(&mut conn.reader, &mut frame).map_err(Attempt::Broken)?;
             match kind {
-                k if k == rows_kind => row_frames.push(payload),
-                FrameKind::Done => return Ok(RawResult { fields, row_frames }),
-                FrameKind::Error => return Err(Attempt::Fatal(server_error(&payload))),
+                k if k == rows_kind => decode(&frame, &mut builders).map_err(Attempt::Broken)?,
+                FrameKind::Done => break,
+                FrameKind::Error => return Err(Attempt::Fatal(server_error(&frame))),
                 other => {
-                    return Err(Attempt::Fatal(DbError::Corrupt(format!(
+                    return Err(Attempt::Broken(DbError::Corrupt(format!(
                         "unexpected frame {other:?}"
                     ))))
                 }
             }
         }
+        let schema = Arc::new(Schema::new_unchecked(
+            fields.into_iter().map(|(n, t)| Field::new(n, t)).collect(),
+        ));
+        let columns = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
+        Batch::new(schema, columns).map_err(Attempt::Fatal)
     }
 }
 
@@ -167,6 +188,8 @@ enum Attempt {
     Retryable(DbError),
     /// Final: surfaced to the caller as-is.
     Fatal(DbError),
+    /// Final, and the connection lost its place in the result's frames.
+    Broken(DbError),
 }
 
 /// A server `Error` frame, surfaced as a typed error. Deadline expiries

@@ -4,7 +4,6 @@
 //! payload length, then the payload. Result sets stream as a schema frame,
 //! row frames (batched), and a done frame.
 
-use bytes::{Buf, BufMut, BytesMut};
 use mlcs_columnar::{DataType, DbError, DbResult};
 use std::io::{Read, Write};
 
@@ -43,6 +42,9 @@ impl FrameKind {
 /// prefix cannot trigger an absurd allocation.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Bytes of a frame header: the kind, then the payload length.
+pub(crate) const HEADER: usize = 5;
+
 /// Writes one frame.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> DbResult<()> {
     let mut header = [0u8; 5];
@@ -54,6 +56,24 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> DbRes
     mlcs_columnar::metrics::counter("netproto.bytes_sent")
         .add((header.len() + payload.len()) as u64);
     Ok(())
+}
+
+/// Starts a frame of `kind` at the end of `out`, for a payload encoded in
+/// place after it; returns where the frame starts, for [`end_frame`].
+pub(crate) fn begin_frame(out: &mut Vec<u8>, kind: FrameKind) -> usize {
+    let at = out.len();
+    out.push(kind as u8);
+    out.extend_from_slice(&[0; 4]);
+    at
+}
+
+/// Completes the frame [`begin_frame`] started at `at`: everything after
+/// its header is the payload.
+pub(crate) fn end_frame(out: &mut [u8], at: usize) {
+    let len = out.len() - at - HEADER;
+    out[at + 1..at + HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+    mlcs_columnar::metrics::counter("netproto.frames_sent").incr();
+    mlcs_columnar::metrics::counter("netproto.bytes_sent").add((HEADER + len) as u64);
 }
 
 /// Maps a transport error observed at `point` (`net.read` / `net.write`)
@@ -76,7 +96,17 @@ pub fn io_to_db(point: &str, e: std::io::Error) -> DbError {
 /// `DbError::Corrupt` naming the truncated part; a socket deadline expiry
 /// is `DbError::Timeout`.
 pub fn read_frame(r: &mut impl Read) -> DbResult<(FrameKind, Vec<u8>)> {
-    let mut header = [0u8; 5];
+    let mut payload = Vec::new();
+    let kind = read_frame_into(r, &mut payload)?;
+    Ok((kind, payload))
+}
+
+/// Reads one frame into `payload`, replacing its contents and reusing its
+/// allocation: how a client reads a result's frames into one buffer.
+/// Errors as [`read_frame`]. The buffer grows with the bytes that arrive,
+/// so a length prefix that lies costs no allocation.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> DbResult<FrameKind> {
+    let mut header = [0u8; HEADER];
     let mut filled = 0;
     while filled < header.len() {
         match r.read(&mut header[filled..]) {
@@ -92,16 +122,61 @@ pub fn read_frame(r: &mut impl Read) -> DbResult<(FrameKind, Vec<u8>)> {
     if len > MAX_FRAME {
         return Err(DbError::Corrupt(format!("frame of {len} bytes exceeds the cap")));
     }
-    let mut payload = vec![0u8; len];
-    if let Err(e) = r.read_exact(&mut payload) {
-        return Err(match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => DbError::Corrupt("truncated frame payload".into()),
-            _ => io_to_db("net.read", e),
-        });
+    payload.clear();
+    match r.take(len as u64).read_to_end(payload) {
+        Ok(n) if n == len => {}
+        Ok(_) => return Err(DbError::Corrupt("truncated frame payload".into())),
+        Err(e) => return Err(io_to_db("net.read", e)),
     }
     mlcs_columnar::metrics::counter("netproto.frames_received").incr();
-    mlcs_columnar::metrics::counter("netproto.bytes_received").add((header.len() + len) as u64);
-    Ok((kind, payload))
+    mlcs_columnar::metrics::counter("netproto.bytes_received").add((HEADER + len) as u64);
+    Ok(kind)
+}
+
+/// A bounds-checked reader over a byte slice: each read is `None` when
+/// fewer bytes are left than it needs, and nothing is consumed then.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader { buf }
+    }
+
+    /// True when every byte has been read.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.buf.len() < n {
+            return None;
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Some(head)
+    }
+
+    /// The next `N` bytes, by value.
+    #[inline]
+    pub(crate) fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    /// A little-endian u16.
+    pub(crate) fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A u32 length prefix, then that many bytes.
+    #[inline]
+    pub(crate) fn prefixed(&mut self) -> Option<&'a [u8]> {
+        let len = u32::from_le_bytes(self.array()?) as usize;
+        self.take(len)
+    }
 }
 
 /// The result-set encoding a client requests.
@@ -140,38 +215,30 @@ pub fn decode_query(payload: &[u8]) -> DbResult<(Encoding, String)> {
 /// Encodes a result schema: column count, then per column a name and a
 /// type tag.
 pub fn encode_schema(fields: &[(String, DataType)]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u16_le(fields.len() as u16);
+    let mut out = Vec::new();
+    out.extend_from_slice(&(fields.len() as u16).to_le_bytes());
     for (name, dtype) in fields {
-        buf.put_u16_le(name.len() as u16);
-        buf.put_slice(name.as_bytes());
-        buf.put_u8(dtype.tag());
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.push(dtype.tag());
     }
-    buf.to_vec()
+    out
 }
 
 /// Decodes a schema frame.
 pub fn decode_schema(payload: &[u8]) -> DbResult<Vec<(String, DataType)>> {
-    let mut buf = payload;
+    let mut buf = Reader::new(payload);
     let corrupt = || DbError::Corrupt("truncated schema frame".into());
-    if buf.remaining() < 2 {
-        return Err(corrupt());
-    }
-    let n = buf.get_u16_le() as usize;
-    let mut out = Vec::with_capacity(n);
+    let n = buf.u16().ok_or_else(corrupt)? as usize;
+    let mut out = Vec::with_capacity(n.min(payload.len() / 3));
     for _ in 0..n {
-        if buf.remaining() < 2 {
-            return Err(corrupt());
-        }
-        let name_len = buf.get_u16_le() as usize;
-        if buf.remaining() < name_len + 1 {
-            return Err(corrupt());
-        }
-        let name = std::str::from_utf8(&buf[..name_len])
+        let name_len = buf.u16().ok_or_else(corrupt)? as usize;
+        let name = buf.take(name_len).ok_or_else(corrupt)?;
+        let name = std::str::from_utf8(name)
             .map_err(|_| DbError::Corrupt("schema name is not UTF-8".into()))?
             .to_owned();
-        buf.advance(name_len);
-        let dtype = DataType::from_tag(buf.get_u8())
+        let tag = buf.array::<1>().ok_or_else(corrupt)?[0];
+        let dtype = DataType::from_tag(tag)
             .ok_or_else(|| DbError::Corrupt("unknown type tag in schema".into()))?;
         out.push((name, dtype));
     }

@@ -26,6 +26,7 @@
 
 pub mod binproto;
 pub(crate) mod client;
+pub mod codec;
 pub mod config;
 pub mod embedded;
 mod epoll;

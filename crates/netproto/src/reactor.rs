@@ -28,7 +28,7 @@
 use crate::config::NetConfig;
 use crate::epoll::{wake_pipe, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::framing::{decode_query, encode_schema, write_frame, Encoding, FrameKind, MAX_FRAME};
-use crate::server::{encode_rows_chunk, panic_message, reject_stream, ROWS_PER_FRAME};
+use crate::server::{encode_rows_frame, panic_message, reject_stream};
 use mlcs_columnar::faults::FaultyStream;
 use mlcs_columnar::{metrics, Batch, Database, DbError, DbResult};
 use parking_lot::Mutex;
@@ -229,7 +229,8 @@ fn queue_error(conn: &mut Conn, e: &DbError) {
 
 /// Encodes pending result rows into the output buffer, up to the write
 /// high-watermark; emits the `Done` frame and returns the connection to
-/// `Idle` when the batch is exhausted.
+/// `Idle` when the batch is exhausted, or an `Error` frame when a row is
+/// too long to send.
 fn fill_stream(conn: &mut Conn) {
     loop {
         let ConnState::Streaming { batch, encoding, next_row } = &mut conn.state else {
@@ -245,10 +246,17 @@ fn fill_stream(conn: &mut Conn) {
             conn.state = ConnState::Idle;
             return;
         }
-        let end = (*next_row + ROWS_PER_FRAME).min(batch.rows());
-        let (kind, payload) = encode_rows_chunk(batch, *next_row, end, *encoding);
-        *next_row = end;
-        let _ = write_frame(&mut conn.out.buf, kind, &payload);
+        // Encoded in place, straight into the output buffer.
+        match encode_rows_frame(batch, *next_row, *encoding, &mut conn.out.buf) {
+            Ok(rows) => *next_row += rows,
+            Err(e) => {
+                // A row no frame can hold: the result ends with a typed
+                // error, and the connection serves its next query.
+                queue_error(conn, &e);
+                conn.state = ConnState::Idle;
+                return;
+            }
+        }
     }
 }
 

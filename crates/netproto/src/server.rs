@@ -22,15 +22,13 @@
 //! [`NetConfig::allow_remote_save`] — a client naming the filesystem
 //! path the server writes to is an injection primitive, not a query.
 
+use crate::codec::{binary, text, EncodeRows};
 use crate::config::NetConfig;
-use crate::framing::{write_frame, Encoding, FrameKind};
+use crate::framing::{begin_frame, end_frame, write_frame, Encoding, FrameKind, HEADER};
 use crate::reactor::Reactor;
-use mlcs_columnar::{Batch, Database, DbError, DbResult, Value};
+use mlcs_columnar::{Batch, Database, DbError, DbResult};
 use std::io::Write;
 use std::net::TcpStream;
-
-/// Rows per `Rows*` frame.
-pub const ROWS_PER_FRAME: usize = 1024;
 
 /// A running server. Dropping the handle stops serving (the reactor joins
 /// its event loops on drop).
@@ -119,88 +117,32 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Encodes rows `[start, end)` as one `Rows*` frame payload in the
-/// requested encoding, ticking the per-encoding byte counters.
-pub(crate) fn encode_rows_chunk(
+/// Appends the `Rows*` frame of `batch` that starts at row `start`, in the
+/// requested encoding, to `out`, ticking the per-encoding byte counters,
+/// and returns the rows it holds (see [`crate::codec`] for where a frame
+/// ends). A row too long for any frame is an error, and leaves `out` as
+/// it was.
+pub(crate) fn encode_rows_frame(
     batch: &Batch,
     start: usize,
-    end: usize,
     encoding: Encoding,
-) -> (FrameKind, Vec<u8>) {
-    let mut payload = Vec::with_capacity(64 * (end - start));
+    out: &mut Vec<u8>,
+) -> DbResult<usize> {
+    let (kind, encode): (_, EncodeRows) = match encoding {
+        Encoding::Text => (FrameKind::RowsText, text::encode_rows),
+        Encoding::Binary => (FrameKind::RowsBinary, binary::encode_rows),
+    };
+    let at = begin_frame(out, kind);
+    let rows = encode(batch, start, out).inspect_err(|_| out.truncate(at))?;
+    end_frame(out, at);
+    let bytes = (out.len() - at - HEADER) as u64;
     match encoding {
-        Encoding::Text => {
-            encode_rows_text(batch, start, end, &mut payload);
-            mlcs_columnar::metrics::counter("netproto.text.bytes_sent").add(payload.len() as u64);
-            (FrameKind::RowsText, payload)
-        }
+        Encoding::Text => mlcs_columnar::metrics::counter("netproto.text.bytes_sent").add(bytes),
         Encoding::Binary => {
-            encode_rows_binary(batch, start, end, &mut payload);
-            mlcs_columnar::metrics::counter("netproto.binary.bytes_sent").add(payload.len() as u64);
-            (FrameKind::RowsBinary, payload)
+            mlcs_columnar::metrics::counter("netproto.binary.bytes_sent").add(bytes)
         }
     }
-}
-
-/// Text encoding: rows separated by `\n`, fields by `\t`, NULL as `\N`,
-/// with `\` `\t` `\n` escaped — the PostgreSQL COPY-ish format.
-fn encode_rows_text(batch: &Batch, start: usize, end: usize, out: &mut Vec<u8>) {
-    for r in start..end {
-        for (c, col) in batch.columns().iter().enumerate() {
-            if c > 0 {
-                out.push(b'\t');
-            }
-            let v = col.value(r);
-            if v.is_null() {
-                out.extend_from_slice(b"\\N");
-            } else {
-                let text = v.render();
-                for b in text.bytes() {
-                    match b {
-                        b'\\' => out.extend_from_slice(b"\\\\"),
-                        b'\t' => out.extend_from_slice(b"\\t"),
-                        b'\n' => out.extend_from_slice(b"\\n"),
-                        other => out.push(other),
-                    }
-                }
-            }
-        }
-        out.push(b'\n');
-    }
-}
-
-/// Binary encoding: per value a null marker byte, then for non-NULLs the
-/// fixed-width little-endian value or a u32-length-prefixed byte string.
-fn encode_rows_binary(batch: &Batch, start: usize, end: usize, out: &mut Vec<u8>) {
-    for r in start..end {
-        for col in batch.columns() {
-            let v = col.value(r);
-            match v {
-                Value::Null => out.push(0),
-                other => {
-                    out.push(1);
-                    match other {
-                        Value::Boolean(b) => out.push(b as u8),
-                        Value::Int8(x) => out.extend_from_slice(&x.to_le_bytes()),
-                        Value::Int16(x) => out.extend_from_slice(&x.to_le_bytes()),
-                        Value::Int32(x) => out.extend_from_slice(&x.to_le_bytes()),
-                        Value::Int64(x) => out.extend_from_slice(&x.to_le_bytes()),
-                        Value::Float32(x) => out.extend_from_slice(&x.to_le_bytes()),
-                        Value::Float64(x) => out.extend_from_slice(&x.to_le_bytes()),
-                        Value::Varchar(s) => {
-                            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                            out.extend_from_slice(s.as_bytes());
-                        }
-                        Value::Blob(b) => {
-                            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                            out.extend_from_slice(&b);
-                        }
-                        Value::Null => unreachable!(),
-                    }
-                }
-            }
-        }
-    }
+    Ok(rows)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Text-protocol client (PostgreSQL-classic cost profile).
 
 use crate::client::ClientCore;
+use crate::codec::text::decode_rows;
 use crate::config::NetConfig;
-use crate::framing::{Encoding, FrameKind};
-use mlcs_columnar::{Batch, ColumnBuilder, DataType, DbError, DbResult, Field, Schema, Value};
+use crate::framing::Encoding;
+use mlcs_columnar::{Batch, DbResult};
 use std::net::SocketAddr;
-use std::sync::Arc;
 
 /// A client that fetches results in the text encoding: every value crosses
 /// the wire as text and is parsed back into its native type on the client.
@@ -25,119 +25,18 @@ impl TextClient {
     }
 
     /// Runs a query and materializes the full result as a client-side
-    /// batch (rebuilding columns from the streamed rows). Transport
+    /// batch, parsing each row frame into columns as it arrives. Transport
     /// failures before the first `Schema` frame are retried per the
     /// configured budget; a server `Error` frame is never retried.
     pub fn query(&mut self, sql: &str) -> DbResult<Batch> {
-        let raw = self.core.query_raw(Encoding::Text, FrameKind::RowsText, sql)?;
-        let schema = Arc::new(Schema::new_unchecked(
-            raw.fields.iter().map(|(n, t)| Field::new(n.clone(), *t)).collect(),
-        ));
-        let mut builders: Vec<ColumnBuilder> =
-            raw.fields.iter().map(|(_, t)| ColumnBuilder::new(*t)).collect();
-        for payload in &raw.row_frames {
+        let batch = self.core.query(Encoding::Text, sql, &mut |payload, builders| {
             mlcs_columnar::metrics::counter("netproto.text.bytes_received")
                 .add(payload.len() as u64);
-            parse_text_rows(payload, &mut builders)?;
-        }
-        let columns = builders.into_iter().map(|b| Arc::new(b.finish())).collect();
-        let batch = Batch::new(schema, columns)?;
+            decode_rows(payload, builders)
+        })?;
         mlcs_columnar::metrics::counter("netproto.text.queries").incr();
         mlcs_columnar::metrics::counter("netproto.text.rows").add(batch.rows() as u64);
         Ok(batch)
-    }
-}
-
-/// Parses a text rows frame into the column builders.
-///
-/// The encoding escapes literal tabs and newlines, so raw `\t` / `\n`
-/// bytes are unambiguous field and row separators.
-fn parse_text_rows(payload: &[u8], builders: &mut [ColumnBuilder]) -> DbResult<()> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| DbError::Corrupt("rows frame is not UTF-8".into()))?;
-    let mut field = String::new();
-    for line in text.split_terminator('\n') {
-        let mut col = 0usize;
-        for raw in line.split('\t') {
-            if col >= builders.len() {
-                return Err(DbError::Shape(format!(
-                    "text row has more than {} fields",
-                    builders.len()
-                )));
-            }
-            if raw == "\\N" {
-                builders[col].push_null();
-                col += 1;
-                continue;
-            }
-            field.clear();
-            let mut chars = raw.chars();
-            while let Some(c) = chars.next() {
-                if c == '\\' {
-                    match chars.next() {
-                        Some('t') => field.push('\t'),
-                        Some('n') => field.push('\n'),
-                        Some('\\') => field.push('\\'),
-                        other => {
-                            return Err(DbError::Corrupt(format!(
-                                "bad escape '\\{}' in text row",
-                                other.map(String::from).unwrap_or_default()
-                            )))
-                        }
-                    }
-                } else {
-                    field.push(c);
-                }
-            }
-            push_text_value(&mut builders[col], &field, false)?;
-            col += 1;
-        }
-        if col != builders.len() {
-            return Err(DbError::Shape(format!(
-                "text row has {col} fields, expected {}",
-                builders.len()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Parses one text field into the typed builder — the per-value conversion
-/// cost that makes text protocols slow.
-fn push_text_value(b: &mut ColumnBuilder, text: &str, is_null: bool) -> DbResult<()> {
-    if is_null {
-        b.push_null();
-        return Ok(());
-    }
-    let bad = |t: &str| DbError::Corrupt(format!("cannot parse '{text}' as {t}"));
-    match b.data_type() {
-        DataType::Boolean => match text {
-            "true" => b.push_value(&Value::Boolean(true)),
-            "false" => b.push_value(&Value::Boolean(false)),
-            _ => Err(bad("BOOLEAN")),
-        },
-        DataType::Int8 => b.push_value(&Value::Int8(text.parse().map_err(|_| bad("TINYINT"))?)),
-        DataType::Int16 => b.push_value(&Value::Int16(text.parse().map_err(|_| bad("SMALLINT"))?)),
-        DataType::Int32 => b.push_value(&Value::Int32(text.parse().map_err(|_| bad("INTEGER"))?)),
-        DataType::Int64 => b.push_value(&Value::Int64(text.parse().map_err(|_| bad("BIGINT"))?)),
-        DataType::Float32 => b.push_value(&Value::Float32(text.parse().map_err(|_| bad("REAL"))?)),
-        DataType::Float64 => {
-            b.push_value(&Value::Float64(text.parse().map_err(|_| bad("DOUBLE"))?))
-        }
-        DataType::Varchar => b.push_value(&Value::Varchar(text.to_owned())),
-        DataType::Blob => {
-            // Blobs arrive as \xHEX.
-            let hex = text.strip_prefix("\\x").ok_or_else(|| bad("BLOB"))?;
-            if hex.len() % 2 != 0 {
-                return Err(bad("BLOB"));
-            }
-            let mut bytes = Vec::with_capacity(hex.len() / 2);
-            for pair in hex.as_bytes().chunks(2) {
-                let s = std::str::from_utf8(pair).map_err(|_| bad("BLOB"))?;
-                bytes.push(u8::from_str_radix(s, 16).map_err(|_| bad("BLOB"))?);
-            }
-            b.push_value(&Value::Blob(bytes))
-        }
     }
 }
 
@@ -145,7 +44,7 @@ fn push_text_value(b: &mut ColumnBuilder, text: &str, is_null: bool) -> DbResult
 mod tests {
     use super::*;
     use crate::server::Server;
-    use mlcs_columnar::Database;
+    use mlcs_columnar::{Database, Value};
 
     fn serve() -> (Server, Database) {
         let db = Database::new();

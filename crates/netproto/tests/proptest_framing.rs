@@ -116,9 +116,10 @@ proptest! {
     }
 }
 
-// The binary row decoder is not public, but the TextClient/BinaryClient
-// paths over a real socket are covered elsewhere. Validate here that the
-// builder the clients drive handles arbitrary push sequences.
+// Both row decoders are public (`codec::{binary, text}::decode_rows`); the
+// structure-aware mutation loop over their frames is `wire_mutation.rs`.
+// Validate here that the builder they drive handles arbitrary push
+// sequences.
 proptest! {
     #[test]
     fn column_builder_accepts_any_push_order(

@@ -369,7 +369,9 @@ fn run_client_side(
     opts: &PipelineOptions,
     load: impl FnOnce(&PipelineEnv) -> DbResult<(Batch, Batch)>,
 ) -> DbResult<PipelineRun> {
-    // Stage timing through the metrics registry, as in `run_in_db`.
+    // Stage timing through the metrics registry, as in `run_in_db`. Each
+    // stage frees what it is the last to use, so the stages sum to the
+    // total.
     let (stages, total) = metrics::time_section("fig1.total", || -> DbResult<_> {
         // 1. Load through the access path, then wrangle client-side.
         let (r, load_wrangle) = metrics::time_section("fig1.load_wrangle", || -> DbResult<_> {
@@ -410,6 +412,8 @@ fn run_client_side(
                 StoredModel::train(Model::RandomForest(forest), &x_train, &y_train).map_err(
                     |e| DbError::Udf { function: "pipeline train".into(), message: e.to_string() },
                 )?;
+            // The loaded table's last use: freeing it is this stage's.
+            drop(voters);
             Ok((x, model, test_idx))
         });
         let (x, model, test_idx) = r?;
@@ -422,7 +426,9 @@ fn run_client_side(
                 message: e.to_string(),
             })?;
             let test_pids: Vec<i32> = test_idx.iter().map(|&i| wrangled.precinct_ids[i]).collect();
-            precinct_share_error(&test_pids, &pred, &precincts)
+            let share_error = precinct_share_error(&test_pids, &pred, &precincts);
+            drop((x, model, wrangled, precincts));
+            share_error
         });
         let share_error = r?;
         Ok((load_wrangle, train, predict, share_error, test_idx.len()))

@@ -283,3 +283,37 @@ proptest! {
         }
     }
 }
+
+/// A result's column equality is logical: an all-NULL group's `MIN` is the
+/// same NULL whether the column was plain (a zero placeholder) or a
+/// dictionary (the NULL row points at some entry), so the two results are
+/// `==` column for column, and stay so across the wire.
+#[test]
+fn equal_results_compare_equal_across_encodings() {
+    // Group 2 has no x and no s.
+    let rows: Vec<_> = (0..60i32)
+        .map(|i| {
+            let k = i % 3;
+            let x = (k != 2).then_some(f64::from(i % 7) + 0.5);
+            let s = (k != 2).then(|| format!("v{}", i % 5));
+            (Some(k), x, s)
+        })
+        .collect();
+    let sql = "SELECT k, MIN(x), MIN(s) FROM t GROUP BY k ORDER BY k";
+    let plain = db_with(&rows, &PLAIN, 1).query(sql).unwrap();
+    for encs in [DICT, MIXED] {
+        let db = db_with(&rows, &encs, 1);
+        let encoded = db.query(sql).unwrap();
+        assert!(encoded.column(2).is_null(2), "group 2's MIN(s) is NULL");
+        for c in 0..plain.width() {
+            assert_eq!(plain.column(c), encoded.column(c), "column {c} under {encs:?}");
+        }
+        let server = mlcs::netproto::Server::start(db).unwrap();
+        let wire =
+            mlcs::netproto::BinaryClient::connect(server.addr()).unwrap().query(sql).unwrap();
+        for c in 0..plain.width() {
+            assert_eq!(plain.column(c), wire.column(c), "column {c} over the wire");
+        }
+        server.shutdown();
+    }
+}
