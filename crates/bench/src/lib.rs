@@ -3,9 +3,8 @@
 use mlcs_columnar::{Batch, Column, Database, DbResult, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
-/// A synthetic numeric table for operator microbenchmarks:
+/// A synthetic numeric table for the protocol benchmarks:
 /// `id BIGINT, k INTEGER (low cardinality), v INTEGER, x DOUBLE`.
 pub fn synth_table(rows: usize, seed: u64) -> DbResult<Batch> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -42,50 +41,4 @@ pub fn blob_training_data(rows: usize, features: usize, seed: u64) -> (mlcs_ml::
         labels.push(cls + 1);
     }
     (mlcs_ml::Matrix::new(data, rows, features).expect("consistent shape"), labels)
-}
-
-/// A hard multi-class dataset for split-finding benchmarks: uniform
-/// features, labels from the quantized feature mean with 20% random
-/// flips. Unlike the well-separated blobs, fitting this keeps every tree
-/// level busy with large mixed nodes — the regime where split-finding
-/// cost dominates training.
-pub fn noisy_training_data(
-    rows: usize,
-    features: usize,
-    classes: u32,
-    seed: u64,
-) -> (mlcs_ml::Matrix, Vec<u32>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(rows * features);
-    let mut labels = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut sum = 0.0;
-        for _ in 0..features {
-            let v: f64 = rng.gen_range(0.0..1.0);
-            sum += v;
-            data.push(v);
-        }
-        let mut label = ((sum / features as f64) * classes as f64) as u32 % classes;
-        if rng.gen_range(0.0..1.0) < 0.2 {
-            label = rng.gen_range(0..classes);
-        }
-        labels.push(label);
-    }
-    (mlcs_ml::Matrix::new(data, rows, features).expect("consistent shape"), labels)
-}
-
-/// Registers everything a full-pipeline database needs.
-pub fn full_db(batch_voters: Batch, batch_precincts: Batch) -> DbResult<Database> {
-    let db = Database::new();
-    db.catalog().put_table(Table::from_batch("voters", batch_voters), false)?;
-    db.catalog().put_table(Table::from_batch("precincts", batch_precincts), false)?;
-    mlcs_core::register_ml_udfs(&db);
-    mlcs_voters::label::register_label_udf(&db);
-    mlcs_voters::label::register_split_udf(&db);
-    Ok(db)
-}
-
-/// Arc-wraps the columns of a batch (convenience for UDF invocation).
-pub fn arc_columns(batch: &Batch) -> Vec<Arc<Column>> {
-    batch.columns().to_vec()
 }

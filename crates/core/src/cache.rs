@@ -18,8 +18,7 @@
 //! [`StoredModel::from_blob`].
 
 use crate::stored::StoredModel;
-use mlcs_columnar::{Column, DbError, DbResult};
-use mlcs_ml::Matrix;
+use mlcs_columnar::{DbError, DbResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -101,67 +100,6 @@ impl Default for ModelCache {
     }
 }
 
-/// A bounded cache of row-major feature matrices, keyed by the identity of
-/// the column buffers they were built from.
-///
-/// Repeated predictions over the same stored columns (the common shape of
-/// the paper's Figure 1 loop: one trained model, many `predict` calls)
-/// re-run the column→matrix transpose every time. Since [`Column`]s are
-/// immutable and shared via [`Arc`], the pointer identity of the argument
-/// columns is a sound cache key — and each entry retains its `Arc`s, so a
-/// key can never be reused by a freed-and-reallocated column while the
-/// entry lives.
-pub struct MatrixCache {
-    #[allow(clippy::type_complexity)]
-    entries: Mutex<HashMap<Vec<usize>, (Vec<Arc<Column>>, Arc<Matrix>)>>,
-    capacity: usize,
-}
-
-impl MatrixCache {
-    /// A cache holding at most `capacity` matrices (≥ 1).
-    pub fn new(capacity: usize) -> MatrixCache {
-        MatrixCache { entries: Mutex::new(HashMap::new()), capacity: capacity.max(1) }
-    }
-
-    /// Returns the cached matrix for exactly these column buffers, building
-    /// and inserting it on first sight. When full, an arbitrary entry is
-    /// evicted (matrices are immutable, so eviction only costs a rebuild).
-    pub fn get_or_build(&self, cols: &[Arc<Column>]) -> DbResult<Arc<Matrix>> {
-        let key: Vec<usize> = cols.iter().map(|c| Arc::as_ptr(c) as usize).collect();
-        if let Some((_, hit)) = self.entries.lock().get(&key).cloned() {
-            mlcs_columnar::metrics::counter("ml.matrix_cache.hits").incr();
-            return Ok(hit);
-        }
-        mlcs_columnar::metrics::counter("ml.matrix_cache.misses").incr();
-        let refs: Vec<&Column> = cols.iter().map(|c| c.as_ref()).collect();
-        let matrix = Arc::new(crate::bridge::matrix_from_columns(&refs)?);
-        let mut entries = self.entries.lock();
-        if entries.len() >= self.capacity {
-            if let Some(victim) = entries.keys().next().cloned() {
-                entries.remove(&victim);
-            }
-        }
-        entries.insert(key, (cols.to_vec(), matrix.clone()));
-        Ok(matrix)
-    }
-
-    /// Number of matrices currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for MatrixCache {
-    fn default() -> Self {
-        MatrixCache::new(8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,34 +164,6 @@ mod tests {
         assert!(cache.get_or_decode(&[1, 2, 3]).is_err());
         assert!(cache.get_or_decode(&[]).is_err());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn matrix_cache_reuses_layout_for_same_columns() {
-        let cache = MatrixCache::new(4);
-        let a = Arc::new(mlcs_columnar::Column::from_f64s(vec![1.0, 2.0]));
-        let b = Arc::new(mlcs_columnar::Column::from_i32s(vec![3, 4]));
-        let m1 = cache.get_or_build(&[a.clone(), b.clone()]).unwrap();
-        let m2 = cache.get_or_build(&[a.clone(), b.clone()]).unwrap();
-        assert!(Arc::ptr_eq(&m1, &m2), "same layout expected on the second call");
-        assert_eq!(m1.row(0), &[1.0, 3.0]);
-        assert_eq!(cache.len(), 1);
-        // A different column order is a different matrix.
-        let m3 = cache.get_or_build(&[b.clone(), a.clone()]).unwrap();
-        assert!(!Arc::ptr_eq(&m1, &m3));
-        assert_eq!(m3.row(0), &[3.0, 1.0]);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn matrix_cache_capacity_bounded() {
-        let cache = MatrixCache::new(2);
-        let cols: Vec<_> =
-            (0..5).map(|i| Arc::new(mlcs_columnar::Column::from_f64s(vec![i as f64]))).collect();
-        for c in &cols {
-            cache.get_or_build(std::slice::from_ref(c)).unwrap();
-        }
-        assert!(cache.len() <= 2);
     }
 
     #[test]

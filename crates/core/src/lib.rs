@@ -67,7 +67,7 @@ pub mod stored;
 pub mod udf;
 
 pub use bridge::{labels_from_column, matrix_from_columns};
-pub use cache::{MatrixCache, ModelCache};
+pub use cache::ModelCache;
 pub use modelstore::{ModelMeta, ModelStore};
 pub use stored::StoredModel;
 pub use udf::register_ml_udfs;

@@ -21,7 +21,7 @@
 //! it and `evaluate` rejects it, as `train` does.
 
 use crate::bridge::{labels_from_column, matrix_from_columns};
-use crate::cache::{MatrixCache, ModelCache};
+use crate::cache::ModelCache;
 use crate::stored::StoredModel;
 use mlcs_columnar::parallel::hardware_threads;
 use mlcs_columnar::{
@@ -269,7 +269,7 @@ impl TableUdf for TrainModelUdf {
 /// the model each row is classified with.
 struct ModelArgs {
     /// The feature rows.
-    x: Arc<Matrix>,
+    x: Matrix,
     /// `(end, model)` runs in row order: the rows from the previous run's
     /// end up to `end` use `model`.
     runs: Vec<(usize, Arc<StoredModel>)>,
@@ -293,7 +293,6 @@ fn resolve(
     features: &[Arc<Column>],
     classifier: &Column,
     cache: &ModelCache,
-    matrix_cache: &MatrixCache,
 ) -> DbResult<ModelArgs> {
     let blobs = classifier.blobs().ok_or_else(|| DbError::Udf {
         function: function.to_owned(),
@@ -316,7 +315,7 @@ fn resolve(
         .iter()
         .filter_map(|c| c.validity())
         .fold(None, |all, v| Some(all.map_or_else(|| v.clone(), |all: Bitmap| all.and(v))));
-    let x = matrix_cache.get_or_build(&features)?;
+    let x = matrix_from_columns(&features.iter().map(|c| c.as_ref()).collect::<Vec<&Column>>())?;
     let mut runs: Vec<(usize, Arc<StoredModel>)> = Vec::new();
     match blobs.len() {
         _ if rows == 0 => {}
@@ -389,8 +388,6 @@ fn usage(function: &str, usage: &str) -> DbError {
 pub struct PredictUdf {
     /// Decoded models, shared by every model UDF of the database.
     pub cache: Arc<ModelCache>,
-    /// Column→matrix layouts, shared likewise.
-    pub matrix_cache: Arc<MatrixCache>,
 }
 
 impl ScalarUdf for PredictUdf {
@@ -409,7 +406,7 @@ impl ScalarUdf for PredictUdf {
         let [features @ .., classifier] = args else {
             return Err(usage("predict", "predict(features..., classifier)"));
         };
-        let m = resolve("predict", features, classifier, &self.cache, &self.matrix_cache)?;
+        let m = resolve("predict", features, classifier, &self.cache)?;
         mlcs_columnar::metrics::counter("udf.predict.rows").add(m.x.rows() as u64);
         m.output(ColumnData::Int64(m.map("predict", StoredModel::predict)?))
     }
@@ -425,8 +422,6 @@ impl ScalarUdf for PredictUdf {
 pub struct PredictConfidenceUdf {
     /// Decoded models, shared by every model UDF of the database.
     pub cache: Arc<ModelCache>,
-    /// Column→matrix layouts, shared likewise.
-    pub matrix_cache: Arc<MatrixCache>,
 }
 
 impl ScalarUdf for PredictConfidenceUdf {
@@ -445,7 +440,7 @@ impl ScalarUdf for PredictConfidenceUdf {
         let [features @ .., classifier] = args else {
             return Err(usage(self.name(), "predict_confidence(features..., classifier)"));
         };
-        let m = resolve(self.name(), features, classifier, &self.cache, &self.matrix_cache)?;
+        let m = resolve(self.name(), features, classifier, &self.cache)?;
         m.output(ColumnData::Float64(m.map(self.name(), StoredModel::confidence)?))
     }
 
@@ -460,8 +455,6 @@ impl ScalarUdf for PredictConfidenceUdf {
 pub struct PredictProbaOfUdf {
     /// Decoded models, shared by every model UDF of the database.
     pub cache: Arc<ModelCache>,
-    /// Column→matrix layouts, shared likewise.
-    pub matrix_cache: Arc<MatrixCache>,
 }
 
 impl ScalarUdf for PredictProbaOfUdf {
@@ -484,7 +477,7 @@ impl ScalarUdf for PredictProbaOfUdf {
             function: self.name().to_owned(),
             message: "label must be a non-NULL integer scalar".into(),
         })?;
-        let m = resolve(self.name(), features, classifier, &self.cache, &self.matrix_cache)?;
+        let m = resolve(self.name(), features, classifier, &self.cache)?;
         m.output(ColumnData::Float64(m.map(self.name(), |sm, x| sm.proba_of(x, label))?))
     }
 
@@ -500,8 +493,6 @@ impl ScalarUdf for PredictProbaOfUdf {
 pub struct EvaluateUdf {
     /// Decoded models, shared by every model UDF of the database.
     pub cache: Arc<ModelCache>,
-    /// Column→matrix layouts, shared likewise.
-    pub matrix_cache: Arc<MatrixCache>,
 }
 
 impl TableUdf for EvaluateUdf {
@@ -525,7 +516,7 @@ impl TableUdf for EvaluateUdf {
         let [features @ .., labels, classifier] = args else {
             return Err(usage("evaluate", "evaluate(features..., labels, classifier)"));
         };
-        let m = resolve("evaluate", features, classifier, &self.cache, &self.matrix_cache)?;
+        let m = resolve("evaluate", features, classifier, &self.cache)?;
         if let Some(valid) = &m.valid {
             return Err(DbError::Udf {
                 function: "evaluate".into(),
@@ -644,27 +635,17 @@ impl TableUdf for CrossValidateUdf {
 /// Registers the full suite of ML UDFs on a database: `train`,
 /// `train_model`, `evaluate`, `cross_validate`, `predict`,
 /// `predict_confidence`, and `predict_proba_of`. The four model UDFs share
-/// one [`ModelCache`] and one [`MatrixCache`], so a stored model is decoded
-/// once per database whichever of them reads it first.
+/// one [`ModelCache`], so a stored model is decoded once per database
+/// whichever of them reads it first.
 pub fn register_ml_udfs(db: &Database) {
     let cache = Arc::new(ModelCache::default());
-    let matrix_cache = Arc::new(MatrixCache::default());
     db.register_table_udf(Arc::new(TrainUdf::default()));
     db.register_table_udf(Arc::new(TrainModelUdf::default()));
     db.register_table_udf(Arc::new(CrossValidateUdf::default()));
-    db.register_table_udf(Arc::new(EvaluateUdf {
-        cache: cache.clone(),
-        matrix_cache: matrix_cache.clone(),
-    }));
-    db.register_scalar_udf(Arc::new(PredictUdf {
-        cache: cache.clone(),
-        matrix_cache: matrix_cache.clone(),
-    }));
-    db.register_scalar_udf(Arc::new(PredictConfidenceUdf {
-        cache: cache.clone(),
-        matrix_cache: matrix_cache.clone(),
-    }));
-    db.register_scalar_udf(Arc::new(PredictProbaOfUdf { cache, matrix_cache }));
+    db.register_table_udf(Arc::new(EvaluateUdf { cache: cache.clone() }));
+    db.register_scalar_udf(Arc::new(PredictUdf { cache: cache.clone() }));
+    db.register_scalar_udf(Arc::new(PredictConfidenceUdf { cache: cache.clone() }));
+    db.register_scalar_udf(Arc::new(PredictProbaOfUdf { cache }));
 }
 
 #[cfg(test)]

@@ -25,6 +25,9 @@
 //! * **panic** — panic-free hot paths and registry-sourced harness
 //!   timing (the original lint, minus its string/comment false
 //!   positives), plus the `unsafe` inventory.
+//! * **docs** — README.md, DESIGN.md, EXPERIMENTS.md and the verify skill
+//!   quote no file and no `--bin`/`--bench` target that does not exist.
+//!   It reads the documents and the file tree, not the scanned sources.
 //!
 //! Malformed `lint: allow` markers anywhere are themselves findings: an
 //! escape hatch that silently fails to parse must not silently excuse
@@ -54,7 +57,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <command>\n\ncommands:\n  analyze    lock discipline + \
                  metric-name consistency + error-taxonomy exhaustiveness + panic-free hot \
-                 paths (alias: lint)"
+                 paths + documents quote existing files and targets (alias: lint)"
             );
             ExitCode::FAILURE
         }
@@ -85,6 +88,7 @@ fn run_analysis(root: &Path) -> AnalysisReport {
     findings.extend(passes::metric_names::run(&files, design.as_deref()));
     findings.extend(passes::taxonomy::run(&files));
     findings.extend(passes::panics::run(&files));
+    findings.extend(passes::docs::run(root));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
 
     AnalysisReport {
@@ -99,8 +103,9 @@ fn run_analysis(root: &Path) -> AnalysisReport {
 fn scan_workspace(root: &Path) -> Vec<ScannedFile> {
     let mut paths = Vec::new();
     for dir in ["crates", "shims", "src", "tests", "benches"] {
-        collect_rust_files(&root.join(dir), &mut paths);
+        collect_files(&root.join(dir), &mut paths);
     }
+    paths.retain(|p| p.extension().is_some_and(|e| e == "rs"));
     paths.sort();
     let mut files = Vec::new();
     for path in &paths {
@@ -132,7 +137,7 @@ fn print_report(report: &AnalysisReport) -> ExitCode {
     if report.findings.is_empty() {
         println!(
             "analyze ok: {} files scanned; lock discipline, metric names, error taxonomy, \
-             and panic-free hot paths all hold",
+             panic-free hot paths and document references all hold",
             report.files_scanned
         );
         ExitCode::SUCCESS
@@ -161,17 +166,18 @@ fn workspace_root() -> PathBuf {
     manifest.parent().and_then(Path::parent).map(Path::to_path_buf).unwrap_or(manifest)
 }
 
-/// Recursively collects `.rs` files, skipping build output.
-fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Recursively collects every file under `dir`, skipping build output and
+/// the git directory.
+fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     for entry in entries.flatten() {
         let path = entry.path();
         let name = entry.file_name();
         if path.is_dir() {
             if name != "target" && name != ".git" {
-                collect_rust_files(&path, out);
+                collect_files(&path, out);
             }
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else {
             out.push(path);
         }
     }

@@ -7,6 +7,7 @@
 //! by separate functions so "interesting" never silently becomes
 //! "failing".
 
+pub mod docs;
 pub mod lock;
 pub mod metric_names;
 pub mod panics;
@@ -23,7 +24,7 @@ pub struct Finding {
     pub file: PathBuf,
     /// 1-based line.
     pub line: usize,
-    /// Short pass tag (`lock`, `metrics`, `taxonomy`, `panic`, `allow`).
+    /// Short pass tag (`lock`, `metrics`, `taxonomy`, `panic`, `docs`, `allow`).
     pub pass: &'static str,
     /// What is wrong and what to do about it.
     pub message: String,

@@ -1,8 +1,9 @@
 //! Offline stand-in for the subset of `criterion` 0.5 this workspace's
-//! benches use. Each benchmark runs a fixed small number of timed
-//! iterations and prints mean wall-clock time per iteration — enough for
-//! `cargo bench` to build and produce comparable numbers, with none of
-//! criterion's statistics.
+//! benches use. Each benchmark runs a fixed small number of iterations,
+//! times each on its own and prints the median and quartiles of the
+//! per-iteration wall-clock times as `median [q1–q3]`, by the nearest-rank
+//! rule the performance ledger uses — enough for `cargo bench` to build
+//! and produce comparable numbers, with none of criterion's statistics.
 
 use std::fmt::Display;
 use std::time::Instant;
@@ -128,38 +129,53 @@ impl From<String> for BenchmarkId {
 }
 
 /// Handed to each benchmark closure; times the routine.
+#[derive(Default)]
 pub struct Bencher {
-    mean_ns: f64,
+    samples_ns: Vec<u64>,
 }
 
 impl Bencher {
-    /// Times `routine` over a fixed number of iterations.
+    /// Times `routine` over a fixed number of iterations, each on its own.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         for _ in 0..WARMUP_ITERS {
             black_box(routine());
         }
-        let start = Instant::now();
-        for _ in 0..MEASURE_ITERS {
-            black_box(routine());
-        }
-        self.mean_ns = start.elapsed().as_nanos() as f64 / MEASURE_ITERS as f64;
+        self.samples_ns = (0..MEASURE_ITERS)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(routine());
+                start.elapsed().as_nanos() as u64
+            })
+            .collect();
+    }
+
+    /// The first quartile, median and third quartile of the per-iteration
+    /// times in nanoseconds (nearest rank: the sample at rank `⌈q·n⌉`);
+    /// zeros before [`Bencher::iter`] ran.
+    fn quartiles_ns(&self) -> [u64; 3] {
+        let mut sorted = self.samples_ns.clone();
+        sorted.sort_unstable();
+        [0.25, 0.5, 0.75].map(|q| {
+            let rank = (q * sorted.len() as f64).ceil() as usize;
+            sorted.get(rank.max(1) - 1).copied().unwrap_or(0)
+        })
     }
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(label: &str, throughput: Option<Throughput>, mut f: F) {
-    let mut bencher = Bencher { mean_ns: 0.0 };
+    let mut bencher = Bencher::default();
     f(&mut bencher);
-    let per_iter = bencher.mean_ns;
+    let [q1, median, q3] = bencher.quartiles_ns().map(|ns| ns as f64);
     let rate = match throughput {
-        Some(Throughput::Elements(n)) if per_iter > 0.0 => {
-            format!("  ({:.3} Melem/s)", n as f64 / per_iter * 1e3)
+        Some(Throughput::Elements(n)) if median > 0.0 => {
+            format!("  ({:.3} Melem/s)", n as f64 / median * 1e3)
         }
-        Some(Throughput::Bytes(n)) if per_iter > 0.0 => {
-            format!("  ({:.3} MiB/s)", n as f64 / per_iter * 1e9 / (1024.0 * 1024.0))
+        Some(Throughput::Bytes(n)) if median > 0.0 => {
+            format!("  ({:.3} MiB/s)", n as f64 / median * 1e9 / (1024.0 * 1024.0))
         }
         _ => String::new(),
     };
-    println!("bench {label}: {:.1} us/iter{rate}", per_iter / 1e3);
+    println!("bench {label}: {:.1} [{:.1}–{:.1}] us/iter{rate}", median / 1e3, q1 / 1e3, q3 / 1e3);
 }
 
 /// Collects benchmark functions into one runner function.
@@ -202,5 +218,14 @@ mod tests {
         });
         group.finish();
         assert!(ran >= 1);
+
+        let mut b = Bencher::default();
+        assert_eq!(b.quartiles_ns(), [0, 0, 0]);
+        b.iter(|| (0..1000u64).map(black_box).sum::<u64>());
+        assert_eq!(b.samples_ns.len() as u64, MEASURE_ITERS);
+        let [q1, median, q3] = b.quartiles_ns();
+        assert!(q1 <= median && median <= q3, "quartiles out of order: {q1} {median} {q3}");
+        assert!(q1 >= *b.samples_ns.iter().min().unwrap());
+        assert!(q3 <= *b.samples_ns.iter().max().unwrap());
     }
 }
