@@ -119,15 +119,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ML kernel split, sourced from the `ml.*` registry series the model
-    // layer records: cumulative train/predict wall time, rows, split
-    // candidates scanned, and prediction morsels across every pass above.
+    // layer records: cumulative train/predict wall time, rows, the groups of
+    // equal rows the trees grew over, split candidates scanned, and
+    // prediction morsels across every pass above.
     let snap = mlcs_columnar::metrics::snapshot();
     println!();
     println!(
         "ml kernels (cumulative over all passes): train {:.3}s / {} rows \
-         ({} split candidates), predict {:.3}s / {} rows ({} pool morsels)",
+         ({} groups, {} split candidates), predict {:.3}s / {} rows ({} pool morsels)",
         snap.duration_sum("ml.train.time_ns").as_secs_f64(),
         snap.counter("ml.train.rows"),
+        snap.counter("ml.train.groups"),
         snap.counter("ml.train.splits_evaluated"),
         snap.duration_sum("ml.predict.time_ns").as_secs_f64(),
         snap.counter("ml.predict.rows"),

@@ -7,7 +7,7 @@
 //! NaN and are rejected by model fitting with a clear error, pushing
 //! cleaning into SQL where the paper does it.
 
-use mlcs_columnar::{Column, DbError, DbResult};
+use mlcs_columnar::{Column, ColumnData, DbError, DbResult};
 use mlcs_ml::Matrix;
 
 /// Builds a feature matrix from equally-long numeric columns.
@@ -50,24 +50,39 @@ pub fn matrix_from_columns(cols: &[&Column]) -> DbResult<Matrix> {
 /// Extracts integer class labels from a column. NULL labels are an error
 /// (the paper's pipeline generates labels before training).
 pub fn labels_from_column(col: &Column) -> DbResult<Vec<i64>> {
+    let not_integer =
+        || DbError::Type(format!("class labels must be integers, got {}", col.data_type()));
     if !col.data_type().is_integer() && col.data_type() != mlcs_columnar::DataType::Boolean {
-        return Err(DbError::Type(format!(
-            "class labels must be integers, got {}",
-            col.data_type()
-        )));
+        return Err(not_integer());
     }
-    (0..col.len())
-        .map(|i| {
-            col.i64_at(i).ok_or_else(|| {
-                DbError::Bind(format!("NULL label at row {i}; clean labels before training"))
-            })
-        })
-        .collect()
+    if col.null_count() > 0 {
+        let i = (0..col.len()).find(|&i| col.is_null(i)).unwrap_or_default();
+        return Err(DbError::Bind(format!("NULL label at row {i}; clean labels before training")));
+    }
+    // One typed loop over the payload, through the codes or runs of an
+    // encoded column, rather than a dispatch per row.
+    fn widen<T: Copy>(values: &[T], at: Option<&[u32]>, wide: impl Fn(T) -> i64) -> Vec<i64> {
+        match at {
+            None => values.iter().map(|&v| wide(v)).collect(),
+            Some(at) => at.iter().map(|&p| wide(values[p as usize])).collect(),
+        }
+    }
+    let mut scratch = Vec::new();
+    let at = col.physical_rows(0, col.len(), &mut scratch);
+    Ok(match col.data() {
+        ColumnData::Boolean(v) => widen(v, at, i64::from),
+        ColumnData::Int8(v) => widen(v, at, i64::from),
+        ColumnData::Int16(v) => widen(v, at, i64::from),
+        ColumnData::Int32(v) => widen(v, at, i64::from),
+        ColumnData::Int64(v) => widen(v, at, |v| v),
+        _ => return Err(not_integer()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlcs_columnar::Encoding;
 
     #[test]
     fn matrix_conversion_widens_types() {
@@ -105,5 +120,20 @@ mod tests {
         assert!(labels_from_column(&f).is_err());
         let b = Column::from_bools(vec![true, false]);
         assert_eq!(labels_from_column(&b).unwrap(), vec![1, 0]);
+    }
+
+    #[test]
+    fn encoded_labels_read_like_plain_ones() {
+        let plain = Column::from_i64s((0..100).map(|i| [2, 1, 1, 7][i / 9 % 4]).collect());
+        let want = labels_from_column(&plain).unwrap();
+        assert_eq!(want, (0..100).map(|i| plain.i64_at(i).unwrap()).collect::<Vec<_>>());
+        for enc in [Encoding::Dict, Encoding::Rle] {
+            let col = plain.encode(enc);
+            assert_eq!(col.encoding(), enc);
+            assert_eq!(labels_from_column(&col).unwrap(), want, "{enc:?}");
+        }
+        let nulls = Column::from_opt_i32s(vec![Some(1), Some(2), None, None]);
+        let err = labels_from_column(&nulls).unwrap_err();
+        assert!(err.to_string().contains("NULL label at row 2"), "{err}");
     }
 }

@@ -162,11 +162,30 @@ pub struct ClassMap {
 
 impl ClassMap {
     /// Builds the map from observed labels (sorted, deduplicated).
+    ///
+    /// Labels are classes: many rows, few values. So the distinct ones are
+    /// collected into a small sorted vector, skipping runs of the last one
+    /// seen, and only past `SMALL` distinct values is a copy sorted.
     pub fn fit(labels: &[i64]) -> ClassMap {
-        let mut sorted: Vec<i64> = labels.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        ClassMap { labels: sorted }
+        const SMALL: usize = 64;
+        let mut distinct: Vec<i64> = Vec::new();
+        let mut last = None;
+        for &l in labels {
+            if last == Some(l) {
+                continue;
+            }
+            last = Some(l);
+            if let Err(at) = distinct.binary_search(&l) {
+                if distinct.len() == SMALL {
+                    let mut sorted = labels.to_vec();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    return ClassMap { labels: sorted };
+                }
+                distinct.insert(at, l);
+            }
+        }
+        ClassMap { labels: distinct }
     }
 
     /// Number of distinct classes.

@@ -113,6 +113,44 @@ impl RandomForestClassifier {
         }
         crate::tree::normalized(imp)
     }
+
+    /// Grows the forest's trees on ranked, grouped rows; returns the
+    /// boundaries scored over all trees.
+    pub(crate) fn fit_ranked(&mut self, data: &FeatureRanks, n_classes: usize) -> MlResult<u64> {
+        self.n_classes = n_classes;
+        self.n_features = data.n_features();
+        // Derive independent per-tree seeds from the master seed.
+        let mut seeder = StdRng::seed_from_u64(self.seed);
+        let tree_seeds: Vec<u64> = (0..self.n_estimators).map(|_| seeder.gen()).collect();
+        let fit_one = |seed: u64| -> MlResult<(DecisionTreeClassifier, u64)> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tree = DecisionTreeClassifier::new()
+                .with_max_features(self.max_features)
+                .with_split_strategy(self.split_strategy)
+                .with_seed(rng.gen());
+            tree.max_depth = self.max_depth;
+            tree.min_samples_split = self.min_samples_split;
+            let evaluated = if self.bootstrap {
+                tree.fit_weighted(data, &data.bootstrap(&mut rng), n_classes)?
+            } else {
+                tree.fit_weighted(data, data.sizes(), n_classes)?
+            };
+            Ok((tree, evaluated))
+        };
+
+        // Fit on the shared worker pool: tree i always consumes tree_seeds[i]
+        // and results come back in index order, so the forest is bit-identical
+        // for any thread count (including fully serial).
+        let fitted = mlcs_columnar::parallel::parallel_tasks(
+            self.n_estimators,
+            self.n_jobs,
+            || MlError::Internal("forest fitting worker panicked".into()),
+            |i| fit_one(tree_seeds[i]),
+        )?;
+        let evaluated = fitted.iter().map(|(_, e)| e).sum();
+        self.trees = fitted.into_iter().map(|(t, _)| t).collect();
+        Ok(evaluated)
+    }
 }
 
 impl Classifier for RandomForestClassifier {
@@ -124,48 +162,10 @@ impl Classifier for RandomForestClassifier {
                 message: "need at least one tree".into(),
             });
         }
-        self.n_classes = n_classes;
-        self.n_features = x.cols();
-
-        // Derive independent per-tree seeds from the master seed.
-        let mut seeder = StdRng::seed_from_u64(self.seed);
-        let tree_seeds: Vec<u64> = (0..self.n_estimators).map(|_| seeder.gen()).collect();
-
-        // Rank every feature once; each tree sees the shared ranks through
-        // its bootstrap drawn as per-row multiplicities.
-        let data = FeatureRanks::new(x, self.split_strategy);
-        let n = x.rows();
-        let fit_one = |seed: u64| -> MlResult<DecisionTreeClassifier> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut tree = DecisionTreeClassifier::new()
-                .with_max_features(self.max_features)
-                .with_split_strategy(self.split_strategy)
-                .with_seed(rng.gen());
-            tree.max_depth = self.max_depth;
-            tree.min_samples_split = self.min_samples_split;
-            let w = if self.bootstrap {
-                let mut w = vec![0u32; n];
-                for _ in 0..n {
-                    w[rng.gen_range(0..n)] += 1;
-                }
-                w
-            } else {
-                vec![1; n]
-            };
-            tree.fit_weighted(&data, y, &w, n_classes)?;
-            Ok(tree)
-        };
-
-        // Fit on the shared worker pool: tree i always consumes tree_seeds[i]
-        // and results come back in index order, so the forest is bit-identical
-        // for any thread count (including fully serial).
-        self.trees = mlcs_columnar::parallel::parallel_tasks(
-            self.n_estimators,
-            self.n_jobs,
-            || MlError::Internal("forest fitting worker panicked".into()),
-            |i| fit_one(tree_seeds[i]),
-        )?;
-        Ok(())
+        // Rank and group the rows once; each tree sees the shared groups
+        // through its bootstrap drawn as per-group multiplicities.
+        let data = FeatureRanks::new(x, y, n_classes, self.split_strategy);
+        self.fit_ranked(&data, n_classes).map(drop)
     }
 
     fn predict(&self, x: &Matrix) -> MlResult<Vec<u32>> {

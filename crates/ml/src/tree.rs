@@ -1,8 +1,9 @@
 //! CART decision-tree classifier with Gini impurity.
 //!
-//! Every fit ranks each feature once (a forest once for all its trees) and
-//! grows the tree over per-row multiplicities: a bootstrap is a count per
-//! row, not a copied matrix, and each node is a range of one row-id array
+//! Every fit ranks each feature once (a forest once for all its trees),
+//! folds rows with equal ranks and labels into groups, and grows the tree
+//! over per-group multiplicities: a bootstrap is a count per group, not a
+//! copied matrix, and each node is a range of one group-id array
 //! partitioned in place. Split finding supports two strategies (see
 //! [`SplitStrategy`]): the classic exact scan that sorts each candidate
 //! feature's node rows, and a histogram kernel that scans cumulative
@@ -18,7 +19,7 @@ use crate::Classifier;
 use mlcs_pickle::{Pickle, PickleError, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// How many features to consider per split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,12 +288,31 @@ fn midpoint(lo: f64, hi: f64) -> f64 {
     }
 }
 
-/// Every feature of a training matrix ranked once. A forest ranks its
-/// input once and every tree reads these ranks through its bootstrap
-/// multiplicities, so no tree sorts or copies feature values.
+/// Grouping keys index a dense slot table of at most this many entries, or
+/// the row count if that is larger; a larger key space leaves the rows
+/// ungrouped.
+const DENSE_GROUP_KEYS: usize = 1 << 16;
+
+/// A training matrix ranked once and folded into groups of rows with equal
+/// ranks on every feature and equal labels. A forest does this once and
+/// every tree reads the groups through its bootstrap multiplicities, so no
+/// tree sorts or copies feature values, and a row repeated in the input is
+/// visited once per node, not once per copy.
+///
+/// A tree's growth reads a row only through its ranks, its label and its
+/// weight, and every class weight is an integer-valued `f64` below 2^53,
+/// so its sums do not depend on their order: a group weighing the sum of
+/// its rows' multiplicities grows the tree those rows grow, bit for bit.
 pub(crate) struct FeatureRanks {
     strategy: SplitStrategy,
+    /// Ranks indexed by group.
     features: Vec<RankedFeature>,
+    /// `labels[group]`: the group's class.
+    labels: Vec<u32>,
+    /// `sizes[group]`: its row count, the weight of an unweighted fit.
+    sizes: Vec<u32>,
+    /// `groups[row]`: the row's group, numbered in order of first appearance.
+    groups: Vec<u32>,
 }
 
 struct RankedFeature {
@@ -300,7 +320,7 @@ struct RankedFeature {
     /// share one rank (the first in `total_cmp` order is kept; either
     /// gives the same midpoint bits).
     distinct: Vec<f64>,
-    /// `ranks[row]` indexes the row's value in `distinct`.
+    /// `ranks[group]` indexes the group's value in `distinct`.
     ranks: Vec<u32>,
     /// The rank is the histogram bin of every subset of the rows: the
     /// feature has at most `bins` distinct values, so per-tree bins would
@@ -309,8 +329,22 @@ struct RankedFeature {
 }
 
 impl FeatureRanks {
-    /// Ranks every column of `x` for fitting trees with `strategy`.
-    pub(crate) fn new(x: &Matrix, strategy: SplitStrategy) -> FeatureRanks {
+    /// Ranks every column of `x` for fitting trees with `strategy` on the
+    /// labels `y` (below `n_classes`), and groups the rows.
+    pub(crate) fn new(
+        x: &Matrix,
+        y: &[u32],
+        n_classes: usize,
+        strategy: SplitStrategy,
+    ) -> FeatureRanks {
+        let mut data = FeatureRanks::per_row(x, y, strategy);
+        data.group(n_classes);
+        mlcs_columnar::metrics::counter("ml.train.groups").add(data.labels.len() as u64);
+        data
+    }
+
+    /// Every column of `x` ranked, with every row its own group.
+    fn per_row(x: &Matrix, y: &[u32], strategy: SplitStrategy) -> FeatureRanks {
         let max_bins = match strategy {
             SplitStrategy::Histogram { bins } => bins.max(2) as usize,
             SplitStrategy::Exact => 0,
@@ -335,7 +369,75 @@ impl FeatureRanks {
                 RankedFeature { distinct, ranks, direct }
             })
             .collect();
-        FeatureRanks { strategy, features }
+        FeatureRanks {
+            strategy,
+            features,
+            labels: y.to_vec(),
+            sizes: vec![1; y.len()],
+            groups: (0..y.len() as u32).collect(),
+        }
+    }
+
+    /// Folds rows with equal ranks and labels into one group each. The key
+    /// of a row is the mixed-radix number `Σ rank_f · ∏_{g<f} distinct_g +
+    /// class · ∏_f distinct_f`; when the key space is at most
+    /// `max(rows, DENSE_GROUP_KEYS)` it indexes a dense slot table, and
+    /// otherwise the rows stay their own groups.
+    fn group(&mut self, n_classes: usize) {
+        let n = self.labels.len();
+        let bound = n.max(DENSE_GROUP_KEYS);
+        let mut radices = self.features.iter().map(|f| f.distinct.len()).chain([n_classes]);
+        let Some(space) = radices
+            .try_fold(1usize, |space, radix| space.checked_mul(radix).filter(|&s| s <= bound))
+        else {
+            return;
+        };
+        let mut keys = vec![0usize; n];
+        let mut stride = 1;
+        for f in &self.features {
+            for (k, &rank) in keys.iter_mut().zip(&f.ranks) {
+                *k += rank as usize * stride;
+            }
+            stride *= f.distinct.len();
+        }
+        let mut slot = vec![u32::MAX; space];
+        let (mut labels, mut sizes, mut first) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, (k, &class)) in keys.iter().zip(&self.labels).enumerate() {
+            let s = &mut slot[k + class as usize * stride];
+            if *s == u32::MAX {
+                *s = labels.len() as u32;
+                labels.push(class);
+                sizes.push(0);
+                first.push(r);
+            }
+            sizes[*s as usize] += 1;
+            self.groups[r] = *s;
+        }
+        for f in &mut self.features {
+            f.ranks = first.iter().map(|&r| f.ranks[r]).collect();
+        }
+        (self.labels, self.sizes) = (labels, sizes);
+    }
+
+    /// Number of features.
+    pub(crate) fn n_features(&self) -> usize {
+        self.features.len()
+    }
+
+    /// Each group's row count: the multiplicities of a fit without bootstrap.
+    pub(crate) fn sizes(&self) -> &[u32] {
+        &self.sizes
+    }
+
+    /// A bootstrap sample as per-group multiplicities: as many draws of a
+    /// row as there are rows, each counted in the row's group.
+    pub(crate) fn bootstrap(&self, rng: &mut StdRng) -> Vec<u32> {
+        let n = self.groups.len();
+        let mut w = vec![0u32; self.labels.len()];
+        for _ in 0..n {
+            w[self.groups[rng.gen_range(0..n)] as usize] += 1;
+        }
+        w
     }
 }
 
@@ -384,7 +486,8 @@ impl Bins {
     }
 }
 
-/// The best split found for a node, if any.
+/// The best split found for a node, if any. Its left child's class counts
+/// are in [`Grower::best_left`].
 struct BestSplit {
     feature: usize,
     /// Last populated bin (histogram) or rank (exact) of the left child,
@@ -392,12 +495,11 @@ struct BestSplit {
     lo: u32,
     hi: u32,
     score: f64, // weighted child impurity (lower is better)
-    /// Class counts of the left child.
-    left: Vec<f64>,
 }
 
-/// One tree's growth: what it reads — the shared ranks, this tree's bins
-/// and multiplicities, the labels — and its reusable buffers.
+/// One tree's growth: what it reads — the shared ranks and labels, this
+/// tree's bins and multiplicities — and its reusable buffers, so growing a
+/// node allocates nothing.
 struct Grower<'a> {
     data: &'a FeatureRanks,
     /// Per-feature bins under the histogram strategy; empty under exact.
@@ -410,6 +512,8 @@ struct Grower<'a> {
     left: Vec<f64>,
     right: Vec<f64>,
     n_left: f64,
+    /// `left` when the best split so far was scored.
+    best_left: Vec<f64>,
     /// `hist[bin * n_classes + class]` — class weights per bin.
     hist: Vec<f64>,
     /// Exact strategy: a node's `rank << 32 | row` keys, sorted.
@@ -447,8 +551,8 @@ impl Grower<'_> {
                 if score <= parent_gini + 1e-12
                     && score < best.as_ref().map_or(f64::INFINITY, |b| b.score)
                 {
-                    let left = self.left.clone();
-                    *best = Some(BestSplit { feature, lo, hi: key, score, left });
+                    self.best_left.copy_from_slice(&self.left);
+                    *best = Some(BestSplit { feature, lo, hi: key, score });
                 }
             }
         }
@@ -571,21 +675,22 @@ fn partition(rows: &mut [u32], key: &[u32], cut: u32, spill: &mut Vec<u32>) -> u
 }
 
 impl DecisionTreeClassifier {
-    /// Fits on `data` with per-row multiplicities `w`: row `r` counts as
-    /// `w[r]` copies of itself, exactly as if it were repeated that many
-    /// times, and rows with `w[r] == 0` are not visited. `data` must have
-    /// been ranked for this tree's split strategy.
+    /// Fits on `data` with per-group multiplicities `w`: group `g` counts
+    /// as `w[g]` copies of one of its rows, exactly as if that row were
+    /// repeated that many times, and groups with `w[g] == 0` are not
+    /// visited. `data` must have been ranked for this tree's split strategy.
+    /// Returns the boundaries scored (also added to
+    /// `ml.train.splits_evaluated`).
     ///
-    /// Each node is a range of one row-id array that is partitioned in
+    /// Each node is a range of one group-id array that is partitioned in
     /// place; a child's class counts come from the split scan, so no pass
     /// recounts a node.
     pub(crate) fn fit_weighted(
         &mut self,
         data: &FeatureRanks,
-        y: &[u32],
         w: &[u32],
         n_classes: usize,
-    ) -> MlResult<()> {
+    ) -> MlResult<u64> {
         debug_assert_eq!(data.strategy, self.split_strategy);
         for (param, value, min) in [
             ("min_samples_split", self.min_samples_split, 2),
@@ -601,6 +706,7 @@ impl DecisionTreeClassifier {
         self.nodes.clear();
         self.depth = 0;
 
+        let y = &data.labels[..];
         let mut rows: Vec<u32> = (0..w.len() as u32).filter(|&r| w[r as usize] > 0).collect();
         let bins = match self.split_strategy {
             SplitStrategy::Histogram { bins } => {
@@ -618,6 +724,7 @@ impl DecisionTreeClassifier {
             left: vec![0.0; n_classes],
             right: vec![0.0; n_classes],
             n_left: 0.0,
+            best_left: vec![0.0; n_classes],
             hist: Vec::new(),
             sorted: Vec::new(),
             evaluated: 0,
@@ -626,28 +733,31 @@ impl DecisionTreeClassifier {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let k_features = self.max_features.resolve(n_features);
 
-        let mut root_counts = vec![0.0f64; n_classes];
-        for &r in &rows {
-            root_counts[y[r as usize] as usize] += w[r as usize] as f64;
-        }
         // Explicit work stack avoids recursion-depth issues on deep trees.
         struct Work {
             node_slot: usize,
             start: usize,
             end: usize,
             depth: usize,
-            counts: Vec<f64>,
         }
+        // `pending` holds the class counts of each `stack` entry, `n_classes`
+        // apiece in the same order; `counts` is the popped node's.
+        let mut pending = vec![0.0f64; n_classes];
+        for &r in &rows {
+            pending[y[r as usize] as usize] += w[r as usize] as f64;
+        }
+        let mut counts = vec![0.0f64; n_classes];
         // Leaf distributions in the order leaves are made; renumbered into
         // node order at the end.
         let mut made = Vec::new();
         self.nodes.push(Node::leaf(0, 0)); // placeholder root
-        let mut stack =
-            vec![Work { node_slot: 0, start: 0, end: rows.len(), depth: 0, counts: root_counts }];
+        let mut stack = vec![Work { node_slot: 0, start: 0, end: rows.len(), depth: 0 }];
 
         while let Some(work) = stack.pop() {
-            let total: f64 = work.counts.iter().sum();
-            let node_gini = gini(&work.counts, total);
+            counts.copy_from_slice(&pending[pending.len() - n_classes..]);
+            pending.truncate(pending.len() - n_classes);
+            let total: f64 = counts.iter().sum();
+            let node_gini = gini(&counts, total);
             let depth_ok = self.max_depth.is_none_or(|d| work.depth < d);
             let can_split =
                 depth_ok && total as usize >= self.min_samples_split && node_gini > 1e-12;
@@ -661,29 +771,27 @@ impl DecisionTreeClassifier {
                     feats.shuffle(&mut rng);
                     feats.truncate(k_features);
                 }
-                g.find_split(node_rows, &feats, &work.counts, (total, node_gini))
+                g.find_split(node_rows, &feats, &counts, (total, node_gini))
             } else {
                 None
             };
             let Some(bs) = best else {
                 self.nodes[work.node_slot] = Node::leaf(work.node_slot, made.len() / n_classes);
-                made.extend(work.counts.iter().map(|c| if total > 0.0 { c / total } else { 0.0 }));
+                made.extend(counts.iter().map(|c| if total > 0.0 { c / total } else { 0.0 }));
                 self.depth = self.depth.max(work.depth);
                 continue;
             };
             let (threshold, cut) = g.threshold(&bs, node_rows);
             let n_left = partition(node_rows, &data.features[bs.feature].ranks, cut, &mut spill);
-            let left_counts = bs.left;
-            let right_counts = work.counts.iter().zip(&left_counts).map(|(p, l)| p - l).collect();
             let left = self.nodes.len();
             self.nodes.resize(left + 2, Node::leaf(0, 0));
             self.nodes[work.node_slot] =
                 Node { threshold, feature: bs.feature as u32, child: left as u32 };
             let mid = work.start + n_left;
-            for (node_slot, start, end, counts) in
-                [(left, work.start, mid, left_counts), (left + 1, mid, work.end, right_counts)]
-            {
-                stack.push(Work { node_slot, start, end, depth: work.depth + 1, counts });
+            pending.extend_from_slice(&g.best_left);
+            pending.extend(counts.iter().zip(&g.best_left).map(|(p, l)| p - l));
+            for (node_slot, start, end) in [(left, work.start, mid), (left + 1, mid, work.end)] {
+                stack.push(Work { node_slot, start, end, depth: work.depth + 1 });
             }
         }
         self.leaf.clear();
@@ -694,15 +802,15 @@ impl DecisionTreeClassifier {
             }
         }
         mlcs_columnar::metrics::counter("ml.train.splits_evaluated").add(g.evaluated);
-        Ok(())
+        Ok(g.evaluated)
     }
 }
 
 impl Classifier for DecisionTreeClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u32], n_classes: usize) -> MlResult<()> {
         validate_fit_inputs(x, y, n_classes)?;
-        let data = FeatureRanks::new(x, self.split_strategy);
-        self.fit_weighted(&data, y, &vec![1; x.rows()], n_classes)
+        let data = FeatureRanks::new(x, y, n_classes, self.split_strategy);
+        self.fit_weighted(&data, data.sizes(), n_classes).map(drop)
     }
 
     fn predict(&self, x: &Matrix) -> MlResult<Vec<u32>> {
@@ -1188,7 +1296,8 @@ mod tests {
 
         /// The oracle for `fit_weighted`: a row with multiplicity `m` is
         /// exactly `m` copies of that row, under either strategy and with
-        /// bins both coarser and finer than the distinct values.
+        /// bins both coarser and finer than the distinct values. The
+        /// weighted side grows per row; the repeated side is grouped.
         #[test]
         fn multiplicities_equal_duplicated_rows(
             (x, y, w) in weighted_problem(),
@@ -1211,7 +1320,7 @@ mod tests {
                         .with_seed(seed)
                 };
                 let mut weighted = tree();
-                weighted.fit_weighted(&FeatureRanks::new(&x, strategy), &y, &w, 3).unwrap();
+                weighted.fit_weighted(&FeatureRanks::per_row(&x, &y, strategy), &w, 3).unwrap();
                 let mut repeated = tree();
                 repeated.fit(&rx, &ry, 3).unwrap();
                 prop_assert_eq!(&weighted, &repeated, "{:?}", strategy);
@@ -1220,6 +1329,132 @@ mod tests {
                     mlcs_pickle::pickle(&repeated)
                 );
                 prop_assert_eq!(bits(&weighted), bits(&repeated));
+            }
+        }
+    }
+
+    /// Grows a lone tree and a forest (bootstrap on and off) on `x` twice,
+    /// over grouped rows and per row, and checks that the trees, their
+    /// pickles, their `predict_proba` bits and the boundaries scored agree.
+    fn grouping_is_exact(
+        x: &Matrix,
+        y: &[u32],
+        n_classes: usize,
+        strategy: SplitStrategy,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        use crate::forest::RandomForestClassifier;
+        fn same<M: Classifier + Pickle + PartialEq + std::fmt::Debug>(
+            (a, b): (&M, &M),
+            (ea, eb): (u64, u64),
+            x: &Matrix,
+        ) -> Result<(), TestCaseError> {
+            let bits = |m: &M| -> Vec<u64> {
+                m.predict_proba(x).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(ea, eb);
+            prop_assert_eq!(mlcs_pickle::pickle(a), mlcs_pickle::pickle(b));
+            prop_assert_eq!(bits(a), bits(b));
+            prop_assert_eq!(a, b);
+            Ok(())
+        }
+        let grouped = FeatureRanks::new(x, y, n_classes, strategy);
+        let per_row = FeatureRanks::per_row(x, y, strategy);
+        let mut a = DecisionTreeClassifier::new()
+            .with_split_strategy(strategy)
+            .with_max_features(MaxFeatures::Sqrt)
+            .with_seed(seed);
+        let mut b = a.clone();
+        let ea = a.fit_weighted(&grouped, grouped.sizes(), n_classes).unwrap();
+        let eb = b.fit_weighted(&per_row, per_row.sizes(), n_classes).unwrap();
+        same((&a, &b), (ea, eb), x)?;
+        for bootstrap in [true, false] {
+            let mut a =
+                RandomForestClassifier::new(3).with_seed(seed).with_split_strategy(strategy);
+            a.bootstrap = bootstrap;
+            let mut b = a.clone();
+            let (ea, eb) = (
+                a.fit_ranked(&grouped, n_classes).unwrap(),
+                b.fit_ranked(&per_row, n_classes).unwrap(),
+            );
+            same((&a, &b), (ea, eb), x)?;
+        }
+        Ok(())
+    }
+
+    /// Up to 300 rows, each a copy of one of up to 12 base rows of 1–4
+    /// features drawn from a small domain holding `-0.0` and `0.0` (one
+    /// rank), with labels in `0..n_classes` for 2–4 classes.
+    fn duplicated_problem() -> impl Strategy<Value = (Matrix, Vec<u32>, usize)> {
+        (1usize..301, 1usize..13, 1usize..5, 2usize..5).prop_flat_map(
+            |(rows, base, cols, n_classes)| {
+                let values = proptest::collection::vec(0usize..6, base * cols);
+                let picks = proptest::collection::vec((0..base, 0..n_classes as u32), rows);
+                (values, picks).prop_map(move |(values, picks)| {
+                    const DOMAIN: [f64; 6] = [-0.0, 0.0, 1.0, -1.0, 2.5, -7.0];
+                    let data = picks
+                        .iter()
+                        .flat_map(|&(b, _)| values[b * cols..(b + 1) * cols].iter())
+                        .map(|&v| DOMAIN[v])
+                        .collect();
+                    let y = picks.iter().map(|&(_, class)| class).collect();
+                    (Matrix::new(data, rows, cols).unwrap(), y, n_classes)
+                })
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Grouping rows changes no tree: the oracle is the same growth
+        /// with every row its own group.
+        #[test]
+        fn grouped_growth_equals_per_row_growth(
+            (x, y, n_classes) in duplicated_problem(),
+            bins in 2u16..6,
+            seed in 0u64..1000,
+        ) {
+            for strategy in
+                [SplitStrategy::Exact, SplitStrategy::Histogram { bins }, SplitStrategy::default()]
+            {
+                grouping_is_exact(&x, &y, n_classes, strategy, seed)?;
+            }
+        }
+    }
+
+    /// A problem whose grouping key space is `distinct` values per feature
+    /// times 4 classes, with its last 60 rows repeating earlier ones.
+    fn key_space_problem(distinct: [usize; 3], seed: u64) -> (Matrix, Vec<u32>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = 200;
+        let mut data = Vec::new();
+        let mut y = Vec::new();
+        for r in 0..base {
+            for d in distinct {
+                // The first rows take every value, so each feature has `d`.
+                data.push(if r < d { r } else { rng.gen_range(0..d) } as f64 - 3.0);
+            }
+            y.push(rng.gen_range(0..4));
+        }
+        for r in 0..60 {
+            let from = rng.gen_range(0..base);
+            data.extend_from_within(from * 3..from * 3 + 3);
+            y.push(if r % 2 == 0 { y[from] } else { rng.gen_range(0..4) });
+        }
+        (Matrix::new(data, base + 60, 3).unwrap(), y)
+    }
+
+    #[test]
+    fn rows_group_up_to_the_dense_bound_and_growth_is_exact_either_side() {
+        // 16·32·32·4 = 65 536 keys is the bound; 5·29·113·4 = 65 540 is just
+        // over it.
+        for (distinct, grouped) in [([16, 32, 32], true), ([5, 29, 113], false)] {
+            let (x, y) = key_space_problem(distinct, 3);
+            for strategy in [SplitStrategy::Exact, SplitStrategy::default()] {
+                let groups = FeatureRanks::new(&x, &y, 4, strategy).sizes().len();
+                assert_eq!(groups < x.rows(), grouped, "{distinct:?}: {groups} groups");
+                grouping_is_exact(&x, &y, 4, strategy, 11).unwrap();
             }
         }
     }

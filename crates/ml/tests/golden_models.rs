@@ -3,6 +3,8 @@
 //! Each case fits one model on a fixed, generated problem and pins:
 //! - a 64-bit FNV-1a digest of `pickle(model)`;
 //! - the exact delta of the `ml.train.splits_evaluated` counter;
+//! - the exact delta of the `ml.train.groups` counter: how many distinct
+//!   (feature ranks, label) groups the trees grew over;
 //! - a digest of `predict_proba` over a fixed probe matrix, bit for bit,
 //!   with the fitted node count and depth.
 //!
@@ -15,7 +17,7 @@
 //! and one ulp above every candidate threshold, and rows holding `±0.0`,
 //! `±inf` and NaN.
 //!
-//! One `#[test]` on purpose: the counter is process-global, and a second
+//! One `#[test]` on purpose: the counters are process-global, and a second
 //! test fitting models concurrently would pollute the deltas.
 
 use mlcs_ml::dataset::Matrix;
@@ -132,23 +134,24 @@ type Fingerprint = (u64, u64);
 /// node count, depth).
 type Prediction = (u64, usize, usize);
 
-/// Fits `model` and takes its [`Fingerprint`] and [`Prediction`];
-/// `shape` gives the fitted (node count, depth).
+/// Fits `model` and takes its [`Fingerprint`], [`Prediction`] and the
+/// groups it grew over; `shape` gives the fitted (node count, depth).
 fn fingerprint<M: Classifier + Pickle>(
     mut model: M,
     x: &Matrix,
     y: &[u32],
     k: usize,
     shape: impl Fn(&M) -> (usize, usize),
-) -> (Fingerprint, Prediction) {
+) -> (Fingerprint, Prediction, u64) {
     let splits = mlcs_columnar::metrics::counter("ml.train.splits_evaluated");
-    let before = splits.get();
+    let groups = mlcs_columnar::metrics::counter("ml.train.groups");
+    let before = (splits.get(), groups.get());
     model.fit(x, y, k).expect("fit");
-    let evaluated = splits.get() - before;
+    let (evaluated, grouped) = (splits.get() - before.0, groups.get() - before.1);
     let proba = model.predict_proba(&probe(x)).expect("predict");
     let bits: Vec<u8> = proba.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
     let (nodes, depth) = shape(&model);
-    ((fnv1a(&mlcs_pickle::pickle(&model)), evaluated), (fnv1a(&bits), nodes, depth))
+    ((fnv1a(&mlcs_pickle::pickle(&model)), evaluated), (fnv1a(&bits), nodes, depth), grouped)
 }
 
 /// A forest's total node count and its deepest tree's depth.
@@ -167,19 +170,21 @@ fn fitted_models_match_golden_fingerprints() {
     let (xc, yc) = continuous_problem(1500, 4, 3);
     let (x3, y3) = integer_problem(2000, 5, 3);
 
-    type Case = (&'static str, (Fingerprint, Prediction), Fingerprint, Prediction);
+    type Case = (&'static str, (Fingerprint, Prediction, u64), Fingerprint, Prediction, u64);
     let cases: Vec<Case> = vec![
         (
             "figure-1-shaped forest",
             fingerprint(RandomForestClassifier::new(16).with_seed(5), &xi, &yi, 2, forest_shape),
             (0x9713a0a356e9028b, 51738),
             (0x2636ff4f56bdb1f6, 19072, 33),
+            2718,
         ),
         (
             "continuous forest with signed zeros",
             fingerprint(RandomForestClassifier::new(8).with_seed(7), &xc, &yc, 3, forest_shape),
             (0xf938419a8af0cb61, 114552),
             (0x989f1b79220f753f, 6060, 45),
+            1500,
         ),
         (
             "3-class forest with max_depth",
@@ -192,6 +197,7 @@ fn fitted_models_match_golden_fingerprints() {
             ),
             (0x2716ecc655b1c097, 8554),
             (0x9d62507aa96bcfc0, 348, 6),
+            2000,
         ),
         (
             "exact-strategy forest",
@@ -206,16 +212,18 @@ fn fitted_models_match_golden_fingerprints() {
             ),
             (0xe002d6d7c81f9620, 147858),
             (0x0a6ca9f0c95ed206, 4392, 46),
+            1500,
         ),
         (
             "single decision tree",
             fingerprint(DecisionTreeClassifier::new().with_seed(1), &xc, &yc, 3, tree_shape),
             (0xa911c5d6fd205855, 40022),
             (0x2cbf27ba5c9e81b8, 967, 44),
+            1500,
         ),
     ];
     let mut mismatches = Vec::new();
-    for (name, (fp, pred), want_fp, want_pred) in &cases {
+    for (name, (fp, pred, groups), want_fp, want_pred, want_groups) in &cases {
         if fp != want_fp {
             mismatches.push(format!(
                 "{name}: pickle/splits got ({:#018x}, {}), want ({:#018x}, {})",
@@ -227,6 +235,9 @@ fn fitted_models_match_golden_fingerprints() {
                 "{name}: predict/nodes/depth got ({:#018x}, {}, {}), want ({:#018x}, {}, {})",
                 pred.0, pred.1, pred.2, want_pred.0, want_pred.1, want_pred.2
             ));
+        }
+        if groups != want_groups {
+            mismatches.push(format!("{name}: groups got {groups}, want {want_groups}"));
         }
     }
     assert!(mismatches.is_empty(), "fingerprints moved:\n{}", mismatches.join("\n"));

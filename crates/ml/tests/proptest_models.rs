@@ -103,6 +103,23 @@ proptest! {
         prop_assert_eq!(decoded, labels);
     }
 
+    /// The class map holds the sorted distinct labels, whether there are a
+    /// few of them or more than fit its small vector.
+    #[test]
+    fn class_map_is_the_sorted_distinct_labels(
+        labels in proptest::collection::vec(-1000i64..1000, 1..300),
+        few in 1i64..6,
+    ) {
+        for labels in [labels.iter().map(|l| l.rem_euclid(few)).collect(), labels] {
+            let mut want = labels.clone();
+            want.sort_unstable();
+            want.dedup();
+            let cm = ClassMap::fit(&labels);
+            let got: Vec<i64> = (0..cm.n_classes() as u32).filter_map(|i| cm.label(i)).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     /// A single-leaf tree (trained on constant labels) predicts that label
     /// everywhere, including far outside the training range.
     #[test]
