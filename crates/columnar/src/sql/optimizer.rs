@@ -132,7 +132,7 @@ pub fn explain_annotation(
 /// pass, so an optimizer bug that breaks schema propagation or column
 /// bounds is caught here rather than downstream in the executor.
 pub fn optimize(plan: LogicalPlan) -> DbResult<LogicalPlan> {
-    let plan = rewrite(plan)?;
+    let plan = rewrite(plan);
     #[cfg(debug_assertions)]
     crate::verify::verify_rewrite(&plan)?;
     Ok(plan)
@@ -906,20 +906,18 @@ fn choose_build_sides(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     }
 }
 
-fn rewrite(plan: LogicalPlan) -> DbResult<LogicalPlan> {
+/// The rule pass: constant folding, filter fusion and pushdown, applied
+/// bottom-up to every node, table-function arguments included.
+fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     // Recurse first so child rewrites expose parent opportunities.
-    let plan = match plan {
+    match map_inputs(plan, &mut rewrite) {
         LogicalPlan::Filter { input, mut predicate } => {
-            let input = rewrite(*input)?;
             fold_expr(&mut predicate);
-            push_filter(predicate, input)?
+            push_filter(predicate, *input)
         }
         LogicalPlan::Project { input, mut exprs, schema } => {
-            let input = rewrite(*input)?;
-            for e in &mut exprs {
-                fold_expr(e);
-            }
-            LogicalPlan::Project { input: Box::new(input), exprs, schema }
+            exprs.iter_mut().for_each(fold_expr);
+            LogicalPlan::Project { input, exprs, schema }
         }
         LogicalPlan::Join {
             left,
@@ -927,17 +925,14 @@ fn rewrite(plan: LogicalPlan) -> DbResult<LogicalPlan> {
             join_type,
             left_keys,
             right_keys,
-            residual,
+            mut residual,
             build_left,
             schema,
         } => {
-            let mut residual = residual;
-            if let Some(r) = &mut residual {
-                fold_expr(r);
-            }
+            residual.iter_mut().for_each(fold_expr);
             LogicalPlan::Join {
-                left: Box::new(rewrite(*left)?),
-                right: Box::new(rewrite(*right)?),
+                left,
+                right,
                 join_type,
                 left_keys,
                 right_keys,
@@ -947,41 +942,21 @@ fn rewrite(plan: LogicalPlan) -> DbResult<LogicalPlan> {
             }
         }
         LogicalPlan::Aggregate { input, mut group, mut aggs, schema } => {
-            for g in &mut group {
-                fold_expr(g);
-            }
-            for a in &mut aggs {
-                if let Some(arg) = &mut a.arg {
-                    fold_expr(arg);
-                }
-            }
-            LogicalPlan::Aggregate { input: Box::new(rewrite(*input)?), group, aggs, schema }
+            group
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+                .for_each(fold_expr);
+            LogicalPlan::Aggregate { input, group, aggs, schema }
         }
-        LogicalPlan::Sort { input, keys } => {
-            LogicalPlan::Sort { input: Box::new(rewrite(*input)?), keys }
-        }
-        LogicalPlan::Limit { input, limit, offset } => {
-            LogicalPlan::Limit { input: Box::new(rewrite(*input)?), limit, offset }
-        }
-        LogicalPlan::Distinct { input } => {
-            LogicalPlan::Distinct { input: Box::new(rewrite(*input)?) }
-        }
-        LogicalPlan::UnionAll { inputs, schema } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(rewrite).collect::<DbResult<_>>()?,
-            schema,
-        },
-        leaf @ (LogicalPlan::Scan { .. }
-        | LogicalPlan::TableFunction { .. }
-        | LogicalPlan::UnitRow) => leaf,
-    };
-    Ok(plan)
+        other => other,
+    }
 }
 
 /// Places a filter above `input`, pushing it down where legal.
-fn push_filter(predicate: Expr, input: LogicalPlan) -> DbResult<LogicalPlan> {
+fn push_filter(predicate: Expr, input: LogicalPlan) -> LogicalPlan {
     // TRUE filters vanish.
     if matches!(predicate, Expr::Literal(Value::Boolean(true))) {
-        return Ok(input);
+        return input;
     }
     match input {
         // Filter(Filter(x)) fuses into one conjunction.
@@ -991,10 +966,10 @@ fn push_filter(predicate: Expr, input: LogicalPlan) -> DbResult<LogicalPlan> {
         }
         // Filter over Sort/Distinct commutes (set-preserving operators).
         LogicalPlan::Sort { input, keys } => {
-            Ok(LogicalPlan::Sort { input: Box::new(push_filter(predicate, *input)?), keys })
+            LogicalPlan::Sort { input: Box::new(push_filter(predicate, *input)), keys }
         }
         LogicalPlan::Distinct { input } => {
-            Ok(LogicalPlan::Distinct { input: Box::new(push_filter(predicate, *input)?) })
+            LogicalPlan::Distinct { input: Box::new(push_filter(predicate, *input)) }
         }
         // Filter over Project pushes down when every referenced output
         // column is a plain pass-through (`Column(i)`) — rewrite the
@@ -1016,13 +991,13 @@ fn push_filter(predicate: Expr, input: LogicalPlan) -> DbResult<LogicalPlan> {
                     .collect();
                 let mut pushed = predicate;
                 pushed.remap_columns(&map);
-                let inner = push_filter(pushed, *input)?;
-                Ok(LogicalPlan::Project { input: Box::new(inner), exprs, schema })
+                let inner = push_filter(pushed, *input);
+                LogicalPlan::Project { input: Box::new(inner), exprs, schema }
             } else {
-                Ok(LogicalPlan::Filter {
+                LogicalPlan::Filter {
                     input: Box::new(LogicalPlan::Project { input, exprs, schema }),
                     predicate,
-                })
+                }
             }
         }
         // Filter over an inner join pushes conjuncts that reference only
@@ -1059,12 +1034,12 @@ fn push_filter(predicate: Expr, input: LogicalPlan) -> DbResult<LogicalPlan> {
                 }
             }
             let new_left = match combine(left_preds) {
-                Some(p) => Box::new(push_filter(p, *left)?),
-                None => Box::new(rewrite(*left)?),
+                Some(p) => Box::new(push_filter(p, *left)),
+                None => Box::new(rewrite(*left)),
             };
             let new_right = match combine(right_preds) {
-                Some(p) => Box::new(push_filter(p, *right)?),
-                None => Box::new(rewrite(*right)?),
+                Some(p) => Box::new(push_filter(p, *right)),
+                None => Box::new(rewrite(*right)),
             };
             let join = LogicalPlan::Join {
                 left: new_left,
@@ -1076,12 +1051,12 @@ fn push_filter(predicate: Expr, input: LogicalPlan) -> DbResult<LogicalPlan> {
                 build_left,
                 schema,
             };
-            Ok(match combine(keep) {
+            match combine(keep) {
                 Some(p) => LogicalPlan::Filter { input: Box::new(join), predicate: p },
                 None => join,
-            })
+            }
         }
-        other => Ok(LogicalPlan::Filter { input: Box::new(other), predicate }),
+        other => LogicalPlan::Filter { input: Box::new(other), predicate },
     }
 }
 

@@ -1,225 +1,102 @@
-//! Ensemble learning over stored models (paper §3.3).
-//!
-//! With several models in the store, the same rows can be classified by
-//! all of them and the results combined: majority voting, picking the
-//! per-row answer of the most confident model, or weighting votes by each
-//! model's recorded accuracy.
-
-use crate::stored::StoredModel;
-use mlcs_ml::{Matrix, MlError, MlResult};
-use std::collections::HashMap;
-
-/// How to combine per-model predictions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EnsembleStrategy {
-    /// One model, one vote; ties go to the lowest label.
-    MajorityVote,
-    /// Per row, take the answer of the model with the highest confidence
-    /// (the paper's "use the result of the model that reports the highest
-    /// confidence").
-    HighestConfidence,
-    /// Votes weighted by the models' accuracies (pass via
-    /// [`ensemble_predict_weighted`]).
-    AccuracyWeighted,
-}
-
-/// Combines predictions from several models by majority vote or highest
-/// confidence.
-pub fn ensemble_predict(
-    models: &[StoredModel],
-    x: &Matrix,
-    strategy: EnsembleStrategy,
-) -> MlResult<Vec<i64>> {
-    match strategy {
-        EnsembleStrategy::MajorityVote => {
-            let weights = vec![1.0; models.len()];
-            ensemble_predict_weighted(models, x, &weights)
-        }
-        EnsembleStrategy::AccuracyWeighted => Err(MlError::InvalidParam {
-            param: "strategy",
-            message: "AccuracyWeighted requires ensemble_predict_weighted with weights".into(),
-        }),
-        EnsembleStrategy::HighestConfidence => {
-            if models.is_empty() {
-                return Err(MlError::BadData("ensemble of zero models".into()));
-            }
-            let mut preds = Vec::with_capacity(models.len());
-            let mut confs = Vec::with_capacity(models.len());
-            for m in models {
-                preds.push(m.predict(x)?);
-                confs.push(m.confidence(x)?);
-            }
-            let mut out = Vec::with_capacity(x.rows());
-            for r in 0..x.rows() {
-                let mut best = 0usize;
-                for k in 1..models.len() {
-                    if confs[k][r] > confs[best][r] {
-                        best = k;
-                    }
-                }
-                out.push(preds[best][r]);
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Weighted voting: each model's prediction counts `weights[k]`. Ties go
-/// to the smallest label, making results deterministic.
-pub fn ensemble_predict_weighted(
-    models: &[StoredModel],
-    x: &Matrix,
-    weights: &[f64],
-) -> MlResult<Vec<i64>> {
-    if models.is_empty() {
-        return Err(MlError::BadData("ensemble of zero models".into()));
-    }
-    if models.len() != weights.len() {
-        return Err(MlError::Shape(format!(
-            "{} models but {} weights",
-            models.len(),
-            weights.len()
-        )));
-    }
-    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-        return Err(MlError::InvalidParam {
-            param: "weights",
-            message: "weights must be finite and non-negative".into(),
-        });
-    }
-    let preds: Vec<Vec<i64>> = models.iter().map(|m| m.predict(x)).collect::<MlResult<_>>()?;
-    let mut out = Vec::with_capacity(x.rows());
-    let mut votes: HashMap<i64, f64> = HashMap::new();
-    for r in 0..x.rows() {
-        votes.clear();
-        for (k, p) in preds.iter().enumerate() {
-            *votes.entry(p[r]).or_insert(0.0) += weights[k];
-        }
-        let winner = votes
-            .iter()
-            .map(|(&label, &w)| (label, w))
-            .max_by(|a, b| {
-                // Higher weight wins; on ties the smaller label wins.
-                a.1.partial_cmp(&b.1).expect("finite weights").then(b.0.cmp(&a.0))
-            })
-            .map(|(label, _)| label)
-            .expect("at least one vote");
-        out.push(winner);
-    }
-    Ok(out)
-}
-
-/// Mean per-class probability across models ("soft voting"): returns the
-/// per-row probability that the ensemble assigns to `raw_label`.
-pub fn ensemble_proba_of(models: &[StoredModel], x: &Matrix, raw_label: i64) -> MlResult<Vec<f64>> {
-    if models.is_empty() {
-        return Err(MlError::BadData("ensemble of zero models".into()));
-    }
-    let mut acc = vec![0.0; x.rows()];
-    for m in models {
-        let p = m.proba_of(x, raw_label)?;
-        for (a, v) in acc.iter_mut().zip(p) {
-            *a += v;
-        }
-    }
-    let k = models.len() as f64;
-    for a in &mut acc {
-        *a /= k;
-    }
-    Ok(acc)
-}
+//! Ensemble classification (paper §3.3) is plain SQL over a `models`
+//! table: the three queries of `examples/ensembles.sql`, majority vote,
+//! highest confidence and accuracy-weighted vote, run on the model UDFs of
+//! this crate. These tests pin their answers on easy data.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mlcs_ml::knn::KNearestNeighbors;
-    use mlcs_ml::naive_bayes::GaussianNb;
-    use mlcs_ml::tree::DecisionTreeClassifier;
-    use mlcs_ml::Model;
+    use crate::register_ml_udfs;
+    use mlcs_columnar::Database;
 
-    fn train_on(x: &Matrix, y: &[i64], model: Model) -> StoredModel {
-        StoredModel::train(model, x, y).unwrap()
+    const ENSEMBLES: &str = include_str!("../../../examples/ensembles.sql");
+
+    /// The query of `examples/ensembles.sql` at `index`: 0 majority vote,
+    /// 1 highest confidence, 2 accuracy-weighted vote.
+    fn query(index: usize) -> &'static str {
+        ENSEMBLES.split(';').map(str::trim).filter(|q| !q.is_empty()).nth(index).unwrap()
     }
 
-    fn blobs() -> (Matrix, Vec<i64>) {
-        let mut rows = Vec::new();
-        let mut y = Vec::new();
+    /// Two well-separated classes, labels 7 and 9, as `obs` and as the
+    /// probe rows, plus an empty `models` table.
+    fn db_with_blobs() -> (Database, Vec<i64>) {
+        let db = Database::new();
+        register_ml_udfs(&db);
+        db.execute("CREATE TABLE obs (a DOUBLE, b DOUBLE, label INTEGER)").unwrap();
+        db.execute("CREATE TABLE probe (pid BIGINT, a DOUBLE, b DOUBLE)").unwrap();
+        db.execute("CREATE TABLE models (name VARCHAR, classifier BLOB, accuracy DOUBLE)").unwrap();
+        let (mut obs, mut probe, mut y) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..30 {
-            let c = i % 2;
-            rows.push([if c == 0 { -2.0 } else { 2.0 } + (i as f64) * 0.01]);
-            y.push(if c == 0 { 7 } else { 9 });
+            let (center, label) = if i % 2 == 0 { (-2.0, 7) } else { (2.0, 9) };
+            let (a, b) = (center + i as f64 * 0.01, center - i as f64 * 0.01);
+            obs.push(format!("({a}, {b}, {label})"));
+            probe.push(format!("({i}, {a}, {b})"));
+            y.push(label);
         }
-        (Matrix::from_rows(&rows).unwrap(), y)
+        db.execute(&format!("INSERT INTO obs VALUES {}", obs.join(", "))).unwrap();
+        db.execute(&format!("INSERT INTO probe VALUES {}", probe.join(", "))).unwrap();
+        (db, y)
     }
 
-    fn three_models() -> (Matrix, Vec<i64>, Vec<StoredModel>) {
-        let (x, y) = blobs();
-        let models = vec![
-            train_on(&x, &y, Model::GaussianNb(GaussianNb::new())),
-            train_on(&x, &y, Model::DecisionTree(DecisionTreeClassifier::new())),
-            train_on(&x, &y, Model::Knn(KNearestNeighbors::new(3))),
-        ];
-        (x, y, models)
+    /// Stores a model trained on `obs` with the labels `labels` selects.
+    fn store(db: &Database, name: &str, algo: &str, param: i64, labels: &str, accuracy: f64) {
+        db.execute(&format!(
+            "INSERT INTO models SELECT '{name}', classifier, {accuracy}
+             FROM train_model('{algo}', (SELECT a, b FROM obs), (SELECT {labels} FROM obs), {param})"
+        ))
+        .unwrap();
+    }
+
+    fn three_models(db: &Database) {
+        store(db, "nb", "gaussian_nb", 0, "label", 1.0);
+        store(db, "tree", "decision_tree", 0, "label", 1.0);
+        store(db, "knn", "knn", 3, "label", 1.0);
+    }
+
+    /// The labels a query answers, checking it answers every probe row in
+    /// pid order.
+    fn labels(db: &Database, sql: &str) -> Vec<i64> {
+        let out = db.query(sql).unwrap();
+        let pids: Vec<i64> = (0..out.rows()).map(|r| out.row(r)[0].as_i64().unwrap()).collect();
+        assert_eq!(pids, (0..30).collect::<Vec<_>>(), "{sql}");
+        (0..out.rows()).map(|r| out.row(r)[1].as_i64().unwrap()).collect()
     }
 
     #[test]
     fn majority_vote_agrees_on_easy_data() {
-        let (x, y, models) = three_models();
-        let pred = ensemble_predict(&models, &x, EnsembleStrategy::MajorityVote).unwrap();
-        assert_eq!(pred, y);
+        let (db, y) = db_with_blobs();
+        three_models(&db);
+        assert_eq!(labels(&db, query(0)), y);
     }
 
     #[test]
     fn highest_confidence_agrees_on_easy_data() {
-        let (x, y, models) = three_models();
-        let pred = ensemble_predict(&models, &x, EnsembleStrategy::HighestConfidence).unwrap();
-        assert_eq!(pred, y);
+        let (db, y) = db_with_blobs();
+        three_models(&db);
+        assert_eq!(labels(&db, query(1)), y);
     }
 
     #[test]
     fn weighted_vote_respects_dominant_weight() {
-        let (x, _, models) = three_models();
-        // A "broken" model that maps everything to label 7 by training it
-        // on constant labels... ClassMap needs 2 classes; instead weight
-        // model 0 overwhelmingly and verify output equals model 0's.
-        let solo = models[0].predict(&x).unwrap();
-        let pred = ensemble_predict_weighted(&models, &x, &[100.0, 0.1, 0.1]).unwrap();
-        assert_eq!(pred, solo);
+        let (db, y) = db_with_blobs();
+        three_models(&db);
+        // A fourth model trained on swapped labels outvotes the other three
+        // only when its weight dominates theirs.
+        store(&db, "swapped", "gaussian_nb", 0, "16 - label", 100.0);
+        let swapped: Vec<i64> = y.iter().map(|l| 16 - l).collect();
+        assert_eq!(labels(&db, query(2)), swapped);
+        assert_eq!(labels(&db, query(0)), y, "one vote of four does not win");
+        db.execute("UPDATE models SET accuracy = 0.1 WHERE name = 'swapped'").unwrap();
+        assert_eq!(labels(&db, query(2)), y);
     }
 
     #[test]
     fn tie_breaks_to_smaller_label() {
-        let (x, y) = blobs();
-        let a = train_on(&x, &y, Model::GaussianNb(GaussianNb::new()));
-        let b = train_on(&x, &y, Model::Knn(KNearestNeighbors::new(1)));
-        // Equal weights, and force disagreement by flipping one model's
-        // input... simplest: identical models agree, so tie-break path is
-        // only exercised with two different-label predictions at equal
-        // weight. Construct that directly:
-        let pred = ensemble_predict_weighted(&[a.clone(), b.clone()], &x, &[1.0, 1.0]).unwrap();
-        // Models agree here; verify determinism of repeated runs instead.
-        let pred2 = ensemble_predict_weighted(&[a, b], &x, &[1.0, 1.0]).unwrap();
-        assert_eq!(pred, pred2);
-    }
-
-    #[test]
-    fn soft_vote_probabilities_bounded() {
-        let (x, _, models) = three_models();
-        let p7 = ensemble_proba_of(&models, &x, 7).unwrap();
-        let p9 = ensemble_proba_of(&models, &x, 9).unwrap();
-        for (a, b) in p7.iter().zip(&p9) {
-            assert!((0.0..=1.0).contains(a));
-            assert!((a + b - 1.0).abs() < 1e-9, "p7 + p9 = {}", a + b);
-        }
-    }
-
-    #[test]
-    fn validation_errors() {
-        let (x, _, models) = three_models();
-        assert!(ensemble_predict(&[], &x, EnsembleStrategy::MajorityVote).is_err());
-        assert!(ensemble_predict(&models, &x, EnsembleStrategy::AccuracyWeighted).is_err());
-        assert!(ensemble_predict_weighted(&models, &x, &[1.0]).is_err());
-        assert!(ensemble_predict_weighted(&models, &x, &[1.0, -1.0, 1.0]).is_err());
-        assert!(ensemble_proba_of(&[], &x, 7).is_err());
+        let (db, _) = db_with_blobs();
+        // Two models that disagree on every row, at equal weight: every
+        // vote is a 1-1 tie, which goes to the smaller label.
+        store(&db, "nb", "gaussian_nb", 0, "label", 0.5);
+        store(&db, "swapped", "knn", 1, "16 - label", 0.5);
+        assert_eq!(labels(&db, query(0)), vec![7; 30]);
+        assert_eq!(labels(&db, query(2)), vec![7; 30]);
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! * **Vectorized training UDFs** ([`udf::TrainUdf`]) — callable from SQL as
 //!   `SELECT * FROM train((SELECT age, income FROM voters),
-//!   (SELECT label FROM voters), 16)`, mirroring the paper's Listing 1. The
-//!   UDF receives whole columns zero-copy, trains a random forest, pickles
-//!   it, and returns a one-row table with the model BLOB and its metadata.
+//!   (SELECT label FROM voters), 16)`, mirroring the paper's Listing 1, or
+//!   as `train_model('knn', ..., 5)` for any other algorithm. The UDF
+//!   receives whole columns zero-copy, trains the model, pickles it, and
+//!   returns a one-row table with the model BLOB and its metadata.
 //! * **Vectorized prediction UDFs** ([`udf::PredictUdf`]) — the paper's
 //!   Listing 2: `SELECT predict(age, income, (SELECT classifier FROM models
 //!   WHERE ...)) FROM voters`. The model arrives as a length-1 constant
@@ -17,17 +18,16 @@
 //! * **Model snapshots** ([`cache::ModelCache`]) — the paper's §5.1
 //!   proposal: every model UDF revives stored models through one cache per
 //!   database keyed by the BLOB's bytes, so a model is decoded once.
-//! * **Model storage** ([`modelstore::ModelStore`]) — trained models are
-//!   pickled into a `BLOB` column of a regular `models` table together
-//!   with their metadata (algorithm, hyperparameters, accuracy), enabling
-//!   relational *meta-analysis* of models (paper §3.3).
-//! * **Ensemble learning** ([`ensemble`]) — classify with the
-//!   highest-confidence model, majority voting, and accuracy-weighted
-//!   voting across stored models.
-//! * **In-database pipelines** ([`pipeline`]) — preprocessing, train/test
-//!   split, training, evaluation, and prediction executed entirely inside
-//!   the database, plus a morsel-parallel prediction path (the paper's
-//!   §5.1 future work).
+//! * **Models as rows** (paper §3.3) — a model is a `BLOB` in an ordinary
+//!   table next to whatever metadata the user keeps, so storing, ranking
+//!   and comparing models are plain SQL: `INSERT INTO models SELECT ...
+//!   FROM train_model(...)`, `UPDATE models SET accuracy = (SELECT
+//!   accuracy FROM evaluate(...))`, `ORDER BY accuracy DESC`. Because
+//!   `predict` and `predict_confidence` take a classifier *column*, one
+//!   query applies every stored model, and majority voting,
+//!   highest-confidence selection and accuracy-weighted voting are
+//!   `GROUP BY` queries over `FROM models m CROSS JOIN probe p`
+//!   (`examples/model_management.rs` runs each of them).
 //!
 //! ## Quick start
 //!
@@ -59,15 +59,11 @@
 
 pub mod bridge;
 pub mod cache;
-pub mod ensemble;
-pub mod meta;
-pub mod modelstore;
-pub mod pipeline;
+mod ensemble;
 pub mod stored;
 pub mod udf;
 
 pub use bridge::{labels_from_column, matrix_from_columns};
 pub use cache::ModelCache;
-pub use modelstore::{ModelMeta, ModelStore};
 pub use stored::StoredModel;
 pub use udf::register_ml_udfs;

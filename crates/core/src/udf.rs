@@ -1,29 +1,29 @@
 //! The paper's vectorized machine-learning UDFs.
 //!
-//! * [`TrainUdf`] — Listing 1: a table-valued function that trains a
-//!   random forest on whole columns and returns the pickled model plus
-//!   metadata as a one-row table.
-//! * [`TrainModelUdf`] — a generalized trainer selecting the algorithm by
-//!   name (the paper notes swapping models is trivial; here it is an
-//!   argument).
+//! * [`TrainUdf`] — the one trainer, under two SQL names: `train` is the
+//!   paper's Listing 1 (a random forest on whole columns) and
+//!   `train_model` takes the algorithm by name (the paper notes swapping
+//!   models is trivial; here it is an argument). Either returns the
+//!   pickled model plus metadata as a one-row table.
 //! * [`PredictUdf`] — Listing 2: a scalar function that revives a model
 //!   BLOB and classifies the feature columns morsel-parallel on the worker
 //!   pool (the paper's §5.1 future work).
 //! * [`PredictConfidenceUdf`] / [`PredictProbaOfUdf`] — probability
 //!   outputs enabling the ensemble queries of §3.3.
 //! * [`EvaluateUdf`] — scores a stored model against labeled data.
+//! * [`CrossValidateUdf`] — k-fold cross-validation of a named algorithm.
 //!
 //! The four model UDFs resolve their arguments through one helper that
 //! revives models via the database's shared [`ModelCache`] — decoded once
 //! per distinct BLOB (§5.1) — and applies row `i` with the model in
 //! classifier row `i`, so one query can apply every stored model. A row
-//! with a NULL feature has no prediction: the scalar UDFs return NULL for
-//! it and `evaluate` rejects it, as `train` does.
+//! with a NULL feature or a NULL classifier has no prediction: the scalar
+//! UDFs return NULL for it and `evaluate` rejects it, as `train` rejects
+//! NULL features.
 
 use crate::bridge::{labels_from_column, matrix_from_columns};
 use crate::cache::ModelCache;
 use crate::stored::StoredModel;
-use mlcs_columnar::parallel::hardware_threads;
 use mlcs_columnar::{
     Batch, Bitmap, Column, ColumnData, DataType, Database, DbError, DbResult, Field, ScalarUdf,
     Schema, TableUdf,
@@ -36,13 +36,23 @@ use mlcs_ml::tree::DecisionTreeClassifier;
 use mlcs_ml::{Matrix, MlError, MlResult, Model};
 use std::sync::Arc;
 
-/// The default RNG seed used by [`TrainUdf`] / [`TrainModelUdf`]. Client-
-/// side pipelines that must reproduce the in-database model bit-for-bit
-/// (the Figure 1 comparison) seed their forests with this value.
+/// The RNG seed of every model the trainers build. Client-side pipelines
+/// that must reproduce the in-database model bit-for-bit (the Figure 1
+/// comparison) seed their forests with this value.
 pub const DEFAULT_TRAIN_SEED: u64 = 42;
+
+/// The largest tree or epoch count a trainer accepts. Far above any real
+/// use, and low enough that what it sizes (one seed per tree, one pass per
+/// epoch) is always affordable.
+const MAX_MODEL_SIZE: i64 = 10_000;
 
 fn udf_err(function: &str, e: MlError) -> DbError {
     DbError::Udf { function: function.to_owned(), message: e.to_string() }
+}
+
+/// The error a UDF reports when called with the wrong arguments.
+fn usage(function: &str, usage: &str) -> DbError {
+    DbError::Udf { function: function.to_owned(), message: format!("usage: {usage}") }
 }
 
 /// The schema every trainer returns: the pickled classifier plus its
@@ -78,110 +88,81 @@ impl StoredModel {
     }
 }
 
-/// Splits trainer arguments into `(features, labels, trailing scalars)`.
+/// Splits trainer arguments into `(features, labels, integer parameters)`.
 ///
 /// Convention (matching the paper's `train(data, classes, n_estimators)`):
-/// the final `n_scalars` arguments are length-1 parameters, the column
+/// the final `n_params` arguments are non-NULL integer scalars, the column
 /// before them is the label column, and everything earlier is a feature.
 fn split_train_args<'a>(
     function: &str,
     args: &'a [Arc<Column>],
-    n_scalars: usize,
-) -> DbResult<(Vec<&'a Column>, &'a Column, Vec<&'a Column>)> {
-    if args.len() < 2 + n_scalars {
+    n_params: usize,
+) -> DbResult<(Vec<&'a Column>, &'a Column, Vec<i64>)> {
+    if args.len() < 2 + n_params {
         return Err(DbError::Udf {
             function: function.to_owned(),
             message: format!(
-                "expected at least {} arguments (features..., labels, {n_scalars} parameter(s)), got {}",
-                2 + n_scalars,
+                "expected at least {} arguments (features..., labels, {n_params} parameter(s)), got {}",
+                2 + n_params,
                 args.len()
             ),
         });
     }
-    let scalars: Vec<&Column> = args[args.len() - n_scalars..].iter().map(|c| c.as_ref()).collect();
-    for (i, s) in scalars.iter().enumerate() {
-        if s.len() != 1 {
-            return Err(DbError::Udf {
+    let (rest, params) = args.split_at(args.len() - n_params);
+    let params = params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            p.i64_at(0).filter(|_| p.len() == 1).ok_or_else(|| DbError::Udf {
                 function: function.to_owned(),
-                message: format!("parameter argument {i} must be a scalar, got {} rows", s.len()),
-            });
-        }
-    }
-    let labels = args[args.len() - n_scalars - 1].as_ref();
-    let features: Vec<&Column> =
-        args[..args.len() - n_scalars - 1].iter().map(|c| c.as_ref()).collect();
-    Ok((features, labels, scalars))
+                message: format!("parameter argument {i} must be a non-NULL integer scalar"),
+            })
+        })
+        .collect::<DbResult<Vec<i64>>>()?;
+    let [features @ .., labels] = rest else {
+        return Err(usage(function, "features..., labels, parameters"));
+    };
+    Ok((features.iter().map(|c| c.as_ref()).collect(), labels, params))
 }
 
-/// The paper's `train` function: a random-forest trainer as a table UDF.
+/// The algorithm name a `train_model` or `cross_validate` call starts with.
+fn algorithm_arg(function: &str, args: &[Arc<Column>]) -> DbResult<String> {
+    args.first()
+        .filter(|c| c.len() == 1)
+        .and_then(|c| c.strings())
+        .map(|s| s.get(0).to_owned())
+        .ok_or_else(|| DbError::Udf {
+            function: function.to_owned(),
+            message: "the first argument must be the algorithm name as a VARCHAR scalar".into(),
+        })
+}
+
+/// The untrained model `algorithm` names, configured by `param` — the one
+/// place an algorithm name and parameter become a model, for `train`,
+/// `train_model` and `cross_validate` alike.
 ///
-/// SQL: `SELECT * FROM train((SELECT f1, f2 FROM t), (SELECT label FROM t),
-/// n_estimators)`. Returns `TABLE(classifier BLOB, algorithm VARCHAR,
-/// parameters VARCHAR, n_features INTEGER, train_rows BIGINT)`.
-pub struct TrainUdf {
-    /// RNG seed for reproducible forests.
-    pub seed: u64,
-    /// Worker threads for tree fitting (0 = available parallelism).
-    pub n_jobs: usize,
-}
-
-impl Default for TrainUdf {
-    fn default() -> Self {
-        TrainUdf { seed: DEFAULT_TRAIN_SEED, n_jobs: 0 }
-    }
-}
-
-impl TableUdf for TrainUdf {
-    fn name(&self) -> &str {
-        "train"
-    }
-
-    fn schema(&self, arg_types: &[DataType]) -> DbResult<Arc<Schema>> {
-        if arg_types.len() < 3 {
-            return Err(DbError::Udf {
-                function: "train".into(),
-                message: "usage: train(features..., labels, n_estimators)".into(),
-            });
+/// Algorithms and their `param`: `random_forest` (trees) and
+/// `logistic_regression` (epochs), each 1 to [`MAX_MODEL_SIZE`];
+/// `decision_tree` (max depth, 0 or below = unbounded); `gaussian_nb`
+/// (ignored); `knn` (k, at least 1 and at most the training rows). A
+/// parameter out of range is rejected here, before anything it sizes is
+/// allocated.
+fn model_by_name(function: &str, algorithm: &str, param: i64) -> DbResult<Model> {
+    let sized = |name: &str, max: i64| {
+        if (1..=max).contains(&param) {
+            Ok(param as usize)
+        } else {
+            Err(DbError::Udf {
+                function: function.to_owned(),
+                message: format!("{name} must be between 1 and {max}, got {param}"),
+            })
         }
-        train_output_schema()
-    }
-
-    fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Batch> {
-        let (features, labels, scalars) = split_train_args("train", args, 1)?;
-        let n_estimators = scalars[0].i64_at(0).ok_or_else(|| DbError::Udf {
-            function: "train".into(),
-            message: "n_estimators must be a non-NULL integer".into(),
-        })?;
-        if n_estimators < 1 {
-            return Err(DbError::Udf {
-                function: "train".into(),
-                message: format!("n_estimators must be positive, got {n_estimators}"),
-            });
-        }
-        let x = matrix_from_columns(&features)?;
-        let y = labels_from_column(labels)?;
-        // `n_jobs == 0` resolves through the shared thread policy, so the
-        // MLCS_THREADS override also pins tree-fitting parallelism.
-        let jobs = if self.n_jobs == 0 { hardware_threads() } else { self.n_jobs };
-        let forest = RandomForestClassifier::new(n_estimators as usize)
-            .with_seed(self.seed)
-            .with_n_jobs(jobs);
-        mlcs_columnar::metrics::counter("udf.train.rows").add(x.rows() as u64);
-        let (sm, _) = mlcs_columnar::metrics::time_section("udf.train.time_ns", || {
-            StoredModel::train(Model::RandomForest(forest), &x, &y)
-        });
-        let sm = sm.map_err(|e| udf_err("train", e))?;
-        train_output(&sm, format!("n_estimators={n_estimators}"), x.rows())
-    }
-}
-
-/// The untrained model `algorithm` names, configured by `param` (see
-/// [`TrainModelUdf`]); shared by `train_model` and `cross_validate`.
-fn model_by_name(function: &str, algorithm: &str, param: i64, seed: u64) -> DbResult<Model> {
+    };
+    let seed = DEFAULT_TRAIN_SEED;
     Ok(match algorithm {
-        "random_forest" => {
-            Model::RandomForest(RandomForestClassifier::new(param.max(1) as usize).with_seed(seed))
-        }
+        "random_forest" => Model::RandomForest(
+            RandomForestClassifier::new(sized("n_estimators", MAX_MODEL_SIZE)?).with_seed(seed),
+        ),
         "decision_tree" => {
             let mut t = DecisionTreeClassifier::new().with_seed(seed);
             if param > 0 {
@@ -190,10 +171,10 @@ fn model_by_name(function: &str, algorithm: &str, param: i64, seed: u64) -> DbRe
             Model::DecisionTree(t)
         }
         "logistic_regression" => Model::LogisticRegression(
-            LogisticRegression::new().with_seed(seed).with_epochs(param.max(1) as usize),
+            LogisticRegression::new().with_seed(seed).with_epochs(sized("epochs", MAX_MODEL_SIZE)?),
         ),
         "gaussian_nb" => Model::GaussianNb(GaussianNb::new()),
-        "knn" => Model::Knn(KNearestNeighbors::new(param.max(1) as usize)),
+        "knn" => Model::Knn(KNearestNeighbors::new(sized("k", i64::MAX)?)),
         other => {
             return Err(DbError::Udf {
                 function: function.to_owned(),
@@ -206,62 +187,68 @@ fn model_by_name(function: &str, algorithm: &str, param: i64, seed: u64) -> DbRe
     })
 }
 
-/// Generalized trainer: `train_model('algorithm', features..., labels,
-/// param)`.
+/// The trainer: one table UDF registered under two SQL names.
 ///
-/// Algorithms and their `param`: `random_forest` (trees),
-/// `decision_tree` (max depth, 0 = unbounded), `logistic_regression`
-/// (epochs), `gaussian_nb` (ignored), `knn` (k).
-pub struct TrainModelUdf {
-    /// RNG seed for stochastic algorithms.
-    pub seed: u64,
+/// * `train(features..., labels, n_estimators)` — the paper's Listing 1,
+///   a random forest of `n_estimators` trees; `parameters` reads
+///   `n_estimators=n`.
+/// * `train_model('algorithm', features..., labels, param)` — any
+///   algorithm `model_by_name` knows; `parameters` reads
+///   `algorithm=a,param=p`.
+///
+/// So `train(…, n)` and `train_model('random_forest', …, n)` store the
+/// same classifier bytes. Both return `TABLE(classifier BLOB, algorithm
+/// VARCHAR, parameters VARCHAR, n_features INTEGER, train_rows BIGINT)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrainUdf {
+    /// `train(features..., labels, n_estimators)`.
+    Forest,
+    /// `train_model('algorithm', features..., labels, param)`.
+    ByName,
 }
 
-impl Default for TrainModelUdf {
-    fn default() -> Self {
-        TrainModelUdf { seed: DEFAULT_TRAIN_SEED }
-    }
-}
-
-impl TableUdf for TrainModelUdf {
+impl TableUdf for TrainUdf {
     fn name(&self) -> &str {
-        "train_model"
+        match self {
+            TrainUdf::Forest => "train",
+            TrainUdf::ByName => "train_model",
+        }
     }
 
     fn schema(&self, arg_types: &[DataType]) -> DbResult<Arc<Schema>> {
-        if arg_types.len() < 4 {
-            return Err(DbError::Udf {
-                function: "train_model".into(),
-                message: "usage: train_model('algorithm', features..., labels, param)".into(),
-            });
+        match (self, arg_types) {
+            (TrainUdf::Forest, [_, _, _, ..]) => train_output_schema(),
+            (TrainUdf::ByName, [DataType::Varchar, _, _, _, ..]) => train_output_schema(),
+            (TrainUdf::Forest, _) => {
+                Err(usage("train", "train(features..., labels, n_estimators)"))
+            }
+            (TrainUdf::ByName, _) => {
+                Err(usage("train_model", "train_model('algorithm', features..., labels, param)"))
+            }
         }
-        if arg_types[0] != DataType::Varchar {
-            return Err(DbError::Udf {
-                function: "train_model".into(),
-                message: format!("first argument must be the algorithm name, got {}", arg_types[0]),
-            });
-        }
-        train_output_schema()
     }
 
     fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Batch> {
-        if args.is_empty() || args[0].len() != 1 {
-            return Err(DbError::Udf {
-                function: "train_model".into(),
-                message: "algorithm name must be a scalar string".into(),
-            });
-        }
-        let algo = args[0].strings().map(|s| s.get(0).to_owned()).ok_or_else(|| DbError::Udf {
-            function: "train_model".into(),
-            message: "algorithm name must be a VARCHAR".into(),
-        })?;
-        let (features, labels, scalars) = split_train_args("train_model", &args[1..], 1)?;
-        let param = scalars[0].i64_at(0).unwrap_or(0);
-        let model = model_by_name("train_model", &algo, param, self.seed)?;
+        let function = self.name();
+        let (algorithm, args) = match self {
+            TrainUdf::Forest => ("random_forest".to_owned(), args),
+            TrainUdf::ByName => (algorithm_arg(function, args)?, &args[1..]),
+        };
+        let (features, labels, params) = split_train_args(function, args, 1)?;
+        let param = params[0];
+        let model = model_by_name(function, &algorithm, param)?;
         let x = matrix_from_columns(&features)?;
         let y = labels_from_column(labels)?;
-        let sm = StoredModel::train(model, &x, &y).map_err(|e| udf_err("train_model", e))?;
-        train_output(&sm, format!("algorithm={algo},param={param}"), x.rows())
+        mlcs_columnar::metrics::counter("udf.train.rows").add(x.rows() as u64);
+        let (sm, _) = mlcs_columnar::metrics::time_section("udf.train.time_ns", || {
+            StoredModel::train(model, &x, &y)
+        });
+        let sm = sm.map_err(|e| udf_err(function, e))?;
+        let parameters = match self {
+            TrainUdf::Forest => format!("n_estimators={param}"),
+            TrainUdf::ByName => format!("algorithm={algorithm},param={param}"),
+        };
+        train_output(&sm, parameters, x.rows())
     }
 }
 
@@ -271,11 +258,11 @@ struct ModelArgs {
     /// The feature rows.
     x: Matrix,
     /// `(end, model)` runs in row order: the rows from the previous run's
-    /// end up to `end` use `model`.
-    runs: Vec<(usize, Arc<StoredModel>)>,
-    /// The rows whose features are all non-NULL; `None` when every row's
-    /// are. The model reads a NULL as NaN, so its answer for such a row is
-    /// not a prediction.
+    /// end up to `end` use `model`, or have none (a NULL classifier).
+    runs: Vec<(usize, Option<Arc<StoredModel>>)>,
+    /// The rows whose features and classifier are all non-NULL; `None`
+    /// when every row's are. The model reads a NULL feature as NaN, so its
+    /// answer for such a row is not a prediction.
     valid: Option<Bitmap>,
 }
 
@@ -311,23 +298,36 @@ fn resolve(
             }),
         })
         .collect::<DbResult<Vec<_>>>()?;
-    let valid = features
-        .iter()
-        .filter_map(|c| c.validity())
-        .fold(None, |all, v| Some(all.map_or_else(|| v.clone(), |all: Bitmap| all.and(v))));
-    let x = matrix_from_columns(&features.iter().map(|c| c.as_ref()).collect::<Vec<&Column>>())?;
-    let mut runs: Vec<(usize, Arc<StoredModel>)> = Vec::new();
-    match blobs.len() {
-        _ if rows == 0 => {}
-        1 => runs.push((rows, cache.get_or_decode(blobs.get(0))?)),
+    // A NULL classifier row holds no bytes: it has no model, not a
+    // broken one.
+    let model = |i: usize| -> DbResult<Option<Arc<StoredModel>>> {
+        if classifier.is_null(i) {
+            Ok(None)
+        } else {
+            cache.get_or_decode(blobs.get(i)).map(Some)
+        }
+    };
+    let mut runs: Vec<(usize, Option<Arc<StoredModel>>)> = Vec::new();
+    let classifier_valid = match blobs.len() {
+        _ if rows == 0 => None,
+        1 => {
+            runs.push((rows, model(0)?));
+            classifier.is_null(0).then(|| Bitmap::filled(rows, false))
+        }
         n if n == rows => {
             for i in 0..rows {
                 // A run exists only from row 1 on, so `i - 1` is a row.
                 match runs.last_mut() {
-                    Some((end, _)) if blobs.get(i) == blobs.get(i - 1) => *end = i + 1,
-                    _ => runs.push((i + 1, cache.get_or_decode(blobs.get(i))?)),
+                    Some((end, _))
+                        if blobs.get(i) == blobs.get(i - 1)
+                            && classifier.is_null(i) == classifier.is_null(i - 1) =>
+                    {
+                        *end = i + 1
+                    }
+                    _ => runs.push((i + 1, model(i)?)),
                 }
             }
+            classifier.validity().cloned()
         }
         n => {
             return Err(DbError::Udf {
@@ -335,28 +335,41 @@ fn resolve(
                 message: format!("classifier argument has {n} rows, expected {rows} (or 1)"),
             })
         }
-    }
+    };
+    let valid = features
+        .iter()
+        .filter_map(|c| c.validity())
+        .chain(classifier_valid.as_ref())
+        .fold(None, |all, v| Some(all.map_or_else(|| v.clone(), |all: Bitmap| all.and(v))));
+    let x = matrix_from_columns(&features.iter().map(|c| c.as_ref()).collect::<Vec<&Column>>())?;
     Ok(ModelArgs { x, runs, valid })
 }
 
 impl ModelArgs {
     /// Applies `f` run by run — each run's rows with that run's model —
-    /// and concatenates the outputs in row order.
-    fn map<T>(
+    /// and concatenates the outputs in row order. A run without a model
+    /// yields `T::default()`, which [`ModelArgs::output`] masks as NULL.
+    fn map<T: Clone + Default>(
         &self,
         function: &str,
         f: impl Fn(&StoredModel, &Matrix) -> MlResult<Vec<T>>,
     ) -> DbResult<Vec<T>> {
-        if let [(_, model)] = self.runs.as_slice() {
+        if let [(_, Some(model))] = self.runs.as_slice() {
             return f(model, &self.x).map_err(|e| udf_err(function, e));
         }
         let cols = self.x.cols();
         let mut out = Vec::with_capacity(self.x.rows());
         let mut start = 0;
         for (end, model) in &self.runs {
-            let part = self.x.as_slice()[start * cols..end * cols].to_vec();
-            let part = Matrix::new(part, end - start, cols).map_err(|e| udf_err(function, e))?;
-            out.extend(f(model, &part).map_err(|e| udf_err(function, e))?);
+            match model {
+                Some(model) => {
+                    let part = self.x.as_slice()[start * cols..end * cols].to_vec();
+                    let part =
+                        Matrix::new(part, end - start, cols).map_err(|e| udf_err(function, e))?;
+                    out.extend(f(model, &part).map_err(|e| udf_err(function, e))?);
+                }
+                None => out.resize(*end, T::default()),
+            }
             start = *end;
         }
         Ok(out)
@@ -366,11 +379,6 @@ impl ModelArgs {
     fn output(&self, values: ColumnData) -> DbResult<Column> {
         Column::new(values, self.valid.clone())
     }
-}
-
-/// The error a model UDF reports when called with too few arguments.
-fn usage(function: &str, usage: &str) -> DbError {
-    DbError::Udf { function: function.to_owned(), message: format!("usage: {usage}") }
 }
 
 /// The paper's `predict` function: classify feature columns with a stored
@@ -516,6 +524,12 @@ impl TableUdf for EvaluateUdf {
         let [features @ .., labels, classifier] = args else {
             return Err(usage("evaluate", "evaluate(features..., labels, classifier)"));
         };
+        if classifier.is_empty() || classifier.null_count() > 0 {
+            return Err(DbError::Udf {
+                function: "evaluate".into(),
+                message: "no classifier to score: the classifier argument is empty or NULL".into(),
+            });
+        }
         let m = resolve("evaluate", features, classifier, &self.cache)?;
         if let Some(valid) = &m.valid {
             return Err(DbError::Udf {
@@ -526,7 +540,7 @@ impl TableUdf for EvaluateUdf {
                 ),
             });
         }
-        let [(_, sm)] = m.runs.as_slice() else {
+        let [(_, Some(sm))] = m.runs.as_slice() else {
             return Err(DbError::Udf {
                 function: "evaluate".into(),
                 message: format!("expected one classifier, got {} different ones", m.runs.len()),
@@ -559,16 +573,7 @@ impl TableUdf for EvaluateUdf {
 /// cross-validation as a table UDF (the paper's §3 "Training and
 /// Verification" stage). Returns one row per fold:
 /// `TABLE(fold INTEGER, accuracy DOUBLE)`.
-pub struct CrossValidateUdf {
-    /// RNG seed for fold shuffling and stochastic models.
-    pub seed: u64,
-}
-
-impl Default for CrossValidateUdf {
-    fn default() -> Self {
-        CrossValidateUdf { seed: DEFAULT_TRAIN_SEED }
-    }
-}
+pub struct CrossValidateUdf;
 
 impl TableUdf for CrossValidateUdf {
     fn name(&self) -> &str {
@@ -577,10 +582,10 @@ impl TableUdf for CrossValidateUdf {
 
     fn schema(&self, arg_types: &[DataType]) -> DbResult<Arc<Schema>> {
         if arg_types.len() < 5 {
-            return Err(DbError::Udf {
-                function: "cross_validate".into(),
-                message: "usage: cross_validate('algorithm', features..., labels, k, param)".into(),
-            });
+            return Err(usage(
+                "cross_validate",
+                "cross_validate('algorithm', features..., labels, k, param)",
+            ));
         }
         Ok(Arc::new(Schema::new(vec![
             Field::not_null("fold", DataType::Int32),
@@ -589,36 +594,26 @@ impl TableUdf for CrossValidateUdf {
     }
 
     fn invoke(&self, args: &[Arc<Column>]) -> DbResult<Batch> {
-        if args.len() < 5 || args[0].len() != 1 {
-            return Err(DbError::Udf {
-                function: "cross_validate".into(),
-                message: "usage: cross_validate('algorithm', features..., labels, k, param)".into(),
-            });
-        }
-        let algo = args[0].strings().map(|s| s.get(0).to_owned()).ok_or_else(|| DbError::Udf {
-            function: "cross_validate".into(),
-            message: "algorithm name must be a VARCHAR".into(),
-        })?;
-        let (features, labels, scalars) = split_train_args("cross_validate", &args[1..], 2)?;
-        let k = scalars[0].i64_at(0).unwrap_or(0);
+        let algo = algorithm_arg("cross_validate", args)?;
+        let (features, labels, params) = split_train_args("cross_validate", &args[1..], 2)?;
+        let (k, param) = (params[0], params[1]);
         if k < 2 {
             return Err(DbError::Udf {
                 function: "cross_validate".into(),
                 message: format!("k must be at least 2, got {k}"),
             });
         }
-        let param = scalars[1].i64_at(0).unwrap_or(0);
+        let model = model_by_name("cross_validate", &algo, param)?;
         let x = matrix_from_columns(&features)?;
         let raw = labels_from_column(labels)?;
         let classes = mlcs_ml::dataset::ClassMap::fit(&raw);
         let y = classes.encode(&raw).map_err(|e| udf_err("cross_validate", e))?;
-        let model = model_by_name("cross_validate", &algo, param, self.seed)?;
         let scores = mlcs_ml::model_selection::cross_validate(
             &x,
             &y,
             classes.n_classes(),
             k as usize,
-            self.seed,
+            DEFAULT_TRAIN_SEED,
             || model.clone(),
         )
         .map_err(|e| udf_err("cross_validate", e))?;
@@ -639,9 +634,9 @@ impl TableUdf for CrossValidateUdf {
 /// whichever of them reads it first.
 pub fn register_ml_udfs(db: &Database) {
     let cache = Arc::new(ModelCache::default());
-    db.register_table_udf(Arc::new(TrainUdf::default()));
-    db.register_table_udf(Arc::new(TrainModelUdf::default()));
-    db.register_table_udf(Arc::new(CrossValidateUdf::default()));
+    db.register_table_udf(Arc::new(TrainUdf::Forest));
+    db.register_table_udf(Arc::new(TrainUdf::ByName));
+    db.register_table_udf(Arc::new(CrossValidateUdf));
     db.register_table_udf(Arc::new(EvaluateUdf { cache: cache.clone() }));
     db.register_scalar_udf(Arc::new(PredictUdf { cache: cache.clone() }));
     db.register_scalar_udf(Arc::new(PredictConfidenceUdf { cache: cache.clone() }));
@@ -871,6 +866,138 @@ mod tests {
                 if function == "evaluate" && message.contains("NULL")),
             "{err:?}"
         );
+
+        // A NULL classifier has no model: NULL out of every scalar UDF,
+        // whether it is a scalar subquery that finds no model, a stored
+        // NULL, or one row of a cross join over the models table.
+        let nope = "(SELECT classifier FROM models WHERE algorithm = 'nope')";
+        let out = db
+            .query(&format!(
+                "SELECT predict(x, y, {nope}), predict_confidence(x, y, {nope}),
+                        predict_proba_of(x, y, {nope}, 20)
+                 FROM pts"
+            ))
+            .unwrap();
+        assert_eq!(out.rows(), 43);
+        assert!((0..43).all(|r| out.row(r).iter().all(|v| v.is_null())), "{:?}", out.row(0));
+        db.execute("CREATE TABLE named (name VARCHAR, classifier BLOB)").unwrap();
+        db.execute("INSERT INTO named SELECT 'rf', classifier FROM models").unwrap();
+        db.execute("INSERT INTO named VALUES ('none', NULL)").unwrap();
+        let out = db
+            .query(
+                "SELECT n.name, predict(p.x, p.y, n.classifier),
+                        predict_confidence(p.x, p.y, n.classifier),
+                        predict_proba_of(p.x, p.y, n.classifier, 20)
+                 FROM named n CROSS JOIN pts p WHERE p.x IS NOT NULL AND p.y IS NOT NULL",
+            )
+            .unwrap();
+        assert_eq!(out.rows(), 80);
+        for r in 0..out.rows() {
+            let row = out.row(r);
+            let none = row[0] == mlcs_columnar::Value::Varchar("none".into());
+            assert!(row[1..].iter().all(|v| v.is_null() == none), "row {r}: {row:?}");
+        }
+        let out =
+            db.query("SELECT predict(-3.0, -3.0, classifier) FROM named ORDER BY name").unwrap();
+        assert!(out.row(0)[0].is_null());
+        assert_eq!(out.row(1)[0], mlcs_columnar::Value::Int64(10));
+
+        // `evaluate` with no model says so, for zero rows and for NULL.
+        for classifier in [
+            "(SELECT classifier FROM named WHERE name = 'nope')",
+            "(SELECT classifier FROM named WHERE name = 'none')",
+        ] {
+            let err = db
+                .query(&format!(
+                    "SELECT * FROM evaluate((SELECT x, y FROM pts WHERE x IS NOT NULL
+                                             AND y IS NOT NULL),
+                                            (SELECT label FROM pts WHERE x IS NOT NULL
+                                             AND y IS NOT NULL), {classifier})"
+                ))
+                .unwrap_err();
+            assert!(
+                matches!(&err, DbError::Udf { function, message }
+                    if function == "evaluate" && message.contains("no classifier")),
+                "{classifier}: {err:?}"
+            );
+        }
+    }
+
+    /// Asserts `sql` fails with a `DbError::Udf` from `function` naming
+    /// `param`.
+    fn assert_param_rejected(db: &Database, sql: &str, function: &str, param: &str) {
+        let err = db.query(sql).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Udf { function: f, message }
+                if f == function && message.contains(param)),
+            "{sql}: {err:?}"
+        );
+    }
+
+    // Every out-of-range size below is rejected by `model_by_name` before
+    // the feature matrix, the model or anything the size counts exists.
+
+    #[test]
+    fn train_rejects_out_of_range_tree_counts() {
+        let db = db_with_points();
+        for n in ["0", "-1", "10001", "100000000000", "NULL"] {
+            let sql = format!(
+                "SELECT * FROM train((SELECT x, y FROM pts), (SELECT label FROM pts), {n})"
+            );
+            let param = if n == "NULL" { "parameter" } else { "n_estimators" };
+            assert_param_rejected(&db, &sql, "train", param);
+        }
+    }
+
+    #[test]
+    fn train_model_rejects_out_of_range_sizes() {
+        let db = db_with_points();
+        for (algo, param, name) in [
+            ("random_forest", "0", "n_estimators"),
+            ("random_forest", "100000000000", "n_estimators"),
+            ("logistic_regression", "0", "epochs"),
+            ("logistic_regression", "10001", "epochs"),
+            ("knn", "-3", "k"),
+            ("knn", "0", "k"),
+        ] {
+            let sql = format!(
+                "SELECT * FROM train_model('{algo}', (SELECT x, y FROM pts),
+                   (SELECT label FROM pts), {param})"
+            );
+            assert_param_rejected(&db, &sql, "train_model", name);
+        }
+        // k above the training rows keeps its own check; depth 0 still
+        // means unbounded and gaussian_nb still ignores its parameter.
+        assert_param_rejected(
+            &db,
+            "SELECT * FROM train_model('knn', (SELECT x, y FROM pts), (SELECT label FROM pts), 41)",
+            "train_model",
+            "exceeds 40 training rows",
+        );
+        for (algo, param) in [("decision_tree", 0), ("gaussian_nb", -7), ("random_forest", 1)] {
+            db.query(&format!(
+                "SELECT * FROM train_model('{algo}', (SELECT x, y FROM pts),
+                   (SELECT label FROM pts), {param})"
+            ))
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn cross_validate_rejects_out_of_range_sizes() {
+        let db = db_with_points();
+        for (algo, param, name) in [
+            ("random_forest", "100000000000", "n_estimators"),
+            ("random_forest", "0", "n_estimators"),
+            ("logistic_regression", "100000000000", "epochs"),
+            ("knn", "-3", "k"),
+        ] {
+            let sql = format!(
+                "SELECT * FROM cross_validate('{algo}', (SELECT x, y FROM pts),
+                   (SELECT label FROM pts), 2, {param})"
+            );
+            assert_param_rejected(&db, &sql, "cross_validate", name);
+        }
     }
 
     #[test]
