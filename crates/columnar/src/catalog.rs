@@ -1,9 +1,9 @@
 //! The catalog: named tables, guarded for concurrent use.
 
 use crate::error::{DbError, DbResult};
+use crate::parallel::locks::RwLock;
 use crate::schema::Schema;
 use crate::table::Table;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -5,9 +5,11 @@
 mod eval;
 mod functions;
 pub mod fuse;
+mod typing;
 
 pub use eval::{eval, eval_predicate, eval_predicate_offset, eval_shared, EvalContext};
 pub use functions::BuiltinScalar;
+pub(crate) use typing::{type_of, TypeEnv};
 
 use crate::types::{DataType, Value};
 use std::fmt;
@@ -215,51 +217,83 @@ impl Expr {
         Expr::Binary { op, left: Box::new(left), right: Box::new(right) }
     }
 
+    /// Calls `f` on each operand of this node, in evaluation order.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) => {}
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                f(expr)
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                operand.iter().for_each(|o| f(o));
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.iter().for_each(|e| f(e));
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::ScalarFn { args, .. } | Expr::Udf { args, .. } => args.iter().for_each(f),
+        }
+    }
+
+    /// [`Self::for_each_child`] with mutable operands.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) => {}
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                f(expr)
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                operand.iter_mut().for_each(|o| f(o));
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.iter_mut().for_each(|e| f(e));
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::ScalarFn { args, .. } | Expr::Udf { args, .. } => args.iter_mut().for_each(f),
+        }
+    }
+
     /// Collects the input column indices this expression references.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
         match self {
             Expr::Column(i) => out.push(*i),
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                expr.referenced_columns(out)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    o.referenced_columns(out);
-                }
-                for (w, t) in branches {
-                    w.referenced_columns(out);
-                    t.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.referenced_columns(out);
-                pattern.referenced_columns(out);
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
-            }
-            Expr::ScalarFn { args, .. } | Expr::Udf { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
-            Expr::Subquery(_) => {}
+            e => e.for_each_child(|c| c.referenced_columns(out)),
         }
     }
 
@@ -267,75 +301,15 @@ impl Expr {
     pub fn remap_columns(&mut self, map: &[usize]) {
         match self {
             Expr::Column(i) => *i = map[*i],
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.remap_columns(map);
-                right.remap_columns(map);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                expr.remap_columns(map)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    o.remap_columns(map);
-                }
-                for (w, t) in branches {
-                    w.remap_columns(map);
-                    t.remap_columns(map);
-                }
-                if let Some(e) = else_expr {
-                    e.remap_columns(map);
-                }
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.remap_columns(map);
-                for e in list {
-                    e.remap_columns(map);
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.remap_columns(map);
-                pattern.remap_columns(map);
-            }
-            Expr::Between { expr, low, high, .. } => {
-                expr.remap_columns(map);
-                low.remap_columns(map);
-                high.remap_columns(map);
-            }
-            Expr::ScalarFn { args, .. } | Expr::Udf { args, .. } => {
-                for a in args {
-                    a.remap_columns(map);
-                }
-            }
-            Expr::Subquery(_) => {}
+            e => e.for_each_child_mut(|c| c.remap_columns(map)),
         }
     }
 
     /// True if the expression contains any scalar-subquery placeholder.
     pub fn has_subquery(&self) -> bool {
-        match self {
-            Expr::Subquery(_) => true,
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::Binary { left, right, .. } => left.has_subquery() || right.has_subquery(),
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                expr.has_subquery()
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                operand.as_ref().is_some_and(|o| o.has_subquery())
-                    || branches.iter().any(|(w, t)| w.has_subquery() || t.has_subquery())
-                    || else_expr.as_ref().is_some_and(|e| e.has_subquery())
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.has_subquery() || list.iter().any(Expr::has_subquery)
-            }
-            Expr::Like { expr, pattern, .. } => expr.has_subquery() || pattern.has_subquery(),
-            Expr::Between { expr, low, high, .. } => {
-                expr.has_subquery() || low.has_subquery() || high.has_subquery()
-            }
-            Expr::ScalarFn { args, .. } | Expr::Udf { args, .. } => {
-                args.iter().any(Expr::has_subquery)
-            }
-        }
+        let mut found = matches!(self, Expr::Subquery(_));
+        self.for_each_child(|c| found = found || c.has_subquery());
+        found
     }
 }
 

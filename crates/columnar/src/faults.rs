@@ -50,7 +50,7 @@
 //! once, on first use; programmatic [`configure`]/[`clear`] override them.
 
 use crate::metrics;
-use parking_lot::Mutex;
+use crate::parallel::locks::Mutex;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -236,7 +236,7 @@ fn injector() -> &'static Mutex<Injector> {
     })
 }
 
-fn lock() -> parking_lot::MutexGuard<'static, Injector> {
+fn lock() -> std::sync::MutexGuard<'static, Injector> {
     injector().lock()
 }
 
@@ -468,7 +468,7 @@ mod tests {
     use std::sync::OnceLock as TestOnce;
 
     /// The injector is process-global; tests that arm it serialize here.
-    fn guard() -> parking_lot::MutexGuard<'static, ()> {
+    fn guard() -> std::sync::MutexGuard<'static, ()> {
         static G: TestOnce<Mutex<()>> = TestOnce::new();
         G.get_or_init(|| Mutex::new(())).lock()
     }

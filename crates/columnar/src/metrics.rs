@@ -35,7 +35,7 @@
 //! ```
 #![deny(missing_docs)]
 
-use parking_lot::Mutex;
+use crate::parallel::locks::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

@@ -26,11 +26,12 @@
 
 pub mod interleave;
 pub mod lock_order;
+pub mod locks;
 
 use crate::error::{DbError, DbResult};
 use interleave::YieldPoint;
 use lock_order::TrackedMutex;
-use parking_lot::Mutex;
+use locks::Mutex;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

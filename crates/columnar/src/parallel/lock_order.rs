@@ -3,8 +3,8 @@
 //!
 //! The static pass can prove a *file* never nests acquisitions, but the
 //! pool, the caches, and the upcoming event-loop server compose locks
-//! across crates at runtime. [`TrackedMutex`] is a thin wrapper over the
-//! `parking_lot` shim that, in debug builds, records per-thread
+//! across crates at runtime. [`TrackedMutex`] is a thin wrapper over
+//! [`super::locks::Mutex`] that, in debug builds, records per-thread
 //! acquisition stacks and maintains a global acquired-while-held graph
 //! over lock *names*. An acquisition that would close a cycle in that
 //! graph — the classic AB/BA deadlock shape — is reported as a typed
@@ -12,19 +12,19 @@
 //! chaos/interleave suites assert) and ticks the
 //! `analyze.lock_order.violations` counter so the tracker is itself
 //! observable. Release builds compile the bookkeeping out: `lock()` is
-//! exactly a `parking_lot` lock.
+//! exactly a [`super::locks::Mutex`] lock.
 //!
 //! Names act as lock *ranks*: every `TrackedMutex` guarding the same
 //! resource class shares one name, and acquiring a name already held by
 //! the current thread (same-rank nesting) is reported too, because the
-//! non-reentrant shim mutex would self-deadlock on a true re-entry.
+//! non-reentrant mutex would self-deadlock on a true re-entry.
 
-use parking_lot::{Mutex, MutexGuard};
+use super::locks::Mutex;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::OnceLock;
+use std::sync::{MutexGuard, OnceLock};
 
 /// A mutex whose acquisitions are (in debug builds) recorded in the
 /// global lock-order graph under a static rank `name`.
@@ -136,7 +136,7 @@ struct OrderState {
     violations: Vec<LockOrderViolation>,
 }
 
-/// The tracker's own state lock is a *plain* shim mutex on purpose: a
+/// The tracker's own state lock is a *plain* mutex on purpose: a
 /// tracked one would recurse into this module.
 fn state() -> &'static Mutex<OrderState> {
     static STATE: OnceLock<Mutex<OrderState>> = OnceLock::new();
@@ -255,7 +255,7 @@ mod tests {
     use super::*;
 
     /// The graph and violation list are process-global; tests serialize.
-    fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
         static G: OnceLock<Mutex<()>> = OnceLock::new();
         G.get_or_init(|| Mutex::new(())).lock()
     }

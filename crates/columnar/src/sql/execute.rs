@@ -7,12 +7,14 @@ use crate::error::{DbError, DbResult};
 use crate::exec;
 use crate::expr::{eval_shared, EvalContext, Expr};
 use crate::metrics;
+use crate::parallel::locks::Mutex;
 use crate::parallel::{effective_threads, DEFAULT_MORSEL_ROWS};
 use crate::schema::{Field, Schema};
 use crate::sql::plan::{BoundTableArg, LogicalPlan, PlanAgg};
 use crate::udf::FunctionRegistry;
+use crate::verify::{expr_parallel_safe, exprs_parallel_safe};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Input rows below which operators stay serial by default: morsel
@@ -100,12 +102,38 @@ impl ExecOptions {
     }
 }
 
-/// The policy for an operator that evaluates `exprs`: parallel only when
-/// every expression is safe to run concurrently (see
-/// [`crate::verify::expr_parallel_safe`]).
-fn par_for(opts: &ExecOptions, exprs: &[&Expr], functions: &FunctionRegistry) -> exec::Parallelism {
-    let safe = exprs.iter().all(|e| crate::verify::expr_parallel_safe(e, functions));
-    opts.parallelism(safe)
+/// Whether the executor may run `plan`'s operator on several threads:
+/// the operator has a parallel path and every expression it evaluates is
+/// parallel-safe (see [`crate::verify::expr_parallel_safe`]); the row
+/// threshold still decides at run time. `EXPLAIN` prints it as
+/// `[parallel]`.
+pub(crate) fn parallel_eligible(plan: &LogicalPlan, functions: &FunctionRegistry) -> bool {
+    match plan {
+        LogicalPlan::Filter { predicate, .. } => expr_parallel_safe(predicate, functions),
+        // Bare column references pass through whole; only computed
+        // expressions run per morsel.
+        LogicalPlan::Project { exprs, .. } => {
+            exprs.iter().any(|e| !matches!(e, Expr::Column(_)))
+                && exprs_parallel_safe(exprs, functions)
+        }
+        LogicalPlan::Join { join_type, residual, .. } => {
+            *join_type != exec::JoinType::Cross
+                && residual.as_ref().is_none_or(|r| expr_parallel_safe(r, functions))
+        }
+        // The hash aggregate reads only its materialized pre-batch, but an
+        // unsafe group key or argument keeps the whole operator serial.
+        LogicalPlan::Aggregate { group, aggs, .. } => {
+            aggs.iter().all(|a| !a.distinct)
+                && exprs_parallel_safe(group, functions)
+                && aggs
+                    .iter()
+                    .filter_map(|a| a.arg.as_ref())
+                    .all(|e| expr_parallel_safe(e, functions))
+        }
+        LogicalPlan::Sort { keys, .. } => !keys.is_empty(),
+        LogicalPlan::Distinct { .. } => true,
+        _ => false,
+    }
 }
 
 /// Runtime statistics observed for one plan operator during a traced
@@ -163,38 +191,22 @@ impl PlanTrace {
     /// [`crate::sql::estimate::estimate_map`] over the same plan value)
     /// so `EXPLAIN ANALYZE` can print `est=N` next to actual rows.
     pub fn set_estimates(&self, estimates: HashMap<usize, u64>) {
-        let mut ests = match self.ests.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        *ests = estimates;
+        *self.ests.lock() = estimates;
     }
 
     fn est_for(&self, key: usize) -> Option<u64> {
-        let ests = match self.ests.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        ests.get(&key).copied()
+        self.ests.lock().get(&key).copied()
     }
 
     fn record(&self, plan: &LogicalPlan, mut stats: NodeStats) {
         let key = Self::key(plan);
         stats.est = self.est_for(key);
-        let mut nodes = match self.nodes.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        nodes.insert(key, stats);
+        self.nodes.lock().insert(key, stats);
     }
 
     /// The statistics recorded for `plan`'s node, if it executed.
     pub fn get(&self, plan: &LogicalPlan) -> Option<NodeStats> {
-        let nodes = match self.nodes.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        nodes.get(&Self::key(plan)).copied()
+        self.nodes.lock().get(&Self::key(plan)).copied()
     }
 
     fn rows_out(&self, plan: &LogicalPlan) -> usize {
@@ -521,7 +533,7 @@ impl<'a> Exec<'a> {
             }
             LogicalPlan::Filter { input, predicate } => {
                 let v = self.view(input)?;
-                let par = par_for(opts, &[predicate], functions);
+                let par = opts.parallelism(parallel_eligible(plan, functions));
                 let mut flags = OpFlags::encodings(&v.batch);
                 // Produce a selection over the input batch; rows are gathered
                 // only when a downstream operator needs them.
@@ -545,8 +557,7 @@ impl<'a> Exec<'a> {
             }
             LogicalPlan::Project { input, exprs, schema } => {
                 let v = self.view(input)?;
-                let expr_refs: Vec<&Expr> = exprs.iter().collect();
-                let par = par_for(opts, &expr_refs, functions);
+                let par = opts.parallelism(parallel_eligible(plan, functions));
                 let mut flags = OpFlags::encodings(&v.batch);
                 let (out, ran_parallel) = self.project(&v, exprs, schema.clone(), par)?;
                 flags.parallel = ran_parallel;
@@ -564,13 +575,12 @@ impl<'a> Exec<'a> {
             } => {
                 let l = self.run(left)?;
                 let r = self.run(right)?;
-                // The hash join itself evaluates no expressions, so it is
-                // gated only by the row threshold (lowered for heavy ops).
-                let par = opts.for_heavy().parallelism(true);
+                let eligible = parallel_eligible(plan, functions);
+                let par = opts.for_heavy().parallelism(eligible);
                 let (mut joined, ran_parallel) =
                     exec::hash_join(&l, &r, left_keys, right_keys, *join_type, *build_left, par)?;
                 if let Some(pred) = residual {
-                    let par = par_for(opts, &[pred], functions);
+                    let par = opts.parallelism(eligible);
                     joined = exec::filter(&self.ctx(&joined), pred, par)?;
                 }
                 let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
@@ -600,7 +610,9 @@ impl<'a> Exec<'a> {
                         arg.remap_columns(&map);
                     }
                 }
-                let (out, ran_parallel) = self.aggregate(&narrow, &group, &aggs, schema.clone())?;
+                let par = opts.for_heavy().parallelism(parallel_eligible(plan, functions));
+                let (out, ran_parallel) =
+                    self.aggregate(&narrow, &group, &aggs, schema.clone(), par)?;
                 flags.parallel = ran_parallel;
                 Ok((ExecView::full(out), flags))
             }
@@ -614,8 +626,8 @@ impl<'a> Exec<'a> {
                         nulls_first: k.nulls_first,
                     })
                     .collect();
-                let (out, ran_parallel) =
-                    exec::sort(&b, &keys, opts.for_heavy().parallelism(true))?;
+                let par = opts.for_heavy().parallelism(parallel_eligible(plan, functions));
+                let (out, ran_parallel) = exec::sort(&b, &keys, par)?;
                 let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
                 Ok((ExecView::full(out), flags))
             }
@@ -627,7 +639,7 @@ impl<'a> Exec<'a> {
                 // DISTINCT is a group-by on every column with no aggregates.
                 let b = self.run(input)?;
                 let keys: Vec<usize> = (0..b.width()).collect();
-                let par = opts.for_heavy().parallelism(true);
+                let par = opts.for_heavy().parallelism(parallel_eligible(plan, functions));
                 let (out, ran_parallel) = exec::hash_aggregate(&b, &keys, &[], par)?;
                 let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
                 Ok((ExecView::full(out), flags))
@@ -735,15 +747,17 @@ impl Exec<'_> {
     }
 
     /// Evaluates group and aggregate-argument expressions, runs the hash
-    /// aggregate, and labels the output with the plan schema. A group key or
-    /// argument that is a bare column is the input's own column, shared. Also
-    /// reports whether the morsel-parallel aggregation engaged.
+    /// aggregate under `par`, and labels the output with the plan schema. A
+    /// group key or argument that is a bare column is the input's own
+    /// column, shared. Also reports whether the morsel-parallel aggregation
+    /// engaged.
     fn aggregate(
         &self,
         input: &Batch,
         group: &[Expr],
         aggs: &[PlanAgg],
         schema: Arc<Schema>,
+        par: exec::Parallelism,
     ) -> DbResult<(Batch, bool)> {
         let ctx = self.ctx(input);
         let n = input.rows();
@@ -785,12 +799,6 @@ impl Exec<'_> {
         }
         let pre = Batch::new(Arc::new(Schema::new_unchecked(fields)), pre_cols)?;
         let group_keys: Vec<usize> = (0..group.len()).collect();
-        // The hash aggregate reads only the materialized pre-batch, but stay
-        // conservative and mirror the EXPLAIN gating: parallel only when the
-        // whole pipeline's expressions are safe.
-        let mut exprs: Vec<&Expr> = group.iter().collect();
-        exprs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()));
-        let par = par_for(&self.opts.for_heavy(), &exprs, self.functions);
         let (out, ran_parallel) = exec::hash_aggregate(&pre, &group_keys, &calls, par)?;
         Ok((conform(out, schema)?, ran_parallel))
     }

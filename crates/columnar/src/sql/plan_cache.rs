@@ -26,7 +26,7 @@
 //! (ticked here on LRU eviction).
 
 use super::plan::LogicalPlan;
-use parking_lot::Mutex;
+use crate::parallel::locks::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -38,25 +38,12 @@ use crate::column::Column;
 use crate::encoding::{Values, DEAD};
 use crate::types::Value;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 /// Register-index bits of the NDV sketch (`2^8 = 256` registers,
 /// ~6.5% relative error — plenty for selectivity heuristics).
 const REGISTER_BITS: u32 = 8;
 /// Number of sketch registers.
 const REGISTERS: usize = 1 << REGISTER_BITS;
-
-/// True unless `MLCS_DISABLE_STATS` is set to a non-empty value other
-/// than `0`, which turns cost-based planning off for the whole process
-/// (collection still runs; only *use* of the stats is gated, so the
-/// on/off comparison in benchmarks pays identical collection cost).
-pub fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("MLCS_DISABLE_STATS") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    })
-}
 
 /// A streaming HyperLogLog-style distinct-count sketch.
 ///

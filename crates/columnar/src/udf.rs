@@ -17,9 +17,9 @@
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{DbError, DbResult};
+use crate::parallel::locks::RwLock;
 use crate::schema::Schema;
 use crate::types::DataType;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -12,8 +12,8 @@
 //! * **No unbound references** — every `Expr::Column(i)`, join key, and
 //!   sort key must index into its input schema.
 //! * **Expression types** — expression trees are re-typed bottom-up with
-//!   the same rules the binder uses; a disagreement with the declared
-//!   schema is a verification failure. Types that cannot be determined
+//!   the binder's one rule (`expr::type_of`); a disagreement with the
+//!   declared schema is a verification failure. Types that cannot be determined
 //!   statically (`NULL` literals, scalar subqueries checked without their
 //!   plans) are treated as *unknown* and satisfy any expectation, so
 //!   verification never rejects a plan the binder legitimately produced.
@@ -36,7 +36,9 @@
 
 use crate::error::{DbError, DbResult};
 use crate::exec::{AggFunc, JoinType};
-use crate::expr::{BinaryOp, BuiltinScalar, Expr, UnaryOp};
+#[cfg(test)]
+use crate::expr::BinaryOp;
+use crate::expr::{type_of, Expr, TypeEnv};
 use crate::schema::Schema;
 use crate::sql::plan::{BoundStatement, BoundTableArg, LogicalPlan, PlanAgg};
 use crate::types::DataType;
@@ -136,39 +138,12 @@ pub(crate) fn verify_rewrite(plan: &LogicalPlan) -> DbResult<()> {
 /// An unregistered UDF name is conservatively unsafe (execution will fail
 /// on it anyway).
 pub fn expr_parallel_safe(e: &Expr, functions: &FunctionRegistry) -> bool {
-    match e {
-        Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) => true,
-        Expr::Binary { left, right, .. } => {
-            expr_parallel_safe(left, functions) && expr_parallel_safe(right, functions)
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-            expr_parallel_safe(expr, functions)
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            operand.iter().all(|e| expr_parallel_safe(e, functions))
-                && branches.iter().all(|(w, t)| {
-                    expr_parallel_safe(w, functions) && expr_parallel_safe(t, functions)
-                })
-                && else_expr.iter().all(|e| expr_parallel_safe(e, functions))
-        }
-        Expr::InList { expr, list, .. } => {
-            expr_parallel_safe(expr, functions)
-                && list.iter().all(|e| expr_parallel_safe(e, functions))
-        }
-        Expr::Like { expr, pattern, .. } => {
-            expr_parallel_safe(expr, functions) && expr_parallel_safe(pattern, functions)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            expr_parallel_safe(expr, functions)
-                && expr_parallel_safe(low, functions)
-                && expr_parallel_safe(high, functions)
-        }
-        Expr::ScalarFn { args, .. } => args.iter().all(|e| expr_parallel_safe(e, functions)),
-        Expr::Udf { name, args } => {
-            functions.scalar(name).map(|u| u.parallel_safe()).unwrap_or(false)
-                && args.iter().all(|e| expr_parallel_safe(e, functions))
-        }
-    }
+    let mut safe = match e {
+        Expr::Udf { name, .. } => functions.scalar(name).is_ok_and(|u| u.parallel_safe()),
+        _ => true,
+    };
+    e.for_each_child(|c| safe = safe && expr_parallel_safe(c, functions));
+    safe
 }
 
 /// [`expr_parallel_safe`] over a slice of expressions.
@@ -513,7 +488,7 @@ impl<'a> Verifier<'a> {
 
     /// Checks a predicate-position expression: unbound references are
     /// errors and a statically-known non-boolean type is rejected.
-    fn boolean_expr(&mut self, e: &Expr, input: &Schema, what: &str) -> DbResult<()> {
+    fn boolean_expr(&self, e: &Expr, input: &Schema, what: &str) -> DbResult<()> {
         if let Some(t) = self.expr(e, input)? {
             if t != DataType::Boolean {
                 return Err(self.fail(format!("{what} has type {t}, expected BOOLEAN")));
@@ -522,206 +497,56 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    /// Re-types an expression bottom-up with the binder's rules. `None`
-    /// means the type cannot be determined statically (NULL literal or
-    /// opaque subquery somewhere relevant) and matches anything.
-    fn expr(&mut self, e: &Expr, input: &Schema) -> DbResult<Option<DataType>> {
-        Ok(match e {
-            Expr::Column(i) => match input.fields().get(*i) {
-                Some(f) => Some(f.dtype),
-                None => {
-                    return Err(self.fail(format!(
-                        "unbound column reference #{i} (input has {} columns)",
-                        input.len()
-                    )));
-                }
-            },
-            Expr::Literal(v) => v.data_type(),
-            Expr::Binary { op, left, right } => {
-                let lt = self.expr(left, input)?;
-                let rt = self.expr(right, input)?;
-                match op {
-                    op if op.is_comparison() => Some(DataType::Boolean),
-                    BinaryOp::And | BinaryOp::Or => Some(DataType::Boolean),
-                    BinaryOp::Concat => Some(DataType::Varchar),
-                    _ => match (lt, rt) {
-                        (Some(l), Some(r)) => Some(if l.is_integer() && r.is_integer() {
-                            DataType::Int64
-                        } else {
-                            DataType::Float64
-                        }),
-                        // One side unknown: only a non-integer known side
-                        // pins the result (the "both integers" rule can no
-                        // longer apply).
-                        (Some(t), None) | (None, Some(t)) if !t.is_integer() => {
-                            Some(DataType::Float64)
-                        }
-                        _ => None,
-                    },
-                }
-            }
-            Expr::Unary { op, expr } => {
-                let t = self.expr(expr, input)?;
-                match op {
-                    UnaryOp::Not => Some(DataType::Boolean),
-                    UnaryOp::Neg => {
-                        t.map(|t| if t.is_float() { DataType::Float64 } else { DataType::Int64 })
-                    }
-                }
-            }
-            Expr::Cast { expr, to } => {
-                self.expr(expr, input)?;
-                Some(*to)
-            }
-            Expr::IsNull { expr, .. } => {
-                self.expr(expr, input)?;
-                Some(DataType::Boolean)
-            }
-            Expr::InList { expr, list, .. } => {
-                self.expr(expr, input)?;
-                for x in list {
-                    self.expr(x, input)?;
-                }
-                Some(DataType::Boolean)
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.expr(expr, input)?;
-                self.expr(pattern, input)?;
-                Some(DataType::Boolean)
-            }
-            Expr::Between { expr, low, high, .. } => {
-                self.expr(expr, input)?;
-                self.expr(low, input)?;
-                self.expr(high, input)?;
-                Some(DataType::Boolean)
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    self.expr(o, input)?;
-                }
-                let mut result: Option<DataType> = None;
-                let mut unknown = false;
-                let mut outputs = Vec::with_capacity(branches.len() + 1);
-                for (when, then) in branches {
-                    self.expr(when, input)?;
-                    outputs.push(self.expr(then, input)?);
-                }
-                if let Some(e) = else_expr {
-                    outputs.push(self.expr(e, input)?);
-                }
-                for t in outputs {
-                    let Some(t) = t else {
-                        unknown = true;
-                        continue;
-                    };
-                    result = Some(match result {
-                        None => t,
-                        Some(prev) => DataType::common_numeric(prev, t).ok_or_else(|| {
-                            self.fail(format!("CASE branches mix {prev} and {t}"))
-                        })?,
-                    });
-                }
-                if unknown {
-                    None
-                } else {
-                    // No typed branch at all: the binder defaults to Int32.
-                    Some(result.unwrap_or(DataType::Int32))
-                }
-            }
-            Expr::ScalarFn { func, args } => {
-                let (lo, hi) = func.arity();
-                if args.len() < lo || args.len() > hi {
-                    return Err(self.fail(format!(
-                        "{func:?} expects {lo}{} argument(s), got {}",
-                        if hi == usize::MAX {
-                            "+".to_owned()
-                        } else if hi > lo {
-                            format!("..={hi}")
-                        } else {
-                            String::new()
-                        },
-                        args.len()
-                    )));
-                }
-                let mut types = Vec::with_capacity(args.len());
-                for a in args {
-                    types.push(self.expr(a, input)?);
-                }
-                self.scalar_fn_type(*func, &types)?
-            }
-            Expr::Udf { name, args } => {
-                let mut types = Vec::with_capacity(args.len());
-                for a in args {
-                    types.push(self.expr(a, input)?);
-                }
-                let Some(registry) = self.functions else {
-                    return Ok(None);
-                };
-                let udf = registry
-                    .scalar(name)
-                    .map_err(|_| self.fail(format!("unknown scalar UDF '{name}'")))?;
-                if self.in_constant_arg && udf.parallel_safe() {
-                    return Err(self.fail(format!(
-                        "parallel-safe UDF '{name}' used in a constant (non-splittable) \
-                         table-function argument"
-                    )));
-                }
-                match types.iter().copied().collect::<Option<Vec<DataType>>>() {
-                    Some(known) => Some(udf.return_type(&known).map_err(|e| {
-                        self.fail(format!("scalar UDF '{name}' rejects its bound arguments: {e}"))
-                    })?),
-                    None => None,
-                }
-            }
-            Expr::Subquery(i) => match &self.subqueries {
-                Subqueries::Known(types) => Some(*types.get(*i).ok_or_else(|| {
-                    self.fail(format!("dangling scalar subquery ${i} ({} recorded)", types.len()))
-                })?),
-                Subqueries::Opaque => None,
-            },
-        })
+    /// Types an expression with the binder's rule. `None` means the type
+    /// cannot be determined statically (NULL literal or opaque subquery
+    /// somewhere relevant) and matches anything.
+    fn expr(&self, e: &Expr, input: &Schema) -> DbResult<Option<DataType>> {
+        type_of(e, input, self)
+    }
+}
+
+/// The verifier types what the plan leaves open as unknown and checks
+/// every operand.
+impl TypeEnv for Verifier<'_> {
+    fn null_type(&self) -> Option<DataType> {
+        None
     }
 
-    /// Builtin return types, mirroring the binder's `infer_type` with
-    /// unknown-propagation.
-    fn scalar_fn_type(
-        &self,
-        func: BuiltinScalar,
-        args: &[Option<DataType>],
-    ) -> DbResult<Option<DataType>> {
-        Ok(match func {
-            BuiltinScalar::Abs | BuiltinScalar::Sign => {
-                args[0].map(|t| if t.is_integer() { DataType::Int64 } else { DataType::Float64 })
-            }
-            BuiltinScalar::Floor
-            | BuiltinScalar::Ceil
-            | BuiltinScalar::Round
-            | BuiltinScalar::Sqrt
-            | BuiltinScalar::Exp
-            | BuiltinScalar::Ln
-            | BuiltinScalar::Log10
-            | BuiltinScalar::Power => Some(DataType::Float64),
-            BuiltinScalar::Length | BuiltinScalar::OctetLength => Some(DataType::Int64),
-            BuiltinScalar::Lower
-            | BuiltinScalar::Upper
-            | BuiltinScalar::Trim
-            | BuiltinScalar::Substr
-            | BuiltinScalar::Concat => Some(DataType::Varchar),
-            BuiltinScalar::Nullif => args[0],
-            BuiltinScalar::Coalesce | BuiltinScalar::Least | BuiltinScalar::Greatest => {
-                let mut result: Option<DataType> = None;
-                for t in args {
-                    let Some(t) = *t else { return Ok(None) };
-                    result = Some(match result {
-                        None => t,
-                        Some(prev) => DataType::common_numeric(prev, t).ok_or_else(|| {
-                            self.fail(format!("{func:?} arguments mix {prev} and {t}"))
-                        })?,
-                    });
-                }
-                result
-            }
-        })
+    fn subquery_type(&self, i: usize) -> DbResult<Option<DataType>> {
+        match &self.subqueries {
+            Subqueries::Known(types) => Ok(Some(*types.get(i).ok_or_else(|| {
+                self.fail(format!("dangling scalar subquery ${i} ({} recorded)", types.len()))
+            })?)),
+            Subqueries::Opaque => Ok(None),
+        }
+    }
+
+    fn udf_type(&self, name: &str, args: &[Option<DataType>]) -> DbResult<Option<DataType>> {
+        let Some(registry) = self.functions else {
+            return Ok(None);
+        };
+        let udf =
+            registry.scalar(name).map_err(|_| self.fail(format!("unknown scalar UDF '{name}'")))?;
+        if self.in_constant_arg && udf.parallel_safe() {
+            return Err(self.fail(format!(
+                "parallel-safe UDF '{name}' used in a constant (non-splittable) \
+                 table-function argument"
+            )));
+        }
+        match args.iter().copied().collect::<Option<Vec<DataType>>>() {
+            Some(known) => Ok(Some(udf.return_type(&known).map_err(|e| {
+                self.fail(format!("scalar UDF '{name}' rejects its bound arguments: {e}"))
+            })?)),
+            None => Ok(None),
+        }
+    }
+
+    fn checks_operands(&self) -> bool {
+        true
+    }
+
+    fn error(&self, message: String) -> DbError {
+        self.fail(message)
     }
 }
 

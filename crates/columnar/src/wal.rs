@@ -42,12 +42,12 @@ use crate::error::{DbError, DbResult};
 use crate::faults;
 use crate::metrics;
 use crate::page::u32_at;
+use crate::parallel::locks::Mutex;
 use crate::persist::{self, corrupt, DamagedTable, RecoveryMode, RecoveryReport};
 use crate::schema::Schema;
 use crate::table::Table;
 use mlcs_pickle::crc::crc32;
 use mlcs_pickle::{Reader, Writer};
-use parking_lot::Mutex;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -18,8 +18,8 @@
 //! [`StoredModel::from_blob`].
 
 use crate::stored::StoredModel;
+use mlcs_columnar::parallel::locks::Mutex;
 use mlcs_columnar::{DbError, DbResult};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;

@@ -30,8 +30,8 @@ use crate::epoll::{wake_pipe, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EP
 use crate::framing::{decode_query, encode_schema, write_frame, Encoding, FrameKind, MAX_FRAME};
 use crate::server::{encode_rows_frame, panic_message, reject_stream};
 use mlcs_columnar::faults::FaultyStream;
+use mlcs_columnar::parallel::locks::Mutex;
 use mlcs_columnar::{metrics, Batch, Database, DbError, DbResult};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Write};

@@ -356,7 +356,7 @@ mod tests {
     fn inventory_counts_primitives() {
         let files = vec![
             scan_str("crates/a/src/x.rs", "use std::sync::Mutex;\nstatic M: Mutex<u8> = m();\n"),
-            scan_str("shims/parking_lot/src/lib.rs", "pub struct Mutex<T> { t: T }\n"),
+            scan_str("shims/rand/src/lib.rs", "pub struct Mutex<T> { t: T }\n"),
         ];
         let inv = inventory(&files);
         assert_eq!(inv.len(), 1, "{inv:?}");
