@@ -11,7 +11,7 @@
 use crate::batch::Batch;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
-use crate::encoding::{typed, Values};
+use crate::encoding::{typed, Values, DICT_MAX_NDV};
 use crate::error::{DbError, DbResult};
 use crate::exec::hashtable::{
     self, ByteKeys, ColumnHasher, HashTable, IntKeys, KeyHasher, KeyKind, NONE, PARTITIONS,
@@ -151,6 +151,22 @@ struct Acc {
 }
 
 impl Acc {
+    /// Empty accumulators with room for `groups` slots in each vector
+    /// `kind` uses.
+    fn with_capacity(kind: Kind, groups: usize) -> Acc {
+        fn room<T>(used: bool, groups: usize) -> Vec<T> {
+            Vec::with_capacity(if used { groups } else { 0 })
+        }
+        let best = matches!(kind, Kind::Best(_));
+        Acc {
+            counts: room(!best, groups),
+            ints: room(kind == Kind::IntSum, groups),
+            floats: room(matches!(kind, Kind::FloatSum | Kind::Avg), groups),
+            best: room(best, groups),
+            best_at: room(best, groups),
+        }
+    }
+
     /// Opens slots up to `groups`.
     fn grow(&mut self, kind: Kind, groups: usize) {
         match kind {
@@ -457,12 +473,43 @@ struct Groups {
     accs: Vec<Acc>,
 }
 
+/// The composite codes [`KeyShape::Dict`] may span: every single
+/// dictionary key (at most [`DICT_MAX_NDV`] entries) fits, with its NULL.
+const DICT_CODES: usize = DICT_MAX_NDV + 1;
+
+/// One key of [`KeyShape::Dict`]: a digit of the composite code.
+struct Digit<'a> {
+    col: &'a Column,
+    codes: &'a [u32],
+    /// The digit of a NULL row: the dictionary's size.
+    null: u32,
+    /// The digit's place value: the product of the earlier keys' radices.
+    place: u32,
+}
+
+impl Digit<'_> {
+    /// Adds `rows[k]`'s digit times its place value to `out[k]`; the
+    /// `FIRST` key (place value 1) overwrites `out[k]` instead.
+    #[inline(always)]
+    fn add<const FIRST: bool>(&self, rows: impl Iterator<Item = usize>, out: &mut [u32]) {
+        let put =
+            |o: &mut u32, digit: u32| *o = if FIRST { digit } else { *o + digit * self.place };
+        let slots = out.iter_mut().zip(rows);
+        match self.col.validity() {
+            None => slots.for_each(|(o, r)| put(o, self.codes[r])),
+            Some(bm) => {
+                slots.for_each(|(o, r)| put(o, if bm.get(r) { self.codes[r] } else { self.null }))
+            }
+        }
+    }
+}
+
 /// How the group keys are read and looked up, decided once per
 /// aggregation.
 enum KeyShape<'a> {
-    /// A single dictionary-encoded key: its column, codes and dictionary
-    /// size.
-    Dict(&'a Column, &'a [u32], usize),
+    /// Non-float dictionary keys whose composite codes number at most
+    /// [`DICT_CODES`]: one digit per key, and how many codes there are.
+    Dict(Vec<Digit<'a>>, usize),
     /// A single integer key.
     Int(&'a [&'a Column]),
     /// Anything else: [`rowkey`] bytes.
@@ -471,32 +518,54 @@ enum KeyShape<'a> {
 
 impl<'a> KeyShape<'a> {
     fn of(keys: &'a [&'a Column]) -> KeyShape<'a> {
-        if let [col] = keys {
-            // A float dictionary keeps -0.0 beside 0.0 and each NaN's bits:
-            // those keys group as rowkey bytes, which fold them.
-            if let Some((codes, values)) = col.dict_parts().filter(|_| !col.data_type().is_float())
-            {
-                return KeyShape::Dict(col, codes, values.len());
-            }
-        }
-        if rowkey::int_fast_path(keys) {
+        if let Some(shape) = KeyShape::dict(keys) {
+            shape
+        } else if rowkey::int_fast_path(keys) {
             KeyShape::Int(keys)
         } else {
             KeyShape::Bytes(keys, ColumnHasher::new(keys))
         }
     }
 
+    /// The composite-code shape, when every key is a non-float dictionary
+    /// and the product of their radices (entries + 1, for NULL) is at most
+    /// [`DICT_CODES`]. A float dictionary keeps -0.0 beside 0.0 and each
+    /// NaN's bits: those keys group as rowkey bytes, which fold them.
+    fn dict(keys: &'a [&'a Column]) -> Option<KeyShape<'a>> {
+        let mut digits = Vec::with_capacity(keys.len());
+        let mut space = 1;
+        for &col in keys {
+            let (codes, values) = col.dict_parts().filter(|_| !col.data_type().is_float())?;
+            let null = values.len() as u32;
+            digits.push(Digit { col, codes, null, place: space as u32 });
+            space = (values.len() + 1).checked_mul(space).filter(|&n| n <= DICT_CODES)?;
+        }
+        Some(KeyShape::Dict(digits, space))
+    }
+
+    /// Writes the composite code of each of `rows` to `out`, a key column
+    /// at a time: `Σ digit_i · place_i`, a NULL key's digit being `null`.
+    fn codes(
+        digits: &[Digit],
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+        out: &mut Vec<u32>,
+    ) {
+        out.resize(rows.len(), 0);
+        digits[0].add::<true>(rows.clone(), out);
+        digits[1..].iter().for_each(|d| d.add::<false>(rows.clone(), out));
+    }
+
     /// Appends the hash the partition pass scatters each row of `m` by. A
-    /// dictionary code is rotated so that its low bits pick the partition
-    /// and its high bits index that partition's array. A single key's NULL
-    /// goes to partition 0.
+    /// composite code is rotated so that its low bits pick the partition
+    /// and its high bits index that partition's array.
     fn partition_hashes(&self, m: Morsel, out: &mut Vec<u64>) {
         let rows = m.start..m.start + m.len;
         match self {
-            KeyShape::Dict(col, codes, _) => out.extend(rows.map(|row| {
-                let code = if col.is_null(row) { 0 } else { codes[row] as u64 };
-                code.rotate_right(PARTITION_BITS)
-            })),
+            KeyShape::Dict(digits, _) => {
+                let mut codes = Vec::new();
+                KeyShape::codes(digits, rows, &mut codes);
+                out.extend(codes.iter().map(|&c| u64::from(c).rotate_right(PARTITION_BITS)));
+            }
             KeyShape::Int(cols) => {
                 let h = KeyHasher::get();
                 out.extend(
@@ -513,19 +582,29 @@ impl<'a> KeyShape<'a> {
     /// key's NULL is a group of its own.
     fn ids(&self, l: &mut Lookup, rows: &[u32], ids: &mut Vec<u32>, firsts: &mut Vec<u32>) {
         ids.clear();
-        match *self {
-            KeyShape::Dict(col, codes, _) => ids.extend(rows.iter().map(|&row| {
-                // Ids straight off the codes: no hash probe per row.
-                let slot = match col.is_null(row as usize) {
-                    true => &mut l.null,
-                    false => &mut l.slots[(codes[row as usize] >> l.shift) as usize],
+        match self {
+            KeyShape::Dict(digits, _) => {
+                // Ids straight off the codes: no hash probe per row. A
+                // single key without NULLs is its own code.
+                let (slots, shift) = (&mut l.slots, l.shift);
+                let open = |(code, &row): (u32, &u32)| {
+                    let slot = &mut slots[(code >> shift) as usize];
+                    if *slot == NONE {
+                        *slot = firsts.len() as u32;
+                        firsts.push(row);
+                    }
+                    *slot
                 };
-                if *slot == NONE {
-                    *slot = firsts.len() as u32;
-                    firsts.push(row);
+                match &digits[..] {
+                    [d] if d.col.validity().is_none() => {
+                        ids.extend(rows.iter().map(|&r| d.codes[r as usize]).zip(rows).map(open))
+                    }
+                    _ => {
+                        KeyShape::codes(digits, rows.iter().map(|&r| r as usize), &mut l.codes);
+                        ids.extend(l.codes.iter().copied().zip(rows).map(open))
+                    }
                 }
-                *slot
-            })),
+            }
             KeyShape::Int(cols) => ids.extend(rows.iter().map(|&row| {
                 let (id, new) = match IntKeys::read(cols, row as usize, &mut ()) {
                     Some(k) => l.ints.insert(l.ints.hash(k), k),
@@ -552,13 +631,14 @@ impl<'a> KeyShape<'a> {
     }
 }
 
-/// One partition's key lookup state, kept across its blocks: a dictionary
-/// key's group per code the partition can see (codes shifted right by
-/// `shift`), else the hash table of its key kind; `null` is the group of
-/// a single key's NULL.
+/// One partition's key lookup state, kept across its blocks: for
+/// composite codes, the group of each code the partition can see (codes
+/// shifted right by `shift`) and the block's codes; else the hash table of
+/// its key kind, `null` being the group of a single integer key's NULL.
 struct Lookup {
     slots: Vec<u32>,
     shift: u32,
+    codes: Vec<u32>,
     ints: HashTable<IntKeys>,
     bytes: HashTable<ByteKeys>,
     key: Vec<u8>,
@@ -566,16 +646,19 @@ struct Lookup {
 }
 
 impl Lookup {
-    /// An empty lookup for one partition of `shape`'s keys: all of the
-    /// input when `partitioned` is false, else one of [`PARTITIONS`].
-    fn new(shape: &KeyShape, partitioned: bool) -> Lookup {
+    /// An empty lookup for one partition of `shape`'s keys (all of the
+    /// input when `partitioned` is false, else one of [`PARTITIONS`]),
+    /// its table sized for `groups` keys.
+    fn new(shape: &KeyShape, partitioned: bool, groups: usize) -> Lookup {
         let shift = if partitioned { PARTITION_BITS } else { 0 };
-        let slots = match *shape {
-            KeyShape::Dict(_, _, values) => vec![NONE; (values >> shift) + 1],
-            _ => Vec::new(),
-        };
-        let (ints, bytes) = (HashTable::with_capacity(0), HashTable::with_capacity(0));
-        Lookup { slots, shift, ints, bytes, key: Vec::new(), null: NONE }
+        let (mut slots, mut ints, mut bytes) = (Vec::new(), 0, 0);
+        match *shape {
+            KeyShape::Dict(_, space) => slots = vec![NONE; ((space - 1) >> shift) + 1],
+            KeyShape::Int(_) => ints = groups,
+            KeyShape::Bytes(..) => bytes = groups,
+        }
+        let (ints, bytes) = (HashTable::with_capacity(ints), HashTable::with_capacity(bytes));
+        Lookup { slots, shift, codes: Vec::new(), ints, bytes, key: Vec::new(), null: NONE }
     }
 }
 
@@ -591,14 +674,20 @@ struct Fold<'a> {
 }
 
 impl<'a> Fold<'a> {
-    fn new(shape: &'a KeyShape<'a>, aggs: &'a [Agg<'a>], partitioned: bool) -> Fold<'a> {
+    /// An empty fold of one partition, sized for `groups` groups.
+    fn new(
+        shape: &'a KeyShape<'a>,
+        aggs: &'a [Agg<'a>],
+        partitioned: bool,
+        groups: usize,
+    ) -> Fold<'a> {
         Fold {
             shape,
             aggs,
-            lookup: Lookup::new(shape, partitioned),
+            lookup: Lookup::new(shape, partitioned, groups),
             groups: Groups {
-                first_rows: Vec::new(),
-                accs: aggs.iter().map(|_| Acc::default()).collect(),
+                first_rows: Vec::with_capacity(groups),
+                accs: aggs.iter().map(|a| Acc::with_capacity(a.kind, groups)).collect(),
             },
             ids: Vec::with_capacity(BLOCK),
             dedup: aggs.iter().map(|a| a.distinct.then(Dedup::new)).collect(),
@@ -650,6 +739,19 @@ pub fn hash_aggregate(
     aggs: &[AggCall],
     par: Parallelism,
 ) -> DbResult<(Batch, bool)> {
+    hash_aggregate_sized(input, group_keys, aggs, par, 0)
+}
+
+/// [`hash_aggregate`] with its tables and accumulators sized up front for
+/// `groups` groups, the plan's estimate (0 when there is none), capped by
+/// the input's rows and split over the partitions when partitioned.
+pub fn hash_aggregate_sized(
+    input: &Batch,
+    group_keys: &[usize],
+    aggs: &[AggCall],
+    par: Parallelism,
+    groups: usize,
+) -> DbResult<(Batch, bool)> {
     let aggs = aggs.iter().map(|a| Agg::resolve(a, input)).collect::<DbResult<Vec<_>>>()?;
     let parallel = par.enabled(input.rows()) && !aggs.iter().any(|a| a.distinct);
     if group_keys.is_empty() {
@@ -658,14 +760,16 @@ pub fn hash_aggregate(
     }
     let keys: Vec<&Column> = group_keys.iter().map(|&i| input.column(i).as_ref()).collect();
     let shape = KeyShape::of(&keys);
-    if let KeyShape::Dict(..) = shape {
+    let mut groups = groups.min(input.rows());
+    if let KeyShape::Dict(_, space) = shape {
         metrics::counter("exec.encoding.dict_rows").add(input.rows() as u64);
+        groups = groups.min(space);
     }
     let (parts, order) = if parallel {
         let scattered =
             hashtable::partition(input.rows(), &par, |m, out| shape.partition_hashes(m, out))?;
         let parts = par.run_tasks(PARTITIONS, |p| {
-            let mut fold = Fold::new(&shape, &aggs, true);
+            let mut fold = Fold::new(&shape, &aggs, true, groups.div_ceil(PARTITIONS));
             scattered.slices(p).flat_map(|rows| rows.chunks(BLOCK)).for_each(|b| fold.block(b));
             Ok(fold.groups)
         })?;
@@ -673,7 +777,7 @@ pub fn hash_aggregate(
         (parts, Some(order))
     } else {
         par.check_deadline()?;
-        let mut fold = Fold::new(&shape, &aggs, false);
+        let mut fold = Fold::new(&shape, &aggs, false, groups);
         blocks(0..input.rows(), |b| fold.block(b));
         (vec![fold.groups], None)
     };

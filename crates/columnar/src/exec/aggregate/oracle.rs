@@ -427,6 +427,57 @@ mod equivalence {
         }
     }
 
+    /// Two and three dictionary keys (with NULLs) whose composite codes
+    /// number just under and just over the bound: the first two take
+    /// `KeyShape::Dict`, the last two the byte path, and every one equals
+    /// the oracle serially and forced parallel.
+    #[test]
+    fn composite_dictionary_keys_at_the_code_bound() {
+        use super::super::KeyShape;
+        const TYPES: [DataType; 3] = [DataType::Int32, DataType::Varchar, DataType::Int16];
+        let n = 3000;
+        // Radix products 256 · 256 = 65 536 and 40³ = 64 000 fit 65 537
+        // codes; 256 · 257 = 65 792 and 41 · 40 · 40 = 65 600 do not.
+        for (entries, fits) in [
+            (&[255, 255][..], true),
+            (&[39, 39, 39], true),
+            (&[255, 256], false),
+            (&[40, 39, 39], false),
+        ] {
+            let cols: Vec<(String, Column)> = entries
+                .iter()
+                .enumerate()
+                .map(|(j, &e)| {
+                    let picks: Vec<usize> = (0..n).map(|r| (r * [1, 7, 11][j] + j) % e).collect();
+                    let valid =
+                        Bitmap::from_bools(&(0..n).map(|r| (r + j) % 7 != 0).collect::<Vec<_>>());
+                    let col = column(TYPES[j], &picks, false, Some(valid)).encode(Encoding::Dict);
+                    assert_eq!(col.dict_parts().map(|(_, v)| v.len()), Some(e));
+                    (format!("k{j}"), col)
+                })
+                .chain([(
+                    "x".to_owned(),
+                    column(DataType::Float64, &(0..n).collect::<Vec<_>>(), false, None),
+                )])
+                .collect();
+            let batch = Batch::from_columns(
+                cols.iter().map(|(name, c)| (name.as_str(), c.clone())).collect(),
+            )
+            .unwrap();
+            let keys: Vec<usize> = (0..entries.len()).collect();
+            let key_cols: Vec<&Column> = keys.iter().map(|&k| batch.column(k).as_ref()).collect();
+            assert_eq!(matches!(KeyShape::of(&key_cols), KeyShape::Dict(..)), fits, "{entries:?}");
+            let x = entries.len();
+            let calls = [
+                AggCall { func: AggFunc::CountStar, arg: None, distinct: false },
+                AggCall { func: AggFunc::Sum, arg: Some(x), distinct: false },
+                AggCall { func: AggFunc::Min, arg: Some(1), distinct: false },
+            ];
+            check(&batch, &keys, &calls).unwrap();
+            check(&batch, &keys, &[]).unwrap();
+        }
+    }
+
     #[test]
     fn sum_overflow_errors_alike() {
         let big = Column::from_i64s(vec![i64::MAX, 1, i64::MAX, -5, 3]);

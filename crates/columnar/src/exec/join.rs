@@ -6,7 +6,8 @@
 //! per partition of the build side (one radix partition pass when
 //! parallel, see `exec::hashtable`), probes in morsels emitting `(probe row,
 //! build row)` pairs in probe order, and finishes. Serial execution is the
-//! same code with one partition and one probe morsel.
+//! same code with one partition and one probe morsel. A dictionary probe
+//! key is looked up once per dictionary entry, and its rows by code.
 //!
 //! The *default* build side is the right input, with the probe side
 //! streaming the left input; probe-order pairs are then already in output
@@ -25,6 +26,7 @@ use crate::exec::hashtable::{
     self, ByteKeys, HashTable, IntKeys, KeyHasher, KeyKind, NONE, PARTITIONS,
 };
 use crate::exec::{concat_parts, rowkey, Parallelism};
+use crate::metrics;
 use crate::schema::Schema;
 use std::sync::Arc;
 
@@ -141,19 +143,74 @@ impl<K: KeyKind> BuildTable<K> {
         Ok(BuildTable { rows, table, head, next })
     }
 
-    /// Calls `emit` with every build row whose key is `key` (hash `hash`),
-    /// ascending; returns whether there was one.
-    #[inline]
-    fn for_each_match(&self, hash: u64, key: K::Key<'_>, mut emit: impl FnMut(u32)) -> bool {
-        let Some(id) = self.table.find(hash, key) else { return false };
-        let mut pos = self.head[id as usize];
-        while pos != NONE {
-            emit(self.rows[pos as usize]);
-            pos = self.next[pos as usize];
-        }
-        true
+    /// The start of `key`'s chain (hash `hash`): [`NONE`] when no build
+    /// row has that key.
+    #[inline(always)]
+    fn chain(&self, hash: u64, key: K::Key<'_>) -> u32 {
+        self.table.find(hash, key).map_or(NONE, |id| self.head[id as usize])
     }
 }
+
+/// Where a probe key's matches start: a partition's table and a position
+/// in its chain ([`NONE`]: no match).
+type Head = (u32, u32);
+
+/// The head of a key no build row has, and of a NULL key.
+const UNMATCHED: Head = (0, NONE);
+
+/// The key-table lookups of one probe: each partition's build table, and
+/// how a key finds its partition.
+struct Tables<K: KeyKind> {
+    parts: Vec<BuildTable<K>>,
+    hasher: KeyHasher,
+}
+
+impl<K: KeyKind> Tables<K> {
+    /// Where the matches of `row`'s key start.
+    #[inline(always)]
+    fn head(&self, cols: &[&Column], row: usize, scratch: &mut K::Scratch) -> Head {
+        let Some(key) = match_key::<K>(cols, row, scratch) else { return UNMATCHED };
+        let hash = K::hash(self.hasher, key);
+        let p = hashtable::part_index(hash, self.parts.len());
+        (p as u32, self.parts[p].chain(hash, key))
+    }
+
+    /// Appends `(row, build row)` for every build row from `head` on,
+    /// ascending, or `(row, None)` when there is none and `keep_unmatched`.
+    #[inline(always)]
+    fn emit(&self, row: usize, (p, mut pos): Head, keep_unmatched: bool, out: &mut Pairs) {
+        if pos == NONE && keep_unmatched {
+            out.0.push(row as u32);
+            out.1.push(None);
+        }
+        let part = &self.parts[p as usize];
+        while pos != NONE {
+            out.0.push(row as u32);
+            out.1.push(Some(part.rows[pos as usize]));
+            pos = part.next[pos as usize];
+        }
+    }
+
+    /// Each entry's head when the probe key is a single dictionary column
+    /// with no more entries than rows: one lookup per entry, through the
+    /// same key representation the rows use, so a probe row's head is its
+    /// code's.
+    fn entry_heads<'c>(&self, probe: &[&'c Column]) -> DbResult<Option<(&'c [u32], Vec<Head>)>> {
+        let Some((codes, values)) = probe[0].dict_parts().filter(|_| probe.len() == 1) else {
+            return Ok(None);
+        };
+        if values.len() > codes.len() {
+            return Ok(None);
+        }
+        let entries = Column::new(values.clone(), None)?;
+        let mut scratch = K::Scratch::default();
+        let heads = (0..entries.len()).map(|e| self.head(&[&entries], e, &mut scratch));
+        Ok(Some((codes, heads.collect())))
+    }
+}
+
+/// Matched `(probe row, build row)` pairs as two parallel vectors.
+type Pairs = (Vec<u32>, Vec<Option<u32>>);
 
 /// Build and probe over the two sides' key columns (never empty — the
 /// arity check ran), generic over the key representation: returns the
@@ -164,50 +221,58 @@ impl<K: KeyKind> BuildTable<K> {
 /// 1. The build side is one table when not parallel. In parallel, one
 ///    partition pass scatters build rows by key hash and each partition
 ///    builds its own table on the pool from its own rows.
-/// 2. Probe morsels hash each key once, look it up in its partition's
-///    table and emit pairs, which are concatenated in morsel order.
+/// 2. Probe morsels find each key's chain in its partition's table and
+///    emit pairs, which are concatenated in morsel order. A dictionary
+///    probe key looks each entry up once instead, and each row reads its
+///    code's chain: no hash per row.
 fn match_pairs<K: KeyKind>(
     build: &[&Column],
     probe: &[&Column],
     keep_unmatched: bool,
     par: Parallelism,
     parallel: bool,
-) -> DbResult<(Vec<u32>, Vec<Option<u32>>)> {
-    let h = KeyHasher::get();
+) -> DbResult<Pairs> {
+    let hasher = KeyHasher::get();
     let (build_rows, probe_rows) = (build[0].len(), probe[0].len());
-    let (tables, parts) = if parallel {
-        let scattered =
-            hashtable::partition(build_rows, &par, |m, out| {
-                let mut scratch = K::Scratch::default();
-                out.extend((m.start..m.start + m.len).map(|row| {
-                    match_key::<K>(build, row, &mut scratch).map_or(0, |k| K::hash(h, k))
-                }))
-            })?;
-        let tables = par.run_tasks(PARTITIONS, |p| {
-            BuildTable::<K>::build(build, scattered.slices(p).flatten().copied().collect(), &par)
+    let parts = if parallel {
+        let scattered = hashtable::partition(build_rows, &par, |m, out| {
+            let mut scratch = K::Scratch::default();
+            out.extend((m.start..m.start + m.len).map(|row| {
+                match_key::<K>(build, row, &mut scratch).map_or(0, |k| K::hash(hasher, k))
+            }))
         })?;
-        (tables, PARTITIONS)
+        par.run_tasks(PARTITIONS, |p| {
+            BuildTable::<K>::build(build, scattered.slices(p).flatten().copied().collect(), &par)
+        })?
     } else {
-        (vec![BuildTable::<K>::build(build, (0..build_rows as u32).collect(), &par)?], 1)
+        vec![BuildTable::<K>::build(build, (0..build_rows as u32).collect(), &par)?]
     };
+    let tables = Tables { parts, hasher };
+    let by_code = tables.entry_heads(probe)?;
+    if by_code.is_some() {
+        metrics::counter("exec.encoding.dict_rows").add(probe_rows as u64);
+    }
     let parts = par.run_morsels(probe_rows, parallel, |m| {
-        let mut probe_idx: Vec<u32> = Vec::with_capacity(m.len);
-        let mut build_idx: Vec<Option<u32>> = Vec::with_capacity(m.len);
-        let mut scratch = K::Scratch::default();
-        for row in m.start..m.start + m.len {
-            let matched = match_key::<K>(probe, row, &mut scratch).is_some_and(|key| {
-                let hash = K::hash(h, key);
-                tables[hashtable::part_index(hash, parts)].for_each_match(hash, key, |b| {
-                    probe_idx.push(row as u32);
-                    build_idx.push(Some(b));
-                })
-            });
-            if !matched && keep_unmatched {
-                probe_idx.push(row as u32);
-                build_idx.push(None);
+        let mut out: Pairs = (Vec::with_capacity(m.len), Vec::with_capacity(m.len));
+        let rows = m.start..m.start + m.len;
+        match &by_code {
+            Some((codes, heads)) => {
+                let valid = probe[0].validity();
+                for row in rows {
+                    let valid = valid.is_none_or(|bm| bm.get(row));
+                    let head = if valid { heads[codes[row] as usize] } else { UNMATCHED };
+                    tables.emit(row, head, keep_unmatched, &mut out);
+                }
+            }
+            None => {
+                let mut scratch = K::Scratch::default();
+                for row in rows {
+                    let head = tables.head(probe, row, &mut scratch);
+                    tables.emit(row, head, keep_unmatched, &mut out);
+                }
             }
         }
-        Ok((probe_idx, build_idx))
+        Ok(out)
     })?;
     let (probe_parts, build_parts) = parts.into_iter().unzip();
     Ok((concat_parts(probe_parts), concat_parts(build_parts)))

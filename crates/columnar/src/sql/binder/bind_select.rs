@@ -19,11 +19,11 @@ impl Binder<'_> {
             // pre-projection scope is available for hidden sort columns.
             SetExpr::Select(s) => self.bind_select(*s, &q.order_by)?,
             body => {
-                let (plan, projection_asts) = self.bind_set_expr(body)?;
+                let plan = self.bind_set_expr(body)?;
                 if q.order_by.is_empty() {
                     plan
                 } else {
-                    self.bind_order_by(plan, &q.order_by, projection_asts.as_deref())?
+                    self.bind_order_by(plan, &q.order_by)?
                 }
             }
         };
@@ -41,23 +41,14 @@ impl Binder<'_> {
         Ok(plan)
     }
 
-    /// Binds a set expression; also returns the projection ASTs of the
-    /// top-level SELECT (used to resolve ORDER BY aliases), when available.
-    pub(super) fn bind_set_expr(
-        &mut self,
-        body: SetExpr,
-    ) -> DbResult<(LogicalPlan, Option<Vec<SelectItem>>)> {
+    /// Binds a set expression.
+    pub(super) fn bind_set_expr(&mut self, body: SetExpr) -> DbResult<LogicalPlan> {
         match body {
-            SetExpr::Select(s) => {
-                let projection = s.projection.clone();
-                let plan = self.bind_select(*s, &[])?;
-                Ok((plan, Some(projection)))
-            }
+            SetExpr::Select(s) => self.bind_select(*s, &[]),
             SetExpr::UnionAll(l, r) => {
-                let (lp, _) = self.bind_set_expr(*l)?;
-                let (rp, _) = self.bind_set_expr(*r)?;
-                let plan = self.bind_union(lp, rp)?;
-                Ok((plan, None))
+                let lp = self.bind_set_expr(*l)?;
+                let rp = self.bind_set_expr(*r)?;
+                self.bind_union(lp, rp)
             }
         }
     }
@@ -207,6 +198,7 @@ impl Binder<'_> {
             // Projection over the aggregate output.
             let mut exprs = Vec::new();
             let mut names: Vec<String> = Vec::new();
+            let mut texts = Vec::new();
             for item in &s.projection {
                 match item {
                     SelectItem::Wildcard => {
@@ -222,6 +214,7 @@ impl Binder<'_> {
                         ))
                     }
                     SelectItem::Expr { expr, alias } => {
+                        texts.push((expr, exprs.len()));
                         exprs.push(self.bind_in(expr, BindBelow::PostAgg(&post))?);
                         names.push(alias.clone().unwrap_or_else(|| derived_name(expr)));
                     }
@@ -231,7 +224,7 @@ impl Binder<'_> {
                 plan,
                 exprs,
                 names,
-                &s.projection,
+                &texts,
                 s.distinct,
                 order_by,
                 BindBelow::PostAgg(&post),
@@ -241,6 +234,7 @@ impl Binder<'_> {
         // Non-aggregated projection.
         let mut exprs = Vec::new();
         let mut names = Vec::new();
+        let mut texts = Vec::new();
         for item in &s.projection {
             match item {
                 SelectItem::Wildcard => {
@@ -266,6 +260,7 @@ impl Binder<'_> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
+                    texts.push((expr, exprs.len()));
                     exprs.push(self.bind_expr(expr, &scope)?);
                     names.push(alias.clone().unwrap_or_else(|| derived_name(expr)));
                 }
@@ -275,7 +270,7 @@ impl Binder<'_> {
             plan,
             exprs,
             names,
-            &s.projection,
+            &texts,
             s.distinct,
             order_by,
             BindBelow::Scope(&scope),
@@ -283,6 +278,8 @@ impl Binder<'_> {
     }
 
     /// Applies projection, DISTINCT, and ORDER BY to a bound SELECT.
+    /// `texts` pairs each projected expression's AST with its output
+    /// column (a `*` before it spans one column per expanded field).
     ///
     /// ORDER BY keys resolve, in order of preference, to: a 1-based output
     /// ordinal, an output name/alias, a syntactic match of a projection
@@ -294,7 +291,7 @@ impl Binder<'_> {
         input: LogicalPlan,
         exprs: Vec<Expr>,
         names: Vec<String>,
-        projection: &[SelectItem],
+        texts: &[(&AstExpr, usize)],
         distinct: bool,
         order_by: &[OrderItem],
         below: BindBelow<'_>,
@@ -306,7 +303,7 @@ impl Binder<'_> {
         for item in order_by {
             let by_name =
                 |name: &str| all_names[..visible].iter().position(|n| n.eq_ignore_ascii_case(name));
-            let column = match output_column(item, visible, by_name, projection)? {
+            let column = match output_column(item, visible, by_name, texts)? {
                 Some(c) => c,
                 None => {
                     // Hidden sort column bound below the projection.
@@ -398,25 +395,28 @@ impl Binder<'_> {
         }
     }
 
+    /// Sorts a `UNION ALL` by its output columns: each ORDER BY item is
+    /// an ordinal or an output name.
     pub(super) fn bind_order_by(
         &mut self,
         plan: LogicalPlan,
         items: &[OrderItem],
-        projection: Option<&[SelectItem]>,
     ) -> DbResult<LogicalPlan> {
         let schema = plan.schema();
         let mut keys = Vec::with_capacity(items.len());
-        for item in items {
+        for (k, item) in items.iter().enumerate() {
             let by_name = |name: &str| schema.index_of(name);
-            match output_column(item, schema.len(), by_name, projection.unwrap_or(&[]))? {
-                Some(column) => keys.push(sort_key(item, column)),
-                None => {
-                    return Err(DbError::bind(format!(
-                    "ORDER BY expression '{:?}' must reference an output column, alias, or ordinal",
-                    item.expr
-                )))
-                }
-            }
+            let Some(column) = output_column(item, schema.len(), by_name, &[])? else {
+                let name = match &item.expr {
+                    AstExpr::Ident(name) => format!(" ({name})"),
+                    _ => String::new(),
+                };
+                return Err(DbError::bind(format!(
+                    "ORDER BY item {}{name} must reference an output column, alias, or ordinal",
+                    k + 1
+                )));
+            };
+            keys.push(sort_key(item, column));
         }
         Ok(LogicalPlan::Sort { input: Box::new(plan), keys })
     }
@@ -455,14 +455,15 @@ fn unique_name(taken: &mut Vec<String>, base: &str) -> String {
 }
 
 /// The output column an ORDER BY item names, in order of preference: a
-/// 1-based ordinal, an output name or alias (`by_name`), or a syntactic
-/// match of one of the first `visible` projection items (e.g. `ORDER BY
-/// count(*)`). `None` when it names none of them.
+/// 1-based ordinal among the `visible` columns, an output name or alias
+/// (`by_name`), or a syntactic match of a projected expression in `texts`
+/// (e.g. `ORDER BY count(*)`), paired with its output column. `None` when
+/// it names none of them.
 fn output_column(
     item: &OrderItem,
     visible: usize,
     by_name: impl Fn(&str) -> Option<usize>,
-    projection: &[SelectItem],
+    texts: &[(&AstExpr, usize)],
 ) -> DbResult<Option<usize>> {
     if let AstExpr::Literal(Value::Int32(n)) = &item.expr {
         let idx = *n as usize;
@@ -477,10 +478,7 @@ fn output_column(
     } {
         return Ok(Some(i));
     }
-    Ok(projection
-        .iter()
-        .take(visible)
-        .position(|p| matches!(p, SelectItem::Expr { expr, .. } if expr == &item.expr)))
+    Ok(texts.iter().find(|(expr, _)| **expr == item.expr).map(|&(_, column)| column))
 }
 
 /// The sort key an ORDER BY item puts on `column`: NULLs sort last

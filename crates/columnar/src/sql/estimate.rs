@@ -133,21 +133,11 @@ fn estimate_node(plan: &LogicalPlan, catalog: &Catalog, map: &mut HashMap<usize,
             let rows = if group.is_empty() {
                 Some(1)
             } else {
-                inp.rows.map(|r| {
-                    let mut groups: u64 = 1;
-                    for g in group {
-                        let ndv = match g {
-                            Expr::Column(i) => {
-                                inp.cols.get(*i).and_then(|c| c.as_ref()).map(|c| c.ndv())
-                            }
-                            _ => None,
-                        };
-                        let per_key =
-                            ndv.unwrap_or_else(|| (r / DEFAULT_GROUP_DIVISOR).max(1)).max(1);
-                        groups = groups.saturating_mul(per_key);
-                    }
-                    groups.min(r.max(1))
-                })
+                let key = |g: &Expr| match g {
+                    Expr::Column(i) => Some(*i),
+                    _ => None,
+                };
+                groups(&inp, group.iter().map(key))
             };
             NodeEst { rows, cols: vec![None; schema.len()] }
         }
@@ -164,9 +154,10 @@ fn estimate_node(plan: &LogicalPlan, catalog: &Catalog, map: &mut HashMap<usize,
             NodeEst { rows, cols: inp.cols }
         }
         LogicalPlan::Distinct { input } => {
-            // Without multi-column NDV there is no good distinct estimate;
-            // pass rows through as an upper bound.
-            estimate_node(input, catalog, map)
+            // DISTINCT groups by every column, and keeps each one's stats.
+            let inp = estimate_node(input, catalog, map);
+            let rows = groups(&inp, (0..inp.cols.len()).map(Some));
+            NodeEst { rows, cols: inp.cols }
         }
         LogicalPlan::UnionAll { inputs, schema } => {
             let mut total: Option<u64> = Some(0);
@@ -184,6 +175,20 @@ fn estimate_node(plan: &LogicalPlan, catalog: &Catalog, map: &mut HashMap<usize,
         map.insert(key_of(plan), r);
     }
     est
+}
+
+/// The groups of a `GROUP BY` (or DISTINCT) over `inp`: the product of the
+/// keys' NDVs, capped by the input rows. `keys` are input columns, `None`
+/// for a computed key, whose NDV is taken as a tenth of the rows.
+fn groups(inp: &NodeEst, keys: impl Iterator<Item = Option<usize>>) -> Option<u64> {
+    let r = inp.rows?;
+    let mut groups: u64 = 1;
+    for key in keys {
+        let ndv = key.and_then(|i| inp.cols.get(i)).and_then(|c| c.as_ref()).map(|c| c.ndv());
+        let per_key = ndv.unwrap_or_else(|| (r / DEFAULT_GROUP_DIVISOR).max(1)).max(1);
+        groups = groups.saturating_mul(per_key);
+    }
+    Some(groups.min(r.max(1)))
 }
 
 /// Join output estimate. Equi-joins use the textbook independence
@@ -527,6 +532,25 @@ mod tests {
             schema,
         };
         assert_eq!(estimate_rows(&plan, &catalog), Some(1));
+    }
+
+    #[test]
+    fn distinct_estimates_the_product_of_key_ndvs() {
+        // SELECT DISTINCT k, cat over 100 × 16 dictionary values.
+        let cats: Vec<String> = (0..8000).map(|i| format!("c{:02}", (i + i / 100) % 16)).collect();
+        let catalog = catalog_with(
+            "t",
+            vec![
+                ("k", Column::from_i32s((0..8000).map(|i| i % 100).collect())),
+                ("cat", Column::from_strings(cats.iter().map(String::as_str))),
+            ],
+        );
+        let table = catalog.table("t").unwrap();
+        let encodings =
+            table.read().scan().columns().iter().map(|c| c.encoding()).collect::<Vec<_>>();
+        assert_eq!(encodings, [crate::column::Encoding::Dict; 2]);
+        let plan = LogicalPlan::Distinct { input: Box::new(scan(&catalog, "t")) };
+        assert_eq!(estimate_rows(&plan, &catalog), Some(1600));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::metrics;
 use crate::parallel::locks::Mutex;
 use crate::parallel::{effective_threads, DEFAULT_MORSEL_ROWS};
 use crate::schema::{Field, Schema};
+use crate::sql::estimate;
 use crate::sql::plan::{BoundTableArg, LogicalPlan, PlanAgg};
 use crate::udf::FunctionRegistry;
 use crate::verify::{expr_parallel_safe, exprs_parallel_safe};
@@ -611,8 +612,10 @@ impl<'a> Exec<'a> {
                     }
                 }
                 let par = opts.for_heavy().parallelism(parallel_eligible(plan, functions));
+                // An ungrouped aggregate has one group: nothing to size.
+                let groups = if group.is_empty() { 0 } else { self.estimated_groups(plan) };
                 let (out, ran_parallel) =
-                    self.aggregate(&narrow, &group, &aggs, schema.clone(), par)?;
+                    self.aggregate(&narrow, &group, &aggs, schema.clone(), par, groups)?;
                 flags.parallel = ran_parallel;
                 Ok((ExecView::full(out), flags))
             }
@@ -640,7 +643,8 @@ impl<'a> Exec<'a> {
                 let b = self.run(input)?;
                 let keys: Vec<usize> = (0..b.width()).collect();
                 let par = opts.for_heavy().parallelism(parallel_eligible(plan, functions));
-                let (out, ran_parallel) = exec::hash_aggregate(&b, &keys, &[], par)?;
+                let groups = self.estimated_groups(plan);
+                let (out, ran_parallel) = exec::hash_aggregate_sized(&b, &keys, &[], par, groups)?;
                 let flags = OpFlags { parallel: ran_parallel, ..OpFlags::default() };
                 Ok((ExecView::full(out), flags))
             }
@@ -662,6 +666,13 @@ fn unit_batch() -> DbResult<Batch> {
 }
 
 impl Exec<'_> {
+    /// The plan's estimate of the groups of `plan`, an aggregate or
+    /// DISTINCT: what its tables are sized for (0 when there is none).
+    fn estimated_groups(&self, plan: &LogicalPlan) -> usize {
+        estimate::estimate_rows(plan, self.catalog)
+            .map_or(0, |n| n.try_into().unwrap_or(usize::MAX))
+    }
+
     /// Evaluates projection expressions over the view and labels the result
     /// with `schema`. A bare column reference of its output's type passes the
     /// input's own column on, whole: it is never sliced, evaluated or
@@ -758,6 +769,7 @@ impl Exec<'_> {
         aggs: &[PlanAgg],
         schema: Arc<Schema>,
         par: exec::Parallelism,
+        groups: usize,
     ) -> DbResult<(Batch, bool)> {
         let ctx = self.ctx(input);
         let n = input.rows();
@@ -799,7 +811,8 @@ impl Exec<'_> {
         }
         let pre = Batch::new(Arc::new(Schema::new_unchecked(fields)), pre_cols)?;
         let group_keys: Vec<usize> = (0..group.len()).collect();
-        let (out, ran_parallel) = exec::hash_aggregate(&pre, &group_keys, &calls, par)?;
+        let (out, ran_parallel) =
+            exec::hash_aggregate_sized(&pre, &group_keys, &calls, par, groups)?;
         Ok((conform(out, schema)?, ran_parallel))
     }
 }

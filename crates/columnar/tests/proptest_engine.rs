@@ -3,7 +3,7 @@
 
 use mlcs_columnar::exec::{self, AggCall, AggFunc, JoinType, Parallelism, SortKey};
 use mlcs_columnar::expr::{eval, eval_predicate, BinaryOp, EvalContext, Expr};
-use mlcs_columnar::{Batch, Column, Value};
+use mlcs_columnar::{Batch, Column, Encoding, Value};
 use proptest::prelude::*;
 
 fn opt_i32s() -> impl Strategy<Value = Vec<Option<i32>>> {
@@ -51,30 +51,53 @@ fn nested_loop<K: PartialEq>(
     pairs
 }
 
+/// A [`keyed`] batch with its key column re-encoded.
+fn encoded(b: &Batch, encoding: Encoding) -> Batch {
+    let key = b.column(0).encode(encoding);
+    Batch::from_columns(vec![("k", key), ("pos", b.column(1).as_ref().clone())]).unwrap()
+}
+
 /// Checks `exec::hash_join` over two [`keyed`] batches against the
-/// expected position pairs, for both build sides under both policies. The
-/// comparison is on the ordered pair list, which pins the pair multiset
-/// and the documented output order at once.
+/// expected position pairs, with each side's key plain or a dictionary
+/// (a dictionary probe key answers rows by code), for both build sides
+/// under both policies. The comparison is on the ordered pair list, which
+/// pins the pair multiset and the documented output order at once.
 fn check_join(
     lb: &Batch,
     rb: &Batch,
     join_type: JoinType,
     expect: &[(i64, Option<i64>)],
 ) -> Result<(), TestCaseError> {
-    for build_left in [false, true] {
-        for par in policies() {
-            let (out, ran_parallel) =
-                exec::hash_join(lb, rb, &[0], &[0], join_type, build_left, par).unwrap();
-            let pairs: Vec<(i64, Option<i64>)> = (0..out.rows())
-                .map(|i| (out.column(1).i64_at(i).unwrap(), out.column(3).i64_at(i)))
-                .collect();
-            prop_assert_eq!(&pairs[..], expect, "build_left={} par={:?}", build_left, par);
-            let expect_parallel = par.threads > 1 && lb.rows().max(rb.rows()) > 0;
-            prop_assert_eq!(ran_parallel, expect_parallel);
-            // Every matched output row has equal keys on both sides.
-            for i in 0..out.rows() {
-                if !out.column(3).is_null(i) {
-                    prop_assert_eq!(out.row(i)[0].clone(), out.row(i)[2].clone());
+    for (le, re) in [Encoding::Plain, Encoding::Dict]
+        .map(|l| [Encoding::Plain, Encoding::Dict].map(|r| (l, r)))
+        .concat()
+    {
+        let (lb, rb) = (&encoded(lb, le), &encoded(rb, re));
+        for build_left in [false, true] {
+            for par in policies() {
+                let (out, ran_parallel) =
+                    exec::hash_join(lb, rb, &[0], &[0], join_type, build_left, par).unwrap();
+                let pairs: Vec<(i64, Option<i64>)> = (0..out.rows())
+                    .map(|i| (out.column(1).i64_at(i).unwrap(), out.column(3).i64_at(i)))
+                    .collect();
+                prop_assert_eq!(
+                    &pairs[..],
+                    expect,
+                    "{:?} ⋈ {:?} build_left={} par={:?}",
+                    le,
+                    re,
+                    build_left,
+                    par
+                );
+                let expect_parallel = par.threads > 1 && lb.rows().max(rb.rows()) > 0;
+                prop_assert_eq!(ran_parallel, expect_parallel);
+                // Every matched output row has equal keys on both sides
+                // (integers of any width as their value).
+                for i in 0..out.rows() {
+                    if !out.column(3).is_null(i) {
+                        let (l, r) = (out.row(i)[0].clone(), out.row(i)[2].clone());
+                        prop_assert!(l == r || (l.as_i64().is_some() && l.as_i64() == r.as_i64()));
+                    }
                 }
             }
         }
@@ -234,6 +257,21 @@ proptest! {
         let rb = keyed(Column::from_opt_i32s(right.clone()));
         check_join(&lb, &rb, JoinType::Inner, &nested_loop(&left, &right, false))?;
         check_join(&lb, &rb, JoinType::Left, &nested_loop(&left, &right, true))?;
+    }
+
+    /// The same between an INTEGER key and a BIGINT one: a dictionary over
+    /// the narrow key probes the wide one's table by value.
+    #[test]
+    fn mixed_width_join_matches_nested_loop(
+        left in proptest::collection::vec(proptest::option::of(0i32..12), 0..60),
+        right in proptest::collection::vec(proptest::option::of(4i64..16), 0..30),
+    ) {
+        let lb = keyed(Column::from_opt_i32s(left.clone()));
+        let rb = keyed(Column::from_opt_i64s(right.clone()));
+        let left: Vec<Option<i64>> = left.iter().map(|k| k.map(i64::from)).collect();
+        check_join(&lb, &rb, JoinType::Inner, &nested_loop(&left, &right, false))?;
+        check_join(&lb, &rb, JoinType::Left, &nested_loop(&left, &right, true))?;
+        check_join(&rb, &lb, JoinType::Left, &nested_loop(&right, &left, true))?;
     }
 
     /// The same over string keys, which take the byte-encoded key path.

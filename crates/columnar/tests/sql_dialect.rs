@@ -286,3 +286,42 @@ fn errors_are_actionable() {
         );
     }
 }
+
+#[test]
+fn order_by_expression_text_after_a_wildcard() {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE t (a INTEGER, b INTEGER);
+         INSERT INTO t VALUES (1, 30), (2, 10), (3, 20), (3, 5);",
+    )
+    .unwrap();
+    let sorted = |sql: &str, col: usize| -> Vec<Value> {
+        let r = db.query(sql).unwrap();
+        (0..r.rows()).map(|i| r.row(i)[col].clone()).collect()
+    };
+    // a * 100 - b is 70, 190, 280, 295: the rows stay in insertion order,
+    // where ordering by b would give 5, 10, 20, 30.
+    let want: Vec<Value> = [70, 190, 280, 295].into_iter().map(Value::Int64).collect();
+    assert_eq!(sorted("SELECT *, a * 100 - b FROM t ORDER BY a * 100 - b", 2), want);
+    assert_eq!(sorted("SELECT b, *, a * 100 - b FROM t ORDER BY a * 100 - b", 3), want);
+    let mut desc = want.clone();
+    desc.reverse();
+    assert_eq!(sorted("SELECT a, *, a * 100 - b FROM t ORDER BY a * 100 - b DESC", 3), desc);
+}
+
+#[test]
+fn union_order_by_error_names_the_item() {
+    let db = db();
+    let err = db
+        .query("SELECT id FROM emp UNION ALL SELECT boss FROM emp ORDER BY x")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("ORDER BY item 1 (x)"), "{err}");
+    assert!(!err.contains("Ident("), "{err}");
+    let err = db
+        .query("SELECT id FROM emp UNION ALL SELECT boss FROM emp ORDER BY id, id + 1")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("ORDER BY item 2 must"), "{err}");
+    assert!(!err.contains("Binary"), "{err}");
+}

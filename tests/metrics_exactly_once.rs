@@ -292,6 +292,36 @@ fn counters_move_exactly_once_per_event() {
     assert_eq!(delta.counter("exec.encoding.dict_rows"), n as u64);
     assert_eq!(delta.counter("exec.encoding.rle_runs"), 0, "no RLE column in the group-by");
 
+    // ... so does a DISTINCT over two dictionary keys, by composite code;
+    // a join whose probe key is a dictionary answers each probe row by its
+    // code; a float dictionary key groups as bytes and counts nothing ...
+    use mlcs::columnar::exec::{hash_join, JoinType};
+    use mlcs::columnar::Encoding;
+    let names = ["a", "b", "c"];
+    let keyed = Batch::from_columns(vec![
+        ("k", Column::from_i32s((0..n).map(|i| i % 7).collect()).encode(Encoding::Dict)),
+        ("c", Column::from_strings((0..n).map(|i| names[i as usize % 3])).encode(Encoding::Dict)),
+        ("x", Column::from_f64s((0..n).map(|i| f64::from(i % 5)).collect()).encode(Encoding::Dict)),
+    ])
+    .unwrap();
+    let before = metrics::snapshot();
+    let (distinct, _) = hash_aggregate(&keyed, &[0, 1], &[], Parallelism::serial()).unwrap();
+    assert_eq!(distinct.rows(), 21);
+    let delta = metrics::snapshot().since(&before);
+    assert_eq!(delta.counter("exec.encoding.dict_rows"), n as u64, "two keys, one code per row");
+    let dim = Batch::from_columns(vec![("dk", Column::from_i64s((0..5).collect()))]).unwrap();
+    let before = metrics::snapshot();
+    let (joined, _) =
+        hash_join(&keyed, &dim, &[0], &[0], JoinType::Inner, false, Parallelism::serial()).unwrap();
+    assert_eq!(joined.rows(), (0..n).filter(|i| i % 7 < 5).count());
+    let delta = metrics::snapshot().since(&before);
+    assert_eq!(delta.counter("exec.encoding.dict_rows"), n as u64, "one per probe row");
+    let before = metrics::snapshot();
+    let (floats, _) = hash_aggregate(&keyed, &[2], &[], Parallelism::serial()).unwrap();
+    assert_eq!(floats.rows(), 5);
+    let delta = metrics::snapshot().since(&before);
+    assert_eq!(delta.counter("exec.encoding.dict_rows"), 0, "a float dictionary key");
+
     // ... and an ungrouped integer SUM over the RLE column folds its 8
     // runs instead of touching 2048 rows.
     let sum_r = AggCall { func: AggFunc::Sum, arg: Some(1), distinct: false };
