@@ -1,7 +1,9 @@
 //! Exp 4 (ablation; paper §3.3): ensembles over stored models as SQL —
 //! one model vs. majority vote vs. highest confidence vs. accuracy-weighted
 //! vote, as the `models` table grows. Each ensemble is one query of
-//! `examples/ensembles.sql` over a 10 000-row probe table.
+//! `examples/ensembles.sql` over a 10 000-row probe table, run as written
+//! (`models m CROSS JOIN probe p`, models first) and with the join's sides
+//! swapped (probe first), where consecutive rows hold different models.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlcs_bench::blob_training_data;
@@ -74,6 +76,12 @@ fn ensemble_strategies(c: &mut Criterion) {
         for (strategy, sql) in strategies.iter().zip(&queries) {
             group.bench_with_input(BenchmarkId::new(*strategy, n_models), &db, |b, db| {
                 b.iter(|| db.query(sql).expect(strategy));
+            });
+            let probe_first =
+                sql.replace("models m CROSS JOIN probe p", "probe p CROSS JOIN models m");
+            let id = BenchmarkId::new(format!("{strategy}_probe_first"), n_models);
+            group.bench_with_input(id, &db, |b, db| {
+                b.iter(|| db.query(&probe_first).expect(strategy));
             });
         }
     }

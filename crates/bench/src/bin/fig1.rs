@@ -120,13 +120,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ML kernel split, sourced from the `ml.*` registry series the model
     // layer records: cumulative train/predict wall time, rows, the groups of
-    // equal rows the trees grew over, split candidates scanned, and
-    // prediction morsels across every pass above.
+    // equal rows the trees grew over, split candidates scanned, prediction
+    // morsels, and the distinct inputs the in-db model UDFs evaluated
+    // beside their rows, across every pass above.
     let snap = mlcs_columnar::metrics::snapshot();
     println!();
     println!(
         "ml kernels (cumulative over all passes): train {:.3}s / {} rows \
-         ({} groups, {} split candidates), predict {:.3}s / {} rows ({} pool morsels)",
+         ({} groups, {} split candidates), predict {:.3}s / {} rows ({} pool morsels; \
+         in-db model UDFs evaluated {} distinct keys of {} rows)",
         snap.duration_sum("ml.train.time_ns").as_secs_f64(),
         snap.counter("ml.train.rows"),
         snap.counter("ml.train.groups"),
@@ -134,6 +136,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snap.duration_sum("ml.predict.time_ns").as_secs_f64(),
         snap.counter("ml.predict.rows"),
         snap.counter("ml.predict.morsels"),
+        snap.counter("udf.predict.distinct_keys"),
+        snap.counter("udf.predict.rows"),
     );
     if dump_metrics {
         println!();

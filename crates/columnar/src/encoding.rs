@@ -465,6 +465,14 @@ fn build_typed<V: Values + ?Sized>(
     auto: Option<Thresholds>,
 ) -> (Option<Column>, ColumnStats) {
     let n = col.len();
+    if auto.is_some_and(|t| n < t.floor) && !col.is_plain() {
+        // Below the floor a column is plain whatever it arrived as, so a
+        // short table's encodings, and so its NDV's exactness, are the same
+        // whether its rows came from a query's result or from the log.
+        let plain = col.decode();
+        let (_, stats) = build(&plain, auto);
+        return (Some(plain), stats);
+    }
     let valid = |i: usize| !col.is_null(i);
     let mut fold = StatsFold::new(v, col);
     if let Some((codes, dict)) = col.dict_parts() {

@@ -543,6 +543,14 @@ impl<'a> KeyShape<'a> {
         Some(KeyShape::Dict(digits, space))
     }
 
+    /// The composite code space of a `Dict` shape; 0 for the others.
+    fn space(&self) -> usize {
+        match *self {
+            KeyShape::Dict(_, space) => space,
+            _ => 0,
+        }
+    }
+
     /// Writes the composite code of each of `rows` to `out`, a key column
     /// at a time: `Σ digit_i · place_i`, a NULL key's digit being `null`.
     fn codes(
@@ -660,6 +668,31 @@ impl Lookup {
         let (ints, bytes) = (HashTable::with_capacity(ints), HashTable::with_capacity(bytes));
         Lookup { slots, shift, codes: Vec::new(), ints, bytes, key: Vec::new(), null: NONE }
     }
+}
+
+/// Code-array slots per row past which [`dict_groups`] declines: filling
+/// an array that much wider than the rows costs more than it can save.
+const SLOTS_PER_ROW: usize = 128;
+
+/// Groups rows by their dictionary keys' composite code: each row's group
+/// id and each group's first row, groups numbered by first appearance.
+/// `None` when there is no key, unless every key is a non-float dictionary
+/// and their radices' product (entries + 1 each) is at most 65 537 codes
+/// (the [`hash_aggregate`] rule), or when that product exceeds 128 codes
+/// per row. The keys must be equally long. This is the serial fold's own
+/// lookup, so a `GROUP BY` over the same keys opens the same groups in the
+/// same order.
+pub fn dict_groups(keys: &[&Column]) -> Option<(Vec<u32>, Vec<u32>)> {
+    let rows = keys.first()?.len();
+    debug_assert!(keys.iter().all(|k| k.len() == rows), "keys of unequal length");
+    let shape = KeyShape::dict(keys).filter(|s| s.space() <= rows * SLOTS_PER_ROW)?;
+    let mut lookup = Lookup::new(&shape, false, 0);
+    let (mut ids, mut firsts, mut block) = (Vec::with_capacity(rows), Vec::new(), Vec::new());
+    blocks(0..rows, |b| {
+        shape.ids(&mut lookup, b, &mut block, &mut firsts);
+        ids.extend_from_slice(&block);
+    });
+    Some((ids, firsts))
 }
 
 /// One partition's fold: its groups, its key lookup, and the buffers its

@@ -232,7 +232,7 @@ pub(crate) fn aggregate(
 /// `hash_aggregate` against this oracle over random batches.
 #[cfg(test)]
 mod equivalence {
-    use super::super::{hash_aggregate, AggCall, AggFunc};
+    use super::super::{dict_groups, hash_aggregate, AggCall, AggFunc};
     use super::aggregate;
     use crate::batch::Batch;
     use crate::bitmap::Bitmap;
@@ -427,6 +427,73 @@ mod equivalence {
         }
     }
 
+    /// `dict_groups` answers exactly when the keys take `KeyShape::Dict`
+    /// with at most 128 codes per row, and then opens the groups a serial
+    /// `hash_aggregate` over the same keys opens: the same count, in the
+    /// same order, with the same first rows and sizes; and each row's group
+    /// holds its own key values, NULLs included.
+    fn check_dict_groups(keys: &[&Column]) -> Result<(), String> {
+        use super::super::KeyShape;
+        let dict = !keys.is_empty()
+            && matches!(KeyShape::of(keys), KeyShape::Dict(_, space) if space <= 128 * keys[0].len());
+        let Some((ids, firsts)) = dict_groups(keys) else {
+            return if dict { Err("a dictionary shape got no groups".into()) } else { Ok(()) };
+        };
+        if !dict {
+            return Err("groups for keys that are not a dictionary shape".into());
+        }
+        let n = keys[0].len();
+        let mut cols: Vec<(String, Column)> =
+            keys.iter().enumerate().map(|(i, &k)| (format!("k{i}"), k.clone())).collect();
+        cols.push(("row".into(), Column::from_i64s((0..n as i64).collect())));
+        let batch =
+            Batch::from_columns(cols.iter().map(|(name, c)| (name.as_str(), c.clone())).collect())
+                .unwrap();
+        let calls = [
+            AggCall { func: AggFunc::Min, arg: Some(keys.len()), distinct: false },
+            AggCall { func: AggFunc::CountStar, arg: None, distinct: false },
+        ];
+        let group_keys: Vec<usize> = (0..keys.len()).collect();
+        let (out, _) = hash_aggregate(&batch, &group_keys, &calls, Parallelism::serial()).unwrap();
+        let opened: Vec<u32> =
+            (0..out.rows()).map(|g| out.column(keys.len()).i64_at(g).unwrap() as u32).collect();
+        if opened != firsts {
+            return Err(format!("first rows {firsts:?}, hash_aggregate opened {opened:?}"));
+        }
+        let mut sizes = vec![0i64; firsts.len()];
+        for (r, &g) in ids.iter().enumerate() {
+            let first = *firsts.get(g as usize).ok_or(format!("row {r}: no group {g}"))? as usize;
+            sizes[g as usize] += 1;
+            if keys.iter().any(|k| k.value(r) != k.value(first)) {
+                return Err(format!("row {r} is in the group of row {first}, with other keys"));
+            }
+        }
+        let counted: Vec<i64> =
+            (0..out.rows()).map(|g| out.column(keys.len() + 1).i64_at(g).unwrap()).collect();
+        if sizes != counted {
+            return Err(format!("group sizes {sizes:?}, hash_aggregate counted {counted:?}"));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+        #[test]
+        fn dict_groups_open_the_groups_hash_aggregate_opens(
+            len in 0usize..8,
+            nkeys in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let n = [0, 1, 2, 7, 200, 1100, 2600].get(len).copied().unwrap_or(3000);
+            let cols: Vec<Column> = (0..nkeys).map(|_| random_column(&mut rng, n, 40)).collect();
+            let keys: Vec<&Column> = cols.iter().collect();
+            if let Err(e) = check_dict_groups(&keys) {
+                prop_assert!(false, "n={n}: {e}");
+            }
+        }
+    }
+
     /// Two and three dictionary keys (with NULLs) whose composite codes
     /// number just under and just over the bound: the first two take
     /// `KeyShape::Dict`, the last two the byte path, and every one equals
@@ -475,6 +542,7 @@ mod equivalence {
             ];
             check(&batch, &keys, &calls).unwrap();
             check(&batch, &keys, &[]).unwrap();
+            check_dict_groups(&key_cols).unwrap();
         }
     }
 

@@ -25,7 +25,7 @@ pub mod join;
 pub mod rowkey;
 pub mod sort;
 
-pub use aggregate::{hash_aggregate, hash_aggregate_sized, AggCall, AggFunc};
+pub use aggregate::{dict_groups, hash_aggregate, hash_aggregate_sized, AggCall, AggFunc};
 pub use join::{hash_join, JoinType};
 pub use sort::{limit, sort, SortKey};
 

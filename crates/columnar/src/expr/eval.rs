@@ -128,7 +128,8 @@ fn plain(c: Cow<'_, Column>) -> Cow<'_, Column> {
 
 /// A scalar UDF call. The UDF receives borrowed typed slices: a plain
 /// argument column is shared with the input, an encoded one is decoded
-/// once.
+/// once, unless the UDF reads encodings itself
+/// ([`crate::udf::ScalarUdf::reads_encoded`]).
 fn eval_udf(ctx: &EvalContext<'_>, name: &str, args: &[Expr]) -> DbResult<Column> {
     let registry = ctx
         .functions
@@ -138,7 +139,7 @@ fn eval_udf(ctx: &EvalContext<'_>, name: &str, args: &[Expr]) -> DbResult<Column
         .iter()
         .map(|a| {
             let c = eval_shared(ctx, a)?;
-            Ok(if c.is_plain() { c } else { Arc::new(c.decode()) })
+            Ok(if c.is_plain() || udf.reads_encoded() { c } else { Arc::new(c.decode()) })
         })
         .collect::<DbResult<_>>()?;
     let n = arg_cols.iter().map(|c| c.len()).max().unwrap_or(ctx.batch.rows());

@@ -148,6 +148,13 @@ impl Table {
             }
             prepared.push(col);
         }
+        if batch.rows() == 0 {
+            // An empty append changes nothing. Adopting its columns would
+            // give an empty table the encodings of whatever produced them
+            // (a query's result live, plain columns from the log on
+            // replay), which its statistics are later rebuilt from.
+            return Ok(());
+        }
         if self.rows == 0 {
             // Nothing to extend: adopt the prepared columns, sharing their
             // `Arc`s, so populating a fresh table (`CREATE TABLE AS`, a

@@ -43,6 +43,14 @@ pub trait ScalarUdf: Send + Sync {
     fn parallel_safe(&self) -> bool {
         false
     }
+
+    /// Whether `invoke` takes dictionary and RLE argument columns as they
+    /// are (true for the model UDFs, which group rows by dictionary code);
+    /// otherwise the engine decodes each encoded argument first, so the
+    /// function reads plain typed slices.
+    fn reads_encoded(&self) -> bool {
+        false
+    }
 }
 
 /// A vectorized table-producing function: columns in, table out.

@@ -31,7 +31,7 @@ const KEY_SPAN: usize = 64;
 /// bytes (a pickle envelope ends in its payload's CRC-32). Cheap for
 /// multi-megabyte forests; the exact byte compare on lookup is what makes a
 /// hit correct, so a collision costs a decode, never a wrong model.
-fn bucket(blob: &[u8]) -> u64 {
+pub(crate) fn bucket(blob: &[u8]) -> u64 {
     let mut h = DefaultHasher::new();
     blob.len().hash(&mut h);
     blob[..blob.len().min(KEY_SPAN)].hash(&mut h);

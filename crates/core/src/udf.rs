@@ -16,17 +16,19 @@
 //! The four model UDFs resolve their arguments through one helper that
 //! revives models via the database's shared [`ModelCache`] — decoded once
 //! per distinct BLOB (§5.1) — and applies row `i` with the model in
-//! classifier row `i`, so one query can apply every stored model. A row
+//! classifier row `i`, so one query can apply every stored model. Each
+//! distinct model walks each distinct input once: rows are grouped by
+//! classifier bytes, then by their features' dictionary codes. A row
 //! with a NULL feature or a NULL classifier has no prediction: the scalar
 //! UDFs return NULL for it and `evaluate` rejects it, as `train` rejects
 //! NULL features.
 
 use crate::bridge::{labels_from_column, matrix_from_columns};
-use crate::cache::ModelCache;
+use crate::cache::{bucket, ModelCache};
 use crate::stored::StoredModel;
 use mlcs_columnar::{
-    Batch, Bitmap, Column, ColumnData, DataType, Database, DbError, DbResult, Field, ScalarUdf,
-    Schema, TableUdf,
+    Batch, Bitmap, BlobColumn, Column, ColumnData, DataType, Database, DbError, DbResult, Field,
+    ScalarUdf, Schema, TableUdf,
 };
 use mlcs_ml::forest::RandomForestClassifier;
 use mlcs_ml::knn::KNearestNeighbors;
@@ -34,6 +36,7 @@ use mlcs_ml::linear::LogisticRegression;
 use mlcs_ml::naive_bayes::GaussianNb;
 use mlcs_ml::tree::DecisionTreeClassifier;
 use mlcs_ml::{Matrix, MlError, MlResult, Model};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The RNG seed of every model the trainers build. Client-side pipelines
@@ -252,14 +255,24 @@ impl TableUdf for TrainUdf {
     }
 }
 
-/// A model UDF's arguments, resolved: one feature row per output row and
-/// the model each row is classified with.
+/// One distinct classifier: its model (`None` for a NULL classifier) and
+/// the output rows it classifies (`None` being every row).
+type ModelRows = (Option<Arc<StoredModel>>, Option<Vec<usize>>);
+
+/// A model UDF's arguments, resolved: the feature rows each distinct
+/// classifier is applied to, and where each output row's answer comes
+/// from.
 struct ModelArgs {
-    /// The feature rows.
+    /// The output rows.
+    rows: usize,
+    /// The feature rows the models read: one per distinct feature tuple
+    /// when `keys` is set, else one per output row.
     x: Matrix,
-    /// `(end, model)` runs in row order: the rows from the previous run's
-    /// end up to `end` use `model`, or have none (a NULL classifier).
-    runs: Vec<(usize, Option<Arc<StoredModel>>)>,
+    /// Each output row's row of `x`, when the rows were grouped by their
+    /// features' dictionary codes.
+    keys: Option<Vec<u32>>,
+    /// The distinct classifiers, in first appearance.
+    models: Vec<ModelRows>,
     /// The rows whose features and classifier are all non-NULL; `None`
     /// when every row's are. The model reads a NULL feature as NaN, so its
     /// answer for such a row is not a prediction.
@@ -272,22 +285,33 @@ struct ModelArgs {
 ///
 /// The output length is the longest argument; length-1 arguments
 /// broadcast. Row `i` uses the model in classifier row `i`, so one query
-/// can apply every stored model (paper §3.3); consecutive rows holding
-/// identical bytes share one [`ModelCache`] lookup, which makes the usual
-/// scalar-subquery classifier a single run.
+/// can apply every stored model (paper §3.3). The rows are grouped twice,
+/// so that each model walks each distinct input once:
+/// * by classifier bytes ([`classifier_groups`]), so each distinct model
+///   is looked up in the [`ModelCache`] once whatever the row order;
+/// * by feature tuple, when every feature that varies is a non-float
+///   dictionary whose composite codes fit the aggregate's code array
+///   ([`mlcs_columnar::exec::dict_groups`]): the matrix then holds one row
+///   per distinct tuple. Other features (floats, plain or RLE columns, a
+///   wider code space) give the matrix one row per output row.
+///
+/// A model's answer is a pure function of the row's feature bits, and rows
+/// with equal codes have equal bits, so both groupings give every row the
+/// bits its own walk would.
 fn resolve(
     function: &str,
-    features: &[Arc<Column>],
+    args: &[Arc<Column>],
     classifier: &Column,
     cache: &ModelCache,
 ) -> DbResult<ModelArgs> {
+    let classifier = classifier.decoded();
     let blobs = classifier.blobs().ok_or_else(|| DbError::Udf {
         function: function.to_owned(),
         message: format!("classifier argument must be a BLOB, got {}", classifier.data_type()),
     })?;
-    let lens = features.iter().map(|c| c.len()).chain([blobs.len()]);
+    let lens = args.iter().map(|c| c.len()).chain([blobs.len()]);
     let rows = if lens.clone().any(|n| n == 0) { 0 } else { lens.max().unwrap_or(0) };
-    let features = features
+    let features = args
         .iter()
         .map(|c| match c.len() {
             n if n == rows => Ok(c.clone()),
@@ -300,34 +324,31 @@ fn resolve(
         .collect::<DbResult<Vec<_>>>()?;
     // A NULL classifier row holds no bytes: it has no model, not a
     // broken one.
-    let model = |i: usize| -> DbResult<Option<Arc<StoredModel>>> {
-        if classifier.is_null(i) {
+    let model = |i: u32| -> DbResult<Option<Arc<StoredModel>>> {
+        if classifier.is_null(i as usize) {
             Ok(None)
         } else {
-            cache.get_or_decode(blobs.get(i)).map(Some)
+            cache.get_or_decode(blobs.get(i as usize)).map(Some)
         }
     };
-    let mut runs: Vec<(usize, Option<Arc<StoredModel>>)> = Vec::new();
-    let classifier_valid = match blobs.len() {
-        _ if rows == 0 => None,
-        1 => {
-            runs.push((rows, model(0)?));
-            classifier.is_null(0).then(|| Bitmap::filled(rows, false))
-        }
+    let (models, classifier_valid) = match blobs.len() {
+        _ if rows == 0 => (Vec::new(), None),
+        1 => (vec![(model(0)?, None)], classifier.is_null(0).then(|| Bitmap::filled(rows, false))),
         n if n == rows => {
-            for i in 0..rows {
-                // A run exists only from row 1 on, so `i - 1` is a row.
-                match runs.last_mut() {
-                    Some((end, _))
-                        if blobs.get(i) == blobs.get(i - 1)
-                            && classifier.is_null(i) == classifier.is_null(i - 1) =>
-                    {
-                        *end = i + 1
-                    }
-                    _ => runs.push((i + 1, model(i)?)),
+            let (ids, firsts) = classifier_groups(&classifier, blobs);
+            // One classifier classifies every row; several split them.
+            let mut members: Vec<Option<Vec<usize>>> = vec![None; firsts.len()];
+            if firsts.len() > 1 {
+                for (row, &g) in ids.iter().enumerate() {
+                    members[g as usize].get_or_insert_with(Vec::new).push(row);
                 }
             }
-            classifier.validity().cloned()
+            let models = firsts
+                .iter()
+                .zip(members)
+                .map(|(&first, rows)| Ok((model(first)?, rows)))
+                .collect::<DbResult<Vec<_>>>()?;
+            (models, classifier.validity().cloned())
         }
         n => {
             return Err(DbError::Udf {
@@ -341,38 +362,162 @@ fn resolve(
         .filter_map(|c| c.validity())
         .chain(classifier_valid.as_ref())
         .fold(None, |all, v| Some(all.map_or_else(|| v.clone(), |all: Bitmap| all.and(v))));
-    let x = matrix_from_columns(&features.iter().map(|c| c.as_ref()).collect::<Vec<&Column>>())?;
-    Ok(ModelArgs { x, runs, valid })
+    // A broadcast feature is one value: only the others tell rows apart.
+    let varying: Vec<&Column> = args.iter().filter(|c| c.len() > 1).map(|c| c.as_ref()).collect();
+    let grouped = match rows {
+        0 => None,
+        _ if varying.is_empty() => Some((vec![0; rows], vec![0])),
+        _ => mlcs_columnar::exec::dict_groups(&varying),
+    };
+    let (x, keys) = match grouped {
+        Some((ids, firsts)) => {
+            let distinct: Vec<Column> = features.iter().map(|c| c.take(&firsts)).collect();
+            (matrix_from_columns(&distinct.iter().collect::<Vec<&Column>>())?, Some(ids))
+        }
+        None => {
+            (matrix_from_columns(&features.iter().map(|c| c.as_ref()).collect::<Vec<_>>())?, None)
+        }
+    };
+    Ok(ModelArgs { rows, x, keys, models, valid })
+}
+
+/// Numbers the distinct classifiers of a full classifier column by first
+/// appearance, returning each row's group and each group's first row. Equal
+/// bytes are one group wherever their rows sit: the cache's [`bucket`]
+/// names the candidate groups and a byte compare with each one's first blob
+/// decides, so a bucket collision opens a group of its own. The NULL rows
+/// are one group.
+fn classifier_groups(classifier: &Column, blobs: &BlobColumn) -> (Vec<u32>, Vec<u32>) {
+    let mut ids: Vec<u32> = Vec::with_capacity(blobs.len());
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut null = None;
+    for row in 0..blobs.len() {
+        let bytes = blobs.get(row);
+        let holds = |g: u32| Some(g) != null && blobs.get(firsts[g as usize] as usize) == bytes;
+        let id = if classifier.is_null(row) {
+            *null.get_or_insert(firsts.len() as u32)
+        } else if let Some(&g) = ids.last().filter(|&&g| holds(g)) {
+            // A run of one classifier (a models-first cross join) skips
+            // the hash.
+            g
+        } else {
+            let candidates = buckets.entry(bucket(bytes)).or_default();
+            match candidates.iter().copied().find(|&g| holds(g)) {
+                Some(g) => g,
+                None => {
+                    candidates.push(firsts.len() as u32);
+                    firsts.len() as u32
+                }
+            }
+        };
+        if id as usize == firsts.len() {
+            firsts.push(row as u32);
+        }
+        ids.push(id);
+    }
+    (ids, firsts)
+}
+
+/// Answers to rows of `x`, gathered to the output rows that read them.
+trait Gather {
+    /// Row `i` of the result is row `keys[i]` of `self`.
+    fn gather(self, keys: &[u32]) -> Self;
+}
+
+impl<T: Clone> Gather for Vec<T> {
+    fn gather(self, keys: &[u32]) -> Self {
+        keys.iter().map(|&k| self[k as usize].clone()).collect()
+    }
+}
+
+impl Gather for Matrix {
+    fn gather(self, keys: &[u32]) -> Self {
+        self.take_rows(&keys.iter().map(|&k| k as usize).collect::<Vec<_>>())
+    }
+}
+
+impl<A: Gather, B: Gather> Gather for (A, B) {
+    fn gather(self, keys: &[u32]) -> Self {
+        (self.0.gather(keys), self.1.gather(keys))
+    }
 }
 
 impl ModelArgs {
-    /// Applies `f` run by run — each run's rows with that run's model —
-    /// and concatenates the outputs in row order. A run without a model
-    /// yields `T::default()`, which [`ModelArgs::output`] masks as NULL.
+    /// Applies `f` once per distinct classifier, to the rows of `x` its
+    /// output rows read (each distinct feature tuple once when the rows
+    /// were grouped by code), and gathers the answers into row order. A
+    /// row without a model yields `T::default()`, which
+    /// [`ModelArgs::output`] masks as NULL.
     fn map<T: Clone + Default>(
         &self,
         function: &str,
         f: impl Fn(&StoredModel, &Matrix) -> MlResult<Vec<T>>,
     ) -> DbResult<Vec<T>> {
-        if let [(_, Some(model))] = self.runs.as_slice() {
-            return f(model, &self.x).map_err(|e| udf_err(function, e));
+        if let [(Some(model), None)] = self.models.as_slice() {
+            return self.apply(function, model, &f);
         }
-        let cols = self.x.cols();
-        let mut out = Vec::with_capacity(self.x.rows());
-        let mut start = 0;
-        for (end, model) in &self.runs {
-            match model {
-                Some(model) => {
-                    let part = self.x.as_slice()[start * cols..end * cols].to_vec();
-                    let part =
-                        Matrix::new(part, end - start, cols).map_err(|e| udf_err(function, e))?;
-                    out.extend(f(model, &part).map_err(|e| udf_err(function, e))?);
+        let mut out = vec![T::default(); self.rows];
+        // Each key's index among the current classifier's picks.
+        let mut slots = vec![u32::MAX; self.keys.as_ref().map_or(0, |_| self.x.rows())];
+        for (model, members) in &self.models {
+            let (Some(model), Some(members)) = (model, members) else { continue };
+            let Some(keys) = &self.keys else {
+                let answers = self.walk(function, model, Some(members), &f)?;
+                members.iter().zip(answers).for_each(|(&r, v)| out[r] = v);
+                continue;
+            };
+            let mut picks = Vec::new();
+            for &r in members {
+                let slot = &mut slots[keys[r] as usize];
+                if *slot == u32::MAX {
+                    *slot = picks.len() as u32;
+                    picks.push(keys[r] as usize);
                 }
-                None => out.resize(*end, T::default()),
             }
-            start = *end;
+            let answers = self.walk(function, model, Some(&picks), &f)?;
+            for &r in members {
+                out[r] = answers[slots[keys[r] as usize] as usize].clone();
+            }
+            picks.iter().for_each(|&k| slots[k] = u32::MAX);
         }
         Ok(out)
+    }
+
+    /// Applies one model to every row of `x` and gathers its answers into
+    /// row order.
+    fn apply<R: Gather>(
+        &self,
+        function: &str,
+        model: &StoredModel,
+        f: impl FnOnce(&StoredModel, &Matrix) -> MlResult<R>,
+    ) -> DbResult<R> {
+        let answers = self.walk(function, model, None, f)?;
+        Ok(match &self.keys {
+            None => answers,
+            Some(keys) => answers.gather(keys),
+        })
+    }
+
+    /// Applies `model` to the rows `picks` of `x` (every row for `None`),
+    /// counting the rows it evaluates in `udf.predict.distinct_keys`.
+    fn walk<R>(
+        &self,
+        function: &str,
+        model: &StoredModel,
+        picks: Option<&[usize]>,
+        f: impl FnOnce(&StoredModel, &Matrix) -> MlResult<R>,
+    ) -> DbResult<R> {
+        let part;
+        let x = match picks {
+            None => &self.x,
+            Some(picks) => {
+                part = self.x.take_rows(picks);
+                &part
+            }
+        };
+        mlcs_columnar::metrics::counter("udf.predict.distinct_keys").add(x.rows() as u64);
+        f(model, x).map_err(|e| udf_err(function, e))
     }
 
     /// A scalar UDF's output: `values`, NULL where a feature is NULL.
@@ -415,11 +560,15 @@ impl ScalarUdf for PredictUdf {
             return Err(usage("predict", "predict(features..., classifier)"));
         };
         let m = resolve("predict", features, classifier, &self.cache)?;
-        mlcs_columnar::metrics::counter("udf.predict.rows").add(m.x.rows() as u64);
+        mlcs_columnar::metrics::counter("udf.predict.rows").add(m.rows as u64);
         m.output(ColumnData::Int64(m.map("predict", StoredModel::predict)?))
     }
 
     fn parallel_safe(&self) -> bool {
+        true
+    }
+
+    fn reads_encoded(&self) -> bool {
         true
     }
 }
@@ -453,6 +602,10 @@ impl ScalarUdf for PredictConfidenceUdf {
     }
 
     fn parallel_safe(&self) -> bool {
+        true
+    }
+
+    fn reads_encoded(&self) -> bool {
         true
     }
 }
@@ -490,6 +643,10 @@ impl ScalarUdf for PredictProbaOfUdf {
     }
 
     fn parallel_safe(&self) -> bool {
+        true
+    }
+
+    fn reads_encoded(&self) -> bool {
         true
     }
 }
@@ -540,19 +697,19 @@ impl TableUdf for EvaluateUdf {
                 ),
             });
         }
-        let [(_, Some(sm))] = m.runs.as_slice() else {
+        let [(Some(sm), None)] = m.models.as_slice() else {
             return Err(DbError::Udf {
                 function: "evaluate".into(),
-                message: format!("expected one classifier, got {} different ones", m.runs.len()),
+                message: format!("expected one classifier, got {} different ones", m.models.len()),
             });
         };
-        let x = &m.x;
         let err = |e| udf_err("evaluate", e);
         let truth = sm.classes.encode(&labels_from_column(labels)?).map_err(err)?;
         let n_classes = sm.classes.n_classes();
         use mlcs_ml::Classifier;
-        let pred_idx = sm.model.predict(x).map_err(err)?;
-        let proba = sm.model.predict_proba(x).map_err(err)?;
+        let (pred_idx, proba) = m.apply("evaluate", sm, |sm, x| {
+            Ok((sm.model.predict(x)?, sm.model.predict_proba(x)?))
+        })?;
         let accuracy = mlcs_ml::metrics::accuracy(&truth, &pred_idx).map_err(err)?;
         let scores =
             mlcs_ml::metrics::precision_recall_f1(&truth, &pred_idx, n_classes).map_err(err)?;
@@ -563,7 +720,7 @@ impl TableUdf for EvaluateUdf {
                 Arc::new(Column::from_f64s(vec![accuracy])),
                 Arc::new(Column::from_f64s(vec![scores.macro_f1()])),
                 Arc::new(Column::from_f64s(vec![ll])),
-                Arc::new(Column::from_i64s(vec![x.rows() as i64])),
+                Arc::new(Column::from_i64s(vec![m.rows as i64])),
             ],
         )
     }
@@ -921,6 +1078,36 @@ mod tests {
                 "{classifier}: {err:?}"
             );
         }
+    }
+
+    /// Classifier groups follow bytes, not row order and not buckets: equal
+    /// blobs far apart share a group, two blobs in one bucket do not, and
+    /// the NULL rows are one group apart from an empty non-NULL blob.
+    #[test]
+    fn classifiers_group_by_bytes_wherever_they_sit() {
+        let a = vec![7u8; 256];
+        let mut b = a.clone();
+        b[128] ^= 1;
+        assert_eq!(bucket(&a), bucket(&b), "same length, ends and bucket");
+        let c = vec![9u8; 40];
+        let rows: [Option<&[u8]>; 10] = [
+            Some(&a),
+            Some(&b),
+            None,
+            Some(&a),
+            Some(&c),
+            Some(&b),
+            None,
+            Some(&[]),
+            Some(&b),
+            None,
+        ];
+        let blobs = Column::from_blobs(rows.iter().map(|r| r.unwrap_or_default()));
+        let valid = Bitmap::from_bools(&rows.map(|r| r.is_some()));
+        let col = Column::new(blobs.data().clone(), Some(valid)).unwrap();
+        let (ids, firsts) = classifier_groups(&col, col.blobs().unwrap());
+        assert_eq!(ids, [0, 1, 2, 0, 3, 1, 2, 4, 1, 2]);
+        assert_eq!(firsts, [0, 1, 2, 4, 7]);
     }
 
     /// Asserts `sql` fails with a `DbError::Udf` from `function` naming

@@ -3,10 +3,9 @@
 -- `probe (pid BIGINT, a DOUBLE, b DOUBLE)`, and answers `(pid, label)`
 -- per probe row, ordered by pid. Ties go to the smallest label.
 --
--- Every query applies the models models-first, `FROM models m CROSS JOIN
--- probe p`: a model UDF shares one decoded model across consecutive rows
--- that hold the same classifier, so this order looks each model up once
--- per query, while `probe p CROSS JOIN models m` looks one up per row.
+-- Every query applies every model through `models m CROSS JOIN probe p`.
+-- The join order does not matter: a model UDF looks each distinct
+-- classifier up once and applies it once, wherever its rows sit.
 --
 -- Used by examples/model_management.rs, crates/bench/benches/ensemble.rs
 -- and tests/paper_workflow.rs. Statements are separated by semicolons, so

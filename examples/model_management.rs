@@ -106,12 +106,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
            (SELECT a, b FROM obs), (SELECT label FROM obs), 5, 16)",
     )?;
 
-    // Every stored model applied to every probe: one query, models first.
+    // Every stored model applied to every probe: one query, in either join
+    // order (each distinct model is looked up and applied once).
     let votes = show(
         "Per-model predictions",
         "SELECT p.pid, m.name, predict(p.a, p.b, m.classifier) AS pred,
                 predict_confidence(p.a, p.b, m.classifier) AS conf, m.accuracy
-         FROM models m CROSS JOIN probe p ORDER BY p.pid, m.id",
+         FROM probe p CROSS JOIN models m ORDER BY p.pid, m.id",
     )?;
 
     // Ensembles over every stored model (paper §3.3).

@@ -72,6 +72,7 @@ fn counters_move_exactly_once_per_event() {
     assert_eq!(delta.counter("udf.predict.invocations"), 1, "predict is vectorized: one call");
     assert_eq!(delta.counter("udf.scalar.invocations"), 1);
     assert_eq!(delta.counter("udf.predict.rows"), 6, "all rows in the one call");
+    assert_eq!(delta.counter("udf.predict.distinct_keys"), 6, "DOUBLE features: every row");
 
     // One decode per stored model: on a fresh database, k `predict` calls
     // plus one each of `predict_confidence`, `predict_proba_of` and
@@ -99,6 +100,47 @@ fn counters_move_exactly_once_per_event() {
     assert_eq!(delta.counter("pickle.deserialize.invocations"), 1, "one decode per model");
     assert_eq!(delta.counter("modelstore.cache.misses"), 1);
     assert_eq!(delta.counter("modelstore.cache.hits"), k + 2);
+
+    // A model evaluates each distinct input once: over integer dictionary
+    // features, one row per distinct (a, b) tuple, 4 x 3 of them ...
+    use mlcs::columnar::{Batch, Column, Table};
+    let n = 2048;
+    let cdb = Database::new();
+    register_ml_udfs(&cdb);
+    let codes = Batch::from_columns(vec![
+        ("a", Column::from_i32s((0..n).map(|i| i % 4).collect())),
+        ("b", Column::from_i32s((0..n).map(|i| i % 3).collect())),
+        ("label", Column::from_i32s((0..n).map(|i| (i % 4 + i % 3) % 2).collect())),
+    ])
+    .unwrap();
+    cdb.catalog().put_table(Table::from_batch("codes", codes), false).unwrap();
+    cdb.execute(
+        "CREATE TABLE m AS SELECT * FROM train(
+           (SELECT a, b FROM codes), (SELECT label FROM codes), 4)",
+    )
+    .unwrap();
+    let before = metrics::snapshot();
+    cdb.query("SELECT predict(a, b, (SELECT classifier FROM m)) FROM codes").unwrap();
+    let delta = metrics::snapshot().since(&before);
+    assert_eq!(delta.counter("udf.predict.rows"), n as u64);
+    assert_eq!(delta.counter("udf.predict.distinct_keys"), 12, "one per distinct tuple");
+
+    // ... and a probe-first cross join over two stored models looks each
+    // model up once and applies it once, to its 6 rows.
+    mdb.execute(
+        "INSERT INTO models SELECT * FROM train(
+           (SELECT x, y FROM points), (SELECT 1 - label FROM points), 4)",
+    )
+    .unwrap();
+    let before = metrics::snapshot();
+    let out = mdb
+        .query("SELECT predict(p.x, p.y, m.classifier) FROM points p CROSS JOIN models m")
+        .unwrap();
+    assert_eq!(out.rows(), 12);
+    let delta = metrics::snapshot().since(&before);
+    let lookups = delta.counter("modelstore.cache.hits") + delta.counter("modelstore.cache.misses");
+    assert_eq!(lookups, 2, "one lookup per distinct classifier");
+    assert_eq!(delta.counter("udf.predict.distinct_keys"), 12, "6 rows per model");
 
     // Pickle round-trip: one deserialize tick sized to the blob ...
     let blob = match db.query_value("SELECT classifier FROM models").unwrap() {
@@ -252,8 +294,6 @@ fn counters_move_exactly_once_per_event() {
     // (low-NDV → dict, long runs → RLE, all-distinct stays plain) ...
     use mlcs::columnar::exec::{filter_sel, hash_aggregate, AggCall, AggFunc, Parallelism};
     use mlcs::columnar::expr::{BinaryOp, EvalContext, Expr};
-    use mlcs::columnar::{Batch, Column, Table};
-    let n = 2048;
     let batch = Batch::from_columns(vec![
         ("k", Column::from_i32s((0..n).map(|i| i % 7).collect())),
         ("r", Column::from_i32s((0..n).map(|i| i / 256).collect())),
